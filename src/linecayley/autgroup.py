@@ -44,6 +44,17 @@ def _iter_bits(mask):
         mask ^= low
 
 
+def _preserves_masks(masks, p):
+    """Whether p maps every neighbor mask onto the mask of the image vertex."""
+    for u, mask in enumerate(masks):
+        image = 0
+        for v in _iter_bits(mask):
+            image |= 1 << p[v]
+        if image != masks[p[u]]:
+            return False
+    return True
+
+
 def _cell_mask(cell):
     m = 0
     for v in cell:
@@ -127,17 +138,7 @@ class _Search:
         for cl, cr in cells:
             p[cl[0]] = cr[0]
         p = tuple(p)
-        return p if self._is_aut(p) else None
-
-    def _is_aut(self, p):
-        masks = self.masks
-        for u in range(self.degree):
-            image = 0
-            for v in _iter_bits(masks[u]):
-                image |= 1 << p[v]
-            if image != masks[p[u]]:
-                return False
-        return True
+        return p if _preserves_masks(self.masks, p) else None
 
     def _find_iso(self, cells):
         k = self._target_cell(cells)
@@ -229,14 +230,7 @@ def brute_force_automorphisms(graph):
 
 
 def is_automorphism(graph, p):
-    masks = graph.adjacency_masks()
-    for u in range(graph.num_vertices):
-        image = 0
-        for v in _iter_bits(masks[u]):
-            image |= 1 << p[v]
-        if image != masks[p[u]]:
-            return False
-    return True
+    return _preserves_masks(graph.adjacency_masks(), p)
 
 
 def group_equals_scalar_affine(group, q, n):

@@ -3,7 +3,7 @@
 import random
 
 from .errors import InvariantViolation
-from .field import decode, encode, require_odd_prime, vec_add, vec_scale, vec_sub
+from .field import affine_ids, decode, encode, require_odd_prime, vec_add, vec_scale, vec_sub
 from .geometry import line_points, line_universe, proj_rep
 
 
@@ -86,9 +86,6 @@ class ConnectionSet:
     def element_count(self):
         return len(self.members)
 
-    def contains_vector(self, v):
-        return tuple(a % self.q for a in v) in self.members
-
     def contains_id(self, i):
         return bool(self._bitmap[i])
 
@@ -149,14 +146,9 @@ class CayleyGraph:
         x = decode(v, self.q, self.n)
         return sorted(encode(vec_add(x, s, self.q), self.q) for s in self._members)
 
-    def half_shift_ids(self):
-        """Vertex ids of one representative per inverse pair of the connection set."""
-        return [encode(s, self.q) for s in self._half]
-
     def shift_table(self, s):
         """Permutation i -> id(decode(i) + s), as a list."""
-        q, n = self.q, self.n
-        return [encode(vec_add(decode(i, q, n), s, q), q) for i in range(self.num_vertices)]
+        return affine_ids(self.q, self.n, 1, s)
 
     def adjacency_masks(self):
         """Per-vertex neighbor bitmasks (built once, then cached)."""

@@ -103,7 +103,7 @@ def cmd_build(args):
 def cmd_chi(args):
     start = time.perf_counter()
     g = build_graph(_load_connection(args))
-    result = exact_chromatic_number(g, budget=args.budget_nodes)
+    result = exact_chromatic_number(g)
     payload = {
         "lower": result.lower,
         "upper": result.upper,
@@ -207,7 +207,7 @@ def cmd_bounds(args):
     return 0
 
 
-def _add_common(sub, q=True, n=True, sample=False, infile=False, budgets=False):
+def _add_common(sub, q=True, n=True, sample=False, infile=False, node_budget=False):
     if q:
         sub.add_argument("--q", type=int, required=True, help="odd prime field size")
     if n:
@@ -217,9 +217,8 @@ def _add_common(sub, q=True, n=True, sample=False, infile=False, budgets=False):
         sub.add_argument("--seed", type=int, default=None, help="random seed")
     if infile:
         sub.add_argument("--in", dest="infile", default=None, help="connection set JSON")
-    if budgets:
+    if node_budget:
         sub.add_argument("--budget-nodes", type=int, default=200000)
-        sub.add_argument("--budget-enum", type=int, default=10**6)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--no-meta", action="store_true", help="omit timestamps and runtimes")
 
@@ -245,20 +244,21 @@ def build_parser():
     sub.set_defaults(func=cmd_build)
 
     sub = subs.add_parser("chi", help="chromatic number with certificates")
-    _add_common(sub, sample=True, infile=True, budgets=True)
+    _add_common(sub, sample=True, infile=True)
     sub.set_defaults(func=cmd_chi)
 
     sub = subs.add_parser("aut", help="automorphism group and dichotomy")
-    _add_common(sub, sample=True, infile=True, budgets=True)
+    _add_common(sub, sample=True, infile=True, node_budget=True)
     sub.set_defaults(func=cmd_aut)
 
     sub = subs.add_parser("distinguish", help="distinguishing verdicts")
-    _add_common(sub, sample=True, infile=True, budgets=True)
+    _add_common(sub, sample=True, infile=True, node_budget=True)
     sub.add_argument("--coloring", default=None, help="coloring JSON to test")
     sub.set_defaults(func=cmd_distinguish)
 
     sub = subs.add_parser("experiment", help="seeded Monte-Carlo trials")
-    _add_common(sub, sample=True, budgets=True)
+    _add_common(sub, sample=True, node_budget=True)
+    sub.add_argument("--budget-enum", type=int, default=10**6)
     sub.add_argument("--trials", type=int, default=20)
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--format", choices=("json", "csv"), default="json")

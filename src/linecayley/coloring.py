@@ -3,14 +3,15 @@
 The layered coloring (one class per level of the last coordinate, skewed
 along any connection-set vector) always uses exactly q colors, and any chosen
 line gives a q-clique, so the chromatic number of a nonempty instance is q
-without search.  Backtracking and exhaustive partition enumeration exist as
-independent oracles for small instances.
+without search.  Exhaustive partition enumeration serves the distinguishing
+verdicts at small sizes.
 """
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, EnumerationLimitExceeded
-from .field import decode, encode, inv_mod, vec_add, vec_scale
+from .errors import EnumerationLimitExceeded
+from .field import encode, inv_mod, vec_add, vec_scale
+from .permgroup import classes_to_labels
 
 
 @dataclass(frozen=True)
@@ -35,25 +36,12 @@ class Coloring:
     def from_json_dict(cls, d):
         classes = d["classes"]
         size = sum(len(c) for c in classes)
-        class_of = [None] * size
-        for i, cl in enumerate(classes):
-            for v in cl:
-                class_of[v] = i
-        if any(c is None for c in class_of):
-            raise ValueError("classes do not cover a contiguous vertex range")
-        return cls(int(d["num_colors"]), tuple(class_of))
+        return coloring_from_classes(classes, size, int(d["num_colors"]))
 
 
 def coloring_from_classes(classes, num_vertices, num_colors=None):
-    class_of = [None] * num_vertices
-    for i, cl in enumerate(classes):
-        for v in cl:
-            if class_of[v] is not None:
-                raise ValueError("classes overlap")
-            class_of[v] = i
-    if any(c is None for c in class_of):
-        raise ValueError("classes do not cover every vertex")
-    return Coloring(num_colors or len(classes), tuple(class_of))
+    class_of = tuple(classes_to_labels(classes, num_vertices))
+    return Coloring(len(classes) if num_colors is None else num_colors, class_of)
 
 
 def coset_coloring(g, v=None):
@@ -73,9 +61,8 @@ def coset_coloring(g, v=None):
         if v not in s.members:
             raise ValueError("vector is not in the connection set")
     winv = inv_mod(v[-1], g.q)
-    class_of = tuple(
-        decode(i, g.q, g.n)[-1] * winv % g.q for i in range(g.num_vertices)
-    )
+    layer = g.q ** (g.n - 1)
+    class_of = tuple(i // layer * winv % g.q for i in range(g.num_vertices))
     return Coloring(g.q, class_of)
 
 
@@ -128,125 +115,17 @@ class ChromaticResult:
         return self.lower if self.exact else None
 
 
-def _greedy_coloring(adj, order):
-    class_of = [None] * len(adj)
-    used = 0
-    for v in order:
-        taken = {class_of[w] for w in _bits(adj[v]) if class_of[w] is not None}
-        c = 0
-        while c in taken:
-            c += 1
-        class_of[v] = c
-        used = max(used, c + 1)
-    return used, class_of
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _try_color(adj, k, budget):
-    """Find a proper k-coloring by backtracking, or prove none exists.
-
-    Returns (status, class_of, nodes) with status one of "found", "none",
-    "exhausted".  Vertices are picked by decreasing saturation, ties by id;
-    a fresh color is only tried once per node to break color symmetry.
-    """
-    n = len(adj)
-    class_of = [None] * n
-    neighbor_colors = [set() for _ in range(n)]
-    nodes = 0
-
-    def pick():
-        best = None
-        for v in range(n):
-            if class_of[v] is None:
-                key = -len(neighbor_colors[v])
-                if best is None or key < best[0]:
-                    best = (key, v)
-        return None if best is None else best[1]
-
-    def assign(v, c):
-        class_of[v] = c
-        touched = []
-        for w in _bits(adj[v]):
-            if class_of[w] is None and c not in neighbor_colors[w]:
-                neighbor_colors[w].add(c)
-                touched.append(w)
-        return touched
-
-    def unassign(v, c, touched):
-        class_of[v] = None
-        for w in touched:
-            neighbor_colors[w].discard(c)
-
-    def solve(used):
-        nonlocal nodes
-        v = pick()
-        if v is None:
-            return True
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in neighbor_colors[v]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("coloring search budget exhausted")
-            touched = assign(v, c)
-            if solve(max(used, c + 1)):
-                return True
-            unassign(v, c, touched)
-        return False
-
-    try:
-        ok = solve(0)
-    except BudgetExceeded:
-        return "exhausted", None, nodes
-    return ("found", class_of, nodes) if ok else ("none", None, nodes)
-
-
-def exact_chromatic_number(g, budget=10 ** 6, use_structure=True):
+def exact_chromatic_number(g):
     """Chromatic number with witnesses.
 
-    With use_structure the chosen-line clique (lower bound q) and the layered
-    coloring (upper bound q) settle every nonempty instance without search.
-    Without it, plain backtracking runs per candidate color count; if the
-    budget runs out the result carries proven bounds and exact=False.
+    The chosen-line clique (lower bound q) and the layered coloring (upper
+    bound q) settle every nonempty instance without search.
     """
-    q = g.q
     if not g.connection.lines:
         coloring = Coloring(1, (0,) * g.num_vertices)
         return ChromaticResult(1, 1, True, coloring, (), 0)
-    if use_structure:
-        clique = tuple(sorted(line_clique(g, g.connection.lines[0])))
-        coloring = coset_coloring(g)
-        return ChromaticResult(q, q, True, coloring, clique, 0)
-    adj = g.adjacency_masks()
-    order = sorted(range(g.num_vertices))
-    greedy_used, greedy_classes = _greedy_coloring(adj, order)
-    total_nodes = 0
-    k = 1
-    while k <= greedy_used:
-        status, class_of, nodes = _try_color(adj, k, budget - total_nodes)
-        total_nodes += nodes
-        if status == "found":
-            return ChromaticResult(
-                k, k, True, Coloring(k, tuple(class_of)), (), total_nodes
-            )
-        if status == "exhausted":
-            return ChromaticResult(
-                k,
-                greedy_used,
-                False,
-                Coloring(greedy_used, tuple(greedy_classes)),
-                (),
-                total_nodes,
-            )
-        k += 1
-    raise AssertionError("greedy coloring bound was not reachable")
+    clique = line_clique(g, g.connection.lines[0])
+    return ChromaticResult(g.q, g.q, True, coset_coloring(g), clique, 0)
 
 
 def enumerate_proper_partitions(g, max_classes=None, limit=10 ** 6):

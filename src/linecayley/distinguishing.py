@@ -6,11 +6,12 @@ q" is decided exhaustively at tiny scale and structurally (hyperplane-coset
 partitions always admit a translation witness) at larger ones.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .cayley import build_graph
 from .coloring import coset_coloring, enumerate_proper_partitions, is_proper, plus_zero_recolor
-from .field import decode, encode, vec_add, vec_dot
+from .field import affine_ids, all_vectors, decode, vec_dot
 from .geometry import (
     affine_hyperplane_form,
     affine_lines_spanned,
@@ -58,8 +59,8 @@ def _class_fixing_witness(graph, group, coloring):
     """
     labels = coloring.class_of
     q, n = graph.q, graph.n
-    for sid in range(1, graph.num_vertices):
-        perm = graph.shift_table(decode(sid, q, n))
+    for s in itertools.islice(all_vectors(q, n), 1, None):
+        perm = graph.shift_table(s)
         if all(labels[perm[x]] == labels[x] for x in range(len(labels))):
             return perm
     for lam in range(2, q):
@@ -141,14 +142,11 @@ def translation_fixing_witnesses(coloring, q, n):
         return []
     labels = coloring.class_of
     witnesses = []
-    for wid in range(1, q**n):
-        w = decode(wid, q, n)
+    for w in itertools.islice(all_vectors(q, n), 1, None):
         if vec_dot(normal, w, q) != 0:
             continue
-        if all(
-            labels[encode(vec_add(decode(x, q, n), w, q), q)] == labels[x]
-            for x in range(q**n)
-        ):
+        table = affine_ids(q, n, 1, w)
+        if all(labels[table[x]] == labels[x] for x in range(q**n)):
             witnesses.append(w)
     return witnesses
 

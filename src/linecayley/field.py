@@ -83,10 +83,6 @@ def vec_dot(u, v, q):
     return sum(a * b for a, b in zip(u, v)) % q
 
 
-def zero_vector(n):
-    return (0,) * n
-
-
 def encode(v, q):
     """Vertex id of a vector: coordinate 0 is the least significant base-q digit."""
     i = 0
@@ -110,15 +106,30 @@ def decode(i, q, n):
 
 def all_vectors(q, n):
     """All vectors of F_q^n in vertex-id order."""
-    return (decode(i, q, n) for i in range(q ** n))
+    return (v[::-1] for v in itertools.product(range(q), repeat=n))
+
+
+def affine_ids(q, n, lam, b):
+    """Image id of every vertex under x -> lam * x + b, as a list.
+
+    The map acts on each coordinate separately, so the table is built one
+    base-q digit at a time, least significant first, without decoding ids.
+    """
+    if lam % q == 0:
+        raise ValueError("scale factor must be nonzero")
+    if len(b) != n:
+        raise ValueError(f"translation {tuple(b)} has wrong dimension")
+    table = [0]
+    step = 1
+    for c in b:
+        shifts = [step * ((lam * d + c) % q) for d in range(q)]
+        table = [t + s for s in shifts for t in table]
+        step *= q
+    return table
 
 
 # ---------------------------------------------------------------------------
 # matrices (row major, square unless noted)
-
-
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def scalar_matrix(lam, n, q):

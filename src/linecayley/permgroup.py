@@ -7,7 +7,7 @@ order and membership tests.  A known group order short-circuits the closure
 verification as soon as the transversal product reaches it.
 """
 
-from .field import decode, encode, mat_apply, primitive_root, vec_add, vec_scale
+from .field import affine_ids, decode, encode, mat_apply, primitive_root
 
 
 def identity_perm(degree):
@@ -27,44 +27,22 @@ def inverse_perm(p):
 
 
 def translation_perm(q, n, b):
-    b = tuple(int(a) % q for a in b)
-    return tuple(
-        encode(vec_add(decode(i, q, n), b, q), q) for i in range(q ** n)
-    )
+    return tuple(affine_ids(q, n, 1, b))
 
 
 def scalar_perm(q, n, lam):
-    lam %= q
-    if lam == 0:
-        raise ValueError("scale factor must be nonzero")
-    return tuple(
-        encode(vec_scale(lam, decode(i, q, n), q), q) for i in range(q ** n)
-    )
+    return tuple(affine_ids(q, n, lam, (0,) * n))
 
 
 def affine_perm(q, n, lam, b):
     """The map x -> lam * x + b as a vertex permutation."""
-    lam %= q
-    if lam == 0:
-        raise ValueError("scale factor must be nonzero")
-    b = tuple(int(a) % q for a in b)
-    return tuple(
-        encode(vec_add(vec_scale(lam, decode(i, q, n), q), b, q), q)
-        for i in range(q ** n)
-    )
+    return tuple(affine_ids(q, n, lam, b))
 
 
 def linear_perm(q, n, m):
     return tuple(
         encode(mat_apply(m, decode(i, q, n), q), q) for i in range(q ** n)
     )
-
-
-def all_scalar_affine_perms(q, n):
-    """Every map x -> lam * x + b, for brute-force cross-checks."""
-    for lam in range(1, q):
-        for i in range(q ** n):
-            yield affine_perm(q, n, lam, decode(i, q, n))
 
 
 class PermGroup:
@@ -253,14 +231,17 @@ def scalar_affine_group(q, n):
 
 
 def classes_to_labels(classes, degree):
+    """Class index of every point; the classes must partition range(degree)."""
     labels = [None] * degree
     for i, cl in enumerate(classes):
         for v in cl:
-            if not 0 <= v < degree or labels[v] is not None:
-                raise ValueError("classes do not partition the domain")
+            if not isinstance(v, int) or not 0 <= v < degree:
+                raise ValueError(f"class member {v!r} is not an id in [0, {degree})")
+            if labels[v] is not None:
+                raise ValueError(f"id {v} appears in more than one class")
             labels[v] = i
-    if any(l is None for l in labels):
-        raise ValueError("classes do not partition the domain")
+    if None in labels:
+        raise ValueError("classes do not cover every id")
     return labels
 
 

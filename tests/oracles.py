@@ -2,11 +2,14 @@
 
 Everything here is implemented from first principles with different
 algorithms than the package: flat enumeration instead of canonical
-representatives, plain DFS instead of saturation ordering, edge-set
-comparison instead of adjacency masks.
+representatives, plain DFS instead of the clique-plus-layers certificate,
+per-vertex decode and encode instead of digit tables, edge-set comparison
+instead of adjacency masks.
 """
 
 import itertools
+
+from linecayley.field import decode, encode, vec_add, vec_scale
 
 
 def brute_line_census(q, n):
@@ -22,6 +25,11 @@ def brute_line_census(q, n):
         lines.add(pts)
     good = sum(1 for pts in lines if all(p[-1] != 0 for p in pts))
     return good, len(lines)
+
+
+def brute_affine_ids(q, n, lam, b):
+    """Image id of every vertex under x -> lam * x + b, by decode and encode."""
+    return [encode(vec_add(vec_scale(lam, decode(i, q, n), q), b, q), q) for i in range(q**n)]
 
 
 def brute_chromatic_number(neighbors, max_k):

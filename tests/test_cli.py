@@ -174,3 +174,24 @@ def test_experiment_json_no_meta_strips_runtime(capsys):
     d = json.loads(out)
     assert all("runtime_ms" not in r for r in d["records"])
     assert d["aggregate"]["trials"] == 2
+
+
+def test_distinguish_rejects_bad_coloring_ids(capsys, tmp_path):
+    g = build_graph(sample_connection_set(3, 3, 0.5, 1))
+    classes = coset_coloring(g).to_json_dict()["classes"]
+    for bad_id in (30, -1):
+        bad = [list(cl) for cl in classes]
+        bad[-1][-1] = bad_id
+        path = tmp_path / f"c{bad_id}.json"
+        path.write_text(json.dumps({"num_colors": 3, "classes": bad}))
+        code, out = run(capsys, "distinguish", "--q", "3", "--n", "3", "--seed", "1",
+                        "--coloring", str(path), "--no-meta")
+        assert code == 2
+        assert out == ""
+
+
+def test_chi_has_no_budget_flags(capsys):
+    for flag in ("--budget-nodes", "--budget-enum"):
+        with pytest.raises(SystemExit) as exc:
+            main(["chi", "--q", "3", "--n", "2", "--seed", "1", flag, "1"])
+        assert exc.value.code == 2

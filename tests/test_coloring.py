@@ -120,18 +120,10 @@ def test_backtracking_agrees_with_brute():
         if not s.lines:
             continue
         g = build_graph(s)
-        res = exact_chromatic_number(g, use_structure=False)
+        res = exact_chromatic_number(g)
         assert res.exact
         assert res.value == brute_chromatic_number(_neighbors(g), 9)
         assert res.value == 3
-
-
-def test_backtracking_budget_exhaustion():
-    s = connection_from_lines(3, 2, [(0, 1), (1, 1), (2, 1)])
-    g = build_graph(s)
-    res = exact_chromatic_number(g, budget=1, use_structure=False)
-    assert not res.exact
-    assert res.lower <= res.upper
 
 
 def test_enumerate_proper_partitions_counts():

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linecayley.errors import BudgetExceeded
 from linecayley.field import (
+    affine_ids,
     all_vectors,
     decode,
     encode,
@@ -24,7 +27,7 @@ from linecayley.field import (
     vec_add,
     vec_scale,
 )
-from oracles import brute_row_span_size
+from oracles import brute_affine_ids, brute_row_span_size
 
 
 def test_is_prime():
@@ -82,6 +85,21 @@ def test_all_vectors_order():
     vecs = list(all_vectors(3, 2))
     assert vecs[0] == (0, 0)
     assert vecs == [decode(i, 3, 2) for i in range(9)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_affine_ids_matches_decode_encode(data):
+    q = data.draw(st.sampled_from((3, 5, 7)))
+    n = data.draw(st.integers(2, 4))
+    lam = data.draw(st.integers(1, q - 1))
+    b = data.draw(st.lists(st.integers(), min_size=n, max_size=n))
+    assert affine_ids(q, n, lam, b) == brute_affine_ids(q, n, lam, b)
+
+
+def test_affine_ids_rejects_wrong_dimension():
+    with pytest.raises(ValueError):
+        affine_ids(3, 2, 1, (0, 0, 0))
 
 
 def test_vec_ops():

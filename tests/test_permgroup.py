@@ -127,8 +127,9 @@ def test_to_json_dict():
 def test_classes_to_labels():
     labels = classes_to_labels([[0, 2], [1]], 3)
     assert list(labels) == [0, 1, 0]
-    with pytest.raises(ValueError):
-        classes_to_labels([[0], [0, 1]], 2)
+    for bad in ([[0], [0, 1]], [[0], [1, 2]], [[-1], [0]], [[0]]):
+        with pytest.raises(ValueError):
+            classes_to_labels(bad, 2)
 
 
 def test_fixing_subgroup_of_coset_partition():
