@@ -5,7 +5,6 @@ of their chromatic, automorphism, and distinguishing properties."""
 from .autgroup import (
     AutResult,
     automorphism_group,
-    brute_force_automorphisms,
     dichotomy_check,
     equals_scalar_affine,
     fixed_line_count_eigen,

@@ -9,7 +9,6 @@ the generator pool, whose orbits prune sibling branches; a node budget turns
 long searches into an explicitly incomplete result instead of a wrong one.
 """
 
-import itertools
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .field import (
     rank,
 )
 from .geometry import all_projective_points, proj_rep
-from .permgroup import PermGroup, scalar_affine_group
+from .permgroup import PermGroup, point_orbit, scalar_affine_group
 
 
 @dataclass
@@ -153,19 +152,6 @@ class _Search:
                     return result
         return None
 
-    @staticmethod
-    def _orbit(start, gens):
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return orbit
-
     def stabilize(self, cells, prefix):
         """Grow the pool until it generates all automorphisms fixing prefix."""
         k = self._target_cell(cells)
@@ -176,7 +162,7 @@ class _Search:
         child = self._individualize(cells, k, t1, t1)
         self.stabilize(child, prefix + [t1])
         fixed = [g for g in self.pool if all(g[v] == v for v in prefix)]
-        orbit = self._orbit(t1, fixed)
+        orbit = point_orbit(t1, fixed)
         for tj in targets[1:]:
             if tj in orbit:
                 continue
@@ -185,7 +171,7 @@ class _Search:
             if found is not None:
                 self.pool.append(found)
                 fixed.append(found)
-                orbit = self._orbit(t1, fixed)
+                orbit = point_orbit(t1, fixed)
 
 
 def automorphism_group(graph, node_budget=200000):
@@ -210,23 +196,6 @@ def automorphism_group(graph, node_budget=200000):
     if all(k_group.contains(g) for g in gens):
         return AutResult(k_group, True, search.nodes, gens)
     return AutResult(PermGroup(degree, gens), True, search.nodes, gens)
-
-
-def brute_force_automorphisms(graph):
-    """Filter all vertex permutations for edge preservation (at most 9 vertices)."""
-    nv = graph.num_vertices
-    if nv > 9:
-        raise ValueError("domain too large for brute force")
-    masks = graph.adjacency_masks()
-    edges = [
-        (u, v) for u in range(nv) for v in _iter_bits(masks[u]) if u < v
-    ]
-    eset = {(u, v) for u, v in edges} | {(v, u) for u, v in edges}
-    found = []
-    for p in itertools.permutations(range(nv)):
-        if all((p[u], p[v]) in eset for u, v in edges):
-            found.append(p)
-    return PermGroup(nv, found, known_order=len(found))
 
 
 def is_automorphism(graph, p):

@@ -98,7 +98,11 @@ class ConnectionSet:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(int(d["q"]), int(d["n"]), [tuple(line) for line in d["lines"]])
+        try:
+            q, n, lines = int(d["q"]), int(d["n"]), [tuple(line) for line in d["lines"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"a connection set needs integer q and n and a list of lines ({exc!r})") from None
+        return cls(q, n, lines)
 
 
 def sample_connection_set(q, n, p=0.5, seed=None):

@@ -34,9 +34,12 @@ class Coloring:
 
     @classmethod
     def from_json_dict(cls, d):
-        classes = d["classes"]
-        size = sum(len(c) for c in classes)
-        return coloring_from_classes(classes, size, int(d["num_colors"]))
+        try:
+            classes = [list(c) for c in d["classes"]]
+            num_colors = int(d["num_colors"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"a coloring needs num_colors and a list of id lists ({exc!r})") from None
+        return coloring_from_classes(classes, sum(map(len, classes)), num_colors)
 
 
 def coloring_from_classes(classes, num_vertices, num_colors=None):

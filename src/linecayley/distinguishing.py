@@ -19,7 +19,7 @@ from .geometry import (
     direction_count_threshold,
     directions_determined,
 )
-from .permgroup import fixing_subgroup_of_partition, identity_perm, scalar_perm
+from .permgroup import fixing_subgroup_of_partition, scalar_perm
 
 
 @dataclass
@@ -47,42 +47,24 @@ def _as_group(aut):
 
 
 def is_distinguishing(coloring, aut):
-    """Report whether only the identity fixes every color class."""
-    return is_distinguishing_from_classes(coloring.classes(), aut)
+    """Report whether only the identity fixes every color class.
+
+    The witness, if any, is the first generator of the class-fixing subgroup.
+    """
+    fixing = fixing_subgroup_of_partition(_as_group(aut), coloring.classes())
+    witness = fixing.generators[0] if fixing.generators else None
+    return DistinguishingReport(witness is None, fixing.order(), witness)
 
 
 def _class_fixing_witness(graph, group, coloring):
-    """Cheapest non-trivial automorphism fixing every class, if any.
-
-    Tries translations by vertex id, then scalings, then falls back to the
-    full fixing subgroup of the partition.
-    """
+    """A non-trivial automorphism fixing every class, if any: a translation
+    when one fixes them all, else the first class-fixing generator."""
     labels = coloring.class_of
-    q, n = graph.q, graph.n
-    for s in itertools.islice(all_vectors(q, n), 1, None):
+    for s in itertools.islice(all_vectors(graph.q, graph.n), 1, None):
         perm = graph.shift_table(s)
         if all(labels[perm[x]] == labels[x] for x in range(len(labels))):
             return perm
-    for lam in range(2, q):
-        perm = scalar_perm(q, n, lam)
-        if all(labels[perm[x]] == labels[x] for x in range(len(labels))):
-            return perm
-    report = is_distinguishing_from_classes(coloring.classes(), group)
-    return report.witness
-
-
-def is_distinguishing_from_classes(classes, aut):
-    group = _as_group(aut)
-    fixing = fixing_subgroup_of_partition(group, classes)
-    order = fixing.order()
-    witness = None
-    if order > 1:
-        ident = identity_perm(group.degree)
-        for p in fixing.elements():
-            if p != ident:
-                witness = p
-                break
-    return DistinguishingReport(order == 1, order, witness)
+    return is_distinguishing(coloring, group).witness
 
 
 @dataclass

@@ -197,18 +197,6 @@ class PermGroup:
     def base(self):
         return tuple(self._base)
 
-    def elements(self):
-        """All elements in deterministic chain order (use only on small groups)."""
-
-        def rec(k, prefix):
-            if k == len(self._base):
-                yield prefix
-                return
-            for x in self._orbits[k]:
-                yield from rec(k + 1, compose(prefix, self._rep(k, x)))
-
-        yield from rec(0, self._identity)
-
     def to_json_dict(self):
         return {
             "generators": [list(g) for g in self.generators],
@@ -249,23 +237,51 @@ def fixing_subgroup_of_partition(group, classes):
     """Subgroup of elements mapping every class onto itself.
 
     An element fixes each class setwise iff it preserves every point's class
-    label, so the chain search prunes any branch whose chosen base image
-    crosses classes and filters the survivors by the full label test.
+    label.  The subgroup is found by generators over the chain of `group`,
+    deepest level first (Leon, 1991).  At level k, each point x of base[k]'s
+    orbit that has base[k]'s label but is not yet reached by the generators
+    found so far names the coset of elements mapping base[k] to x; the
+    first label-preserving element in it becomes a generator.  Branches
+    whose base image changes its label are pruned.  The generators found at
+    levels >= k span the part of the subgroup fixing base[:k], so the
+    product of their orbit sizes is the order.
     """
     labels = classes_to_labels(classes, group.degree)
-    found = []
     base = group.base()
+    points = range(group.degree)
 
-    def rec(k, prefix):
+    def search(k, prefix):
         if k == len(base):
-            if all(labels[prefix[x]] == labels[x] for x in range(group.degree)):
-                found.append(prefix)
-            return
+            return prefix if all(labels[prefix[x]] == labels[x] for x in points) else None
+        want = labels[base[k]]
         for x in group._orbits[k]:
-            image = prefix[x]
-            if labels[image] != labels[base[k]]:
-                continue
-            rec(k + 1, compose(prefix, group._rep(k, x)))
+            if labels[prefix[x]] == want:
+                found = search(k + 1, compose(prefix, group._rep(k, x)))
+                if found is not None:
+                    return found
+        return None
 
-    rec(0, identity_perm(group.degree))
-    return PermGroup(group.degree, found, known_order=len(found))
+    gens = []
+    order = 1
+    for k in reversed(range(len(base))):
+        reached = point_orbit(base[k], gens)
+        for x in group._orbits[k]:
+            if x not in reached and labels[x] == labels[base[k]]:
+                g = search(k + 1, group._rep(k, x))
+                if g is not None:
+                    gens.append(g)
+                    reached = point_orbit(base[k], gens)
+        order *= len(reached)
+    return PermGroup(group.degree, gens, known_order=order)
+
+
+def point_orbit(point, gens):
+    """The set of images of point under the group the generators span."""
+    orbit = {point}
+    frontier = [point]
+    for x in frontier:
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                frontier.append(g[x])
+    return orbit

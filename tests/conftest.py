@@ -1,3 +1,23 @@
+import signal
+
+import pytest
+
+
+@pytest.fixture
+def deadline():
+    """Call with a number of seconds: past it, the test fails instead of
+    hanging.  pytest's failure exception is not an Exception, so no handler
+    in the code under test can swallow it."""
+
+    def on_alarm(signum, frame):
+        pytest.fail("deadline passed")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 def pytest_terminal_summary(terminalreporter):
     """Surface the per-criterion verdict lines even when capture is on."""
     lines = set()

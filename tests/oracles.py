@@ -4,12 +4,14 @@ Everything here is implemented from first principles with different
 algorithms than the package: flat enumeration instead of canonical
 representatives, plain DFS instead of the clique-plus-layers certificate,
 per-vertex decode and encode instead of digit tables, edge-set comparison
-instead of adjacency masks.
+instead of adjacency masks, closure under products instead of a stabilizer
+chain.
 """
 
 import itertools
 
 from linecayley.field import decode, encode, vec_add, vec_scale
+from linecayley.permgroup import PermGroup
 
 
 def brute_line_census(q, n):
@@ -91,6 +93,35 @@ def edge_set(graph):
 def brute_preserves_edges(graph, p):
     edges = edge_set(graph)
     return {frozenset((p[u], p[v])) for u, v in map(tuple, edges)} == edges
+
+
+def brute_force_automorphisms(graph):
+    """Filter all vertex permutations for edge preservation (at most 9 vertices)."""
+    if graph.num_vertices > 9:
+        raise ValueError("domain too large for brute force")
+    edges = [tuple(e) for e in edge_set(graph)]
+    arcs = set(edges) | {(v, u) for u, v in edges}
+    found = [
+        p for p in itertools.permutations(range(graph.num_vertices))
+        if all((p[u], p[v]) in arcs for u, v in edges)
+    ]
+    return PermGroup(graph.num_vertices, found, known_order=len(found))
+
+
+def group_elements(degree, generators):
+    """Every element of the group the generators span, in first-reached
+    order, by closing {identity} under right multiplication by generators
+    (use only on small groups)."""
+    identity = tuple(range(degree))
+    found = {identity}
+    order = [identity]
+    for p in order:
+        for g in generators:
+            r = tuple(p[x] for x in g)
+            if r not in found:
+                found.add(r)
+                order.append(r)
+    return order
 
 
 def brute_fix_count(group_elements, labels):

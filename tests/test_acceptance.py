@@ -11,7 +11,6 @@ import time
 
 from linecayley.autgroup import (
     automorphism_group,
-    brute_force_automorphisms,
     fixed_line_count_eigen,
     fixed_line_count_scan,
     is_automorphism,
@@ -32,7 +31,7 @@ from linecayley.distinguishing import chi_D_exceeds_q_small, translation_fixing_
 from linecayley.field import decode, enumerate_gl, is_prime, is_scalar_matrix, vec_dot
 from linecayley.geometry import line_universe
 from linecayley.permgroup import scalar_affine_group, scalar_perm
-from oracles import brute_chromatic_number, brute_line_census
+from oracles import brute_chromatic_number, brute_force_automorphisms, brute_line_census
 
 
 def _finish(num, name, limit, start, failures):

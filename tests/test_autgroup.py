@@ -5,7 +5,6 @@ import pytest
 
 from linecayley.autgroup import (
     automorphism_group,
-    brute_force_automorphisms,
     dichotomy_check,
     equals_scalar_affine,
     fixed_line_count_eigen,
@@ -21,7 +20,7 @@ from linecayley.cayley import ConnectionSet, build_graph, connection_from_lines,
 from linecayley.field import enumerate_gl, is_scalar_matrix, mat_apply
 from linecayley.geometry import all_projective_points, line_universe, proj_rep
 from linecayley.permgroup import compose, inverse_perm, linear_perm, scalar_affine_group, translation_perm
-from oracles import brute_preserves_edges
+from oracles import brute_force_automorphisms, brute_preserves_edges
 
 
 def test_is_automorphism():

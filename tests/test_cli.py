@@ -147,6 +147,14 @@ def test_distinguish_given_coloring(capsys, tmp_path):
     assert "witness" in d
 
 
+def test_distinguish_dense_instance_finishes(capsys, deadline):
+    # Aut has order 13060694016 here; its class-fixing subgroup, 6718464
+    deadline(20)
+    code, out = run(capsys, "distinguish", "--q", "3", "--n", "3", "--seed", "2", "--no-meta")
+    assert code == 0
+    assert json.loads(out) == {"certificate_found": False}
+
+
 def test_experiment_csv(capsys):
     code, out = run(capsys, "experiment", "--q", "3", "--n", "2", "--seed", "4",
                     "--trials", "2", "--format", "csv", "--no-meta")
@@ -188,6 +196,24 @@ def test_distinguish_rejects_bad_coloring_ids(capsys, tmp_path):
                         "--coloring", str(path), "--no-meta")
         assert code == 2
         assert out == ""
+
+
+def test_distinguish_rejects_malformed_coloring_file(capsys, tmp_path):
+    for name, d in (("no-classes", {"num_colors": 3}), ("flat", {"num_colors": 3, "classes": [1, 2]})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        code, out = run(capsys, "distinguish", "--q", "3", "--n", "2", "--seed", "1",
+                        "--coloring", str(path), "--no-meta")
+        assert code == 2
+        assert out == ""
+
+
+def test_build_rejects_connection_file_without_n(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"q": 3, "lines": [[0, 1]]}))
+    code, out = run(capsys, "build", "--q", "3", "--n", "2", "--in", str(path), "--no-meta")
+    assert code == 2
+    assert out == ""
 
 
 def test_chi_has_no_budget_flags(capsys):

@@ -1,19 +1,20 @@
+import math
 import random
 
 import pytest
 
 from linecayley.autgroup import automorphism_group
 from linecayley.cayley import ConnectionSet, build_graph, connection_from_lines, sample_connection_set
-from linecayley.coloring import coloring_from_classes, coset_coloring, is_proper
+from linecayley.coloring import coloring_from_classes, coset_coloring, is_proper, plus_zero_recolor
 from linecayley.distinguishing import (
     chi_D_exceeds_q_small,
     chi_D_upper_certificate,
     hyperplane_class_analysis,
     is_distinguishing,
-    is_distinguishing_from_classes,
     translation_fixing_witnesses,
 )
 from linecayley.field import decode
+from oracles import group_elements
 
 
 def graph_and_aut(q, n, lines=None, seed=None, p=0.5):
@@ -104,6 +105,20 @@ def test_certificate_found():
     assert rep.fixing_order == 1
 
 
+def test_certificate_on_complete_tripartite_graph(deadline):
+    # p = 1 gives K_{9,9,9}: the class-fixing subgroup of the q+1 coloring
+    # is S_8 x S_9 x S_9, far too large to list
+    deadline(20)
+    s, g, aut = graph_and_aut(3, 3, seed=1, p=1.0)
+    assert len(s.lines) == 9
+    assert chi_D_upper_certificate(g, aut) is None
+    cert = plus_zero_recolor(coset_coloring(g))
+    rep = is_distinguishing(cert, aut)
+    assert rep.fixing_order == math.factorial(8) * math.factorial(9) ** 2 == 5309413982208000
+    assert aut.group.contains(rep.witness)
+    assert all(cert.class_of[rep.witness[x]] == cert.class_of[x] for x in range(27))
+
+
 def test_certificate_rejects_empty():
     g = build_graph(ConnectionSet(3, 2, []))
     aut = automorphism_group(g)
@@ -191,25 +206,28 @@ def test_threshold_absent_in_dimension_two():
 def test_matches_brute_filter_on_small_groups():
     # agreement with elementwise filtering whenever the group is small
     rng = random.Random(97)
-    checked = 0
-    for _ in range(6):
-        s = sample_connection_set(3, 2, 0.6, rng.randrange(10**6))
-        g = build_graph(s)
-        aut = automorphism_group(g)
-        if aut.group.order() > 10**4:
-            continue
-        elements = list(aut.group.elements())
-        ident = tuple(range(g.num_vertices))
-        for _ in range(4):
-            labels = [rng.randrange(3) for _ in range(g.num_vertices)]
-            classes = [[] for _ in range(3)]
-            for v, lab in enumerate(labels):
-                classes[lab].append(v)
-            classes = [c for c in classes if c]
-            rep = is_distinguishing_from_classes(classes, aut)
-            brute = [p for p in elements if p != ident
-                     and all(labels[p[x]] == labels[x] for x in range(len(p)))]
-            assert rep.distinguishing == (not brute)
-            assert rep.fixing_order == len(brute) + 1
-            checked += 1
-    assert checked >= 8
+    checked = {(3, 2): 0, (3, 3): 0}
+    for q, n in checked:
+        for _ in range(6):
+            s = sample_connection_set(q, n, 0.6, rng.randrange(10**6))
+            g = build_graph(s)
+            aut = automorphism_group(g)
+            if aut.group.order() > 10**4:
+                continue
+            nv = g.num_vertices
+            elements = group_elements(nv, aut.group.generators)
+            ident = tuple(range(nv))
+            for _ in range(4):
+                labels = [rng.randrange(3) for _ in range(nv)]
+                classes = [[] for _ in range(3)]
+                for v, lab in enumerate(labels):
+                    classes[lab].append(v)
+                rep = is_distinguishing(coloring_from_classes([c for c in classes if c], nv), aut)
+                brute = [p for p in elements if p != ident
+                         and all(labels[p[x]] == labels[x] for x in range(nv))]
+                assert rep.distinguishing == (not brute)
+                assert rep.fixing_order == len(brute) + 1
+                if brute:
+                    assert rep.witness in brute
+                checked[q, n] += 1
+    assert min(checked.values()) >= 8, checked

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from linecayley.cayley import build_graph, connection_from_lines
+from linecayley.autgroup import automorphism_group
+from linecayley.cayley import build_graph, connection_from_lines, sample_connection_set
 from linecayley.coloring import coset_coloring
 from linecayley.permgroup import (
     PermGroup,
@@ -16,7 +17,7 @@ from linecayley.permgroup import (
     scalar_perm,
     translation_perm,
 )
-from oracles import brute_fix_count
+from oracles import brute_fix_count, group_elements
 
 
 def test_compose_inverse():
@@ -51,7 +52,7 @@ def test_symmetric_group_from_transpositions():
     gens = [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
     g = PermGroup(4, gens)
     assert g.order() == 24
-    elements = list(g.elements())
+    elements = group_elements(4, g.generators)
     assert len(elements) == 24
     assert len(set(elements)) == 24
     for p in elements:
@@ -68,7 +69,7 @@ def test_cyclic_group():
 def test_trivial_group():
     g = PermGroup(4, [])
     assert g.order() == 1
-    assert list(g.elements()) == [identity_perm(4)]
+    assert group_elements(4, g.generators) == [identity_perm(4)]
 
 
 def test_known_order_early_exit():
@@ -109,14 +110,6 @@ def test_scalar_affine_membership():
     assert not k.contains(tuple(swap))
 
 
-def test_elements_deterministic():
-    k = scalar_affine_group(3, 2)
-    first = list(k.elements())
-    second = list(k.elements())
-    assert first == second
-    assert len(first) == 18
-
-
 def test_to_json_dict():
     g = PermGroup(3, [(1, 2, 0)])
     d = g.to_json_dict()
@@ -141,8 +134,8 @@ def test_fixing_subgroup_of_coset_partition():
     # only translations inside the zero class fix every coset class
     assert fix.order() == 3
     labels = c.class_of
-    assert fix.order() == brute_fix_count(k.elements(), labels)
-    for p in fix.elements():
+    assert fix.order() == brute_fix_count(group_elements(9, k.generators), labels)
+    for p in group_elements(9, fix.generators):
         assert all(labels[p[x]] == labels[x] for x in range(9))
 
 
@@ -155,15 +148,37 @@ def test_fixing_subgroup_extremes():
 
 
 def test_fixing_subgroup_matches_brute_on_random_partitions():
-    k = scalar_affine_group(3, 2)
-    elements = list(k.elements())
+    # K at (3,2), then the full Aut of sampled (3,2) and (3,3) instances
+    groups = [scalar_affine_group(3, 2)]
     rng = random.Random(23)
-    for _ in range(10):
-        labels = tuple(rng.randrange(3) for _ in range(9))
-        classes = [
-            [i for i in range(9) if labels[i] == c]
-            for c in range(3)
-        ]
-        classes = [c for c in classes if c]
-        got = fixing_subgroup_of_partition(k, classes).order()
-        assert got == brute_fix_count(elements, labels)
+    for q, n in ((3, 2), (3, 3)):
+        for _ in range(4):
+            aut = automorphism_group(build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6))))
+            if aut.group.order() <= 10**4:
+                groups.append(aut.group)
+    assert len(groups) >= 5
+    assert {g.degree for g in groups} == {9, 27}
+    for group in groups:
+        degree = group.degree
+        elements = group_elements(degree, group.generators)
+        assert len(elements) == group.order()
+        for trial in range(10):
+            labels = [rng.randrange(3) for _ in range(degree)]
+            if trial % 2:
+                # one label per cycle of a random element, which then fixes every class
+                g = rng.choice(elements)
+                for x in range(degree):
+                    y = g[x]
+                    while y != x:
+                        labels[y] = labels[x]
+                        y = g[y]
+            classes = [
+                [i for i in range(degree) if labels[i] == c]
+                for c in range(3)
+            ]
+            classes = [c for c in classes if c]
+            fix = fixing_subgroup_of_partition(group, classes)
+            assert fix.order() == brute_fix_count(elements, labels)
+            for p in fix.generators:
+                assert group.contains(p)
+                assert all(labels[p[x]] == labels[x] for x in range(degree))
