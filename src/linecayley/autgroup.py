@@ -7,6 +7,8 @@ on the first smallest non-singleton cell, and verifies every candidate at the
 leaves against the adjacency masks.  The scalar-affine group is seeded into
 the generator pool, whose orbits prune sibling branches; a node budget turns
 long searches into an explicitly incomplete result instead of a wrong one.
+The points individualized on the leftmost path form a base, and the pool is
+a strong generating set on it, so the group is built without a closure.
 """
 
 import sys
@@ -68,6 +70,7 @@ class _Search:
         self.pool = pool
         self.budget = budget
         self.nodes = 0
+        self.base = None  # the prefix at the leftmost leaf, set by stabilize
 
     def _tick(self):
         self.nodes += 1
@@ -153,9 +156,15 @@ class _Search:
         return None
 
     def stabilize(self, cells, prefix):
-        """Grow the pool until it generates all automorphisms fixing prefix."""
+        """Grow the pool until it generates all automorphisms fixing prefix.
+
+        For each prefix on the leftmost path, the pool elements fixing it
+        then generate its stabilizer, and at the leaf only the identity
+        fixes the prefix: the pool is a strong generating set on it.
+        """
         k = self._target_cell(cells)
         if k is None:
+            self.base = tuple(prefix)
             return
         targets = cells[k][0]
         t1 = targets[0]
@@ -177,14 +186,13 @@ class _Search:
 def automorphism_group(graph, node_budget=200000):
     """Full automorphism group, or the subgroup found when the budget runs out.
 
-    The scalar-affine group is always contained in the result; when the
-    completed search finds nothing outside it, its already-built chain is
-    returned directly.
+    The scalar-affine group's generators seed the pool, so it is always
+    contained in the result.
     """
     degree = graph.num_vertices
-    k_group = scalar_affine_group(graph.q, graph.n)
+    k_gens = scalar_affine_group(graph.q, graph.n).generators
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * degree + 500))
-    search = _Search(graph.adjacency_masks(), list(k_group.generators), node_budget)
+    search = _Search(graph.adjacency_masks(), list(k_gens), node_budget)
     try:
         cells = search.initial()
         search.stabilize(cells, [])
@@ -193,9 +201,7 @@ def automorphism_group(graph, node_budget=200000):
         # trustworthy order, so no group is materialized
         return AutResult(None, False, search.nodes, tuple(search.pool))
     gens = tuple(search.pool)
-    if all(k_group.contains(g) for g in gens):
-        return AutResult(k_group, True, search.nodes, gens)
-    return AutResult(PermGroup(degree, gens), True, search.nodes, gens)
+    return AutResult(PermGroup(degree, search.base, gens), True, search.nodes, gens)
 
 
 def is_automorphism(graph, p):

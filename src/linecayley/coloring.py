@@ -39,6 +39,8 @@ class Coloring:
             num_colors = int(d["num_colors"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"a coloring needs num_colors and a list of id lists ({exc!r})") from None
+        if num_colors < len(classes):
+            raise ValueError(f"num_colors {num_colors} is below the {len(classes)} classes given")
         return coloring_from_classes(classes, sum(map(len, classes)), num_colors)
 
 

@@ -1,10 +1,11 @@
 """Permutations of the vertex set and stabilizer-chain groups.
 
-Permutations are image tuples; compose(p, r) applies r first.  PermGroup
-builds a base and strong generating set deterministically (base points are
-the first points moved, orbits are BFS in generator order), which gives exact
-order and membership tests.  A known group order short-circuits the closure
-verification as soon as the transversal product reaches it.
+Permutations are image tuples; compose(p, r) applies r first.  A PermGroup
+is built from a base and a strong generating set relative to it, which every
+group here comes with: K's is written down, the automorphism search finds
+one on its individualization path, and the class-fixing search one on its
+input group's base.  Each level's orbit is a BFS in generator order, which
+gives exact order and membership tests without a Schreier-Sims closure.
 """
 
 from .field import affine_ids, decode, encode, mat_apply, primitive_root
@@ -46,72 +47,47 @@ def linear_perm(q, n, m):
 
 
 class PermGroup:
-    def __init__(self, degree, generators=(), known_order=None):
+    """The group spanned by a strong generating set relative to a known base.
+
+    For every k, the generators fixing base[:k] must generate the pointwise
+    stabilizer of base[:k].  The constructor trusts this and only computes
+    each level's Schreier vector.
+    """
+
+    def __init__(self, degree, base, generators):
         self.degree = degree
         self._identity = tuple(range(degree))
+        self._base = tuple(base)
         self.generators = []
+        levels = []  # per generator: the first base level it moves
         seen = set()
         for g in generators:
             g = tuple(g)
             if len(g) != degree:
                 raise ValueError("generator degree mismatch")
-            if g != self._identity and g not in seen:
-                seen.add(g)
-                self.generators.append(g)
-        self._known_order = known_order
-        self._base = []
-        self._sgens = []
-        self._sinvs = []
-        self._glevels = []
+            if g == self._identity or g in seen:
+                continue
+            level = next((k for k, b in enumerate(self._base) if g[b] != b), None)
+            if level is None:
+                raise ValueError("a non-identity generator fixes every base point")
+            seen.add(g)
+            self.generators.append(g)
+            levels.append(level)
+        self._invs = [inverse_perm(g) for g in self.generators]
         self._orbits = []  # per level: BFS order list
-        self._svs = []  # per level: point -> index of sgen reaching it (None at base)
-        self._build()
-
-    # -- chain construction -------------------------------------------------
-
-    def _first_moved(self, p):
-        for i in range(self.degree):
-            if p[i] != i:
-                return i
-        raise ValueError("identity has no moved point")
-
-    def _level_gen_indices(self, k):
-        return [i for i, lev in enumerate(self._glevels) if lev >= k]
-
-    def _rebuild_orbit(self, k):
-        b = self._base[k]
-        idxs = self._level_gen_indices(k)
-        sv = {b: None}
-        order = [b]
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for i in idxs:
-                y = self._sgens[i][x]
-                if y not in sv:
-                    sv[y] = i
-                    order.append(y)
-        self._orbits[k] = order
-        self._svs[k] = sv
-
-    def _install(self, p):
-        lev = None
+        self._svs = []  # per level: point -> index of generator reaching it (None at base)
         for k, b in enumerate(self._base):
-            if p[b] != b:
-                lev = k
-                break
-        if lev is None:
-            self._base.append(self._first_moved(p))
-            self._orbits.append([])
-            self._svs.append({})
-            lev = len(self._base) - 1
-        self._sgens.append(p)
-        self._sinvs.append(inverse_perm(p))
-        self._glevels.append(lev)
-        for k in range(lev + 1):
-            self._rebuild_orbit(k)
-        return lev
+            idxs = [i for i, level in enumerate(levels) if level >= k]
+            sv = {b: None}
+            orbit = [b]
+            for x in orbit:
+                for i in idxs:
+                    y = self.generators[i][x]
+                    if y not in sv:
+                        sv[y] = i
+                        orbit.append(y)
+            self._orbits.append(orbit)
+            self._svs.append(sv)
 
     def _rep(self, k, x):
         """Transversal element mapping base[k] to x."""
@@ -121,16 +97,16 @@ class PermGroup:
         while x != b:
             i = sv[x]
             word.append(i)
-            x = self._sinvs[i][x]
+            x = self._invs[i][x]
         rep = self._identity
         for i in reversed(word):
-            rep = compose(self._sgens[i], rep)
+            rep = compose(self.generators[i], rep)
         return rep
 
-    def sift(self, p, start=0):
+    def sift(self, p):
         """Factor p through the chain; returns (residue, level reached)."""
         p = tuple(p)
-        for k in range(start, len(self._base)):
+        for k in range(len(self._base)):
             x = p[self._base[k]]
             if x == self._base[k]:
                 continue
@@ -143,59 +119,16 @@ class PermGroup:
         residue, _ = self.sift(p)
         return residue == self._identity
 
-    def _product(self):
+    # -- queries -------------------------------------------------------------
+
+    def order(self):
         prod = 1
         for orbit in self._orbits:
             prod *= len(orbit)
         return prod
 
-    def _build(self):
-        for g in self.generators:
-            if self._known_order is not None and self._product() == self._known_order:
-                return
-            if not self.contains(g):
-                self._install(g)
-        if self._known_order is not None and self._product() == self._known_order:
-            return
-        self._verify_closure()
-        if self._known_order is not None and self._product() != self._known_order:
-            raise ValueError(
-                f"group order {self._product()} does not match expected {self._known_order}"
-            )
-
-    def _verify_closure(self):
-        k = len(self._base) - 1
-        while k >= 0:
-            if self._known_order is not None and self._product() == self._known_order:
-                return
-            restart = self._check_level(k)
-            if restart is None:
-                k -= 1
-            else:
-                k = restart
-
-    def _check_level(self, k):
-        b = self._base[k]
-        for x in list(self._orbits[k]):
-            ux = self._rep(k, x)
-            for i in self._level_gen_indices(k):
-                g = self._sgens[i]
-                y = g[x]
-                s = compose(inverse_perm(self._rep(k, y)), compose(g, ux))
-                if s == self._identity:
-                    continue
-                residue, _ = self.sift(s, k + 1)
-                if residue != self._identity:
-                    return self._install(residue)
-        return None
-
-    # -- queries -------------------------------------------------------------
-
-    def order(self):
-        return self._product()
-
     def base(self):
-        return tuple(self._base)
+        return self._base
 
     def to_json_dict(self):
         return {
@@ -208,14 +141,18 @@ def scalar_affine_group(q, n):
     """The group of maps x -> lam * x + b, built from explicit generators.
 
     Generators: one translation per coordinate and scaling by the smallest
-    primitive root; the order is exactly q^n * (q - 1).
+    primitive root.  They are strong on the base (0, 1): the translations
+    move 0 anywhere, the scaling alone fixes 0 and moves vertex 1 = e_0
+    (coordinate 0 is the least significant digit) through its q - 1
+    multiples, and only the identity fixes both.  The order is exactly
+    q^n * (q - 1).
     """
     gens = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         gens.append(translation_perm(q, n, e))
     gens.append(scalar_perm(q, n, primitive_root(q)))
-    return PermGroup(q ** n, gens, known_order=q ** n * (q - 1))
+    return PermGroup(q ** n, (0, 1), gens)
 
 
 def classes_to_labels(classes, degree):
@@ -243,8 +180,8 @@ def fixing_subgroup_of_partition(group, classes):
     found so far names the coset of elements mapping base[k] to x; the
     first label-preserving element in it becomes a generator.  Branches
     whose base image changes its label are pruned.  The generators found at
-    levels >= k span the part of the subgroup fixing base[:k], so the
-    product of their orbit sizes is the order.
+    levels >= k span the part of the subgroup fixing base[:k], so they are
+    a strong generating set on the same base.
     """
     labels = classes_to_labels(classes, group.degree)
     base = group.base()
@@ -262,7 +199,6 @@ def fixing_subgroup_of_partition(group, classes):
         return None
 
     gens = []
-    order = 1
     for k in reversed(range(len(base))):
         reached = point_orbit(base[k], gens)
         for x in group._orbits[k]:
@@ -271,8 +207,7 @@ def fixing_subgroup_of_partition(group, classes):
                 if g is not None:
                     gens.append(g)
                     reached = point_orbit(base[k], gens)
-        order *= len(reached)
-    return PermGroup(group.degree, gens, known_order=order)
+    return PermGroup(group.degree, base, gens)
 
 
 def point_orbit(point, gens):

@@ -105,7 +105,8 @@ def brute_force_automorphisms(graph):
         p for p in itertools.permutations(range(graph.num_vertices))
         if all((p[u], p[v]) in arcs for u, v in edges)
     ]
-    return PermGroup(graph.num_vertices, found, known_order=len(found))
+    # the whole group is a strong generating set on any base
+    return PermGroup(graph.num_vertices, range(graph.num_vertices), found)
 
 
 def group_elements(degree, generators):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from linecayley.autgroup import (
+    _Search,
     automorphism_group,
     dichotomy_check,
     equals_scalar_affine,
@@ -17,9 +18,18 @@ from linecayley.autgroup import (
     preserves_line_universe,
 )
 from linecayley.cayley import ConnectionSet, build_graph, connection_from_lines, sample_connection_set
+from linecayley.coloring import coset_coloring, plus_zero_recolor
 from linecayley.field import enumerate_gl, is_scalar_matrix, mat_apply
 from linecayley.geometry import all_projective_points, line_universe, proj_rep
-from linecayley.permgroup import compose, inverse_perm, linear_perm, scalar_affine_group, translation_perm
+from linecayley.permgroup import (
+    PermGroup,
+    compose,
+    fixing_subgroup_of_partition,
+    inverse_perm,
+    linear_perm,
+    scalar_affine_group,
+    translation_perm,
+)
 from oracles import brute_force_automorphisms, brute_preserves_edges
 
 
@@ -93,6 +103,49 @@ def test_k_always_contained():
                 assert is_automorphism(g, p)
             aut = automorphism_group(g)
             assert all(aut.group.contains(p) for p in k.generators)
+
+
+def test_orders_match_sympy():
+    # an order computed by sympy's own Schreier-Sims, from the generators alone
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def sympy_order(gens):
+        perms = [combinatorics.Permutation(list(g)) for g in gens]
+        return combinatorics.PermutationGroup(perms).order() if perms else 1
+
+    for q, n, p, seeds in ((3, 2, 0.5, 12), (3, 3, 0.75, 20), (5, 3, 0.5, 30)):
+        k = scalar_affine_group(q, n)
+        for seed in range(seeds):
+            g = build_graph(sample_connection_set(q, n, p, seed))
+            aut = automorphism_group(g)
+            assert aut.complete
+            assert aut.group.order() == sympy_order(aut.group.generators), (q, n, seed)
+            assert all(aut.group.contains(x) for x in k.generators)
+            if g.connection.lines:
+                cert = plus_zero_recolor(coset_coloring(g))
+                fix = fixing_subgroup_of_partition(aut.group, cert.classes())
+                assert fix.order() == sympy_order(fix.generators), (q, n, seed)
+
+
+def test_relabelled_graph_has_conjugate_group():
+    # search a randomly relabelled copy with an empty pool; its group, taken
+    # back through the relabelling, must be the original graph's
+    rng = random.Random(41)
+    for q, n in ((3, 3),) * 10 + ((5, 3),) * 10:
+        g = build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6)))
+        masks = g.adjacency_masks()
+        sigma = list(range(g.num_vertices))
+        rng.shuffle(sigma)
+        sigma_inv = inverse_perm(sigma)
+        relabelled = [0] * g.num_vertices
+        for u, mask in enumerate(masks):
+            relabelled[sigma[u]] = sum(1 << sigma[v] for v in range(g.num_vertices) if mask >> v & 1)
+        search = _Search(relabelled, [], 200000)
+        search.stabilize(search.initial(), [])
+        group = PermGroup(g.num_vertices, search.base, search.pool)
+        assert group.order() == automorphism_group(g).group.order()
+        for h in group.generators:
+            assert is_automorphism(g, compose(sigma_inv, compose(h, sigma)))
 
 
 def test_linear_maps_fixing_connection():

@@ -199,7 +199,13 @@ def test_distinguish_rejects_bad_coloring_ids(capsys, tmp_path):
 
 
 def test_distinguish_rejects_malformed_coloring_file(capsys, tmp_path):
-    for name, d in (("no-classes", {"num_colors": 3}), ("flat", {"num_colors": 3, "classes": [1, 2]})):
+    cases = (
+        ("no-classes", {"num_colors": 3}),
+        ("flat", {"num_colors": 3, "classes": [1, 2]}),
+        ("too-few-colors", {"num_colors": 1, "classes": [[0, 1, 2], [3, 4, 5], [6, 7, 8]]}),
+        ("negative-colors", {"num_colors": -5, "classes": [list(range(9))]}),
+    )
+    for name, d in cases:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(d))
         code, out = run(capsys, "distinguish", "--q", "3", "--n", "2", "--seed", "1",

@@ -50,7 +50,7 @@ def test_perm_constructors():
 
 def test_symmetric_group_from_transpositions():
     gens = [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
-    g = PermGroup(4, gens)
+    g = PermGroup(4, (0, 1, 2), gens)
     assert g.order() == 24
     elements = group_elements(4, g.generators)
     assert len(elements) == 24
@@ -60,28 +60,25 @@ def test_symmetric_group_from_transpositions():
 
 
 def test_cyclic_group():
-    g = PermGroup(5, [(1, 2, 3, 4, 0)])
+    g = PermGroup(5, (0,), [(1, 2, 3, 4, 0)])
     assert g.order() == 5
     assert g.contains((2, 3, 4, 0, 1))
     assert not g.contains((1, 0, 2, 3, 4))
 
 
 def test_trivial_group():
-    g = PermGroup(4, [])
+    g = PermGroup(4, (), [])
     assert g.order() == 1
     assert group_elements(4, g.generators) == [identity_perm(4)]
 
 
-def test_known_order_early_exit():
-    gens = [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
-    g = PermGroup(4, gens, known_order=24)
-    assert g.order() == 24
-    assert g.contains((3, 2, 1, 0))
-
-
-def test_known_order_mismatch():
+def test_generator_fixing_the_base_is_rejected():
     with pytest.raises(ValueError):
-        PermGroup(3, [(1, 2, 0)], known_order=2)
+        PermGroup(3, (0,), [(0, 2, 1)])
+    # the identity and repeats are dropped, not rejected
+    g = PermGroup(3, (0, 1), [(0, 1, 2), (0, 2, 1), (0, 2, 1)])
+    assert g.generators == [(0, 2, 1)]
+    assert g.order() == 2
 
 
 def test_scalar_affine_orders():
@@ -111,7 +108,7 @@ def test_scalar_affine_membership():
 
 
 def test_to_json_dict():
-    g = PermGroup(3, [(1, 2, 0)])
+    g = PermGroup(3, (0,), [(1, 2, 0)])
     d = g.to_json_dict()
     assert d["order"] == "3"
     assert d["generators"] == [[1, 2, 0]]
