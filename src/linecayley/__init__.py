@@ -12,7 +12,6 @@ from .autgroup import (
     group_equals_scalar_affine,
     is_automorphism,
     line_orbit_count,
-    linear_maps_fixing_connection,
     orbit_count_all_lines,
     preserves_line_universe,
 )

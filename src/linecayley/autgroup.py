@@ -17,14 +17,18 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .field import (
-    DEFAULT_GL_BUDGET,
-    enumerate_gl,
+    decode,
+    encode,
     gaussian_binomial_1,
     is_scalar_matrix,
     kernel,
     mat_apply,
+    mat_inverse,
+    mat_mul,
     mat_sub_scalar,
     rank,
+    vec_add,
+    vec_scale,
 )
 from .geometry import all_projective_points, proj_rep
 from .permgroup import PermGroup, point_orbit, scalar_affine_group
@@ -222,17 +226,6 @@ def equals_scalar_affine(aut, q, n):
     return group_equals_scalar_affine(aut.group, q, n)
 
 
-def linear_maps_fixing_connection(connection, budget=DEFAULT_GL_BUDGET):
-    """All invertible matrices mapping the connection set onto itself."""
-    members = connection.members
-    q = connection.q
-    return [
-        m
-        for m in enumerate_gl(q, connection.n, budget)
-        if all(mat_apply(m, v, q) in members for v in members)
-    ]
-
-
 def _require_invertible(m, q):
     if rank(m, q) != len(m):
         raise ValueError("matrix is singular")
@@ -309,7 +302,58 @@ def orbit_count_all_lines(m, q, n):
     )
 
 
-def dichotomy_check(graph, aut, gl_budget=DEFAULT_GL_BUDGET):
+def _linear_witness(graph, group):
+    """The first non-scalar invertible matrix fixing the connection set S met
+    on the stabilizer chain of the graph's automorphism group, or None.
+
+    Such a matrix M is an automorphism fixing vertex 0, so it is the one
+    element of the group with its images of the base, and the walk over the
+    chain only has to go where a linear map can.  A base point outside the
+    span of the earlier free ones is free and may go anywhere in its orbit.
+    Every other base point, the zero vector among them, is a combination of
+    earlier free points and is forced to the same combination of their
+    images.  Once the free points span F_q^n, their images C determine
+    M = C B^-1 and the walk stops there; if they never do, the basis B is
+    completed with unit vectors and C read from the finished element.  The
+    walk is complete: no matrix it skips fixes S.
+    """
+    q, n = graph.q, graph.n
+    members = graph.connection.members
+    base = group.base()
+    free = []
+    for b in base:
+        if rank([decode(v, q, n) for v in free + [b]], q) > len(free):
+            free.append(b)
+    depth = base.index(free[-1]) + 1 if len(free) == n else len(base)
+    basis = list(free)  # vertex ids, completed with unit vectors
+    for j in range(n):
+        if rank([decode(v, q, n) for v in basis + [q ** j]], q) > len(basis):
+            basis.append(q ** j)  # q ** j is the id of the unit vector e_j
+    b_inv = mat_inverse(tuple(zip(*(decode(v, q, n) for v in basis))), q)
+    # a forced point's coordinates over the basis, nonzero only on earlier free points
+    coords = [mat_apply(b_inv, decode(b, q, n), q) for b in base]
+
+    def images(k, g):
+        if base[k] in free:
+            return group.orbit(k)
+        y = (0,) * n
+        for c, v in zip(coords[k], basis):
+            y = vec_add(y, vec_scale(c, decode(g[v], q, n), q), q)
+        return (g.index(encode(y, q)),)
+
+    def leaf(g):
+        c = tuple(zip(*(decode(g[v], q, n) for v in basis)))
+        if rank(c, q) < n:
+            return None
+        m = mat_mul(c, b_inv, q)
+        if is_scalar_matrix(m) or any(mat_apply(m, v, q) not in members for v in members):
+            return None
+        return m
+
+    return group.walk(0, depth, tuple(range(group.degree)), images, leaf)
+
+
+def dichotomy_check(graph, aut):
     """Classify the instance: group equals the scalar-affine group, or a
     non-scalar linear map fixes the connection set and extends it.
 
@@ -332,11 +376,7 @@ def dichotomy_check(graph, aut, gl_budget=DEFAULT_GL_BUDGET):
         report["witness"] = None
         return report
     report["equals_K"] = False
-    witness = None
-    for m in linear_maps_fixing_connection(graph.connection, gl_budget):
-        if not is_scalar_matrix(m):
-            witness = m
-            break
+    witness = _linear_witness(graph, group)
     report["dichotomy"] = "ii" if witness is not None else "violated"
     report["witness"] = [list(row) for row in witness] if witness else None
     return report

@@ -7,10 +7,6 @@ hashed and shared freely.  Only prime moduli are supported.
 
 import itertools
 
-from .errors import BudgetExceeded
-
-DEFAULT_GL_BUDGET = 10 ** 5
-
 
 def is_prime(q):
     if q < 2:
@@ -256,20 +252,3 @@ def gl_order(q, n):
     for i in range(n):
         order *= qn - q ** i
     return order
-
-
-def enumerate_gl(q, n, budget=DEFAULT_GL_BUDGET):
-    """Yield every invertible n x n matrix over F_q exactly once.
-
-    The full q**(n*n) candidate space is scanned, so a budget guards against
-    accidentally huge enumerations.
-    """
-    total = q ** (n * n)
-    if total > budget:
-        raise BudgetExceeded(
-            f"GL({n},{q}) enumeration scans {total} matrices, budget is {budget}"
-        )
-    for flat in itertools.product(range(q), repeat=n * n):
-        m = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        if rank(m, q) == n:
-            yield m

@@ -119,7 +119,31 @@ class PermGroup:
         residue, _ = self.sift(p)
         return residue == self._identity
 
+    def walk(self, k, depth, prefix, images, leaf):
+        """First result of leaf over the products prefix * u_k * ... * u_{depth-1}.
+
+        Each u_j is the transversal element mapping base[j] to a point x of
+        its orbit, taken depth first in the order images(j, g) yields them,
+        g being the product so far; points outside the orbit are skipped.
+        The later factors fix base[j], so the finished element maps base[j]
+        to g[x].  leaf(g) sees each product of depth factors and returns the
+        result, or None to go on.
+        """
+        if k == depth:
+            return leaf(prefix)
+        sv = self._svs[k]
+        for x in images(k, prefix):
+            if x in sv:
+                found = self.walk(k + 1, depth, compose(prefix, self._rep(k, x)), images, leaf)
+                if found is not None:
+                    return found
+        return None
+
     # -- queries -------------------------------------------------------------
+
+    def orbit(self, k):
+        """base[k]'s orbit under the stabilizer of base[:k], in BFS order."""
+        return self._orbits[k]
 
     def order(self):
         prod = 1
@@ -187,23 +211,19 @@ def fixing_subgroup_of_partition(group, classes):
     base = group.base()
     points = range(group.degree)
 
-    def search(k, prefix):
-        if k == len(base):
-            return prefix if all(labels[prefix[x]] == labels[x] for x in points) else None
+    def images(k, prefix):
         want = labels[base[k]]
-        for x in group._orbits[k]:
-            if labels[prefix[x]] == want:
-                found = search(k + 1, compose(prefix, group._rep(k, x)))
-                if found is not None:
-                    return found
-        return None
+        return (x for x in group.orbit(k) if labels[prefix[x]] == want)
+
+    def leaf(g):
+        return g if all(labels[g[x]] == labels[x] for x in points) else None
 
     gens = []
     for k in reversed(range(len(base))):
         reached = point_orbit(base[k], gens)
-        for x in group._orbits[k]:
+        for x in group.orbit(k):
             if x not in reached and labels[x] == labels[base[k]]:
-                g = search(k + 1, group._rep(k, x))
+                g = group.walk(k + 1, len(base), group._rep(k, x), images, leaf)
                 if g is not None:
                     gens.append(g)
                     reached = point_orbit(base[k], gens)

@@ -5,13 +5,16 @@ algorithms than the package: flat enumeration instead of canonical
 representatives, plain DFS instead of the clique-plus-layers certificate,
 per-vertex decode and encode instead of digit tables, edge-set comparison
 instead of adjacency masks, closure under products instead of a stabilizer
-chain.
+chain, a scan of every matrix instead of a walk over the automorphism group.
 """
 
 import itertools
 
-from linecayley.field import decode, encode, vec_add, vec_scale
+from linecayley.errors import BudgetExceeded
+from linecayley.field import decode, encode, mat_apply, rank, vec_add, vec_scale
 from linecayley.permgroup import PermGroup
+
+DEFAULT_GL_BUDGET = 10 ** 5
 
 
 def brute_line_census(q, n):
@@ -147,3 +150,32 @@ def brute_row_span_size(rows, q):
                     span.add(new)
                     frontier.append(new)
     return len(span)
+
+
+def enumerate_gl(q, n, budget=DEFAULT_GL_BUDGET):
+    """Yield every invertible n x n matrix over F_q exactly once.
+
+    The full q**(n*n) candidate space is scanned, so a budget guards against
+    accidentally huge enumerations.
+    """
+    total = q ** (n * n)
+    if total > budget:
+        raise BudgetExceeded(
+            f"GL({n},{q}) enumeration scans {total} matrices, budget is {budget}"
+        )
+    for flat in itertools.product(range(q), repeat=n * n):
+        m = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        if rank(m, q) == n:
+            yield m
+
+
+def linear_maps_fixing_connection(connection, budget=DEFAULT_GL_BUDGET):
+    """All invertible matrices mapping the connection set onto itself, in
+    lexicographic order."""
+    members = connection.members
+    q = connection.q
+    return [
+        m
+        for m in enumerate_gl(q, connection.n, budget)
+        if all(mat_apply(m, v, q) in members for v in members)
+    ]

@@ -28,10 +28,10 @@ from linecayley.cayley import build_graph, connection_from_lines, sample_connect
 from linecayley.cli import main
 from linecayley.coloring import coloring_from_classes, exact_chromatic_number, is_proper
 from linecayley.distinguishing import chi_D_exceeds_q_small, translation_fixing_witnesses
-from linecayley.field import decode, enumerate_gl, is_prime, is_scalar_matrix, vec_dot
+from linecayley.field import decode, is_prime, is_scalar_matrix, vec_dot
 from linecayley.geometry import line_universe
 from linecayley.permgroup import scalar_affine_group, scalar_perm
-from oracles import brute_chromatic_number, brute_force_automorphisms, brute_line_census
+from oracles import brute_chromatic_number, brute_force_automorphisms, brute_line_census, enumerate_gl
 
 
 def _finish(num, name, limit, start, failures):

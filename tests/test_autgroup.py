@@ -13,13 +13,13 @@ from linecayley.autgroup import (
     group_equals_scalar_affine,
     is_automorphism,
     line_orbit_count,
-    linear_maps_fixing_connection,
     orbit_count_all_lines,
     preserves_line_universe,
 )
 from linecayley.cayley import ConnectionSet, build_graph, connection_from_lines, sample_connection_set
 from linecayley.coloring import coset_coloring, plus_zero_recolor
-from linecayley.field import enumerate_gl, is_scalar_matrix, mat_apply
+from linecayley.errors import BudgetExceeded
+from linecayley.field import is_scalar_matrix, mat_apply, rank
 from linecayley.geometry import all_projective_points, line_universe, proj_rep
 from linecayley.permgroup import (
     PermGroup,
@@ -30,7 +30,12 @@ from linecayley.permgroup import (
     scalar_affine_group,
     translation_perm,
 )
-from oracles import brute_force_automorphisms, brute_preserves_edges
+from oracles import (
+    brute_force_automorphisms,
+    brute_preserves_edges,
+    enumerate_gl,
+    linear_maps_fixing_connection,
+)
 
 
 def test_is_automorphism():
@@ -148,19 +153,6 @@ def test_relabelled_graph_has_conjugate_group():
             assert is_automorphism(g, compose(sigma_inv, compose(h, sigma)))
 
 
-def test_linear_maps_fixing_connection():
-    s1 = connection_from_lines(3, 2, [(0, 1)])
-    maps1 = linear_maps_fixing_connection(s1)
-    assert len(maps1) == 12
-    s3 = connection_from_lines(3, 2, [(0, 1), (1, 1), (2, 1)])
-    maps3 = linear_maps_fixing_connection(s3)
-    assert len(maps3) == 12
-    for m in maps1:
-        assert all(mat_apply(m, v, 3) in s1.members for v in s1.members)
-    empty = ConnectionSet(3, 2, [])
-    assert len(linear_maps_fixing_connection(empty)) == 48
-
-
 def test_fixed_line_counts_examples():
     u = line_universe(3, 2)
     diag = ((2, 0), (0, 1))
@@ -266,6 +258,85 @@ def test_dichotomy_never_violated_across_sweep():
             g = build_graph(connection_from_lines(3, 2, subset))
             rep = dichotomy_check(g, automorphism_group(g))
             assert rep["dichotomy"] in ("i", "ii")
+
+
+def _witness_fixes(rep, s):
+    """Whether the report's witness is non-scalar, invertible and maps S into S."""
+    m = tuple(tuple(row) for row in rep["witness"])
+    return (
+        not is_scalar_matrix(m)
+        and rank(m, s.q) == s.n
+        and all(mat_apply(m, v, s.q) in s.members for v in s.members)
+    )
+
+
+def _agrees_with_scan(s):
+    g = build_graph(s)
+    rep = dichotomy_check(g, automorphism_group(g))
+    maps = linear_maps_fixing_connection(s)
+    expected = "ii" if any(not is_scalar_matrix(m) for m in maps) else "i"
+    assert rep["dichotomy"] == expected, (s.q, s.n, s.lines)
+    if rep["witness"] is not None:
+        m = tuple(tuple(row) for row in rep["witness"])
+        assert not is_scalar_matrix(m) and m in maps, (s.q, s.n, s.lines)
+
+
+def test_dichotomy_matches_gl_scan_on_every_small_subset():
+    for q in (3, 5):
+        universe = list(line_universe(q, 2))
+        for size in range(len(universe) + 1):
+            for subset in itertools.combinations(universe, size):
+                _agrees_with_scan(connection_from_lines(q, 2, subset))
+
+
+def test_dichotomy_matches_gl_scan_on_sampled_3_3_subsets():
+    universe = list(line_universe(3, 3))
+    rng = random.Random(5)
+    subsets = [[], universe[:1], universe]
+    subsets += [rng.sample(universe, rng.randrange(2, 9)) for _ in range(7)]
+    for subset in subsets:
+        _agrees_with_scan(connection_from_lines(3, 3, subset))
+
+
+def test_dichotomy_past_the_gl_scan(deadline):
+    # GL(n, q) has far more than 10^5 candidate matrices at these sizes
+    deadline(120)
+    for q, n in ((5, 3), (3, 4), (5, 4)):
+        for seed in range(20):
+            s = sample_connection_set(q, n, 0.5, seed)
+            g = build_graph(s)
+            try:
+                rep = dichotomy_check(g, automorphism_group(g))
+            except BudgetExceeded:
+                pytest.fail(f"budget exceeded at {(q, n, seed)}")
+            assert rep["dichotomy"] in ("i", "ii"), (q, n, seed)
+            if rep["dichotomy"] == "ii":
+                assert _witness_fixes(rep, s), (q, n, seed)
+
+
+def test_dichotomy_invariant_under_linear_relabelling():
+    # x -> A x is an isomorphism from Cay(S) onto Cay(A S) when A fixes the
+    # hyperplane x[n-1] = 0, so the order and the verdict must carry over
+    rng = random.Random(17)
+    for q, n, p in ((5, 3, 0.9),) * 4 + ((3, 4, 0.5),) * 4:
+        s = sample_connection_set(q, n, p, rng.randrange(10**6))
+        while True:
+            a = tuple(
+                tuple(rng.randrange(q) for _ in range(n)) for _ in range(n - 1)
+            ) + ((0,) * (n - 1) + (rng.randrange(1, q),),)
+            if rank(a, q) == n:
+                break
+        image = connection_from_lines(q, n, [mat_apply(a, rep, q) for rep in s.lines])
+        assert image.members == {mat_apply(a, v, q) for v in s.members}
+        reps = []
+        for c in (s, image):
+            g = build_graph(c)
+            reps.append(dichotomy_check(g, automorphism_group(g)))
+        assert reps[0]["order"] == reps[1]["order"]
+        assert reps[0]["dichotomy"] == reps[1]["dichotomy"]
+        assert reps[1]["dichotomy"] in ("i", "ii")
+        if reps[1]["dichotomy"] == "ii":
+            assert _witness_fixes(reps[1], image)
 
 
 def test_group_equals_scalar_affine_negative():

@@ -5,6 +5,7 @@ import pytest
 from linecayley.cayley import build_graph, sample_connection_set
 from linecayley.cli import main
 from linecayley.coloring import coset_coloring
+from linecayley.field import is_scalar_matrix, mat_apply
 
 
 def run(capsys, *argv):
@@ -88,6 +89,19 @@ def test_aut_budget_exhaustion(capsys):
     assert d["order"] == "unknown"
     assert d["nodes"] >= 1
     assert len(d["generators"]) >= 1
+
+
+def test_aut_case_ii_past_the_gl_scan(capsys, deadline):
+    deadline(30)
+    for q, n, seed in (("5", "3", "8"), ("3", "4", "2")):
+        code, out = run(capsys, "aut", "--q", q, "--n", n, "--seed", seed, "--no-meta")
+        assert code == 0
+        d = json.loads(out)
+        assert d["dichotomy"] == "ii"
+        s = sample_connection_set(int(q), int(n), 0.5, int(seed))
+        m = tuple(tuple(row) for row in d["witness"])
+        assert not is_scalar_matrix(m)
+        assert all(mat_apply(m, v, s.q) in s.members for v in s.members)
 
 
 def test_error_exits(capsys, tmp_path):

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecayley.errors import BudgetExceeded
 from linecayley.field import (
     affine_ids,
     all_vectors,
     decode,
     encode,
-    enumerate_gl,
     gaussian_binomial_1,
     gl_order,
     inv_mod,
@@ -27,7 +25,7 @@ from linecayley.field import (
     vec_add,
     vec_scale,
 )
-from oracles import brute_affine_ids, brute_row_span_size
+from oracles import brute_affine_ids, brute_row_span_size, enumerate_gl
 
 
 def test_is_prime():
@@ -173,8 +171,3 @@ def test_gl_order_and_enumeration():
     assert sum(1 for _ in enumerate_gl(5, 2)) == gl_order(5, 2)
     for m in enumerate_gl(3, 2):
         assert rank(m, 3) == 2
-
-
-def test_enumerate_gl_budget():
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_gl(7, 3, budget=1000))
