@@ -251,15 +251,6 @@ def test_dichotomy_empty_set():
     assert rep["witness"] is not None
 
 
-def test_dichotomy_never_violated_across_sweep():
-    universe = list(line_universe(3, 2))
-    for size in range(1, 4):
-        for subset in itertools.combinations(universe, size):
-            g = build_graph(connection_from_lines(3, 2, subset))
-            rep = dichotomy_check(g, automorphism_group(g))
-            assert rep["dichotomy"] in ("i", "ii")
-
-
 def _witness_fixes(rep, s):
     """Whether the report's witness is non-scalar, invertible and maps S into S."""
     m = tuple(tuple(row) for row in rep["witness"])
@@ -281,7 +272,8 @@ def _agrees_with_scan(s):
         assert not is_scalar_matrix(m) and m in maps, (s.q, s.n, s.lines)
 
 
-def test_dichotomy_matches_gl_scan_on_every_small_subset():
+def test_dichotomy_never_violated_across_sweep():
+    # the scan's verdict is "i" or "ii", so agreeing with it rules out "violated"
     for q in (3, 5):
         universe = list(line_universe(q, 2))
         for size in range(len(universe) + 1):
