@@ -1,19 +1,32 @@
 """Automorphism groups of the line Cayley graphs.
 
-The solver is a partition-refinement backtracker: it keeps a pair of ordered
-partitions refined in lockstep (splits ordered only by cell position and
-neighbor-count value, so refinement commutes with any automorphism), recurses
-on the first smallest non-singleton cell, and verifies every candidate at the
-leaves against the adjacency masks.  The scalar-affine group is seeded into
-the generator pool, whose orbits prune sibling branches; a node budget turns
-long searches into an explicitly incomplete result instead of a wrong one.
-The points individualized on the leftmost path form a base, and the pool is
-a strong generating set on it, so the group is built without a closure.
+The solver is an individualization-refinement backtracker.  A node is an
+ordered partition whose cells are contiguous ranges of one vertex array
+(the layout of McKay & Piperno, *Practical Graph Isomorphism II*, 2014).  A
+cell is split by its vertices' neighbour counts into a splitter cell; the
+fragments take the cell's range in order of count, and the largest is not
+queued unless the cell was (Hopcroft's smaller-half rule, 1971).  The
+neighbours of a splitter W are the multiset W + S, read from the graph's
+neighbour-id primitive, so no adjacency masks are built.  Every choice
+depends only on cell positions and counts, so refinement commutes with any
+automorphism.
+
+The search individualizes the first point of the first smallest
+non-singleton cell down to a discrete partition; these points form the base.
+Each node of that leftmost path is refined once, and its split trace
+(position, (count, size) pairs) is kept.  Any other node is refined alone
+and compared with the trace of the path node at its depth, and it is
+dropped at the first difference.  A leaf maps the leftmost leaf onto
+itself, and it is kept when it maps every neighbourhood v + S onto
+p(v) + S.  The scalar-affine group seeds the generator pool, whose orbits
+prune sibling branches; a node budget turns long searches into an
+explicitly incomplete result instead of a wrong one.  The pool is a strong
+generating set on the base, so the group is built without a closure.
 """
 
-import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
 
 from .errors import BudgetExceeded
 from .field import (
@@ -42,149 +55,213 @@ class AutResult:
     pool: tuple
 
 
-def _iter_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _preserves_neighbors(neighbors, p):
+    """Whether p maps every neighbourhood v + S onto p(v) + S."""
+    image = p.__getitem__
+    return all(
+        set(map(image, neighbors(v))) == set(neighbors(p[v])) for v in range(len(p))
+    )
 
 
-def _preserves_masks(masks, p):
-    """Whether p maps every neighbor mask onto the mask of the image vertex."""
-    for u, mask in enumerate(masks):
-        image = 0
-        for v in _iter_bits(mask):
-            image |= 1 << p[v]
-        if image != masks[p[u]]:
-            return False
-    return True
+def _orbit_count(gens, degree):
+    """Number of orbits of the group the generators span on range(degree)."""
+    seen = set()
+    count = 0
+    for x in range(degree):
+        if x not in seen:
+            count += 1
+            seen |= point_orbit(x, gens)
+    return count
 
 
-def _cell_mask(cell):
-    m = 0
-    for v in cell:
-        m |= 1 << v
-    return m
+class _Cells:
+    """An ordered partition of range(degree).
+
+    Each cell is the range lab[s : s + size[s]] for its start s; cell[v] is
+    the start of v's cell, and count is the number of cells.
+    """
+
+    __slots__ = ("lab", "cell", "size", "count")
+
+    def __init__(self, lab, cell, size, count):
+        self.lab = lab
+        self.cell = cell
+        self.size = size
+        self.count = count
+
+    @classmethod
+    def unit(cls, degree):
+        return cls(list(range(degree)), [0] * degree, [degree] + [0] * (degree - 1), 1)
+
+    def target(self):
+        """Start of the first smallest non-singleton cell, or None if discrete."""
+        best = None
+        s = 0
+        lab, size = self.lab, self.size
+        while s < len(lab):
+            n = size[s]
+            if n > 1 and (best is None or n < size[best]):
+                best = s
+            s += n
+        return best
 
 
 class _Search:
-    def __init__(self, masks, pool, budget):
-        self.masks = masks
-        self.degree = len(masks)
+    def __init__(self, neighbors, degree, pool, budget):
+        self.neighbors = neighbors  # v -> the ids of v + S
+        self.degree = degree
         self.pool = pool
         self.budget = budget
         self.nodes = 0
-        self.base = None  # the prefix at the leftmost leaf, set by stabilize
+        self.base = None  # the points individualized on the leftmost path
 
     def _tick(self):
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"automorphism search exceeded {self.budget} nodes")
 
-    def _refine(self, cells, queue):
-        """Lockstep equitable refinement; None when the two sides diverge."""
-        masks = self.masks
-        while queue:
-            splitl, splitr = queue.popleft()
-            newcells = []
-            for cl, cr in cells:
-                if len(cl) == 1:
-                    newcells.append((cl, cr))
-                    continue
-                bucketl = {}
-                for v in cl:
-                    bucketl.setdefault((masks[v] & splitl).bit_count(), []).append(v)
-                bucketr = {}
-                for v in cr:
-                    bucketr.setdefault((masks[v] & splitr).bit_count(), []).append(v)
-                keys = sorted(bucketl)
-                if keys != sorted(bucketr):
+    def _refine(self, part, queue, stop, expected):
+        """Refine part in place until it is equitable, or has stop cells and
+        so is the orbit partition of known automorphisms (see stabilize).
+
+        Returns the trace of splits, or None as soon as it departs from
+        expected (when expected is not None).
+        """
+        neighbors = self.neighbors
+        lab, cell, size = part.lab, part.cell, part.size
+        cell_of = cell.__getitem__
+        queued = set(queue)
+        trace = []
+        while queue and part.count < stop:
+            w = queue.popleft()
+            queued.discard(w)
+            counts = Counter(chain.from_iterable(map(neighbors, lab[w : w + size[w]])))
+            # a cell is split unless all its points were touched, with one count
+            pairs = Counter(zip(map(cell_of, counts), counts.values()))
+            for s in sorted({s for (s, _), k in pairs.items() if k != size[s]}):
+                n = size[s]
+                members = lab[s : s + n]
+                keys = list(map(counts.get, members, repeat(0)))
+                order = sorted(range(n), key=keys.__getitem__)
+                lab[s : s + n] = map(members.__getitem__, order)
+                frags = tuple((c, len(list(f))) for c, f in groupby(map(keys.__getitem__, order)))
+                event = (s, frags)
+                if expected is not None and (
+                    len(trace) == len(expected) or expected[len(trace)] != event
+                ):
                     return None
-                if any(len(bucketl[k]) != len(bucketr[k]) for k in keys):
-                    return None
-                if len(keys) == 1:
-                    newcells.append((cl, cr))
-                    continue
-                for k in keys:
-                    fl, fr = tuple(bucketl[k]), tuple(bucketr[k])
-                    newcells.append((fl, fr))
-                    queue.append((_cell_mask(fl), _cell_mask(fr)))
-            cells = newcells
-        return cells
+                trace.append(event)
+                sizes = [k for _, k in frags]
+                largest = None if s in queued else sizes.index(max(sizes))
+                t = s
+                for j, k in enumerate(sizes):
+                    size[t] = k
+                    if t != s:
+                        for v in lab[t : t + k]:
+                            cell[v] = t
+                    if j != largest and t not in queued:
+                        queue.append(t)
+                        queued.add(t)
+                    t += k
+                part.count += len(frags) - 1
+        if expected is not None and len(trace) != len(expected):
+            return None
+        return trace
 
-    def initial(self):
+    def _individualize(self, part, s, v, stop, expected=None):
+        """Copy part, split v off the end of the cell at s, and refine.
+
+        Returns (child, trace), or None when the trace departs from expected.
+        """
         self._tick()
-        full = tuple(range(self.degree))
-        fullmask = (1 << self.degree) - 1
-        return self._refine([(full, full)], deque([(fullmask, fullmask)]))
+        lab = part.lab[:]
+        size = part.size[:]
+        cell = part.cell[:]
+        last = s + size[s] - 1
+        i = lab.index(v, s, last + 1)
+        lab[i], lab[last] = lab[last], v
+        size[s] -= 1
+        size[last] = 1
+        cell[v] = last
+        child = _Cells(lab, cell, size, part.count + 1)
+        trace = self._refine(child, deque([last]), stop, expected)
+        return None if trace is None else (child, trace)
 
-    def _individualize(self, cells, k, u, w):
-        self._tick()
-        cl, cr = cells[k]
-        restl = tuple(x for x in cl if x != u)
-        restr = tuple(x for x in cr if x != w)
-        newcells = (
-            cells[:k] + [((u,), (w,)), (restl, restr)] + cells[k + 1 :]
-        )
-        queue = deque(
-            [(1 << u, 1 << w), (_cell_mask(restl), _cell_mask(restr))]
-        )
-        return self._refine(newcells, queue)
+    def _leaf(self, lab):
+        """The map taking the leftmost leaf onto the discrete partition lab,
+        if it is an automorphism."""
+        p = tuple(map(lab.__getitem__, self._leaf_pos))
+        return p if _preserves_neighbors(self.neighbors, p) else None
 
-    @staticmethod
-    def _target_cell(cells):
-        best = None
-        for i, (cl, _) in enumerate(cells):
-            if len(cl) >= 2 and (best is None or len(cl) < len(cells[best][0])):
-                best = i
-        return best
-
-    def _leaf(self, cells):
-        p = [0] * self.degree
-        for cl, cr in cells:
-            p[cl[0]] = cr[0]
-        p = tuple(p)
-        return p if _preserves_masks(self.masks, p) else None
-
-    def _find_iso(self, cells):
-        k = self._target_cell(cells)
-        if k is None:
-            return self._leaf(cells)
-        u = cells[k][0][0]
-        for w in cells[k][1]:
-            child = self._individualize(cells, k, u, w)
-            if child is not None:
-                result = self._find_iso(child)
-                if result is not None:
-                    return result
+    def _find_iso(self, path, level, w):
+        """An automorphism fixing base[:level] and mapping base[level] to w,
+        or None.  The leftmost path is followed from level on: each right
+        node is refined against the trace of the path node at its depth."""
+        stack = [(level, path[level][0], iter((w,)))]
+        while stack:
+            depth, node, candidates = stack[-1]
+            v = next(candidates, None)
+            if v is None:
+                stack.pop()
+                continue
+            _, s, trace, stop = path[depth]
+            found = self._individualize(node, s, v, stop, trace)
+            if found is None:
+                continue
+            child = found[0]
+            if depth + 1 == len(path):
+                p = self._leaf(child.lab)
+                if p is not None:
+                    return p
+            else:
+                t = path[depth + 1][1]
+                stack.append((depth + 1, child, iter(child.lab[t : t + child.size[t]])))
         return None
 
-    def stabilize(self, cells, prefix):
-        """Grow the pool until it generates all automorphisms fixing prefix.
+    def stabilize(self):
+        """Find the base, then grow the pool until it is a strong generating
+        set on it.
 
-        For each prefix on the leftmost path, the pool elements fixing it
-        then generate its stabilizer, and at the leaf only the identity
-        fixes the prefix: the pool is a strong generating set on it.
+        The unit partition is equitable, because a Cayley graph is regular,
+        so it is the root without refinement.  Refinement never splits an
+        orbit of the pool elements fixing the individualized points, and
+        that orbit partition is equitable, so a node's refinement stops once
+        it has as many cells as they have orbits (V when there are none).
+        Levels are completed deepest first: when level k starts, the pool
+        elements fixing base[:k + 1] generate their stabilizer, and one
+        automorphism for each point of the target cell outside the orbit of
+        base[k] extends that to base[:k].
         """
-        k = self._target_cell(cells)
-        if k is None:
-            self.base = tuple(prefix)
-            return
-        targets = cells[k][0]
-        t1 = targets[0]
-        child = self._individualize(cells, k, t1, t1)
-        self.stabilize(child, prefix + [t1])
-        fixed = [g for g in self.pool if all(g[v] == v for v in prefix)]
-        orbit = point_orbit(t1, fixed)
-        for tj in targets[1:]:
-            if tj in orbit:
-                continue
-            pair = self._individualize(cells, k, t1, tj)
-            found = self._find_iso(pair) if pair is not None else None
-            if found is not None:
-                self.pool.append(found)
-                fixed.append(found)
-                orbit = point_orbit(t1, fixed)
+        self._tick()
+        node = _Cells.unit(self.degree)
+        path = []  # per level: (node, target cell start, trace of its child, stop)
+        base = []
+        known = self.pool
+        while (s := node.target()) is not None:
+            base.append(node.lab[s])
+            known = [g for g in known if g[base[-1]] == base[-1]]
+            stop = _orbit_count(known, self.degree) if known else self.degree
+            child, trace = self._individualize(node, s, base[-1], stop)
+            path.append((node, s, trace, stop))
+            node = child
+        self.base = tuple(base)
+        self._leaf_pos = [0] * self.degree
+        for i, v in enumerate(node.lab):
+            self._leaf_pos[v] = i
+        for level in reversed(range(len(path))):
+            part, s, _, _ = path[level]
+            prefix = self.base[:level]
+            fixed = [g for g in self.pool if all(g[v] == v for v in prefix)]
+            t1 = self.base[level]
+            orbit = point_orbit(t1, fixed)
+            for tj in part.lab[s + 1 : s + part.size[s]]:
+                if tj in orbit:
+                    continue
+                found = self._find_iso(path, level, tj)
+                if found is not None:
+                    self.pool.append(found)
+                    fixed.append(found)
+                    orbit = point_orbit(t1, fixed)
 
 
 def automorphism_group(graph, node_budget=200000):
@@ -195,11 +272,9 @@ def automorphism_group(graph, node_budget=200000):
     """
     degree = graph.num_vertices
     k_gens = scalar_affine_group(graph.q, graph.n).generators
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * degree + 500))
-    search = _Search(graph.adjacency_masks(), list(k_gens), node_budget)
+    search = _Search(graph.neighbor_ids, degree, list(k_gens), node_budget)
     try:
-        cells = search.initial()
-        search.stabilize(cells, [])
+        search.stabilize()
     except BudgetExceeded:
         # report what was found; the span of a truncated pool has no
         # trustworthy order, so no group is materialized
@@ -209,7 +284,7 @@ def automorphism_group(graph, node_budget=200000):
 
 
 def is_automorphism(graph, p):
-    return _preserves_masks(graph.adjacency_masks(), p)
+    return _preserves_neighbors(graph.neighbor_ids, p)
 
 
 def group_equals_scalar_affine(group, q, n):

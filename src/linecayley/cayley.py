@@ -3,16 +3,12 @@
 import random
 
 from .errors import InvariantViolation
-from .field import affine_ids, decode, encode, require_odd_prime, vec_add, vec_scale, vec_sub
+from .field import affine_ids, decode, encode, require_odd_prime, vec_scale
 from .geometry import line_points, line_universe, proj_rep
 
 
 class ConnectionSet:
-    """The symmetric set S = union of chosen punctured lines.
-
-    Membership is exposed both as a set of vectors and as a bitmap over
-    vertex ids, so adjacency tests cost one lookup.
-    """
+    """The symmetric set S = union of chosen punctured lines, as a set of vectors."""
 
     def __init__(self, q, n, lines):
         require_odd_prime(q)
@@ -40,10 +36,6 @@ class ConnectionSet:
         for rep in self.lines:
             members.update(line_points(rep, q))
         self.members = frozenset(members)
-        bitmap = bytearray(q ** n)
-        for v in members:
-            bitmap[encode(v, q)] = 1
-        self._bitmap = bytes(bitmap)
         self._validate()
 
     @classmethod
@@ -86,9 +78,6 @@ class ConnectionSet:
     def element_count(self):
         return len(self.members)
 
-    def contains_id(self, i):
-        return bool(self._bitmap[i])
-
     def to_json_dict(self):
         return {
             "q": self.q,
@@ -129,6 +118,18 @@ class CayleyGraph:
             for s in self._members
             if encode(s, self.q) < encode(tuple(-a % self.q for a in s), self.q)
         ]
+        # split-digit addition tables: with m = q**h, the id of w + s is
+        # lo[w % m][s % m] + hi[w // m][s // m]; they hold at most q^(n+1)
+        # ints, where a table of every v + s would hold V * |S|
+        q, n = self.q, self.n
+        h = (n + 1) // 2
+        m = self._split = q ** h
+        self._lo = [affine_ids(q, h, 1, decode(x, q, h)) for x in range(m)]
+        self._hi = [
+            [m * i for i in affine_ids(q, n - h, 1, decode(y, q, n - h))]
+            for y in range(q ** (n - h))
+        ]
+        self._digits = [divmod(encode(s, q), m)[::-1] for s in self._members]
         self._adj_masks = None
 
     @property
@@ -139,16 +140,15 @@ class CayleyGraph:
         if not 0 <= i < self.num_vertices:
             raise ValueError(f"vertex id {i} out of range")
 
-    def is_edge(self, u, v):
-        self._check_id(u)
-        self._check_id(v)
-        diff = vec_sub(decode(u, self.q, self.n), decode(v, self.q, self.n), self.q)
-        return self.connection.contains_id(encode(diff, self.q))
+    def neighbor_ids(self, v):
+        """Ids of v + s for the members s of S, in the order of S's members."""
+        lo = self._lo[v % self._split]
+        hi = self._hi[v // self._split]
+        return [lo[a] + hi[b] for a, b in self._digits]
 
     def neighbors(self, v):
         self._check_id(v)
-        x = decode(v, self.q, self.n)
-        return sorted(encode(vec_add(x, s, self.q), self.q) for s in self._members)
+        return sorted(self.neighbor_ids(v))
 
     def shift_table(self, s):
         """Permutation i -> id(decode(i) + s), as a list."""

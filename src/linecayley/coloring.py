@@ -139,6 +139,8 @@ def enumerate_proper_partitions(g, max_classes=None, limit=10 ** 6):
     Partitions are canonical: vertex 0 opens class 0 and new classes appear
     in first-use order, so relabelings of the same partition are not
     repeated.  Raises when more than limit partitions would be yielded.
+    The backtracking is a loop, so the vertex count is not bounded by the
+    recursion limit.
     """
     if max_classes is None:
         max_classes = g.q
@@ -146,10 +148,10 @@ def enumerate_proper_partitions(g, max_classes=None, limit=10 ** 6):
     n = g.num_vertices
     class_of = [None] * n
     class_masks = []
+    opened = [0] * (n + 1)  # classes opened by the vertices before v
     yielded = 0
-
-    def rec(v):
-        nonlocal yielded
+    v, c = 0, 0  # the next class to try at vertex v
+    while v >= 0:
         if v == n:
             yielded += 1
             if yielded > limit:
@@ -157,22 +159,28 @@ def enumerate_proper_partitions(g, max_classes=None, limit=10 ** 6):
                     f"more than {limit} proper partitions"
                 )
             yield Coloring(len(class_masks), tuple(class_of))
-            return
-        for c in range(len(class_masks)):
-            if class_masks[c] & adj[v]:
+        elif c < min(opened[v] + 1, max_classes):
+            if c < opened[v] and class_masks[c] & adj[v]:
+                c += 1
                 continue
             class_of[v] = c
-            class_masks[c] |= 1 << v
-            yield from rec(v + 1)
-            class_masks[c] ^= 1 << v
-        if len(class_masks) < max_classes:
-            class_of[v] = len(class_masks)
-            class_masks.append(1 << v)
-            yield from rec(v + 1)
-            class_masks.pop()
-        class_of[v] = None
-
-    yield from rec(0)
+            if c == opened[v]:
+                class_masks.append(1 << v)
+            else:
+                class_masks[c] |= 1 << v
+            opened[v + 1] = len(class_masks)
+            v, c = v + 1, 0
+            continue
+        # backtrack: take the previous vertex out of its class, try the next
+        v -= 1
+        if v >= 0:
+            c = class_of[v]
+            class_of[v] = None
+            if c == opened[v]:
+                class_masks.pop()
+            else:
+                class_masks[c] ^= 1 << v
+            c += 1
 
 
 def plus_zero_recolor(coloring):

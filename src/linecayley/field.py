@@ -128,11 +128,6 @@ def affine_ids(q, n, lam, b):
 # matrices (row major, square unless noted)
 
 
-def scalar_matrix(lam, n, q):
-    lam %= q
-    return tuple(tuple(lam if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def is_scalar_matrix(m):
     n = len(m)
     lam = m[0][0]

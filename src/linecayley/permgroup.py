@@ -131,12 +131,18 @@ class PermGroup:
         """
         if k == depth:
             return leaf(prefix)
-        sv = self._svs[k]
-        for x in images(k, prefix):
-            if x in sv:
-                found = self.walk(k + 1, depth, compose(prefix, self._rep(k, x)), images, leaf)
-                if found is not None:
-                    return found
+        stack = [(k, prefix, iter(images(k, prefix)))]
+        while stack:
+            j, g, points = stack[-1]
+            x = next((x for x in points if x in self._svs[j]), None)
+            if x is None:
+                stack.pop()
+                continue
+            h = compose(g, self._rep(j, x))
+            if j + 1 < depth:
+                stack.append((j + 1, h, iter(images(j + 1, h))))
+            elif (found := leaf(h)) is not None:
+                return found
         return None
 
     # -- queries -------------------------------------------------------------

@@ -5,13 +5,16 @@ algorithms than the package: flat enumeration instead of canonical
 representatives, plain DFS instead of the clique-plus-layers certificate,
 per-vertex decode and encode instead of digit tables, edge-set comparison
 instead of adjacency masks, closure under products instead of a stabilizer
-chain, a scan of every matrix instead of a walk over the automorphism group.
+chain, a scan of every matrix instead of a walk over the automorphism group,
+a lockstep refinement over adjacency bitmasks instead of the one-sided
+refinement over neighbour ids.
 """
 
 import itertools
+from collections import deque
 
 from linecayley.errors import BudgetExceeded
-from linecayley.field import decode, encode, mat_apply, rank, vec_add, vec_scale
+from linecayley.field import decode, encode, mat_apply, rank, vec_add, vec_scale, vec_sub
 from linecayley.permgroup import PermGroup
 
 DEFAULT_GL_BUDGET = 10 ** 5
@@ -83,6 +86,68 @@ def brute_partition_count(neighbors, max_classes):
 
     dfs(0, 0)
     return count
+
+
+def is_edge(graph, u, v):
+    """Adjacency by definition: u - v is a member of the connection set."""
+    q, n = graph.q, graph.n
+    return vec_sub(decode(u, q, n), decode(v, q, n), q) in graph.connection.members
+
+
+def _cell_mask(cell):
+    m = 0
+    for v in cell:
+        m |= 1 << v
+    return m
+
+
+def lockstep_refine(masks, cells, queue):
+    """Equitable refinement of a pair of ordered partitions in lockstep.
+
+    cells holds (left, right) pairs of vertex tuples and queue a deque of
+    (left, right) splitter bitmasks.  Every cell is split by its vertices'
+    neighbour counts into each splitter, popcounts of adjacency-mask
+    intersections; returns the refined pairs, or None when the two sides
+    diverge.
+    """
+    while queue:
+        splitl, splitr = queue.popleft()
+        newcells = []
+        for cl, cr in cells:
+            if len(cl) == 1:
+                newcells.append((cl, cr))
+                continue
+            bucketl = {}
+            for v in cl:
+                bucketl.setdefault((masks[v] & splitl).bit_count(), []).append(v)
+            bucketr = {}
+            for v in cr:
+                bucketr.setdefault((masks[v] & splitr).bit_count(), []).append(v)
+            keys = sorted(bucketl)
+            if keys != sorted(bucketr):
+                return None
+            if any(len(bucketl[k]) != len(bucketr[k]) for k in keys):
+                return None
+            if len(keys) == 1:
+                newcells.append((cl, cr))
+                continue
+            for k in keys:
+                fl, fr = tuple(bucketl[k]), tuple(bucketr[k])
+                newcells.append((fl, fr))
+                queue.append((_cell_mask(fl), _cell_mask(fr)))
+        cells = newcells
+    return cells
+
+
+def reference_individualized_cells(graph, v):
+    """The cells, as sets, of the equitable partition reached by
+    individualizing v in the unit partition, by the lockstep refinement."""
+    masks = graph.adjacency_masks()
+    full = tuple(range(graph.num_vertices))
+    (root, _), = lockstep_refine(masks, [(full, full)], deque([(_cell_mask(full),) * 2]))
+    rest = tuple(x for x in root if x != v)
+    queue = deque([(1 << v,) * 2, (_cell_mask(rest),) * 2])
+    return {frozenset(cl) for cl, _ in lockstep_refine(masks, [((v,), (v,)), (rest, rest)], queue)}
 
 
 def edge_set(graph):

@@ -1,10 +1,14 @@
 import itertools
+import math
 import random
+import sys
 
 import pytest
 
 from linecayley.autgroup import (
+    _Cells,
     _Search,
+    _orbit_count,
     automorphism_group,
     dichotomy_check,
     equals_scalar_affine,
@@ -35,6 +39,7 @@ from oracles import (
     brute_preserves_edges,
     enumerate_gl,
     linear_maps_fixing_connection,
+    reference_individualized_cells,
 )
 
 
@@ -138,19 +143,59 @@ def test_relabelled_graph_has_conjugate_group():
     rng = random.Random(41)
     for q, n in ((3, 3),) * 10 + ((5, 3),) * 10:
         g = build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6)))
-        masks = g.adjacency_masks()
         sigma = list(range(g.num_vertices))
         rng.shuffle(sigma)
         sigma_inv = inverse_perm(sigma)
-        relabelled = [0] * g.num_vertices
-        for u, mask in enumerate(masks):
-            relabelled[sigma[u]] = sum(1 << sigma[v] for v in range(g.num_vertices) if mask >> v & 1)
-        search = _Search(relabelled, [], 200000)
-        search.stabilize(search.initial(), [])
+
+        def relabelled(v):
+            return [sigma[u] for u in g.neighbor_ids(sigma_inv[v])]
+
+        search = _Search(relabelled, g.num_vertices, [], 200000)
+        search.stabilize()
         group = PermGroup(g.num_vertices, search.base, search.pool)
         assert group.order() == automorphism_group(g).group.order()
         for h in group.generators:
             assert is_automorphism(g, compose(sigma_inv, compose(h, sigma)))
+
+
+def _cells_after_individualizing(g, v, stop):
+    search = _Search(g.neighbor_ids, g.num_vertices, [], 1)
+    child, _ = search._individualize(_Cells.unit(g.num_vertices), 0, v, stop)
+    cells, s = set(), 0
+    while s < g.num_vertices:
+        cells.add(frozenset(child.lab[s : s + child.size[s]]))
+        s += child.size[s]
+    return cells
+
+
+def test_refinement_matches_lockstep_reference():
+    # refined to the end, and stopped at the orbit count of K's generators
+    # fixing v (the scaling, for v = 0), the cells are the reference's
+    cases = [(3, 3, 0.75, seed, None) for seed in range(4)]
+    cases += [(5, 3, 0.5, seed, None) for seed in range(3)]
+    cases.append((5, 4, 0.5, 1, [0]))
+    for q, n, p, seed, points in cases:
+        g = build_graph(sample_connection_set(q, n, p, seed))
+        k_gens = scalar_affine_group(q, n).generators
+        for v in points or range(g.num_vertices):
+            want = reference_individualized_cells(g, v)
+            known = [x for x in k_gens if x[v] == v]
+            for stop in {g.num_vertices, _orbit_count(known, g.num_vertices)}:
+                assert _cells_after_individualizing(g, v, stop) == want, (q, n, seed, v, stop)
+
+
+def test_search_needs_no_raised_recursion_limit():
+    # the empty (5,3) graph has Aut = Sym(125) and a base of 124 points
+    g = build_graph(ConnectionSet(5, 3, []))
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        aut = automorphism_group(g)
+        assert sys.getrecursionlimit() == 200
+    finally:
+        sys.setrecursionlimit(previous)
+    assert aut.complete
+    assert aut.group.order() == math.factorial(125)
 
 
 def test_fixed_line_counts_examples():
