@@ -6,7 +6,6 @@ from .autgroup import (
     AutResult,
     automorphism_group,
     dichotomy_check,
-    equals_scalar_affine,
     fixed_line_count_eigen,
     fixed_line_count_scan,
     group_equals_scalar_affine,

@@ -294,13 +294,6 @@ def group_equals_scalar_affine(group, q, n):
     return all(group.contains(g) for g in k_group.generators)
 
 
-def equals_scalar_affine(aut, q, n):
-    """Whether a completed search returned exactly the scalar-affine group."""
-    if not aut.complete:
-        raise ValueError("automorphism search was incomplete; raise the node budget")
-    return group_equals_scalar_affine(aut.group, q, n)
-
-
 def _require_invertible(m, q):
     if rank(m, q) != len(m):
         raise ValueError("matrix is singular")

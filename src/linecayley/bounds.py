@@ -11,10 +11,8 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal, localcontext
 from fractions import Fraction
-
-import mpmath
 
 from .autgroup import automorphism_group, dichotomy_check, group_equals_scalar_affine
 from .cayley import build_graph, connection_from_lines, sample_connection_set
@@ -37,8 +35,9 @@ def binomial_tail_log2(n_trials, t):
     if t < 0:
         return float("-inf")
     total = sum(math.comb(n_trials, j) for j in range(min(t, n_trials) + 1))
-    with mpmath.workdps(60):
-        return float(mpmath.log(total, 2) - n_trials)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(Decimal(total).ln() / Decimal(2).ln() - n_trials)
 
 
 def _trial_seed(master, index):
@@ -70,10 +69,11 @@ def chernoff_report(q, n, trials=0, seed=None):
     threshold = threshold2 // 2
     t_lines = threshold - 1
     t_elements = (q ** (n - 2) - 1) // 2
-    with mpmath.workdps(60):
-        exponent = mpmath.mpf(q) ** (n - 3) / 4
-        closed_log2 = float(-exponent / mpmath.log(2))
-        closed_value = float(mpmath.e ** (-exponent))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exponent = Decimal(q) ** (n - 3) / 4
+        closed_log2 = float(-exponent / Decimal(2).ln())
+        closed_value = float((-exponent).exp())
     line_log2 = binomial_tail_log2(num_lines, t_lines)
     element_log2 = binomial_tail_log2(num_lines, t_elements)
     exact_ok = num_lines <= 2048
@@ -146,7 +146,7 @@ def aut_union_bound(q, n):
         "rhs_log2": rhs_log2,
         "chain_holds": chain_holds,
         "gl_order": str(gl),
-        "gl_log2": float(mpmath.log(gl, 2)),
+        "gl_log2": math.log2(gl),
         "gl_refinement_holds": gl_holds,
         "fixed_line_bound": b + 1,
         "num_lines": a,
@@ -230,6 +230,9 @@ def monte_carlo_pipeline(q, n, trials, seed, p=0.5, node_budget=200000, jobs=1):
         (q, n, p, _trial_seed(seed, i), node_budget) for i in range(trials)
     ]
     if jobs > 1:
+        # imported here: it loads multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(run_single_trial, argslist))
     else:

@@ -136,19 +136,11 @@ class CayleyGraph:
     def num_edges(self):
         return self.num_vertices * self.degree // 2
 
-    def _check_id(self, i):
-        if not 0 <= i < self.num_vertices:
-            raise ValueError(f"vertex id {i} out of range")
-
     def neighbor_ids(self, v):
         """Ids of v + s for the members s of S, in the order of S's members."""
         lo = self._lo[v % self._split]
         hi = self._hi[v // self._split]
         return [lo[a] + hi[b] for a, b in self._digits]
-
-    def neighbors(self, v):
-        self._check_id(v)
-        return sorted(self.neighbor_ids(v))
 
     def shift_table(self, s):
         """Permutation i -> id(decode(i) + s), as a list."""

@@ -111,7 +111,6 @@ def cmd_chi(args):
         "value": result.value if result.exact else None,
         "clique": list(result.clique) if result.clique else None,
         "coloring": result.coloring.to_json_dict() if result.coloring else None,
-        "nodes": result.nodes,
     }
     _emit_json(args, payload, start)
     return 0

@@ -26,9 +26,6 @@ class Coloring:
             groups.setdefault(c, []).append(v)
         return sorted(groups.values(), key=lambda g: g[0])
 
-    def class_sizes(self):
-        return [len(c) for c in self.classes()]
-
     def to_json_dict(self):
         return {"num_colors": self.num_colors, "classes": self.classes()}
 
@@ -113,7 +110,6 @@ class ChromaticResult:
     exact: bool
     coloring: Coloring
     clique: tuple
-    nodes: int
 
     @property
     def value(self):
@@ -128,9 +124,9 @@ def exact_chromatic_number(g):
     """
     if not g.connection.lines:
         coloring = Coloring(1, (0,) * g.num_vertices)
-        return ChromaticResult(1, 1, True, coloring, (), 0)
+        return ChromaticResult(1, 1, True, coloring, ())
     clique = line_clique(g, g.connection.lines[0])
-    return ChromaticResult(g.q, g.q, True, coset_coloring(g), clique, 0)
+    return ChromaticResult(g.q, g.q, True, coset_coloring(g), clique)
 
 
 def enumerate_proper_partitions(g, max_classes=None, limit=10 ** 6):

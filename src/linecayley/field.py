@@ -67,10 +67,6 @@ def vec_sub(u, v, q):
     return tuple((a - b) % q for a, b in zip(u, v))
 
 
-def vec_neg(u, q):
-    return tuple(-a % q for a in u)
-
-
 def vec_scale(c, u, q):
     return tuple(c * a % q for a in u)
 
@@ -209,26 +205,13 @@ def kernel(m, q):
 
 
 def mat_inverse(m, q):
+    """Inverse of a square matrix, read off the reduced form of [m | I]."""
     n = len(m)
-    aug = [list(m[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, n):
-            if aug[i][c] % q:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = inv_mod(aug[r][c], q)
-        aug[r] = [x * inv % q for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % q:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in aug)
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    reduced, pivots = _rref(aug, q)
+    if any(c >= n for c in pivots):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def gaussian_binomial_1(d, q):

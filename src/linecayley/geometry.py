@@ -134,15 +134,6 @@ def affine_hyperplane_form(points, q, n):
     return normal, vec_dot(normal, base, q)
 
 
-def hyperplane_points(normal, offset, q, n):
-    """All points x of F_q^n with normal . x = offset."""
-    return {
-        v
-        for v in itertools.product(range(q), repeat=n)
-        if vec_dot(normal, v, q) == offset % q
-    }
-
-
 def common_hyperplane_normal(classes, q, n):
     """Shared normal if every class is an affine hyperplane with the same one.
 

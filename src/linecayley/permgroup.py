@@ -8,11 +8,7 @@ input group's base.  Each level's orbit is a BFS in generator order, which
 gives exact order and membership tests without a Schreier-Sims closure.
 """
 
-from .field import affine_ids, decode, encode, mat_apply, primitive_root
-
-
-def identity_perm(degree):
-    return tuple(range(degree))
+from .field import affine_ids, primitive_root
 
 
 def compose(p, r):
@@ -33,17 +29,6 @@ def translation_perm(q, n, b):
 
 def scalar_perm(q, n, lam):
     return tuple(affine_ids(q, n, lam, (0,) * n))
-
-
-def affine_perm(q, n, lam, b):
-    """The map x -> lam * x + b as a vertex permutation."""
-    return tuple(affine_ids(q, n, lam, b))
-
-
-def linear_perm(q, n, m):
-    return tuple(
-        encode(mat_apply(m, decode(i, q, n), q), q) for i in range(q ** n)
-    )
 
 
 class PermGroup:

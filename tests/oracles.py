@@ -14,7 +14,7 @@ import itertools
 from collections import deque
 
 from linecayley.errors import BudgetExceeded
-from linecayley.field import decode, encode, mat_apply, rank, vec_add, vec_scale, vec_sub
+from linecayley.field import decode, encode, mat_apply, rank, vec_add, vec_dot, vec_scale, vec_sub
 from linecayley.permgroup import PermGroup
 
 DEFAULT_GL_BUDGET = 10 ** 5
@@ -38,6 +38,20 @@ def brute_line_census(q, n):
 def brute_affine_ids(q, n, lam, b):
     """Image id of every vertex under x -> lam * x + b, by decode and encode."""
     return [encode(vec_add(vec_scale(lam, decode(i, q, n), q), b, q), q) for i in range(q**n)]
+
+
+def linear_perm(q, n, m):
+    """The map x -> m x as a vertex permutation, by decode and encode."""
+    return tuple(encode(mat_apply(m, decode(i, q, n), q), q) for i in range(q**n))
+
+
+def hyperplane_points(normal, offset, q, n):
+    """All points x of F_q^n with normal . x = offset, by scanning the space."""
+    return {
+        v
+        for v in itertools.product(range(q), repeat=n)
+        if vec_dot(normal, v, q) == offset % q
+    }
 
 
 def brute_chromatic_number(neighbors, max_k):
@@ -154,7 +168,7 @@ def edge_set(graph):
     return {
         frozenset((u, v))
         for u in range(graph.num_vertices)
-        for v in graph.neighbors(u)
+        for v in graph.neighbor_ids(u)
     }
 
 

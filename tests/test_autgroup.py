@@ -11,7 +11,6 @@ from linecayley.autgroup import (
     _orbit_count,
     automorphism_group,
     dichotomy_check,
-    equals_scalar_affine,
     fixed_line_count_eigen,
     fixed_line_count_scan,
     group_equals_scalar_affine,
@@ -30,7 +29,6 @@ from linecayley.permgroup import (
     compose,
     fixing_subgroup_of_partition,
     inverse_perm,
-    linear_perm,
     scalar_affine_group,
     translation_perm,
 )
@@ -39,6 +37,7 @@ from oracles import (
     brute_preserves_edges,
     enumerate_gl,
     linear_maps_fixing_connection,
+    linear_perm,
     reference_individualized_cells,
 )
 
@@ -89,8 +88,6 @@ def test_budget_exhaustion():
     assert aut.nodes > 1
     assert len(aut.pool) >= 1
     with pytest.raises(ValueError):
-        equals_scalar_affine(aut, 3, 3)
-    with pytest.raises(ValueError):
         dichotomy_check(g, aut)
 
 
@@ -98,7 +95,7 @@ def test_equals_scalar_affine():
     g = build_graph(sample_connection_set(5, 3, 0.5, 42))
     aut = automorphism_group(g)
     assert aut.complete
-    assert equals_scalar_affine(aut, 5, 3)
+    assert group_equals_scalar_affine(aut.group, 5, 3)
     assert aut.group.order() == 500
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linecayley
 from linecayley.cayley import build_graph, sample_connection_set
 from linecayley.cli import main
 from linecayley.coloring import coset_coloring
@@ -68,6 +73,7 @@ def test_chi_value(capsys, tmp_path):
     assert d["value"] == 5
     assert d["exact"] is True
     assert d["lower"] == d["upper"] == 5
+    assert "nodes" not in d
 
 
 def test_aut_complete(capsys):
@@ -241,3 +247,37 @@ def test_chi_has_no_budget_flags(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["chi", "--q", "3", "--n", "2", "--seed", "1", flag, "1"])
         assert exc.value.code == 2
+
+
+def _python(*argv):
+    """Run a fresh interpreter on argv with the package's source on its path."""
+    src = str(Path(linecayley.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--q", "5", "--n", "4", "--no-meta"),
+    ("distinguish", "--q", "5", "--n", "3", "--seed", "1", "--no-meta"),
+])
+def test_cli_runs_without_site_packages(argv):
+    # -S drops site-packages: the package needs nothing outside the standard library
+    bare = _python("-S", "-m", "linecayley.cli", *argv)
+    assert bare.returncode == 0, bare.stderr
+    full = _python("-m", "linecayley.cli", *argv)
+    assert full.returncode == 0, full.stderr
+    assert bare.stdout == full.stdout
+
+
+def test_import_loads_only_the_standard_library():
+    code = (
+        "import sys; before = set(sys.modules); import linecayley; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "linecayley" in loaded
+    assert loaded - {"linecayley"} <= sys.stdlib_module_names
+    # only experiment --jobs N with N > 1 needs a process pool
+    assert "multiprocessing" not in loaded

@@ -182,7 +182,7 @@ def test_analysis_rejects_bad_colorings():
         hyperplane_class_analysis(merged, s)
     # relabel one endpoint of an edge into its neighbor's class
     u = 0
-    w = g.neighbors(u)[0]
+    w = sorted(g.neighbor_ids(u))[0]
     labels = list(cc.class_of)
     labels[u] = labels[w]
     bad_classes = [[] for _ in range(5)]

@@ -11,12 +11,11 @@ from linecayley.geometry import (
     direction,
     direction_count_threshold,
     directions_determined,
-    hyperplane_points,
     line_points,
     line_universe,
     proj_rep,
 )
-from oracles import brute_line_census
+from oracles import brute_line_census, hyperplane_points
 
 
 def test_proj_rep():
