@@ -22,19 +22,26 @@ from .field import gl_order, is_prime, require_odd_prime, require_prime
 from .geometry import line_universe
 
 
+def _binomial_prefix_sum(n_trials, t):
+    """Sum of comb(n_trials, j) for j = 0..t, by the running product
+    comb(n, j + 1) = comb(n, j) * (n - j) / (j + 1), exact at every step."""
+    total = term = 0 if t < 0 else 1
+    for j in range(min(t, n_trials)):
+        term = term * (n_trials - j) // (j + 1)
+        total += term
+    return total
+
+
 def exact_binomial_tail(n_trials, t):
     """P(X <= t) for X ~ Binomial(n_trials, 1/2), as an exact rational."""
-    if t < 0:
-        return Fraction(0)
-    total = sum(math.comb(n_trials, j) for j in range(min(t, n_trials) + 1))
-    return Fraction(total, 1 << n_trials)
+    return Fraction(_binomial_prefix_sum(n_trials, t), 1 << n_trials)
 
 
 def binomial_tail_log2(n_trials, t):
     """log2 of P(X <= t) for X ~ Binomial(n_trials, 1/2)."""
     if t < 0:
         return float("-inf")
-    total = sum(math.comb(n_trials, j) for j in range(min(t, n_trials) + 1))
+    total = _binomial_prefix_sum(n_trials, t)
     with localcontext() as ctx:
         ctx.prec = 60
         return float(Decimal(total).ln() / Decimal(2).ln() - n_trials)

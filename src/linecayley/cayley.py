@@ -146,15 +146,42 @@ class CayleyGraph:
         """Permutation i -> id(decode(i) + s), as a list."""
         return affine_ids(self.q, self.n, 1, s)
 
+    def neighbor_masks(self):
+        """Yield the bitmask of N(v) = v + S for v = 0, 1, ..., V-1.
+
+        Each mask is the one before translated by a unit vector e_i: bits
+        whose digit i is below q-1 move up by q^i, the others wrap down by
+        (q-1)*q^i. An odometer over the digits keeps n masks alive, so each
+        step costs a few big-int operations on V bits.
+        """
+        q, n = self.q, self.n
+        wrap = []
+        for i in range(n):
+            step = q ** i
+            period = q * step
+            block = ((1 << step) - 1) << (q - 1) * step
+            repeats = ((1 << self.num_vertices) - 1) // ((1 << period) - 1)
+            wrap.append(block * repeats)
+        # masks[i] is N of the current vertex with its digits below i cleared
+        m = sum(1 << u for u in self.neighbor_ids(0))
+        masks = [m] * n
+        digits = [0] * n
+        yield m
+        for _ in range(self.num_vertices - 1):
+            i = 0
+            while digits[i] == q - 1:
+                digits[i] = 0
+                i += 1
+            digits[i] += 1
+            m, w = masks[i], wrap[i]
+            m = ((m & ~w) << q ** i) | ((m & w) >> (q - 1) * q ** i)
+            masks[: i + 1] = [m] * (i + 1)
+            yield m
+
     def adjacency_masks(self):
         """Per-vertex neighbor bitmasks (built once, then cached)."""
         if self._adj_masks is None:
-            masks = [0] * self.num_vertices
-            for s in self._members:
-                table = self.shift_table(s)
-                for u in range(self.num_vertices):
-                    masks[u] |= 1 << table[u]
-            self._adj_masks = masks
+            self._adj_masks = list(self.neighbor_masks())
         return self._adj_masks
 
     def write_dimacs(self, fh):

@@ -69,15 +69,18 @@ def coset_coloring(g, v=None):
 
 
 def is_proper(g, coloring):
+    """True when no edge joins two vertices of one class.
+
+    Streams the neighbour masks and stops at the first vertex whose
+    neighbourhood meets its own class; the masks are not kept.
+    """
     if len(coloring.class_of) != g.num_vertices or None in coloring.class_of:
         raise ValueError("coloring does not cover every vertex")
     class_of = coloring.class_of
-    for s in g._half:
-        table = g.shift_table(s)
-        for u in range(g.num_vertices):
-            if class_of[u] == class_of[table[u]]:
-                return False
-    return True
+    class_masks = {}
+    for v, c in enumerate(class_of):
+        class_masks[c] = class_masks.get(c, 0) | 1 << v
+    return not any(m & class_masks[c] for m, c in zip(g.neighbor_masks(), class_of))
 
 
 def line_clique(g, line, w=None):

@@ -7,7 +7,8 @@ per-vertex decode and encode instead of digit tables, edge-set comparison
 instead of adjacency masks, closure under products instead of a stabilizer
 chain, a scan of every matrix instead of a walk over the automorphism group,
 a lockstep refinement over adjacency bitmasks instead of the one-sided
-refinement over neighbour ids.
+refinement over neighbour ids, one shift table per member of S instead of
+translates of N(0), an edge scan instead of streamed class masks.
 """
 
 import itertools
@@ -106,6 +107,26 @@ def is_edge(graph, u, v):
     """Adjacency by definition: u - v is a member of the connection set."""
     q, n = graph.q, graph.n
     return vec_sub(decode(u, q, n), decode(v, q, n), q) in graph.connection.members
+
+
+def masks_by_shift_tables(graph):
+    """Per-vertex neighbour bitmasks, one bit at a time: for each s in S,
+    set bit id(u + s) of vertex u's mask, reading ids off a shift table."""
+    masks = [0] * graph.num_vertices
+    for s in sorted(graph.connection.members):
+        table = graph.shift_table(s)
+        for u in range(graph.num_vertices):
+            masks[u] |= 1 << table[u]
+    return masks
+
+
+def proper_by_edge_scan(graph, class_of):
+    """Properness by checking both ends of every edge u ~ u + s."""
+    return all(
+        class_of[u] != class_of[w]
+        for u in range(graph.num_vertices)
+        for w in graph.neighbor_ids(u)
+    )
 
 
 def _cell_mask(cell):

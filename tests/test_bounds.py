@@ -31,6 +31,17 @@ def test_exact_binomial_tail():
     assert exact_binomial_tail(9, 3) == total
 
 
+def test_tails_match_comb_sums():
+    # t >= n sums every term, t < 0 none
+    for n_trials, t in ((1, 0), (9, 3), (40, 17), (200, 99), (301, 300), (12, 12), (12, 30), (5, -1), (5, -7)):
+        total = sum(math.comb(n_trials, j) for j in range(min(t, n_trials) + 1))
+        assert exact_binomial_tail(n_trials, t) == Fraction(total, 2**n_trials)
+        if t < 0:
+            assert binomial_tail_log2(n_trials, t) == float("-inf")
+        else:
+            assert abs(binomial_tail_log2(n_trials, t) - (math.log2(total) - n_trials)) < 1e-9
+
+
 def test_log2_matches_exact():
     rng = random.Random(5)
     for _ in range(25):

@@ -12,7 +12,8 @@ from linecayley.cayley import (
 )
 from linecayley.errors import InvariantViolation
 from linecayley.field import decode, encode, vec_scale
-from oracles import is_edge
+from linecayley.geometry import line_universe
+from oracles import is_edge, masks_by_shift_tables
 
 
 def test_from_lines_examples():
@@ -123,6 +124,18 @@ def test_neighbors_and_masks():
     for v in (0, 1, 17, 124):
         for u in g.neighbor_ids(v):
             assert is_edge(g, u, v)
+
+
+@pytest.mark.parametrize("q, n", [(3, 2), (3, 3), (5, 3), (7, 2), (11, 2), (3, 5), (5, 4)])
+def test_adjacency_masks_match_shift_tables(q, n):
+    # digit wraps at q = 3 and q = 11, and the two-digit odometer at n = 2
+    for s in (
+        sample_connection_set(q, n, 0.5, 1),
+        ConnectionSet(q, n, []),
+        ConnectionSet(q, n, list(line_universe(q, n))),
+    ):
+        g = build_graph(s)
+        assert g.adjacency_masks() == masks_by_shift_tables(g)
 
 
 def test_shift_table_is_automorphism():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linecayley.cayley import build_graph, connection_from_lines, sample_connection_set
 from linecayley.coloring import (
@@ -14,7 +16,9 @@ from linecayley.coloring import (
     plus_zero_recolor,
 )
 from linecayley.errors import EnumerationLimitExceeded
-from oracles import brute_chromatic_number, brute_partition_count, is_edge
+from linecayley.field import encode, vec_add, vec_scale
+from linecayley.geometry import line_universe
+from oracles import brute_chromatic_number, brute_partition_count, is_edge, proper_by_edge_scan
 
 
 def _neighbors(g):
@@ -89,6 +93,31 @@ def test_is_proper_detects_conflict():
     labels[3] = 0
     bad = Coloring(1, tuple(labels))
     assert not is_proper(g, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_proper_matches_edge_scan(data):
+    q, n = data.draw(st.sampled_from(((3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2))))
+    # a line whose digit i < n-1 is nonzero, so u + s can carry into digit i+1
+    i = data.draw(st.integers(0, n - 2))
+    line = data.draw(st.sampled_from([l for l in line_universe(q, n) if l[i]]))
+    sampled = sample_connection_set(q, n, data.draw(st.sampled_from((0.1, 0.5))), data.draw(st.integers(0, 9)))
+    g = build_graph(connection_from_lines(q, n, set(sampled.lines) | {line}))
+    size = g.num_vertices
+    k = data.draw(st.integers(1, q + 1))
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+    assert is_proper(g, Coloring(k, tuple(labels))) == proper_by_edge_scan(g, labels)
+
+    proper = plus_zero_recolor(coset_coloring(g))
+    assert is_proper(g, proper) and proper_by_edge_scan(g, proper.class_of)
+    s = vec_scale(data.draw(st.integers(1, q - 1)), line, q)
+    u = [data.draw(st.integers(0, q - 1)) for _ in range(n)]
+    u[i] = data.draw(st.integers(q - s[i], q - 1))
+    labels = list(proper.class_of)
+    labels[encode(vec_add(u, s, q), q)] = labels[encode(u, q)]
+    assert not is_proper(g, Coloring(q + 1, tuple(labels)))
+    assert not proper_by_edge_scan(g, labels)
 
 
 def test_exact_chromatic_number_structure():
