@@ -69,6 +69,8 @@ def chernoff_report(q, n, trials=0, seed=None):
     require_odd_prime(q)
     if n < 3:
         raise ValueError("tail bounds need n >= 3")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     num_lines = q ** (n - 1)
     threshold2 = q ** (n - 1) - q ** (n - 2)
     if threshold2 % 2:

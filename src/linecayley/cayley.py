@@ -88,9 +88,12 @@ class ConnectionSet:
     @classmethod
     def from_json_dict(cls, d):
         try:
-            q, n, lines = int(d["q"]), int(d["n"]), [tuple(line) for line in d["lines"]]
+            q, n, lines = d["q"], d["n"], [tuple(line) for line in d["lines"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"a connection set needs integer q and n and a list of lines ({exc!r})") from None
+        for value in (q, n, *(a for line in lines for a in line)):
+            if type(value) is not int:
+                raise ValueError(f"connection set value {value!r} is not an integer")
         return cls(q, n, lines)
 
 
@@ -142,10 +145,6 @@ class CayleyGraph:
         hi = self._hi[v // self._split]
         return [lo[a] + hi[b] for a, b in self._digits]
 
-    def shift_table(self, s):
-        """Permutation i -> id(decode(i) + s), as a list."""
-        return affine_ids(self.q, self.n, 1, s)
-
     def neighbor_masks(self):
         """Yield the bitmask of N(v) = v + S for v = 0, 1, ..., V-1.
 
@@ -189,7 +188,7 @@ class CayleyGraph:
         fh.write(f"p edge {self.num_vertices} {self.num_edges}\n")
         written = 0
         for s in self._half:
-            table = self.shift_table(s)
+            table = affine_ids(self.q, self.n, 1, s)
             for u in range(self.num_vertices):
                 fh.write(f"e {u + 1} {table[u] + 1}\n")
                 written += 1

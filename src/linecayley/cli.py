@@ -50,7 +50,10 @@ def _emit_json(args, payload, start):
 def _load_connection(args):
     if args.infile:
         with open(args.infile) as fh:
-            return ConnectionSet.from_json_dict(json.load(fh))
+            s = ConnectionSet.from_json_dict(json.load(fh))
+        if (s.q, s.n) != (args.q, args.n):
+            raise ValueError(f"--in holds a set for q={s.q}, n={s.n}, not q={args.q}, n={args.n}")
+        return s
     if args.seed is None:
         raise ValueError("either --in or --seed is required")
     return sample_connection_set(args.q, args.n, args.p, args.seed)

@@ -1,16 +1,15 @@
 """Proper colorings of the line Cayley graphs.
 
-The layered coloring (one class per level of the last coordinate, skewed
-along any connection-set vector) always uses exactly q colors, and any chosen
-line gives a q-clique, so the chromatic number of a nonempty instance is q
-without search.  Exhaustive partition enumeration serves the distinguishing
-verdicts at small sizes.
+The layered coloring (one class per level of the last coordinate) always
+uses exactly q colors, and any chosen line gives a q-clique, so the
+chromatic number of a nonempty instance is q without search.  Exhaustive
+partition enumeration serves the distinguishing verdicts at small sizes.
 """
 
 from dataclasses import dataclass
 
 from .errors import EnumerationLimitExceeded
-from .field import encode, inv_mod, vec_add, vec_scale
+from .field import encode, vec_add, vec_scale
 from .permgroup import classes_to_labels
 
 
@@ -33,9 +32,11 @@ class Coloring:
     def from_json_dict(cls, d):
         try:
             classes = [list(c) for c in d["classes"]]
-            num_colors = int(d["num_colors"])
+            num_colors = d["num_colors"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"a coloring needs num_colors and a list of id lists ({exc!r})") from None
+        if type(num_colors) is not int:
+            raise ValueError(f"num_colors {num_colors!r} is not an integer")
         if num_colors < len(classes):
             raise ValueError(f"num_colors {num_colors} is below the {len(classes)} classes given")
         return coloring_from_classes(classes, sum(map(len, classes)), num_colors)
@@ -46,26 +47,16 @@ def coloring_from_classes(classes, num_vertices, num_colors=None):
     return Coloring(len(classes) if num_colors is None else num_colors, class_of)
 
 
-def coset_coloring(g, v=None):
-    """Color x by the level of its last coordinate relative to v.
+def coset_coloring(g):
+    """Color x by its last coordinate x[n-1].
 
-    Class lam consists of the points with x[n-1] = lam * v[n-1]; these are the
-    translates of the hyperplane {x[n-1] = 0} along v, each independent
-    because the connection set avoids that hyperplane.
+    The classes are the translates of the hyperplane {x[n-1] = 0}, each
+    independent because the connection set avoids that hyperplane.
     """
-    s = g.connection
-    if v is None:
-        if not s.members:
-            raise ValueError("empty connection set; pass an explicit vector")
-        v = min(s.members, key=lambda w: encode(w, g.q))
-    else:
-        v = tuple(a % g.q for a in v)
-        if v not in s.members:
-            raise ValueError("vector is not in the connection set")
-    winv = inv_mod(v[-1], g.q)
+    if not g.connection.members:
+        raise ValueError("empty connection set has no coset coloring")
     layer = g.q ** (g.n - 1)
-    class_of = tuple(i // layer * winv % g.q for i in range(g.num_vertices))
-    return Coloring(g.q, class_of)
+    return Coloring(g.q, tuple(i // layer for i in range(g.num_vertices)))
 
 
 def is_proper(g, coloring):

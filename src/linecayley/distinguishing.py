@@ -6,12 +6,11 @@ q" is decided exhaustively at tiny scale and structurally (hyperplane-coset
 partitions always admit a translation witness) at larger ones.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .cayley import build_graph
 from .coloring import coset_coloring, enumerate_proper_partitions, is_proper, plus_zero_recolor
-from .field import affine_ids, all_vectors, decode, vec_dot
+from .field import affine_ids, decode
 from .geometry import (
     affine_hyperplane_form,
     affine_lines_spanned,
@@ -19,7 +18,7 @@ from .geometry import (
     direction_count_threshold,
     directions_determined,
 )
-from .permgroup import fixing_subgroup_of_partition, scalar_perm
+from .permgroup import fixes_labels, fixing_subgroup_of_partition
 
 
 @dataclass
@@ -56,15 +55,25 @@ def is_distinguishing(coloring, aut):
     return DistinguishingReport(witness is None, fixing.order(), witness)
 
 
+def _fixing_translations(labels, q, n):
+    """Yield, in id order, the id table of each nonzero translation that
+    fixes every class.
+
+    Such a translation maps 0 to its own vector w, so only the ids in the
+    class of 0 are tried.
+    """
+    for w in range(1, q**n):
+        if labels[w] == labels[0]:
+            table = affine_ids(q, n, 1, decode(w, q, n))
+            if fixes_labels(table, labels):
+                yield table
+
+
 def _class_fixing_witness(graph, group, coloring):
     """A non-trivial automorphism fixing every class, if any: a translation
     when one fixes them all, else the first class-fixing generator."""
-    labels = coloring.class_of
-    for s in itertools.islice(all_vectors(graph.q, graph.n), 1, None):
-        perm = graph.shift_table(s)
-        if all(labels[perm[x]] == labels[x] for x in range(len(labels))):
-            return perm
-    return is_distinguishing(coloring, group).witness
+    translation = next(_fixing_translations(coloring.class_of, graph.q, graph.n), None)
+    return translation or is_distinguishing(coloring, group).witness
 
 
 @dataclass
@@ -122,15 +131,7 @@ def translation_fixing_witnesses(coloring, q, n):
     normal = common_hyperplane_normal(classes, q, n)
     if normal is None:
         return []
-    labels = coloring.class_of
-    witnesses = []
-    for w in itertools.islice(all_vectors(q, n), 1, None):
-        if vec_dot(normal, w, q) != 0:
-            continue
-        table = affine_ids(q, n, 1, w)
-        if all(labels[table[x]] == labels[x] for x in range(q**n)):
-            witnesses.append(w)
-    return witnesses
+    return [decode(t[0], q, n) for t in _fixing_translations(coloring.class_of, q, n)]
 
 
 def hyperplane_class_analysis(coloring, connection):
@@ -177,13 +178,10 @@ def hyperplane_class_analysis(coloring, connection):
     report = {"q": q, "n": n, "classes": out}
     normal = common_hyperplane_normal(classes, q, n)
     if normal is not None:
-        labels = coloring.class_of
-        scalar_fixes = True
-        for lam in range(2, q):
-            p = scalar_perm(q, n, lam)
-            if any(labels[p[x]] != labels[x] for x in range(len(labels))):
-                scalar_fixes = False
-                break
+        scalar_fixes = all(
+            fixes_labels(affine_ids(q, n, lam, (0,) * n), coloring.class_of)
+            for lam in range(2, q)
+        )
         report["common_normal"] = list(normal)
         report["scalar_fixes_all_classes"] = scalar_fixes
         if not scalar_fixes:

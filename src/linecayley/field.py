@@ -5,8 +5,6 @@ Everything is immutable and already reduced mod q, so values can be compared,
 hashed and shared freely.  Only prime moduli are supported.
 """
 
-import itertools
-
 
 def is_prime(q):
     if q < 2:
@@ -94,11 +92,6 @@ def decode(i, q, n):
         i, r = divmod(i, q)
         coords.append(r)
     return tuple(coords)
-
-
-def all_vectors(q, n):
-    """All vectors of F_q^n in vertex-id order."""
-    return (v[::-1] for v in itertools.product(range(q), repeat=n))
 
 
 def affine_ids(q, n, lam, b):

@@ -23,12 +23,9 @@ def inverse_perm(p):
     return tuple(out)
 
 
-def translation_perm(q, n, b):
-    return tuple(affine_ids(q, n, 1, b))
-
-
-def scalar_perm(q, n, lam):
-    return tuple(affine_ids(q, n, lam, (0,) * n))
+def fixes_labels(p, labels):
+    """True when p maps every point to a point with the same label."""
+    return all(labels[y] == a for y, a in zip(p, labels))
 
 
 class PermGroup:
@@ -165,8 +162,8 @@ def scalar_affine_group(q, n):
     gens = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(translation_perm(q, n, e))
-    gens.append(scalar_perm(q, n, primitive_root(q)))
+        gens.append(affine_ids(q, n, 1, e))
+    gens.append(affine_ids(q, n, primitive_root(q), (0,) * n))
     return PermGroup(q ** n, (0, 1), gens)
 
 
@@ -175,7 +172,7 @@ def classes_to_labels(classes, degree):
     labels = [None] * degree
     for i, cl in enumerate(classes):
         for v in cl:
-            if not isinstance(v, int) or not 0 <= v < degree:
+            if type(v) is not int or not 0 <= v < degree:
                 raise ValueError(f"class member {v!r} is not an id in [0, {degree})")
             if labels[v] is not None:
                 raise ValueError(f"id {v} appears in more than one class")
@@ -200,14 +197,13 @@ def fixing_subgroup_of_partition(group, classes):
     """
     labels = classes_to_labels(classes, group.degree)
     base = group.base()
-    points = range(group.degree)
 
     def images(k, prefix):
         want = labels[base[k]]
         return (x for x in group.orbit(k) if labels[prefix[x]] == want)
 
     def leaf(g):
-        return g if all(labels[g[x]] == labels[x] for x in points) else None
+        return g if fixes_labels(g, labels) else None
 
     gens = []
     for k in reversed(range(len(base))):

@@ -8,14 +8,15 @@ instead of adjacency masks, closure under products instead of a stabilizer
 chain, a scan of every matrix instead of a walk over the automorphism group,
 a lockstep refinement over adjacency bitmasks instead of the one-sided
 refinement over neighbour ids, one shift table per member of S instead of
-translates of N(0), an edge scan instead of streamed class masks.
+translates of N(0), an edge scan instead of streamed class masks, every
+nonzero translation instead of those into the class of 0.
 """
 
 import itertools
 from collections import deque
 
 from linecayley.errors import BudgetExceeded
-from linecayley.field import decode, encode, mat_apply, rank, vec_add, vec_dot, vec_scale, vec_sub
+from linecayley.field import affine_ids, decode, encode, mat_apply, rank, vec_add, vec_dot, vec_scale, vec_sub
 from linecayley.permgroup import PermGroup
 
 DEFAULT_GL_BUDGET = 10 ** 5
@@ -114,10 +115,24 @@ def masks_by_shift_tables(graph):
     set bit id(u + s) of vertex u's mask, reading ids off a shift table."""
     masks = [0] * graph.num_vertices
     for s in sorted(graph.connection.members):
-        table = graph.shift_table(s)
+        table = affine_ids(graph.q, graph.n, 1, s)
         for u in range(graph.num_vertices):
             masks[u] |= 1 << table[u]
     return masks
+
+
+def fixing_translations_by_scan(labels, q, n):
+    """Id tables of the nonzero translations keeping every label, in id
+    order, trying every nonzero vector with one shift table each."""
+    for v in itertools.islice(itertools.product(range(q), repeat=n), 1, None):
+        table = affine_ids(q, n, 1, v[::-1])
+        if all(labels[table[x]] == labels[x] for x in range(q**n)):
+            yield table
+
+
+def first_fixing_translation_by_scan(labels, q, n):
+    """The first table fixing_translations_by_scan yields, or None."""
+    return next(fixing_translations_by_scan(labels, q, n), None)
 
 
 def proper_by_edge_scan(graph, class_of):

@@ -28,9 +28,9 @@ from linecayley.cayley import build_graph, connection_from_lines, sample_connect
 from linecayley.cli import main
 from linecayley.coloring import coloring_from_classes, exact_chromatic_number, is_proper
 from linecayley.distinguishing import chi_D_exceeds_q_small, translation_fixing_witnesses
-from linecayley.field import decode, is_prime, is_scalar_matrix, vec_dot
+from linecayley.field import affine_ids, decode, is_prime, is_scalar_matrix, vec_dot
 from linecayley.geometry import line_universe
-from linecayley.permgroup import scalar_affine_group, scalar_perm
+from linecayley.permgroup import scalar_affine_group
 from oracles import brute_chromatic_number, brute_force_automorphisms, brute_line_census, enumerate_gl
 
 
@@ -135,7 +135,7 @@ def test_criterion_04_scalar_affine_subgroup():
             if k.order() != q**n * (q - 1):
                 failures.append(f"|K| off at {(q, n)}: {k.order()}")
             for lam in range(2, q):
-                p = scalar_perm(q, n, lam)
+                p = affine_ids(q, n, lam, (0,) * n)
                 fixed = sum(1 for x, y in enumerate(p) if x == y)
                 if fixed != 1:
                     failures.append(f"scalar {lam} fixes {fixed} points at {(q, n)}")
@@ -181,7 +181,7 @@ def test_criterion_06_distinguishing_exceeds_q():
     if not verdict.exceeds or verdict.partitions != 1:
         failures.append(f"exhaustive check off: {verdict.exceeds}, {verdict.partitions}")
     for coloring, w in verdict.pairs:
-        if tuple(w) != tuple(g.shift_table(decode(w[0], 3, 2))):
+        if tuple(w) != tuple(affine_ids(3, 2, 1, decode(w[0], 3, 2))):
             failures.append("witness is not a translation")
     rows = sweep_all_line_subsets()
     if len(rows) != 7 or not all(r["chiD_exceeds_q"] for r in rows):
@@ -203,7 +203,7 @@ def test_criterion_06_distinguishing_exceeds_q():
             break
         if trial < 10:
             for b in ws[:3]:
-                if not is_automorphism(sample_graph, sample_graph.shift_table(b)):
+                if not is_automorphism(sample_graph, affine_ids(5, 3, 1, b)):
                     failures.append(f"witness not an automorphism: {b}")
     _finish(6, "distinguishing exceeds q", 300.0, start, failures)
 

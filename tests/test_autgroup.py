@@ -22,7 +22,7 @@ from linecayley.autgroup import (
 from linecayley.cayley import ConnectionSet, build_graph, connection_from_lines, sample_connection_set
 from linecayley.coloring import coset_coloring, plus_zero_recolor
 from linecayley.errors import BudgetExceeded
-from linecayley.field import is_scalar_matrix, mat_apply, rank
+from linecayley.field import affine_ids, is_scalar_matrix, mat_apply, rank
 from linecayley.geometry import all_projective_points, line_universe, proj_rep
 from linecayley.permgroup import (
     PermGroup,
@@ -30,7 +30,6 @@ from linecayley.permgroup import (
     fixing_subgroup_of_partition,
     inverse_perm,
     scalar_affine_group,
-    translation_perm,
 )
 from oracles import (
     brute_force_automorphisms,
@@ -45,7 +44,7 @@ from oracles import (
 def test_is_automorphism():
     s = connection_from_lines(3, 2, [(0, 1)])
     g = build_graph(s)
-    assert is_automorphism(g, g.shift_table((1, 2)))
+    assert is_automorphism(g, affine_ids(3, 2, 1, (1, 2)))
     swap = list(range(9))
     swap[0], swap[1] = 1, 0
     assert not is_automorphism(g, tuple(swap))
@@ -279,9 +278,9 @@ def test_dichotomy_witness():
     # the linear witness normalizes the translation group
     p = linear_perm(3, 2, m)
     for b in ((1, 0), (0, 1), (2, 2)):
-        tau = translation_perm(3, 2, b)
+        tau = tuple(affine_ids(3, 2, 1, b))
         conj = compose(compose(p, tau), inverse_perm(p))
-        assert conj == translation_perm(3, 2, mat_apply(m, b, 3))
+        assert conj == tuple(affine_ids(3, 2, 1, mat_apply(m, b, 3)))
 
 
 def test_dichotomy_empty_set():

@@ -111,6 +111,8 @@ def test_chernoff_errors():
         chernoff_report(3, 2)
     with pytest.raises(ValueError):
         chernoff_report(4, 3)
+    with pytest.raises(ValueError):
+        chernoff_report(5, 3, trials=-5, seed=1)
 
 
 def test_aut_union_bound():

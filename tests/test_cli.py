@@ -224,6 +224,9 @@ def test_distinguish_rejects_malformed_coloring_file(capsys, tmp_path):
         ("flat", {"num_colors": 3, "classes": [1, 2]}),
         ("too-few-colors", {"num_colors": 1, "classes": [[0, 1, 2], [3, 4, 5], [6, 7, 8]]}),
         ("negative-colors", {"num_colors": -5, "classes": [list(range(9))]}),
+        ("float-colors", {"num_colors": 3.5, "classes": [[0, 1, 2], [3, 4, 5], [6, 7, 8]]}),
+        ("bool-colors", {"num_colors": True, "classes": [list(range(9))]}),
+        ("bool-id", {"num_colors": 3, "classes": [[0, 2, 3, 4, 5, 6, 7, 8], [True]]}),
     )
     for name, d in cases:
         path = tmp_path / f"{name}.json"
@@ -240,6 +243,33 @@ def test_build_rejects_connection_file_without_n(capsys, tmp_path):
     code, out = run(capsys, "build", "--q", "3", "--n", "2", "--in", str(path), "--no-meta")
     assert code == 2
     assert out == ""
+
+
+def test_build_rejects_non_integer_connection_values(capsys, tmp_path):
+    cases = (
+        ("float-q", {"q": 5.9, "n": 3, "lines": [[1, 2, 1]]}),
+        ("float-coordinate", {"q": 5, "n": 3, "lines": [[1.7, 2, 1]]}),
+        ("bool-coordinate", {"q": 5, "n": 3, "lines": [[True, 2, 1]]}),
+        ("string-n", {"q": 5, "n": "3", "lines": [[1, 2, 1]]}),
+    )
+    for name, d in cases:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        code, out = run(capsys, "build", "--q", "5", "--n", "3", "--in", str(path), "--no-meta")
+        assert code == 2, name
+        assert out == ""
+
+
+def test_build_rejects_connection_file_for_other_sizes(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"q": 5, "n": 3, "lines": [[1, 2, 1]]}))
+    for q, n in (("3", "2"), ("5", "2"), ("3", "3")):
+        code, out = run(capsys, "build", "--q", q, "--n", n, "--in", str(path), "--no-meta")
+        assert code == 2
+        assert out == ""
+    code, out = run(capsys, "build", "--q", "5", "--n", "3", "--in", str(path), "--no-meta")
+    assert code == 0
+    assert json.loads(out)["lines"] == [[1, 2, 1]]
 
 
 def test_chi_has_no_budget_flags(capsys):

@@ -56,15 +56,6 @@ def test_coset_coloring_proper():
         assert [len(cl) for cl in c.classes()] == [q ** (n - 1)] * q
 
 
-def test_coset_coloring_requires_member():
-    s = connection_from_lines(3, 2, [(0, 1)])
-    g = build_graph(s)
-    with pytest.raises(ValueError):
-        coset_coloring(g, (1, 1))
-    c = coset_coloring(g, (0, 2))
-    assert is_proper(g, c)
-
-
 def test_coset_coloring_empty_raises():
     from linecayley.cayley import ConnectionSet
 

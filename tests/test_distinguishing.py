@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,16 +6,18 @@ import pytest
 
 from linecayley.autgroup import automorphism_group
 from linecayley.cayley import ConnectionSet, build_graph, connection_from_lines, sample_connection_set
-from linecayley.coloring import coloring_from_classes, coset_coloring, is_proper, plus_zero_recolor
+from linecayley.coloring import Coloring, coloring_from_classes, coset_coloring, is_proper, plus_zero_recolor
 from linecayley.distinguishing import (
+    _fixing_translations,
     chi_D_exceeds_q_small,
     chi_D_upper_certificate,
     hyperplane_class_analysis,
     is_distinguishing,
     translation_fixing_witnesses,
 )
-from linecayley.field import decode
-from oracles import group_elements
+from linecayley.field import affine_ids, decode, vec_dot
+from linecayley.geometry import common_hyperplane_normal, line_universe
+from oracles import first_fixing_translation_by_scan, fixing_translations_by_scan, group_elements
 
 
 def graph_and_aut(q, n, lines=None, seed=None, p=0.5):
@@ -48,7 +51,7 @@ def test_coset_coloring_not_distinguishing():
     assert aut.group.contains(w)
     assert all(cc.class_of[w[x]] == cc.class_of[x] for x in range(len(w)))
     # preferred witness is a translation: it must equal the shift by its image of 0
-    assert tuple(w) == tuple(g.shift_table(decode(w[0], 5, 3)))
+    assert tuple(w) == tuple(affine_ids(5, 3, 1, decode(w[0], 5, 3)))
     d = rep.to_json_dict()
     assert d["distinguishing"] is False
     assert d["fixing_order"] == "25"
@@ -135,7 +138,7 @@ def test_translation_fixing_witnesses():
         assert any(b)
         # witnesses live inside the hyperplane of the classes
         assert b[2] == 0
-        p = tuple(g.shift_table(b))
+        p = tuple(affine_ids(5, 3, 1, b))
         assert all(cc.class_of[p[x]] == cc.class_of[x] for x in range(125))
         assert aut.group.contains(p)
 
@@ -231,3 +234,53 @@ def test_matches_brute_filter_on_small_groups():
                     assert rep.witness in brute
                 checked[q, n] += 1
     assert min(checked.values()) >= 8, checked
+
+
+def test_fixing_translations_match_full_scan():
+    # the exhaustive witness is the scan's first translation wherever it finds one
+    found = 0
+    universe = line_universe(3, 2)
+    for r in range(1, len(universe) + 1):
+        for lines in itertools.combinations(universe, r):
+            _, g, aut = graph_and_aut(3, 2, lines=lines)
+            verdict = chi_D_exceeds_q_small(g, aut)
+            assert len(verdict.pairs) == verdict.partitions
+            for coloring, witness in verdict.pairs:
+                scan = first_fixing_translation_by_scan(coloring.class_of, 3, 2)
+                if scan is not None:
+                    assert witness == scan
+                    found += 1
+    assert found > 0
+    # all fixing translations, on random, hyperplane and two-form labellings
+    rng = random.Random(11)
+    counts = {"scan": 0, "expected": 0}
+    for q, n in ((3, 3), (5, 3), (3, 4)):
+        points = [decode(x, q, n) for x in range(q**n)]
+        for kind in ("random", "hyperplane", "two-form"):
+            for _ in range(12):
+                labels = _random_labelling(rng, kind, q, n, points)
+                coloring = Coloring(max(labels) + 1, tuple(labels))
+                scan = list(fixing_translations_by_scan(labels, q, n))
+                assert list(_fixing_translations(labels, q, n)) == scan
+                normal = common_hyperplane_normal(coloring.classes(), q, n)
+                expected = [decode(t[0], q, n) for t in scan] if normal is not None else []
+                assert translation_fixing_witnesses(coloring, q, n) == expected
+                counts["scan"] += bool(scan)
+                counts["expected"] += bool(expected)
+    assert min(counts.values()) >= 20, counts
+
+
+def _random_labelling(rng, kind, q, n, points):
+    """Uniform labels; the cosets of a random hyperplane, one label each; or
+    a random function of two random linear forms."""
+    if kind == "random":
+        return [rng.randrange(q) for _ in points]
+    if kind == "hyperplane":
+        normal = (0,) * n
+        while not any(normal):
+            normal = tuple(rng.randrange(q) for _ in range(n))
+        names = rng.sample(range(q), q)
+        return [names[vec_dot(normal, x, q)] for x in points]
+    forms = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(2)]
+    names = {key: rng.randrange(q) for key in itertools.product(range(q), repeat=2)}
+    return [names[tuple(vec_dot(f, x, q) for f in forms)] for x in points]

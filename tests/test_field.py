@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from linecayley.field import (
     affine_ids,
-    all_vectors,
     decode,
     encode,
     gaussian_binomial_1,
@@ -77,12 +76,6 @@ def test_encode_decode_validation():
         decode(9, 3, 2)
     with pytest.raises(ValueError):
         decode(-1, 3, 2)
-
-
-def test_all_vectors_order():
-    vecs = list(all_vectors(3, 2))
-    assert vecs[0] == (0, 0)
-    assert vecs == [decode(i, 3, 2) for i in range(9)]
 
 
 @settings(max_examples=60, deadline=None)

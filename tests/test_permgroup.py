@@ -10,11 +10,10 @@ from linecayley.permgroup import (
     PermGroup,
     classes_to_labels,
     compose,
+    fixes_labels,
     fixing_subgroup_of_partition,
     inverse_perm,
     scalar_affine_group,
-    scalar_perm,
-    translation_perm,
 )
 from oracles import brute_fix_count, group_elements
 
@@ -37,12 +36,12 @@ def test_compose_order():
 
 
 def test_perm_constructors():
-    t = translation_perm(3, 2, (1, 0))
+    t = tuple(affine_ids(3, 2, 1, (1, 0)))
     assert t[0] == 1 and t[2] == 0
-    s = scalar_perm(3, 2, 2)
+    s = tuple(affine_ids(3, 2, 2, (0, 0)))
     assert s[0] == 0
     with pytest.raises(ValueError):
-        scalar_perm(3, 2, 0)
+        affine_ids(3, 2, 0, (0, 0))
     a = tuple(affine_ids(3, 2, 2, (1, 0)))
     assert a == compose(t, s)
 
@@ -113,10 +112,17 @@ def test_to_json_dict():
     assert d["generators"] == [[1, 2, 0]]
 
 
+def test_fixes_labels():
+    labels = (0, 1, 1, 2)
+    assert fixes_labels((0, 2, 1, 3), labels)
+    assert not fixes_labels((1, 0, 2, 3), labels)
+    assert not fixes_labels((0, 1, 3, 2), labels)
+
+
 def test_classes_to_labels():
     labels = classes_to_labels([[0, 2], [1]], 3)
     assert list(labels) == [0, 1, 0]
-    for bad in ([[0], [0, 1]], [[0], [1, 2]], [[-1], [0]], [[0]]):
+    for bad in ([[0], [0, 1]], [[0], [1, 2]], [[-1], [0]], [[0]], [[0], [True]]):
         with pytest.raises(ValueError):
             classes_to_labels(bad, 2)
 
