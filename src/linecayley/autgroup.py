@@ -44,7 +44,7 @@ from .field import (
     vec_scale,
 )
 from .geometry import all_projective_points, proj_rep
-from .permgroup import PermGroup, point_orbit, scalar_affine_group
+from .permgroup import PermGroup, complete_levels, depth_first, point_orbit, scalar_affine_group
 
 
 @dataclass
@@ -197,26 +197,14 @@ class _Search:
         """An automorphism fixing base[:level] and mapping base[level] to w,
         or None.  The leftmost path is followed from level on: each right
         node is refined against the trace of the path node at its depth."""
-        stack = [(level, path[level][0], iter((w,)))]
-        while stack:
-            depth, node, candidates = stack[-1]
-            v = next(candidates, None)
-            if v is None:
-                stack.pop()
-                continue
+
+        def children(depth, node):
             _, s, trace, stop = path[depth]
-            found = self._individualize(node, s, v, stop, trace)
-            if found is None:
-                continue
-            child = found[0]
-            if depth + 1 == len(path):
-                p = self._leaf(child.lab)
-                if p is not None:
-                    return p
-            else:
-                t = path[depth + 1][1]
-                stack.append((depth + 1, child, iter(child.lab[t : t + child.size[t]])))
-        return None
+            for v in (w,) if depth == level else node.lab[s : s + node.size[s]]:
+                if (found := self._individualize(node, s, v, stop, trace)) is not None:
+                    yield found[0]
+
+        return depth_first(path[level][0], level, len(path), children, lambda p: self._leaf(p.lab))
 
     def stabilize(self):
         """Find the base, then grow the pool until it is a strong generating
@@ -227,10 +215,9 @@ class _Search:
         orbit of the pool elements fixing the individualized points, and
         that orbit partition is equitable, so a node's refinement stops once
         it has as many cells as they have orbits (V when there are none).
-        Levels are completed deepest first: when level k starts, the pool
-        elements fixing base[:k + 1] generate their stabilizer, and one
-        automorphism for each point of the target cell outside the orbit of
-        base[k] extends that to base[:k].
+        Levels are then completed deepest first (complete_levels): one
+        automorphism for each point of a level's target cell outside the
+        orbit of its base point, if there is one, joins the pool.
         """
         self._tick()
         node = _Cells.unit(self.degree)
@@ -248,20 +235,12 @@ class _Search:
         self._leaf_pos = [0] * self.degree
         for i, v in enumerate(node.lab):
             self._leaf_pos[v] = i
-        for level in reversed(range(len(path))):
+
+        def candidates(level):
             part, s, _, _ = path[level]
-            prefix = self.base[:level]
-            fixed = [g for g in self.pool if all(g[v] == v for v in prefix)]
-            t1 = self.base[level]
-            orbit = point_orbit(t1, fixed)
-            for tj in part.lab[s + 1 : s + part.size[s]]:
-                if tj in orbit:
-                    continue
-                found = self._find_iso(path, level, tj)
-                if found is not None:
-                    self.pool.append(found)
-                    fixed.append(found)
-                    orbit = point_orbit(t1, fixed)
+            return part.lab[s + 1 : s + part.size[s]]
+
+        complete_levels(self.base, self.pool, candidates, lambda k, w: self._find_iso(path, k, w))
 
 
 def automorphism_group(graph, node_budget=200000):

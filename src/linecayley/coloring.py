@@ -99,15 +99,9 @@ def line_clique(g, line, w=None):
 
 @dataclass(frozen=True)
 class ChromaticResult:
-    lower: int
-    upper: int
-    exact: bool
+    value: int
     coloring: Coloring
     clique: tuple
-
-    @property
-    def value(self):
-        return self.lower if self.exact else None
 
 
 def exact_chromatic_number(g):
@@ -118,13 +112,13 @@ def exact_chromatic_number(g):
     """
     if not g.connection.lines:
         coloring = Coloring(1, (0,) * g.num_vertices)
-        return ChromaticResult(1, 1, True, coloring, ())
+        return ChromaticResult(1, coloring, ())
     clique = line_clique(g, g.connection.lines[0])
-    return ChromaticResult(g.q, g.q, True, coset_coloring(g), clique)
+    return ChromaticResult(g.q, coset_coloring(g), clique)
 
 
-def enumerate_proper_partitions(g, max_classes=None, limit=10 ** 6):
-    """Yield every proper partition into at most max_classes classes once.
+def enumerate_proper_partitions(g, limit=10 ** 6):
+    """Yield every proper partition into at most q classes once.
 
     Partitions are canonical: vertex 0 opens class 0 and new classes appear
     in first-use order, so relabelings of the same partition are not
@@ -132,8 +126,6 @@ def enumerate_proper_partitions(g, max_classes=None, limit=10 ** 6):
     The backtracking is a loop, so the vertex count is not bounded by the
     recursion limit.
     """
-    if max_classes is None:
-        max_classes = g.q
     adj = g.adjacency_masks()
     n = g.num_vertices
     class_of = [None] * n
@@ -149,7 +141,7 @@ def enumerate_proper_partitions(g, max_classes=None, limit=10 ** 6):
                     f"more than {limit} proper partitions"
                 )
             yield Coloring(len(class_masks), tuple(class_of))
-        elif c < min(opened[v] + 1, max_classes):
+        elif c < min(opened[v] + 1, g.q):
             if c < opened[v] and class_masks[c] & adj[v]:
                 c += 1
                 continue

@@ -38,11 +38,9 @@ class DistinguishingReport:
 
 
 def _as_group(aut):
-    # accept either a bare group or a search result carrying one
-    group = getattr(aut, "group", aut)
-    if getattr(aut, "complete", True) is False:
+    if not aut.complete:
         raise ValueError("automorphism group is incomplete; raise the node budget")
-    return group
+    return aut.group
 
 
 def is_distinguishing(coloring, aut):
@@ -50,7 +48,7 @@ def is_distinguishing(coloring, aut):
 
     The witness, if any, is the first generator of the class-fixing subgroup.
     """
-    fixing = fixing_subgroup_of_partition(_as_group(aut), coloring.classes())
+    fixing = fixing_subgroup_of_partition(_as_group(aut), coloring.class_of)
     witness = fixing.generators[0] if fixing.generators else None
     return DistinguishingReport(witness is None, fixing.order(), witness)
 
@@ -69,11 +67,11 @@ def _fixing_translations(labels, q, n):
                 yield table
 
 
-def _class_fixing_witness(graph, group, coloring):
+def _class_fixing_witness(graph, aut, coloring):
     """A non-trivial automorphism fixing every class, if any: a translation
     when one fixes them all, else the first class-fixing generator."""
     translation = next(_fixing_translations(coloring.class_of, graph.q, graph.n), None)
-    return translation or is_distinguishing(coloring, group).witness
+    return translation or is_distinguishing(coloring, aut).witness
 
 
 @dataclass
@@ -93,12 +91,12 @@ def chi_D_exceeds_q_small(graph, aut, limit=10**6):
     """
     if not graph.connection.lines:
         raise ValueError("not applicable: the empty graph is properly 1-colorable")
-    group = _as_group(aut)
+    _as_group(aut)
     pairs = []
     count = 0
-    for coloring in enumerate_proper_partitions(graph, max_classes=graph.q, limit=limit):
+    for coloring in enumerate_proper_partitions(graph, limit=limit):
         count += 1
-        witness = _class_fixing_witness(graph, group, coloring)
+        witness = _class_fixing_witness(graph, aut, coloring)
         if witness is None:
             return ExceedsVerdict(False, count, pairs, coloring)
         pairs.append((coloring, witness))
@@ -113,12 +111,11 @@ def chi_D_upper_certificate(graph, aut):
     """
     if not graph.connection.lines:
         raise ValueError("empty connection set has no coset coloring")
-    group = _as_group(aut)
+    _as_group(aut)
     cert = plus_zero_recolor(coset_coloring(graph))
     if not is_proper(graph, cert):
         return None
-    report = is_distinguishing(cert, group)
-    return cert if report.distinguishing else None
+    return cert if is_distinguishing(cert, aut).distinguishing else None
 
 
 def translation_fixing_witnesses(coloring, q, n):

@@ -6,6 +6,8 @@ group here comes with: K's is written down, the automorphism search finds
 one on its individualization path, and the class-fixing search one on its
 input group's base.  Each level's orbit is a BFS in generator order, which
 gives exact order and membership tests without a Schreier-Sims closure.
+Every group search here is depth_first over a tree of images, and every
+generator search is complete_levels over a base.
 """
 
 from .field import affine_ids, primitive_root
@@ -111,21 +113,11 @@ class PermGroup:
         to g[x].  leaf(g) sees each product of depth factors and returns the
         result, or None to go on.
         """
-        if k == depth:
-            return leaf(prefix)
-        stack = [(k, prefix, iter(images(k, prefix)))]
-        while stack:
-            j, g, points = stack[-1]
-            x = next((x for x in points if x in self._svs[j]), None)
-            if x is None:
-                stack.pop()
-                continue
-            h = compose(g, self._rep(j, x))
-            if j + 1 < depth:
-                stack.append((j + 1, h, iter(images(j + 1, h))))
-            elif (found := leaf(h)) is not None:
-                return found
-        return None
+
+        def children(j, g):
+            return (compose(g, self._rep(j, x)) for x in images(j, g) if x in self._svs[j])
+
+        return depth_first(prefix, k, depth, children, leaf)
 
     # -- queries -------------------------------------------------------------
 
@@ -182,20 +174,18 @@ def classes_to_labels(classes, degree):
     return labels
 
 
-def fixing_subgroup_of_partition(group, classes):
-    """Subgroup of elements mapping every class onto itself.
+def fixing_subgroup_of_partition(group, labels):
+    """Subgroup of elements preserving every point's label, that is, fixing
+    every class of the partition setwise.
 
-    An element fixes each class setwise iff it preserves every point's class
-    label.  The subgroup is found by generators over the chain of `group`,
-    deepest level first (Leon, 1991).  At level k, each point x of base[k]'s
-    orbit that has base[k]'s label but is not yet reached by the generators
-    found so far names the coset of elements mapping base[k] to x; the
-    first label-preserving element in it becomes a generator.  Branches
-    whose base image changes its label are pruned.  The generators found at
-    levels >= k span the part of the subgroup fixing base[:k], so they are
-    a strong generating set on the same base.
+    Its generators are found over the chain of `group` by complete_levels.
+    At level k, a point x of base[k]'s orbit with base[k]'s label names the
+    coset of elements mapping base[k] to x; the first label-preserving one
+    found by the walk, which prunes base images that change their label,
+    becomes a generator.  They are strong on the same base.
     """
-    labels = classes_to_labels(classes, group.degree)
+    if len(labels) != group.degree:
+        raise ValueError(f"{len(labels)} labels for a group of degree {group.degree}")
     base = group.base()
 
     def images(k, prefix):
@@ -205,16 +195,13 @@ def fixing_subgroup_of_partition(group, classes):
     def leaf(g):
         return g if fixes_labels(g, labels) else None
 
-    gens = []
-    for k in reversed(range(len(base))):
-        reached = point_orbit(base[k], gens)
-        for x in group.orbit(k):
-            if x not in reached and labels[x] == labels[base[k]]:
-                g = group.walk(k + 1, len(base), group._rep(k, x), images, leaf)
-                if g is not None:
-                    gens.append(g)
-                    reached = point_orbit(base[k], gens)
-    return PermGroup(group.degree, base, gens)
+    def candidates(k):
+        return (x for x in group.orbit(k) if labels[x] == labels[base[k]])
+
+    def find(k, x):
+        return group.walk(k + 1, len(base), group._rep(k, x), images, leaf)
+
+    return PermGroup(group.degree, base, complete_levels(base, [], candidates, find))
 
 
 def point_orbit(point, gens):
@@ -227,3 +214,40 @@ def point_orbit(point, gens):
                 orbit.add(g[x])
                 frontier.append(g[x])
     return orbit
+
+
+def depth_first(root, start, end, children, leaf):
+    """First result of leaf that is not None over the nodes at depth end
+    below root, at depth start.  children(depth, node) yields a node's
+    children, never None.  The stack is explicit, so no recursion limit."""
+    if start == end:
+        return leaf(root)
+    stack = [(start, iter(children(start, root)))]
+    while stack:
+        depth, nodes = stack[-1]
+        node = next(nodes, None)
+        if node is None:
+            stack.pop()
+        elif depth + 1 < end:
+            stack.append((depth + 1, iter(children(depth + 1, node))))
+        elif (found := leaf(node)) is not None:
+            return found
+    return None
+
+
+def complete_levels(base, gens, candidates, find):
+    """Grow gens into a strong generating set on base, deepest level first
+    (Leon, 1991), and return it.  At level k, each point of candidates(k)
+    outside the orbit of base[k] under the generators fixing base[:k] goes
+    to find(k, x), which returns an element fixing base[:k] and mapping
+    base[k] to x, or None; each element found joins gens."""
+    given = len(gens)  # the elements found later fix base[:k] by construction
+    for k in reversed(range(len(base))):
+        fixed = [g for g in gens[:given] if all(g[b] == b for b in base[:k])] + gens[given:]
+        reached = point_orbit(base[k], fixed)
+        for x in candidates(k):
+            if x not in reached and (g := find(k, x)) is not None:
+                gens.append(g)
+                fixed.append(g)
+                reached = point_orbit(base[k], fixed)
+    return gens

@@ -129,7 +129,7 @@ def test_orders_match_sympy():
             assert all(aut.group.contains(x) for x in k.generators)
             if g.connection.lines:
                 cert = plus_zero_recolor(coset_coloring(g))
-                fix = fixing_subgroup_of_partition(aut.group, cert.classes())
+                fix = fixing_subgroup_of_partition(aut.group, cert.class_of)
                 assert fix.order() == sympy_order(fix.generators), (q, n, seed)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,9 @@ def test_distinguish_rejects_malformed_coloring_file(capsys, tmp_path):
         ("float-colors", {"num_colors": 3.5, "classes": [[0, 1, 2], [3, 4, 5], [6, 7, 8]]}),
         ("bool-colors", {"num_colors": True, "classes": [list(range(9))]}),
         ("bool-id", {"num_colors": 3, "classes": [[0, 2, 3, 4, 5, 6, 7, 8], [True]]}),
+        # well-formed colourings of 4 and of 27 ids, where (3,2) has 9 vertices
+        ("ids-0-3", {"num_colors": 2, "classes": [[0, 1], [2, 3]]}),
+        ("27-ids", {"num_colors": 3, "classes": [list(range(i, 27, 3)) for i in range(3)]}),
     )
     for name, d in cases:
         path = tmp_path / f"{name}.json"
@@ -279,11 +283,38 @@ def test_chi_has_no_budget_flags(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("aut", "--q", "3", "--n", "2", "--seed", "1", "--budget-nodes"),
+    ("experiment", "--q", "3", "--n", "2", "--sweep-all-subsets", "--budget-enum"),
+    ("experiment", "--q", "3", "--n", "2", "--seed", "1", "--trials", "2", "--jobs"),
+], ids=("budget-nodes", "budget-enum", "jobs"))
+def test_count_flags_below_one_exit_2(capsys, argv):
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value, "--no-meta"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 def _python(*argv):
     """Run a fresh interpreter on argv with the package's source on its path."""
     src = str(Path(linecayley.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_dimacs_export_streams():
+    # (5,4) has 73,750 edges; holding the text in memory before writing it
+    # peaked at 6 MB of Python allocations
+    tracemalloc.start()
+    try:
+        code = main(["build", "--q", "5", "--n", "4", "--seed", "1", "--format", "dimacs",
+                     "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 10**6
 
 
 @pytest.mark.parametrize("argv", [

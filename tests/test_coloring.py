@@ -84,6 +84,17 @@ def test_is_proper_detects_conflict():
     labels[3] = 0
     bad = Coloring(1, tuple(labels))
     assert not is_proper(g, bad)
+    # the certificate puts 0 in a class of its own, so moving one neighbour u
+    # of 0 into that class leaves exactly one conflicting edge, {0, u}
+    g = build_graph(sample_connection_set(5, 3, 0.5, 42))
+    cert = plus_zero_recolor(coset_coloring(g))
+    assert is_proper(g, cert)
+    u = g.neighbor_ids(0)[0]
+    labels = list(cert.class_of)
+    labels[u] = labels[0]
+    conflicts = {(v, w) for v in range(g.num_vertices) for w in g.neighbor_ids(v) if v < w and labels[v] == labels[w]}
+    assert conflicts == {(0, u)}
+    assert not is_proper(g, Coloring(cert.num_colors, tuple(labels)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,7 +129,7 @@ def test_exact_chromatic_number_structure():
             continue
         g = build_graph(s)
         res = exact_chromatic_number(g)
-        assert res.exact and res.value == q
+        assert res.value == q
         assert len(res.clique) == q
         assert is_proper(g, res.coloring)
         assert res.coloring.num_colors == q
@@ -129,7 +140,7 @@ def test_exact_chromatic_number_empty():
 
     g = build_graph(ConnectionSet(3, 2, []))
     res = exact_chromatic_number(g)
-    assert res.exact and res.value == 1
+    assert res.value == 1
 
 
 def test_backtracking_agrees_with_brute():
@@ -141,7 +152,6 @@ def test_backtracking_agrees_with_brute():
             continue
         g = build_graph(s)
         res = exact_chromatic_number(g)
-        assert res.exact
         assert res.value == brute_chromatic_number(_neighbors(g), 9)
         assert res.value == 3
 
