@@ -6,13 +6,8 @@ from .autgroup import (
     AutResult,
     automorphism_group,
     dichotomy_check,
-    fixed_line_count_eigen,
-    fixed_line_count_scan,
     group_equals_scalar_affine,
     is_automorphism,
-    line_orbit_count,
-    orbit_count_all_lines,
-    preserves_line_universe,
 )
 from .bounds import (
     aut_union_bound,
@@ -45,16 +40,12 @@ from .distinguishing import (
     DistinguishingReport,
     chi_D_exceeds_q_small,
     chi_D_upper_certificate,
-    hyperplane_class_analysis,
     is_distinguishing,
-    translation_fixing_witnesses,
 )
 from .errors import BudgetExceeded, EnumerationLimitExceeded, InvariantViolation
 from .field import decode, encode, primitive_root
 from .geometry import (
     LineUniverse,
-    direction_count_threshold,
-    directions_determined,
     line_points,
     line_universe,
     proj_rep,

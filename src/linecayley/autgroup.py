@@ -30,20 +30,8 @@ from itertools import chain, groupby, repeat
 
 from .errors import BudgetExceeded
 from .field import (
-    decode,
-    encode,
-    gaussian_binomial_1,
-    is_scalar_matrix,
-    kernel,
-    mat_apply,
-    mat_inverse,
-    mat_mul,
-    mat_sub_scalar,
-    rank,
-    vec_add,
-    vec_scale,
+    decode, encode, is_scalar_matrix, mat_apply, mat_inverse, mat_mul, rank, vec_add, vec_scale,
 )
-from .geometry import all_projective_points, proj_rep
 from .permgroup import PermGroup, complete_levels, depth_first, point_orbit, scalar_affine_group
 
 
@@ -273,82 +261,6 @@ def group_equals_scalar_affine(group, q, n):
     return all(group.contains(g) for g in k_group.generators)
 
 
-def _require_invertible(m, q):
-    if rank(m, q) != len(m):
-        raise ValueError("matrix is singular")
-
-
-def fixed_line_count_scan(m, universe):
-    """Fixed lines of the universe, counted by direct scan."""
-    q = universe.q
-    _require_invertible(m, q)
-    return sum(
-        1 for rep in universe if proj_rep(mat_apply(m, rep, q), q) == rep
-    )
-
-
-def fixed_line_count_eigen(m, q, n):
-    """Fixed lines of the universe, counted from eigenspace dimensions.
-
-    A fixed line is spanned by an eigenvector; for each eigenvalue the
-    admissible lines are those of the eigenspace minus those falling inside
-    the excluded hyperplane.
-    """
-    _require_invertible(m, q)
-    total = 0
-    for lam in range(1, q):
-        basis = kernel(mat_sub_scalar(m, lam, q), q)
-        d = len(basis)
-        if d == 0:
-            continue
-        d0 = d if all(b[-1] == 0 for b in basis) else d - 1
-        total += gaussian_binomial_1(d, q) - gaussian_binomial_1(d0, q)
-    return total
-
-
-def preserves_line_universe(m, q, n):
-    """True when the map fixes the hyperplane x[n-1] = 0, hence permutes the universe."""
-    for i in range(n - 1):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        if mat_apply(m, e, q)[-1] != 0:
-            return False
-    return True
-
-
-def _cycle_count(reps, image):
-    index = {rep: i for i, rep in enumerate(reps)}
-    perm = [index[image(rep)] for rep in reps]
-    seen = [False] * len(reps)
-    cycles = 0
-    for i in range(len(reps)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return cycles
-
-
-def line_orbit_count(m, universe):
-    """Orbits of the map on the line universe; requires that it be preserved."""
-    q = universe.q
-    _require_invertible(m, q)
-    if not preserves_line_universe(m, q, universe.n):
-        raise ValueError("map does not preserve the line universe")
-    return _cycle_count(
-        list(universe), lambda rep: proj_rep(mat_apply(m, rep, q), q)
-    )
-
-
-def orbit_count_all_lines(m, q, n):
-    """Orbits of the map on all lines through the origin (always defined)."""
-    _require_invertible(m, q)
-    return _cycle_count(
-        all_projective_points(q, n), lambda rep: proj_rep(mat_apply(m, rep, q), q)
-    )
-
-
 def _linear_witness(graph, group):
     """The first non-scalar invertible matrix fixing the connection set S met
     on the stabilizer chain of the graph's automorphism group, or None.
@@ -411,12 +323,9 @@ def dichotomy_check(graph, aut):
         raise ValueError("automorphism search was incomplete; raise the node budget")
     group = aut.group
     q, n = graph.q, graph.n
-    report = {
-        "order": str(group.order()),
-        "generators": [list(g) for g in group.generators],
-        "complete": True,
-        "nodes": aut.nodes,
-    }
+    report = group.to_json_dict()
+    report["complete"] = True
+    report["nodes"] = aut.nodes
     if group_equals_scalar_affine(group, q, n):
         report["equals_K"] = True
         report["dichotomy"] = "i"

@@ -4,12 +4,14 @@ One binary with subcommands; every randomized command takes an explicit
 --seed, and identical command lines produce byte-identical output when
 --no-meta suppresses timestamps and runtimes.
 
-Exit codes: 0 success, 2 invalid input, 3 budget exceeded, 4 internal
-invariant violation.
+Exit codes: 0 success (also when the reader of stdout closes it early, as
+`head` does), 2 invalid input, 3 budget exceeded, 4 internal invariant
+violation.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -292,6 +294,11 @@ def main(argv=None):
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader has all it wants; stdout goes to devnull so that the
+        # flush at interpreter exit does not fail on the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

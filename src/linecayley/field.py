@@ -61,16 +61,8 @@ def vec_add(u, v, q):
     return tuple((a + b) % q for a, b in zip(u, v))
 
 
-def vec_sub(u, v, q):
-    return tuple((a - b) % q for a, b in zip(u, v))
-
-
 def vec_scale(c, u, q):
     return tuple(c * a % q for a in u)
-
-
-def vec_dot(u, v, q):
-    return sum(a * b for a, b in zip(u, v)) % q
 
 
 def encode(v, q):
@@ -128,19 +120,9 @@ def mat_apply(m, v, q):
 
 
 def mat_mul(a, b, q):
-    n = len(a)
     cols = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % q for col in cols) for row in a
-    )
-
-
-def mat_sub_scalar(m, lam, q):
-    """m - lam * identity, reduced mod q."""
-    n = len(m)
-    return tuple(
-        tuple((m[i][j] - (lam if i == j else 0)) % q for j in range(n))
-        for i in range(n)
     )
 
 
@@ -179,24 +161,6 @@ def rank(rows, q):
     return len(_rref(rows, q)[1])
 
 
-def kernel(m, q):
-    """Basis of the right kernel {x : m x = 0}, as vectors of length ncols."""
-    rows = [tuple(r) for r in m]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = _rref(rows, q)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f] % q
-        basis.append(tuple(v))
-    return basis
-
-
 def mat_inverse(m, q):
     """Inverse of a square matrix, read off the reduced form of [m | I]."""
     n = len(m)
@@ -205,15 +169,6 @@ def mat_inverse(m, q):
     if any(c >= n for c in pivots):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in reduced)
-
-
-def gaussian_binomial_1(d, q):
-    """Number of 1-dimensional subspaces of a d-dimensional space over F_q."""
-    if d < 0:
-        raise ValueError("dimension must be non-negative")
-    if d == 0:
-        return 0
-    return (q ** d - 1) // (q - 1)
 
 
 def gl_order(q, n):

@@ -1,4 +1,4 @@
-"""Lines through the origin, directions, and affine hyperplanes in F_q^n.
+"""Lines through the origin of F_q^n.
 
 The construction only uses lines that meet the hyperplane {x : x[n-1] = 0}
 in the origin alone.  Those are exactly the lines whose canonical projective
@@ -9,17 +9,7 @@ the direct product F_q^{n-1} x {1}.
 import itertools
 from dataclasses import dataclass
 
-from .field import (
-    decode,
-    inv_mod,
-    kernel,
-    rank,
-    require_odd_prime,
-    require_prime,
-    vec_dot,
-    vec_scale,
-    vec_sub,
-)
+from .field import inv_mod, require_prime, vec_scale
 
 
 def proj_rep(v, q):
@@ -85,85 +75,3 @@ def all_projective_points(q, n):
         if any(v):
             reps.add(proj_rep(v, q))
     return sorted(reps)
-
-
-def direction(u, v, q):
-    """Projective class of u - v."""
-    if u == v:
-        raise ValueError("equal points determine no direction")
-    return proj_rep(vec_sub(u, v, q), q)
-
-
-def directions_determined(points, q):
-    """All directions determined by pairs of distinct points of the set."""
-    pts = sorted(points)
-    if len(pts) < 2:
-        raise ValueError("need at least two points")
-    dirs = set()
-    for u, v in itertools.combinations(pts, 2):
-        dirs.add(direction(u, v, q))
-    return dirs
-
-
-def direction_count_threshold(q, n):
-    """Direction count separating affine hyperplanes from everything else.
-
-    A set of q^(n-1) points that is not an affine hyperplane determines more
-    than this many directions: (q+3)/2 * q^(n-2) + q^(n-3) + ... + q.
-    """
-    require_odd_prime(q)
-    if n < 3:
-        raise ValueError("threshold is defined for dimension at least 3")
-    return (q + 3) // 2 * q ** (n - 2) + sum(q ** i for i in range(1, n - 2))
-
-
-def affine_hyperplane_form(points, q, n):
-    """Return (normal, offset) with points = {x : normal . x = offset}, or None.
-
-    A candidate must have exactly q^(n-1) members whose difference set has
-    rank n-1; the set then fills the whole coset, so the test is exact.
-    """
-    pts = set(points)
-    if len(pts) != q ** (n - 1):
-        return None
-    base = min(pts)
-    diffs = [vec_sub(p, base, q) for p in sorted(pts) if p != base]
-    if rank(diffs, q) != n - 1:
-        return None
-    normal = proj_rep(kernel(diffs, q)[0], q)
-    return normal, vec_dot(normal, base, q)
-
-
-def common_hyperplane_normal(classes, q, n):
-    """Shared normal if every class is an affine hyperplane with the same one.
-
-    The classes must partition F_q^n; returns None when some class is not a
-    hyperplane or the normals disagree.
-    """
-    total = sum(len(c) for c in classes)
-    seen = set()
-    for c in classes:
-        seen.update(c)
-    if total != q ** n or len(seen) != q ** n:
-        raise ValueError("classes do not partition the space")
-    normals = set()
-    for c in classes:
-        points = [decode(i, q, n) for i in c]
-        form = affine_hyperplane_form(points, q, n)
-        if form is None:
-            return None
-        normals.add(form[0])
-    if len(normals) == 1:
-        return normals.pop()
-    return None
-
-
-def affine_lines_spanned(points, q):
-    """Number of distinct affine lines through at least two points of the set."""
-    pts = sorted(points)
-    keys = set()
-    for u, v in itertools.combinations(pts, 2):
-        d = direction(u, v, q)
-        line = frozenset(tuple((a + lam * b) % q for a, b in zip(u, d)) for lam in range(q))
-        keys.add((d, min(line)))
-    return len(keys)

@@ -10,6 +10,8 @@ Every group search here is depth_first over a tree of images, and every
 generator search is complete_levels over a base.
 """
 
+import math
+
 from .field import affine_ids, primitive_root
 
 
@@ -58,8 +60,9 @@ class PermGroup:
             self.generators.append(g)
             levels.append(level)
         self._invs = [inverse_perm(g) for g in self.generators]
-        self._orbits = []  # per level: BFS order list
-        self._svs = []  # per level: point -> index of generator reaching it (None at base)
+        # per level: point -> index of the generator reaching it (None at
+        # the base point), in the BFS order of the orbit
+        self._svs = []
         for k, b in enumerate(self._base):
             idxs = [i for i, level in enumerate(levels) if level >= k]
             sv = {b: None}
@@ -70,7 +73,6 @@ class PermGroup:
                     if y not in sv:
                         sv[y] = i
                         orbit.append(y)
-            self._orbits.append(orbit)
             self._svs.append(sv)
 
     def _rep(self, k, x):
@@ -87,21 +89,15 @@ class PermGroup:
             rep = compose(self.generators[i], rep)
         return rep
 
-    def sift(self, p):
-        """Factor p through the chain; returns (residue, level reached)."""
-        p = tuple(p)
-        for k in range(len(self._base)):
-            x = p[self._base[k]]
-            if x == self._base[k]:
-                continue
-            if x not in self._svs[k]:
-                return p, k
-            p = compose(inverse_perm(self._rep(k, x)), p)
-        return p, len(self._base)
-
     def contains(self, p):
-        residue, _ = self.sift(p)
-        return residue == self._identity
+        """Whether p sifts through the chain to the identity."""
+        p = tuple(p)
+        for k, b in enumerate(self._base):
+            if p[b] != b:
+                if p[b] not in self._svs[k]:
+                    return False
+                p = compose(inverse_perm(self._rep(k, p[b])), p)
+        return p == self._identity
 
     def walk(self, k, depth, prefix, images, leaf):
         """First result of leaf over the products prefix * u_k * ... * u_{depth-1}.
@@ -123,13 +119,10 @@ class PermGroup:
 
     def orbit(self, k):
         """base[k]'s orbit under the stabilizer of base[:k], in BFS order."""
-        return self._orbits[k]
+        return self._svs[k].keys()
 
     def order(self):
-        prod = 1
-        for orbit in self._orbits:
-            prod *= len(orbit)
-        return prod
+        return math.prod(map(len, self._svs))
 
     def base(self):
         return self._base

@@ -10,13 +10,23 @@ a lockstep refinement over adjacency bitmasks instead of the one-sided
 refinement over neighbour ids, one shift table per member of S instead of
 translates of N(0), an edge scan instead of streamed class masks, every
 nonzero translation instead of those into the class of 0.
+
+The point-set geometry and the fixed-line counts at the end are not second
+copies of library code: the library computes neither.  They check the
+paper's lemmas (the direction bound, the fixed-line cap, the orbit bound),
+and translation_fixing_witnesses checks the library's class-fixing
+translations on hyperplane-coset partitions.
 """
 
 import itertools
 from collections import deque
 
+from linecayley.distinguishing import _fixing_translations
 from linecayley.errors import BudgetExceeded
-from linecayley.field import affine_ids, decode, encode, mat_apply, rank, vec_add, vec_dot, vec_scale, vec_sub
+from linecayley.field import (
+    _rref, affine_ids, decode, encode, mat_apply, rank, require_odd_prime, vec_add, vec_scale,
+)
+from linecayley.geometry import proj_rep
 from linecayley.permgroup import PermGroup
 
 DEFAULT_GL_BUDGET = 10 ** 5
@@ -294,3 +304,191 @@ def linear_maps_fixing_connection(connection, budget=DEFAULT_GL_BUDGET):
         for m in enumerate_gl(q, connection.n, budget)
         if all(mat_apply(m, v, q) in members for v in members)
     ]
+
+
+# ---------------------------------------------------------------------------
+# point-set geometry
+
+
+def vec_sub(u, v, q):
+    return tuple((a - b) % q for a, b in zip(u, v))
+
+
+def vec_dot(u, v, q):
+    return sum(a * b for a, b in zip(u, v)) % q
+
+
+def kernel(m, q):
+    """Basis of the right kernel {x : m x = 0}, as vectors of length ncols."""
+    rows = [tuple(r) for r in m]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    reduced, pivots = _rref(rows, q)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f] % q
+        basis.append(tuple(v))
+    return basis
+
+
+def direction(u, v, q):
+    """Projective class of u - v."""
+    if u == v:
+        raise ValueError("equal points determine no direction")
+    return proj_rep(vec_sub(u, v, q), q)
+
+
+def directions_determined(points, q):
+    """All directions determined by pairs of distinct points of the set."""
+    pts = sorted(points)
+    if len(pts) < 2:
+        raise ValueError("need at least two points")
+    return {direction(u, v, q) for u, v in itertools.combinations(pts, 2)}
+
+
+def direction_count_threshold(q, n):
+    """Direction count separating affine hyperplanes from everything else.
+
+    A set of q^(n-1) points that is not an affine hyperplane determines more
+    than this many directions: (q+3)/2 * q^(n-2) + q^(n-3) + ... + q.
+    """
+    require_odd_prime(q)
+    if n < 3:
+        raise ValueError("threshold is defined for dimension at least 3")
+    return (q + 3) // 2 * q ** (n - 2) + sum(q ** i for i in range(1, n - 2))
+
+
+def affine_hyperplane_form(points, q, n):
+    """Return (normal, offset) with points = {x : normal . x = offset}, or None.
+
+    A candidate must have exactly q^(n-1) members whose difference set has
+    rank n-1; the set then fills the whole coset, so the test is exact.
+    """
+    pts = set(points)
+    if len(pts) != q ** (n - 1):
+        return None
+    base = min(pts)
+    diffs = [vec_sub(p, base, q) for p in sorted(pts) if p != base]
+    if rank(diffs, q) != n - 1:
+        return None
+    normal = proj_rep(kernel(diffs, q)[0], q)
+    return normal, vec_dot(normal, base, q)
+
+
+def common_hyperplane_normal(classes, q, n):
+    """Shared normal if every class is an affine hyperplane with the same one.
+
+    The classes must partition F_q^n; returns None when some class is not a
+    hyperplane or the normals disagree.
+    """
+    total = sum(len(c) for c in classes)
+    seen = set()
+    for c in classes:
+        seen.update(c)
+    if total != q ** n or len(seen) != q ** n:
+        raise ValueError("classes do not partition the space")
+    normals = set()
+    for c in classes:
+        form = affine_hyperplane_form([decode(i, q, n) for i in c], q, n)
+        if form is None:
+            return None
+        normals.add(form[0])
+    return normals.pop() if len(normals) == 1 else None
+
+
+def translation_fixing_witnesses(coloring, q, n):
+    """Nonzero translations fixing every class of a hyperplane-coset
+    partition, from the library's class-of-0 search.
+
+    Empty when the classes are not the cosets of a single linear hyperplane.
+    """
+    if common_hyperplane_normal(coloring.classes(), q, n) is None:
+        return []
+    return [decode(t[0], q, n) for t in _fixing_translations(coloring.class_of, q, n)]
+
+
+# ---------------------------------------------------------------------------
+# fixed lines and line orbits of linear maps
+
+
+def mat_sub_scalar(m, lam, q):
+    """m - lam * identity, reduced mod q."""
+    n = len(m)
+    return tuple(
+        tuple((m[i][j] - (lam if i == j else 0)) % q for j in range(n))
+        for i in range(n)
+    )
+
+
+def gaussian_binomial_1(d, q):
+    """Number of 1-dimensional subspaces of a d-dimensional space over F_q."""
+    if d < 0:
+        raise ValueError("dimension must be non-negative")
+    return (q ** d - 1) // (q - 1)
+
+
+def _require_invertible(m, q):
+    if rank(m, q) != len(m):
+        raise ValueError("matrix is singular")
+
+
+def fixed_line_count_scan(m, universe):
+    """Fixed lines of the universe, counted by direct scan."""
+    q = universe.q
+    _require_invertible(m, q)
+    return sum(1 for rep in universe if proj_rep(mat_apply(m, rep, q), q) == rep)
+
+
+def fixed_line_count_eigen(m, q, n):
+    """Fixed lines of the universe, counted from eigenspace dimensions.
+
+    A fixed line is spanned by an eigenvector; for each eigenvalue the
+    admissible lines are those of the eigenspace minus those falling inside
+    the excluded hyperplane.
+    """
+    _require_invertible(m, q)
+    total = 0
+    for lam in range(1, q):
+        basis = kernel(mat_sub_scalar(m, lam, q), q)
+        d = len(basis)
+        if d == 0:
+            continue
+        d0 = d if all(b[-1] == 0 for b in basis) else d - 1
+        total += gaussian_binomial_1(d, q) - gaussian_binomial_1(d0, q)
+    return total
+
+
+def preserves_line_universe(m, q, n):
+    """True when the map fixes the hyperplane x[n-1] = 0, hence permutes the universe."""
+    for i in range(n - 1):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        if mat_apply(m, e, q)[-1] != 0:
+            return False
+    return True
+
+
+def line_orbit_count(m, universe):
+    """Orbits of the map on the line universe, counted as the cycles of the
+    permutation it induces; requires that it be preserved."""
+    q = universe.q
+    _require_invertible(m, q)
+    if not preserves_line_universe(m, q, universe.n):
+        raise ValueError("map does not preserve the line universe")
+    reps = list(universe)
+    index = {rep: i for i, rep in enumerate(reps)}
+    perm = [index[proj_rep(mat_apply(m, rep, q), q)] for rep in reps]
+    seen = [False] * len(reps)
+    cycles = 0
+    for i in range(len(reps)):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return cycles

@@ -9,14 +9,7 @@ import itertools
 import random
 import time
 
-from linecayley.autgroup import (
-    automorphism_group,
-    fixed_line_count_eigen,
-    fixed_line_count_scan,
-    is_automorphism,
-    line_orbit_count,
-    preserves_line_universe,
-)
+from linecayley.autgroup import automorphism_group, is_automorphism
 from linecayley.bounds import (
     aut_union_bound,
     chernoff_report,
@@ -27,11 +20,22 @@ from linecayley.bounds import (
 from linecayley.cayley import build_graph, connection_from_lines, sample_connection_set
 from linecayley.cli import main
 from linecayley.coloring import coloring_from_classes, exact_chromatic_number, is_proper
-from linecayley.distinguishing import chi_D_exceeds_q_small, translation_fixing_witnesses
-from linecayley.field import affine_ids, decode, is_prime, is_scalar_matrix, vec_dot
+from linecayley.distinguishing import chi_D_exceeds_q_small
+from linecayley.field import affine_ids, decode, is_prime, is_scalar_matrix
 from linecayley.geometry import line_universe
 from linecayley.permgroup import scalar_affine_group
-from oracles import brute_chromatic_number, brute_force_automorphisms, brute_line_census, enumerate_gl
+from oracles import (
+    brute_chromatic_number,
+    brute_force_automorphisms,
+    brute_line_census,
+    enumerate_gl,
+    fixed_line_count_eigen,
+    fixed_line_count_scan,
+    line_orbit_count,
+    preserves_line_universe,
+    translation_fixing_witnesses,
+    vec_dot,
+)
 
 
 def _finish(num, name, limit, start, failures):

@@ -317,6 +317,23 @@ def test_dimacs_export_streams():
     assert peak < 2 * 10**6
 
 
+def test_reader_closing_stdout_early_is_not_an_error():
+    # (5,4) writes about 1 MB of DIMACS text, far more than a pipe buffers,
+    # so the export is still writing when the reader stops, as `head -1` does
+    src = str(Path(linecayley.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linecayley.cli", "build", "--q", "5", "--n", "4", "--seed", "1",
+         "--format", "dimacs", "--no-meta"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"p edge 625 73750\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--q", "5", "--n", "4", "--no-meta"),
     ("distinguish", "--q", "5", "--n", "3", "--seed", "1", "--no-meta"),

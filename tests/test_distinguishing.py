@@ -11,13 +11,18 @@ from linecayley.distinguishing import (
     _fixing_translations,
     chi_D_exceeds_q_small,
     chi_D_upper_certificate,
-    hyperplane_class_analysis,
     is_distinguishing,
-    translation_fixing_witnesses,
 )
-from linecayley.field import affine_ids, decode, vec_dot
-from linecayley.geometry import common_hyperplane_normal, line_universe
-from oracles import first_fixing_translation_by_scan, fixing_translations_by_scan, group_elements
+from linecayley.field import affine_ids, decode
+from linecayley.geometry import line_universe
+from oracles import (
+    common_hyperplane_normal,
+    first_fixing_translation_by_scan,
+    fixing_translations_by_scan,
+    group_elements,
+    translation_fixing_witnesses,
+    vec_dot,
+)
 
 
 def graph_and_aut(q, n, lines=None, seed=None, p=0.5):
@@ -149,61 +154,6 @@ def test_translation_witnesses_need_hyperplane_classes():
     g = build_graph(connection_from_lines(3, 2, [(0, 1)]))
     assert is_proper(g, c)
     assert translation_fixing_witnesses(c, 3, 2) == []
-
-
-def test_hyperplane_class_analysis():
-    s, g, _ = graph_and_aut(5, 3, seed=42)
-    cc = coset_coloring(g)
-    rep = hyperplane_class_analysis(cc, s)
-    assert rep["q"] == 5 and rep["n"] == 3
-    assert rep["common_normal"] == [0, 0, 1]
-    assert rep["scalar_fixes_all_classes"] is False
-    assert "translations inside the common hyperplane" in rep["note"]
-    assert len(rep["classes"]) == 5
-    offsets = []
-    for c in rep["classes"]:
-        assert c["size"] == 25
-        assert c["is_affine_hyperplane"]
-        assert c["normal"] == [0, 0, 1]
-        offsets.append(c["offset"])
-        assert c["directions"] == 6
-        assert c["direction_threshold"] == 20
-        assert c["within_threshold"] is True
-        assert c["independent_directions"] is True
-        assert c["lines_spanned"] == 30
-        assert c["literal_lhs"] == 30 + len(s.members)
-        assert c["literal_rhs"] == 31
-    assert sorted(offsets) == [0, 1, 2, 3, 4]
-
-
-def test_analysis_rejects_bad_colorings():
-    s, g, _ = graph_and_aut(5, 3, seed=42)
-    cc = coset_coloring(g)
-    classes = [list(c) for c in cc.classes()]
-    merged = coloring_from_classes([classes[0] + classes[1]] + classes[2:], 125)
-    with pytest.raises(ValueError):
-        hyperplane_class_analysis(merged, s)
-    # relabel one endpoint of an edge into its neighbor's class
-    u = 0
-    w = sorted(g.neighbor_ids(u))[0]
-    labels = list(cc.class_of)
-    labels[u] = labels[w]
-    bad_classes = [[] for _ in range(5)]
-    for v, lab in enumerate(labels):
-        bad_classes[lab].append(v)
-    bad = coloring_from_classes(bad_classes, 125)
-    assert not is_proper(g, bad)
-    with pytest.raises(ValueError):
-        hyperplane_class_analysis(bad, s)
-
-
-def test_threshold_absent_in_dimension_two():
-    s, g, _ = graph_and_aut(3, 2, lines=[(0, 1)])
-    cc = coset_coloring(g)
-    rep = hyperplane_class_analysis(cc, s)
-    for c in rep["classes"]:
-        assert c["direction_threshold"] is None
-        assert c["within_threshold"] is None
 
 
 def test_matches_brute_filter_on_small_groups():

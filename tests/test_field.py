@@ -8,23 +8,27 @@ from linecayley.field import (
     affine_ids,
     decode,
     encode,
-    gaussian_binomial_1,
     gl_order,
     inv_mod,
     is_prime,
     is_scalar_matrix,
-    kernel,
     mat_apply,
     mat_inverse,
     mat_mul,
-    mat_sub_scalar,
     primitive_root,
     rank,
     require_odd_prime,
     vec_add,
     vec_scale,
 )
-from oracles import brute_affine_ids, brute_row_span_size, enumerate_gl
+from oracles import (
+    brute_affine_ids,
+    brute_row_span_size,
+    enumerate_gl,
+    gaussian_binomial_1,
+    kernel,
+    mat_sub_scalar,
+)
 
 
 def test_is_prime():

@@ -3,19 +3,16 @@ import random
 
 import pytest
 
-from linecayley.geometry import (
+from linecayley.geometry import all_projective_points, line_points, line_universe, proj_rep
+from oracles import (
     affine_hyperplane_form,
-    affine_lines_spanned,
-    all_projective_points,
+    brute_line_census,
     common_hyperplane_normal,
     direction,
     direction_count_threshold,
     directions_determined,
-    line_points,
-    line_universe,
-    proj_rep,
+    hyperplane_points,
 )
-from oracles import brute_line_census, hyperplane_points
 
 
 def test_proj_rep():
@@ -119,13 +116,6 @@ def test_affine_hyperplane_form_rejects():
     pts = [(0, 0), (1, 0), (0, 1)]
     assert affine_hyperplane_form(pts, 3, 2) is None
     assert affine_hyperplane_form([(0, 0)], 3, 2) is None
-
-
-def test_affine_lines_spanned():
-    # the affine plane of order 3 has 12 lines
-    pts = [v + (0,) for v in itertools.product(range(3), repeat=2)]
-    assert affine_lines_spanned(pts, 3) == 12
-    assert affine_lines_spanned([(0, 0), (1, 0)], 3) == 1
 
 
 def test_common_hyperplane_normal():

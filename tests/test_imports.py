@@ -1,4 +1,6 @@
-"""Every name a module imports is used in it (package re-exports aside)."""
+"""Every name a module imports is used in it (package re-exports aside), and
+every top-level definition of the package is reached from the CLI or the
+benchmark."""
 
 import ast
 from pathlib import Path
@@ -34,3 +36,55 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(tree):
+    """Every name a tree reads, as a Name, an Attribute or an imported alias."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreached_definitions(modules, entry, reader):
+    """Top-level functions and classes of modules (stem -> source) that no
+    chain of references reaches from the definitions of module entry or
+    from the names the reader source reads.  Names resolve by name alone,
+    which is exact while no two modules define the same one."""
+    defs = {}
+    for stem, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                assert node.name not in defs, f"{node.name} is defined twice"
+                defs[node.name] = (stem, node)
+    todo = [name for name, (stem, _) in defs.items() if stem == entry]
+    todo += names_read(ast.parse(reader))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += names_read(defs[name][1])
+    return sorted(f"{stem}.{name}" for name, (stem, _) in defs.items() if name not in reached)
+
+
+def test_unreached_definitions_are_found():
+    modules = {
+        "lib": "def used():\n    return helper\ndef helper(): pass\n"
+        "class Kept:\n    def m(self): return deep()\ndef deep(): pass\ndef dead(): return used()\n",
+        "cli": "def main():\n    return used()\n",
+    }
+    reader = "from lib import Kept\n"
+    assert unreached_definitions(modules, "cli", reader) == ["lib.dead"]
+
+
+def test_library_keeps_only_what_the_cli_or_the_benchmark_reaches():
+    modules = {p.stem: p.read_text() for p in sorted(ROOT.glob("src/linecayley/*.py"))}
+    reader = (ROOT / "bench" / "run.py").read_text()
+    unreached = unreached_definitions(modules, "cli", reader)
+    assert not unreached, f"reached by neither the CLI nor the benchmark: {unreached}"
