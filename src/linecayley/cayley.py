@@ -105,6 +105,14 @@ def connection_from_lines(q, n, lines):
     return ConnectionSet(q, n, lines)
 
 
+def id_mask(ids, degree):
+    """The bitmask with bit u set for each u in ids, all in range(degree)."""
+    buf = bytearray((degree + 7) // 8)
+    for u in ids:
+        buf[u >> 3] |= 1 << (u & 7)
+    return int.from_bytes(buf, "little")
+
+
 class CayleyGraph:
     """Graph on F_q^n with u ~ v iff u - v lies in the connection set."""
 
@@ -127,6 +135,18 @@ class CayleyGraph:
             for y in range(q ** (n - h))
         ]
         self._digits = [divmod(encode(s, q), m)[::-1] for s in self._members]
+        # what neighbor_masks starts from: N(0)'s mask, and per digit i the
+        # step by e_i as (ids whose digit i is below q-1, the rest, the
+        # shift up, the shift down); built once, since every large
+        # refinement splitter and each properness check opens the stream
+        v = self.num_vertices
+        self._mask0 = id_mask(self.neighbor_ids(0), v)
+        self._steps = []
+        for i in range(n):
+            step = q ** i
+            block = ((1 << step) - 1) << (q - 1) * step
+            wrap = block * (((1 << v) - 1) // ((1 << q * step) - 1))
+            self._steps.append((((1 << v) - 1) ^ wrap, wrap, step, (q - 1) * step))
 
     @property
     def num_edges(self):
@@ -146,16 +166,9 @@ class CayleyGraph:
         (q-1)*q^i. An odometer over the digits keeps n masks alive, so each
         step costs a few big-int operations on V bits.
         """
-        q, n = self.q, self.n
-        wrap = []
-        for i in range(n):
-            step = q ** i
-            period = q * step
-            block = ((1 << step) - 1) << (q - 1) * step
-            repeats = ((1 << self.num_vertices) - 1) // ((1 << period) - 1)
-            wrap.append(block * repeats)
+        q, n, steps = self.q, self.n, self._steps
         # masks[i] is N of the current vertex with its digits below i cleared
-        m = sum(1 << u for u in self.neighbor_ids(0))
+        m = self._mask0
         masks = [m] * n
         digits = [0] * n
         yield m
@@ -165,8 +178,9 @@ class CayleyGraph:
                 digits[i] = 0
                 i += 1
             digits[i] += 1
-            m, w = masks[i], wrap[i]
-            m = ((m & ~w) << q ** i) | ((m & w) >> (q - 1) * q ** i)
+            keep, wrap, up, down = steps[i]
+            m = masks[i]
+            m = ((m & keep) << up) | ((m & wrap) >> down)
             masks[: i + 1] = [m] * (i + 1)
             yield m
 

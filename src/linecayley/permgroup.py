@@ -134,22 +134,27 @@ class PermGroup:
         }
 
 
-def scalar_affine_group(q, n):
-    """The group of maps x -> lam * x + b, built from explicit generators.
+def scalar_affine_generators(q, n):
+    """The generators of the group K of maps x -> lam * x + b, as a new
+    list of permutations: one translation per coordinate, then scaling by
+    the smallest primitive root.
 
-    Generators: one translation per coordinate and scaling by the smallest
-    primitive root.  They are strong on the base (0, 1): the translations
-    move 0 anywhere, the scaling alone fixes 0 and moves vertex 1 = e_0
-    (coordinate 0 is the least significant digit) through its q - 1
-    multiples, and only the identity fixes both.  The order is exactly
-    q^n * (q - 1).
+    They are strong on the base (0, 1): the translations move 0 anywhere,
+    the scaling alone fixes 0 and moves vertex 1 = e_0 (coordinate 0 is the
+    least significant digit) through its q - 1 multiples, and only the
+    identity fixes both.
     """
     gens = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(affine_ids(q, n, 1, e))
-    gens.append(affine_ids(q, n, primitive_root(q), (0,) * n))
-    return PermGroup(q ** n, (0, 1), gens)
+        gens.append(tuple(affine_ids(q, n, 1, e)))
+    gens.append(tuple(affine_ids(q, n, primitive_root(q), (0,) * n)))
+    return gens
+
+
+def scalar_affine_group(q, n):
+    """The group K, of order exactly q^n * (q - 1), on its base (0, 1)."""
+    return PermGroup(q ** n, (0, 1), scalar_affine_generators(q, n))
 
 
 def classes_to_labels(classes, degree):

@@ -1,20 +1,31 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from linecayley.autgroup import (
     _Cells,
     _Search,
+    _counts_from_ids,
+    _counts_from_masks,
     _orbit_count,
     automorphism_group,
     dichotomy_check,
     group_equals_scalar_affine,
     is_automorphism,
 )
-from linecayley.cayley import ConnectionSet, build_graph, connection_from_lines, sample_connection_set
+from linecayley.cayley import (
+    ConnectionSet,
+    build_graph,
+    connection_from_lines,
+    id_mask,
+    sample_connection_set,
+)
 from linecayley.coloring import coset_coloring, plus_zero_recolor
 from linecayley.errors import BudgetExceeded
 from linecayley.field import affine_ids, is_scalar_matrix, mat_apply, rank
@@ -134,9 +145,11 @@ def test_orders_match_sympy():
 
 def test_relabelled_graph_has_conjugate_group():
     # search a randomly relabelled copy with an empty pool; its group, taken
-    # back through the relabelling, must be the original graph's
+    # back through the relabelling, must be the original graph's.  The
+    # relabelled mask stream serves the large splitters, N(0)'s at (5,3) and
+    # (5,4) among them
     rng = random.Random(41)
-    for q, n in ((3, 3),) * 10 + ((5, 3),) * 10:
+    for q, n in ((3, 3),) * 10 + ((5, 3),) * 10 + ((5, 4),) * 3:
         g = build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6)))
         sigma = list(range(g.num_vertices))
         rng.shuffle(sigma)
@@ -145,7 +158,8 @@ def test_relabelled_graph_has_conjugate_group():
         def relabelled(v):
             return [sigma[u] for u in g.neighbor_ids(sigma_inv[v])]
 
-        search = _Search(relabelled, g.num_vertices, [], 200000)
+        masks = [id_mask(relabelled(v), g.num_vertices) for v in range(g.num_vertices)]
+        search = _Search(relabelled, masks.__iter__, g.num_vertices, [], 200000)
         search.stabilize()
         group = PermGroup(g.num_vertices, search.base, search.pool)
         assert group.order() == automorphism_group(g).group.order()
@@ -153,8 +167,47 @@ def test_relabelled_graph_has_conjugate_group():
             assert is_automorphism(g, compose(sigma_inv, compose(h, sigma)))
 
 
+def test_splitter_count_routes_agree():
+    # random splitters W whose |W|*|S| spans the route threshold, with the
+    # singleton {0} and N(0); the mask route drops zero counts, in id order
+    rng = random.Random(5)
+    for q, n in ((3, 3), (5, 3), (5, 4)):
+        g = build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6)))
+        v_count = g.num_vertices
+        threshold = _Search(g.neighbor_ids, g.neighbor_masks, v_count, [], 1).mask_route_above
+        cells = [[0], g.neighbor_ids(0)]
+        for k in (1, 2, 5, 16, v_count // 4, v_count // 2, v_count):
+            cells.append(rng.sample(range(v_count), k))
+        costs = [len(w) * g.degree for w in cells]
+        assert min(costs) <= threshold < max(costs)
+        for w in cells:
+            want = Counter(u for x in w for u in g.neighbor_ids(x))
+            got = _counts_from_masks(g.neighbor_masks, w, v_count)
+            assert got == want and list(got) == sorted(got), (q, n, len(w))
+            assert _counts_from_ids(g.neighbor_ids, w) == want
+
+
+def test_split_traces_are_pinned():
+    # nodes, base and the sha256 of the generators' JSON, recorded with
+    # every splitter counted by the id route; any change to a split trace
+    # moves at least one of them.  (3,4) seed 2 is in case (ii)
+    k_digest = "ceb449eca216d37655b4811032970a9138ef88168f209cacd9d04d72b0556ce9"
+    ii_digest = "229cc8016aba9c14d784cceaee9d565b195d88c32a2fab9c709d70fe2cd71604"
+    cases = {
+        (5, 4, 1): (3, (0, 150), k_digest),
+        (5, 4, 2): (3, (0, 213), k_digest),
+        (5, 4, 3): (3, (0, 220), k_digest),
+        (3, 4, 2): (5, (0, 36, 27), ii_digest),
+    }
+    for (q, n, seed), (nodes, base, digest) in cases.items():
+        aut = automorphism_group(build_graph(sample_connection_set(q, n, 0.5, seed)))
+        generators = json.dumps([list(g) for g in aut.group.generators]).encode()
+        found = (aut.nodes, aut.group.base(), hashlib.sha256(generators).hexdigest())
+        assert found == (nodes, base, digest), (q, n, seed)
+
+
 def _cells_after_individualizing(g, v, stop):
-    search = _Search(g.neighbor_ids, g.num_vertices, [], 1)
+    search = _Search(g.neighbor_ids, g.neighbor_masks, g.num_vertices, [], 1)
     child, _ = search._individualize(_Cells.unit(g.num_vertices), 0, v, stop)
     cells, s = set(), 0
     while s < g.num_vertices:
