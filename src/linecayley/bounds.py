@@ -170,6 +170,8 @@ def theorem_qn_params(k, n=None):
     """
     if k < 4:
         raise ValueError("k must be at least 4")
+    if n is not None and n < 2:
+        raise ValueError("need n >= 2")
     q = k + 1
     while not is_prime(q):
         q += 1

@@ -3,7 +3,7 @@
 import random
 
 from .errors import InvariantViolation
-from .field import affine_ids, decode, encode, require_odd_prime, vec_scale
+from .field import affine_ids, decode, encode, primitive_root, require_odd_prime, vec_scale
 from .geometry import line_points, line_universe, proj_rep
 
 
@@ -38,45 +38,20 @@ class ConnectionSet:
         self.members = frozenset(members)
         self._validate()
 
-    @classmethod
-    def sample(cls, q, n, p=0.5, seed=None):
-        """Include each admissible line independently with probability p.
-
-        All randomness comes from the seed; decisions are made in the
-        canonical enumeration order of the line universe, so a given seed
-        reproduces the same set on any platform.
-        """
-        require_odd_prime(q)
-        if n < 2:
-            raise ValueError("dimension must be at least 2")
-        if not 0 <= p <= 1:
-            raise ValueError(f"probability {p} out of range [0, 1]")
-        if seed is None:
-            raise ValueError("seed is required for sampling")
-        rng = random.Random(seed)
-        chosen = [rep for rep in line_universe(q, n) if rng.random() < p]
-        return cls(q, n, chosen)
-
     def _validate(self):
+        """One pass over S: the lines are disjoint, no member lies in the
+        hyperplane x[n-1] = 0 (so 0 is not one), and g v is in S for each
+        member v. The primitive root g generates F_q^*, so closure under g
+        is closure under every nonzero scalar, -1 included."""
         q, members = self.q, self.members
-        if (0,) * self.n in members:
-            raise InvariantViolation("connection set contains 0")
         if len(members) != (q - 1) * len(self.lines):
             raise InvariantViolation("chosen lines overlap")
+        g = primitive_root(q)
         for v in members:
             if v[-1] == 0:
                 raise InvariantViolation("connection set meets the excluded hyperplane")
-            for lam in range(2, q):
-                if vec_scale(lam, v, q) not in members:
-                    raise InvariantViolation("connection set not closed under scalars")
-        # scalar closure with lam = q-1 gives inverse closure, checked anyway
-        for v in members:
-            if tuple(-a % q for a in v) not in members:
-                raise InvariantViolation("connection set not inverse-closed")
-
-    @property
-    def element_count(self):
-        return len(self.members)
+            if vec_scale(g, v, q) not in members:
+                raise InvariantViolation("connection set not closed under scalars")
 
     def to_json_dict(self):
         return {
@@ -98,7 +73,21 @@ class ConnectionSet:
 
 
 def sample_connection_set(q, n, p=0.5, seed=None):
-    return ConnectionSet.sample(q, n, p, seed)
+    """Include each admissible line independently with probability p.
+
+    All randomness comes from the seed; decisions are made in the
+    canonical enumeration order of the line universe, so a given seed
+    reproduces the same set on any platform.
+    """
+    require_odd_prime(q)
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
+    if not 0 <= p <= 1:
+        raise ValueError(f"probability {p} out of range [0, 1]")
+    if seed is None:
+        raise ValueError("seed is required for sampling")
+    rng = random.Random(seed)
+    return ConnectionSet(q, n, [rep for rep in line_universe(q, n) if rng.random() < p])
 
 
 def connection_from_lines(q, n, lines):
@@ -121,7 +110,7 @@ class CayleyGraph:
         self.q = connection.q
         self.n = connection.n
         self.num_vertices = self.q ** self.n
-        self.degree = connection.element_count
+        self.degree = len(connection.members)
         self._members = sorted(connection.members)
         # split-digit addition tables: with m = q**h, the id of w + s is
         # lo[w % m][s % m] + hi[w // m][s // m]; they hold at most q^(n+1)

@@ -119,7 +119,7 @@ def cmd_chi(args):
         "exact": True,
         "value": result.value,
         "clique": list(result.clique) if result.clique else None,
-        "coloring": result.coloring.to_json_dict() if result.coloring else None,
+        "coloring": result.coloring.to_json_dict(),
     }
     _emit_json(args, payload, start)
     return 0

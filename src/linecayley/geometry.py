@@ -43,17 +43,11 @@ class LineUniverse:
     n: int
     lines: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "_lineset", frozenset(self.lines))
-
     def __len__(self):
         return len(self.lines)
 
     def __iter__(self):
         return iter(self.lines)
-
-    def __contains__(self, rep):
-        return rep in self._lineset
 
 
 def line_universe(q, n):

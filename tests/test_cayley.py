@@ -2,6 +2,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from linecayley.cayley import (
     ConnectionSet,
@@ -9,8 +11,9 @@ from linecayley.cayley import (
     connection_from_lines,
     sample_connection_set,
 )
+from linecayley.errors import InvariantViolation
 from linecayley.field import affine_ids, decode, encode, vec_scale
-from linecayley.geometry import line_universe
+from linecayley.geometry import line_points, line_universe
 from oracles import is_edge, masks_by_shift_tables
 
 
@@ -63,14 +66,47 @@ def test_sample_extremes():
     assert len(sample_connection_set(3, 2, 1.0, 1).lines) == 3
 
 
-def test_members_closure():
-    s = sample_connection_set(5, 3, 0.5, 42)
-    q = s.q
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_members_closure(data):
+    # random line lists, non-canonical multiples included, checked against
+    # every scalar and negation: the reference for _validate's one generator
+    q = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(2, 4))
+    lines = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=q))
+    try:
+        s = ConnectionSet(q, n, lines)
+    except ValueError:
+        reject()
     for v in s.members:
+        assert v[-1] != 0
+        assert tuple(-a % q for a in v) in s.members
         for lam in range(2, q):
             assert vec_scale(lam, v, q) in s.members
-    assert all(v[-1] != 0 for v in s.members)
     assert len(s.members) == (q - 1) * len(s.lines)
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        # 2 (0, 1, 1) dropped for a point of the unchosen line (1, 1, 1)
+        (lambda good: good - {(0, 2, 2)} | {(1, 1, 1)}, "not closed under scalars"),
+        # the line (0, 1, 1) traded for the line (1, 0, 0) inside x[2] = 0
+        (lambda good: good - line_points((0, 1, 1), 5) | line_points((1, 0, 0), 5),
+         "excluded hyperplane"),
+        # 0 in place of 2 (0, 1, 1): either check catches it
+        (lambda good: good - {(0, 2, 2)} | {(0, 0, 0)}, "excluded hyperplane|not closed"),
+        # a whole admissible line more than the lines account for
+        (lambda good: good | line_points((1, 1, 1), 5), "overlap"),
+    ],
+    ids=["multiple-dropped", "hyperplane-point", "zero", "count"],
+)
+def test_validate_rejects_broken_members(broken, message):
+    s = connection_from_lines(5, 3, [(0, 1, 1), (2, 3, 1)])
+    s._validate()
+    s.members = frozenset(broken(s.members))
+    with pytest.raises(InvariantViolation, match=message):
+        s._validate()
 
 
 def test_lines_sorted_universe_order():

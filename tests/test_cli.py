@@ -141,6 +141,16 @@ def test_bounds_k(capsys):
     assert d["check"] is True
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_bounds_k_rejects_n_below_2(capsys, n):
+    # the construction needs n >= 2, as aut_union_bound says for --q and --n
+    code = main(["bounds", "--k", "4", "--n", n, "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need n >= 2\n"
+
+
 def test_distinguish_certificate(capsys):
     code, out = run(capsys, "distinguish", "--q", "5", "--n", "3", "--seed", "42", "--no-meta")
     assert code == 0
