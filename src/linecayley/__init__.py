@@ -22,7 +22,6 @@ from .cayley import (
     CayleyGraph,
     ConnectionSet,
     build_graph,
-    connection_from_lines,
     sample_connection_set,
 )
 from .coloring import (

@@ -15,9 +15,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .autgroup import automorphism_group, dichotomy_check, group_equals_scalar_affine
-from .cayley import build_graph, connection_from_lines, sample_connection_set
+from .cayley import ConnectionSet, build_graph, sample_connection_set
 from .coloring import exact_chromatic_number
 from .distinguishing import chi_D_exceeds_q_small, chi_D_upper_certificate
+from .errors import BudgetExceeded
 from .field import gl_order, is_prime, require_odd_prime, require_prime
 from .geometry import line_universe
 
@@ -296,17 +297,22 @@ def trial_rows(records, include_runtime=True):
         yield ",".join(str(r[f]) for f in fields)
 
 
-def sweep_all_line_subsets(q=3, n=2, enum_limit=10**6):
+def sweep_all_line_subsets(q=3, n=2, enum_limit=10**6, node_budget=200000):
     """Census of every nonempty line subset: chromatic, automorphism,
-    dichotomy, and distinguishing verdicts for each instance."""
+    dichotomy, and distinguishing verdicts for each instance.  Raises
+    BudgetExceeded when an automorphism search runs out of nodes."""
     universe = list(line_universe(q, n))
     rows = []
     for size in range(1, len(universe) + 1):
         for subset in itertools.combinations(universe, size):
-            s = connection_from_lines(q, n, subset)
+            s = ConnectionSet(q, n, subset)
             g = build_graph(s)
             chi = exact_chromatic_number(g)
-            aut = automorphism_group(g)
+            aut = automorphism_group(g, node_budget)
+            if not aut.complete:
+                raise BudgetExceeded(
+                    f"automorphism search exceeded {node_budget} nodes at lines {list(subset)}"
+                )
             dich = dichotomy_check(g, aut)
             verdict = chi_D_exceeds_q_small(g, aut, limit=enum_limit)
             cert = chi_D_upper_certificate(g, aut)

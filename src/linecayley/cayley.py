@@ -90,10 +90,6 @@ def sample_connection_set(q, n, p=0.5, seed=None):
     return ConnectionSet(q, n, [rep for rep in line_universe(q, n) if rng.random() < p])
 
 
-def connection_from_lines(q, n, lines):
-    return ConnectionSet(q, n, lines)
-
-
 def id_mask(ids, degree):
     """The bitmask with bit u set for each u in ids, all in range(degree)."""
     buf = bytearray((degree + 7) // 8)

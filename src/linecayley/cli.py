@@ -172,7 +172,9 @@ def cmd_distinguish(args):
 def cmd_experiment(args):
     start = time.perf_counter()
     if args.sweep_all_subsets:
-        rows = sweep_all_line_subsets(args.q, args.n, enum_limit=args.budget_enum)
+        rows = sweep_all_line_subsets(
+            args.q, args.n, enum_limit=args.budget_enum, node_budget=args.budget_nodes
+        )
         _emit_json(args, {"census": rows}, start)
         return 0
     if args.seed is None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import EnumerationLimitExceeded
 from .field import encode, vec_add, vec_scale
-from .permgroup import classes_to_labels
+from .permgroup import classes_to_labels, leaves
 
 
 @dataclass(frozen=True)
@@ -123,46 +123,26 @@ def enumerate_proper_partitions(g, limit=10 ** 6):
     Partitions are canonical: vertex 0 opens class 0 and new classes appear
     in first-use order, so relabelings of the same partition are not
     repeated.  Raises when more than limit partitions would be yielded.
-    The backtracking is a loop, so the vertex count is not bounded by the
-    recursion limit.
+    The partial assignments are walked by permgroup.leaves, whose stack is
+    explicit, so the vertex count is not bounded by the recursion limit.
     """
     adj = g.adjacency_masks()
-    n = g.num_vertices
-    class_of = [None] * n
-    class_masks = []
-    opened = [0] * (n + 1)  # classes opened by the vertices before v
-    yielded = 0
-    v, c = 0, 0  # the next class to try at vertex v
-    while v >= 0:
-        if v == n:
-            yielded += 1
-            if yielded > limit:
-                raise EnumerationLimitExceeded(
-                    f"more than {limit} proper partitions"
-                )
-            yield Coloring(len(class_masks), tuple(class_of))
-        elif c < min(opened[v] + 1, g.q):
-            if c < opened[v] and class_masks[c] & adj[v]:
-                c += 1
-                continue
-            class_of[v] = c
-            if c == opened[v]:
-                class_masks.append(1 << v)
-            else:
-                class_masks[c] |= 1 << v
-            opened[v + 1] = len(class_masks)
-            v, c = v + 1, 0
-            continue
-        # backtrack: take the previous vertex out of its class, try the next
-        v -= 1
-        if v >= 0:
-            c = class_of[v]
-            class_of[v] = None
-            if c == opened[v]:
-                class_masks.pop()
-            else:
-                class_masks[c] ^= 1 << v
-            c += 1
+
+    def children(v, node):
+        # v joins each open class that holds none of its neighbours, in
+        # class order, then opens the next class while fewer than q are open
+        class_of, class_masks = node
+        for c, m in enumerate(class_masks):
+            if not m & adj[v]:
+                yield class_of + (c,), class_masks[:c] + (m | 1 << v,) + class_masks[c + 1 :]
+        if len(class_masks) < g.q:
+            yield class_of + (len(class_masks),), class_masks + (1 << v,)
+
+    partitions = leaves(((), ()), 0, g.num_vertices, children)
+    for yielded, (class_of, class_masks) in enumerate(partitions, 1):
+        if yielded > limit:
+            raise EnumerationLimitExceeded(f"more than {limit} proper partitions")
+        yield Coloring(len(class_masks), class_of)
 
 
 def plus_zero_recolor(coloring):

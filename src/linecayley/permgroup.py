@@ -6,8 +6,10 @@ group here comes with: K's is written down, the automorphism search finds
 one on its individualization path, and the class-fixing search one on its
 input group's base.  Each level's orbit is a BFS in generator order, which
 gives exact order and membership tests without a Schreier-Sims closure.
-Every group search here is depth_first over a tree of images, and every
-generator search is complete_levels over a base.
+Every backtrack in the package runs on the one explicit stack of leaves:
+each group search is depth_first over a tree of images, and the listing of
+proper partitions in coloring walks a tree of partial class assignments.
+Every generator search is complete_levels over a base.
 """
 
 import math
@@ -214,12 +216,14 @@ def point_orbit(point, gens):
     return orbit
 
 
-def depth_first(root, start, end, children, leaf):
-    """First result of leaf that is not None over the nodes at depth end
-    below root, at depth start.  children(depth, node) yields a node's
-    children, never None.  The stack is explicit, so no recursion limit."""
+def leaves(root, start, end, children):
+    """Yield the nodes at depth end below root, at depth start, in depth
+    first order; start == end yields root alone.  children(depth, node)
+    yields a node's children, never None.  The stack is explicit, so no
+    recursion limit."""
     if start == end:
-        return leaf(root)
+        yield root
+        return
     stack = [(start, iter(children(start, root)))]
     while stack:
         depth, nodes = stack[-1]
@@ -228,7 +232,15 @@ def depth_first(root, start, end, children, leaf):
             stack.pop()
         elif depth + 1 < end:
             stack.append((depth + 1, iter(children(depth + 1, node))))
-        elif (found := leaf(node)) is not None:
+        else:
+            yield node
+
+
+def depth_first(root, start, end, children, leaf):
+    """First result of leaf that is not None over leaves(root, start, end,
+    children); the search stops there."""
+    for node in leaves(root, start, end, children):
+        if (found := leaf(node)) is not None:
             return found
     return None
 

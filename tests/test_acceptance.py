@@ -17,7 +17,7 @@ from linecayley.bounds import (
     sweep_all_line_subsets,
     theorem_qn_params,
 )
-from linecayley.cayley import build_graph, connection_from_lines, sample_connection_set
+from linecayley.cayley import ConnectionSet, build_graph, sample_connection_set
 from linecayley.cli import main
 from linecayley.coloring import coloring_from_classes, exact_chromatic_number, is_proper
 from linecayley.distinguishing import chi_D_exceeds_q_small
@@ -112,7 +112,7 @@ def test_criterion_03_automorphism_oracle_equivalence():
     universe = list(line_universe(3, 2))
     for size in (1, 2, 3):
         for subset in itertools.combinations(universe, size):
-            g = build_graph(connection_from_lines(3, 2, subset))
+            g = build_graph(ConnectionSet(3, 2, subset))
             aut = automorphism_group(g)
             bf = brute_force_automorphisms(g)
             if not aut.complete:
@@ -179,7 +179,7 @@ def test_criterion_06_distinguishing_exceeds_q():
     start = time.perf_counter()
     failures = []
     # q=3, n=2, all three lines: the only proper 3-partition, broken by a shift
-    g = build_graph(connection_from_lines(3, 2, [(0, 1), (1, 1), (2, 1)]))
+    g = build_graph(ConnectionSet(3, 2, [(0, 1), (1, 1), (2, 1)]))
     aut = automorphism_group(g)
     verdict = chi_D_exceeds_q_small(g, aut)
     if not verdict.exceeds or verdict.partitions != 1:

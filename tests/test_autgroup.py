@@ -22,7 +22,6 @@ from linecayley.autgroup import (
 from linecayley.cayley import (
     ConnectionSet,
     build_graph,
-    connection_from_lines,
     id_mask,
     sample_connection_set,
 )
@@ -52,7 +51,7 @@ from oracles import (
 
 
 def test_is_automorphism():
-    s = connection_from_lines(3, 2, [(0, 1)])
+    s = ConnectionSet(3, 2, [(0, 1)])
     g = build_graph(s)
     assert is_automorphism(g, affine_ids(3, 2, 1, (1, 2)))
     swap = list(range(9))
@@ -62,7 +61,7 @@ def test_is_automorphism():
 
 def test_solver_matches_brute_on_two_subsets():
     for lines in ([(0, 1)], [(0, 1), (1, 1), (2, 1)]):
-        g = build_graph(connection_from_lines(3, 2, lines))
+        g = build_graph(ConnectionSet(3, 2, lines))
         aut = automorphism_group(g)
         bf = brute_force_automorphisms(g)
         assert aut.complete
@@ -302,7 +301,7 @@ def test_dichotomy_equals_k():
 
 
 def test_dichotomy_witness():
-    s = connection_from_lines(3, 2, [(0, 1), (1, 1), (2, 1)])
+    s = ConnectionSet(3, 2, [(0, 1), (1, 1), (2, 1)])
     g = build_graph(s)
     aut = automorphism_group(g)
     rep = dichotomy_check(g, aut)
@@ -355,7 +354,7 @@ def test_dichotomy_never_violated_across_sweep():
         universe = list(line_universe(q, 2))
         for size in range(len(universe) + 1):
             for subset in itertools.combinations(universe, size):
-                _agrees_with_scan(connection_from_lines(q, 2, subset))
+                _agrees_with_scan(ConnectionSet(q, 2, subset))
 
 
 def test_dichotomy_matches_gl_scan_on_sampled_3_3_subsets():
@@ -364,7 +363,7 @@ def test_dichotomy_matches_gl_scan_on_sampled_3_3_subsets():
     subsets = [[], universe[:1], universe]
     subsets += [rng.sample(universe, rng.randrange(2, 9)) for _ in range(7)]
     for subset in subsets:
-        _agrees_with_scan(connection_from_lines(3, 3, subset))
+        _agrees_with_scan(ConnectionSet(3, 3, subset))
 
 
 def test_dichotomy_past_the_gl_scan(deadline):
@@ -395,7 +394,7 @@ def test_dichotomy_invariant_under_linear_relabelling():
             ) + ((0,) * (n - 1) + (rng.randrange(1, q),),)
             if rank(a, q) == n:
                 break
-        image = connection_from_lines(q, n, [mat_apply(a, rep, q) for rep in s.lines])
+        image = ConnectionSet(q, n, [mat_apply(a, rep, q) for rep in s.lines])
         assert image.members == {mat_apply(a, v, q) for v in s.members}
         reps = []
         for c in (s, image):
@@ -409,6 +408,6 @@ def test_dichotomy_invariant_under_linear_relabelling():
 
 
 def test_group_equals_scalar_affine_negative():
-    g = build_graph(connection_from_lines(3, 2, [(0, 1)]))
+    g = build_graph(ConnectionSet(3, 2, [(0, 1)]))
     aut = automorphism_group(g)
     assert not group_equals_scalar_affine(aut.group, 3, 2)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from linecayley.cayley import (
     ConnectionSet,
     build_graph,
-    connection_from_lines,
     sample_connection_set,
 )
 from linecayley.errors import InvariantViolation
@@ -18,25 +17,25 @@ from oracles import is_edge, masks_by_shift_tables
 
 
 def test_from_lines_examples():
-    s = connection_from_lines(3, 2, [(0, 1)])
+    s = ConnectionSet(3, 2, [(0, 1)])
     assert s.members == frozenset({(0, 1), (0, 2)})
-    s3 = connection_from_lines(3, 2, [(0, 1), (1, 1), (2, 1)])
+    s3 = ConnectionSet(3, 2, [(0, 1), (1, 1), (2, 1)])
     assert len(s3.members) == 6
 
 
 def test_from_lines_canonicalizes():
-    s = connection_from_lines(3, 2, [(0, 2)])
+    s = ConnectionSet(3, 2, [(0, 2)])
     assert s.lines == ((0, 1),)
 
 
 def test_from_lines_rejects_hyperplane_line():
     with pytest.raises(ValueError):
-        connection_from_lines(3, 2, [(1, 0)])
+        ConnectionSet(3, 2, [(1, 0)])
 
 
 def test_from_lines_rejects_duplicates():
     with pytest.raises(ValueError):
-        connection_from_lines(3, 2, [(0, 1), (0, 2)])
+        ConnectionSet(3, 2, [(0, 1), (0, 2)])
 
 
 def test_connection_requires_odd_prime():
@@ -102,7 +101,7 @@ def test_members_closure(data):
     ids=["multiple-dropped", "hyperplane-point", "zero", "count"],
 )
 def test_validate_rejects_broken_members(broken, message):
-    s = connection_from_lines(5, 3, [(0, 1, 1), (2, 3, 1)])
+    s = ConnectionSet(5, 3, [(0, 1, 1), (2, 3, 1)])
     s._validate()
     s.members = frozenset(broken(s.members))
     with pytest.raises(InvariantViolation, match=message):
@@ -124,7 +123,7 @@ def test_json_roundtrip():
 
 
 def test_graph_basics():
-    s = connection_from_lines(3, 2, [(0, 1), (1, 1), (2, 1)])
+    s = ConnectionSet(3, 2, [(0, 1), (1, 1), (2, 1)])
     g = build_graph(s)
     assert g.num_vertices == 9
     assert g.degree == 6
@@ -186,7 +185,7 @@ def test_shift_table_is_automorphism():
 
 
 def test_write_dimacs():
-    s = connection_from_lines(3, 2, [(0, 1)])
+    s = ConnectionSet(3, 2, [(0, 1)])
     g = build_graph(s)
     buf = io.StringIO()
     g.write_dimacs(buf)

@@ -286,6 +286,15 @@ def test_build_rejects_connection_file_for_other_sizes(capsys, tmp_path):
     assert json.loads(out)["lines"] == [[1, 2, 1]]
 
 
+def test_sweep_budget_exhaustion(capsys):
+    code = main(["experiment", "--q", "3", "--n", "2", "--sweep-all-subsets",
+                 "--budget-nodes", "1", "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "exceeded 1 nodes" in captured.err
+
+
 def test_chi_has_no_budget_flags(capsys):
     for flag in ("--budget-nodes", "--budget-enum"):
         with pytest.raises(SystemExit) as exc:

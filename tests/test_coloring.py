@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecayley.cayley import build_graph, connection_from_lines, sample_connection_set
+from linecayley.cayley import ConnectionSet, build_graph, sample_connection_set
 from linecayley.coloring import (
     Coloring,
     coloring_from_classes,
@@ -65,7 +65,7 @@ def test_coset_coloring_empty_raises():
 
 
 def test_line_clique():
-    s = connection_from_lines(5, 3, [(1, 2, 1), (0, 0, 1)])
+    s = ConnectionSet(5, 3, [(1, 2, 1), (0, 0, 1)])
     g = build_graph(s)
     clique = line_clique(g, (1, 2, 1))
     assert len(clique) == 5
@@ -77,7 +77,7 @@ def test_line_clique():
 
 
 def test_is_proper_detects_conflict():
-    s = connection_from_lines(3, 2, [(0, 1)])
+    s = ConnectionSet(3, 2, [(0, 1)])
     g = build_graph(s)
     # vertex 0 and 0 + (0,1) = id 3 are adjacent
     labels = [0] * 9
@@ -105,7 +105,7 @@ def test_is_proper_matches_edge_scan(data):
     i = data.draw(st.integers(0, n - 2))
     line = data.draw(st.sampled_from([l for l in line_universe(q, n) if l[i]]))
     sampled = sample_connection_set(q, n, data.draw(st.sampled_from((0.1, 0.5))), data.draw(st.integers(0, 9)))
-    g = build_graph(connection_from_lines(q, n, set(sampled.lines) | {line}))
+    g = build_graph(ConnectionSet(q, n, set(sampled.lines) | {line}))
     size = g.num_vertices
     k = data.draw(st.integers(1, q + 1))
     labels = data.draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
@@ -157,18 +157,18 @@ def test_backtracking_agrees_with_brute():
 
 
 def test_enumerate_proper_partitions_counts():
-    s = connection_from_lines(3, 2, [(0, 1)])
+    s = ConnectionSet(3, 2, [(0, 1)])
     g = build_graph(s)
     got = sum(1 for _ in enumerate_proper_partitions(g))
     assert got == 36
     assert got == brute_partition_count(_neighbors(g), 3)
-    s3 = connection_from_lines(3, 2, [(0, 1), (1, 1), (2, 1)])
+    s3 = ConnectionSet(3, 2, [(0, 1), (1, 1), (2, 1)])
     g3 = build_graph(s3)
     assert sum(1 for _ in enumerate_proper_partitions(g3)) == 1
 
 
 def test_enumerate_proper_partitions_yields_proper():
-    s = connection_from_lines(3, 2, [(0, 1), (1, 1)])
+    s = ConnectionSet(3, 2, [(0, 1), (1, 1)])
     g = build_graph(s)
     seen = set()
     for c in enumerate_proper_partitions(g):
@@ -180,10 +180,20 @@ def test_enumerate_proper_partitions_yields_proper():
 
 
 def test_enumerate_limit():
-    s = connection_from_lines(3, 2, [(0, 1)])
+    s = ConnectionSet(3, 2, [(0, 1)])
     g = build_graph(s)
     with pytest.raises(EnumerationLimitExceeded):
         list(enumerate_proper_partitions(g, limit=5))
+
+
+def test_enumerate_deeper_than_recursion_limit():
+    # 2,187 vertices and no edges: the first partition puts every vertex in
+    # class 0, and the second is over the limit
+    g = build_graph(ConnectionSet(3, 7, []))
+    partitions = enumerate_proper_partitions(g, limit=1)
+    assert next(partitions) == Coloring(1, (0,) * 2187)
+    with pytest.raises(EnumerationLimitExceeded):
+        next(partitions)
 
 
 def test_plus_zero_recolor():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,8 +6,15 @@ import random
 import pytest
 
 from linecayley.autgroup import automorphism_group
-from linecayley.cayley import ConnectionSet, build_graph, connection_from_lines, sample_connection_set
-from linecayley.coloring import Coloring, coloring_from_classes, coset_coloring, is_proper, plus_zero_recolor
+from linecayley.cayley import ConnectionSet, build_graph, sample_connection_set
+from linecayley.coloring import (
+    Coloring,
+    coloring_from_classes,
+    coset_coloring,
+    enumerate_proper_partitions,
+    is_proper,
+    plus_zero_recolor,
+)
 from linecayley.distinguishing import (
     _fixing_translations,
     chi_D_exceeds_q_small,
@@ -27,7 +35,7 @@ from oracles import (
 
 def graph_and_aut(q, n, lines=None, seed=None, p=0.5):
     if lines is not None:
-        s = connection_from_lines(q, n, lines)
+        s = ConnectionSet(q, n, lines)
     else:
         s = sample_connection_set(q, n, p, seed)
     g = build_graph(s)
@@ -87,6 +95,40 @@ def test_exceeds_q_single_line():
         assert is_proper(g, coloring)
         assert tuple(w) != tuple(range(9))
         assert all(coloring.class_of[w[x]] == coloring.class_of[x] for x in range(9))
+
+
+def test_partition_order_is_pinned():
+    # the sha256 of the class_of sequence listed over each family, and every
+    # verdict's partition count, recorded before the listing moved onto
+    # permgroup.leaves; the sweep prints the count, and the verdict stops at
+    # the first distinguishing partition, so the order is part of the output
+    u2, u3 = line_universe(3, 2), line_universe(3, 3)
+    families = {
+        (3, 2): (
+            [c for k in range(1, 4) for c in itertools.combinations(u2, k)],
+            115,
+            "bd54e2d221368f7d7d8aed8a49ae7177e8a5e024eb5cbf2e6bb69f6b0d4b3ed9",
+            [36, 36, 36, 2, 2, 2, 1],
+        ),
+        (3, 3): (
+            [c for k in range(2, 7) for c in itertools.islice(itertools.combinations(u3, k), 0, 60, 6)],
+            1852,
+            "6c30da295d1fa9eed9ffa6f10ad6afc6bc64d58d847607b5621babbd0f518bf5",
+            [288] * 6 + [36] + [4] * 9 + [2, 3, 3, 3, 2, 3, 2, 3, 2, 2, 2, 1, 2, 1, 2, 1, 1, 1]
+            + [2, 2, 2, 1, 1, 1, 1, 1, 1, 2, 1, 1],
+        ),
+    }
+    for (q, n), (subsets, total, digest, partitions) in families.items():
+        h = hashlib.sha256()
+        listed = 0
+        counts = []
+        for lines in subsets:
+            _, g, aut = graph_and_aut(q, n, lines)
+            for c in enumerate_proper_partitions(g):
+                h.update(bytes(c.class_of))
+                listed += 1
+            counts.append(chi_D_exceeds_q_small(g, aut).partitions)
+        assert (listed, h.hexdigest(), counts) == (total, digest, partitions), (q, n)
 
 
 def test_exceeds_q_rejects_empty():
@@ -151,7 +193,7 @@ def test_translation_fixing_witnesses():
 def test_translation_witnesses_need_hyperplane_classes():
     # proper for the single-line graph, but the classes are not parallel cosets
     c = coloring_from_classes([[0, 1, 8], [2, 3, 4], [5, 6, 7]], 9)
-    g = build_graph(connection_from_lines(3, 2, [(0, 1)]))
+    g = build_graph(ConnectionSet(3, 2, [(0, 1)]))
     assert is_proper(g, c)
     assert translation_fixing_witnesses(c, 3, 2) == []
 

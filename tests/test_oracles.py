@@ -1,6 +1,6 @@
 import pytest
 
-from linecayley.cayley import ConnectionSet, connection_from_lines
+from linecayley.cayley import ConnectionSet
 from linecayley.errors import BudgetExceeded
 from linecayley.field import mat_apply
 from oracles import enumerate_gl, linear_maps_fixing_connection
@@ -12,10 +12,10 @@ def test_enumerate_gl_budget():
 
 
 def test_linear_maps_fixing_connection():
-    s1 = connection_from_lines(3, 2, [(0, 1)])
+    s1 = ConnectionSet(3, 2, [(0, 1)])
     maps1 = linear_maps_fixing_connection(s1)
     assert len(maps1) == 12
-    s3 = connection_from_lines(3, 2, [(0, 1), (1, 1), (2, 1)])
+    s3 = ConnectionSet(3, 2, [(0, 1), (1, 1), (2, 1)])
     maps3 = linear_maps_fixing_connection(s3)
     assert len(maps3) == 12
     for m in maps1:

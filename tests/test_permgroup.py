@@ -3,16 +3,18 @@ import random
 import pytest
 
 from linecayley.autgroup import automorphism_group
-from linecayley.cayley import build_graph, connection_from_lines, sample_connection_set
+from linecayley.cayley import ConnectionSet, build_graph, sample_connection_set
 from linecayley.coloring import coset_coloring
 from linecayley.field import affine_ids
 from linecayley.permgroup import (
     PermGroup,
     classes_to_labels,
     compose,
+    depth_first,
     fixes_labels,
     fixing_subgroup_of_partition,
     inverse_perm,
+    leaves,
     scalar_affine_group,
 )
 from oracles import brute_fix_count, group_elements
@@ -128,7 +130,7 @@ def test_classes_to_labels():
 
 
 def test_fixing_subgroup_of_coset_partition():
-    s = connection_from_lines(3, 2, [(0, 1), (1, 1), (2, 1)])
+    s = ConnectionSet(3, 2, [(0, 1), (1, 1), (2, 1)])
     g = build_graph(s)
     c = coset_coloring(g)
     k = scalar_affine_group(3, 2)
@@ -179,3 +181,40 @@ def test_fixing_subgroup_matches_brute_on_random_partitions():
             for p in fix.generators:
                 assert group.contains(p)
                 assert all(labels[p[x]] == labels[x] for x in range(degree))
+
+
+# a small explicit tree: node -> children, depth 0 at "r"
+TREE = {"r": ["a", "b", "c"], "a": ["a1", "a2"], "b": [], "c": ["c1"]}
+
+
+def _tree_children(depth, node):
+    return iter(TREE.get(node, []))
+
+
+def test_leaves_at_start_depth_is_the_root():
+    def children(depth, node):
+        raise AssertionError("no node is expanded")
+
+    assert list(leaves("r", 3, 3, children)) == ["r"]
+    assert depth_first("r", 3, 3, children, lambda node: node + "!") == "r!"
+
+
+def test_leaves_in_depth_first_order():
+    assert list(leaves("r", 0, 1, _tree_children)) == ["a", "b", "c"]
+    assert list(leaves("r", 0, 2, _tree_children)) == ["a1", "a2", "c1"]
+
+
+def test_depth_first_stops_at_first_result():
+    seen = []
+
+    def leaf(node):
+        seen.append(node)
+        return None if node == "a1" else node.upper()
+
+    assert depth_first("r", 0, 2, _tree_children, leaf) == "A2"
+    assert seen == ["a1", "a2"]
+    assert depth_first("r", 0, 2, _tree_children, lambda node: None) is None
+
+
+def test_leaves_deep_chain_has_no_recursion_limit():
+    assert list(leaves(0, 0, 5000, lambda depth, node: [node + 1])) == [5000]
