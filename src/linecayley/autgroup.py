@@ -24,8 +24,9 @@ dropped at the first difference.  A leaf maps the leftmost leaf onto
 itself, and it is kept when it maps every neighbourhood v + S onto
 p(v) + S.  The scalar-affine group seeds the generator pool, whose orbits
 prune sibling branches; a node budget turns long searches into an
-explicitly incomplete result instead of a wrong one.  The pool is a strong
-generating set on the base, so the group is built without a closure.
+explicitly incomplete result instead of a wrong one.  The PermGroup
+constructor completes the levels deepest first, growing the pool into a
+strong generating set on the base, so the group is built without a closure.
 """
 
 from collections import Counter, deque
@@ -37,9 +38,7 @@ from .errors import BudgetExceeded
 from .field import (
     decode, encode, is_scalar_matrix, mat_apply, mat_inverse, mat_mul, rank, vec_add, vec_scale,
 )
-from .permgroup import (
-    PermGroup, complete_levels, depth_first, point_orbit, scalar_affine_generators,
-)
+from .permgroup import PermGroup, depth_first, scalar_affine_generators, schreier_vector
 
 
 @dataclass
@@ -60,12 +59,13 @@ def _preserves_neighbors(neighbors, p):
 
 def _orbit_count(gens, degree):
     """Number of orbits of the group the generators span on range(degree)."""
+    gens = list(enumerate(gens))
     seen = set()
     count = 0
     for x in range(degree):
         if x not in seen:
             count += 1
-            seen |= point_orbit(x, gens)
+            seen.update(schreier_vector(x, gens))
     return count
 
 
@@ -234,16 +234,16 @@ class _Search:
         return depth_first(path[level][0], level, len(path), children, lambda p: self._leaf(p.lab))
 
     def stabilize(self):
-        """Find the base, then grow the pool until it is a strong generating
-        set on it.
+        """Find the base, then return the group whose constructor grows the
+        pool into a strong generating set on it.
 
         The unit partition is equitable, because a Cayley graph is regular,
         so it is the root without refinement.  Refinement never splits an
         orbit of the pool elements fixing the individualized points, and
         that orbit partition is equitable, so a node's refinement stops once
         it has as many cells as they have orbits (V when there are none).
-        Levels are then completed deepest first (complete_levels): one
-        automorphism for each point of a level's target cell outside the
+        The PermGroup constructor then completes the levels deepest first:
+        one automorphism for each point of a level's target cell outside the
         orbit of its base point, if there is one, joins the pool.
         """
         self._tick()
@@ -267,7 +267,10 @@ class _Search:
             part, s, _, _ = path[level]
             return part.lab[s + 1 : s + part.size[s]]
 
-        complete_levels(self.base, self.pool, candidates, lambda k, w: self._find_iso(path, k, w))
+        def find(level, w):
+            return self._find_iso(path, level, w)
+
+        return PermGroup(self.degree, self.base, self.pool, candidates, find)
 
 
 def automorphism_group(graph, node_budget=200000):
@@ -280,13 +283,12 @@ def automorphism_group(graph, node_budget=200000):
     k_gens = scalar_affine_generators(graph.q, graph.n)
     search = _Search(graph.neighbor_ids, graph.neighbor_masks, degree, k_gens, node_budget)
     try:
-        search.stabilize()
+        group = search.stabilize()
     except BudgetExceeded:
         # report what was found; the span of a truncated pool has no
         # trustworthy order, so no group is materialized
-        return AutResult(None, False, search.nodes, tuple(search.pool))
-    gens = tuple(search.pool)
-    return AutResult(PermGroup(degree, search.base, gens), True, search.nodes, gens)
+        group = None
+    return AutResult(group, group is not None, search.nodes, tuple(search.pool))
 
 
 def is_automorphism(graph, p):

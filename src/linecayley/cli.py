@@ -172,6 +172,8 @@ def cmd_distinguish(args):
 def cmd_experiment(args):
     start = time.perf_counter()
     if args.sweep_all_subsets:
+        if args.format != "json":
+            raise ValueError("--sweep-all-subsets prints its census as JSON only")
         rows = sweep_all_line_subsets(
             args.q, args.n, enum_limit=args.budget_enum, node_budget=args.budget_nodes
         )

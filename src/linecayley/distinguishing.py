@@ -72,7 +72,6 @@ def _class_fixing_witness(graph, aut, coloring):
 class ExceedsVerdict:
     exceeds: bool
     partitions: int
-    pairs: list
     failing: object
 
 
@@ -86,15 +85,12 @@ def chi_D_exceeds_q_small(graph, aut, limit=10**6):
     if not graph.connection.lines:
         raise ValueError("not applicable: the empty graph is properly 1-colorable")
     _as_group(aut)
-    pairs = []
     count = 0
     for coloring in enumerate_proper_partitions(graph, limit=limit):
         count += 1
-        witness = _class_fixing_witness(graph, aut, coloring)
-        if witness is None:
-            return ExceedsVerdict(False, count, pairs, coloring)
-        pairs.append((coloring, witness))
-    return ExceedsVerdict(True, count, pairs, None)
+        if _class_fixing_witness(graph, aut, coloring) is None:
+            return ExceedsVerdict(False, count, coloring)
+    return ExceedsVerdict(True, count, None)
 
 
 def chi_D_upper_certificate(graph, aut):

@@ -2,14 +2,14 @@
 
 Permutations are image tuples; compose(p, r) applies r first.  A PermGroup
 is built from a base and a strong generating set relative to it, which every
-group here comes with: K's is written down, the automorphism search finds
-one on its individualization path, and the class-fixing search one on its
-input group's base.  Each level's orbit is a BFS in generator order, which
-gives exact order and membership tests without a Schreier-Sims closure.
-Every backtrack in the package runs on the one explicit stack of leaves:
-each group search is depth_first over a tree of images, and the listing of
-proper partitions in coloring walks a tree of partial class assignments.
-Every generator search is complete_levels over a base.
+group here comes with: K's is written down, and the automorphism and
+class-fixing searches find theirs as the PermGroup constructor completes
+each level of the chain, deepest first.  Each level's orbit is a BFS in
+generator order (schreier_vector), which gives exact order and membership
+tests without a Schreier-Sims closure.  Every backtrack in the package runs
+on the one explicit stack of leaves: each group search is depth_first over
+a tree of images, and the listing of proper partitions in coloring walks a
+tree of partial class assignments.
 """
 
 import math
@@ -38,11 +38,17 @@ class PermGroup:
     """The group spanned by a strong generating set relative to a known base.
 
     For every k, the generators fixing base[:k] must generate the pointwise
-    stabilizer of base[:k].  The constructor trusts this and only computes
-    each level's Schreier vector.
+    stabilizer of base[:k].  Without candidates and find, the constructor
+    trusts this and only computes each level's Schreier vector.  With them,
+    it first completes each level, deepest first (Leon, 1991): each point x
+    of candidates(k) outside the orbit of base[k] so far goes to find(k, x),
+    which returns an element fixing base[:k] and mapping base[k] to x, or
+    None.  Each element found is appended to the generators and to the
+    caller's list, so an exception raised by find leaves the caller the
+    elements found before it.
     """
 
-    def __init__(self, degree, base, generators):
+    def __init__(self, degree, base, generators, candidates=None, find=None):
         self.degree = degree
         self._identity = tuple(range(degree))
         self._base = tuple(base)
@@ -61,21 +67,23 @@ class PermGroup:
             seen.add(g)
             self.generators.append(g)
             levels.append(level)
-        self._invs = [inverse_perm(g) for g in self.generators]
+
+        def vector(k):
+            gens = enumerate(self.generators)
+            return schreier_vector(self._base[k], [(i, g) for i, g in gens if levels[i] >= k])
+
         # per level: point -> index of the generator reaching it (None at
         # the base point), in the BFS order of the orbit
-        self._svs = []
-        for k, b in enumerate(self._base):
-            idxs = [i for i, level in enumerate(levels) if level >= k]
-            sv = {b: None}
-            orbit = [b]
-            for x in orbit:
-                for i in idxs:
-                    y = self.generators[i][x]
-                    if y not in sv:
-                        sv[y] = i
-                        orbit.append(y)
-            self._svs.append(sv)
+        self._svs = [None] * len(self._base)
+        for k in reversed(range(len(self._base))):
+            self._svs[k] = vector(k)
+            for x in candidates(k) if candidates else ():
+                if x not in self._svs[k] and (g := find(k, x)) is not None:
+                    generators.append(g)
+                    self.generators.append(g)
+                    levels.append(k)
+                    self._svs[k] = vector(k)
+        self._invs = [inverse_perm(g) for g in self.generators]
 
     def _rep(self, k, x):
         """Transversal element mapping base[k] to x."""
@@ -178,11 +186,12 @@ def fixing_subgroup_of_partition(group, labels):
     """Subgroup of elements preserving every point's label, that is, fixing
     every class of the partition setwise.
 
-    Its generators are found over the chain of `group` by complete_levels.
-    At level k, a point x of base[k]'s orbit with base[k]'s label names the
-    coset of elements mapping base[k] to x; the first label-preserving one
-    found by the walk, which prunes base images that change their label,
-    becomes a generator.  They are strong on the same base.
+    Its generators are found over the chain of `group` as the returned
+    group's levels are completed.  At level k, a point x of base[k]'s
+    orbit with base[k]'s label names the coset of elements mapping base[k]
+    to x; the first label-preserving one found by the walk, which prunes
+    base images that change their label, becomes a generator.  They are
+    strong on the same base.
     """
     if len(labels) != group.degree:
         raise ValueError(f"{len(labels)} labels for a group of degree {group.degree}")
@@ -201,19 +210,23 @@ def fixing_subgroup_of_partition(group, labels):
     def find(k, x):
         return group.walk(k + 1, len(base), group._rep(k, x), images, leaf)
 
-    return PermGroup(group.degree, base, complete_levels(base, [], candidates, find))
+    return PermGroup(group.degree, base, [], candidates, find)
 
 
-def point_orbit(point, gens):
-    """The set of images of point under the group the generators span."""
-    orbit = {point}
-    frontier = [point]
-    for x in frontier:
-        for g in gens:
-            if g[x] not in orbit:
-                orbit.add(g[x])
-                frontier.append(g[x])
-    return orbit
+def schreier_vector(point, gens):
+    """{x: label of the generator that first reached x} over the orbit of
+    point, point itself mapping to None, for (label, generator) pairs gens.
+    Its keys are the orbit in BFS order, the generators taken in the order
+    given."""
+    sv = {point: None}
+    orbit = [point]
+    for x in orbit:
+        for i, g in gens:
+            y = g[x]
+            if y not in sv:
+                sv[y] = i
+                orbit.append(y)
+    return sv
 
 
 def leaves(root, start, end, children):
@@ -243,21 +256,3 @@ def depth_first(root, start, end, children, leaf):
         if (found := leaf(node)) is not None:
             return found
     return None
-
-
-def complete_levels(base, gens, candidates, find):
-    """Grow gens into a strong generating set on base, deepest level first
-    (Leon, 1991), and return it.  At level k, each point of candidates(k)
-    outside the orbit of base[k] under the generators fixing base[:k] goes
-    to find(k, x), which returns an element fixing base[:k] and mapping
-    base[k] to x, or None; each element found joins gens."""
-    given = len(gens)  # the elements found later fix base[:k] by construction
-    for k in reversed(range(len(base))):
-        fixed = [g for g in gens[:given] if all(g[b] == b for b in base[:k])] + gens[given:]
-        reached = point_orbit(base[k], fixed)
-        for x in candidates(k):
-            if x not in reached and (g := find(k, x)) is not None:
-                gens.append(g)
-                fixed.append(g)
-                reached = point_orbit(base[k], fixed)
-    return gens

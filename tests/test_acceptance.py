@@ -19,8 +19,13 @@ from linecayley.bounds import (
 )
 from linecayley.cayley import ConnectionSet, build_graph, sample_connection_set
 from linecayley.cli import main
-from linecayley.coloring import coloring_from_classes, exact_chromatic_number, is_proper
-from linecayley.distinguishing import chi_D_exceeds_q_small
+from linecayley.coloring import (
+    coloring_from_classes,
+    enumerate_proper_partitions,
+    exact_chromatic_number,
+    is_proper,
+)
+from linecayley.distinguishing import _class_fixing_witness, chi_D_exceeds_q_small
 from linecayley.field import affine_ids, decode, is_prime, is_scalar_matrix
 from linecayley.geometry import line_universe
 from linecayley.permgroup import scalar_affine_group
@@ -184,7 +189,8 @@ def test_criterion_06_distinguishing_exceeds_q():
     verdict = chi_D_exceeds_q_small(g, aut)
     if not verdict.exceeds or verdict.partitions != 1:
         failures.append(f"exhaustive check off: {verdict.exceeds}, {verdict.partitions}")
-    for coloring, w in verdict.pairs:
+    for coloring in enumerate_proper_partitions(g):
+        w = _class_fixing_witness(g, aut, coloring)
         if tuple(w) != tuple(affine_ids(3, 2, 1, decode(w[0], 3, 2))):
             failures.append("witness is not a translation")
     rows = sweep_all_line_subsets()

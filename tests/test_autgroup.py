@@ -25,7 +25,8 @@ from linecayley.cayley import (
     id_mask,
     sample_connection_set,
 )
-from linecayley.coloring import coset_coloring, plus_zero_recolor
+from linecayley.coloring import coset_coloring, exact_chromatic_number, plus_zero_recolor
+from linecayley.distinguishing import is_distinguishing
 from linecayley.errors import BudgetExceeded
 from linecayley.field import affine_ids, is_scalar_matrix, mat_apply, rank
 from linecayley.geometry import line_universe
@@ -203,6 +204,69 @@ def test_split_traces_are_pinned():
         generators = json.dumps([list(g) for g in aut.group.generators]).encode()
         found = (aut.nodes, aut.group.base(), hashlib.sha256(generators).hexdigest())
         assert found == (nodes, base, digest), (q, n, seed)
+
+
+def test_chain_orbits_and_witnesses_are_pinned():
+    # the sha256 of the JSON of every level's orbit and of the dichotomy
+    # witness; the chi coloring's class-fixing order and witness; and the
+    # pool a budget leaves when it runs out while the levels are completed
+    # (the leftmost path takes 10 nodes).  Each depends on the order in
+    # which every level's BFS meets the generators
+    def digest(x):
+        return hashlib.sha256(json.dumps(x).encode()).hexdigest()
+
+    cases = {
+        (3, 4, 0.5, 2): (
+            "c994a963a3bd9678b62795c98672cc65cc68ec409a38f282050837e39ab1e7ad",
+            "4bfd444b65cb6959796d0ae46b6c8c6e935302bb35ea2dc66673f5f795695a8a",
+        ),
+        (3, 3, 0.75, 1): (
+            "620858cd0f2c03e13c5c10148808ca71a134d419c8b2bdf83e46d3e25ee3c0f7",
+            "9822599af4d0691417c1f0b11a04b2399142a189a0202e9d48ddad5dc7ed9fe6",
+        ),
+        (3, 3, 0.75, 2): (
+            "1bc202d0648e1c34780f4396d9ecff3d6ba79958fe33fea8468c36b04234c8d3",
+            "30fd8439a14749584f23340fcaa8042dd80ea5a5b9e6535ec25e217d093c3aec",
+        ),
+        (3, 3, 0.75, 3): (
+            "6f26d589116cc8d0c8318c98dae65482ebc2d72b548af5fa210aaf583e9bc233",
+            "30efdc7f29b6013253fc3e582a9f71a03e5cb7361aa6f97535e2c3bd5bbe9fb1",
+        ),
+        (3, 3, 0.75, 4): (
+            "9251d7afe317c7a6511905cbc54b960c1e55f4a8c7905a2fad3b59a132b09c54",
+            "8006e399329d7ad1dbe46b6302935f167a6159452ef7a05ea8705526eb9b2fdd",
+        ),
+        (3, 3, 0.75, 5): (
+            "be65ca223060b1df2ac2e469c86058a85f7be1ebfd9ed05b93787941a1df42be",
+            "da36f730f65fda7e71569e5d86c73f396670c441fe3d2256005d7879d4601ba3",
+        ),
+        (3, 3, 0.75, 6): (
+            "b97b3f63a19b5ee4e7dfebaf92f604141836578e7d7c5c682342aead24e019e5",
+            "37a360eb99ab72629ecdfb551a9737f7f91c89b9bba5872fafa845c81ded5d25",
+        ),
+        (3, 3, 0.75, 7): (
+            "ba6874a33fbf787644d9d0bea7acd1048a0fe8ad0628dea3d7207b3c1dfc46a6",
+            "8006e399329d7ad1dbe46b6302935f167a6159452ef7a05ea8705526eb9b2fdd",
+        ),
+    }
+    for (q, n, p, seed), want in cases.items():
+        g = build_graph(sample_connection_set(q, n, p, seed))
+        aut = automorphism_group(g)
+        orbits = [list(aut.group.orbit(k)) for k in range(len(aut.group.base()))]
+        found = (digest(orbits), digest(dichotomy_check(g, aut)["witness"]))
+        assert found == want, (q, n, p, seed)
+    g = build_graph(sample_connection_set(3, 3, 0.75, 3))
+    rep = is_distinguishing(exact_chromatic_number(g).coloring, automorphism_group(g))
+    assert (rep.fixing_order, digest(list(rep.witness))) == (
+        362880,
+        "0c80a04d6fa4fe9581001fbf593c2c0d1805e30936b55af3d1080e1c698738fe",
+    )
+    aut = automorphism_group(g, node_budget=20)
+    assert not aut.complete
+    assert (len(aut.pool), digest([list(x) for x in aut.pool])) == (
+        8,
+        "c69e0703e31149acf1c7f90b51e5558c23b0980b2300970a7aa861014141bc3d",
+    )
 
 
 def _cells_after_individualizing(g, v, stop):

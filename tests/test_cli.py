@@ -295,6 +295,15 @@ def test_sweep_budget_exhaustion(capsys):
     assert "exceeded 1 nodes" in captured.err
 
 
+def test_sweep_rejects_csv_format(capsys):
+    code = main(["experiment", "--q", "3", "--n", "2", "--sweep-all-subsets",
+                 "--format", "csv", "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_chi_has_no_budget_flags(capsys):
     for flag in ("--budget-nodes", "--budget-enum"):
         with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,7 @@ from linecayley.coloring import (
     plus_zero_recolor,
 )
 from linecayley.distinguishing import (
+    _class_fixing_witness,
     _fixing_translations,
     chi_D_exceeds_q_small,
     chi_D_upper_certificate,
@@ -40,6 +41,12 @@ def graph_and_aut(q, n, lines=None, seed=None, p=0.5):
         s = sample_connection_set(q, n, p, seed)
     g = build_graph(s)
     return s, g, automorphism_group(g)
+
+
+def witness_pairs(g, aut):
+    """Every proper partition into at most q classes, in listing order, with
+    the class-fixing witness the exhaustive verdict finds for it."""
+    return [(c, _class_fixing_witness(g, aut, c)) for c in enumerate_proper_partitions(g)]
 
 
 def test_singleton_coloring_distinguishing():
@@ -77,8 +84,9 @@ def test_exceeds_q_all_three_lines():
     assert v.exceeds
     assert v.partitions == 1
     assert v.failing is None
-    assert len(v.pairs) == 1
-    coloring, w = v.pairs[0]
+    pairs = witness_pairs(g, aut)
+    assert len(pairs) == 1
+    coloring, w = pairs[0]
     assert is_proper(g, coloring)
     assert tuple(w) != tuple(range(9))
     assert aut.group.contains(tuple(w))
@@ -90,8 +98,9 @@ def test_exceeds_q_single_line():
     v = chi_D_exceeds_q_small(g, aut)
     assert v.exceeds
     assert v.partitions == 36
-    assert len(v.pairs) == 36
-    for coloring, w in v.pairs:
+    pairs = witness_pairs(g, aut)
+    assert len(pairs) == 36
+    for coloring, w in pairs:
         assert is_proper(g, coloring)
         assert tuple(w) != tuple(range(9))
         assert all(coloring.class_of[w[x]] == coloring.class_of[x] for x in range(9))
@@ -236,8 +245,10 @@ def test_fixing_translations_match_full_scan():
         for lines in itertools.combinations(universe, r):
             _, g, aut = graph_and_aut(3, 2, lines=lines)
             verdict = chi_D_exceeds_q_small(g, aut)
-            assert len(verdict.pairs) == verdict.partitions
-            for coloring, witness in verdict.pairs:
+            pairs = witness_pairs(g, aut)
+            assert len(pairs) == verdict.partitions
+            for coloring, witness in pairs:
+                assert witness is not None
                 scan = first_fixing_translation_by_scan(coloring.class_of, 3, 2)
                 if scan is not None:
                     assert witness == scan
