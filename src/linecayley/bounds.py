@@ -1,9 +1,10 @@
 """Quantitative bound evaluation and Monte-Carlo experiment drivers.
 
 Probability bounds are evaluated exactly (big integers and rationals) with a
-log2-scale rendering for quantities far below floating range.  Experiment
-trials derive independent seeds from a master seed by hashing, so any record
-can be replayed in isolation and parallel runs aggregate identically.
+log2-scale rendering for quantities far below floating range, and in log
+space alone past EXACT_TRIALS.  Experiment trials derive independent seeds
+from a master seed by hashing, so any record can be replayed in isolation and
+parallel runs aggregate identically.
 """
 
 import hashlib
@@ -38,14 +39,44 @@ def exact_binomial_tail(n_trials, t):
     return Fraction(_binomial_prefix_sum(n_trials, t), 1 << n_trials)
 
 
+# the most trials whose tail is summed exactly and printed as a fraction
+EXACT_TRIALS = 2048
+
+
 def binomial_tail_log2(n_trials, t):
-    """log2 of P(X <= t) for X ~ Binomial(n_trials, 1/2)."""
+    """log2 of P(X <= t) for X ~ Binomial(n_trials, 1/2).
+
+    Past EXACT_TRIALS, for t < n_trials / 2, it is read in log space: lgamma
+    gives C(n_trials, t), and the terms below it fall geometrically, each the
+    last times j / (n_trials - j + 1), until one no longer changes their sum.
+    """
     if t < 0:
         return float("-inf")
-    total = _binomial_prefix_sum(n_trials, t)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        return float(Decimal(total).ln() / Decimal(2).ln() - n_trials)
+    if n_trials <= EXACT_TRIALS or 2 * t >= n_trials:
+        total = _binomial_prefix_sum(n_trials, t)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return float(Decimal(total).ln() / Decimal(2).ln() - n_trials)
+    log_comb = math.lgamma(n_trials + 1) - math.lgamma(t + 1) - math.lgamma(n_trials - t + 1)
+    total = term = 1.0
+    for j in range(t, 0, -1):
+        term *= j / (n_trials - j + 1)
+        if total + term == total:
+            break
+        total += term
+    return (log_comb + math.log(total)) / math.log(2) - n_trials
+
+
+def _tail_reading(num_lines, t, closed_log2):
+    """One size reading of chernoff_report: the tail P(X <= t), exact up to
+    EXACT_TRIALS lines, and its log2 against the closed-form bound's."""
+    log2 = binomial_tail_log2(num_lines, t)
+    return {
+        "tail_at": t,
+        "exact": str(exact_binomial_tail(num_lines, t)) if num_lines <= EXACT_TRIALS else None,
+        "log2": log2,
+        "le_closed_form": log2 <= closed_log2,
+    }
 
 
 def _trial_seed(master, index):
@@ -84,9 +115,6 @@ def chernoff_report(q, n, trials=0, seed=None):
         exponent = Decimal(q) ** (n - 3) / 4
         closed_log2 = float(-exponent / Decimal(2).ln())
         closed_value = float((-exponent).exp())
-    line_log2 = binomial_tail_log2(num_lines, t_lines)
-    element_log2 = binomial_tail_log2(num_lines, t_elements)
-    exact_ok = num_lines <= 2048
     report = {
         "q": q,
         "n": n,
@@ -94,18 +122,8 @@ def chernoff_report(q, n, trials=0, seed=None):
         "threshold": threshold,
         "closed_form_bound": closed_value,
         "closed_form_bound_log2": closed_log2,
-        "line_reading": {
-            "tail_at": t_lines,
-            "exact": str(exact_binomial_tail(num_lines, t_lines)) if exact_ok else None,
-            "log2": line_log2,
-            "le_closed_form": line_log2 <= closed_log2,
-        },
-        "element_reading": {
-            "tail_at": t_elements,
-            "exact": str(exact_binomial_tail(num_lines, t_elements)) if exact_ok else None,
-            "log2": element_log2,
-            "le_closed_form": element_log2 <= closed_log2,
-        },
+        "line_reading": _tail_reading(num_lines, t_lines, closed_log2),
+        "element_reading": _tail_reading(num_lines, t_elements, closed_log2),
         "trials": trials,
         "seed": seed,
         "empirical": None,
@@ -144,9 +162,9 @@ def aut_union_bound(q, n):
     b = q ** (n - 2)
     # q^(6 n^2) < 2^(3(a-b-1) - 2a) after multiplying the log2 chain by 6
     e3 = a - 3 * b - 3
-    chain_holds = e3 > 0 and q ** (6 * n * n) < (1 << e3)
+    chain_holds = e3 > 0 and (q ** (6 * n * n)).bit_length() <= e3
     gl = gl_order(q, n)
-    gl_holds = e3 > 0 and gl ** 6 < (1 << e3)
+    gl_holds = e3 > 0 and (gl ** 6).bit_length() <= e3
     lhs_log2 = n * n * math.log2(q) - (a - b - 1) / 2
     rhs_log2 = -a / 3
     return {

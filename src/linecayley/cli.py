@@ -26,7 +26,7 @@ from .bounds import (
     trial_rows,
 )
 from .cayley import ConnectionSet, build_graph, sample_connection_set
-from .coloring import Coloring, exact_chromatic_number
+from .coloring import Coloring, exact_chromatic_number, is_proper
 from .distinguishing import chi_D_upper_certificate, is_distinguishing
 from .errors import BudgetExceeded, InvariantViolation
 from .geometry import line_universe
@@ -156,6 +156,8 @@ def cmd_distinguish(args):
         with open(args.coloring) as fh:
             c = Coloring.from_json_dict(json.load(fh))
         payload = is_distinguishing(c, aut).to_json_dict()
+        # a file is the one source of a coloring that can be improper
+        payload["proper"] = is_proper(g, c)
         payload["coloring"] = c.to_json_dict()
     else:
         cert = chi_D_upper_certificate(g, aut)

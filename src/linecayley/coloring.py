@@ -51,7 +51,9 @@ def coset_coloring(g):
     """Color x by its last coordinate x[n-1].
 
     The classes are the translates of the hyperplane {x[n-1] = 0}, each
-    independent because the connection set avoids that hyperplane.
+    independent because the connection set avoids that hyperplane:
+    `ConnectionSet` rejects a line inside it and checks v[n-1] != 0 for
+    every member v, so the coloring is proper without an edge scan.
     """
     if not g.connection.members:
         raise ValueError("empty connection set has no coset coloring")

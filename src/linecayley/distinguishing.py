@@ -10,7 +10,7 @@ for that group completes.
 
 from dataclasses import dataclass
 
-from .coloring import coset_coloring, enumerate_proper_partitions, is_proper, plus_zero_recolor
+from .coloring import coset_coloring, enumerate_proper_partitions, plus_zero_recolor
 from .field import affine_ids, decode
 from .permgroup import fixes_labels, fixing_subgroup_of_partition
 
@@ -96,13 +96,11 @@ def chi_D_exceeds_q_small(graph, aut, limit=10**6):
 def chi_D_upper_certificate(graph, aut):
     """The q+1 coloring that splits 0 off its coset class, when it certifies.
 
-    Returns the coloring if it is proper and distinguishing for the given
-    automorphism group, else None.
+    Returns the coloring if it is distinguishing for the given automorphism
+    group, else None.  It is always proper: each line of S meets the
+    hyperplane x[n-1] = 0 only at 0, so no edge joins two vertices of one
+    coset class, and the singleton {0} cannot hold an edge.  `ConnectionSet`
+    checks this when S is built, so no edge is scanned here.
     """
-    if not graph.connection.lines:
-        raise ValueError("empty connection set has no coset coloring")
-    _as_group(aut)
     cert = plus_zero_recolor(coset_coloring(graph))
-    if not is_proper(graph, cert):
-        return None
     return cert if is_distinguishing(cert, aut).distinguishing else None

@@ -6,6 +6,7 @@ import pytest
 
 from linecayley.bounds import (
     CSV_FIELDS,
+    EXACT_TRIALS,
     aut_union_bound,
     binomial_tail_log2,
     chernoff_report,
@@ -50,6 +51,40 @@ def test_log2_matches_exact():
         exact = float(math.log2(exact_binomial_tail(n_trials, t)))
         approx = binomial_tail_log2(n_trials, t)
         assert abs(exact - approx) < 1e-9
+
+
+def test_log_space_tail_matches_exact():
+    # past EXACT_TRIALS: chernoff_report's two readings at (5,6), (5,7) and
+    # (3,9), then random tails below n_trials / 2, each against the log2 of
+    # the exact fraction's numerator and denominator
+    def exact_log2(n_trials, t):
+        f = exact_binomial_tail(n_trials, t)
+        return math.log2(f.numerator) - math.log2(f.denominator)
+
+    for q, n in ((5, 6), (5, 7), (3, 9)):
+        num_lines = q ** (n - 1)
+        for t in ((num_lines - q ** (n - 2)) // 2 - 1, (q ** (n - 2) - 1) // 2):
+            exact = exact_log2(num_lines, t)
+            assert abs(binomial_tail_log2(num_lines, t) - exact) <= 1e-12 * abs(exact)
+    rng = random.Random(6)
+    for _ in range(25):
+        n_trials = rng.randrange(EXACT_TRIALS + 1, 6000)
+        t = rng.randrange(0, (n_trials + 1) // 2)
+        assert abs(binomial_tail_log2(n_trials, t) - exact_log2(n_trials, t)) < 1e-9
+
+
+def test_bounds_far_beyond_the_exact_range(deadline):
+    # 5^39 lines at n = 40: the union-bound chain compares bit lengths, and
+    # neither tail sums its terms one by one
+    deadline(5)
+    u = aut_union_bound(5, 40)
+    assert u["chain_holds"] is True
+    assert u["gl_refinement_holds"] is True
+    for n in (9, 10, 40):
+        r = chernoff_report(5, n)
+        assert r["line_reading"]["exact"] is None
+        assert r["line_reading"]["le_closed_form"] is True
+        assert r["element_reading"]["le_closed_form"] is True
 
 
 def test_simulation_matches_sampler():

@@ -10,7 +10,7 @@ import pytest
 import linecayley
 from linecayley.cayley import build_graph, sample_connection_set
 from linecayley.cli import main
-from linecayley.coloring import coset_coloring
+from linecayley.coloring import Coloring, coset_coloring, plus_zero_recolor
 from linecayley.field import is_scalar_matrix, mat_apply
 
 
@@ -176,6 +176,35 @@ def test_distinguish_given_coloring(capsys, tmp_path):
     assert d["distinguishing"] is False
     assert d["fixing_order"] == "25"
     assert "witness" in d
+
+
+def test_distinguish_reports_improper_coloring_file(capsys, tmp_path):
+    # the certificate with one neighbour u of 0 moved into 0's class: the
+    # edge {0, u} lies inside one class
+    g = build_graph(sample_connection_set(5, 3, 0.5, 42))
+    cert = plus_zero_recolor(coset_coloring(g))
+    labels = list(cert.class_of)
+    labels[g.neighbor_ids(0)[0]] = labels[0]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(Coloring(cert.num_colors, tuple(labels)).to_json_dict()))
+    code, out = run(capsys, "distinguish", "--q", "5", "--n", "3", "--seed", "42",
+                    "--coloring", str(path), "--no-meta")
+    assert code == 0
+    assert json.loads(out)["proper"] is False
+
+
+def test_distinguish_reads_back_its_certificate(capsys, tmp_path):
+    argv = ("distinguish", "--q", "5", "--n", "3", "--seed", "42", "--no-meta")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(json.loads(out)["coloring"]))
+    code, out = run(capsys, *argv, "--coloring", str(path))
+    assert code == 0
+    d = json.loads(out)
+    assert d["proper"] is True
+    assert d["distinguishing"] is True
+    assert d["fixing_order"] == "1"
 
 
 def test_distinguish_dense_instance_finishes(capsys, deadline):

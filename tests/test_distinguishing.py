@@ -185,6 +185,25 @@ def test_certificate_rejects_empty():
         chi_D_upper_certificate(g, aut)
 
 
+def test_certificate_streams_no_neighbour_masks(deadline):
+    # the certificate is proper because no line of S lies in x[n-1] = 0,
+    # which ConnectionSet checks, so deciding it scans no edge
+    deadline(20)
+
+    def no_masks():
+        raise AssertionError("the certificate streamed the neighbour masks")
+
+    cases = (
+        (graph_and_aut(5, 3, seed=42), True),
+        (graph_and_aut(3, 2, lines=[(0, 1), (1, 1), (2, 1)]), False),
+        (graph_and_aut(3, 3, seed=1, p=1.0), False),
+    )
+    for (_, g, aut), found in cases:
+        g.neighbor_masks = no_masks
+        cert = chi_D_upper_certificate(g, aut)
+        assert cert == (plus_zero_recolor(coset_coloring(g)) if found else None)
+
+
 def test_translation_fixing_witnesses():
     s, g, aut = graph_and_aut(5, 3, seed=42)
     cc = coset_coloring(g)
