@@ -5,7 +5,10 @@ ordered partition whose cells are contiguous ranges of one vertex array
 (the layout of McKay & Piperno, *Practical Graph Isomorphism II*, 2014).  A
 cell is split by its vertices' neighbour counts into a splitter cell; the
 fragments take the cell's range in order of count, and the largest is not
-queued unless the cell was (Hopcroft's smaller-half rule, 1971).  The count
+queued unless the cell was (Hopcroft's smaller-half rule, 1971).  Most
+split cells have one count on their touched points: such a cell is split
+in two by a stable partition of its range, untouched points first, with no
+sort; only a cell with two or more counts is sorted by count.  The count
 of v against a splitter W is |(v + S) ∩ W|, read one of two ways: a small W
 as the multiset W + S from the graph's neighbour-id primitive, about |W|*|S|
 dict updates; a large one as the popcount of N(v) & W over the graph's
@@ -31,7 +34,7 @@ strong generating set on the base, so the group is built without a closure.
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, repeat
+from itertools import chain, compress, filterfalse, groupby, repeat
 
 from .cayley import id_mask
 from .errors import BudgetExceeded
@@ -158,26 +161,61 @@ class _Search:
         while queue and part.count < stop:
             w = queue.popleft()
             queued.discard(w)
-            splitter = lab[w : w + size[w]]
-            if len(splitter) * self.valency > self.mask_route_above:
-                counts = _counts_from_masks(masks, splitter, degree)
+            # the start of every cell to split -> (count, number touched)
+            # when its touched points share one count, else None; a cell is
+            # kept when all its points were touched, with one count
+            if size[w] == 1:
+                # a singleton {w} touches N(w), each point once
+                touched = neighbors(lab[w])
+                hit = set(touched).__contains__
+                hits = Counter(map(cell_of, touched))
+                split = {s: (1, m) for s, m in hits.items() if m != size[s]}
             else:
-                counts = _counts_from_ids(neighbors, splitter)
-            # a cell is split unless all its points were touched, with one count
-            pairs = Counter(zip(map(cell_of, counts), counts.values()))
-            for s in sorted({s for (s, _), k in pairs.items() if k != size[s]}):
+                splitter = lab[w : w + size[w]]
+                if len(splitter) * self.valency > self.mask_route_above:
+                    counts = _counts_from_masks(masks, splitter, degree)
+                else:
+                    counts = _counts_from_ids(neighbors, splitter)
+                hit = counts.__contains__
+                split = {}
+                for (s, c), m in Counter(zip(map(cell_of, counts), counts.values())).items():
+                    split[s] = None if s in split else (c, m)
+                split = {s: one for s, one in split.items() if one is None or one[1] != size[s]}
+            for s in sorted(split):
                 n = size[s]
+                one = split[s]
                 members = lab[s : s + n]
-                keys = list(map(counts.get, members, repeat(0)))
-                order = sorted(range(n), key=keys.__getitem__)
-                lab[s : s + n] = map(members.__getitem__, order)
-                frags = tuple((c, len(list(f))) for c, f in groupby(map(keys.__getitem__, order)))
+                if one is not None:
+                    # untouched points, then touched ones, each in lab order
+                    c, m = one
+                    members = [*filterfalse(hit, members), *filter(hit, members)]
+                    frags = ((0, n - m), (c, m))
+                else:
+                    keys = list(map(counts.get, members, repeat(0)))
+                    order = sorted(range(n), key=keys.__getitem__)
+                    members = list(map(members.__getitem__, order))
+                    frags = tuple((c, len(list(f))) for c, f in groupby(map(keys.__getitem__, order)))
                 event = (s, frags)
                 if expected is not None and (
                     len(trace) == len(expected) or expected[len(trace)] != event
                 ):
                     return None
                 trace.append(event)
+                lab[s : s + n] = members
+                part.count += len(frags) - 1
+                if one is not None:
+                    # Hopcroft's rule for two fragments: the touched one is
+                    # new, so not queued, and is queued unless the cell was
+                    # not and it is the larger
+                    t = s + n - m
+                    size[s], size[t] = n - m, m
+                    for v in members[n - m :]:
+                        cell[v] = t
+                    if s not in queued and m > n - m:
+                        t = s
+                    queue.append(t)
+                    queued.add(t)
+                    continue
                 sizes = [k for _, k in frags]
                 largest = None if s in queued else sizes.index(max(sizes))
                 t = s
@@ -190,7 +228,6 @@ class _Search:
                         queue.append(t)
                         queued.add(t)
                     t += k
-                part.count += len(frags) - 1
         if expected is not None and len(trace) != len(expected):
             return None
         return trace
@@ -296,9 +333,13 @@ def is_automorphism(graph, p):
 
 
 def group_equals_scalar_affine(group, q, n):
+    """Whether group is K: it has K's order and holds K's generators.  A
+    generator of K among the group's own, as the automorphism search's pool
+    starts out, is in it; only the others are sifted."""
     if group.order() != q ** n * (q - 1):
         return False
-    return all(group.contains(g) for g in scalar_affine_generators(q, n))
+    known = set(group.generators)
+    return all(g in known or group.contains(g) for g in scalar_affine_generators(q, n))
 
 
 def _linear_witness(graph, group):

@@ -7,9 +7,11 @@ per-vertex decode and encode instead of digit tables, edge-set comparison
 instead of adjacency masks, closure under products instead of a stabilizer
 chain, a scan of every matrix instead of a walk over the automorphism group,
 a lockstep refinement over adjacency bitmasks instead of the one-sided
-refinement over neighbour ids, one shift table per member of S instead of
-translates of N(0), an edge scan instead of streamed class masks, every
-nonzero translation instead of those into the class of 0.
+refinement over neighbour ids, a sort of every split cell by its counts
+instead of a two-way partition of each cell with one count, one shift table
+per member of S instead of translates of N(0), an edge scan instead of
+streamed class masks, every nonzero translation instead of those into the
+class of 0.
 
 The point-set geometry and the fixed-line counts at the end are not second
 copies of library code: the library computes neither.  They check the
@@ -19,8 +21,10 @@ translations on hyperplane-coset partitions.
 """
 
 import itertools
-from collections import deque
+from collections import Counter, deque
+from itertools import groupby, repeat
 
+from linecayley.autgroup import _counts_from_ids, _counts_from_masks
 from linecayley.distinguishing import _fixing_translations
 from linecayley.errors import BudgetExceeded
 from linecayley.field import (
@@ -208,6 +212,59 @@ def reference_individualized_cells(graph, v):
     rest = tuple(x for x in root if x != v)
     queue = deque([(1 << v,) * 2, (_cell_mask(rest),) * 2])
     return {frozenset(cl) for cl, _ in lockstep_refine(masks, [((v,), (v,)), (rest, rest)], queue)}
+
+
+def sorting_refine(search, part, queue, stop, expected):
+    """autgroup._Search._refine as it was when every split cell was sorted
+    by its points' counts and grouped into fragments, one key list, sort
+    and groupby per cell, whatever the number of distinct counts.
+
+    Same arguments, same in-place effect on part and queue, same return:
+    the trace of splits, or None once it departs from expected.
+    """
+    neighbors, masks, degree = search.neighbors, search.masks, search.degree
+    lab, cell, size = part.lab, part.cell, part.size
+    cell_of = cell.__getitem__
+    queued = set(queue)
+    trace = []
+    while queue and part.count < stop:
+        w = queue.popleft()
+        queued.discard(w)
+        splitter = lab[w : w + size[w]]
+        if len(splitter) * search.valency > search.mask_route_above:
+            counts = _counts_from_masks(masks, splitter, degree)
+        else:
+            counts = _counts_from_ids(neighbors, splitter)
+        pairs = Counter(zip(map(cell_of, counts), counts.values()))
+        for s in sorted({s for (s, _), k in pairs.items() if k != size[s]}):
+            n = size[s]
+            members = lab[s : s + n]
+            keys = list(map(counts.get, members, repeat(0)))
+            order = sorted(range(n), key=keys.__getitem__)
+            lab[s : s + n] = map(members.__getitem__, order)
+            frags = tuple((c, len(list(f))) for c, f in groupby(map(keys.__getitem__, order)))
+            event = (s, frags)
+            if expected is not None and (
+                len(trace) == len(expected) or expected[len(trace)] != event
+            ):
+                return None
+            trace.append(event)
+            sizes = [k for _, k in frags]
+            largest = None if s in queued else sizes.index(max(sizes))
+            t = s
+            for j, k in enumerate(sizes):
+                size[t] = k
+                if t != s:
+                    for v in lab[t : t + k]:
+                        cell[v] = t
+                if j != largest and t not in queued:
+                    queue.append(t)
+                    queued.add(t)
+                t += k
+            part.count += len(frags) - 1
+    if expected is not None and len(trace) != len(expected):
+        return None
+    return trace
 
 
 def edge_set(graph):

@@ -4,7 +4,7 @@ import json
 import math
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -35,6 +35,7 @@ from linecayley.permgroup import (
     compose,
     fixing_subgroup_of_partition,
     inverse_perm,
+    scalar_affine_generators,
     scalar_affine_group,
 )
 from oracles import (
@@ -48,6 +49,7 @@ from oracles import (
     linear_perm,
     preserves_line_universe,
     reference_individualized_cells,
+    sorting_refine,
 )
 
 
@@ -188,9 +190,12 @@ def test_splitter_count_routes_agree():
 
 
 def test_split_traces_are_pinned():
-    # nodes, base and the sha256 of the generators' JSON, recorded with
-    # every splitter counted by the id route; any change to a split trace
-    # moves at least one of them.  (3,4) seed 2 is in case (ii)
+    # nodes, base and the sha256 of the generators' JSON; any change to a
+    # split trace moves at least one of them.  The (5,4) and (3,4) cases
+    # were recorded with every splitter counted by the id route, and the
+    # (5,5) and (5,3) ones when every cell was split by sorting its counts;
+    # at (5,5) the refinement after 0 counts N(0) from the masks.  (3,4)
+    # seed 2 and (5,3) seed 8 are in case (ii)
     k_digest = "ceb449eca216d37655b4811032970a9138ef88168f209cacd9d04d72b0556ce9"
     ii_digest = "229cc8016aba9c14d784cceaee9d565b195d88c32a2fab9c709d70fe2cd71604"
     cases = {
@@ -198,6 +203,8 @@ def test_split_traces_are_pinned():
         (5, 4, 2): (3, (0, 213), k_digest),
         (5, 4, 3): (3, (0, 220), k_digest),
         (3, 4, 2): (5, (0, 36, 27), ii_digest),
+        (5, 5, 1): (3, (0, 1067), "30118155f0c868b07cdeaae38666d18fb09749ed1fe6292fccb61636320c18e5"),
+        (5, 3, 8): (5, (0, 1, 13), "e1619e0c7b50c43466c38fccd1cd4564c8980b30ce8d8d4745534cd7d763a54c"),
     }
     for (q, n, seed), (nodes, base, digest) in cases.items():
         aut = automorphism_group(build_graph(sample_connection_set(q, n, 0.5, seed)))
@@ -293,6 +300,48 @@ def test_refinement_matches_lockstep_reference():
             known = [x for x in k_gens if x[v] == v]
             for stop in {g.num_vertices, _orbit_count(known, g.num_vertices)}:
                 assert _cells_after_individualizing(g, v, stop) == want, (q, n, seed, v, stop)
+
+
+def test_refinement_matches_sorting_reference(monkeypatch):
+    # every node automorphism_group refines, leftmost path and right
+    # branches alike, is refined on a copy by the reference that sorts every
+    # split cell; the trace or None, and a refined node's arrays, agree.  No
+    # right node of these instances departs from its trace, so each is also
+    # refined against two traces it must depart from: one split short, and
+    # with the first split's fragments reversed
+    refine = _Search._refine
+    refined = Counter()
+
+    def copy(part):
+        return _Cells(part.lab[:], part.cell[:], part.size[:], part.count)
+
+    def both(self, part, queue, stop, expected):
+        ref = copy(part)
+        want = sorting_refine(self, ref, deque(queue), stop, expected)
+        got = refine(self, part, queue, stop, expected)
+        assert got == want
+        if got is not None:
+            assert (part.lab, part.cell, part.size, part.count) == (
+                ref.lab, ref.cell, ref.size, ref.count
+            )
+        return got
+
+    def checked(self, part, queue, stop, expected):
+        if expected:
+            (s, frags), *rest = expected
+            for wrong in (expected[:-1], [(s, frags[::-1]), *rest]):
+                assert both(self, copy(part), deque(queue), stop, wrong) is None
+        refined[expected is not None] += 1
+        return both(self, part, queue, stop, expected)
+
+    monkeypatch.setattr(_Search, "_refine", checked)
+    cases = [(3, 3, 0.75, seed) for seed in range(1, 8)]
+    cases += [(5, 3, 0.5, seed) for seed in range(1, 9)]
+    cases += [(5, 4, 0.5, seed) for seed in range(1, 4)]
+    cases.append((3, 4, 0.5, 2))
+    for q, n, p, seed in cases:
+        automorphism_group(build_graph(sample_connection_set(q, n, p, seed)))
+    assert refined[False] and refined[True]
 
 
 def test_search_needs_no_raised_recursion_limit():
@@ -469,6 +518,16 @@ def test_dichotomy_invariant_under_linear_relabelling():
         assert reps[1]["dichotomy"] in ("i", "ii")
         if reps[1]["dichotomy"] == "ii":
             assert _witness_fixes(reps[1], image)
+
+
+def test_group_equals_scalar_affine_sifts_generators_it_lacks():
+    # K on the generators (t0 t1, t1, ..., scaling): t0 is not among them,
+    # so it is found by sifting
+    for q, n in ((3, 2), (5, 3)):
+        t0, t1, *rest = scalar_affine_generators(q, n)
+        group = PermGroup(q ** n, (0, 1), [compose(t0, t1), t1, *rest])
+        assert t0 not in group.generators
+        assert group_equals_scalar_affine(group, q, n)
 
 
 def test_group_equals_scalar_affine_negative():
