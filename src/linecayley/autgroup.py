@@ -6,42 +6,53 @@ ordered partition whose cells are contiguous ranges of one vertex array
 cell is split by its vertices' neighbour counts into a splitter cell; the
 fragments take the cell's range in order of count, and the largest is not
 queued unless the cell was (Hopcroft's smaller-half rule, 1971).  Most
-split cells have one count on their touched points: such a cell is split
-in two by a stable partition of its range, untouched points first, with no
-sort; only a cell with two or more counts is sorted by count.  The count
-of v against a splitter W is |(v + S) ∩ W|, read one of two ways: a small W
-as the multiset W + S from the graph's neighbour-id primitive, about |W|*|S|
-dict updates; a large one as the popcount of N(v) & W over the graph's
-streamed neighbour masks, about V big-int steps on V bits whatever |W| is.
-W is large when |W|*|S| exceeds the stream's measured cost (MASK_STEP_FIXED,
-MASK_STEP_BITS).  Both routes give the same counts, so every choice still
-depends only on cell positions and counts, and refinement commutes with any
-automorphism.
+split cells fall in two fragments: one count on part of the cell, or two
+counts on all of it.  Such a cell is split by a stable partition of its
+range, the lower count first, with no sort; only a cell of three or more
+fragments is sorted by count.  The count of v against a splitter W is
+|(v + S) ∩ W|, read one of two ways: a small W as the multiset W + S from
+the graph's neighbour-id primitive, about |W|*|S| dict updates; a large one
+as the popcount of N(v) & W over the graph's streamed neighbour masks,
+about V big-int steps on V bits whatever |W| is.  W is large when |W|*|S|
+exceeds the stream's measured cost (MASK_STEP_FIXED, MASK_STEP_BITS).  Both
+routes give the same counts, so every choice still depends only on cell
+positions and counts, and refinement commutes with any automorphism.
 
 The search individualizes the first point of the first smallest
 non-singleton cell down to a discrete partition; these points form the base.
-Each node of that leftmost path is refined once, and its split trace
-(position, (count, size) pairs) is kept.  Any other node is refined alone
-and compared with the trace of the path node at its depth, and it is
-dropped at the first difference.  A leaf maps the leftmost leaf onto
-itself, and it is kept when it maps every neighbourhood v + S onto
-p(v) + S.  The scalar-affine group seeds the generator pool, whose orbits
-prune sibling branches; a node budget turns long searches into an
-explicitly incomplete result instead of a wrong one.  The PermGroup
-constructor completes the levels deepest first, growing the pool into a
-strong generating set on the base, so the group is built without a closure.
+The first is always 0, and when the scalars x -> λx are known automorphisms
+(they are in K, which seeds the pool) every cell after 0 is a union of
+their orbits.  That refinement then runs on the (V - 1)/(q - 1) nonzero
+orbits and {0}, one point each, q - 1 times fewer points to count and split
+(McKay & Piperno also prune with known automorphisms): each orbit's count is
+that of any of its vertices, and every other cell's size is q - 1 times its
+number of orbits, so it makes the same splits in the same order, and the
+vertex arrays and trace are rebuilt from it.  Each node of that leftmost
+path is refined once, and its split trace (position, (count, size) pairs)
+is kept.  Any other node is refined alone and compared with the trace of
+the path node at its depth, and it is dropped at the first difference.  A
+leaf maps the leftmost leaf onto itself, and it is kept when it maps every
+neighbourhood v + S onto p(v) + S.  The scalar-affine group seeds the
+generator pool, whose orbits prune sibling branches; a node budget turns
+long searches into an explicitly incomplete result instead of a wrong one.
+The PermGroup constructor completes the levels deepest first, growing the
+pool into a strong generating set on the base, so the group is built
+without a closure.
 """
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, groupby, repeat
+from functools import lru_cache
+from itertools import chain, compress, filterfalse, groupby, islice, repeat
+from operator import not_
 
 from .cayley import id_mask
 from .errors import BudgetExceeded
 from .field import (
-    decode, encode, is_scalar_matrix, mat_apply, mat_inverse, mat_mul, rank, vec_add, vec_scale,
+    affine_ids, decode, encode, inv_mod, is_scalar_matrix, mat_apply, mat_inverse, mat_mul, rank,
+    vec_add, vec_scale,
 )
-from .permgroup import PermGroup, depth_first, scalar_affine_generators, schreier_vector
+from .permgroup import PermGroup, depth_first, scalar_affine_generators
 
 
 @dataclass
@@ -58,18 +69,6 @@ def _preserves_neighbors(neighbors, p):
     return all(
         set(map(image, neighbors(v))) == set(neighbors(p[v])) for v in range(len(p))
     )
-
-
-def _orbit_count(gens, degree):
-    """Number of orbits of the group the generators span on range(degree)."""
-    gens = list(enumerate(gens))
-    seen = set()
-    count = 0
-    for x in range(degree):
-        if x not in seen:
-            count += 1
-            seen.update(schreier_vector(x, gens))
-    return count
 
 
 class _Cells:
@@ -120,21 +119,143 @@ def _counts_from_ids(neighbors, members):
     return Counter(chain.from_iterable(map(neighbors, members)))
 
 
-def _counts_from_masks(masks, members, degree):
-    """The same counts as _counts_from_ids, in id order, as the popcounts
-    of N(v) & W over the stream of every N(v).  Because S = -S, the w in W
-    with v in w + S are the members of W in v + S."""
-    w = id_mask(members, degree)
-    counts = list(map(int.bit_count, map(w.__and__, masks())))
-    return dict(compress(enumerate(counts), counts))
+class _Vertices:
+    """The points a refinement splits, when each is one vertex.
+
+    neighbors(v) is the ids of v + S, and masks() streams the masks of
+    v + S for v = 0, 1, ..., degree - 1; single holds the points that are
+    one vertex each, which a splitter of one point counts without a
+    multiset.
+    """
+
+    def __init__(self, neighbors, masks, degree):
+        self.neighbors = neighbors
+        self.masks = masks
+        self.degree = degree
+        self.single = range(degree)
+        self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
+
+    def counts_from_masks(self, members):
+        """The same counts as _counts_from_ids, in id order, as the
+        popcounts of N(v) & W over the stream of every N(v).  Because
+        S = -S, the w in W with v in w + S are the members of W in v + S."""
+        w = id_mask(members, self.degree)
+        counts = list(map(int.bit_count, map(w.__and__, self.masks())))
+        return dict(compress(enumerate(counts), counts))
+
+
+@lru_cache(maxsize=4)
+def _scalar_orbit_table(q, n):
+    """The orbits of the scalars x -> λx on F_q^n, as (reps, orbit_of,
+    zero_digit).
+
+    Orbit i < D = (q^n - 1)/(q - 1) is that of reps[i], the id whose highest
+    nonzero base-q digit is 1: the ids q^k..2q^k - 1 in turn, for k < n.
+    reps[D] = 0, alone in its orbit.  orbit_of[x] is the orbit of id x, and
+    zero_digit[k] the mask of the ids whose digit k is 0.  Cached, as a
+    process works on few sizes.
+    """
+    d = (q ** n - 1) // (q - 1)
+    reps = (*chain.from_iterable(range(q ** k, 2 * q ** k) for k in range(n)), 0)
+    # an id c q^k + u, u < q^k and c > 0, is c times the representative
+    # q^k + u / c, whose orbit is (q^k - 1)/(q - 1) + u / c
+    orbit_of = [d]
+    for k in range(n):
+        first = (q ** k - 1) // (q - 1)
+        for c in range(1, q):
+            orbit_of += map(first.__add__, affine_ids(q, k, inv_mod(c, q), (0,) * k))
+    ones = (1 << q ** n) - 1
+    zero_digit = tuple(
+        ((1 << q ** k) - 1) * (ones // ((1 << q ** (k + 1)) - 1)) for k in range(n)
+    )
+    return reps, tuple(orbit_of), zero_digit
+
+
+class _ScalarOrbits:
+    """The points a refinement splits after 0 is individualized, when the
+    scalars x -> λx are known automorphisms: every cell is then a union of
+    their orbits, and every count is constant on each.
+
+    Point i < D is the orbit of reps[i] (see _scalar_orbit_table), q - 1
+    vertices, and point D is {0}.  A point's count against a splitter is
+    that of any vertex in it, so the refinement makes the vertex route's
+    splits at positions and sizes q - 1 times smaller; lift turns its cells
+    and trace into the vertex route's.
+    """
+
+    def __init__(self, graph):
+        self.reps, self.orbit_of, self._zero_digit = _scalar_orbit_table(graph.q, graph.n)
+        self.q = graph.q
+        self.degree = graph.num_vertices
+        self.masks = graph.neighbor_masks
+        self._vertex_neighbors = graph.neighbor_ids
+        zero = len(self.reps) - 1
+        self.single = range(zero, zero + 1)
+        # 0 has one neighbour in each orbit of S
+        self._zero_neighbors = sorted(set(map(self.orbit_of.__getitem__, graph.neighbor_ids(0))))
+        self.mask_route_above = zero * (MASK_STEP_FIXED + self.degree // MASK_STEP_BITS)
+
+    def neighbors(self, i):
+        """The orbits of r + S, one per member of S, r being reps[i]; for
+        {0}, the orbits of S, once each.  So the multiset of a splitter's
+        neighbours counts each nonzero orbit as often as each of its
+        vertices; {0} is a cell of its own, whose count no split reads."""
+        if i in self.single:
+            return self._zero_neighbors
+        return list(map(self.orbit_of.__getitem__, self._vertex_neighbors(self.reps[i])))
+
+    def counts_from_masks(self, members):
+        """The same counts as _counts_from_ids, in point order, from
+        (V - 1)/(q - 1) masks of the stream: the count of q^k + u, for
+        u < q^k, is the popcount of N(u) & (W - e_k), W being the vertices
+        of the members.  No member is {0}, which is small, and {0}, a cell
+        of its own, is not counted."""
+        q, degree = self.q, self.degree
+        w = id_mask(compress(range(degree), map(set(members).__contains__, self.orbit_of)), degree)
+        counts = []
+        for k, zero in enumerate(self._zero_digit):
+            # W - e_k: digit k of each id goes down by 1, and 0 wraps to q - 1
+            low = w & zero
+            step = q ** k
+            shifted = ((w ^ low) >> step) | (low << (q - 1) * step)
+            counts += map(int.bit_count, map(shifted.__and__, islice(self.masks(), step)))
+        return dict(compress(enumerate(counts), counts))
+
+    def individualized(self):
+        """The unit partition with 0 individualized: the nonzero orbits,
+        then {0}."""
+        zero = len(self.reps) - 1
+        size = [zero] + [0] * (zero - 1) + [1]
+        return _Cells(list(range(zero + 1)), [0] * zero + [zero], size, 2)
+
+    def lift(self, part, trace):
+        """The vertex route's node and trace for this refined node and its
+        trace.  Each cell keeps the order the vertices have after 0 is
+        individualized in the unit partition, [V - 1, 1, 2, ..., V - 2, 0],
+        as every split is stable."""
+        scale = self.q - 1
+        degree = self.degree
+        cell = [scale * s for s in map(part.cell.__getitem__, self.orbit_of)]
+        size = [0] * degree
+        size[::scale] = [scale * k for k in part.size]
+        size[-1] = 1
+        lab = [0] * degree
+        free = list(range(degree))  # at a cell's start: where its next vertex goes
+        for v in chain((degree - 1,), range(1, degree - 1), (0,)):
+            s = cell[v]
+            lab[free[s]] = v
+            free[s] += 1
+        trace = [(scale * s, tuple((c, scale * k) for c, k in frags)) for s, frags in trace]
+        return _Cells(lab, cell, size, part.count), trace
 
 
 class _Search:
-    def __init__(self, neighbors, masks, degree, pool, budget):
-        self.neighbors = neighbors  # v -> the ids of v + S
-        self.masks = masks  # () -> the masks of v + S for v = 0, 1, ..., degree - 1
+    def __init__(self, neighbors, masks, degree, pool, budget, scalars=None):
+        self.vertices = _Vertices(neighbors, masks, degree)
+        # the scalar orbits, when the pool holds the scalars and vertex ids
+        # are vectors' ids, else None
+        self.scalars = scalars
         self.valency = len(neighbors(0))
-        self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
         self.degree = degree
         self.pool = pool
         self.budget = budget
@@ -146,14 +267,14 @@ class _Search:
         if self.nodes > self.budget:
             raise BudgetExceeded(f"automorphism search exceeded {self.budget} nodes")
 
-    def _refine(self, part, queue, stop, expected):
-        """Refine part in place until it is equitable, or has stop cells and
-        so is the orbit partition of known automorphisms (see stabilize).
+    def _refine(self, points, part, queue, stop, expected):
+        """Refine part, a partition of points, in place until it is
+        equitable, or has stop cells and so is the orbit partition of known
+        automorphisms (see stabilize).
 
         Returns the trace of splits, or None as soon as it departs from
         expected (when expected is not None).
         """
-        neighbors, masks, degree = self.neighbors, self.masks, self.degree
         lab, cell, size = part.lab, part.cell, part.size
         cell_of = cell.__getitem__
         queued = set(queue)
@@ -164,18 +285,18 @@ class _Search:
             # the start of every cell to split -> (count, number touched)
             # when its touched points share one count, else None; a cell is
             # kept when all its points were touched, with one count
-            if size[w] == 1:
-                # a singleton {w} touches N(w), each point once
-                touched = neighbors(lab[w])
+            if size[w] == 1 and lab[w] in points.single:
+                # one vertex touches its neighbours, each once
+                touched = points.neighbors(lab[w])
                 hit = set(touched).__contains__
                 hits = Counter(map(cell_of, touched))
                 split = {s: (1, m) for s, m in hits.items() if m != size[s]}
             else:
                 splitter = lab[w : w + size[w]]
-                if len(splitter) * self.valency > self.mask_route_above:
-                    counts = _counts_from_masks(masks, splitter, degree)
+                if len(splitter) * self.valency > points.mask_route_above:
+                    counts = points.counts_from_masks(splitter)
                 else:
-                    counts = _counts_from_ids(neighbors, splitter)
+                    counts = _counts_from_ids(points.neighbors, splitter)
                 hit = counts.__contains__
                 split = {}
                 for (s, c), m in Counter(zip(map(cell_of, counts), counts.values())).items():
@@ -192,9 +313,20 @@ class _Search:
                     frags = ((0, n - m), (c, m))
                 else:
                     keys = list(map(counts.get, members, repeat(0)))
-                    order = sorted(range(n), key=keys.__getitem__)
-                    members = list(map(members.__getitem__, order))
-                    frags = tuple((c, len(list(f))) for c, f in groupby(map(keys.__getitem__, order)))
+                    lo, *mid, hi = sorted(set(keys))
+                    if mid:
+                        order = sorted(range(n), key=keys.__getitem__)
+                        members = list(map(members.__getitem__, order))
+                        frags = tuple(
+                            (c, len(list(f))) for c, f in groupby(map(keys.__getitem__, order))
+                        )
+                    else:
+                        # every point touched, with two counts: the lower
+                        # count's points, then the higher's, each in lab order
+                        high = list(map(hi.__eq__, keys))
+                        m = keys.count(hi)
+                        members = [*compress(members, map(not_, high)), *compress(members, high)]
+                        frags = ((lo, n - m), (hi, m))
                 event = (s, frags)
                 if expected is not None and (
                     len(trace) == len(expected) or expected[len(trace)] != event
@@ -203,10 +335,10 @@ class _Search:
                 trace.append(event)
                 lab[s : s + n] = members
                 part.count += len(frags) - 1
-                if one is not None:
-                    # Hopcroft's rule for two fragments: the touched one is
-                    # new, so not queued, and is queued unless the cell was
-                    # not and it is the larger
+                if len(frags) == 2:
+                    # Hopcroft's rule for two fragments: the second is new,
+                    # so not queued, and is queued unless the cell was not
+                    # and it is the larger
                     t = s + n - m
                     size[s], size[t] = n - m, m
                     for v in members[n - m :]:
@@ -248,14 +380,23 @@ class _Search:
         size[last] = 1
         cell[v] = last
         child = _Cells(lab, cell, size, part.count + 1)
-        trace = self._refine(child, deque([last]), stop, expected)
+        trace = self._refine(self.vertices, child, deque([last]), stop, expected)
         return None if trace is None else (child, trace)
+
+    def _individualize_zero(self):
+        """_individualize(unit partition, 0, 0, stop) with stop the number
+        of scalar orbits, refined on those orbits and lifted."""
+        self._tick()
+        scalars = self.scalars
+        part = scalars.individualized()
+        trace = self._refine(scalars, part, deque([len(part.lab) - 1]), len(part.lab), None)
+        return scalars.lift(part, trace)
 
     def _leaf(self, lab):
         """The map taking the leftmost leaf onto the discrete partition lab,
         if it is an automorphism."""
         p = tuple(map(lab.__getitem__, self._leaf_pos))
-        return p if _preserves_neighbors(self.neighbors, p) else None
+        return p if _preserves_neighbors(self.vertices.neighbors, p) else None
 
     def _find_iso(self, path, level, w):
         """An automorphism fixing base[:level] and mapping base[level] to w,
@@ -277,22 +418,30 @@ class _Search:
         The unit partition is equitable, because a Cayley graph is regular,
         so it is the root without refinement.  Refinement never splits an
         orbit of the pool elements fixing the individualized points, and
-        that orbit partition is equitable, so a node's refinement stops once
-        it has as many cells as they have orbits (V when there are none).
-        The PermGroup constructor then completes the levels deepest first:
-        one automorphism for each point of a level's target cell outside the
-        orbit of its base point, if there is one, joins the pool.
+        that orbit partition is equitable, so a node's refinement may stop
+        once it has as many cells as they have orbits.  The first base
+        point is 0, the first point of the unit partition.  With the scalar
+        orbits given, the pool is K's generators, of which only the scaling
+        fixes 0, so the refinement after 0 runs on those orbits and stops at
+        1 + (V - 1)/(q - 1) cells.  At every deeper level, and at every
+        level without them, it stops at V cells: no element of K but the
+        identity fixes two points.  The PermGroup constructor then completes
+        the levels deepest first: one automorphism for each point of a
+        level's target cell outside the orbit of its base point, if there
+        is one, joins the pool.
         """
         self._tick()
         node = _Cells.unit(self.degree)
         path = []  # per level: (node, target cell start, trace of its child, stop)
         base = []
-        known = self.pool
         while (s := node.target()) is not None:
             base.append(node.lab[s])
-            known = [g for g in known if g[base[-1]] == base[-1]]
-            stop = _orbit_count(known, self.degree) if known else self.degree
-            child, trace = self._individualize(node, s, base[-1], stop)
+            if path or self.scalars is None:
+                stop = self.degree
+                child, trace = self._individualize(node, s, base[-1], stop)
+            else:
+                stop = len(self.scalars.reps)
+                child, trace = self._individualize_zero()
             path.append((node, s, trace, stop))
             node = child
         self.base = tuple(base)
@@ -316,9 +465,10 @@ def automorphism_group(graph, node_budget=200000):
     The scalar-affine group's generators seed the pool, so it is always
     contained in the result.
     """
-    degree = graph.num_vertices
-    k_gens = scalar_affine_generators(graph.q, graph.n)
-    search = _Search(graph.neighbor_ids, graph.neighbor_masks, degree, k_gens, node_budget)
+    search = _Search(
+        graph.neighbor_ids, graph.neighbor_masks, graph.num_vertices,
+        scalar_affine_generators(graph.q, graph.n), node_budget, _ScalarOrbits(graph),
+    )
     try:
         group = search.stabilize()
     except BudgetExceeded:

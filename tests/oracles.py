@@ -8,10 +8,11 @@ instead of adjacency masks, closure under products instead of a stabilizer
 chain, a scan of every matrix instead of a walk over the automorphism group,
 a lockstep refinement over adjacency bitmasks instead of the one-sided
 refinement over neighbour ids, a sort of every split cell by its counts
-instead of a two-way partition of each cell with one count, one shift table
-per member of S instead of translates of N(0), an edge scan instead of
-streamed class masks, every nonzero translation instead of those into the
-class of 0.
+instead of a two-way partition of each cell of two fragments, a BFS count
+of the orbits that stop a refinement instead of the scalar orbits' number
+written down, one shift table per member of S instead of translates of
+N(0), an edge scan instead of streamed class masks, every nonzero
+translation instead of those into the class of 0.
 
 The point-set geometry and the fixed-line counts at the end are not second
 copies of library code: the library computes neither.  They check the
@@ -24,14 +25,14 @@ import itertools
 from collections import Counter, deque
 from itertools import groupby, repeat
 
-from linecayley.autgroup import _counts_from_ids, _counts_from_masks
+from linecayley.autgroup import _counts_from_ids
 from linecayley.distinguishing import _fixing_translations
 from linecayley.errors import BudgetExceeded
 from linecayley.field import (
     _rref, affine_ids, decode, encode, mat_apply, rank, require_odd_prime, vec_add, vec_scale,
 )
 from linecayley.geometry import proj_rep
-from linecayley.permgroup import PermGroup
+from linecayley.permgroup import PermGroup, schreier_vector
 
 DEFAULT_GL_BUDGET = 10 ** 5
 
@@ -214,15 +215,27 @@ def reference_individualized_cells(graph, v):
     return {frozenset(cl) for cl, _ in lockstep_refine(masks, [((v,), (v,)), (rest, rest)], queue)}
 
 
-def sorting_refine(search, part, queue, stop, expected):
+def orbit_count(gens, degree):
+    """Number of orbits of the group the generators span on range(degree)."""
+    gens = list(enumerate(gens))
+    seen = set()
+    count = 0
+    for x in range(degree):
+        if x not in seen:
+            count += 1
+            seen.update(schreier_vector(x, gens))
+    return count
+
+
+def sorting_refine(search, points, part, queue, stop, expected):
     """autgroup._Search._refine as it was when every split cell was sorted
     by its points' counts and grouped into fragments, one key list, sort
-    and groupby per cell, whatever the number of distinct counts.
+    and groupby per cell, whatever the number of distinct counts.  Each
+    splitter is counted the way points counts it.
 
     Same arguments, same in-place effect on part and queue, same return:
     the trace of splits, or None once it departs from expected.
     """
-    neighbors, masks, degree = search.neighbors, search.masks, search.degree
     lab, cell, size = part.lab, part.cell, part.size
     cell_of = cell.__getitem__
     queued = set(queue)
@@ -231,10 +244,10 @@ def sorting_refine(search, part, queue, stop, expected):
         w = queue.popleft()
         queued.discard(w)
         splitter = lab[w : w + size[w]]
-        if len(splitter) * search.valency > search.mask_route_above:
-            counts = _counts_from_masks(masks, splitter, degree)
+        if len(splitter) * search.valency > points.mask_route_above:
+            counts = points.counts_from_masks(splitter)
         else:
-            counts = _counts_from_ids(neighbors, splitter)
+            counts = _counts_from_ids(points.neighbors, splitter)
         pairs = Counter(zip(map(cell_of, counts), counts.values()))
         for s in sorted({s for (s, _), k in pairs.items() if k != size[s]}):
             n = size[s]

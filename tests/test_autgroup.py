@@ -10,10 +10,10 @@ import pytest
 
 from linecayley.autgroup import (
     _Cells,
+    _ScalarOrbits,
     _Search,
+    _Vertices,
     _counts_from_ids,
-    _counts_from_masks,
-    _orbit_count,
     automorphism_group,
     dichotomy_check,
     group_equals_scalar_affine,
@@ -47,6 +47,7 @@ from oracles import (
     line_orbit_count,
     linear_maps_fixing_connection,
     linear_perm,
+    orbit_count,
     preserves_line_universe,
     reference_individualized_cells,
     sorting_refine,
@@ -171,31 +172,49 @@ def test_relabelled_graph_has_conjugate_group():
 
 def test_splitter_count_routes_agree():
     # random splitters W whose |W|*|S| spans the route threshold, with the
-    # singleton {0} and N(0); the mask route drops zero counts, in id order
+    # singleton {0} and N(0); the mask route drops zero counts, in id order.
+    # On the scalar orbits, random unions of nonzero orbits give each
+    # nonzero orbit the count of its representative, by either route, in
+    # orbit order; {0}, a cell of its own, is left out
     rng = random.Random(5)
     for q, n in ((3, 3), (5, 3), (5, 4)):
         g = build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6)))
         v_count = g.num_vertices
-        threshold = _Search(g.neighbor_ids, g.neighbor_masks, v_count, [], 1).mask_route_above
+        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, v_count)
         cells = [[0], g.neighbor_ids(0)]
         for k in (1, 2, 5, 16, v_count // 4, v_count // 2, v_count):
             cells.append(rng.sample(range(v_count), k))
         costs = [len(w) * g.degree for w in cells]
-        assert min(costs) <= threshold < max(costs)
+        assert min(costs) <= vertices.mask_route_above < max(costs)
         for w in cells:
             want = Counter(u for x in w for u in g.neighbor_ids(x))
-            got = _counts_from_masks(g.neighbor_masks, w, v_count)
+            got = vertices.counts_from_masks(w)
             assert got == want and list(got) == sorted(got), (q, n, len(w))
             assert _counts_from_ids(g.neighbor_ids, w) == want
+        orbits = _ScalarOrbits(g)
+        nonzero = len(orbits.reps) - 1
+        for k in (1, 2, 5, nonzero // 4, nonzero // 2, nonzero):
+            w = rng.sample(range(nonzero), k)
+            vertex_counts = Counter(
+                u for x, i in enumerate(orbits.orbit_of) if i in w for u in g.neighbor_ids(x)
+            )
+            want = {i: c for i, r in enumerate(orbits.reps[:-1]) if (c := vertex_counts[r])}
+            got = orbits.counts_from_masks(w)
+            assert got == want and list(got) == sorted(got), (q, n, k)
+            got = _counts_from_ids(orbits.neighbors, w)
+            got.pop(nonzero, None)
+            assert got == want
 
 
 def test_split_traces_are_pinned():
     # nodes, base and the sha256 of the generators' JSON; any change to a
     # split trace moves at least one of them.  The (5,4) and (3,4) cases
-    # were recorded with every splitter counted by the id route, and the
-    # (5,5) and (5,3) ones when every cell was split by sorting its counts;
-    # at (5,5) the refinement after 0 counts N(0) from the masks.  (3,4)
-    # seed 2 and (5,3) seed 8 are in case (ii)
+    # were recorded with every splitter counted by the id route, the (5,5)
+    # and (5,3) ones when every cell was split by sorting its counts, and
+    # the (13,3), (5,6) and (3,2) ones when the refinement after 0 ran on
+    # the vertices; at (5,5) and (5,6) it counts N(0) from the masks.
+    # (3,4) seed 2 and (5,3) seed 8 are in case (ii), and (3,2) seed 1 has
+    # a base of six points
     k_digest = "ceb449eca216d37655b4811032970a9138ef88168f209cacd9d04d72b0556ce9"
     ii_digest = "229cc8016aba9c14d784cceaee9d565b195d88c32a2fab9c709d70fe2cd71604"
     cases = {
@@ -205,6 +224,11 @@ def test_split_traces_are_pinned():
         (3, 4, 2): (5, (0, 36, 27), ii_digest),
         (5, 5, 1): (3, (0, 1067), "30118155f0c868b07cdeaae38666d18fb09749ed1fe6292fccb61636320c18e5"),
         (5, 3, 8): (5, (0, 1, 13), "e1619e0c7b50c43466c38fccd1cd4564c8980b30ce8d8d4745534cd7d763a54c"),
+        (13, 3, 1): (3, (0, 199), "e19341793bdc7a8bbbf50d98ba540fd0b0ed3ad52d32975e153cf6dee9601332"),
+        (5, 6, 1): (3, (0, 4696), "a400e76b568d2b1bb77ba1c8cd372e0642a6697d4e65d1260d55c182ce705017"),
+        (3, 2, 1): (
+            17, (0, 3, 8, 2, 7, 4), "841e34b90fdf04c56e3fe5f2669d823a50f44777115f3ea4c7b32354ce124858"
+        ),
     }
     for (q, n, seed), (nodes, base, digest) in cases.items():
         aut = automorphism_group(build_graph(sample_connection_set(q, n, 0.5, seed)))
@@ -298,27 +322,28 @@ def test_refinement_matches_lockstep_reference():
         for v in points or range(g.num_vertices):
             want = reference_individualized_cells(g, v)
             known = [x for x in k_gens if x[v] == v]
-            for stop in {g.num_vertices, _orbit_count(known, g.num_vertices)}:
+            for stop in {g.num_vertices, orbit_count(known, g.num_vertices)}:
                 assert _cells_after_individualizing(g, v, stop) == want, (q, n, seed, v, stop)
 
 
 def test_refinement_matches_sorting_reference(monkeypatch):
     # every node automorphism_group refines, leftmost path and right
     # branches alike, is refined on a copy by the reference that sorts every
-    # split cell; the trace or None, and a refined node's arrays, agree.  No
-    # right node of these instances departs from its trace, so each is also
-    # refined against two traces it must depart from: one split short, and
-    # with the first split's fragments reversed
+    # split cell, on the same points: the scalar orbits after 0, the
+    # vertices elsewhere.  The trace or None, and a refined node's arrays,
+    # agree.  No right node of these instances departs from its trace, so
+    # each is also refined against two traces it must depart from: one
+    # split short, and with the first split's fragments reversed
     refine = _Search._refine
     refined = Counter()
 
     def copy(part):
         return _Cells(part.lab[:], part.cell[:], part.size[:], part.count)
 
-    def both(self, part, queue, stop, expected):
+    def both(self, points, part, queue, stop, expected):
         ref = copy(part)
-        want = sorting_refine(self, ref, deque(queue), stop, expected)
-        got = refine(self, part, queue, stop, expected)
+        want = sorting_refine(self, points, ref, deque(queue), stop, expected)
+        got = refine(self, points, part, queue, stop, expected)
         assert got == want
         if got is not None:
             assert (part.lab, part.cell, part.size, part.count) == (
@@ -326,13 +351,13 @@ def test_refinement_matches_sorting_reference(monkeypatch):
             )
         return got
 
-    def checked(self, part, queue, stop, expected):
+    def checked(self, points, part, queue, stop, expected):
         if expected:
             (s, frags), *rest = expected
             for wrong in (expected[:-1], [(s, frags[::-1]), *rest]):
-                assert both(self, copy(part), deque(queue), stop, wrong) is None
-        refined[expected is not None] += 1
-        return both(self, part, queue, stop, expected)
+                assert both(self, points, copy(part), deque(queue), stop, wrong) is None
+        refined[type(points), expected is not None] += 1
+        return both(self, points, part, queue, stop, expected)
 
     monkeypatch.setattr(_Search, "_refine", checked)
     cases = [(3, 3, 0.75, seed) for seed in range(1, 8)]
@@ -341,7 +366,29 @@ def test_refinement_matches_sorting_reference(monkeypatch):
     cases.append((3, 4, 0.5, 2))
     for q, n, p, seed in cases:
         automorphism_group(build_graph(sample_connection_set(q, n, p, seed)))
-    assert refined[False] and refined[True]
+    assert refined[_ScalarOrbits, False] == len(cases)
+    assert refined[_Vertices, False] and refined[_Vertices, True]
+
+
+def test_scalar_orbit_route_matches_vertex_route():
+    # the unit partition with 0 individualized, refined to the scalar
+    # orbits' number of cells on the orbits and lifted, and on the vertices:
+    # the same arrays and trace.  p = 0 leaves S empty and p = 1 takes every
+    # line; at (5,4) and (5,5) N(0) is counted from the masks
+    cases = [(3, 2, 0.5), (5, 2, 0.5), (3, 3, 0.75), (3, 3, 1), (5, 3, 0), (5, 3, 0.5)]
+    cases += [(5, 4, 0.5), (7, 3, 0.5), (13, 3, 0.5), (5, 5, 0.5)]
+    for q, n, p in cases:
+        g = build_graph(sample_connection_set(q, n, p, 1))
+        scalars = _ScalarOrbits(g)
+        search = _Search(g.neighbor_ids, g.neighbor_masks, g.num_vertices, [], 2, scalars)
+        stop = len(scalars.reps)
+        assert stop == 1 + (g.num_vertices - 1) // (q - 1)
+        got, got_trace = search._individualize_zero()
+        want, want_trace = search._individualize(_Cells.unit(g.num_vertices), 0, 0, stop)
+        assert (got.lab, got.cell, got.size, got.count) == (
+            want.lab, want.cell, want.size, want.count
+        ), (q, n, p)
+        assert got_trace == want_trace, (q, n, p)
 
 
 def test_search_needs_no_raised_recursion_limit():
