@@ -26,15 +26,20 @@ their orbits.  That refinement then runs on the (V - 1)/(q - 1) nonzero
 orbits and {0}, one point each, q - 1 times fewer points to count and split
 (McKay & Piperno also prune with known automorphisms): each orbit's count is
 that of any of its vertices, and every other cell's size is q - 1 times its
-number of orbits, so it makes the same splits in the same order, and the
-vertex arrays and trace are rebuilt from it.  Each node of that leftmost
-path is refined once, and its split trace (position, (count, size) pairs)
-is kept.  Any other node is refined alone and compared with the trace of
-the path node at its depth, and it is dropped at the first difference.  A
-leaf maps the leftmost leaf onto itself, and it is kept when it maps every
-neighbourhood v + S onto p(v) + S.  The scalar-affine group seeds the
-generator pool, whose orbits prune sibling branches; a node budget turns
-long searches into an explicitly incomplete result instead of a wrong one.
+number of orbits, so it makes the same splits in the same order.  If it
+ends with one cell per orbit, Aut is K (see _Search.stabilize), and the
+search ends there, at its second node, on the base 0 and the first vertex
+of the first cell, with no deeper level and no leaf: case (i), where the
+sampled instances of the paper's regime fall.  Otherwise the vertex arrays
+and trace are rebuilt from it and the search goes on.  Each node of the
+leftmost path is refined once, and its split trace (position, (count,
+size) pairs) is kept.  Any other node is refined alone and compared with
+the trace of the path node at its depth, and it is dropped at the first
+difference.  A leaf maps the leftmost leaf onto itself, and it is kept
+when it maps every neighbourhood v + S onto p(v) + S.  The scalar-affine
+group seeds the generator pool, whose orbits prune sibling branches; a node
+budget turns long searches into an explicitly incomplete result instead of
+a wrong one.
 The PermGroup constructor completes the levels deepest first, growing the
 pool into a strong generating set on the base, so the group is built
 without a closure.
@@ -248,6 +253,12 @@ class _ScalarOrbits:
         trace = [(scale * s, tuple((c, scale * k) for c, k in frags)) for s, frags in trace]
         return _Cells(lab, cell, size, part.count), trace
 
+    def first_vertex(self, i):
+        """The first vertex of orbit i in lift's order: V - 1 if it is in
+        the orbit, else reps[i], the orbit's smallest id."""
+        last = self.degree - 1
+        return last if self.orbit_of[last] == i else self.reps[i]
+
 
 class _Search:
     def __init__(self, neighbors, masks, degree, pool, budget, scalars=None):
@@ -385,12 +396,12 @@ class _Search:
 
     def _individualize_zero(self):
         """_individualize(unit partition, 0, 0, stop) with stop the number
-        of scalar orbits, refined on those orbits and lifted."""
+        of scalar orbits, refined on those orbits: (part, trace) on the
+        orbits, which scalars.lift turns into the vertex route's."""
         self._tick()
-        scalars = self.scalars
-        part = scalars.individualized()
-        trace = self._refine(scalars, part, deque([len(part.lab) - 1]), len(part.lab), None)
-        return scalars.lift(part, trace)
+        part = self.scalars.individualized()
+        trace = self._refine(self.scalars, part, deque([len(part.lab) - 1]), len(part.lab), None)
+        return part, trace
 
     def _leaf(self, lab):
         """The map taking the leftmost leaf onto the discrete partition lab,
@@ -429,6 +440,23 @@ class _Search:
         the levels deepest first: one automorphism for each point of a
         level's target cell outside the orbit of its base point, if there
         is one, joins the pool.
+
+        When the refinement after 0 reaches its stop, Aut = K, and the
+        group is K on the base the search would find, 0 and the first
+        vertex of the first cell, with no further level.  This is the
+        classical fact that every dilatation of AG(n, q) is x -> λx + b
+        (Artin, *Geometric Algebra*, ch. II).  Let σ in Aut fix 0.
+        Refinement commutes with σ, which fixes the unit partition with 0
+        individualized, so σ fixes each of its refined cells, and these are
+        the scalar orbits: σ(x) = λ_x x for every x ≠ 0, λ_x in F_q^*.  The
+        translations are automorphisms, so x -> σ(u + x) - σ(u) also fixes 0
+        and is in Aut: σ(u + x) - σ(u) lies in F_q^* x for all u, x.  Take
+        x, y independent (a ConnectionSet has n ≥ 2).  Then
+        λ_(x+y)(x + y) - λ_x x lies in F_q^* y, so λ_(x+y) = λ_x, and
+        likewise λ_(x+y) = λ_y.  Two dependent nonzero points are both
+        independent of some third, so λ_x is one λ for every x: σ is a
+        scalar.  So the stabilizer of 0 is F_q^*, and Aut = K.  K's
+        generators are strong on the base (0, v) for every v ≠ 0.
         """
         self._tick()
         node = _Cells.unit(self.degree)
@@ -441,7 +469,12 @@ class _Search:
                 child, trace = self._individualize(node, s, base[-1], stop)
             else:
                 stop = len(self.scalars.reps)
-                child, trace = self._individualize_zero()
+                part, trace = self._individualize_zero()
+                if part.count == stop:
+                    # the cells are the scalar orbits, so Aut = K
+                    self.base = (0, self.scalars.first_vertex(part.lab[0]))
+                    return PermGroup(self.degree, self.base, self.pool)
+                child, trace = self.scalars.lift(part, trace)
             path.append((node, s, trace, stop))
             node = child
         self.base = tuple(base)

@@ -13,6 +13,7 @@ tree of partial class assignments.
 """
 
 import math
+from functools import lru_cache
 
 from .field import affine_ids, primitive_root
 
@@ -152,14 +153,22 @@ def scalar_affine_generators(q, n):
     They are strong on the base (0, 1): the translations move 0 anywhere,
     the scaling alone fixes 0 and moves vertex 1 = e_0 (coordinate 0 is the
     least significant digit) through its q - 1 multiples, and only the
-    identity fixes both.
+    identity fixes both.  The permutations are built once per (q, n); the
+    list is new, as the automorphism search appends to it.
     """
+    return list(_scalar_affine_permutations(q, n))
+
+
+@lru_cache(maxsize=4)
+def _scalar_affine_permutations(q, n):
+    """scalar_affine_generators' permutations, cached, as a process works
+    on few sizes."""
     gens = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         gens.append(tuple(affine_ids(q, n, 1, e)))
     gens.append(tuple(affine_ids(q, n, primitive_root(q), (0,) * n)))
-    return gens
+    return tuple(gens)
 
 
 def scalar_affine_group(q, n):

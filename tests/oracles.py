@@ -18,20 +18,23 @@ The point-set geometry and the fixed-line counts at the end are not second
 copies of library code: the library computes neither.  They check the
 paper's lemmas (the direction bound, the fixed-line cap, the orbit bound),
 and translation_fixing_witnesses checks the library's class-fixing
-translations on hyperplane-coset partitions.
+translations on hyperplane-coset partitions.  planted_homology_connection
+builds case-(ii) instances, whose Aut is known to exceed K.
 """
 
 import itertools
+import random
 from collections import Counter, deque
 from itertools import groupby, repeat
 
 from linecayley.autgroup import _counts_from_ids
+from linecayley.cayley import ConnectionSet
 from linecayley.distinguishing import _fixing_translations
 from linecayley.errors import BudgetExceeded
 from linecayley.field import (
     _rref, affine_ids, decode, encode, mat_apply, rank, require_odd_prime, vec_add, vec_scale,
 )
-from linecayley.geometry import proj_rep
+from linecayley.geometry import line_universe, proj_rep
 from linecayley.permgroup import PermGroup, schreier_vector
 
 DEFAULT_GL_BUDGET = 10 ** 5
@@ -278,6 +281,21 @@ def sorting_refine(search, points, part, queue, stop, expected):
     if expected is not None and len(trace) != len(expected):
         return None
     return trace
+
+
+def planted_homology_connection(q, n, seed):
+    """A connection set fixed by the homology x -> diag(-1, 1, ..., 1) x: a
+    union of orbits of admissible lines under it, each orbit kept with
+    probability 1/2 by random.Random(seed), in the order of the orbits'
+    first lines.  Aut holds K and the homology, so |Aut| >= 2|K| and the
+    dichotomy is in case (ii)."""
+    rng = random.Random(seed)
+    lines = []
+    for rep in line_universe(q, n):
+        image = (-rep[0] % q, *rep[1:])
+        if rep <= image and rng.random() < 0.5:
+            lines += {rep, image}
+    return ConnectionSet(q, n, lines)
 
 
 def edge_set(graph):

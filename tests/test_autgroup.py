@@ -48,6 +48,7 @@ from oracles import (
     linear_maps_fixing_connection,
     linear_perm,
     orbit_count,
+    planted_homology_connection,
     preserves_line_universe,
     reference_individualized_cells,
     sorting_refine,
@@ -214,18 +215,20 @@ def test_split_traces_are_pinned():
     # the (13,3), (5,6) and (3,2) ones when the refinement after 0 ran on
     # the vertices; at (5,5) and (5,6) it counts N(0) from the masks.
     # (3,4) seed 2 and (5,3) seed 8 are in case (ii), and (3,2) seed 1 has
-    # a base of six points
+    # a base of six points.  The others are in case (i), where the search
+    # stops after the refinement after 0 and visits 2 nodes; their bases and
+    # digests were recorded when it refined the last level too, in 3 nodes
     k_digest = "ceb449eca216d37655b4811032970a9138ef88168f209cacd9d04d72b0556ce9"
     ii_digest = "229cc8016aba9c14d784cceaee9d565b195d88c32a2fab9c709d70fe2cd71604"
     cases = {
-        (5, 4, 1): (3, (0, 150), k_digest),
-        (5, 4, 2): (3, (0, 213), k_digest),
-        (5, 4, 3): (3, (0, 220), k_digest),
+        (5, 4, 1): (2, (0, 150), k_digest),
+        (5, 4, 2): (2, (0, 213), k_digest),
+        (5, 4, 3): (2, (0, 220), k_digest),
         (3, 4, 2): (5, (0, 36, 27), ii_digest),
-        (5, 5, 1): (3, (0, 1067), "30118155f0c868b07cdeaae38666d18fb09749ed1fe6292fccb61636320c18e5"),
+        (5, 5, 1): (2, (0, 1067), "30118155f0c868b07cdeaae38666d18fb09749ed1fe6292fccb61636320c18e5"),
         (5, 3, 8): (5, (0, 1, 13), "e1619e0c7b50c43466c38fccd1cd4564c8980b30ce8d8d4745534cd7d763a54c"),
-        (13, 3, 1): (3, (0, 199), "e19341793bdc7a8bbbf50d98ba540fd0b0ed3ad52d32975e153cf6dee9601332"),
-        (5, 6, 1): (3, (0, 4696), "a400e76b568d2b1bb77ba1c8cd372e0642a6697d4e65d1260d55c182ce705017"),
+        (13, 3, 1): (2, (0, 199), "e19341793bdc7a8bbbf50d98ba540fd0b0ed3ad52d32975e153cf6dee9601332"),
+        (5, 6, 1): (2, (0, 4696), "a400e76b568d2b1bb77ba1c8cd372e0642a6697d4e65d1260d55c182ce705017"),
         (3, 2, 1): (
             17, (0, 3, 8, 2, 7, 4), "841e34b90fdf04c56e3fe5f2669d823a50f44777115f3ea4c7b32354ce124858"
         ),
@@ -235,6 +238,37 @@ def test_split_traces_are_pinned():
         generators = json.dumps([list(g) for g in aut.group.generators]).encode()
         found = (aut.nodes, aut.group.base(), hashlib.sha256(generators).hexdigest())
         assert found == (nodes, base, digest), (q, n, seed)
+
+
+def test_last_level_traces_are_pinned():
+    # the vertex route's refinement of the level after the scalar orbits,
+    # down to singletons, which case (ii) and right branches still run:
+    # individualize the first vertex of the first cell of the lifted node
+    # after 0.  The sha256 of the trace's JSON, recorded when
+    # automorphism_group refined this level in case (i) too
+    cases = {
+        (5, 4, 1): (150, "3ba7f16ff6711dce6e85311e6c4f2f56962e0fd535fb94c84e7f8499e8ebda4e"),
+        (5, 4, 2): (213, "6190eedfb364925ba753723ca8b03a61ec8994b13ff97d392e98e8c36bc8790c"),
+        (5, 4, 3): (220, "4caaaf3336156dcc2224a057368597ed338568edc6b5519510371e74c94f85c0"),
+        (13, 3, 1): (199, "e78d7d3b7e51942449dbb2dc8495f0ad5e6b46d04fd8206e68f5a3e16e5989ad"),
+        (5, 5, 1): (1067, "4ec94987c5f5f518de728fa3a959d9f766fdd8a1936e53d5ef914cef48edc832"),
+    }
+    for (q, n, seed), (first, digest) in cases.items():
+        g = build_graph(sample_connection_set(q, n, 0.5, seed))
+        scalars = _ScalarOrbits(g)
+        search = _Search(g.neighbor_ids, g.neighbor_masks, g.num_vertices, [], 2, scalars)
+        node, _ = scalars.lift(*search._individualize_zero())
+        s = node.target()
+        v = node.lab[s]
+        assert (s, v) == (0, first) == (0, scalars.first_vertex(scalars.orbit_of[v]))
+        child, trace = search._individualize(node, s, v, g.num_vertices)
+        assert child.count == g.num_vertices
+        assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == digest, (q, n, seed)
+        # every orbit's first vertex in lift's order, V - 1 first
+        firsts = {}
+        for x in (g.num_vertices - 1, *range(1, g.num_vertices - 1)):
+            firsts.setdefault(scalars.orbit_of[x], x)
+        assert all(scalars.first_vertex(i) == x for i, x in firsts.items()), (q, n, seed)
 
 
 def test_chain_orbits_and_witnesses_are_pinned():
@@ -383,12 +417,58 @@ def test_scalar_orbit_route_matches_vertex_route():
         search = _Search(g.neighbor_ids, g.neighbor_masks, g.num_vertices, [], 2, scalars)
         stop = len(scalars.reps)
         assert stop == 1 + (g.num_vertices - 1) // (q - 1)
-        got, got_trace = search._individualize_zero()
+        got, got_trace = scalars.lift(*search._individualize_zero())
         want, want_trace = search._individualize(_Cells.unit(g.num_vertices), 0, 0, stop)
         assert (got.lab, got.cell, got.size, got.count) == (
             want.lab, want.cell, want.size, want.count
         ), (q, n, p)
         assert got_trace == want_trace, (q, n, p)
+
+
+def test_scalar_orbit_shortcut_matches_full_search():
+    # automorphism_group stops at 2 nodes when the refinement after 0 reaches
+    # the scalar orbits; the search without them refines every level.  Both
+    # give the same base, order and Aut = K verdict, and the stop comes only
+    # with Aut = K.  Per grid point, the instances that stop there and those with
+    # Aut = K: at (5,3) p = 0.5, 4 of the latter stop short of the scalar
+    # orbits and go on down the vertex route
+    grid = {
+        (5, 3, 0.2, 30): (2, 2),
+        (5, 3, 0.5, 300): (236, 240),
+        (5, 3, 0.9, 10): (0, 0),
+        (5, 4, 0.75, 20): (20, 20),
+        (7, 3, 0.75, 30): (29, 29),
+        (3, 4, 0.75, 50): (6, 6),
+        (3, 3, 0.75, 100): (0, 0),
+    }
+    found = {}
+    for q, n, p, count in grid:
+        k_order = q ** n * (q - 1)
+        stops = equal_k = 0
+        for seed in range(count):
+            g = build_graph(sample_connection_set(q, n, p, seed))
+            aut = automorphism_group(g)
+            full = _Search(
+                g.neighbor_ids, g.neighbor_masks, g.num_vertices,
+                scalar_affine_generators(q, n), 200000,
+            ).stabilize()
+            assert aut.group.base() == full.base(), (q, n, p, seed)
+            assert aut.group.order() == full.order(), (q, n, p, seed)
+            is_k = group_equals_scalar_affine(aut.group, q, n)
+            assert is_k == group_equals_scalar_affine(full, q, n), (q, n, p, seed)
+            if aut.nodes == 2:
+                assert aut.group.order() == k_order, (q, n, p, seed)
+                stops += 1
+            equal_k += is_k
+        found[q, n, p, count] = (stops, equal_k)
+    assert found == grid
+    # planted case (ii): the homology's extra symmetry keeps the refinement
+    # after 0 short of the scalar orbits
+    for q, n in ((5, 4), (5, 5)):
+        g = build_graph(planted_homology_connection(q, n, 1))
+        aut = automorphism_group(g)
+        assert aut.nodes > 2 and aut.group.order() == 2 * q ** n * (q - 1), (q, n)
+        assert dichotomy_check(g, aut)["dichotomy"] == "ii", (q, n)
 
 
 def test_search_needs_no_raised_recursion_limit():
