@@ -30,16 +30,17 @@ number of orbits, so it makes the same splits in the same order.  If it
 ends with one cell per orbit, Aut is K (see _Search.stabilize), and the
 search ends there, at its second node, on the base 0 and the first vertex
 of the first cell, with no deeper level and no leaf: case (i), where the
-sampled instances of the paper's regime fall.  Otherwise the vertex arrays
-and trace are rebuilt from it and the search goes on.  Each node of the
-leftmost path is refined once, and its split trace (position, (count,
-size) pairs) is kept.  Any other node is refined alone and compared with
-the trace of the path node at its depth, and it is dropped at the first
-difference.  A leaf maps the leftmost leaf onto itself, and it is kept
-when it maps every neighbourhood v + S onto p(v) + S.  The scalar-affine
-group seeds the generator pool, whose orbits prune sibling branches; a node
-budget turns long searches into an explicitly incomplete result instead of
-a wrong one.
+sampled instances of the paper's regime fall.  That K is
+permgroup.scalar_affine_group, whose level 0 is built once per (q, n).
+Otherwise the vertex arrays and trace are rebuilt from it and the search
+goes on.  Each node of the leftmost path is refined once, and its split
+trace (position, (count, size) pairs) is kept.  Any other node is refined
+alone and compared with the trace of the path node at its depth, and it is
+dropped at the first difference.  A leaf maps the leftmost leaf onto
+itself, and it is kept when it maps every neighbourhood v + S onto
+p(v) + S.  The scalar-affine group seeds the generator pool, whose orbits
+prune sibling branches; a node budget turns long searches into an
+explicitly incomplete result instead of a wrong one.
 The PermGroup constructor completes the levels deepest first, growing the
 pool into a strong generating set on the base, so the group is built
 without a closure.
@@ -57,7 +58,7 @@ from .field import (
     affine_ids, decode, encode, inv_mod, is_scalar_matrix, mat_apply, mat_inverse, mat_mul, rank,
     vec_add, vec_scale,
 )
-from .permgroup import PermGroup, depth_first, scalar_affine_generators
+from .permgroup import PermGroup, depth_first, scalar_affine_generators, scalar_affine_group
 
 
 @dataclass
@@ -191,6 +192,7 @@ class _ScalarOrbits:
     def __init__(self, graph):
         self.reps, self.orbit_of, self._zero_digit = _scalar_orbit_table(graph.q, graph.n)
         self.q = graph.q
+        self.n = graph.n
         self.degree = graph.num_vertices
         self.masks = graph.neighbor_masks
         self._vertex_neighbors = graph.neighbor_ids
@@ -442,10 +444,10 @@ class _Search:
         is one, joins the pool.
 
         When the refinement after 0 reaches its stop, Aut = K, and the
-        group is K on the base the search would find, 0 and the first
-        vertex of the first cell, with no further level.  This is the
-        classical fact that every dilatation of AG(n, q) is x -> λx + b
-        (Artin, *Geometric Algebra*, ch. II).  Let σ in Aut fix 0.
+        group is scalar_affine_group on the base the search would find, 0
+        and the first vertex of the first cell, with no further level.
+        This is the classical fact that every dilatation of AG(n, q) is
+        x -> λx + b (Artin, *Geometric Algebra*, ch. II).  Let σ in Aut fix 0.
         Refinement commutes with σ, which fixes the unit partition with 0
         individualized, so σ fixes each of its refined cells, and these are
         the scalar orbits: σ(x) = λ_x x for every x ≠ 0, λ_x in F_q^*.  The
@@ -473,7 +475,7 @@ class _Search:
                 if part.count == stop:
                     # the cells are the scalar orbits, so Aut = K
                     self.base = (0, self.scalars.first_vertex(part.lab[0]))
-                    return PermGroup(self.degree, self.base, self.pool)
+                    return scalar_affine_group(self.scalars.q, self.scalars.n, self.base[1])
                 child, trace = self.scalars.lift(part, trace)
             path.append((node, s, trace, stop))
             node = child

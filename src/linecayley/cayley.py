@@ -1,6 +1,7 @@
 """Connection sets sampled from unions of lines, and their Cayley graphs."""
 
 import random
+from functools import lru_cache
 
 from .errors import InvariantViolation
 from .field import affine_ids, decode, encode, primitive_root, require_odd_prime, vec_scale
@@ -19,7 +20,7 @@ class ConnectionSet:
         canonical = []
         seen = set()
         for line in lines:
-            line = tuple(int(a) % q for a in line)
+            line = tuple([int(a) % q for a in line])
             if len(line) != n:
                 raise ValueError(f"line {line} has wrong dimension")
             rep = proj_rep(line, q)
@@ -108,30 +109,11 @@ class CayleyGraph:
         self.num_vertices = self.q ** self.n
         self.degree = len(connection.members)
         self._members = sorted(connection.members)
-        # split-digit addition tables: with m = q**h, the id of w + s is
-        # lo[w % m][s % m] + hi[w // m][s // m]; they hold at most q^(n+1)
-        # ints, where a table of every v + s would hold V * |S|
-        q, n = self.q, self.n
-        h = (n + 1) // 2
-        m = self._split = q ** h
-        self._lo = [affine_ids(q, h, 1, decode(x, q, h)) for x in range(m)]
-        self._hi = [
-            [m * i for i in affine_ids(q, n - h, 1, decode(y, q, n - h))]
-            for y in range(q ** (n - h))
-        ]
-        self._digits = [divmod(encode(s, q), m)[::-1] for s in self._members]
-        # what neighbor_masks starts from: N(0)'s mask, and per digit i the
-        # step by e_i as (ids whose digit i is below q-1, the rest, the
-        # shift up, the shift down); built once, since every large
-        # refinement splitter and each properness check opens the stream
-        v = self.num_vertices
-        self._mask0 = id_mask(self.neighbor_ids(0), v)
-        self._steps = []
-        for i in range(n):
-            step = q ** i
-            block = ((1 << step) - 1) << (q - 1) * step
-            wrap = block * (((1 << v) - 1) // ((1 << q * step) - 1))
-            self._steps.append((((1 << v) - 1) ^ wrap, wrap, step, (q - 1) * step))
+        self._split, self._lo, self._hi, self._steps = _addition_tables(self.q, self.n)
+        self._digits = [divmod(encode(s, self.q), self._split)[::-1] for s in self._members]
+        # what neighbor_masks starts from, since every large refinement
+        # splitter and each properness check opens the stream
+        self._mask0 = id_mask(self.neighbor_ids(0), self.num_vertices)
 
     @property
     def num_edges(self):
@@ -188,6 +170,34 @@ class CayleyGraph:
             written += len(table)
         if written != self.num_edges:
             raise InvariantViolation("edge count mismatch in export")
+
+
+@lru_cache(maxsize=4)
+def _addition_tables(q, n):
+    """What CayleyGraph takes from (q, n) alone, as (m, lo, hi, steps).
+
+    The split-digit addition tables: with m = q**h, the id of w + s is
+    lo[w % m][s % m] + hi[w // m][s // m]; they hold at most q^(n+1) ints,
+    where a table of every v + s would hold V * |S|.  And per digit i, the
+    step of neighbor_masks by e_i: (ids whose digit i is below q-1, the
+    rest, the shift up, the shift down).  All tuples, shared by every graph
+    of the size; cached, as a process works on few sizes.
+    """
+    h = (n + 1) // 2
+    m = q ** h
+    lo = tuple(tuple(affine_ids(q, h, 1, decode(x, q, h))) for x in range(m))
+    hi = tuple(
+        tuple(m * i for i in affine_ids(q, n - h, 1, decode(y, q, n - h)))
+        for y in range(q ** (n - h))
+    )
+    v = q ** n
+    steps = []
+    for i in range(n):
+        step = q ** i
+        block = ((1 << step) - 1) << (q - 1) * step
+        wrap = block * (((1 << v) - 1) // ((1 << q * step) - 1))
+        steps.append((((1 << v) - 1) ^ wrap, wrap, step, (q - 1) * step))
+    return m, lo, hi, tuple(steps)
 
 
 def build_graph(connection):

@@ -7,6 +7,7 @@ partition enumeration serves the distinguishing verdicts at small sizes.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import EnumerationLimitExceeded
 from .field import encode, vec_add, vec_scale
@@ -57,8 +58,15 @@ def coset_coloring(g):
     """
     if not g.connection.members:
         raise ValueError("empty connection set has no coset coloring")
-    layer = g.q ** (g.n - 1)
-    return Coloring(g.q, tuple(i // layer for i in range(g.num_vertices)))
+    return Coloring(g.q, _coset_labels(g.q, g.n))
+
+
+@lru_cache(maxsize=4)
+def _coset_labels(q, n):
+    """The class i // q^(n-1) of every id i, as one tuple that every coset
+    coloring of the size shares; cached, as a process works on few sizes."""
+    layer = q ** (n - 1)
+    return tuple(i // layer for i in range(q ** n))
 
 
 def is_proper(g, coloring):

@@ -58,11 +58,11 @@ def primitive_root(q):
 
 
 def vec_add(u, v, q):
-    return tuple((a + b) % q for a, b in zip(u, v))
+    return tuple([(a + b) % q for a, b in zip(u, v)])
 
 
 def vec_scale(c, u, q):
-    return tuple(c * a % q for a in u)
+    return tuple([c * a % q for a in u])
 
 
 def encode(v, q):

@@ -27,7 +27,7 @@ def proj_rep(v, q):
     if last is None:
         raise ValueError("zero vector spans no line")
     inv = inv_mod(v[last], q)
-    return tuple(a * inv % q for a in v)
+    return tuple([a * inv % q for a in v])
 
 
 def line_points(rep, q):

@@ -156,24 +156,50 @@ def scalar_affine_generators(q, n):
     identity fixes both.  The permutations are built once per (q, n); the
     list is new, as the automorphism search appends to it.
     """
-    return list(_scalar_affine_permutations(q, n))
+    return list(_scalar_affine_chain(q, n)[1])
+
+
+def scalar_affine_group(q, n, v=1):
+    """The group K, of order exactly q^n * (q - 1), on its base (0, v).
+
+    K's generators are strong on (0, v) for every vertex v != 0.  The
+    chain is the one PermGroup(q**n, (0, v), scalar_affine_generators(q, n))
+    builds, with the same generators and each orbit in the same BFS order,
+    but only level 1, the q - 1 multiples of v, is computed per call: the
+    level-0 Schreier vector, the generators' inverses and the identity
+    depend on (q, n) alone and are shared by every K of the size, so no
+    caller may mutate them.
+    """
+    degree = q ** n
+    if not 0 < v < degree:
+        raise ValueError(f"second base point {v!r} is not a nonzero id below {degree}")
+    identity, gens, level0, invs = _scalar_affine_chain(q, n)
+    group = PermGroup.__new__(PermGroup)
+    group.degree = degree
+    group._identity = identity
+    group._base = (0, v)
+    group.generators = list(gens)
+    # only the scaling, the last generator, fixes 0
+    group._svs = [level0, schreier_vector(v, [(n, gens[n])])]
+    group._invs = invs
+    return group
 
 
 @lru_cache(maxsize=4)
-def _scalar_affine_permutations(q, n):
-    """scalar_affine_generators' permutations, cached, as a process works
-    on few sizes."""
+def _scalar_affine_chain(q, n):
+    """What scalar_affine_generators and scalar_affine_group take from
+    (q, n) alone: (identity, generators, level-0 Schreier vector, inverses).
+    The translations reach every point from 0, so the vector's BFS, over
+    every generator in order, covers all q^n points.  Cached, as a process
+    works on few sizes."""
     gens = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         gens.append(tuple(affine_ids(q, n, 1, e)))
     gens.append(tuple(affine_ids(q, n, primitive_root(q), (0,) * n)))
-    return tuple(gens)
-
-
-def scalar_affine_group(q, n):
-    """The group K, of order exactly q^n * (q - 1), on its base (0, 1)."""
-    return PermGroup(q ** n, (0, 1), scalar_affine_generators(q, n))
+    gens = tuple(gens)
+    level0 = schreier_vector(0, list(enumerate(gens)))
+    return tuple(range(q ** n)), gens, level0, tuple(map(inverse_perm, gens))
 
 
 def classes_to_labels(classes, degree):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from linecayley.cayley import (
     ConnectionSet,
+    _addition_tables,
     build_graph,
     sample_connection_set,
 )
 from linecayley.errors import InvariantViolation
-from linecayley.field import affine_ids, decode, encode, vec_scale
+from linecayley.field import affine_ids, decode, encode, vec_add, vec_scale
 from linecayley.geometry import line_points, line_universe
 from oracles import is_edge, masks_by_shift_tables
 
@@ -169,6 +170,30 @@ def test_adjacency_masks_match_shift_tables(q, n):
     ):
         g = build_graph(s)
         assert g.adjacency_masks() == masks_by_shift_tables(g)
+
+
+@pytest.mark.parametrize("q, n", [(3, 2), (3, 3), (5, 3), (7, 2)])
+def test_addition_tables_add(q, n):
+    m, lo, hi, _ = _addition_tables(q, n)
+    for w in range(q ** n):
+        for s in range(q ** n):
+            want = encode(vec_add(decode(w, q, n), decode(s, q, n), q), q)
+            assert lo[w % m][s % m] + hi[w // m][s // m] == want
+
+
+@pytest.mark.parametrize("q, n", [(3, 2), (3, 5), (5, 4), (7, 3)])
+def test_graphs_of_one_size_share_one_table_build(q, n):
+    # after every graph has listed its neighbours and streamed its masks,
+    # the tables they share still equal a fresh build
+    graphs = [build_graph(sample_connection_set(q, n, p, 1)) for p in (0.5, 1)]
+    for g in graphs:
+        g.adjacency_masks()
+        for v in range(g.num_vertices):
+            g.neighbor_ids(v)
+    fresh = _addition_tables.__wrapped__(q, n)
+    for g in graphs:
+        assert (g._split, g._lo, g._hi, g._steps) == fresh
+    assert graphs[0]._lo is graphs[1]._lo and graphs[0]._steps is graphs[1]._steps
 
 
 def test_shift_table_is_automorphism():

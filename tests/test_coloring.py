@@ -54,6 +54,10 @@ def test_coset_coloring_proper():
         assert c.num_colors == q
         assert is_proper(g, c)
         assert [len(cl) for cl in c.classes()] == [q ** (n - 1)] * q
+        assert c.class_of == tuple(i // q ** (n - 1) for i in range(q ** n))
+        # every coset coloring of the size shares one label tuple
+        other = build_graph(sample_connection_set(q, n, 1, seed))
+        assert coset_coloring(other).class_of is c.class_of
 
 
 def test_coset_coloring_empty_raises():

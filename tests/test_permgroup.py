@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from linecayley.autgroup import automorphism_group
+from linecayley.autgroup import AutResult, automorphism_group
 from linecayley.cayley import ConnectionSet, build_graph, sample_connection_set
-from linecayley.coloring import coset_coloring
+from linecayley.coloring import coset_coloring, plus_zero_recolor
+from linecayley.distinguishing import is_distinguishing
 from linecayley.field import affine_ids
 from linecayley.permgroup import (
     PermGroup,
+    _scalar_affine_chain,
     classes_to_labels,
     compose,
     depth_first,
@@ -15,7 +17,9 @@ from linecayley.permgroup import (
     fixing_subgroup_of_partition,
     inverse_perm,
     leaves,
+    scalar_affine_generators,
     scalar_affine_group,
+    schreier_vector,
 )
 from oracles import brute_fix_count, group_elements
 
@@ -105,6 +109,69 @@ def test_scalar_affine_membership():
     swap = list(range(9))
     swap[0], swap[1] = 1, 0
     assert not k.contains(tuple(swap))
+
+
+def assert_same_chain(got, want):
+    """The same base, generators, orbits in BFS order, order and membership."""
+    assert got.base() == want.base()
+    assert got.generators == want.generators
+    assert [list(got.orbit(k)) for k in range(len(got.base()))] == [
+        list(want.orbit(k)) for k in range(len(want.base()))
+    ]
+    assert got.order() == want.order()
+    swap = list(range(got.degree))
+    swap[0], swap[1] = 1, 0
+    for p in want.generators:
+        assert got.contains(p) and want.contains(p)
+    assert not got.contains(swap) and not want.contains(swap)
+
+
+def test_scalar_affine_group_matches_the_generic_constructor():
+    # K on the second base point of every instance, and K as the search
+    # returns it in case (i), against the chain PermGroup builds on K's
+    # generators; (5,4) seeds 1-3 are the pinned bases (0,150), (0,213) and
+    # (0,220), and no (3,3) instance here is case (i)
+    case_i = []
+    for q, n in ((3, 3), (5, 3), (7, 3), (5, 4)):
+        for seed in (1, 2, 3):
+            g = build_graph(sample_connection_set(q, n, 0.5, seed))
+            aut = automorphism_group(g)
+            v = aut.group.base()[1]
+            want = PermGroup(g.num_vertices, (0, v), scalar_affine_generators(q, n))
+            assert_same_chain(scalar_affine_group(q, n, v), want)
+            if aut.nodes == 2:
+                assert_same_chain(aut.group, want)
+                case_i.append((q, n, seed, v))
+    assert case_i == [
+        (5, 3, 1, 28), (5, 3, 2, 45), (5, 3, 3, 44),
+        (7, 3, 1, 9), (7, 3, 2, 62), (7, 3, 3, 66),
+        (5, 4, 1, 150), (5, 4, 2, 213), (5, 4, 3, 220),
+    ]
+    for v in (0, 125, -1):
+        with pytest.raises(ValueError):
+            scalar_affine_group(5, 3, v)
+
+
+def test_shared_chain_is_not_mutated():
+    # two K's of one size, on different second base points, walked by the
+    # class-fixing search and sifted through; what they share still equals
+    # a fresh build, the level-0 orbit in the same BFS order
+    q, n = 5, 3
+    g = build_graph(sample_connection_set(q, n, 0.5, 1))
+    cert = plus_zero_recolor(coset_coloring(g))
+    rng = random.Random(5)
+    for v in (1, 28):
+        k = scalar_affine_group(q, n, v)
+        aut = AutResult(k, True, 2, tuple(k.generators))
+        assert is_distinguishing(cert, aut).distinguishing
+        assert is_distinguishing(coset_coloring(g), aut).fixing_order == q ** (n - 1)
+        b = tuple(rng.randrange(q) for _ in range(n))
+        assert k.contains(affine_ids(q, n, rng.randrange(1, q), b))
+    identity, gens, level0, invs = _scalar_affine_chain(q, n)
+    assert identity == tuple(range(q ** n))
+    assert list(gens) == scalar_affine_generators(q, n)
+    assert list(level0.items()) == list(schreier_vector(0, list(enumerate(gens))).items())
+    assert invs == tuple(map(inverse_perm, gens))
 
 
 def test_to_json_dict():
