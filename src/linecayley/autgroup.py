@@ -1,9 +1,14 @@
 """Automorphism groups of the line Cayley graphs.
 
 The solver is an individualization-refinement backtracker.  A node is an
-ordered partition whose cells are contiguous ranges of one vertex array
-(the layout of McKay & Piperno, *Practical Graph Isomorphism II*, 2014).  A
-cell is split by its vertices' neighbour counts into a splitter cell; the
+ordered partition whose cells are contiguous ranges of one point array
+(the layout of McKay & Piperno, *Practical Graph Isomorphism II*, 2014),
+a _Cells.  _Cells.individualized is the one individualization, splitting a
+point off the end of its cell, and refine is the one refinement: it refines
+a partition of whichever points it is given, vertices (_Vertices) or scalar
+orbits (_ScalarOrbits), with no search around it.  _Search holds the tree:
+the leftmost path, the generator pool, the node budget and the leaf.  A
+cell is split by its points' neighbour counts into a splitter cell; the
 fragments take the cell's range in order of count, and the largest is not
 queued unless the cell was (Hopcroft's smaller-half rule, 1971).  Most
 split cells fall in two fragments: one count on part of the cell, or two
@@ -96,6 +101,20 @@ class _Cells:
     def unit(cls, degree):
         return cls(list(range(degree)), [0] * degree, [degree] + [0] * (degree - 1), 1)
 
+    def individualized(self, s, v):
+        """A copy with v split off the end of the cell at s, as a singleton
+        cell at s + size[s] - 1."""
+        lab = self.lab[:]
+        size = self.size[:]
+        cell = self.cell[:]
+        last = s + size[s] - 1
+        i = lab.index(v, s, last + 1)
+        lab[i], lab[last] = lab[last], v
+        size[s] -= 1
+        size[last] = 1
+        cell[v] = last
+        return _Cells(lab, cell, size, self.count + 1)
+
     def target(self):
         """Start of the first smallest non-singleton cell, or None if discrete."""
         best = None
@@ -129,15 +148,16 @@ class _Vertices:
     """The points a refinement splits, when each is one vertex.
 
     neighbors(v) is the ids of v + S, and masks() streams the masks of
-    v + S for v = 0, 1, ..., degree - 1; single holds the points that are
-    one vertex each, which a splitter of one point counts without a
-    multiset.
+    v + S for v = 0, 1, ..., degree - 1; valency is |S|, and single holds
+    the points that are one vertex each, which a splitter of one point
+    counts without a multiset.
     """
 
     def __init__(self, neighbors, masks, degree):
         self.neighbors = neighbors
         self.masks = masks
         self.degree = degree
+        self.valency = len(neighbors(0))
         self.single = range(degree)
         self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
 
@@ -194,6 +214,7 @@ class _ScalarOrbits:
         self.q = graph.q
         self.n = graph.n
         self.degree = graph.num_vertices
+        self.valency = graph.degree
         self.masks = graph.neighbor_masks
         self._vertex_neighbors = graph.neighbor_ids
         zero = len(self.reps) - 1
@@ -228,13 +249,6 @@ class _ScalarOrbits:
             counts += map(int.bit_count, map(shifted.__and__, islice(self.masks(), step)))
         return dict(compress(enumerate(counts), counts))
 
-    def individualized(self):
-        """The unit partition with 0 individualized: the nonzero orbits,
-        then {0}."""
-        zero = len(self.reps) - 1
-        size = [zero] + [0] * (zero - 1) + [1]
-        return _Cells(list(range(zero + 1)), [0] * zero + [zero], size, 2)
-
     def lift(self, part, trace):
         """The vertex route's node and trace for this refined node and its
         trace.  Each cell keeps the order the vertices have after 0 is
@@ -262,14 +276,110 @@ class _ScalarOrbits:
         return last if self.orbit_of[last] == i else self.reps[i]
 
 
+def refine(points, part, queue, stop, expected=None):
+    """Refine part, a partition of points, in place until it is
+    equitable, or has stop cells and so is the orbit partition of known
+    automorphisms (see _Search.stabilize).
+
+    Returns the trace of splits, or None as soon as it departs from
+    expected (when expected is not None).
+    """
+    lab, cell, size = part.lab, part.cell, part.size
+    cell_of = cell.__getitem__
+    queued = set(queue)
+    trace = []
+    while queue and part.count < stop:
+        w = queue.popleft()
+        queued.discard(w)
+        # the start of every cell to split -> (count, number touched)
+        # when its touched points share one count, else None; a cell is
+        # kept when all its points were touched, with one count
+        if size[w] == 1 and lab[w] in points.single:
+            # one vertex touches its neighbours, each once
+            touched = points.neighbors(lab[w])
+            hit = set(touched).__contains__
+            hits = Counter(map(cell_of, touched))
+            split = {s: (1, m) for s, m in hits.items() if m != size[s]}
+        else:
+            splitter = lab[w : w + size[w]]
+            if len(splitter) * points.valency > points.mask_route_above:
+                counts = points.counts_from_masks(splitter)
+            else:
+                counts = _counts_from_ids(points.neighbors, splitter)
+            hit = counts.__contains__
+            split = {}
+            for (s, c), m in Counter(zip(map(cell_of, counts), counts.values())).items():
+                split[s] = None if s in split else (c, m)
+            split = {s: one for s, one in split.items() if one is None or one[1] != size[s]}
+        for s in sorted(split):
+            n = size[s]
+            one = split[s]
+            members = lab[s : s + n]
+            if one is not None:
+                # untouched points, then touched ones, each in lab order
+                c, m = one
+                members = [*filterfalse(hit, members), *filter(hit, members)]
+                frags = ((0, n - m), (c, m))
+            else:
+                keys = list(map(counts.get, members, repeat(0)))
+                lo, *mid, hi = sorted(set(keys))
+                if mid:
+                    order = sorted(range(n), key=keys.__getitem__)
+                    members = list(map(members.__getitem__, order))
+                    frags = tuple(
+                        (c, len(list(f))) for c, f in groupby(map(keys.__getitem__, order))
+                    )
+                else:
+                    # every point touched, with two counts: the lower
+                    # count's points, then the higher's, each in lab order
+                    high = list(map(hi.__eq__, keys))
+                    m = keys.count(hi)
+                    members = [*compress(members, map(not_, high)), *compress(members, high)]
+                    frags = ((lo, n - m), (hi, m))
+            event = (s, frags)
+            if expected is not None and (
+                len(trace) == len(expected) or expected[len(trace)] != event
+            ):
+                return None
+            trace.append(event)
+            lab[s : s + n] = members
+            part.count += len(frags) - 1
+            if len(frags) == 2:
+                # Hopcroft's rule for two fragments: the second is new,
+                # so not queued, and is queued unless the cell was not
+                # and it is the larger
+                t = s + n - m
+                size[s], size[t] = n - m, m
+                for v in members[n - m :]:
+                    cell[v] = t
+                if s not in queued and m > n - m:
+                    t = s
+                queue.append(t)
+                queued.add(t)
+                continue
+            sizes = [k for _, k in frags]
+            largest = None if s in queued else sizes.index(max(sizes))
+            t = s
+            for j, k in enumerate(sizes):
+                size[t] = k
+                if t != s:
+                    for v in lab[t : t + k]:
+                        cell[v] = t
+                if j != largest and t not in queued:
+                    queue.append(t)
+                    queued.add(t)
+                t += k
+    if expected is not None and len(trace) != len(expected):
+        return None
+    return trace
+
+
 class _Search:
-    def __init__(self, neighbors, masks, degree, pool, budget, scalars=None):
-        self.vertices = _Vertices(neighbors, masks, degree)
+    def __init__(self, vertices, pool, budget, scalars=None):
+        self.vertices = vertices
         # the scalar orbits, when the pool holds the scalars and vertex ids
         # are vectors' ids, else None
         self.scalars = scalars
-        self.valency = len(neighbors(0))
-        self.degree = degree
         self.pool = pool
         self.budget = budget
         self.nodes = 0
@@ -280,130 +390,13 @@ class _Search:
         if self.nodes > self.budget:
             raise BudgetExceeded(f"automorphism search exceeded {self.budget} nodes")
 
-    def _refine(self, points, part, queue, stop, expected):
-        """Refine part, a partition of points, in place until it is
-        equitable, or has stop cells and so is the orbit partition of known
-        automorphisms (see stabilize).
-
-        Returns the trace of splits, or None as soon as it departs from
-        expected (when expected is not None).
-        """
-        lab, cell, size = part.lab, part.cell, part.size
-        cell_of = cell.__getitem__
-        queued = set(queue)
-        trace = []
-        while queue and part.count < stop:
-            w = queue.popleft()
-            queued.discard(w)
-            # the start of every cell to split -> (count, number touched)
-            # when its touched points share one count, else None; a cell is
-            # kept when all its points were touched, with one count
-            if size[w] == 1 and lab[w] in points.single:
-                # one vertex touches its neighbours, each once
-                touched = points.neighbors(lab[w])
-                hit = set(touched).__contains__
-                hits = Counter(map(cell_of, touched))
-                split = {s: (1, m) for s, m in hits.items() if m != size[s]}
-            else:
-                splitter = lab[w : w + size[w]]
-                if len(splitter) * self.valency > points.mask_route_above:
-                    counts = points.counts_from_masks(splitter)
-                else:
-                    counts = _counts_from_ids(points.neighbors, splitter)
-                hit = counts.__contains__
-                split = {}
-                for (s, c), m in Counter(zip(map(cell_of, counts), counts.values())).items():
-                    split[s] = None if s in split else (c, m)
-                split = {s: one for s, one in split.items() if one is None or one[1] != size[s]}
-            for s in sorted(split):
-                n = size[s]
-                one = split[s]
-                members = lab[s : s + n]
-                if one is not None:
-                    # untouched points, then touched ones, each in lab order
-                    c, m = one
-                    members = [*filterfalse(hit, members), *filter(hit, members)]
-                    frags = ((0, n - m), (c, m))
-                else:
-                    keys = list(map(counts.get, members, repeat(0)))
-                    lo, *mid, hi = sorted(set(keys))
-                    if mid:
-                        order = sorted(range(n), key=keys.__getitem__)
-                        members = list(map(members.__getitem__, order))
-                        frags = tuple(
-                            (c, len(list(f))) for c, f in groupby(map(keys.__getitem__, order))
-                        )
-                    else:
-                        # every point touched, with two counts: the lower
-                        # count's points, then the higher's, each in lab order
-                        high = list(map(hi.__eq__, keys))
-                        m = keys.count(hi)
-                        members = [*compress(members, map(not_, high)), *compress(members, high)]
-                        frags = ((lo, n - m), (hi, m))
-                event = (s, frags)
-                if expected is not None and (
-                    len(trace) == len(expected) or expected[len(trace)] != event
-                ):
-                    return None
-                trace.append(event)
-                lab[s : s + n] = members
-                part.count += len(frags) - 1
-                if len(frags) == 2:
-                    # Hopcroft's rule for two fragments: the second is new,
-                    # so not queued, and is queued unless the cell was not
-                    # and it is the larger
-                    t = s + n - m
-                    size[s], size[t] = n - m, m
-                    for v in members[n - m :]:
-                        cell[v] = t
-                    if s not in queued and m > n - m:
-                        t = s
-                    queue.append(t)
-                    queued.add(t)
-                    continue
-                sizes = [k for _, k in frags]
-                largest = None if s in queued else sizes.index(max(sizes))
-                t = s
-                for j, k in enumerate(sizes):
-                    size[t] = k
-                    if t != s:
-                        for v in lab[t : t + k]:
-                            cell[v] = t
-                    if j != largest and t not in queued:
-                        queue.append(t)
-                        queued.add(t)
-                    t += k
-        if expected is not None and len(trace) != len(expected):
-            return None
-        return trace
-
     def _individualize(self, part, s, v, stop, expected=None):
-        """Copy part, split v off the end of the cell at s, and refine.
-
-        Returns (child, trace), or None when the trace departs from expected.
-        """
+        """(child, trace) for v individualized in the cell at s and refined,
+        or None when the trace departs from expected."""
         self._tick()
-        lab = part.lab[:]
-        size = part.size[:]
-        cell = part.cell[:]
-        last = s + size[s] - 1
-        i = lab.index(v, s, last + 1)
-        lab[i], lab[last] = lab[last], v
-        size[s] -= 1
-        size[last] = 1
-        cell[v] = last
-        child = _Cells(lab, cell, size, part.count + 1)
-        trace = self._refine(self.vertices, child, deque([last]), stop, expected)
+        child = part.individualized(s, v)
+        trace = refine(self.vertices, child, deque([s + part.size[s] - 1]), stop, expected)
         return None if trace is None else (child, trace)
-
-    def _individualize_zero(self):
-        """_individualize(unit partition, 0, 0, stop) with stop the number
-        of scalar orbits, refined on those orbits: (part, trace) on the
-        orbits, which scalars.lift turns into the vertex route's."""
-        self._tick()
-        part = self.scalars.individualized()
-        trace = self._refine(self.scalars, part, deque([len(part.lab) - 1]), len(part.lab), None)
-        return part, trace
 
     def _leaf(self, lab):
         """The map taking the leftmost leaf onto the discrete partition lab,
@@ -461,17 +454,21 @@ class _Search:
         generators are strong on the base (0, v) for every v ≠ 0.
         """
         self._tick()
-        node = _Cells.unit(self.degree)
+        degree = self.vertices.degree
+        node = _Cells.unit(degree)
         path = []  # per level: (node, target cell start, trace of its child, stop)
         base = []
         while (s := node.target()) is not None:
             base.append(node.lab[s])
             if path or self.scalars is None:
-                stop = self.degree
+                stop = degree
                 child, trace = self._individualize(node, s, base[-1], stop)
             else:
+                # 0 individualized on the scalar orbits, of which it is the last
+                self._tick()
                 stop = len(self.scalars.reps)
-                part, trace = self._individualize_zero()
+                part = _Cells.unit(stop).individualized(0, stop - 1)
+                trace = refine(self.scalars, part, deque([stop - 1]), stop)
                 if part.count == stop:
                     # the cells are the scalar orbits, so Aut = K
                     self.base = (0, self.scalars.first_vertex(part.lab[0]))
@@ -480,7 +477,7 @@ class _Search:
             path.append((node, s, trace, stop))
             node = child
         self.base = tuple(base)
-        self._leaf_pos = [0] * self.degree
+        self._leaf_pos = [0] * degree
         for i, v in enumerate(node.lab):
             self._leaf_pos[v] = i
 
@@ -491,7 +488,7 @@ class _Search:
         def find(level, w):
             return self._find_iso(path, level, w)
 
-        return PermGroup(self.degree, self.base, self.pool, candidates, find)
+        return PermGroup(degree, self.base, self.pool, candidates, find)
 
 
 def automorphism_group(graph, node_budget=200000):
@@ -501,7 +498,7 @@ def automorphism_group(graph, node_budget=200000):
     contained in the result.
     """
     search = _Search(
-        graph.neighbor_ids, graph.neighbor_masks, graph.num_vertices,
+        _Vertices(graph.neighbor_ids, graph.neighbor_masks, graph.num_vertices),
         scalar_affine_generators(graph.q, graph.n), node_budget, _ScalarOrbits(graph),
     )
     try:

@@ -2,13 +2,14 @@
 
 A coloring is distinguishing when no non-trivial automorphism fixes every
 color class.  The question "does the distinguishing chromatic number exceed
-q" is decided only exhaustively, by listing every proper partition into at
-most q classes, so only at tiny scale.  The upper side is the (q+1)
-certificate, checked against the full automorphism group wherever the search
-for that group completes.
+q" is decided by listing every proper partition into at most q classes, so
+only at tiny scale, except for one line, where it needs no listing.  The
+upper side is the (q+1) certificate, checked against the full automorphism
+group wherever the search for that group completes.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 from .coloring import coset_coloring, enumerate_proper_partitions, plus_zero_recolor
 from .field import affine_ids, decode
@@ -80,11 +81,16 @@ def chi_D_exceeds_q_small(graph, aut, limit=10**6):
     admit a non-trivial class-fixing automorphism?
 
     True exactly when no proper q-coloring is distinguishing.  Feasible only
-    when the partition enumeration is tiny.
+    when the partition enumeration is tiny, or with one line: G is then
+    q^(n-1) disjoint q-cliques, so every proper partition has q classes,
+    (q!)^(q^(n-1) - 1) of them up to colour names, and matching the colours
+    of two cliques swaps them and fixes every class.
     """
     if not graph.connection.lines:
         raise ValueError("not applicable: the empty graph is properly 1-colorable")
     _as_group(aut)
+    if len(graph.connection.lines) == 1:
+        return ExceedsVerdict(True, factorial(graph.q) ** (graph.q ** (graph.n - 1) - 1), None)
     count = 0
     for coloring in enumerate_proper_partitions(graph, limit=limit):
         count += 1

@@ -230,8 +230,8 @@ def orbit_count(gens, degree):
     return count
 
 
-def sorting_refine(search, points, part, queue, stop, expected):
-    """autgroup._Search._refine as it was when every split cell was sorted
+def sorting_refine(points, part, queue, stop, expected=None):
+    """autgroup.refine as it was when every split cell was sorted
     by its points' counts and grouped into fragments, one key list, sort
     and groupby per cell, whatever the number of distinct counts.  Each
     splitter is counted the way points counts it.
@@ -247,7 +247,7 @@ def sorting_refine(search, points, part, queue, stop, expected):
         w = queue.popleft()
         queued.discard(w)
         splitter = lab[w : w + size[w]]
-        if len(splitter) * search.valency > points.mask_route_above:
+        if len(splitter) * points.valency > points.mask_route_above:
             counts = points.counts_from_masks(splitter)
         else:
             counts = _counts_from_ids(points.neighbors, splitter)

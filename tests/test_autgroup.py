@@ -8,6 +8,7 @@ from collections import Counter, deque
 
 import pytest
 
+from linecayley import autgroup
 from linecayley.autgroup import (
     _Cells,
     _ScalarOrbits,
@@ -18,6 +19,7 @@ from linecayley.autgroup import (
     dichotomy_check,
     group_equals_scalar_affine,
     is_automorphism,
+    refine,
 )
 from linecayley.cayley import (
     ConnectionSet,
@@ -163,7 +165,7 @@ def test_relabelled_graph_has_conjugate_group():
             return [sigma[u] for u in g.neighbor_ids(sigma_inv[v])]
 
         masks = [id_mask(relabelled(v), g.num_vertices) for v in range(g.num_vertices)]
-        search = _Search(relabelled, masks.__iter__, g.num_vertices, [], 200000)
+        search = _Search(_Vertices(relabelled, masks.__iter__, g.num_vertices), [], 200000)
         search.stabilize()
         group = PermGroup(g.num_vertices, search.base, search.pool)
         assert group.order() == automorphism_group(g).group.order()
@@ -240,6 +242,19 @@ def test_split_traces_are_pinned():
         assert found == (nodes, base, digest), (q, n, seed)
 
 
+def _refined_child(points, part, s, v, stop):
+    """part with v individualized in the cell at s, refined: (child, trace)."""
+    child = part.individualized(s, v)
+    return child, refine(points, child, deque([s + part.size[s] - 1]), stop)
+
+
+def _refined_after_zero(scalars):
+    """The unit partition with 0 individualized, refined on the scalar
+    orbits, of which {0} is the last, to their number of cells."""
+    stop = len(scalars.reps)
+    return _refined_child(scalars, _Cells.unit(stop), 0, stop - 1, stop)
+
+
 def test_last_level_traces_are_pinned():
     # the vertex route's refinement of the level after the scalar orbits,
     # down to singletons, which case (ii) and right branches still run:
@@ -256,12 +271,12 @@ def test_last_level_traces_are_pinned():
     for (q, n, seed), (first, digest) in cases.items():
         g = build_graph(sample_connection_set(q, n, 0.5, seed))
         scalars = _ScalarOrbits(g)
-        search = _Search(g.neighbor_ids, g.neighbor_masks, g.num_vertices, [], 2, scalars)
-        node, _ = scalars.lift(*search._individualize_zero())
+        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices)
+        node, _ = scalars.lift(*_refined_after_zero(scalars))
         s = node.target()
         v = node.lab[s]
         assert (s, v) == (0, first) == (0, scalars.first_vertex(scalars.orbit_of[v]))
-        child, trace = search._individualize(node, s, v, g.num_vertices)
+        child, trace = _refined_child(vertices, node, s, v, g.num_vertices)
         assert child.count == g.num_vertices
         assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == digest, (q, n, seed)
         # every orbit's first vertex in lift's order, V - 1 first
@@ -335,8 +350,8 @@ def test_chain_orbits_and_witnesses_are_pinned():
 
 
 def _cells_after_individualizing(g, v, stop):
-    search = _Search(g.neighbor_ids, g.neighbor_masks, g.num_vertices, [], 1)
-    child, _ = search._individualize(_Cells.unit(g.num_vertices), 0, v, stop)
+    vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices)
+    child, _ = _refined_child(vertices, _Cells.unit(g.num_vertices), 0, v, stop)
     cells, s = set(), 0
     while s < g.num_vertices:
         cells.add(frozenset(child.lab[s : s + child.size[s]]))
@@ -368,16 +383,15 @@ def test_refinement_matches_sorting_reference(monkeypatch):
     # agree.  No right node of these instances departs from its trace, so
     # each is also refined against two traces it must depart from: one
     # split short, and with the first split's fragments reversed
-    refine = _Search._refine
     refined = Counter()
 
     def copy(part):
         return _Cells(part.lab[:], part.cell[:], part.size[:], part.count)
 
-    def both(self, points, part, queue, stop, expected):
+    def both(points, part, queue, stop, expected):
         ref = copy(part)
-        want = sorting_refine(self, points, ref, deque(queue), stop, expected)
-        got = refine(self, points, part, queue, stop, expected)
+        want = sorting_refine(points, ref, deque(queue), stop, expected)
+        got = refine(points, part, queue, stop, expected)
         assert got == want
         if got is not None:
             assert (part.lab, part.cell, part.size, part.count) == (
@@ -385,15 +399,15 @@ def test_refinement_matches_sorting_reference(monkeypatch):
             )
         return got
 
-    def checked(self, points, part, queue, stop, expected):
+    def checked(points, part, queue, stop, expected=None):
         if expected:
             (s, frags), *rest = expected
             for wrong in (expected[:-1], [(s, frags[::-1]), *rest]):
-                assert both(self, points, copy(part), deque(queue), stop, wrong) is None
+                assert both(points, copy(part), deque(queue), stop, wrong) is None
         refined[type(points), expected is not None] += 1
-        return both(self, points, part, queue, stop, expected)
+        return both(points, part, queue, stop, expected)
 
-    monkeypatch.setattr(_Search, "_refine", checked)
+    monkeypatch.setattr(autgroup, "refine", checked)
     cases = [(3, 3, 0.75, seed) for seed in range(1, 8)]
     cases += [(5, 3, 0.5, seed) for seed in range(1, 9)]
     cases += [(5, 4, 0.5, seed) for seed in range(1, 4)]
@@ -414,11 +428,11 @@ def test_scalar_orbit_route_matches_vertex_route():
     for q, n, p in cases:
         g = build_graph(sample_connection_set(q, n, p, 1))
         scalars = _ScalarOrbits(g)
-        search = _Search(g.neighbor_ids, g.neighbor_masks, g.num_vertices, [], 2, scalars)
+        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices)
         stop = len(scalars.reps)
         assert stop == 1 + (g.num_vertices - 1) // (q - 1)
-        got, got_trace = scalars.lift(*search._individualize_zero())
-        want, want_trace = search._individualize(_Cells.unit(g.num_vertices), 0, 0, stop)
+        got, got_trace = scalars.lift(*_refined_after_zero(scalars))
+        want, want_trace = _refined_child(vertices, _Cells.unit(g.num_vertices), 0, 0, stop)
         assert (got.lab, got.cell, got.size, got.count) == (
             want.lab, want.cell, want.size, want.count
         ), (q, n, p)
@@ -449,7 +463,7 @@ def test_scalar_orbit_shortcut_matches_full_search():
             g = build_graph(sample_connection_set(q, n, p, seed))
             aut = automorphism_group(g)
             full = _Search(
-                g.neighbor_ids, g.neighbor_masks, g.num_vertices,
+                _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices),
                 scalar_affine_generators(q, n), 200000,
             ).stabilize()
             assert aut.group.base() == full.base(), (q, n, p, seed)

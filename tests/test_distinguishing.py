@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -104,6 +105,16 @@ def test_exceeds_q_single_line():
         assert is_proper(g, coloring)
         assert tuple(w) != tuple(range(9))
         assert all(coloring.class_of[w[x]] == coloring.class_of[x] for x in range(9))
+
+
+def test_exceeds_q_single_line_needs_no_listing():
+    # one line at (3,3): nine disjoint triangles, with (3!)^8 proper
+    # 3-partitions up to colour names, past the default listing cap of 10^6
+    _, g, aut = graph_and_aut(3, 3, lines=[(0, 0, 1)])
+    start = time.perf_counter()
+    v = chi_D_exceeds_q_small(g, aut)
+    assert time.perf_counter() - start < 1
+    assert (v.exceeds, v.partitions, v.failing) == (True, 1_679_616, None)
 
 
 def test_partition_order_is_pinned():
