@@ -33,10 +33,9 @@ orbits and {0}, one point each, q - 1 times fewer points to count and split
 that of any of its vertices, and every other cell's size is q - 1 times its
 number of orbits, so it makes the same splits in the same order.  If it
 ends with one cell per orbit, Aut is K (see _Search.stabilize), and the
-search ends there, at its second node, on the base 0 and the first vertex
-of the first cell, with no deeper level and no leaf: case (i), where the
-sampled instances of the paper's regime fall.  That K is
-permgroup.scalar_affine_group, whose level 0 is built once per (q, n).
+search ends there, at its second node, with no deeper level and no leaf:
+case (i), where the sampled instances of the paper's regime fall.  It
+returns permgroup.scalar_affine_group, the one K of its size.
 Otherwise the vertex arrays and trace are rebuilt from it and the search
 goes on.  Each node of the leftmost path is refined once, and its split
 trace (position, (count, size) pairs) is kept.  Any other node is refined
@@ -63,7 +62,7 @@ from .field import (
     affine_ids, decode, encode, inv_mod, is_scalar_matrix, mat_apply, mat_inverse, mat_mul, rank,
     vec_add, vec_scale,
 )
-from .permgroup import PermGroup, depth_first, scalar_affine_generators, scalar_affine_group
+from .permgroup import PermGroup, depth_first, scalar_affine_group
 
 
 @dataclass
@@ -269,12 +268,6 @@ class _ScalarOrbits:
         trace = [(scale * s, tuple((c, scale * k) for c, k in frags)) for s, frags in trace]
         return _Cells(lab, cell, size, part.count), trace
 
-    def first_vertex(self, i):
-        """The first vertex of orbit i in lift's order: V - 1 if it is in
-        the orbit, else reps[i], the orbit's smallest id."""
-        last = self.degree - 1
-        return last if self.orbit_of[last] == i else self.reps[i]
-
 
 def refine(points, part, queue, stop, expected=None):
     """Refine part, a partition of points, in place until it is
@@ -383,7 +376,7 @@ class _Search:
         self.pool = pool
         self.budget = budget
         self.nodes = 0
-        self.base = None  # the points individualized on the leftmost path
+        self.base = None  # the points individualized on the leftmost path to its leaf
 
     def _tick(self):
         self.nodes += 1
@@ -437,8 +430,7 @@ class _Search:
         is one, joins the pool.
 
         When the refinement after 0 reaches its stop, Aut = K, and the
-        group is scalar_affine_group on the base the search would find, 0
-        and the first vertex of the first cell, with no further level.
+        search returns scalar_affine_group, with no further level.
         This is the classical fact that every dilatation of AG(n, q) is
         x -> λx + b (Artin, *Geometric Algebra*, ch. II).  Let σ in Aut fix 0.
         Refinement commutes with σ, which fixes the unit partition with 0
@@ -451,7 +443,11 @@ class _Search:
         likewise λ_(x+y) = λ_y.  Two dependent nonzero points are both
         independent of some third, so λ_x is one λ for every x: σ is a
         scalar.  So the stabilizer of 0 is F_q^*, and Aut = K.  K's
-        generators are strong on the base (0, v) for every v ≠ 0.
+        base (0, q^(n-1)) need not be the one the search would find, but no
+        output reads it: K's generators are strong on (0, v) for every
+        v ≠ 0, and the elements fixing 0, the powers of the scaling, meet
+        v's orbit in the same order for every v, so a class-fixing subgroup
+        gets the same generators on each such base.
         """
         self._tick()
         degree = self.vertices.degree
@@ -471,8 +467,7 @@ class _Search:
                 trace = refine(self.scalars, part, deque([stop - 1]), stop)
                 if part.count == stop:
                     # the cells are the scalar orbits, so Aut = K
-                    self.base = (0, self.scalars.first_vertex(part.lab[0]))
-                    return scalar_affine_group(self.scalars.q, self.scalars.n, self.base[1])
+                    return scalar_affine_group(self.scalars.q, self.scalars.n)
                 child, trace = self.scalars.lift(part, trace)
             path.append((node, s, trace, stop))
             node = child
@@ -499,7 +494,7 @@ def automorphism_group(graph, node_budget=200000):
     """
     search = _Search(
         _Vertices(graph.neighbor_ids, graph.neighbor_masks, graph.num_vertices),
-        scalar_affine_generators(graph.q, graph.n), node_budget, _ScalarOrbits(graph),
+        list(scalar_affine_group(graph.q, graph.n).generators), node_budget, _ScalarOrbits(graph),
     )
     try:
         group = search.stabilize()
@@ -521,7 +516,7 @@ def group_equals_scalar_affine(group, q, n):
     if group.order() != q ** n * (q - 1):
         return False
     known = set(group.generators)
-    return all(g in known or group.contains(g) for g in scalar_affine_generators(q, n))
+    return all(g in known or group.contains(g) for g in scalar_affine_group(q, n).generators)
 
 
 def _linear_witness(graph, group):

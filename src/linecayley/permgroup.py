@@ -2,14 +2,14 @@
 
 Permutations are image tuples; compose(p, r) applies r first.  A PermGroup
 is built from a base and a strong generating set relative to it, which every
-group here comes with: K's is written down, and the automorphism and
-class-fixing searches find theirs as the PermGroup constructor completes
-each level of the chain, deepest first.  Each level's orbit is a BFS in
-generator order (schreier_vector), which gives exact order and membership
-tests without a Schreier-Sims closure.  Every backtrack in the package runs
-on the one explicit stack of leaves: each group search is depth_first over
-a tree of images, and the listing of proper partitions in coloring walks a
-tree of partial class assignments.
+group here comes with: K's is written down (scalar_affine_group, built once
+per (q, n)), and the automorphism and class-fixing searches find theirs as
+the PermGroup constructor completes each level of the chain, deepest first.
+Each level's orbit is a BFS in generator order (schreier_vector), which
+gives exact order and membership tests without a Schreier-Sims closure.
+Every backtrack in the package runs on the one explicit stack of leaves:
+each group search is depth_first over a tree of images, and the listing of
+proper partitions in coloring walks a tree of partial class assignments.
 """
 
 import math
@@ -145,61 +145,22 @@ class PermGroup:
         }
 
 
-def scalar_affine_generators(q, n):
-    """The generators of the group K of maps x -> lam * x + b, as a new
-    list of permutations: one translation per coordinate, then scaling by
-    the smallest primitive root.
-
-    They are strong on the base (0, 1): the translations move 0 anywhere,
-    the scaling alone fixes 0 and moves vertex 1 = e_0 (coordinate 0 is the
-    least significant digit) through its q - 1 multiples, and only the
-    identity fixes both.  The permutations are built once per (q, n); the
-    list is new, as the automorphism search appends to it.
-    """
-    return list(_scalar_affine_chain(q, n)[1])
-
-
-def scalar_affine_group(q, n, v=1):
-    """The group K, of order exactly q^n * (q - 1), on its base (0, v).
-
-    K's generators are strong on (0, v) for every vertex v != 0.  The
-    chain is the one PermGroup(q**n, (0, v), scalar_affine_generators(q, n))
-    builds, with the same generators and each orbit in the same BFS order,
-    but only level 1, the q - 1 multiples of v, is computed per call: the
-    level-0 Schreier vector, the generators' inverses and the identity
-    depend on (q, n) alone and are shared by every K of the size, so no
-    caller may mutate them.
-    """
-    degree = q ** n
-    if not 0 < v < degree:
-        raise ValueError(f"second base point {v!r} is not a nonzero id below {degree}")
-    identity, gens, level0, invs = _scalar_affine_chain(q, n)
-    group = PermGroup.__new__(PermGroup)
-    group.degree = degree
-    group._identity = identity
-    group._base = (0, v)
-    group.generators = list(gens)
-    # only the scaling, the last generator, fixes 0
-    group._svs = [level0, schreier_vector(v, [(n, gens[n])])]
-    group._invs = invs
-    return group
-
-
 @lru_cache(maxsize=4)
-def _scalar_affine_chain(q, n):
-    """What scalar_affine_generators and scalar_affine_group take from
-    (q, n) alone: (identity, generators, level-0 Schreier vector, inverses).
-    The translations reach every point from 0, so the vector's BFS, over
-    every generator in order, covers all q^n points.  Cached, as a process
-    works on few sizes."""
-    gens = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(tuple(affine_ids(q, n, 1, e)))
-    gens.append(tuple(affine_ids(q, n, primitive_root(q), (0,) * n)))
-    gens = tuple(gens)
-    level0 = schreier_vector(0, list(enumerate(gens)))
-    return tuple(range(q ** n)), gens, level0, tuple(map(inverse_perm, gens))
+def scalar_affine_group(q, n):
+    """The group K of maps x -> lam * x + b, of order exactly q^n * (q - 1).
+
+    Its generators are one translation per coordinate, then scaling by the
+    smallest primitive root.  They are strong on the base (0, q^(n-1)): the
+    translations move 0 anywhere, the scaling alone fixes 0 and moves
+    vertex q^(n-1) = e_(n-1) (coordinate n - 1 is the most significant
+    digit) through its q - 1 multiples, one in each coset class
+    x[n-1] = lam, and only the identity fixes both.  Cached, as a process
+    works on few sizes: the automorphism search returns this one object in
+    case (i), so no caller may mutate it.
+    """
+    gens = [affine_ids(q, n, 1, tuple(int(j == i) for j in range(n))) for i in range(n)]
+    gens.append(affine_ids(q, n, primitive_root(q), (0,) * n))
+    return PermGroup(q ** n, (0, q ** (n - 1)), gens)
 
 
 def classes_to_labels(classes, degree):

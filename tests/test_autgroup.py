@@ -37,7 +37,6 @@ from linecayley.permgroup import (
     compose,
     fixing_subgroup_of_partition,
     inverse_perm,
-    scalar_affine_generators,
     scalar_affine_group,
 )
 from oracles import (
@@ -218,19 +217,20 @@ def test_split_traces_are_pinned():
     # the vertices; at (5,5) and (5,6) it counts N(0) from the masks.
     # (3,4) seed 2 and (5,3) seed 8 are in case (ii), and (3,2) seed 1 has
     # a base of six points.  The others are in case (i), where the search
-    # stops after the refinement after 0 and visits 2 nodes; their bases and
-    # digests were recorded when it refined the last level too, in 3 nodes
+    # stops after the refinement after 0, visits 2 nodes and returns K on
+    # its own base (0, q^(n-1)); their digests were recorded when it refined
+    # the last level too, in 3 nodes, on the base it found there
     k_digest = "ceb449eca216d37655b4811032970a9138ef88168f209cacd9d04d72b0556ce9"
     ii_digest = "229cc8016aba9c14d784cceaee9d565b195d88c32a2fab9c709d70fe2cd71604"
     cases = {
-        (5, 4, 1): (2, (0, 150), k_digest),
-        (5, 4, 2): (2, (0, 213), k_digest),
-        (5, 4, 3): (2, (0, 220), k_digest),
+        (5, 4, 1): (2, (0, 125), k_digest),
+        (5, 4, 2): (2, (0, 125), k_digest),
+        (5, 4, 3): (2, (0, 125), k_digest),
         (3, 4, 2): (5, (0, 36, 27), ii_digest),
-        (5, 5, 1): (2, (0, 1067), "30118155f0c868b07cdeaae38666d18fb09749ed1fe6292fccb61636320c18e5"),
+        (5, 5, 1): (2, (0, 625), "30118155f0c868b07cdeaae38666d18fb09749ed1fe6292fccb61636320c18e5"),
         (5, 3, 8): (5, (0, 1, 13), "e1619e0c7b50c43466c38fccd1cd4564c8980b30ce8d8d4745534cd7d763a54c"),
-        (13, 3, 1): (2, (0, 199), "e19341793bdc7a8bbbf50d98ba540fd0b0ed3ad52d32975e153cf6dee9601332"),
-        (5, 6, 1): (2, (0, 4696), "a400e76b568d2b1bb77ba1c8cd372e0642a6697d4e65d1260d55c182ce705017"),
+        (13, 3, 1): (2, (0, 169), "e19341793bdc7a8bbbf50d98ba540fd0b0ed3ad52d32975e153cf6dee9601332"),
+        (5, 6, 1): (2, (0, 3125), "a400e76b568d2b1bb77ba1c8cd372e0642a6697d4e65d1260d55c182ce705017"),
         (3, 2, 1): (
             17, (0, 3, 8, 2, 7, 4), "841e34b90fdf04c56e3fe5f2669d823a50f44777115f3ea4c7b32354ce124858"
         ),
@@ -275,20 +275,17 @@ def test_last_level_traces_are_pinned():
         node, _ = scalars.lift(*_refined_after_zero(scalars))
         s = node.target()
         v = node.lab[s]
-        assert (s, v) == (0, first) == (0, scalars.first_vertex(scalars.orbit_of[v]))
+        assert (s, v) == (0, first)
         child, trace = _refined_child(vertices, node, s, v, g.num_vertices)
         assert child.count == g.num_vertices
         assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == digest, (q, n, seed)
-        # every orbit's first vertex in lift's order, V - 1 first
-        firsts = {}
-        for x in (g.num_vertices - 1, *range(1, g.num_vertices - 1)):
-            firsts.setdefault(scalars.orbit_of[x], x)
-        assert all(scalars.first_vertex(i) == x for i, x in firsts.items()), (q, n, seed)
 
 
 def test_chain_orbits_and_witnesses_are_pinned():
     # the sha256 of the JSON of every level's orbit and of the dichotomy
-    # witness; the chi coloring's class-fixing order and witness; and the
+    # witness; the chi coloring's class-fixing order and witness, also on
+    # three case-(i) instances, where the group is K on its own base (these
+    # were recorded when it was K on the base the search found); and the
     # pool a budget leaves when it runs out while the levels are completed
     # (the leftmost path takes 10 nodes).  Each depends on the order in
     # which every level's BFS meets the generators
@@ -335,12 +332,17 @@ def test_chain_orbits_and_witnesses_are_pinned():
         orbits = [list(aut.group.orbit(k)) for k in range(len(aut.group.base()))]
         found = (digest(orbits), digest(dichotomy_check(g, aut)["witness"]))
         assert found == want, (q, n, p, seed)
+    chi_cases = {
+        (3, 3, 0.75, 3): (362880, "0c80a04d6fa4fe9581001fbf593c2c0d1805e30936b55af3d1080e1c698738fe"),
+        (5, 3, 0.5, 1): (25, "f61854e0f97e41dad5201c4ad7bd712f2e9f015390850ef6339c6744c2fef5ff"),
+        (5, 4, 0.5, 1): (125, "d5dbf5d827651863e93f9a73e97ae4b6637205bb8134e4228eecc43bf2af871e"),
+        (7, 3, 0.5, 2): (49, "def66115ab61ade8fb0db04081bde3fbca62205b23718dc90633cf5616110a5d"),
+    }
+    for (q, n, p, seed), want in chi_cases.items():
+        g = build_graph(sample_connection_set(q, n, p, seed))
+        rep = is_distinguishing(exact_chromatic_number(g).coloring, automorphism_group(g))
+        assert (rep.fixing_order, digest(list(rep.witness))) == want, (q, n, p, seed)
     g = build_graph(sample_connection_set(3, 3, 0.75, 3))
-    rep = is_distinguishing(exact_chromatic_number(g).coloring, automorphism_group(g))
-    assert (rep.fixing_order, digest(list(rep.witness))) == (
-        362880,
-        "0c80a04d6fa4fe9581001fbf593c2c0d1805e30936b55af3d1080e1c698738fe",
-    )
     aut = automorphism_group(g, node_budget=20)
     assert not aut.complete
     assert (len(aut.pool), digest([list(x) for x in aut.pool])) == (
@@ -441,11 +443,12 @@ def test_scalar_orbit_route_matches_vertex_route():
 
 def test_scalar_orbit_shortcut_matches_full_search():
     # automorphism_group stops at 2 nodes when the refinement after 0 reaches
-    # the scalar orbits; the search without them refines every level.  Both
-    # give the same base, order and Aut = K verdict, and the stop comes only
-    # with Aut = K.  Per grid point, the instances that stop there and those with
-    # Aut = K: at (5,3) p = 0.5, 4 of the latter stop short of the scalar
-    # orbits and go on down the vertex route
+    # the scalar orbits, and returns K itself; the search without them
+    # refines every level.  Both give the same order and Aut = K verdict,
+    # and the same base wherever automorphism_group goes on, and the stop
+    # comes only with Aut = K.  Per grid point, the instances that stop there
+    # and those with Aut = K: at (5,3) p = 0.5, 4 of the latter stop short of
+    # the scalar orbits and go on down the vertex route
     grid = {
         (5, 3, 0.2, 30): (2, 2),
         (5, 3, 0.5, 300): (236, 240),
@@ -464,9 +467,12 @@ def test_scalar_orbit_shortcut_matches_full_search():
             aut = automorphism_group(g)
             full = _Search(
                 _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices),
-                scalar_affine_generators(q, n), 200000,
+                list(scalar_affine_group(q, n).generators), 200000,
             ).stabilize()
-            assert aut.group.base() == full.base(), (q, n, p, seed)
+            if aut.nodes > 2:
+                assert aut.group.base() == full.base(), (q, n, p, seed)
+            else:
+                assert aut.group is scalar_affine_group(q, n), (q, n, p, seed)
             assert aut.group.order() == full.order(), (q, n, p, seed)
             is_k = group_equals_scalar_affine(aut.group, q, n)
             assert is_k == group_equals_scalar_affine(full, q, n), (q, n, p, seed)
@@ -665,7 +671,7 @@ def test_group_equals_scalar_affine_sifts_generators_it_lacks():
     # K on the generators (t0 t1, t1, ..., scaling): t0 is not among them,
     # so it is found by sifting
     for q, n in ((3, 2), (5, 3)):
-        t0, t1, *rest = scalar_affine_generators(q, n)
+        t0, t1, *rest = scalar_affine_group(q, n).generators
         group = PermGroup(q ** n, (0, 1), [compose(t0, t1), t1, *rest])
         assert t0 not in group.generators
         assert group_equals_scalar_affine(group, q, n)

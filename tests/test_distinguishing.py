@@ -27,6 +27,7 @@ from linecayley.field import affine_ids, decode
 from linecayley.geometry import line_universe
 from oracles import (
     common_hyperplane_normal,
+    direction_count_threshold,
     first_fixing_translation_by_scan,
     fixing_translations_by_scan,
     group_elements,
@@ -149,6 +150,31 @@ def test_partition_order_is_pinned():
                 listed += 1
             counts.append(chi_D_exceeds_q_small(g, aut).partitions)
         assert (listed, h.hexdigest(), counts) == (total, digest, partitions), (q, n)
+
+
+def test_hyperplane_lemma_at_the_direction_bound():
+    # at (3,3) a proper 3-colouring's classes are 9-point independent sets,
+    # which determine none of S's L directions; a set of 9 points that is
+    # not an affine hyperplane determines more than direction_count_threshold
+    # of the 13 directions.  So from L = 13 - 9 = 4 lines every proper
+    # 3-colouring is a partition into parallel hyperplanes, and at L = 3 it
+    # need not be
+    q, n = 3, 3
+    directions = (q ** n - 1) // (q - 1)
+    bound = directions - direction_count_threshold(q, n)
+    assert bound == 4
+    # L -> (subsets of L lines, those with a proper 3-colouring into
+    # classes that are not parallel hyperplanes)
+    for size, want in ((bound, (126, 0)), (bound - 1, (84, 12))):
+        subsets = list(itertools.combinations(line_universe(q, n), size))
+        other = sum(
+            any(
+                common_hyperplane_normal(c.classes(), q, n) is None
+                for c in enumerate_proper_partitions(build_graph(ConnectionSet(q, n, lines)))
+            )
+            for lines in subsets
+        )
+        assert (len(subsets), other) == want, size
 
 
 def test_exceeds_q_rejects_empty():

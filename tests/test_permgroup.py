@@ -9,7 +9,6 @@ from linecayley.distinguishing import is_distinguishing
 from linecayley.field import affine_ids
 from linecayley.permgroup import (
     PermGroup,
-    _scalar_affine_chain,
     classes_to_labels,
     compose,
     depth_first,
@@ -17,9 +16,7 @@ from linecayley.permgroup import (
     fixing_subgroup_of_partition,
     inverse_perm,
     leaves,
-    scalar_affine_generators,
     scalar_affine_group,
-    schreier_vector,
 )
 from oracles import brute_fix_count, group_elements
 
@@ -126,52 +123,43 @@ def assert_same_chain(got, want):
     assert not got.contains(swap) and not want.contains(swap)
 
 
-def test_scalar_affine_group_matches_the_generic_constructor():
-    # K on the second base point of every instance, and K as the search
-    # returns it in case (i), against the chain PermGroup builds on K's
-    # generators; (5,4) seeds 1-3 are the pinned bases (0,150), (0,213) and
-    # (0,220), and no (3,3) instance here is case (i)
+def test_case_i_returns_k_itself():
+    # in case (i) the search returns the one cached K of the size, on its
+    # base (0, q^(n-1)); no (3,3) instance here is case (i)
     case_i = []
     for q, n in ((3, 3), (5, 3), (7, 3), (5, 4)):
         for seed in (1, 2, 3):
-            g = build_graph(sample_connection_set(q, n, 0.5, seed))
-            aut = automorphism_group(g)
-            v = aut.group.base()[1]
-            want = PermGroup(g.num_vertices, (0, v), scalar_affine_generators(q, n))
-            assert_same_chain(scalar_affine_group(q, n, v), want)
+            aut = automorphism_group(build_graph(sample_connection_set(q, n, 0.5, seed)))
             if aut.nodes == 2:
-                assert_same_chain(aut.group, want)
-                case_i.append((q, n, seed, v))
+                assert aut.group is scalar_affine_group(q, n)
+                assert aut.group.base() == (0, q ** (n - 1))
+                case_i.append((q, n, seed))
     assert case_i == [
-        (5, 3, 1, 28), (5, 3, 2, 45), (5, 3, 3, 44),
-        (7, 3, 1, 9), (7, 3, 2, 62), (7, 3, 3, 66),
-        (5, 4, 1, 150), (5, 4, 2, 213), (5, 4, 3, 220),
+        (5, 3, 1), (5, 3, 2), (5, 3, 3),
+        (7, 3, 1), (7, 3, 2), (7, 3, 3),
+        (5, 4, 1), (5, 4, 2), (5, 4, 3),
     ]
-    for v in (0, 125, -1):
-        with pytest.raises(ValueError):
-            scalar_affine_group(5, 3, v)
 
 
-def test_shared_chain_is_not_mutated():
-    # two K's of one size, on different second base points, walked by the
-    # class-fixing search and sifted through; what they share still equals
-    # a fresh build, the level-0 orbit in the same BFS order
+def test_shared_k_is_not_mutated():
+    # the cached K, walked by the class-fixing search and sifted through,
+    # still equals a fresh PermGroup on its base and generators, each
+    # orbit in the same BFS order
     q, n = 5, 3
     g = build_graph(sample_connection_set(q, n, 0.5, 1))
     cert = plus_zero_recolor(coset_coloring(g))
+    k = scalar_affine_group(q, n)
+    aut = AutResult(k, True, 2, tuple(k.generators))
+    assert is_distinguishing(cert, aut).distinguishing
+    assert is_distinguishing(coset_coloring(g), aut).fixing_order == q ** (n - 1)
     rng = random.Random(5)
-    for v in (1, 28):
-        k = scalar_affine_group(q, n, v)
-        aut = AutResult(k, True, 2, tuple(k.generators))
-        assert is_distinguishing(cert, aut).distinguishing
-        assert is_distinguishing(coset_coloring(g), aut).fixing_order == q ** (n - 1)
+    for _ in range(10):
         b = tuple(rng.randrange(q) for _ in range(n))
         assert k.contains(affine_ids(q, n, rng.randrange(1, q), b))
-    identity, gens, level0, invs = _scalar_affine_chain(q, n)
-    assert identity == tuple(range(q ** n))
-    assert list(gens) == scalar_affine_generators(q, n)
-    assert list(level0.items()) == list(schreier_vector(0, list(enumerate(gens))).items())
-    assert invs == tuple(map(inverse_perm, gens))
+    translations = [affine_ids(q, n, 1, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    fresh = PermGroup(q ** n, (0, q ** (n - 1)), [*translations, affine_ids(q, n, 2, (0, 0, 0))])
+    assert scalar_affine_group(q, n) is k
+    assert_same_chain(k, fresh)
 
 
 def test_to_json_dict():
