@@ -41,10 +41,10 @@ goes on.  Each node of the leftmost path is refined once, and its split
 trace (position, (count, size) pairs) is kept.  Any other node is refined
 alone and compared with the trace of the path node at its depth, and it is
 dropped at the first difference.  A leaf maps the leftmost leaf onto
-itself, and it is kept when it maps every neighbourhood v + S onto
-p(v) + S.  The scalar-affine group seeds the generator pool, whose orbits
-prune sibling branches; a node budget turns long searches into an
-explicitly incomplete result instead of a wrong one.
+itself, and it is kept when it maps v + S onto p(v) + S at one v per coset
+of the unit translations p normalizes.  The scalar-affine group seeds the
+generator pool, whose orbits prune sibling branches; a node budget turns
+long searches into an explicitly incomplete result instead of a wrong one.
 The PermGroup constructor completes the levels deepest first, growing the
 pool into a strong generating set on the base, so the group is built
 without a closure.
@@ -52,9 +52,9 @@ without a closure.
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, compress, filterfalse, groupby, islice, repeat
-from operator import not_
+from operator import eq, not_
 
 from .cayley import id_mask
 from .errors import BudgetExceeded
@@ -62,7 +62,7 @@ from .field import (
     affine_ids, decode, encode, inv_mod, is_scalar_matrix, mat_apply, mat_inverse, mat_mul, rank,
     vec_add, vec_scale,
 )
-from .permgroup import PermGroup, depth_first, scalar_affine_group
+from .permgroup import PermGroup, depth_first, inverse_perm, scalar_affine_group
 
 
 @dataclass
@@ -71,14 +71,34 @@ class AutResult:
     complete: bool
     nodes: int
     pool: tuple
+    leaves: int = 0  # leaf checks made
+    leaf_vertices: int = 0  # neighbourhoods compared, summed over the leaves
 
 
-def _preserves_neighbors(neighbors, p):
-    """Whether p maps every neighbourhood v + S onto p(v) + S."""
+def _preserves_neighbors(neighbors, p, qn=None):
+    """Whether the permutation p maps every v + S onto p(v) + S, and how
+    many v were compared.  With qn = (q, n), ids are vectors' ids, and one v
+    per coset of U is compared, U spanned by the e_j with p(x + e_j) = p(x) +
+    c_j for every x, c_j = p(e_j) - p(0), tried first at the x with p(x) =
+    p(0) + e_k.  Then p(v + u) = p(v) + c(u) for u in U, c linear, so p(v + S)
+    = p(v) + S gives p(v + u + S) = p(v + u) + S.  An affine p, x -> Ax +
+    p(0), is compared at v = 0 alone: A·S = S."""
+    reps = range(len(p)) if qn is None else [0]
+    if qn is not None:
+        q, n = qn
+        minus = vec_scale(q - 1, decode(p[0], q, n), q)
+        shifts = scalar_affine_group(q, n).generators[:n]
+        for j, shift in enumerate(shifts):
+            if all(p[shift[p.index(t[p[0]])]] == t[p[shift[0]]] for t in shifts):
+                moved = affine_ids(q, n, 1, vec_add(decode(p[q ** j], q, n), minus, q))
+                if all(map(eq, map(p.__getitem__, shift), map(moved.__getitem__, p))):
+                    continue
+            reps = [r + d * q ** j for d in range(q) for r in reps]
     image = p.__getitem__
-    return all(
-        set(map(image, neighbors(v))) == set(neighbors(p[v])) for v in range(len(p))
-    )
+    for compared, v in enumerate(reps, 1):
+        if set(map(image, neighbors(v))) != set(neighbors(p[v])):
+            return False, compared
+    return True, len(reps)
 
 
 class _Cells:
@@ -376,6 +396,7 @@ class _Search:
         self.pool = pool
         self.budget = budget
         self.nodes = 0
+        self.leaves = self.leaf_vertices = 0
         self.base = None  # the points individualized on the leftmost path to its leaf
 
     def _tick(self):
@@ -395,7 +416,11 @@ class _Search:
         """The map taking the leftmost leaf onto the discrete partition lab,
         if it is an automorphism."""
         p = tuple(map(lab.__getitem__, self._leaf_pos))
-        return p if _preserves_neighbors(self.vertices.neighbors, p) else None
+        qn = self.scalars and (self.scalars.q, self.scalars.n)
+        kept, compared = _preserves_neighbors(self.vertices.neighbors, p, qn)
+        self.leaves += 1
+        self.leaf_vertices += compared
+        return p if kept else None
 
     def _find_iso(self, path, level, w):
         """An automorphism fixing base[:level] and mapping base[level] to w,
@@ -472,18 +497,13 @@ class _Search:
             path.append((node, s, trace, stop))
             node = child
         self.base = tuple(base)
-        self._leaf_pos = [0] * degree
-        for i, v in enumerate(node.lab):
-            self._leaf_pos[v] = i
+        self._leaf_pos = inverse_perm(node.lab)
 
         def candidates(level):
             part, s, _, _ = path[level]
             return part.lab[s + 1 : s + part.size[s]]
 
-        def find(level, w):
-            return self._find_iso(path, level, w)
-
-        return PermGroup(degree, self.base, self.pool, candidates, find)
+        return PermGroup(degree, self.base, self.pool, candidates, partial(self._find_iso, path))
 
 
 def automorphism_group(graph, node_budget=200000):
@@ -502,11 +522,14 @@ def automorphism_group(graph, node_budget=200000):
         # report what was found; the span of a truncated pool has no
         # trustworthy order, so no group is materialized
         group = None
-    return AutResult(group, group is not None, search.nodes, tuple(search.pool))
+    found = (search.nodes, tuple(search.pool), search.leaves, search.leaf_vertices)
+    return AutResult(group, group is not None, *found)
 
 
 def is_automorphism(graph, p):
-    return _preserves_neighbors(graph.neighbor_ids, p)
+    """Whether p is a permutation of the vertex ids that preserves adjacency."""
+    permutation = sorted(p) == list(range(graph.num_vertices))
+    return permutation and _preserves_neighbors(graph.neighbor_ids, p, (graph.q, graph.n))[0]
 
 
 def group_equals_scalar_affine(group, q, n):

@@ -48,11 +48,12 @@ def _positive_int(text):
     return value
 
 
-def _emit_json(args, payload):
+def _emit_json(args, payload, **meta):
     if not args.no_meta:
         payload["meta"] = {
             "generated_at": datetime.now(timezone.utc).isoformat(),
             "runtime_ms": int((time.perf_counter() - args.start) * 1000),
+            **meta,
         }
     # no indent: with one, json drops its C encoder for the pure-Python one,
     # which at (5,8) takes 2.5 s and 290 MB more on aut's generators
@@ -126,6 +127,7 @@ def cmd_chi(args):
 def cmd_aut(args):
     g = build_graph(_load_connection(args))
     aut = automorphism_group(g, node_budget=args.budget_nodes)
+    leaf_checks = {"leaves": aut.leaves, "leaf_vertices": aut.leaf_vertices}
     if not aut.complete:
         payload = {
             "order": "unknown",
@@ -136,9 +138,9 @@ def cmd_aut(args):
             "complete": False,
             "nodes": aut.nodes,
         }
-        _emit_json(args, payload)
+        _emit_json(args, payload, **leaf_checks)
         return 3
-    _emit_json(args, dichotomy_check(g, aut))
+    _emit_json(args, dichotomy_check(g, aut), **leaf_checks)
     return 0
 
 

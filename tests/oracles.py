@@ -306,8 +306,10 @@ def edge_set(graph):
     }
 
 
-def brute_preserves_edges(graph, p):
-    edges = edge_set(graph)
+def brute_preserves_edges(graph, p, edges=None):
+    """Whether p maps the edge set onto itself; edges, when given, is the
+    graph's edge_set, built once for many calls."""
+    edges = edge_set(graph) if edges is None else edges
     return {frozenset((p[u], p[v])) for u, v in map(tuple, edges)} == edges
 
 

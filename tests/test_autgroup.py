@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -5,8 +6,11 @@ import math
 import random
 import sys
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from linecayley import autgroup
 from linecayley.autgroup import (
@@ -15,6 +19,7 @@ from linecayley.autgroup import (
     _Search,
     _Vertices,
     _counts_from_ids,
+    _preserves_neighbors,
     automorphism_group,
     dichotomy_check,
     group_equals_scalar_affine,
@@ -42,6 +47,7 @@ from linecayley.permgroup import (
 from oracles import (
     brute_force_automorphisms,
     brute_preserves_edges,
+    edge_set,
     enumerate_gl,
     fixed_line_count_eigen,
     fixed_line_count_scan,
@@ -63,6 +69,148 @@ def test_is_automorphism():
     swap = list(range(9))
     swap[0], swap[1] = 1, 0
     assert not is_automorphism(g, tuple(swap))
+
+
+def test_is_automorphism_needs_a_permutation():
+    # on the empty S every map sends v + S = {} onto p(v) + S
+    g = build_graph(ConnectionSet(3, 2, []))
+    assert not is_automorphism(g, (0,) * 9)
+    assert not is_automorphism(g, tuple(range(8)))
+    assert not is_automorphism(g, tuple(range(10)))
+    assert is_automorphism(g, tuple(range(9)))
+    g = build_graph(ConnectionSet(3, 2, [(0, 1)]))
+    assert not is_automorphism(g, (*range(8), 0))
+    assert not is_automorphism(g, tuple(range(8)))
+
+
+# the instances of the leaf-check tests, keyed by (q, n): planted (5,4) is
+# in case (ii), fixed by the homology diag(-1, 1, ..., 1)
+_LEAF_CASES = {
+    (3, 3): lambda: sample_connection_set(3, 3, 0.5, 1),
+    (5, 3): lambda: sample_connection_set(5, 3, 0.5, 1),
+    (5, 4): lambda: planted_homology_connection(5, 4, 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_graph(q, n):
+    """The graph of the case and its edge set, built once."""
+    g = build_graph(_LEAF_CASES[q, n]())
+    return g, edge_set(g)
+
+
+@st.composite
+def _affine_maps(draw):
+    """(q, n, A, p): a case and the map p: x -> Ax + b with A in GL(n, q),
+    half the time λ times a power of the homology, which fixes the planted
+    S, else any invertible A, which rarely fixes S."""
+    q, n = draw(st.sampled_from(sorted(_LEAF_CASES)))
+    if draw(st.booleans()):
+        lam = draw(st.integers(1, q - 1))
+        first = lam * (-1) ** draw(st.integers(0, 1)) % q
+        m = tuple(tuple((first if i == 0 else lam) * (i == j) for j in range(n)) for i in range(n))
+    else:
+        entries = st.integers(0, q - 1)
+        m = draw(st.tuples(*[st.tuples(*[entries] * n)] * n))
+        if rank(m, q) < n:
+            reject()
+    b = draw(st.tuples(*[st.integers(0, q - 1)] * n))
+    return q, n, m, compose(tuple(affine_ids(q, n, 1, b)), linear_perm(q, n, m))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_affine_maps())
+def test_leaf_check_on_affine_maps(drawn):
+    # every unit direction passes, so one neighbourhood is compared, at 0,
+    # and the answer is A·S = S
+    q, n, m, p = drawn
+    g, edges = _leaf_graph(q, n)
+    members = g.connection.members
+    fixes = all(mat_apply(m, v, q) in members for v in members)
+    assert _preserves_neighbors(g.neighbor_ids, p, (q, n)) == (fixes, 1)
+    assert is_automorphism(g, p) == brute_preserves_edges(g, p, edges) == fixes
+
+
+@settings(max_examples=20, deadline=None)
+@given(_affine_maps(), st.data())
+def test_leaf_check_on_affine_maps_with_a_transposition(drawn, data):
+    # swapping two vertices first breaks every unit direction, so the check
+    # compares neighbourhoods in id order until the first that p does not
+    # preserve
+    q, n, _, affine = drawn
+    g, edges = _leaf_graph(q, n)
+    u, v = data.draw(st.lists(st.integers(0, q ** n - 1), min_size=2, max_size=2, unique=True))
+    swap = list(range(q ** n))
+    swap[u], swap[v] = v, u
+    p = compose(affine, tuple(swap))
+    first = next(
+        x for x in range(q ** n) if {p[y] for y in g.neighbor_ids(x)} != set(g.neighbor_ids(p[x]))
+    )
+    assert _preserves_neighbors(g.neighbor_ids, p, (q, n)) == (False, first + 1)
+    assert not is_automorphism(g, p)
+    assert not brute_preserves_edges(g, p, edges)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_LEAF_CASES)), st.randoms(use_true_random=False))
+def test_leaf_check_on_random_permutations(case, rng):
+    g, edges = _leaf_graph(*case)
+    p = list(range(g.num_vertices))
+    rng.shuffle(p)
+    assert is_automorphism(g, p) == brute_preserves_edges(g, p, edges)
+
+
+def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
+    # every leaf the search checks at (3,3), p = 0.75, seeds 0-19, most of
+    # which are not affine: the shortcut gives the full loop's answer.  So
+    # does is_automorphism on every generator of the pool, where brute force
+    # agrees; more of them are checked on several vertices than on one
+    answers = Counter()
+
+    def both(neighbors, p, qn=None):
+        got = _preserves_neighbors(neighbors, p, qn)
+        assert got[0] == _preserves_neighbors(neighbors, p)[0]
+        answers[got[0], got[1] == 1] += 1
+        return got
+
+    monkeypatch.setattr(autgroup, "_preserves_neighbors", both)
+    generators = Counter()
+    for seed in range(20):
+        g = build_graph(sample_connection_set(3, 3, 0.75, seed))
+        aut = automorphism_group(g)
+        assert aut.leaves == sum(answers.values())
+        answers.clear()
+        edges = edge_set(g)
+        for p in aut.pool:
+            assert is_automorphism(g, p) and brute_preserves_edges(g, p, edges), seed
+        generators += answers
+        answers.clear()
+    assert generators[True, False] > generators[True, True]
+
+
+def test_leaf_check_on_part_of_the_unit_directions():
+    # S is every line off H = {x[2] = 0}, and p adds e_0 on H and fixes the
+    # rest: it passes e_0 and e_1 but not e_2, so U = <e_0, e_1> has three
+    # cosets, each the layer x[2] = c, and one vertex of each is compared
+    g = build_graph(ConnectionSet(3, 3, [l for l in line_universe(3, 3) if l[2] != 0]))
+    p = tuple(3 * (v // 3) + (v + 1) % 3 if v < 9 else v for v in range(27))
+    assert _preserves_neighbors(g.neighbor_ids, p, (3, 3)) == (True, 3)
+    assert _preserves_neighbors(g.neighbor_ids, p) == (True, 27)
+    assert is_automorphism(g, p) and brute_preserves_edges(g, p)
+
+
+def test_leaf_counts_are_pinned():
+    # planted (5,4) seed 1 reaches one leaf, an affine one, checked on one
+    # vertex; case (i) reaches none
+    aut = automorphism_group(build_graph(planted_homology_connection(5, 4, 1)))
+    assert (aut.leaves, aut.leaf_vertices) == (1, 1)
+    aut = automorphism_group(build_graph(sample_connection_set(5, 4, 0.5, 1)))
+    assert (aut.leaves, aut.leaf_vertices) == (0, 0)
+
+
+def test_committed_planted_set_matches_the_oracle():
+    path = Path(__file__).with_name("planted-5-5.json")
+    assert json.loads(path.read_text()) == planted_homology_connection(5, 5, 1).to_json_dict()
 
 
 def test_solver_matches_brute_on_two_subsets():

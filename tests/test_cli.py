@@ -87,6 +87,17 @@ def test_aut_complete(capsys):
     assert d["nodes"] >= 1
 
 
+def test_aut_meta_reports_leaf_checks(capsys):
+    # (3,2) seed 1 checks 4 leaves, some of them not affine and so on more
+    # than one vertex; the counts are in meta only, which --no-meta drops
+    code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert (meta["leaves"], meta["leaf_vertices"]) == (4, 30)
+    code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1", "--no-meta")
+    assert "leaves" not in out and "meta" not in json.loads(out)
+
+
 def test_aut_budget_exhaustion(capsys):
     code, out = run(capsys, "aut", "--q", "3", "--n", "3", "--seed", "8",
                     "--budget-nodes", "1", "--no-meta")
