@@ -191,14 +191,12 @@ class _Vertices:
 
 @lru_cache(maxsize=4)
 def _scalar_orbit_table(q, n):
-    """The orbits of the scalars x -> λx on F_q^n, as (reps, orbit_of,
-    zero_digit).
+    """The orbits of the scalars x -> λx on F_q^n, as (reps, orbit_of).
 
     Orbit i < D = (q^n - 1)/(q - 1) is that of reps[i], the id whose highest
     nonzero base-q digit is 1: the ids q^k..2q^k - 1 in turn, for k < n.
-    reps[D] = 0, alone in its orbit.  orbit_of[x] is the orbit of id x, and
-    zero_digit[k] the mask of the ids whose digit k is 0.  Cached, as a
-    process works on few sizes.
+    reps[D] = 0, alone in its orbit.  orbit_of[x] is the orbit of id x.
+    Cached, as a process works on few sizes.
     """
     d = (q ** n - 1) // (q - 1)
     reps = (*chain.from_iterable(range(q ** k, 2 * q ** k) for k in range(n)), 0)
@@ -209,11 +207,7 @@ def _scalar_orbit_table(q, n):
         first = (q ** k - 1) // (q - 1)
         for c in range(1, q):
             orbit_of += map(first.__add__, affine_ids(q, k, inv_mod(c, q), (0,) * k))
-    ones = (1 << q ** n) - 1
-    zero_digit = tuple(
-        ((1 << q ** k) - 1) * (ones // ((1 << q ** (k + 1)) - 1)) for k in range(n)
-    )
-    return reps, tuple(orbit_of), zero_digit
+    return reps, tuple(orbit_of)
 
 
 class _ScalarOrbits:
@@ -229,9 +223,10 @@ class _ScalarOrbits:
     """
 
     def __init__(self, graph):
-        self.reps, self.orbit_of, self._zero_digit = _scalar_orbit_table(graph.q, graph.n)
+        self.reps, self.orbit_of = _scalar_orbit_table(graph.q, graph.n)
         self.q = graph.q
         self.n = graph.n
+        self.steps = graph.steps
         self.degree = graph.num_vertices
         self.valency = graph.degree
         self.masks = graph.neighbor_masks
@@ -255,17 +250,16 @@ class _ScalarOrbits:
         """The same counts as _counts_from_ids, in point order, from
         (V - 1)/(q - 1) masks of the stream: the count of q^k + u, for
         u < q^k, is the popcount of N(u) & (W - e_k), W being the vertices
-        of the members.  No member is {0}, which is small, and {0}, a cell
-        of its own, is not counted."""
-        q, degree = self.q, self.degree
+        of the members.  W - e_k undoes the stream's step by e_k (see
+        CayleyGraph.steps).  No member is {0}, which is small, and {0}, a
+        cell of its own, is not counted."""
+        degree = self.degree
         w = id_mask(compress(range(degree), map(set(members).__contains__, self.orbit_of)), degree)
         counts = []
-        for k, zero in enumerate(self._zero_digit):
-            # W - e_k: digit k of each id goes down by 1, and 0 wraps to q - 1
-            low = w & zero
-            step = q ** k
-            shifted = ((w ^ low) >> step) | (low << (q - 1) * step)
-            counts += map(int.bit_count, map(shifted.__and__, islice(self.masks(), step)))
+        for keep, wrap, up, down in self.steps:
+            # digit k of each id goes down by 1, and 0 wraps to q - 1
+            shifted = ((w >> up) & keep) | ((w << down) & wrap)
+            counts += map(int.bit_count, map(shifted.__and__, islice(self.masks(), up)))
         return dict(compress(enumerate(counts), counts))
 
     def lift(self, part, trace):
@@ -279,12 +273,8 @@ class _ScalarOrbits:
         size = [0] * degree
         size[::scale] = [scale * k for k in part.size]
         size[-1] = 1
-        lab = [0] * degree
-        free = list(range(degree))  # at a cell's start: where its next vertex goes
-        for v in chain((degree - 1,), range(1, degree - 1), (0,)):
-            s = cell[v]
-            lab[free[s]] = v
-            free[s] += 1
+        # cell[v] is where v's cell starts, so a stable sort puts each cell in place
+        lab = sorted(chain((degree - 1,), range(1, degree - 1), (0,)), key=cell.__getitem__)
         trace = [(scale * s, tuple((c, scale * k) for c, k in frags)) for s, frags in trace]
         return _Cells(lab, cell, size, part.count), trace
 
@@ -603,17 +593,13 @@ def dichotomy_check(graph, aut):
     if not aut.complete:
         raise ValueError("automorphism search was incomplete; raise the node budget")
     group = aut.group
-    q, n = graph.q, graph.n
-    report = group.to_json_dict()
-    report["complete"] = True
-    report["nodes"] = aut.nodes
-    if group_equals_scalar_affine(group, q, n):
-        report["equals_K"] = True
-        report["dichotomy"] = "i"
-        report["witness"] = None
-        return report
-    report["equals_K"] = False
-    witness = _linear_witness(graph, group)
-    report["dichotomy"] = "ii" if witness is not None else "violated"
-    report["witness"] = [list(row) for row in witness] if witness else None
-    return report
+    equals_k = group_equals_scalar_affine(group, graph.q, graph.n)
+    witness = None if equals_k else _linear_witness(graph, group)
+    return {
+        **group.to_json_dict(),
+        "complete": True,
+        "nodes": aut.nodes,
+        "equals_K": equals_k,
+        "dichotomy": "i" if equals_k else "ii" if witness is not None else "violated",
+        "witness": None if witness is None else [list(row) for row in witness],
+    }

@@ -104,10 +104,8 @@ def chernoff_report(q, n, trials=0, seed=None):
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     num_lines = q ** (n - 1)
-    threshold2 = q ** (n - 1) - q ** (n - 2)
-    if threshold2 % 2:
-        raise ValueError("threshold is not an integer")
-    threshold = threshold2 // 2
+    # half of q^(n-1) - q^(n-2) = q^(n-2)(q - 1), an integer as q is odd
+    threshold = (q ** (n - 1) - q ** (n - 2)) // 2
     t_lines = threshold - 1
     t_elements = (q ** (n - 2) - 1) // 2
     with localcontext() as ctx:

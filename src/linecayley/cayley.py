@@ -109,7 +109,7 @@ class CayleyGraph:
         self.num_vertices = self.q ** self.n
         self.degree = len(connection.members)
         self._members = sorted(connection.members)
-        self._split, self._lo, self._hi, self._steps = _addition_tables(self.q, self.n)
+        self._split, self._lo, self._hi, self.steps = _addition_tables(self.q, self.n)
         self._digits = [divmod(encode(s, self.q), self._split)[::-1] for s in self._members]
         # what neighbor_masks starts from, since every large refinement
         # splitter and each properness check opens the stream
@@ -133,7 +133,7 @@ class CayleyGraph:
         (q-1)*q^i. An odometer over the digits keeps n masks alive, so each
         step costs a few big-int operations on V bits.
         """
-        q, n, steps = self.q, self.n, self._steps
+        q, n, steps = self.q, self.n, self.steps
         # masks[i] is N of the current vertex with its digits below i cleared
         m = self._mask0
         masks = [m] * n
@@ -180,8 +180,9 @@ def _addition_tables(q, n):
     lo[w % m][s % m] + hi[w // m][s // m]; they hold at most q^(n+1) ints,
     where a table of every v + s would hold V * |S|.  And per digit i, the
     step of neighbor_masks by e_i: (ids whose digit i is below q-1, the
-    rest, the shift up, the shift down).  All tuples, shared by every graph
-    of the size; cached, as a process works on few sizes.
+    rest, the shift up, the shift down), a graph's steps, which the
+    scalar-orbit counts of autgroup also read.  All tuples, shared by every
+    graph of the size; cached, as a process works on few sizes.
     """
     h = (n + 1) // 2
     m = q ** h

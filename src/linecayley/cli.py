@@ -279,8 +279,7 @@ def build_parser():
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--trials", type=int, default=0)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--no-meta", action="store_true")
+    _add_common(sub, q=False, n=False)
     sub.set_defaults(func=cmd_bounds)
 
     return parser

@@ -192,8 +192,8 @@ def test_graphs_of_one_size_share_one_table_build(q, n):
             g.neighbor_ids(v)
     fresh = _addition_tables.__wrapped__(q, n)
     for g in graphs:
-        assert (g._split, g._lo, g._hi, g._steps) == fresh
-    assert graphs[0]._lo is graphs[1]._lo and graphs[0]._steps is graphs[1]._steps
+        assert (g._split, g._lo, g._hi, g.steps) == fresh
+    assert graphs[0]._lo is graphs[1]._lo and graphs[0].steps is graphs[1].steps
 
 
 def test_shift_table_is_automorphism():

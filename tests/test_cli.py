@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -124,6 +125,8 @@ def test_aut_case_ii_past_the_gl_scan(capsys, deadline):
 
 def test_error_exits(capsys, tmp_path):
     code, _ = run(capsys, "lines", "--q", "4", "--n", "2")
+    assert code == 2
+    code, _ = run(capsys, "lines", "--q", "2", "--n", "2")
     assert code == 2
     code, _ = run(capsys, "sample", "--q", "3", "--n", "2")
     assert code == 2
@@ -253,6 +256,42 @@ def test_experiment_json_no_meta_strips_runtime(capsys):
     d = json.loads(out)
     assert all("runtime_ms" not in r for r in d["records"])
     assert d["aggregate"]["trials"] == 2
+
+
+# The sha256 of the --no-meta output of each command line, recorded at
+# 2f63137, so that a change meant to keep every output byte-identical is
+# checked here and not by hand.  The planted set takes about 1.5 s; the
+# rest take a few hundredths each.
+PLANTED_5_5 = str(Path(__file__).with_name("planted-5-5.json"))
+OUTPUT_DIGESTS = [
+    (("aut", "--q", "5", "--n", "3", "--seed", "8"),
+     "10c54d58ed0eaae09b844fab2a47d6d6f281a6e5312ef46d44af0eef63bc0fdb"),
+    (("aut", "--q", "3", "--n", "4", "--seed", "2"),
+     "b487119c5ae0e5ee82a645abd331110f00bb25d684f9875338eef87aaf492d5a"),
+    (("aut", "--q", "5", "--n", "4", "--seed", "1"),
+     "ed7ccae7058c35ccd8014c0458dae2d908af7cddc965ce2897f7eaabdd85fa26"),
+    (("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "3"),
+     "7c462e1707519c9f0fe384645616c19cf23a654b8a850d7476acb6e87881ed4c"),
+    (("aut", "--q", "5", "--n", "5", "--in", PLANTED_5_5),
+     "0096cce93656944f24b787f0efac6f4046b862654656e0eb60eb29588d113e72"),
+    (("distinguish", "--q", "5", "--n", "4", "--seed", "1"),
+     "1b36c0ed9d21db40918b0dca8b26dfbc6902eead77e3bba47fadc25926941bb9"),
+    (("distinguish", "--q", "5", "--n", "3", "--seed", "8"),
+     "49b16f7bb00d40a5bcfaac66fccc2533e51c46fa2bccf7ceb159cd2965587ca9"),
+    (("experiment", "--q", "5", "--n", "3", "--trials", "20", "--seed", "3"),
+     "cbb7945909b41d1bda7054ef865007f9ab46747f1451b97f5b6fed75940c81c0"),
+    (("experiment", "--q", "5", "--n", "3", "--trials", "20", "--seed", "3", "--format", "csv"),
+     "0cc4546757cbff3e0f2261c3ec0fbe4cd2c33bcf74436608569af1baa8006d1a"),
+]
+
+
+def test_no_meta_outputs_are_pinned(capsys):
+    found = []
+    for argv, _ in OUTPUT_DIGESTS:
+        code, out = run(capsys, *argv, "--no-meta")
+        assert code == 0, argv
+        found.append(hashlib.sha256(out.encode()).hexdigest())
+    assert found == [digest for _, digest in OUTPUT_DIGESTS]
 
 
 def test_distinguish_rejects_bad_coloring_ids(capsys, tmp_path):
