@@ -23,7 +23,8 @@ class ConnectionSet:
             line = tuple([int(a) % q for a in line])
             if len(line) != n:
                 raise ValueError(f"line {line} has wrong dimension")
-            rep = proj_rep(line, q)
+            # a line whose last coordinate is 1 is its own representative
+            rep = line if line[-1] == 1 else proj_rep(line, q)
             if rep[-1] == 0:
                 raise ValueError(
                     f"line {line} lies inside the hyperplane x[{n - 1}] = 0"
@@ -33,10 +34,8 @@ class ConnectionSet:
             seen.add(rep)
             canonical.append(rep)
         self.lines = tuple(sorted(canonical))
-        members = set()
-        for rep in self.lines:
-            members.update(line_points(rep, q))
-        self.members = frozenset(members)
+        cache = _line_cache(q, n)
+        self.members = frozenset().union(*[cache[rep][: q - 1] for rep in self.lines])
         self._validate()
 
     def _validate(self):
@@ -88,7 +87,7 @@ def sample_connection_set(q, n, p=0.5, seed=None):
     if seed is None:
         raise ValueError("seed is required for sampling")
     rng = random.Random(seed)
-    return ConnectionSet(q, n, [rep for rep in line_universe(q, n) if rng.random() < p])
+    return ConnectionSet(q, n, [rep for rep in _universe(q, n) if rng.random() < p])
 
 
 def id_mask(ids, degree):
@@ -108,9 +107,9 @@ class CayleyGraph:
         self.n = connection.n
         self.num_vertices = self.q ** self.n
         self.degree = len(connection.members)
-        self._members = sorted(connection.members)
         self._split, self._lo, self._hi, self.steps = _addition_tables(self.q, self.n)
-        self._digits = [divmod(encode(s, self.q), self._split)[::-1] for s in self._members]
+        cache = _line_cache(self.q, self.n)
+        self._digits = [d for rep in connection.lines for d in cache[rep][self.q - 1 :]]
         # what neighbor_masks starts from, since every large refinement
         # splitter and each properness check opens the stream
         self._mask0 = id_mask(self.neighbor_ids(0), self.num_vertices)
@@ -120,7 +119,8 @@ class CayleyGraph:
         return self.num_vertices * self.degree // 2
 
     def neighbor_ids(self, v):
-        """Ids of v + s for the members s of S, in the order of S's members."""
+        """Ids of v + s for the members s of S, in line order: the lines of
+        S sorted, and each line's points in the order of line_points."""
         lo = self._lo[v % self._split]
         hi = self._hi[v // self._split]
         return [lo[a] + hi[b] for a, b in self._digits]
@@ -130,26 +130,29 @@ class CayleyGraph:
 
         Each mask is the one before translated by a unit vector e_i: bits
         whose digit i is below q-1 move up by q^i, the others wrap down by
-        (q-1)*q^i. An odometer over the digits keeps n masks alive, so each
-        step costs a few big-int operations on V bits.
+        (q-1)*q^i. They come in runs of q along e_0, between the ticks of
+        an odometer over digits 1..n-1; a step is a few big-int operations.
         """
         q, n, steps = self.q, self.n, self.steps
-        # masks[i] is N of the current vertex with its digits below i cleared
+        keep, wrap, up, down = steps[0]
+        # masks[i] is N of the run's first vertex with its digits below i cleared
         m = self._mask0
-        masks = [m] * n
-        digits = [0] * n
-        yield m
-        for _ in range(self.num_vertices - 1):
-            i = 0
+        masks, digits = [m] * n, [0] * n
+        while True:
+            yield m
+            for _ in range(q - 1):
+                m = ((m & keep) << up) | ((m & wrap) >> down)
+                yield m
+            i = 1
             while digits[i] == q - 1:
                 digits[i] = 0
                 i += 1
+                if i == n:
+                    return
             digits[i] += 1
-            keep, wrap, up, down = steps[i]
-            m = masks[i]
-            m = ((m & keep) << up) | ((m & wrap) >> down)
-            masks[: i + 1] = [m] * (i + 1)
-            yield m
+            k, w, u, d = steps[i]
+            m = ((masks[i] & k) << u) | ((masks[i] & w) >> d)
+            masks[1 : i + 1] = [m] * i
 
     def adjacency_masks(self):
         """Per-vertex neighbor bitmasks, as a list."""
@@ -162,7 +165,7 @@ class CayleyGraph:
         fh.write(f"p edge {self.num_vertices} {self.num_edges}\n")
         written = 0
         # one vector per {s, -s} pair, so that no edge is written twice
-        for s in self._members:
+        for s in sorted(self.connection.members):
             if encode(s, q) > encode(tuple(-a % q for a in s), q):
                 continue
             table = affine_ids(q, self.n, 1, s)
@@ -199,6 +202,35 @@ def _addition_tables(q, n):
         wrap = block * (((1 << v) - 1) // ((1 << q * step) - 1))
         steps.append((((1 << v) - 1) ^ wrap, wrap, step, (q - 1) * step))
     return m, lo, hi, tuple(steps)
+
+
+class _Lines(dict):
+    """rep -> the q-1 points of line_points(rep, q), then the split digits
+    (x % m, x // m) of their ids x, m being the split of _addition_tables.
+    Filled as lines are met, so one instance at a large size pays for its
+    own lines alone: one flat tuple each, its digits shared int objects."""
+
+    def __init__(self, q, n):
+        self.q, self.split = q, q ** ((n + 1) // 2)
+        self.digit = tuple(range(self.split))
+
+    def __missing__(self, rep):
+        q, m, d = self.q, self.split, self.digit
+        points = tuple(line_points(rep, q))
+        self[rep] = points + tuple((d[x % m], d[x // m]) for x in [encode(s, q) for s in points])
+        return self[rep]
+
+
+@lru_cache(maxsize=4)
+def _line_cache(q, n):
+    """The one _Lines of (q, n), shared by every set and graph of the size."""
+    return _Lines(q, n)
+
+
+@lru_cache(maxsize=4)
+def _universe(q, n):
+    """The admissible lines, in the order sample_connection_set draws them."""
+    return line_universe(q, n).lines
 
 
 def build_graph(connection):

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from .errors import EnumerationLimitExceeded
 from .field import encode, vec_add, vec_scale
+from .geometry import proj_rep
 from .permgroup import classes_to_labels, leaves
 
 
@@ -85,12 +86,13 @@ def is_proper(g, coloring):
 
 
 def line_clique(g, line, w=None):
-    """The q-clique {lam * line + w : lam in F_q} for a chosen line.
+    """The q-clique {lam * line + w : lam in F_q} for a chosen line, given
+    by any nonzero vector on it.
 
     w must lie in the hyperplane x[n-1] = 0; the translates over all such w
     partition the vertex set into q^(n-1) cliques.
     """
-    line = tuple(int(a) % g.q for a in line)
+    line = proj_rep(tuple(int(a) % g.q for a in line), g.q)
     if line not in g.connection.lines:
         raise ValueError("line was not chosen in the connection set")
     if w is None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from linecayley.cayley import (
     ConnectionSet,
     _addition_tables,
+    _line_cache,
     build_graph,
     sample_connection_set,
 )
@@ -37,6 +38,43 @@ def test_from_lines_rejects_hyperplane_line():
 def test_from_lines_rejects_duplicates():
     with pytest.raises(ValueError):
         ConnectionSet(3, 2, [(0, 1), (0, 2)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_multiples_give_the_same_set(data):
+    # each line given as c rep + q k (1, ..., 1) for a nonzero c and k in
+    # -2..2, so some coordinates fall outside [0, q), against the reps
+    q = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(2, 4))
+    reps = data.draw(st.lists(st.sampled_from(line_universe(q, n).lines), unique=True, max_size=q))
+    multiples = [
+        tuple(c * a + q * k for a in rep)
+        for rep, c, k in zip(
+            reps,
+            data.draw(st.lists(st.integers(1, q - 1), min_size=len(reps), max_size=len(reps))),
+            data.draw(st.lists(st.integers(-2, 2), min_size=len(reps), max_size=len(reps))),
+        )
+    ]
+    s, t = ConnectionSet(q, n, reps), ConnectionSet(q, n, multiples)
+    assert t.lines == s.lines == tuple(sorted(reps))
+    assert t.members == s.members
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ([(1, 1)], "line (1, 1) has wrong dimension"),
+        ([(2, 3, 0)], "line (2, 3, 0) lies inside the hyperplane x[2] = 0"),
+        ([(1, 2, 1), (2, 4, 2)], "duplicate line (2, 4, 2)"),
+        ([(0, 0, 0)], "zero vector spans no line"),
+    ],
+    ids=["short-ending-in-1", "hyperplane", "duplicate-multiple", "zero"],
+)
+def test_from_lines_error_messages(lines, message):
+    with pytest.raises(ValueError) as exc:
+        ConnectionSet(5, 3, lines)
+    assert str(exc.value) == message
 
 
 def test_connection_requires_odd_prime():
@@ -160,16 +198,44 @@ def test_neighbors_and_masks():
             assert is_edge(g, u, v)
 
 
-@pytest.mark.parametrize("q, n", [(3, 2), (3, 3), (5, 3), (7, 2), (11, 2), (3, 5), (5, 4)])
+@pytest.mark.parametrize(
+    "q, n", [(3, 2), (3, 3), (5, 3), (7, 2), (11, 2), (3, 5), (5, 4), (5, 5), (31, 3)]
+)
 def test_adjacency_masks_match_shift_tables(q, n):
-    # digit wraps at q = 3 and q = 11, and the two-digit odometer at n = 2
-    for s in (
-        sample_connection_set(q, n, 0.5, 1),
-        ConnectionSet(q, n, []),
-        ConnectionSet(q, n, list(line_universe(q, n))),
-    ):
-        g = build_graph(s)
+    # digit wraps at q = 3 and q = 11, the two-digit odometer at n = 2, and
+    # the longest run along e_0 at q = 31.  The oracle takes V |S| big-int
+    # steps, so at (31, 3), V = 29,791, S is two lines whose points take
+    # every value of digit 0, not a sample or the universe
+    if q == 31:
+        sets = [[], [(1, 0, 1), (3, 7, 1)]]
+    else:
+        sets = [[], list(line_universe(q, n))]
+        sets.append(sample_connection_set(q, n, 0.5, 1).lines)
+    for lines in sets:
+        g = build_graph(ConnectionSet(q, n, lines))
         assert g.adjacency_masks() == masks_by_shift_tables(g)
+
+
+def test_graphs_from_a_warm_line_cache_match_shift_tables():
+    # each size's line cache is warm from the instances before, with the
+    # other sizes built in between; the last set's cache is evicted by four
+    # other sizes before its graph is built, and is filled again
+    def check(g):
+        masks = masks_by_shift_tables(g)
+        assert g.adjacency_masks() == masks
+        for v, mask in enumerate(masks):
+            ids = g.neighbor_ids(v)
+            assert len(ids) == g.degree
+            assert set(ids) == {u for u in range(g.num_vertices) if mask >> u & 1}
+
+    for seed in range(3):
+        for q, n in ((3, 3), (5, 3), (5, 4)):
+            check(build_graph(sample_connection_set(q, n, 0.5, seed)))
+    s = sample_connection_set(3, 3, 0.5, 7)
+    for q, n in ((3, 2), (5, 2), (7, 2), (3, 4)):
+        sample_connection_set(q, n, 0.5, 7)
+    assert not _line_cache(3, 3)
+    check(build_graph(s))
 
 
 @pytest.mark.parametrize("q, n", [(3, 2), (3, 3), (5, 3), (7, 2)])
@@ -191,6 +257,7 @@ def test_graphs_of_one_size_share_one_table_build(q, n):
         for v in range(g.num_vertices):
             g.neighbor_ids(v)
     fresh = _addition_tables.__wrapped__(q, n)
+    assert _line_cache(q, n).split == fresh[0]
     for g in graphs:
         assert (g._split, g._lo, g._hi, g.steps) == fresh
     assert graphs[0]._lo is graphs[1]._lo and graphs[0].steps is graphs[1].steps

@@ -259,10 +259,13 @@ def test_experiment_json_no_meta_strips_runtime(capsys):
 
 
 # The sha256 of the --no-meta output of each command line, recorded at
-# 2f63137, so that a change meant to keep every output byte-identical is
-# checked here and not by hand.  The planted set takes about 1.5 s; the
-# rest take a few hundredths each.
+# 2f63137 (the last three at 7299f7f), so that a change meant to keep every
+# output byte-identical is checked here and not by hand.  The planted set
+# takes about 1.5 s; the rest take a few hundredths each.  multiples-5-4.json
+# gives each of its lines as a nonzero multiple of the canonical
+# representative, some with coordinates outside [0, q).
 PLANTED_5_5 = str(Path(__file__).with_name("planted-5-5.json"))
+MULTIPLES_5_4 = str(Path(__file__).with_name("multiples-5-4.json"))
 OUTPUT_DIGESTS = [
     (("aut", "--q", "5", "--n", "3", "--seed", "8"),
      "10c54d58ed0eaae09b844fab2a47d6d6f281a6e5312ef46d44af0eef63bc0fdb"),
@@ -282,6 +285,12 @@ OUTPUT_DIGESTS = [
      "cbb7945909b41d1bda7054ef865007f9ab46747f1451b97f5b6fed75940c81c0"),
     (("experiment", "--q", "5", "--n", "3", "--trials", "20", "--seed", "3", "--format", "csv"),
      "0cc4546757cbff3e0f2261c3ec0fbe4cd2c33bcf74436608569af1baa8006d1a"),
+    (("sample", "--q", "5", "--n", "4", "--seed", "1"),
+     "f699eeae0ac95da88bf8ca84bd66371678eb992a9d9231cde67a7fdb35ba1615"),
+    (("build", "--q", "5", "--n", "3", "--seed", "4", "--format", "dimacs"),
+     "f181614a24cc3c3290635cdef8f95f73f24218e0a1a24341a2b3e76b993de371"),
+    (("build", "--q", "5", "--n", "4", "--in", MULTIPLES_5_4),
+     "f74a7c643005475685c5602e5aa23c9f386cf45a1a48c0fbbd439b21bf9f535b"),
 ]
 
 

@@ -78,6 +78,10 @@ def test_line_clique():
             assert is_edge(g, u, v)
     with pytest.raises(ValueError):
         line_clique(g, (1, 0, 1))
+    # a nonzero multiple names the same line, as it does in ConnectionSet
+    assert line_clique(g, (2, 4, 2)) == line_clique(g, (-1, -2, -1)) == clique
+    with pytest.raises(ValueError, match="zero vector"):
+        line_clique(g, (0, 5, 0))
 
 
 def test_is_proper_detects_conflict():
