@@ -22,6 +22,11 @@ about V big-int steps on V bits whatever |W| is.  W is large when |W|*|S|
 exceeds the stream's measured cost (MASK_STEP_FIXED, MASK_STEP_BITS).  Both
 routes give the same counts, so every choice still depends only on cell
 positions and counts, and refinement commutes with any automorphism.
+Every row v + S the search reads, for the id route, for a one-point
+splitter and for the leaf check, comes from one neighbourhood table,
+_Rows, that lives as long as the search: each row and its set are built
+once when all the rows fit in ROW_TABLE_ENTRIES ids, and at every read
+otherwise.
 
 The search individualizes the first point of the first smallest
 non-singleton cell down to a discrete partition; these points form the base.
@@ -73,16 +78,18 @@ class AutResult:
     pool: tuple
     leaves: int = 0  # leaf checks made
     leaf_vertices: int = 0  # neighbourhoods compared, summed over the leaves
+    rows: int = 0  # neighbourhood rows v + S built
 
 
 def _preserves_neighbors(neighbors, p, qn=None):
     """Whether the permutation p maps every v + S onto p(v) + S, and how
-    many v were compared.  With qn = (q, n), ids are vectors' ids, and one v
-    per coset of U is compared, U spanned by the e_j with p(x + e_j) = p(x) +
-    c_j for every x, c_j = p(e_j) - p(0), tried first at the x with p(x) =
-    p(0) + e_k.  Then p(v + u) = p(v) + c(u) for u in U, c linear, so p(v + S)
-    = p(v) + S gives p(v + u + S) = p(v + u) + S.  An affine p, x -> Ax +
-    p(0), is compared at v = 0 alone: A·S = S."""
+    many v were compared; p is one-to-one, so p(v + S) has |S| points and is
+    p(v) + S when it holds every point of it.  With qn = (q, n), ids are
+    vectors' ids, and one v per coset of U is compared, U spanned by the e_j
+    with p(x + e_j) = p(x) + c_j for every x, c_j = p(e_j) - p(0), tried
+    first at the x with p(x) = p(0) + e_k.  Then p(v + u) = p(v) + c(u) for
+    u in U, c linear, so p(v + S) = p(v) + S gives p(v + u + S) = p(v + u) +
+    S.  An affine p, x -> Ax + p(0), is compared at v = 0 alone: A·S = S."""
     reps = range(len(p)) if qn is None else [0]
     if qn is not None:
         q, n = qn
@@ -96,7 +103,7 @@ def _preserves_neighbors(neighbors, p, qn=None):
             reps = [r + d * q ** j for d in range(q) for r in reps]
     image = p.__getitem__
     for compared, v in enumerate(reps, 1):
-        if set(map(image, neighbors(v))) != set(neighbors(p[v])):
+        if not set(map(image, neighbors(v))).issuperset(neighbors(p[v])):
             return False, compared
     return True, len(reps)
 
@@ -163,20 +170,64 @@ def _counts_from_ids(neighbors, members):
     return Counter(chain.from_iterable(map(neighbors, members)))
 
 
+# The search keeps every neighbourhood row it builds when all of them fit
+# in V*|S| <= ROW_TABLE_ENTRIES ids, as at (3,3), (3,4) and (5,3): each row
+# is then built once, not at every node that reads it.  Larger graphs build
+# each row at every read.  Kept whole at planted (5,4), V*|S| = 165k, the
+# table saved no time and raised the peak RSS from 20 to 24 MB; at planted
+# (5,5), V*|S| = 4.0M, the search took 1.40-1.48 s against 1.13-1.37 s, at
+# 208 MB against 24 (2-core Xeon, Python 3.11).
+ROW_TABLE_ENTRIES = 1 << 15
+
+
+class _Rows(dict):
+    """The neighbourhood table of one search: row v is the ids of v + S, as
+    neighbor_ids(v) lists them, built on its first read, and set_of(v, row)
+    is its set, row being row v as read.  With keep, each row and set is
+    kept once built, so none is built twice; without, each read builds its
+    row again.  built counts the rows built."""
+
+    def __init__(self, neighbor_ids, keep):
+        self.neighbor_ids = neighbor_ids
+        self.keep = keep
+        self.built = 0
+        self.sets = {}
+
+    def __missing__(self, v):
+        self.built += 1
+        row = self.neighbor_ids(v)
+        if self.keep:
+            self[v] = row
+        return row
+
+    def set_of(self, v, row):
+        found = self.sets.get(v)
+        if found is None:
+            found = frozenset(row)
+            if self.keep:
+                self.sets[v] = found
+        return found
+
+
 class _Vertices:
     """The points a refinement splits, when each is one vertex.
 
-    neighbors(v) is the ids of v + S, and masks() streams the masks of
-    v + S for v = 0, 1, ..., degree - 1; valency is |S|, and single holds
-    the points that are one vertex each, which a splitter of one point
-    counts without a multiset.
+    rows is the search's _Rows, or a function of v giving the ids of v + S,
+    whose rows are then built at every read.  neighbors(v) is row v and
+    neighbor_set(v, row) its set, and masks() streams the masks of v + S for
+    v = 0, 1, ..., degree - 1; valency is |S|, read off row 0 when not
+    given, and single holds the points that are one vertex each, which a
+    splitter of one point counts without a multiset.
     """
 
-    def __init__(self, neighbors, masks, degree):
-        self.neighbors = neighbors
+    def __init__(self, rows, masks, degree, valency=None):
+        if not isinstance(rows, _Rows):
+            rows = _Rows(rows, keep=False)
+        self.neighbors = rows.__getitem__
+        self.neighbor_set = rows.set_of
         self.masks = masks
         self.degree = degree
-        self.valency = len(neighbors(0))
+        self.valency = len(rows[0]) if valency is None else valency
         self.single = range(degree)
         self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
 
@@ -219,10 +270,11 @@ class _ScalarOrbits:
     vertices, and point D is {0}.  A point's count against a splitter is
     that of any vertex in it, so the refinement makes the vertex route's
     splits at positions and sizes q - 1 times smaller; lift turns its cells
-    and trace into the vertex route's.
+    and trace into the vertex route's.  The vertices' rows are read from
+    rows, the search's _Rows, or built at every read when it is None.
     """
 
-    def __init__(self, graph):
+    def __init__(self, graph, rows=None):
         self.reps, self.orbit_of = _scalar_orbit_table(graph.q, graph.n)
         self.q = graph.q
         self.n = graph.n
@@ -230,11 +282,13 @@ class _ScalarOrbits:
         self.degree = graph.num_vertices
         self.valency = graph.degree
         self.masks = graph.neighbor_masks
-        self._vertex_neighbors = graph.neighbor_ids
+        if rows is None:
+            rows = _Rows(graph.neighbor_ids, keep=False)
+        self._vertex_neighbors = rows.__getitem__
         zero = len(self.reps) - 1
         self.single = range(zero, zero + 1)
         # 0 has one neighbour in each orbit of S
-        self._zero_neighbors = sorted(set(map(self.orbit_of.__getitem__, graph.neighbor_ids(0))))
+        self._zero_neighbors = sorted(set(map(self.orbit_of.__getitem__, rows[0])))
         self.mask_route_above = zero * (MASK_STEP_FIXED + self.degree // MASK_STEP_BITS)
 
     def neighbors(self, i):
@@ -245,6 +299,11 @@ class _ScalarOrbits:
         if i in self.single:
             return self._zero_neighbors
         return list(map(self.orbit_of.__getitem__, self._vertex_neighbors(self.reps[i])))
+
+    def neighbor_set(self, i, row):
+        """The set of row = neighbors(i), i being {0}, the one point of
+        single, a splitter once in the one refinement on the orbits."""
+        return frozenset(row)
 
     def counts_from_masks(self, members):
         """The same counts as _counts_from_ids, in point order, from
@@ -300,7 +359,7 @@ def refine(points, part, queue, stop, expected=None):
         if size[w] == 1 and lab[w] in points.single:
             # one vertex touches its neighbours, each once
             touched = points.neighbors(lab[w])
-            hit = set(touched).__contains__
+            hit = points.neighbor_set(lab[w], touched).__contains__
             hits = Counter(map(cell_of, touched))
             split = {s: (1, m) for s, m in hits.items() if m != size[s]}
         else:
@@ -502,9 +561,11 @@ def automorphism_group(graph, node_budget=200000):
     The scalar-affine group's generators seed the pool, so it is always
     contained in the result.
     """
+    rows = _Rows(graph.neighbor_ids, graph.num_vertices * graph.degree <= ROW_TABLE_ENTRIES)
     search = _Search(
-        _Vertices(graph.neighbor_ids, graph.neighbor_masks, graph.num_vertices),
-        list(scalar_affine_group(graph.q, graph.n).generators), node_budget, _ScalarOrbits(graph),
+        _Vertices(rows, graph.neighbor_masks, graph.num_vertices, graph.degree),
+        list(scalar_affine_group(graph.q, graph.n).generators), node_budget,
+        _ScalarOrbits(graph, rows),
     )
     try:
         group = search.stabilize()
@@ -512,7 +573,7 @@ def automorphism_group(graph, node_budget=200000):
         # report what was found; the span of a truncated pool has no
         # trustworthy order, so no group is materialized
         group = None
-    found = (search.nodes, tuple(search.pool), search.leaves, search.leaf_vertices)
+    found = (search.nodes, tuple(search.pool), search.leaves, search.leaf_vertices, rows.built)
     return AutResult(group, group is not None, *found)
 
 
@@ -550,15 +611,26 @@ def _linear_witness(graph, group):
     q, n = graph.q, graph.n
     members = graph.connection.members
     base = group.base()
-    free = []
-    for b in base:
-        if rank([decode(v, q, n) for v in free + [b]], q) > len(free):
-            free.append(b)
+    # the span so far, in echelon form: pivot column -> a row that is 1
+    # there and 0 at every earlier pivot
+    echelon = {}
+
+    def independent(v):
+        """Whether the vector of id v is outside the span, which it joins if so."""
+        x = decode(v, q, n)
+        for c, row in echelon.items():
+            if f := x[c]:
+                x = [(a - f * b) % q for a, b in zip(x, row)]
+        c = next((c for c, a in enumerate(x) if a), None)
+        if c is not None:
+            inv = inv_mod(x[c], q)
+            echelon[c] = [a * inv % q for a in x]
+        return c is not None
+
+    free = [b for b in base if independent(b)]
     depth = base.index(free[-1]) + 1 if len(free) == n else len(base)
-    basis = list(free)  # vertex ids, completed with unit vectors
-    for j in range(n):
-        if rank([decode(v, q, n) for v in basis + [q ** j]], q) > len(basis):
-            basis.append(q ** j)  # q ** j is the id of the unit vector e_j
+    # vertex ids, completed with unit vectors; q ** j is the id of e_j
+    basis = free + [q ** j for j in range(n) if independent(q ** j)]
     b_inv = mat_inverse(tuple(zip(*(decode(v, q, n) for v in basis))), q)
     # a forced point's coordinates over the basis, nonzero only on earlier free points
     coords = [mat_apply(b_inv, decode(b, q, n), q) for b in base]

@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import InvariantViolation
 from .field import affine_ids, decode, encode, primitive_root, require_odd_prime, vec_scale
@@ -39,19 +40,20 @@ class ConnectionSet:
         self._validate()
 
     def _validate(self):
-        """One pass over S: the lines are disjoint, no member lies in the
-        hyperplane x[n-1] = 0 (so 0 is not one), and g v is in S for each
-        member v. The primitive root g generates F_q^*, so closure under g
-        is closure under every nonzero scalar, -1 included."""
+        """|S| is q - 1 per line, no member lies in the hyperplane
+        x[n-1] = 0 (so 0 is not one), and each chosen line's points are
+        members.  Distinct lines meet only in 0, so S is then the union of
+        the lines' points: its lines are disjoint, and S is closed under
+        scalars, as each line was checked to be when it was cached (see
+        _Lines)."""
         q, members = self.q, self.members
         if len(members) != (q - 1) * len(self.lines):
             raise InvariantViolation("chosen lines overlap")
-        g = primitive_root(q)
-        for v in members:
-            if v[-1] == 0:
-                raise InvariantViolation("connection set meets the excluded hyperplane")
-            if vec_scale(g, v, q) not in members:
-                raise InvariantViolation("connection set not closed under scalars")
+        if 0 in map(itemgetter(-1), members):
+            raise InvariantViolation("connection set meets the excluded hyperplane")
+        cache = _line_cache(q, self.n)
+        if not all(members.issuperset(cache[rep][: q - 1]) for rep in self.lines):
+            raise InvariantViolation("connection set not closed under scalars")
 
     def to_json_dict(self):
         return {
@@ -208,15 +210,23 @@ class _Lines(dict):
     """rep -> the q-1 points of line_points(rep, q), then the split digits
     (x % m, x // m) of their ids x, m being the split of _addition_tables.
     Filled as lines are met, so one instance at a large size pays for its
-    own lines alone: one flat tuple each, its digits shared int objects."""
+    own lines alone: one flat tuple each, its digits shared int objects.
+    A line's points are checked closed under scalars once, as it enters."""
 
     def __init__(self, q, n):
         self.q, self.split = q, q ** ((n + 1) // 2)
         self.digit = tuple(range(self.split))
+        self.root = primitive_root(q)
 
     def __missing__(self, rep):
         q, m, d = self.q, self.split, self.digit
         points = tuple(line_points(rep, q))
+        # closure under the primitive root g, which generates F_q^*, is
+        # closure under every nonzero scalar, -1 included
+        if len(points) != q - 1 or not set(points).issuperset(
+            vec_scale(self.root, v, q) for v in points
+        ):
+            raise InvariantViolation(f"line {rep} not closed under scalars")
         self[rep] = points + tuple((d[x % m], d[x // m]) for x in [encode(s, q) for s in points])
         return self[rep]
 

@@ -127,7 +127,7 @@ def cmd_chi(args):
 def cmd_aut(args):
     g = build_graph(_load_connection(args))
     aut = automorphism_group(g, node_budget=args.budget_nodes)
-    leaf_checks = {"leaves": aut.leaves, "leaf_vertices": aut.leaf_vertices}
+    counts = {"leaves": aut.leaves, "leaf_vertices": aut.leaf_vertices, "rows": aut.rows}
     if not aut.complete:
         payload = {
             "order": "unknown",
@@ -138,9 +138,9 @@ def cmd_aut(args):
             "complete": False,
             "nodes": aut.nodes,
         }
-        _emit_json(args, payload, **leaf_checks)
+        _emit_json(args, payload, **counts)
         return 3
-    _emit_json(args, dichotomy_check(g, aut), **leaf_checks)
+    _emit_json(args, dichotomy_check(g, aut), **counts)
     return 0
 
 

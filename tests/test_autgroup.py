@@ -208,6 +208,44 @@ def test_leaf_counts_are_pinned():
     assert (aut.leaves, aut.leaf_vertices) == (0, 0)
 
 
+def test_row_table_matches_rows_built_on_demand(monkeypatch):
+    # the search with its neighbourhood table, and with the budget at 0, so
+    # that every read builds its row again: the same group, base,
+    # generators, nodes and leaf counts.  With the table no row is built
+    # twice, and rows counts the rows built either way.  (3,3) and (5,3) are
+    # under the budget; planted (5,4), over it, is searched with the table
+    # forced on
+    cases = [(3, 3, 0.75, seed) for seed in range(1, 31)] + [(5, 3, 0.5, 8)]
+    graphs = [(build_graph(sample_connection_set(q, n, p, seed)), False) for q, n, p, seed in cases]
+    graphs.append((build_graph(planted_homology_connection(5, 4, 1)), True))
+    budget = autgroup.ROW_TABLE_ENTRIES
+    rebuilt = 0
+    for g, forced in graphs:
+        assert (g.num_vertices * g.degree > budget) == forced
+        neighbor_ids = g.neighbor_ids
+        found = []
+        for entries in (10 ** 9 if forced else budget, 0):
+            monkeypatch.setattr(autgroup, "ROW_TABLE_ENTRIES", entries)
+            built = Counter()
+
+            def counted(v):
+                built[v] += 1
+                return neighbor_ids(v)
+
+            g.neighbor_ids = counted
+            aut = automorphism_group(g)
+            assert aut.rows == sum(built.values())
+            group = aut.group
+            found.append((group.order(), group.base(), group.generators, aut.nodes,
+                          aut.leaves, aut.leaf_vertices))
+            if entries:
+                assert max(built.values()) == 1, (g.q, g.n)
+            else:
+                rebuilt += max(built.values()) > 1
+        assert found[0] == found[1], (g.q, g.n)
+    assert rebuilt
+
+
 def test_committed_planted_set_matches_the_oracle():
     path = Path(__file__).with_name("planted-5-5.json")
     assert json.loads(path.read_text()) == planted_homology_connection(5, 5, 1).to_json_dict()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from linecayley import cayley
 from linecayley.cayley import (
     ConnectionSet,
     _addition_tables,
@@ -145,6 +146,17 @@ def test_validate_rejects_broken_members(broken, message):
     s.members = frozenset(broken(s.members))
     with pytest.raises(InvariantViolation, match=message):
         s._validate()
+
+
+def test_line_cache_checks_each_line_closed_under_scalars(monkeypatch):
+    # a line enters the cache only with its q - 1 points closed under the
+    # scalars; here one of them is traded for a point of another line
+    def traded(rep, q):
+        return sorted(line_points(rep, q))[:-1] + [(1, 1, 1)]
+
+    monkeypatch.setattr(cayley, "line_points", traded)
+    with pytest.raises(InvariantViolation, match="not closed under scalars"):
+        cayley._Lines(5, 3)[(0, 1, 1)]
 
 
 def test_lines_sorted_universe_order():

@@ -90,13 +90,14 @@ def test_aut_complete(capsys):
 
 def test_aut_meta_reports_leaf_checks(capsys):
     # (3,2) seed 1 checks 4 leaves, some of them not affine and so on more
-    # than one vertex; the counts are in meta only, which --no-meta drops
+    # than one vertex, and builds each of the 9 neighbourhood rows once; the
+    # counts are in meta only, which --no-meta drops
     code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1")
     assert code == 0
     meta = json.loads(out)["meta"]
-    assert (meta["leaves"], meta["leaf_vertices"]) == (4, 30)
+    assert (meta["leaves"], meta["leaf_vertices"], meta["rows"]) == (4, 30, 9)
     code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1", "--no-meta")
-    assert "leaves" not in out and "meta" not in json.loads(out)
+    assert "leaves" not in out and "rows" not in out and "meta" not in json.loads(out)
 
 
 def test_aut_budget_exhaustion(capsys):
