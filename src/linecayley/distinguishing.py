@@ -5,7 +5,10 @@ color class.  The question "does the distinguishing chromatic number exceed
 q" is decided by listing every proper partition into at most q classes, so
 only at tiny scale, except for one line, where it needs no listing.  The
 upper side is the (q+1) certificate, checked against the full automorphism
-group wherever the search for that group completes.
+group wherever the search for that group completes.  Only is_distinguishing,
+which reports the class-fixing subgroup's order, builds that subgroup; the
+certificate and the exhaustive verdict need a yes or no, and their search
+stops at the first class-fixing automorphism (permgroup.first_fixing_element).
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ from math import factorial
 
 from .coloring import coset_coloring, enumerate_proper_partitions, plus_zero_recolor
 from .field import affine_ids, decode
-from .permgroup import fixes_labels, fixing_subgroup_of_partition
+from .permgroup import fixes_labels, first_fixing_element, fixing_subgroup_of_partition
 
 
 @dataclass
@@ -64,9 +67,10 @@ def _fixing_translations(labels, q, n):
 
 def _class_fixing_witness(graph, aut, coloring):
     """A non-trivial automorphism fixing every class, if any: a translation
-    when one fixes them all, else the first class-fixing generator."""
+    when one fixes them all, else the first class-fixing generator, found
+    with no further generator built."""
     translation = next(_fixing_translations(coloring.class_of, graph.q, graph.n), None)
-    return translation or is_distinguishing(coloring, aut).witness
+    return translation or first_fixing_element(_as_group(aut), coloring.class_of)
 
 
 @dataclass
@@ -106,7 +110,9 @@ def chi_D_upper_certificate(graph, aut):
     group, else None.  It is always proper: each line of S meets the
     hyperplane x[n-1] = 0 only at 0, so no edge joins two vertices of one
     coset class, and the singleton {0} cannot hold an edge.  `ConnectionSet`
-    checks this when S is built, so no edge is scanned here.
+    checks this when S is built, so no edge is scanned here.  The search for
+    a class-fixing automorphism stops at the first one, so the subgroup
+    that is_distinguishing measures is not built.
     """
     cert = plus_zero_recolor(coset_coloring(graph))
-    return cert if is_distinguishing(cert, aut).distinguishing else None
+    return cert if first_fixing_element(_as_group(aut), cert.class_of) is None else None

@@ -5,6 +5,9 @@ is built from a base and a strong generating set relative to it, which every
 group here comes with: K's is written down (scalar_affine_group, built once
 per (q, n)), and the automorphism and class-fixing searches find theirs as
 the PermGroup constructor completes each level of the chain, deepest first.
+Whether any element but the identity preserves a labelling needs no chain:
+first_fixing_element runs the class-fixing search in the same order and
+stops at its first element.
 Each level's orbit is a BFS in generator order (schreier_vector), which
 gives exact order and membership tests without a Schreier-Sims closure.
 Every backtrack in the package runs on the one explicit stack of leaves:
@@ -178,16 +181,14 @@ def classes_to_labels(classes, degree):
     return labels
 
 
-def fixing_subgroup_of_partition(group, labels):
-    """Subgroup of elements preserving every point's label, that is, fixing
-    every class of the partition setwise.
+def _label_search(group, labels):
+    """(candidates, find) of the search for label-preserving elements over
+    the chain of group, as the PermGroup constructor takes them.
 
-    Its generators are found over the chain of `group` as the returned
-    group's levels are completed.  At level k, a point x of base[k]'s
-    orbit with base[k]'s label names the coset of elements mapping base[k]
-    to x; the first label-preserving one found by the walk, which prunes
-    base images that change their label, becomes a generator.  They are
-    strong on the same base.
+    At level k, a point x of base[k]'s orbit with base[k]'s label names
+    the coset of elements mapping base[k] to x; find(k, x) returns the
+    first label-preserving one found by the walk, which prunes base images
+    that change their label, or None.
     """
     if len(labels) != group.degree:
         raise ValueError(f"{len(labels)} labels for a group of degree {group.degree}")
@@ -206,7 +207,36 @@ def fixing_subgroup_of_partition(group, labels):
     def find(k, x):
         return group.walk(k + 1, len(base), group._rep(k, x), images, leaf)
 
-    return PermGroup(group.degree, base, [], candidates, find)
+    return candidates, find
+
+
+def fixing_subgroup_of_partition(group, labels):
+    """Subgroup of elements preserving every point's label, that is, fixing
+    every class of the partition setwise.
+
+    Its generators are found over the chain of `group` as the returned
+    group's levels are completed, deepest first: each becomes a generator
+    at its level (see _label_search).  They are strong on the same base.
+    """
+    return PermGroup(group.degree, group.base(), [], *_label_search(group, labels))
+
+
+def first_fixing_element(group, labels):
+    """The first non-identity element of group preserving every point's
+    label, or None when only the identity does; the search stops there.
+
+    It walks the levels deepest first, as fixing_subgroup_of_partition
+    does, so it returns that subgroup's first generator: until one is
+    found, base[k]'s orbit in the subgroup is base[k] alone, and every
+    other candidate is tried.
+    """
+    candidates, find = _label_search(group, labels)
+    base = group.base()
+    for k in reversed(range(len(base))):
+        for x in candidates(k):
+            if x != base[k] and (g := find(k, x)) is not None:
+                return g
+    return None
 
 
 def schreier_vector(point, gens):

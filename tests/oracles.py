@@ -237,13 +237,14 @@ def sorting_refine(points, part, queue, stop, expected=None):
     splitter is counted the way points counts it.
 
     Same arguments, same in-place effect on part and queue, same return:
-    the trace of splits, or None once it departs from expected.
+    the trace of splits, or None once it departs from expected; with
+    expected, it stops once it has made every split of expected.
     """
     lab, cell, size = part.lab, part.cell, part.size
     cell_of = cell.__getitem__
     queued = set(queue)
     trace = []
-    while queue and part.count < stop:
+    while queue and part.count < stop and (expected is None or len(trace) < len(expected)):
         w = queue.popleft()
         queued.discard(w)
         splitter = lab[w : w + size[w]]
@@ -253,6 +254,8 @@ def sorting_refine(points, part, queue, stop, expected=None):
             counts = _counts_from_ids(points.neighbors, splitter)
         pairs = Counter(zip(map(cell_of, counts), counts.values()))
         for s in sorted({s for (s, _), k in pairs.items() if k != size[s]}):
+            if expected is not None and len(trace) == len(expected):
+                break
             n = size[s]
             members = lab[s : s + n]
             keys = list(map(counts.get, members, repeat(0)))
@@ -260,9 +263,7 @@ def sorting_refine(points, part, queue, stop, expected=None):
             lab[s : s + n] = map(members.__getitem__, order)
             frags = tuple((c, len(list(f))) for c, f in groupby(map(keys.__getitem__, order)))
             event = (s, frags)
-            if expected is not None and (
-                len(trace) == len(expected) or expected[len(trace)] != event
-            ):
+            if expected is not None and expected[len(trace)] != event:
                 return None
             trace.append(event)
             sizes = [k for _, k in frags]

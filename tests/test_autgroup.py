@@ -569,8 +569,10 @@ def test_refinement_matches_sorting_reference(monkeypatch):
     # split cell, on the same points: the scalar orbits after 0, the
     # vertices elsewhere.  The trace or None, and a refined node's arrays,
     # agree.  No right node of these instances departs from its trace, so
-    # each is also refined against two traces it must depart from: one
-    # split short, and with the first split's fragments reversed
+    # each is also refined against three more traces: one split short,
+    # which it stops at and returns, and two it must depart from, with the
+    # first split's fragments reversed and with the last split's first
+    # count changed
     refined = Counter()
 
     def copy(part):
@@ -589,8 +591,11 @@ def test_refinement_matches_sorting_reference(monkeypatch):
 
     def checked(points, part, queue, stop, expected=None):
         if expected:
+            short = expected[:-1]
+            assert both(points, copy(part), deque(queue), stop, short) == short
             (s, frags), *rest = expected
-            for wrong in (expected[:-1], [(s, frags[::-1]), *rest]):
+            *head, (t, ((c, k), *tail)) = expected
+            for wrong in ([(s, frags[::-1]), *rest], [*head, (t, ((c + 1, k), *tail))]):
                 assert both(points, copy(part), deque(queue), stop, wrong) is None
         refined[type(points), expected is not None] += 1
         return both(points, part, queue, stop, expected)
@@ -604,6 +609,37 @@ def test_refinement_matches_sorting_reference(monkeypatch):
         automorphism_group(build_graph(sample_connection_set(q, n, p, seed)))
     assert refined[_ScalarOrbits, False] == len(cases)
     assert refined[_Vertices, False] and refined[_Vertices, True]
+
+
+def _draining_refine(points, part, queue, stop, expected=None):
+    """refine as it was before right nodes stopped at their path's last
+    split: it drains the queue, then keeps the node only when its whole
+    trace is expected."""
+    trace = refine(points, part, queue, stop)
+    return trace if expected is None or trace == expected else None
+
+
+def test_right_branch_stop_finds_the_draining_answers(monkeypatch, deadline):
+    # a right node stops once it has made every split of its path node's
+    # trace; the searches find the same group, base and generators in the
+    # same nodes, leaves and leaf comparisons as when every right node
+    # drains its queue, and pop fewer splitters
+    deadline(30)
+    graphs = [build_graph(sample_connection_set(3, 3, 0.75, seed)) for seed in range(1, 31)]
+    graphs += [build_graph(sample_connection_set(5, 3, 0.5, seed)) for seed in range(1, 41)]
+    graphs.append(build_graph(sample_connection_set(3, 4, 0.5, 2)))
+    graphs.append(build_graph(planted_homology_connection(5, 4, 1)))
+
+    def answers(aut):
+        g = aut.group
+        return g.order(), g.base(), g.generators, aut.nodes, aut.leaves, aut.leaf_vertices
+
+    got = [automorphism_group(g) for g in graphs]
+    monkeypatch.setattr(autgroup, "refine", _draining_refine)
+    want = [automorphism_group(g) for g in graphs]
+    assert list(map(answers, got)) == list(map(answers, want))
+    assert all(a.splitters <= b.splitters for a, b in zip(got, want))
+    assert sum(a.splitters for a in got) < sum(b.splitters for b in want)
 
 
 def test_scalar_orbit_route_matches_vertex_route():

@@ -90,14 +90,17 @@ def test_aut_complete(capsys):
 
 def test_aut_meta_reports_leaf_checks(capsys):
     # (3,2) seed 1 checks 4 leaves, some of them not affine and so on more
-    # than one vertex, and builds each of the 9 neighbourhood rows once; the
-    # counts are in meta only, which --no-meta drops
+    # than one vertex, builds each of the 9 neighbourhood rows once, and
+    # pops 8 splitters over all its refinements; the counts are in
+    # meta only, which --no-meta drops
     code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1")
     assert code == 0
     meta = json.loads(out)["meta"]
     assert (meta["leaves"], meta["leaf_vertices"], meta["rows"]) == (4, 30, 9)
+    assert meta["splitters"] == 8
     code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1", "--no-meta")
-    assert "leaves" not in out and "rows" not in out and "meta" not in json.loads(out)
+    assert "leaves" not in out and "rows" not in out and "splitters" not in out
+    assert "meta" not in json.loads(out)
 
 
 def test_aut_budget_exhaustion(capsys):
@@ -381,6 +384,25 @@ def test_sweep_budget_exhaustion(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
+    assert "exceeded 1 nodes" in captured.err
+
+
+def test_sweep_refuses_too_many_subsets(capsys, deadline):
+    # (5,3)'s 25 lines have 2^25 - 1 subsets, past SWEEP_MAX_SUBSETS, and
+    # are refused before any work, as is (5,40), whose 5^39 lines are not
+    # listed; (3,3)'s 511 subsets are taken on, and with a budget of 1 node
+    # its first search runs out
+    deadline(5)
+    for q, n in (("5", "3"), ("3", "4"), ("5", "40")):
+        code = main(["experiment", "--q", q, "--n", n, "--sweep-all-subsets", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "more than 511" in captured.err
+    code = main(["experiment", "--q", "3", "--n", "3", "--sweep-all-subsets",
+                 "--budget-nodes", "1", "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 3
     assert "exceeded 1 nodes" in captured.err
 
 

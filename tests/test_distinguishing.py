@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -25,12 +26,14 @@ from linecayley.distinguishing import (
 )
 from linecayley.field import affine_ids, decode
 from linecayley.geometry import line_universe
+from linecayley.permgroup import first_fixing_element
 from oracles import (
     common_hyperplane_normal,
     direction_count_threshold,
     first_fixing_translation_by_scan,
     fixing_translations_by_scan,
     group_elements,
+    planted_homology_connection,
     translation_fixing_witnesses,
     vec_dot,
 )
@@ -291,6 +294,33 @@ def test_matches_brute_filter_on_small_groups():
                     assert rep.witness in brute
                 checked[q, n] += 1
     assert min(checked.values()) >= 8, checked
+
+
+def test_first_fixing_element_is_the_subgroups_first_generator(deadline):
+    # the search that stops at the first class-fixing automorphism finds the
+    # witness is_distinguishing reads off the whole class-fixing subgroup:
+    # on the (q+1) certificate, on the coset colouring and on seeded random,
+    # hyperplane and two-form labellings
+    deadline(60)
+    graphs = [graph_and_aut(3, 3, seed=seed, p=0.75)[1:] for seed in range(1, 31)]
+    graphs += [graph_and_aut(5, 3, seed=seed)[1:] for seed in range(1, 41)]
+    planted = build_graph(planted_homology_connection(5, 4, 1))
+    graphs.append((planted, automorphism_group(planted)))
+    rng = random.Random(5)
+    found = Counter()
+    for g, aut in graphs:
+        colorings = [plus_zero_recolor(coset_coloring(g))]
+        if g.n == 3:
+            colorings.append(coset_coloring(g))
+            points = [decode(x, g.q, g.n) for x in range(g.num_vertices)]
+            for kind in ("random", "hyperplane", "two-form"):
+                labels = _random_labelling(rng, kind, g.q, g.n, points)
+                colorings.append(Coloring(max(labels) + 1, tuple(labels)))
+        for c in colorings:
+            witness = first_fixing_element(aut.group, c.class_of)
+            assert witness == is_distinguishing(c, aut).witness
+            found[witness is None] += 1
+    assert min(found.values()) >= 20, found
 
 
 def test_fixing_translations_match_full_scan():
