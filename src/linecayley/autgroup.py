@@ -223,23 +223,19 @@ class _Rows(dict):
 class _Vertices:
     """The points a refinement splits, when each is one vertex.
 
-    rows is the search's _Rows, or a function of v giving the ids of v + S,
-    whose rows are then built at every read.  neighbors(v) is row v and
-    neighbor_set(v, row) its set, and masks() streams the masks of v + S for
-    v = 0, 1, ..., degree - 1; valency is |S|, read off row 0 when not
-    given, and single holds the points that are one vertex each, which a
-    splitter of one point counts without a multiset.  splitters counts the
-    splitters every refinement of these points pops.
+    rows is the search's _Rows: neighbors(v) is row v and neighbor_set(v,
+    row) its set.  masks() streams the masks of v + S for v = 0, 1, ...,
+    degree - 1, valency is |S|, and single holds the points that are one
+    vertex each, which a splitter of one point counts without a multiset.
+    splitters counts the splitters every refinement of these points pops.
     """
 
-    def __init__(self, rows, masks, degree, valency=None):
-        if not isinstance(rows, _Rows):
-            rows = _Rows(rows, keep=False)
+    def __init__(self, rows, masks, degree, valency):
         self.neighbors = rows.__getitem__
         self.neighbor_set = rows.set_of
         self.masks = masks
         self.degree = degree
-        self.valency = len(rows[0]) if valency is None else valency
+        self.valency = valency
         self.single = range(degree)
         self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
         self.splitters = 0
@@ -284,11 +280,11 @@ class _ScalarOrbits:
     that of any vertex in it, so the refinement makes the vertex route's
     splits at positions and sizes q - 1 times smaller; lift turns its cells
     and trace into the vertex route's.  The vertices' rows are read from
-    rows, the search's _Rows, or built at every read when it is None.
-    splitters counts the splitters popped, as on _Vertices.
+    rows, the search's _Rows.  splitters counts the splitters popped, as on
+    _Vertices.
     """
 
-    def __init__(self, graph, rows=None):
+    def __init__(self, graph, rows):
         self.reps, self.orbit_of = _scalar_orbit_table(graph.q, graph.n)
         self.q = graph.q
         self.n = graph.n
@@ -296,8 +292,6 @@ class _ScalarOrbits:
         self.degree = graph.num_vertices
         self.valency = graph.degree
         self.masks = graph.neighbor_masks
-        if rows is None:
-            rows = _Rows(graph.neighbor_ids, keep=False)
         self._vertex_neighbors = rows.__getitem__
         zero = len(self.reps) - 1
         self.single = range(zero, zero + 1)
@@ -608,13 +602,11 @@ def is_automorphism(graph, p):
 
 
 def group_equals_scalar_affine(group, q, n):
-    """Whether group is K: it has K's order and holds K's generators.  A
-    generator of K among the group's own, as the automorphism search's pool
-    starts out, is in it; only the others are sifted."""
-    if group.order() != q ** n * (q - 1):
-        return False
-    known = set(group.generators)
-    return all(g in known or group.contains(g) for g in scalar_affine_group(q, n).generators)
+    """Whether group, a complete result of automorphism_group, is K.  The
+    search's pool starts with K's generators and every group it returns
+    keeps them among its own (case (i) returns K itself), so it contains K
+    and is K exactly when it has K's order, q^n (q - 1)."""
+    return group.order() == q ** n * (q - 1)
 
 
 def _linear_witness(graph, group):
@@ -680,21 +672,17 @@ def _linear_witness(graph, group):
 
 
 def dichotomy_check(graph, aut):
-    """Classify the instance: group equals the scalar-affine group, or a
-    non-scalar linear map fixes the connection set and extends it.
-
-    "violated" would mean neither holds, which indicates a solver bug rather
-    than a counterexample.
+    """The dichotomy verdict of a complete search, as equals_K, dichotomy
+    and witness: case "i" when Aut is K; case "ii" when a non-scalar linear
+    map fixes the connection set, the witness being its matrix as rows,
+    looked for only when Aut is not K.  "violated" would mean neither
+    holds, which indicates a solver bug rather than a counterexample.
     """
     if not aut.complete:
         raise ValueError("automorphism search was incomplete; raise the node budget")
-    group = aut.group
-    equals_k = group_equals_scalar_affine(group, graph.q, graph.n)
-    witness = None if equals_k else _linear_witness(graph, group)
+    equals_k = group_equals_scalar_affine(aut.group, graph.q, graph.n)
+    witness = None if equals_k else _linear_witness(graph, aut.group)
     return {
-        **group.to_json_dict(),
-        "complete": True,
-        "nodes": aut.nodes,
         "equals_K": equals_k,
         "dichotomy": "i" if equals_k else "ii" if witness is not None else "violated",
         "witness": None if witness is None else [list(row) for row in witness],

@@ -127,24 +127,20 @@ def cmd_chi(args):
 def cmd_aut(args):
     g = build_graph(_load_connection(args))
     aut = automorphism_group(g, node_budget=args.budget_nodes)
+    if aut.complete:
+        payload = {"order": str(aut.group.order()), "generators": aut.group.generators}
+        payload.update(dichotomy_check(g, aut))
+    else:
+        # the generators found before the budget ran out, of no known order
+        payload = {"order": "unknown", "generators": aut.pool}
+        payload.update(equals_K=None, dichotomy=None, witness=None)
+    payload.update(complete=aut.complete, nodes=aut.nodes)
     counts = {
         "leaves": aut.leaves, "leaf_vertices": aut.leaf_vertices, "rows": aut.rows,
         "splitters": aut.splitters,
     }
-    if not aut.complete:
-        payload = {
-            "order": "unknown",
-            "generators": [list(p) for p in aut.pool],
-            "equals_K": None,
-            "dichotomy": None,
-            "witness": None,
-            "complete": False,
-            "nodes": aut.nodes,
-        }
-        _emit_json(args, payload, **counts)
-        return 3
-    _emit_json(args, dichotomy_check(g, aut), **counts)
-    return 0
+    _emit_json(args, payload, **counts)
+    return 0 if aut.complete else 3
 
 
 def cmd_distinguish(args):

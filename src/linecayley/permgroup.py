@@ -141,12 +141,6 @@ class PermGroup:
     def base(self):
         return self._base
 
-    def to_json_dict(self):
-        return {
-            "generators": [list(g) for g in self.generators],
-            "order": str(self.order()),
-        }
-
 
 @lru_cache(maxsize=4)
 def scalar_affine_group(q, n):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from linecayley import autgroup
 from linecayley.autgroup import (
     _Cells,
+    _Rows,
     _ScalarOrbits,
     _Search,
     _Vertices,
@@ -300,6 +301,11 @@ def test_equals_scalar_affine():
 
 
 def test_k_always_contained():
+    # K's generators are automorphisms, and every complete search keeps its
+    # n + 1 generators among the group's own, so the group contains K and
+    # group_equals_scalar_affine may decide Aut = K by the order alone: on
+    # the grid of test_scalar_orbit_shortcut_matches_full_search, in both
+    # cases, and on planted (5,4) and (5,5), in case (ii)
     rng = random.Random(4)
     for q, n in ((3, 2), (3, 3), (5, 2)):
         k = scalar_affine_group(q, n)
@@ -310,6 +316,17 @@ def test_k_always_contained():
                 assert is_automorphism(g, p)
             aut = automorphism_group(g)
             assert all(aut.group.contains(p) for p in k.generators)
+    grid = [(5, 3, 0.2, 30), (5, 3, 0.5, 300), (5, 3, 0.9, 10), (5, 4, 0.75, 20)]
+    grid += [(7, 3, 0.75, 30), (3, 4, 0.75, 50), (3, 3, 0.75, 100)]
+    connections = (
+        sample_connection_set(q, n, p, seed) for q, n, p, count in grid for seed in range(count)
+    )
+    planted = (planted_homology_connection(q, n, 1) for q, n in ((5, 4), (5, 5)))
+    for s in itertools.chain(connections, planted):
+        aut = automorphism_group(build_graph(s))
+        k = scalar_affine_group(s.q, s.n).generators
+        assert aut.complete and len(k) == s.n + 1
+        assert set(k) <= set(aut.group.generators), (s.q, s.n, s.lines)
 
 
 def test_orders_match_sympy():
@@ -350,7 +367,9 @@ def test_relabelled_graph_has_conjugate_group():
             return [sigma[u] for u in g.neighbor_ids(sigma_inv[v])]
 
         masks = [id_mask(relabelled(v), g.num_vertices) for v in range(g.num_vertices)]
-        search = _Search(_Vertices(relabelled, masks.__iter__, g.num_vertices), [], 200000)
+        rows = _Rows(relabelled, keep=False)
+        vertices = _Vertices(rows, masks.__iter__, g.num_vertices, g.degree)
+        search = _Search(vertices, [], 200000)
         search.stabilize()
         group = PermGroup(g.num_vertices, search.base, search.pool)
         assert group.order() == automorphism_group(g).group.order()
@@ -368,7 +387,7 @@ def test_splitter_count_routes_agree():
     for q, n in ((3, 3), (5, 3), (5, 4)):
         g = build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6)))
         v_count = g.num_vertices
-        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, v_count)
+        vertices = _Vertices(_Rows(g.neighbor_ids, keep=False), g.neighbor_masks, v_count, g.degree)
         cells = [[0], g.neighbor_ids(0)]
         for k in (1, 2, 5, 16, v_count // 4, v_count // 2, v_count):
             cells.append(rng.sample(range(v_count), k))
@@ -379,7 +398,7 @@ def test_splitter_count_routes_agree():
             got = vertices.counts_from_masks(w)
             assert got == want and list(got) == sorted(got), (q, n, len(w))
             assert _counts_from_ids(g.neighbor_ids, w) == want
-        orbits = _ScalarOrbits(g)
+        orbits = _ScalarOrbits(g, _Rows(g.neighbor_ids, keep=False))
         nonzero = len(orbits.reps) - 1
         for k in (1, 2, 5, nonzero // 4, nonzero // 2, nonzero):
             w = rng.sample(range(nonzero), k)
@@ -456,8 +475,10 @@ def test_last_level_traces_are_pinned():
     }
     for (q, n, seed), (first, digest) in cases.items():
         g = build_graph(sample_connection_set(q, n, 0.5, seed))
-        scalars = _ScalarOrbits(g)
-        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices)
+        scalars = _ScalarOrbits(g, _Rows(g.neighbor_ids, keep=False))
+        vertices = _Vertices(
+            _Rows(g.neighbor_ids, keep=False), g.neighbor_masks, g.num_vertices, g.degree
+        )
         node, _ = scalars.lift(*_refined_after_zero(scalars))
         s = node.target()
         v = node.lab[s]
@@ -538,7 +559,9 @@ def test_chain_orbits_and_witnesses_are_pinned():
 
 
 def _cells_after_individualizing(g, v, stop):
-    vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices)
+    vertices = _Vertices(
+        _Rows(g.neighbor_ids, keep=False), g.neighbor_masks, g.num_vertices, g.degree
+    )
     child, _ = _refined_child(vertices, _Cells.unit(g.num_vertices), 0, v, stop)
     cells, s = set(), 0
     while s < g.num_vertices:
@@ -651,8 +674,10 @@ def test_scalar_orbit_route_matches_vertex_route():
     cases += [(5, 4, 0.5), (7, 3, 0.5), (13, 3, 0.5), (5, 5, 0.5)]
     for q, n, p in cases:
         g = build_graph(sample_connection_set(q, n, p, 1))
-        scalars = _ScalarOrbits(g)
-        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices)
+        scalars = _ScalarOrbits(g, _Rows(g.neighbor_ids, keep=False))
+        vertices = _Vertices(
+            _Rows(g.neighbor_ids, keep=False), g.neighbor_masks, g.num_vertices, g.degree
+        )
         stop = len(scalars.reps)
         assert stop == 1 + (g.num_vertices - 1) // (q - 1)
         got, got_trace = scalars.lift(*_refined_after_zero(scalars))
@@ -688,7 +713,10 @@ def test_scalar_orbit_shortcut_matches_full_search():
             g = build_graph(sample_connection_set(q, n, p, seed))
             aut = automorphism_group(g)
             full = _Search(
-                _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices),
+                _Vertices(
+                    _Rows(g.neighbor_ids, keep=False), g.neighbor_masks, g.num_vertices,
+                    g.degree,
+                ),
                 list(scalar_affine_group(q, n).generators), 200000,
             ).stabilize()
             if aut.nodes > 2:
@@ -775,11 +803,9 @@ def test_dichotomy_equals_k():
     g = build_graph(sample_connection_set(5, 3, 0.5, 42))
     aut = automorphism_group(g)
     rep = dichotomy_check(g, aut)
-    assert rep["equals_K"] is True
-    assert rep["dichotomy"] == "i"
-    assert rep["witness"] is None
-    assert rep["order"] == "500"
-    assert rep["complete"] is True
+    assert rep == {"equals_K": True, "dichotomy": "i", "witness": None}
+    assert aut.group.order() == 500
+    assert aut.complete is True
 
 
 def test_dichotomy_witness():
@@ -878,11 +904,12 @@ def test_dichotomy_invariant_under_linear_relabelling():
                 break
         image = ConnectionSet(q, n, [mat_apply(a, rep, q) for rep in s.lines])
         assert image.members == {mat_apply(a, v, q) for v in s.members}
-        reps = []
+        auts, reps = [], []
         for c in (s, image):
             g = build_graph(c)
-            reps.append(dichotomy_check(g, automorphism_group(g)))
-        assert reps[0]["order"] == reps[1]["order"]
+            auts.append(automorphism_group(g))
+            reps.append(dichotomy_check(g, auts[-1]))
+        assert auts[0].group.order() == auts[1].group.order()
         assert reps[0]["dichotomy"] == reps[1]["dichotomy"]
         assert reps[1]["dichotomy"] in ("i", "ii")
         if reps[1]["dichotomy"] == "ii":

@@ -162,13 +162,6 @@ def test_shared_k_is_not_mutated():
     assert_same_chain(k, fresh)
 
 
-def test_to_json_dict():
-    g = PermGroup(3, (0,), [(1, 2, 0)])
-    d = g.to_json_dict()
-    assert d["order"] == "3"
-    assert d["generators"] == [[1, 2, 0]]
-
-
 def test_fixes_labels():
     labels = (0, 1, 1, 2)
     assert fixes_labels((0, 2, 1, 3), labels)
