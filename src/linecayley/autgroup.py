@@ -23,10 +23,11 @@ exceeds the stream's measured cost (MASK_STEP_FIXED, MASK_STEP_BITS).  Both
 routes give the same counts, so every choice still depends only on cell
 positions and counts, and refinement commutes with any automorphism.
 Every row v + S the search reads, for the id route, for a one-point
-splitter and for the leaf check, comes from one neighbourhood table,
-_Rows, that lives as long as the search: each row and its set are built
-once when all the rows fit in ROW_TABLE_ENTRIES ids, and at every read
-otherwise.
+splitter and for the leaf check, comes from its one _Vertices, which is
+also its neighbourhood table and lives as long as the search: each row and
+its set are built once when all the rows fit in ROW_TABLE_ENTRIES ids, and
+at every read otherwise.  Its counts are the search's counters, which
+AutResult.counts reports.
 
 The search individualizes the first point of the first smallest
 non-singleton cell down to a discrete partition; these points form the base.
@@ -66,7 +67,7 @@ without a closure.
 """
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, compress, filterfalse, groupby, islice, repeat
 from operator import eq, not_
@@ -86,10 +87,7 @@ class AutResult:
     complete: bool
     nodes: int
     pool: tuple
-    leaves: int = 0  # leaf checks made
-    leaf_vertices: int = 0  # neighbourhoods compared, summed over the leaves
-    rows: int = 0  # neighbourhood rows v + S built
-    splitters: int = 0  # splitters popped, summed over the refinements
+    counts: dict = field(default_factory=dict)  # the search's counters (see _Vertices)
 
 
 def _preserves_neighbors(neighbors, p, qn=None):
@@ -106,8 +104,10 @@ def _preserves_neighbors(neighbors, p, qn=None):
         q, n = qn
         minus = vec_scale(q - 1, decode(p[0], q, n), q)
         shifts = scalar_affine_group(q, n).generators[:n]
+        # x_k, the x with p(x) = p(0) + e_k, for each k
+        firsts = [p.index(t[p[0]]) for t in shifts]
         for j, shift in enumerate(shifts):
-            if all(p[shift[p.index(t[p[0]])]] == t[p[shift[0]]] for t in shifts):
+            if all(p[shift[x]] == t[p[shift[0]]] for x, t in zip(firsts, shifts)):
                 moved = affine_ids(q, n, 1, vec_add(decode(p[q ** j], q, n), minus, q))
                 if all(map(eq, map(p.__getitem__, shift), map(moved.__getitem__, p))):
                     continue
@@ -191,54 +191,49 @@ def _counts_from_ids(neighbors, members):
 ROW_TABLE_ENTRIES = 1 << 15
 
 
-class _Rows(dict):
-    """The neighbourhood table of one search: row v is the ids of v + S, as
-    neighbor_ids(v) lists them, built on its first read, and set_of(v, row)
-    is its set, row being row v as read.  With keep, each row and set is
-    kept once built, so none is built twice; without, each read builds its
-    row again.  built counts the rows built."""
+class _Vertices(dict):
+    """The points a refinement splits, when each is one vertex, and the
+    neighbourhood table of one search.
 
-    def __init__(self, neighbor_ids, keep):
+    Row v, read as neighbors(v), is the ids of v + S as neighbor_ids(v)
+    lists them, built on its first read, and neighbor_set(v, row) is its
+    set, row being row v as read.  When all the rows fit in
+    ROW_TABLE_ENTRIES ids, each row and set is kept once built, so none is
+    built twice; otherwise each read builds its row again.  masks() streams
+    the masks of v + S for v = 0, 1, ..., degree - 1, valency is |S|, and
+    single holds the points that are one vertex each, which a splitter of
+    one point counts without a multiset.  counts holds the search's
+    counters: rows, the rows built; splitters, the splitters its
+    refinements pop, on these points or on _ScalarOrbits; leaves, the leaf
+    checks made; leaf_vertices, the neighbourhoods they compare.
+    """
+
+    def __init__(self, neighbor_ids, masks, degree, valency):
         self.neighbor_ids = neighbor_ids
-        self.keep = keep
-        self.built = 0
+        self.neighbors = self.__getitem__
+        self.keep = degree * valency <= ROW_TABLE_ENTRIES
         self.sets = {}
+        self.masks = masks
+        self.degree = degree
+        self.valency = valency
+        self.single = range(degree)
+        self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
+        self.counts = dict.fromkeys(("leaves", "leaf_vertices", "rows", "splitters"), 0)
 
     def __missing__(self, v):
-        self.built += 1
+        self.counts["rows"] += 1
         row = self.neighbor_ids(v)
         if self.keep:
             self[v] = row
         return row
 
-    def set_of(self, v, row):
+    def neighbor_set(self, v, row):
         found = self.sets.get(v)
         if found is None:
             found = frozenset(row)
             if self.keep:
                 self.sets[v] = found
         return found
-
-
-class _Vertices:
-    """The points a refinement splits, when each is one vertex.
-
-    rows is the search's _Rows: neighbors(v) is row v and neighbor_set(v,
-    row) its set.  masks() streams the masks of v + S for v = 0, 1, ...,
-    degree - 1, valency is |S|, and single holds the points that are one
-    vertex each, which a splitter of one point counts without a multiset.
-    splitters counts the splitters every refinement of these points pops.
-    """
-
-    def __init__(self, rows, masks, degree, valency):
-        self.neighbors = rows.__getitem__
-        self.neighbor_set = rows.set_of
-        self.masks = masks
-        self.degree = degree
-        self.valency = valency
-        self.single = range(degree)
-        self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
-        self.splitters = 0
 
     def counts_from_masks(self, members):
         """The same counts as _counts_from_ids, in id order, as the
@@ -280,11 +275,12 @@ class _ScalarOrbits:
     that of any vertex in it, so the refinement makes the vertex route's
     splits at positions and sizes q - 1 times smaller; lift turns its cells
     and trace into the vertex route's.  The vertices' rows are read from
-    rows, the search's _Rows.  splitters counts the splitters popped, as on
-    _Vertices.
+    vertices, the search's _Vertices, whose counts this shares.  No point
+    is single: {0}, the one splitter of one point, is popped once per
+    search and counted by the route its size picks, as any other splitter.
     """
 
-    def __init__(self, graph, rows):
+    def __init__(self, graph, vertices):
         self.reps, self.orbit_of = _scalar_orbit_table(graph.q, graph.n)
         self.q = graph.q
         self.n = graph.n
@@ -292,35 +288,30 @@ class _ScalarOrbits:
         self.degree = graph.num_vertices
         self.valency = graph.degree
         self.masks = graph.neighbor_masks
-        self._vertex_neighbors = rows.__getitem__
-        zero = len(self.reps) - 1
-        self.single = range(zero, zero + 1)
+        self._vertex_neighbors = vertices.neighbors
+        self.counts = vertices.counts
+        self.single = ()
+        self.zero = len(self.reps) - 1
         # 0 has one neighbour in each orbit of S
-        self._zero_neighbors = sorted(set(map(self.orbit_of.__getitem__, rows[0])))
-        self.mask_route_above = zero * (MASK_STEP_FIXED + self.degree // MASK_STEP_BITS)
-        self.splitters = 0
+        self._zero_neighbors = sorted(set(map(self.orbit_of.__getitem__, vertices[0])))
+        self.mask_route_above = self.zero * (MASK_STEP_FIXED + self.degree // MASK_STEP_BITS)
 
     def neighbors(self, i):
         """The orbits of r + S, one per member of S, r being reps[i]; for
         {0}, the orbits of S, once each.  So the multiset of a splitter's
         neighbours counts each nonzero orbit as often as each of its
         vertices; {0} is a cell of its own, whose count no split reads."""
-        if i in self.single:
+        if i == self.zero:
             return self._zero_neighbors
         return list(map(self.orbit_of.__getitem__, self._vertex_neighbors(self.reps[i])))
-
-    def neighbor_set(self, i, row):
-        """The set of row = neighbors(i), i being {0}, the one point of
-        single, a splitter once in the one refinement on the orbits."""
-        return frozenset(row)
 
     def counts_from_masks(self, members):
         """The same counts as _counts_from_ids, in point order, from
         (V - 1)/(q - 1) masks of the stream: the count of q^k + u, for
         u < q^k, is the popcount of N(u) & (W - e_k), W being the vertices
         of the members.  W - e_k undoes the stream's step by e_k (see
-        CayleyGraph.steps).  No member is {0}, which is small, and {0}, a
-        cell of its own, is not counted."""
+        CayleyGraph.steps).  A member may be {0}, whose vertex 0 is in W;
+        {0} itself, a cell of its own, is not counted."""
         degree = self.degree
         w = id_mask(compress(range(degree), map(set(members).__contains__, self.orbit_of)), degree)
         counts = []
@@ -369,7 +360,7 @@ def refine(points, part, queue, stop, expected=None):
     while queue and part.count < stop and len(trace) != done:
         w = queue.popleft()
         queued.discard(w)
-        points.splitters += 1
+        points.counts["splitters"] += 1
         # the start of every cell to split -> (count, number touched)
         # when its touched points share one count, else None; a cell is
         # kept when all its points were touched, with one count
@@ -462,7 +453,6 @@ class _Search:
         self.pool = pool
         self.budget = budget
         self.nodes = 0
-        self.leaves = self.leaf_vertices = 0
         self.base = None  # the points individualized on the leftmost path to its leaf
 
     def _tick(self):
@@ -484,8 +474,9 @@ class _Search:
         p = tuple(map(lab.__getitem__, self._leaf_pos))
         qn = self.scalars and (self.scalars.q, self.scalars.n)
         kept, compared = _preserves_neighbors(self.vertices.neighbors, p, qn)
-        self.leaves += 1
-        self.leaf_vertices += compared
+        counts = self.vertices.counts
+        counts["leaves"] += 1
+        counts["leaf_vertices"] += compared
         return p if kept else None
 
     def _find_iso(self, path, level, w):
@@ -579,9 +570,8 @@ def automorphism_group(graph, node_budget=200000):
     The scalar-affine group's generators seed the pool, so it is always
     contained in the result.
     """
-    rows = _Rows(graph.neighbor_ids, graph.num_vertices * graph.degree <= ROW_TABLE_ENTRIES)
-    vertices = _Vertices(rows, graph.neighbor_masks, graph.num_vertices, graph.degree)
-    scalars = _ScalarOrbits(graph, rows)
+    vertices = _Vertices(graph.neighbor_ids, graph.neighbor_masks, graph.num_vertices, graph.degree)
+    scalars = _ScalarOrbits(graph, vertices)
     search = _Search(
         vertices, list(scalar_affine_group(graph.q, graph.n).generators), node_budget, scalars
     )
@@ -591,8 +581,7 @@ def automorphism_group(graph, node_budget=200000):
         # report what was found; the span of a truncated pool has no
         # trustworthy order, so no group is materialized
         group = None
-    found = (search.nodes, tuple(search.pool), search.leaves, search.leaf_vertices, rows.built)
-    return AutResult(group, group is not None, *found, vertices.splitters + scalars.splitters)
+    return AutResult(group, group is not None, search.nodes, tuple(search.pool), vertices.counts)
 
 
 def is_automorphism(graph, p):

@@ -293,24 +293,12 @@ def monte_carlo_pipeline(q, n, trials, seed, p=0.5, node_budget=200000, jobs=1):
     }
 
 
-CSV_FIELDS = (
-    "seed",
-    "lines",
-    "elements",
-    "chi_lower",
-    "chi_upper",
-    "aut_order",
-    "equals_K",
-    "chiD_cert",
-    "runtime_ms",
-)
-
-
-def trial_rows(records, include_runtime=True):
-    fields = CSV_FIELDS if include_runtime else CSV_FIELDS[:-1]
-    yield ",".join(fields)
+def trial_rows(records):
+    """CSV lines: a header of the first record's keys, then each record's
+    values in that order."""
+    yield ",".join(records[0])
     for r in records:
-        yield ",".join(str(r[f]) for f in fields)
+        yield ",".join(map(str, r.values()))
 
 
 # The most line subsets a census takes on: (3,3)'s 2^9 - 1 = 511, which take

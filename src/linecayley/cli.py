@@ -135,11 +135,7 @@ def cmd_aut(args):
         payload = {"order": "unknown", "generators": aut.pool}
         payload.update(equals_K=None, dichotomy=None, witness=None)
     payload.update(complete=aut.complete, nodes=aut.nodes)
-    counts = {
-        "leaves": aut.leaves, "leaf_vertices": aut.leaf_vertices, "rows": aut.rows,
-        "splitters": aut.splitters,
-    }
-    _emit_json(args, payload, **counts)
+    _emit_json(args, payload, **aut.counts)
     return 0 if aut.complete else 3
 
 
@@ -188,13 +184,13 @@ def cmd_experiment(args):
         node_budget=args.budget_nodes,
         jobs=args.jobs,
     )
-    if args.format == "csv":
-        lines = trial_rows(report["records"], include_runtime=not args.no_meta)
-        _write_out(args, lambda fh: fh.write("\n".join(lines) + "\n"))
-        return 0
     if args.no_meta:
         for record in report["records"]:
             del record["runtime_ms"]
+    if args.format == "csv":
+        lines = trial_rows(report["records"])
+        _write_out(args, lambda fh: fh.write("\n".join(lines) + "\n"))
+        return 0
     _emit_json(args, report)
     return 0
 

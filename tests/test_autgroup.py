@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from linecayley import autgroup
 from linecayley.autgroup import (
     _Cells,
-    _Rows,
     _ScalarOrbits,
     _Search,
     _Vertices,
@@ -179,7 +178,7 @@ def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
     for seed in range(20):
         g = build_graph(sample_connection_set(3, 3, 0.75, seed))
         aut = automorphism_group(g)
-        assert aut.leaves == sum(answers.values())
+        assert aut.counts["leaves"] == sum(answers.values())
         answers.clear()
         edges = edge_set(g)
         for p in aut.pool:
@@ -204,9 +203,9 @@ def test_leaf_counts_are_pinned():
     # planted (5,4) seed 1 reaches one leaf, an affine one, checked on one
     # vertex; case (i) reaches none
     aut = automorphism_group(build_graph(planted_homology_connection(5, 4, 1)))
-    assert (aut.leaves, aut.leaf_vertices) == (1, 1)
+    assert (aut.counts["leaves"], aut.counts["leaf_vertices"]) == (1, 1)
     aut = automorphism_group(build_graph(sample_connection_set(5, 4, 0.5, 1)))
-    assert (aut.leaves, aut.leaf_vertices) == (0, 0)
+    assert (aut.counts["leaves"], aut.counts["leaf_vertices"]) == (0, 0)
 
 
 def test_row_table_matches_rows_built_on_demand(monkeypatch):
@@ -235,10 +234,10 @@ def test_row_table_matches_rows_built_on_demand(monkeypatch):
 
             g.neighbor_ids = counted
             aut = automorphism_group(g)
-            assert aut.rows == sum(built.values())
+            assert aut.counts["rows"] == sum(built.values())
             group = aut.group
             found.append((group.order(), group.base(), group.generators, aut.nodes,
-                          aut.leaves, aut.leaf_vertices))
+                          aut.counts["leaves"], aut.counts["leaf_vertices"]))
             if entries:
                 assert max(built.values()) == 1, (g.q, g.n)
             else:
@@ -367,8 +366,7 @@ def test_relabelled_graph_has_conjugate_group():
             return [sigma[u] for u in g.neighbor_ids(sigma_inv[v])]
 
         masks = [id_mask(relabelled(v), g.num_vertices) for v in range(g.num_vertices)]
-        rows = _Rows(relabelled, keep=False)
-        vertices = _Vertices(rows, masks.__iter__, g.num_vertices, g.degree)
+        vertices = _Vertices(relabelled, masks.__iter__, g.num_vertices, g.degree)
         search = _Search(vertices, [], 200000)
         search.stabilize()
         group = PermGroup(g.num_vertices, search.base, search.pool)
@@ -387,7 +385,7 @@ def test_splitter_count_routes_agree():
     for q, n in ((3, 3), (5, 3), (5, 4)):
         g = build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6)))
         v_count = g.num_vertices
-        vertices = _Vertices(_Rows(g.neighbor_ids, keep=False), g.neighbor_masks, v_count, g.degree)
+        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, v_count, g.degree)
         cells = [[0], g.neighbor_ids(0)]
         for k in (1, 2, 5, 16, v_count // 4, v_count // 2, v_count):
             cells.append(rng.sample(range(v_count), k))
@@ -398,7 +396,7 @@ def test_splitter_count_routes_agree():
             got = vertices.counts_from_masks(w)
             assert got == want and list(got) == sorted(got), (q, n, len(w))
             assert _counts_from_ids(g.neighbor_ids, w) == want
-        orbits = _ScalarOrbits(g, _Rows(g.neighbor_ids, keep=False))
+        orbits = _ScalarOrbits(g, vertices)
         nonzero = len(orbits.reps) - 1
         for k in (1, 2, 5, nonzero // 4, nonzero // 2, nonzero):
             w = rng.sample(range(nonzero), k)
@@ -411,6 +409,12 @@ def test_splitter_count_routes_agree():
             got = _counts_from_ids(orbits.neighbors, w)
             got.pop(nonzero, None)
             assert got == want
+        # {0}, the one splitter of one point, counts each orbit of S once
+        # by either route
+        row = set(g.neighbor_ids(0))
+        want = {i: 1 for i, r in enumerate(orbits.reps[:-1]) if r in row}
+        assert orbits.counts_from_masks([nonzero]) == want, (q, n)
+        assert _counts_from_ids(orbits.neighbors, [nonzero]) == want, (q, n)
 
 
 def test_split_traces_are_pinned():
@@ -475,10 +479,8 @@ def test_last_level_traces_are_pinned():
     }
     for (q, n, seed), (first, digest) in cases.items():
         g = build_graph(sample_connection_set(q, n, 0.5, seed))
-        scalars = _ScalarOrbits(g, _Rows(g.neighbor_ids, keep=False))
-        vertices = _Vertices(
-            _Rows(g.neighbor_ids, keep=False), g.neighbor_masks, g.num_vertices, g.degree
-        )
+        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree)
+        scalars = _ScalarOrbits(g, vertices)
         node, _ = scalars.lift(*_refined_after_zero(scalars))
         s = node.target()
         v = node.lab[s]
@@ -559,9 +561,7 @@ def test_chain_orbits_and_witnesses_are_pinned():
 
 
 def _cells_after_individualizing(g, v, stop):
-    vertices = _Vertices(
-        _Rows(g.neighbor_ids, keep=False), g.neighbor_masks, g.num_vertices, g.degree
-    )
+    vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree)
     child, _ = _refined_child(vertices, _Cells.unit(g.num_vertices), 0, v, stop)
     cells, s = set(), 0
     while s < g.num_vertices:
@@ -655,14 +655,16 @@ def test_right_branch_stop_finds_the_draining_answers(monkeypatch, deadline):
 
     def answers(aut):
         g = aut.group
-        return g.order(), g.base(), g.generators, aut.nodes, aut.leaves, aut.leaf_vertices
+        leaves = aut.counts["leaves"], aut.counts["leaf_vertices"]
+        return g.order(), g.base(), g.generators, aut.nodes, *leaves
 
     got = [automorphism_group(g) for g in graphs]
     monkeypatch.setattr(autgroup, "refine", _draining_refine)
     want = [automorphism_group(g) for g in graphs]
     assert list(map(answers, got)) == list(map(answers, want))
-    assert all(a.splitters <= b.splitters for a, b in zip(got, want))
-    assert sum(a.splitters for a in got) < sum(b.splitters for b in want)
+    splitters = [(a.counts["splitters"], b.counts["splitters"]) for a, b in zip(got, want)]
+    assert all(a <= b for a, b in splitters)
+    assert sum(a for a, _ in splitters) < sum(b for _, b in splitters)
 
 
 def test_scalar_orbit_route_matches_vertex_route():
@@ -674,10 +676,8 @@ def test_scalar_orbit_route_matches_vertex_route():
     cases += [(5, 4, 0.5), (7, 3, 0.5), (13, 3, 0.5), (5, 5, 0.5)]
     for q, n, p in cases:
         g = build_graph(sample_connection_set(q, n, p, 1))
-        scalars = _ScalarOrbits(g, _Rows(g.neighbor_ids, keep=False))
-        vertices = _Vertices(
-            _Rows(g.neighbor_ids, keep=False), g.neighbor_masks, g.num_vertices, g.degree
-        )
+        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree)
+        scalars = _ScalarOrbits(g, vertices)
         stop = len(scalars.reps)
         assert stop == 1 + (g.num_vertices - 1) // (q - 1)
         got, got_trace = scalars.lift(*_refined_after_zero(scalars))
@@ -713,10 +713,7 @@ def test_scalar_orbit_shortcut_matches_full_search():
             g = build_graph(sample_connection_set(q, n, p, seed))
             aut = automorphism_group(g)
             full = _Search(
-                _Vertices(
-                    _Rows(g.neighbor_ids, keep=False), g.neighbor_masks, g.num_vertices,
-                    g.degree,
-                ),
+                _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree),
                 list(scalar_affine_group(q, n).generators), 200000,
             ).stabilize()
             if aut.nodes > 2:

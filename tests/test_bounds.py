@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from linecayley.bounds import (
-    CSV_FIELDS,
     EXACT_TRIALS,
     aut_union_bound,
     binomial_tail_log2,
@@ -214,13 +213,18 @@ def test_pipeline_replay_deterministic():
 
 def test_trial_rows():
     agg = monte_carlo_pipeline(3, 2, 3, 4, jobs=1)
+    # the header is the records' keys; a key dropped from every record,
+    # as runtime_ms is under --no-meta, leaves the header and every row
+    header = "seed,lines,elements,chi_lower,chi_upper,aut_order,equals_K,chiD_cert"
     rows = list(trial_rows(agg["records"]))
-    assert rows[0] == ",".join(CSV_FIELDS)
+    assert rows[0] == header + ",runtime_ms"
     assert len(rows) == 4
-    assert all(row.count(",") == len(CSV_FIELDS) - 1 for row in rows)
-    bare = list(trial_rows(agg["records"], include_runtime=False))
-    assert bare[0] == ",".join(CSV_FIELDS[:-1])
-    assert all(row.count(",") == len(CSV_FIELDS) - 2 for row in bare)
+    assert all(row.count(",") == 8 for row in rows)
+    for record in agg["records"]:
+        del record["runtime_ms"]
+    bare = list(trial_rows(agg["records"]))
+    assert bare[0] == header
+    assert [row.rsplit(",", 1)[0] for row in rows[1:]] == bare[1:]
 
 
 def test_sweep_all_line_subsets():

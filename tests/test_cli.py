@@ -114,6 +114,17 @@ def test_aut_budget_exhaustion(capsys):
     assert len(d["generators"]) >= 1
 
 
+def test_aut_budget_exhaustion_reports_counts(capsys):
+    # one node is the root; the budget runs out at the second, before the
+    # refinement after 0 pops a splitter, so the one row built is 0's,
+    # which the scalar orbits read when they are set up
+    code, out = run(capsys, "aut", "--q", "3", "--n", "3", "--seed", "8", "--budget-nodes", "1")
+    assert code == 3
+    meta = json.loads(out)["meta"]
+    counts = meta["leaves"], meta["leaf_vertices"], meta["rows"], meta["splitters"]
+    assert counts == (0, 0, 1, 0)
+
+
 def test_aut_case_ii_past_the_gl_scan(capsys, deadline):
     deadline(30)
     for q, n, seed in (("5", "3", "8"), ("3", "4", "2")):
