@@ -37,7 +37,16 @@ their orbits.  That refinement then runs on the (V - 1)/(q - 1) nonzero
 orbits and {0}, one point each, q - 1 times fewer points to count and split
 (McKay & Piperno also prune with known automorphisms): each orbit's count is
 that of any of its vertices, and every other cell's size is q - 1 times its
-number of orbits, so it makes the same splits in the same order.  If it
+number of orbits, so it makes the same splits in the same order.  It works
+on its live points alone, the orbits in non-singleton cells, as McKay &
+Piperno refine only non-singleton cells: a singleton never splits, so a
+point leaves the live set when a split leaves it alone, and a splitter's
+counts are grouped by cell over its live touched points only.  When few
+points are live, a splitter W is counted directly, by a membership test in
+S for each live orbit and each vertex of W (counts_direct), where those
+live * |W| * (q - 1) tests, weighted by DIRECT_STEP, cost less than either
+other route.  The direct counts equal the others on every live point, so
+the splits are the same.  If it
 ends with one cell per orbit, Aut is K (see _Search.stabilize), and the
 search ends there, at its second node, with no deeper level and no leaf:
 case (i), where the sampled instances of the paper's regime fall.  It
@@ -69,8 +78,8 @@ without a closure.
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain, compress, filterfalse, groupby, islice, repeat
-from operator import eq, not_
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import add, eq, itemgetter, not_
 
 from .cayley import id_mask
 from .errors import BudgetExceeded
@@ -174,6 +183,13 @@ class _Cells:
 MASK_STEP_FIXED = 6
 MASK_STEP_BITS = 1024
 
+# On the scalar orbits, a splitter W is counted directly when the live
+# points times its |W| * (q - 1) vertices, each pair one test, times
+# DIRECT_STEP is below both other routes' costs in dict updates.  Fitted like
+# the mask constants, from (3,4) to (5,6) on a 2-core Xeon under Python 3.11:
+# a test costs 0.85-1.1 updates (quartiles), and a call about 85 more.
+DIRECT_STEP = 1
+
 
 def _counts_from_ids(neighbors, members):
     """{v: |(v + S) ∩ W|} over the v it is positive for, W being members,
@@ -202,10 +218,13 @@ class _Vertices(dict):
     built twice; otherwise each read builds its row again.  masks() streams
     the masks of v + S for v = 0, 1, ..., degree - 1, valency is |S|, and
     single holds the points that are one vertex each, which a splitter of
-    one point counts without a multiset.  counts holds the search's
-    counters: rows, the rows built; splitters, the splitters its
-    refinements pop, on these points or on _ScalarOrbits; leaves, the leaf
-    checks made; leaf_vertices, the neighbourhoods they compare.
+    one point counts without a multiset; direct_step is None, as these
+    points have no direct route.  counts holds the search's counters:
+    rows, the rows built; splitters, the splitters its refinements pop, on
+    these points or on _ScalarOrbits, and splitters_direct and
+    splitters_masks, those counted by the direct and the mask route;
+    leaves, the leaf checks made; leaf_vertices, the neighbourhoods they
+    compare.
     """
 
     def __init__(self, neighbor_ids, masks, degree, valency):
@@ -218,7 +237,11 @@ class _Vertices(dict):
         self.valency = valency
         self.single = range(degree)
         self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
-        self.counts = dict.fromkeys(("leaves", "leaf_vertices", "rows", "splitters"), 0)
+        self.direct_step = None
+        self.counts = dict.fromkeys(
+            ("leaves", "leaf_vertices", "rows", "splitters", "splitters_direct", "splitters_masks"),
+            0,
+        )
 
     def __missing__(self, v):
         self.counts["rows"] += 1
@@ -265,6 +288,19 @@ def _scalar_orbit_table(q, n):
     return reps, tuple(orbit_of)
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+@lru_cache(maxsize=4)
+def _scaled_digits(q, n):
+    """For each scalar c = 1..q-1, the tables taking the low and the high
+    split digits of an id x (see cayley._addition_tables) to those of c x:
+    q - 1 pairs of tables of q^h and q^(n-h) ids, h = (n + 1) // 2."""
+    h = (n + 1) // 2
+    low, high = (0,) * h, (0,) * (n - h)
+    return tuple((affine_ids(q, h, c, low), affine_ids(q, n - h, c, high)) for c in range(1, q))
+
+
 class _ScalarOrbits:
     """The points a refinement splits after 0 is individualized, when the
     scalars x -> λx are known automorphisms: every cell is then a union of
@@ -278,6 +314,9 @@ class _ScalarOrbits:
     vertices, the search's _Vertices, whose counts this shares.  No point
     is single: {0}, the one splitter of one point, is popped once per
     search and counted by the route its size picks, as any other splitter.
+    It also has the direct route, on the live points refine keeps;
+    direct_step, the cost of one orbit against one live point, is None on
+    _Vertices, which has neither.
     """
 
     def __init__(self, graph, vertices):
@@ -292,9 +331,15 @@ class _ScalarOrbits:
         self.counts = vertices.counts
         self.single = ()
         self.zero = len(self.reps) - 1
-        # 0 has one neighbour in each orbit of S
-        self._zero_neighbors = sorted(set(map(self.orbit_of.__getitem__, vertices[0])))
+        row = vertices[0]
+        # 0 has one neighbour in each orbit of S, and row 0 lists each line's
+        # q - 1 points together
+        self._zero_neighbors = sorted(map(self.orbit_of.__getitem__, row[:: self.q - 1]))
         self.mask_route_above = self.zero * (MASK_STEP_FIXED + self.degree // MASK_STEP_BITS)
+        self.direct_step = DIRECT_STEP * (self.q - 1)
+        self.members = frozenset(row)
+        self.split, self.lo, self.hi = graph._split, graph._lo, graph._hi
+        self.scaled = _scaled_digits(self.q, self.n)
 
     def neighbors(self, i):
         """The orbits of r + S, one per member of S, r being reps[i]; for
@@ -312,14 +357,37 @@ class _ScalarOrbits:
         of the members.  W - e_k undoes the stream's step by e_k (see
         CayleyGraph.steps).  A member may be {0}, whose vertex 0 is in W;
         {0} itself, a cell of its own, is not counted."""
-        degree = self.degree
-        w = id_mask(compress(range(degree), map(set(members).__contains__, self.orbit_of)), degree)
+        # bit x of w is 1 when the orbit of x is a member: one base-2 digit per id, read as an int
+        w = int(bytes(map(set(members).__contains__, self.orbit_of)).translate(_DIGITS)[::-1], 2)
         counts = []
         for keep, wrap, up, down in self.steps:
             # digit k of each id goes down by 1, and 0 wraps to q - 1
             shifted = ((w >> up) & keep) | ((w << down) & wrap)
             counts += map(int.bit_count, map(shifted.__and__, islice(self.masks(), up)))
         return dict(compress(enumerate(counts), counts))
+
+    def counts_direct(self, members, live):
+        """The same counts as _counts_from_ids on the points of live alone,
+        each that of its representative r_j = reps[j]: #{x in W : x + r_j
+        in S}, W being the vertices of the members, as W = -W and S = -S.
+        The ids of x + r_j are sums of split digits (see
+        cayley._addition_tables), and those of the vertices c r of an orbit
+        come from r's by _scaled_digits."""
+        m, lo, hi, reps = self.split, self.lo, self.hi, self.reps
+        live = list(live)
+        # 0 pads the reps, as itemgetter of one index returns no tuple;
+        # compress stops at the end of live, before it
+        live_reps = [*map(reps.__getitem__, live), 0]
+        low = itemgetter(*map(m.__rmod__, live_reps))
+        high = itemgetter(*map(m.__rfloordiv__, live_reps))
+        vertices = [
+            (lo[scale_lo[r % m]], hi[scale_hi[r // m]])
+            for r in map(reps.__getitem__, members)
+            for scale_lo, scale_hi in (self.scaled if r else self.scaled[:1])
+        ]
+        contains = self.members.__contains__
+        hits = (compress(live, map(contains, map(add, low(a), high(b)))) for a, b in vertices)
+        return Counter(chain.from_iterable(hits))
 
     def lift(self, part, trace):
         """The vertex route's node and trace for this refined node and its
@@ -343,6 +411,10 @@ def refine(points, part, queue, stop, expected=None):
     equitable, or has stop cells and so is the orbit partition of known
     automorphisms (see _Search.stabilize).
 
+    On the scalar orbits it keeps the live points (see the module
+    docstring).  The counter splitters counts the splitters popped, and
+    splitters_direct and splitters_masks those of the direct and mask routes.
+
     Returns the trace of splits.  With expected, the trace of the path
     node a right node is compared with, it returns None as soon as a split
     departs from expected or the queue empties short of it, and returns the
@@ -357,10 +429,16 @@ def refine(points, part, queue, stop, expected=None):
     queued = set(queue)
     trace = []
     done = -1 if expected is None else len(expected)  # the trace's length at the stop
+    # with a direct route, the live points, those in non-singleton cells;
+    # size[i] is 1 at a singleton's start, and 0 inside any cell
+    live = None
+    if points.direct_step is not None:
+        live = set(lab).difference(compress(lab, map((1).__eq__, size)))
+    counted = points.counts
     while queue and part.count < stop and len(trace) != done:
         w = queue.popleft()
         queued.discard(w)
-        points.counts["splitters"] += 1
+        counted["splitters"] += 1
         # the start of every cell to split -> (count, number touched)
         # when its touched points share one count, else None; a cell is
         # kept when all its points were touched, with one count
@@ -372,13 +450,25 @@ def refine(points, part, queue, stop, expected=None):
             split = {s: (1, m) for s, m in hits.items() if m != size[s]}
         else:
             splitter = lab[w : w + size[w]]
-            if len(splitter) * points.valency > points.mask_route_above:
+            cost = len(splitter) * points.valency  # of the id route
+            if live is not None and (
+                len(live) * len(splitter) * points.direct_step < min(cost, points.mask_route_above)
+            ):
+                counted["splitters_direct"] += 1
+                counts = points.counts_direct(splitter, live)
+            elif cost > points.mask_route_above:
+                counted["splitters_masks"] += 1
                 counts = points.counts_from_masks(splitter)
             else:
                 counts = _counts_from_ids(points.neighbors, splitter)
+            if live is None:
+                touched = zip(map(cell_of, counts), counts.values())
+            else:
+                touched = live.intersection(counts)
+                touched = zip(map(cell_of, touched), map(counts.__getitem__, touched))
             hit = counts.__contains__
             split = {}
-            for (s, c), m in Counter(zip(map(cell_of, counts), counts.values())).items():
+            for (s, c), m in Counter(touched).items():
                 split[s] = None if s in split else (c, m)
             split = {s: one for s, one in split.items() if one is None or one[1] != size[s]}
         for s in sorted(split):
@@ -392,15 +482,20 @@ def refine(points, part, queue, stop, expected=None):
                 c, m = one
                 members = [*filterfalse(hit, members), *filter(hit, members)]
                 frags = ((0, n - m), (c, m))
+            elif n == 2:
+                # two points with two counts, each a fragment of its own
+                m = 1
+                lo, hi = map(counts.get, members, repeat(0))
+                if lo > hi:
+                    lo, hi = hi, lo
+                    members.reverse()
+                frags = ((lo, 1), (hi, 1))
             else:
                 keys = list(map(counts.get, members, repeat(0)))
-                lo, *mid, hi = sorted(set(keys))
+                lo, *mid, hi = found = sorted(set(keys))
                 if mid:
-                    order = sorted(range(n), key=keys.__getitem__)
-                    members = list(map(members.__getitem__, order))
-                    frags = tuple(
-                        (c, len(list(f))) for c, f in groupby(map(keys.__getitem__, order))
-                    )
+                    members = list(map(members.__getitem__, sorted(range(n), key=keys.__getitem__)))
+                    frags = tuple(zip(found, map(Counter(keys).__getitem__, found)))
                 else:
                     # every point touched, with two counts: the lower
                     # count's points, then the higher's, each in lab order
@@ -422,6 +517,11 @@ def refine(points, part, queue, stop, expected=None):
                 size[s], size[t] = n - m, m
                 for v in members[n - m :]:
                     cell[v] = t
+                if live is not None:
+                    if n - m == 1:
+                        live.discard(members[0])
+                    if m == 1:
+                        live.discard(members[-1])
                 if s not in queued and m > n - m:
                     t = s
                 queue.append(t)
@@ -435,6 +535,8 @@ def refine(points, part, queue, stop, expected=None):
                 if t != s:
                     for v in lab[t : t + k]:
                         cell[v] = t
+                if k == 1 and live is not None:
+                    live.discard(lab[t])
                 if j != largest and t not in queued:
                     queue.append(t)
                     queued.add(t)
@@ -534,25 +636,27 @@ class _Search:
         """
         self._tick()
         degree = self.vertices.degree
-        node = _Cells.unit(degree)
         path = []  # per level: (node, target cell start, trace of its child, stop)
         base = []
+        if self.scalars is None:
+            node = _Cells.unit(degree)
+        else:
+            # 0, the unit partition's first point, individualized on the
+            # scalar orbits, of which it is the last
+            self._tick()
+            stop = len(self.scalars.reps)
+            part = _Cells.unit(stop).individualized(0, stop - 1)
+            trace = refine(self.scalars, part, deque([stop - 1]), stop)
+            if part.count == stop:
+                # the cells are the scalar orbits, so Aut = K
+                return scalar_affine_group(self.scalars.q, self.scalars.n)
+            node, trace = self.scalars.lift(part, trace)
+            path.append((_Cells.unit(degree), 0, trace, stop))
+            base.append(0)
         while (s := node.target()) is not None:
             base.append(node.lab[s])
-            if path or self.scalars is None:
-                stop = degree
-                child, trace = self._individualize(node, s, base[-1], stop)
-            else:
-                # 0 individualized on the scalar orbits, of which it is the last
-                self._tick()
-                stop = len(self.scalars.reps)
-                part = _Cells.unit(stop).individualized(0, stop - 1)
-                trace = refine(self.scalars, part, deque([stop - 1]), stop)
-                if part.count == stop:
-                    # the cells are the scalar orbits, so Aut = K
-                    return scalar_affine_group(self.scalars.q, self.scalars.n)
-                child, trace = self.scalars.lift(part, trace)
-            path.append((node, s, trace, stop))
+            child, trace = self._individualize(node, s, base[-1], degree)
+            path.append((node, s, trace, degree))
             node = child
         self.base = tuple(base)
         self._leaf_pos = inverse_perm(node.lab)

@@ -20,7 +20,7 @@ from .cayley import ConnectionSet, build_graph, sample_connection_set
 from .coloring import exact_chromatic_number
 from .distinguishing import chi_D_exceeds_q_small, chi_D_upper_certificate
 from .errors import BudgetExceeded
-from .field import gl_order, is_prime, require_odd_prime, require_prime
+from .field import gl_order, is_prime, require_odd_prime, require_prime, require_space
 from .geometry import line_universe
 
 
@@ -249,7 +249,7 @@ def monte_carlo_pipeline(q, n, trials, seed, p=0.5, node_budget=200000, jobs=1):
     the derived trial seed, never on scheduling, so any worker count yields
     the same rows in the same order.
     """
-    require_odd_prime(q)
+    require_space(q, n)
     if seed is None:
         raise ValueError("a master seed is required")
     if trials < 1:

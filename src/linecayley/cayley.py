@@ -5,7 +5,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .errors import InvariantViolation
-from .field import affine_ids, decode, encode, primitive_root, require_odd_prime, vec_scale
+from .field import affine_ids, decode, encode, primitive_root, require_space, vec_scale
 from .geometry import line_points, line_universe, proj_rep
 
 
@@ -13,9 +13,7 @@ class ConnectionSet:
     """The symmetric set S = union of chosen punctured lines, as a set of vectors."""
 
     def __init__(self, q, n, lines):
-        require_odd_prime(q)
-        if n < 2:
-            raise ValueError("dimension must be at least 2")
+        require_space(q, n)
         self.q = q
         self.n = n
         canonical = []
@@ -81,9 +79,7 @@ def sample_connection_set(q, n, p=0.5, seed=None):
     canonical enumeration order of the line universe, so a given seed
     reproduces the same set on any platform.
     """
-    require_odd_prime(q)
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    require_space(q, n)
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} out of range [0, 1]")
     if seed is None:
@@ -104,6 +100,7 @@ class CayleyGraph:
     """Graph on F_q^n with u ~ v iff u - v lies in the connection set."""
 
     def __init__(self, connection):
+        require_space(connection.q, connection.n)
         self.connection = connection
         self.q = connection.q
         self.n = connection.n

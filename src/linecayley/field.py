@@ -30,6 +30,24 @@ def require_odd_prime(q):
         raise ValueError("modulus must be an odd prime, got 2")
 
 
+# The most vertices, q^n, of any space a line universe, connection set or
+# graph is built on.  (5,8), the largest size README runs, has 390,625; a
+# larger size is refused at once, before its tables of q^(n/2) and more
+# entries are built (at (3,40) they would fill any memory).
+MAX_VERTICES = 2**20
+
+
+def require_space(q, n):
+    """Raise ValueError unless F_q^n is a space the package builds on: q an
+    odd prime, n at least 2, and q^n at most MAX_VERTICES."""
+    require_odd_prime(q)
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
+    # q >= 3, so q^n passes the cap once n passes its bit length
+    if q ** min(n, MAX_VERTICES.bit_length()) > MAX_VERTICES:
+        raise ValueError(f"F_{q}^{n} has more than MAX_VERTICES = {MAX_VERTICES} vertices")
+
+
 def inv_mod(a, q):
     """Multiplicative inverse of a nonzero residue mod the prime q."""
     if a % q == 0:

@@ -9,7 +9,7 @@ the direct product F_q^{n-1} x {1}.
 import itertools
 from dataclasses import dataclass
 
-from .field import inv_mod, require_odd_prime, require_prime, vec_scale
+from .field import inv_mod, require_prime, require_space, vec_scale
 
 
 def proj_rep(v, q):
@@ -52,9 +52,7 @@ class LineUniverse:
 
 def line_universe(q, n):
     """Enumerate the admissible lines; there are exactly q^(n-1) of them."""
-    require_odd_prime(q)
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    require_space(q, n)
     lines = tuple(
         base + (1,) for base in itertools.product(range(q), repeat=n - 1)
     )

@@ -1,6 +1,9 @@
 import signal
+from types import SimpleNamespace
 
 import pytest
+
+from linecayley import cayley, geometry
 
 
 @pytest.fixture
@@ -16,6 +19,20 @@ def deadline():
     yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Make every builder of a size's lines or sums fail, so that a size
+    that passes the cap by mistake fails the test instead of filling
+    memory."""
+
+    def no_table(*args, **kwargs):
+        raise AssertionError(f"a table was built: {args}")
+
+    for name in ("_line_cache", "_addition_tables", "_universe"):
+        monkeypatch.setattr(cayley, name, no_table)
+    monkeypatch.setattr(geometry, "itertools", SimpleNamespace(product=no_table))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -667,6 +667,80 @@ def test_right_branch_stop_finds_the_draining_answers(monkeypatch, deadline):
     assert sum(a for a, _ in splitters) < sum(b for _, b in splitters)
 
 
+def test_live_points_give_the_multiset_answers(monkeypatch, deadline):
+    # the refinement after 0 on the scalar orbits keeps its live points and
+    # counts late splitters directly; with direct_step None, as on the
+    # vertices, it counts every splitter by the id or mask route over every
+    # point, as it did before.  Both make the same refinements (trace and
+    # final lab of every call), nodes, base, generators and splitter count,
+    # and the direct route reads no neighbourhood row
+    deadline(60)
+    grid = [(3, 3, 0.75, seed) for seed in range(1, 11)]
+    grid += [(5, 3, 0.5, seed) for seed in range(1, 21)]
+    grid += [(q, n, 0.5, seed) for q, n in ((5, 4), (3, 4), (3, 2), (7, 3)) for seed in range(1, 6)]
+    grid += [(13, 3, 0.5, 1), (5, 5, 0.5, 1)]
+    graphs = [build_graph(sample_connection_set(*case)) for case in grid]
+    graphs += [build_graph(planted_homology_connection(q, n, 1)) for q, n in ((3, 4), (5, 3), (5, 4))]
+
+    def run(direct):
+        refinements = []
+
+        def logged(points, part, queue, stop, expected=None):
+            if not direct:
+                points.direct_step = None
+            trace = refine(points, part, queue, stop, expected)
+            refinements.append((trace, part.lab[:]))
+            return trace
+
+        monkeypatch.setattr(autgroup, "refine", logged)
+        found = []
+        for g in graphs:
+            refinements.clear()
+            aut = automorphism_group(g)
+            group = aut.group
+            answer = [*refinements], aut.nodes, group.base(), group.generators
+            found.append((answer, aut.counts))
+        return found
+
+    got, want = run(True), run(False)
+    assert [answer for answer, _ in got] == [answer for answer, _ in want]
+    for (_, new), (_, old) in zip(got, want):
+        assert new["splitters"] == old["splitters"]
+        assert new["rows"] <= old["rows"]
+        assert old["splitters_direct"] == 0
+    assert sum(counts["splitters_direct"] for _, counts in got) > len(graphs)
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_orbits(q, n, seed):
+    g = build_graph(sample_connection_set(q, n, 0.5, seed))
+    return _ScalarOrbits(g, _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree))
+
+
+@st.composite
+def _live_and_splitter(draw):
+    """Scalar orbits at (5,3) or (5,4), a nonempty set of live nonzero
+    orbits, and a splitter: {0}, or a set of nonzero orbits."""
+    orbits = _scalar_orbits(*draw(st.sampled_from([(5, 3, 1), (5, 3, 2), (5, 4, 1), (5, 4, 2)])))
+    nonzero = st.integers(0, orbits.zero - 1)
+    live = draw(st.sets(nonzero, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        splitter = [orbits.zero]
+    else:
+        splitter = draw(st.lists(nonzero, min_size=1, max_size=8, unique=True))
+    return orbits, live, splitter
+
+
+@settings(max_examples=100, deadline=None)
+@given(_live_and_splitter())
+def test_direct_counts_are_the_multiset_counts(drawn):
+    # on the live orbits, each orbit's count of #{x in W : x - r_j in S} is
+    # its count in the multiset of the splitter's neighbour orbits
+    orbits, live, splitter = drawn
+    want = _counts_from_ids(orbits.neighbors, splitter)
+    assert orbits.counts_direct(splitter, live) == {j: want[j] for j in live if want[j]}
+
+
 def test_scalar_orbit_route_matches_vertex_route():
     # the unit partition with 0 individualized, refined to the scalar
     # orbits' number of cells on the orbits and lifted, and on the vertices:

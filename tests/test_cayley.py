@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, reject, settings
@@ -14,9 +15,56 @@ from linecayley.cayley import (
     sample_connection_set,
 )
 from linecayley.errors import InvariantViolation
-from linecayley.field import affine_ids, decode, encode, vec_add, vec_scale
+from linecayley.field import (
+    MAX_VERTICES,
+    affine_ids,
+    decode,
+    encode,
+    require_space,
+    vec_add,
+    vec_scale,
+)
 from linecayley.geometry import line_points, line_universe
 from oracles import is_edge, masks_by_shift_tables
+
+
+def test_huge_sizes_are_refused_before_any_table(no_tables):
+    # past MAX_VERTICES = 2^20 vertices, a line universe, a sampled or given
+    # connection set and a graph are each refused at once with ValueError,
+    # before any table: at (3,40) the tables would fill any memory
+    huge = ConnectionSet.__new__(ConnectionSet)
+    huge.q, huge.n = 3, 40
+    builders = (
+        lambda: line_universe(3, 40),
+        lambda: line_universe(5, 9),
+        lambda: sample_connection_set(3, 40, 0.5, 1),
+        lambda: ConnectionSet(3, 40, [(0,) * 39 + (1,)]),
+        lambda: ConnectionSet.from_json_dict({"q": 3, "n": 10**9, "lines": []}),
+        lambda: build_graph(huge),
+    )
+    tracemalloc.start()
+    try:
+        for build in builders:
+            with pytest.raises(ValueError, match="MAX_VERTICES"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_the_size_cap():
+    # (5,8), the largest size README runs, and (7,7), (31,4) and (3,12) are
+    # below 2^20 vertices; (3,13), (11,6) and (5,9) are above it
+    assert MAX_VERTICES == 2**20
+    for q, n in ((5, 8), (7, 7), (31, 4), (3, 12), (3, 2)):
+        require_space(q, n)
+    for q, n in ((3, 13), (11, 6), (5, 9), (3, 10**9)):
+        with pytest.raises(ValueError, match="MAX_VERTICES"):
+            require_space(q, n)
+    for q, n in ((3, 1), (2, 3), (9, 2)):
+        with pytest.raises(ValueError):
+            require_space(q, n)
 
 
 def test_from_lines_examples():

@@ -103,6 +103,24 @@ def test_aut_meta_reports_leaf_checks(capsys):
     assert "meta" not in json.loads(out)
 
 
+def test_aut_meta_reports_splitter_routes(capsys):
+    # (5,4) seed 1 ends after 0 on the scalar orbits: of its 8 splitters, the
+    # orbits of S are counted from the masks, the last 4, with few points
+    # left in non-singleton cells, directly, and the other 3, {0} among
+    # them, by the id route.  4 neighbourhood rows are read: row 0, as the
+    # scalar orbits are set up, and those of the id route's other
+    # splitters.  The counts are in meta only
+    code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    routes = meta["splitters"], meta["splitters_direct"], meta["splitters_masks"]
+    assert routes == (8, 4, 1)
+    assert meta["rows"] == 4
+    code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1", "--no-meta")
+    assert code == 0
+    assert "splitters" not in out and "meta" not in json.loads(out)
+
+
 def test_aut_budget_exhaustion(capsys):
     code, out = run(capsys, "aut", "--q", "3", "--n", "3", "--seed", "8",
                     "--budget-nodes", "1", "--no-meta")
@@ -152,6 +170,32 @@ def test_error_exits(capsys, tmp_path):
     code, _ = run(capsys, "build", "--q", "3", "--n", "2",
                   "--in", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_huge_sizes_exit_2_at_once(capsys, no_tables, tmp_path):
+    # every command that builds lines, a connection set or a graph refuses
+    # (3,40), 3^40 vertices, with exit 2 and one line of error before any
+    # table is built (no_tables makes a table an AssertionError); bounds at
+    # (5,40) builds none and still runs
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"q": 3, "n": 40, "lines": [[0] * 39 + [1]]}))
+    commands = (
+        ["lines"],
+        ["sample", "--seed", "1"],
+        ["build", "--seed", "1"],
+        ["aut", "--seed", "1"],
+        ["aut", "--in", str(big)],
+        ["distinguish", "--seed", "1"],
+        ["experiment", "--seed", "1", "--trials", "2"],
+    )
+    for argv in commands:
+        code = main([*argv, "--q", "3", "--n", "40", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err == f"error: F_3^40 has more than MAX_VERTICES = {2**20} vertices\n"
+    code, _ = run(capsys, "bounds", "--q", "5", "--n", "40", "--no-meta")
+    assert code == 0
 
 
 def test_bounds_union_chain(capsys):
