@@ -14,7 +14,9 @@ queued unless the cell was (Hopcroft's smaller-half rule, 1971).  Most
 split cells fall in two fragments: one count on part of the cell, or two
 counts on all of it.  Such a cell is split by a stable partition of its
 range, the lower count first, with no sort; only a cell of three or more
-fragments is sorted by count.  The count of v against a splitter W is
+fragments is sorted by count.  The fragments' counts and sizes are those
+of the splitter's counts grouped by cell, read off before any cell is
+split.  The count of v against a splitter W is
 |(v + S) ∩ W|, read one of two ways: a small W as the multiset W + S from
 the graph's neighbour-id primitive, about |W|*|S| dict updates; a large one
 as the popcount of N(v) & W over the graph's streamed neighbour masks,
@@ -288,19 +290,6 @@ def _scalar_orbit_table(q, n):
     return reps, tuple(orbit_of)
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-@lru_cache(maxsize=4)
-def _scaled_digits(q, n):
-    """For each scalar c = 1..q-1, the tables taking the low and the high
-    split digits of an id x (see cayley._addition_tables) to those of c x:
-    q - 1 pairs of tables of q^h and q^(n-h) ids, h = (n + 1) // 2."""
-    h = (n + 1) // 2
-    low, high = (0,) * h, (0,) * (n - h)
-    return tuple((affine_ids(q, h, c, low), affine_ids(q, n - h, c, high)) for c in range(1, q))
-
-
 class _ScalarOrbits:
     """The points a refinement splits after 0 is individualized, when the
     scalars x -> λx are known automorphisms: every cell is then a union of
@@ -338,8 +327,7 @@ class _ScalarOrbits:
         self.mask_route_above = self.zero * (MASK_STEP_FIXED + self.degree // MASK_STEP_BITS)
         self.direct_step = DIRECT_STEP * (self.q - 1)
         self.members = frozenset(row)
-        self.split, self.lo, self.hi = graph._split, graph._lo, graph._hi
-        self.scaled = _scaled_digits(self.q, self.n)
+        self.split, self.lo, self.hi, self.scaled = graph.digit_tables()
 
     def neighbors(self, i):
         """The orbits of r + S, one per member of S, r being reps[i]; for
@@ -357,8 +345,8 @@ class _ScalarOrbits:
         of the members.  W - e_k undoes the stream's step by e_k (see
         CayleyGraph.steps).  A member may be {0}, whose vertex 0 is in W;
         {0} itself, a cell of its own, is not counted."""
-        # bit x of w is 1 when the orbit of x is a member: one base-2 digit per id, read as an int
-        w = int(bytes(map(set(members).__contains__, self.orbit_of)).translate(_DIGITS)[::-1], 2)
+        degree = self.degree
+        w = id_mask(compress(range(degree), map(set(members).__contains__, self.orbit_of)), degree)
         counts = []
         for keep, wrap, up, down in self.steps:
             # digit k of each id goes down by 1, and 0 wraps to q - 1
@@ -370,9 +358,9 @@ class _ScalarOrbits:
         """The same counts as _counts_from_ids on the points of live alone,
         each that of its representative r_j = reps[j]: #{x in W : x + r_j
         in S}, W being the vertices of the members, as W = -W and S = -S.
-        The ids of x + r_j are sums of split digits (see
-        cayley._addition_tables), and those of the vertices c r of an orbit
-        come from r's by _scaled_digits."""
+        The ids of x + r_j are sums of split digits, and those of the
+        vertices c r of an orbit come from r's, both by the graph's
+        digit_tables."""
         m, lo, hi, reps = self.split, self.lo, self.hi, self.reps
         live = list(live)
         # 0 pads the reps, as itemgetter of one index returns no tuple;
@@ -439,15 +427,15 @@ def refine(points, part, queue, stop, expected=None):
         w = queue.popleft()
         queued.discard(w)
         counted["splitters"] += 1
-        # the start of every cell to split -> (count, number touched)
-        # when its touched points share one count, else None; a cell is
-        # kept when all its points were touched, with one count
+        # the start of every cell to split -> the (count, number) pairs of
+        # its touched points; a cell is kept when its first pair covers it,
+        # all its points touched with one count
         if size[w] == 1 and lab[w] in points.single:
             # one vertex touches its neighbours, each once
             touched = points.neighbors(lab[w])
             hit = points.neighbor_set(lab[w], touched).__contains__
             hits = Counter(map(cell_of, touched))
-            split = {s: (1, m) for s, m in hits.items() if m != size[s]}
+            split = {s: [(1, m)] for s, m in hits.items() if m != size[s]}
         else:
             splitter = lab[w : w + size[w]]
             cost = len(splitter) * points.valency  # of the id route
@@ -469,40 +457,40 @@ def refine(points, part, queue, stop, expected=None):
             hit = counts.__contains__
             split = {}
             for (s, c), m in Counter(touched).items():
-                split[s] = None if s in split else (c, m)
-            split = {s: one for s, one in split.items() if one is None or one[1] != size[s]}
+                if s in split:
+                    split[s].append((c, m))
+                else:
+                    split[s] = [(c, m)]
+            split = {s: f for s, f in split.items() if f[0][1] != size[s]}
         for s in sorted(split):
             if len(trace) == done:
                 break
             n = size[s]
-            one = split[s]
+            frags = split[s]
             members = lab[s : s + n]
-            if one is not None:
+            if len(frags) == 1:
                 # untouched points, then touched ones, each in lab order
-                c, m = one
+                (c, m), = frags
                 members = [*filterfalse(hit, members), *filter(hit, members)]
                 frags = ((0, n - m), (c, m))
-            elif n == 2:
-                # two points with two counts, each a fragment of its own
-                m = 1
-                lo, hi = map(counts.get, members, repeat(0))
-                if lo > hi:
-                    lo, hi = hi, lo
-                    members.reverse()
-                frags = ((lo, 1), (hi, 1))
             else:
+                # the fragments in order of count, the untouched points'
+                # first, at count 0
+                frags.sort()
+                untouched = n - sum(map(itemgetter(1), frags))
+                if untouched:
+                    frags.insert(0, (0, untouched))
+                frags = tuple(frags)
                 keys = list(map(counts.get, members, repeat(0)))
-                lo, *mid, hi = found = sorted(set(keys))
-                if mid:
-                    members = list(map(members.__getitem__, sorted(range(n), key=keys.__getitem__)))
-                    frags = tuple(zip(found, map(Counter(keys).__getitem__, found)))
-                else:
+                if len(frags) == 2:
                     # every point touched, with two counts: the lower
                     # count's points, then the higher's, each in lab order
+                    hi, m = frags[1]
                     high = list(map(hi.__eq__, keys))
-                    m = keys.count(hi)
                     members = [*compress(members, map(not_, high)), *compress(members, high)]
-                    frags = ((lo, n - m), (hi, m))
+                else:
+                    order = sorted(range(n), key=keys.__getitem__)
+                    members = list(map(members.__getitem__, order))
             event = (s, frags)
             if expected is not None and expected[len(trace)] != event:
                 return None

@@ -100,7 +100,6 @@ class CayleyGraph:
     """Graph on F_q^n with u ~ v iff u - v lies in the connection set."""
 
     def __init__(self, connection):
-        require_space(connection.q, connection.n)
         self.connection = connection
         self.q = connection.q
         self.n = connection.n
@@ -123,6 +122,14 @@ class CayleyGraph:
         lo = self._lo[v % self._split]
         hi = self._hi[v // self._split]
         return [lo[a] + hi[b] for a, b in self._digits]
+
+    def digit_tables(self):
+        """(m, lo, hi, scaled): the split-digit addition tables, by which
+        the id of w + s is lo[w % m][s % m] + hi[w // m][s // m] (see
+        _addition_tables), and per scalar c = 1..q-1 the pair of tables
+        taking the low and the high split digit of an id x to those of c x
+        (see _scaled_digits)."""
+        return self._split, self._lo, self._hi, _scaled_digits(self.q, self.n)
 
     def neighbor_masks(self):
         """Yield the bitmask of N(v) = v + S for v = 0, 1, ..., V-1.
@@ -174,6 +181,12 @@ class CayleyGraph:
             raise InvariantViolation("edge count mismatch in export")
 
 
+def _low_digits(n):
+    """h, the number of base-q digits in the low split digit x % q^h of an
+    id x of F_q^n; its high split digit is x // q^h."""
+    return (n + 1) // 2
+
+
 @lru_cache(maxsize=4)
 def _addition_tables(q, n):
     """What CayleyGraph takes from (q, n) alone, as (m, lo, hi, steps).
@@ -186,7 +199,7 @@ def _addition_tables(q, n):
     scalar-orbit counts of autgroup also read.  All tuples, shared by every
     graph of the size; cached, as a process works on few sizes.
     """
-    h = (n + 1) // 2
+    h = _low_digits(n)
     m = q ** h
     lo = tuple(tuple(affine_ids(q, h, 1, decode(x, q, h))) for x in range(m))
     hi = tuple(
@@ -203,6 +216,16 @@ def _addition_tables(q, n):
     return m, lo, hi, tuple(steps)
 
 
+@lru_cache(maxsize=4)
+def _scaled_digits(q, n):
+    """For each scalar c = 1..q-1, the tables taking the low and the high
+    split digit of an id x (see _addition_tables) to those of c x: q - 1
+    pairs of tables of q^h and q^(n-h) ids."""
+    h = _low_digits(n)
+    low, high = (0,) * h, (0,) * (n - h)
+    return tuple((affine_ids(q, h, c, low), affine_ids(q, n - h, c, high)) for c in range(1, q))
+
+
 class _Lines(dict):
     """rep -> the q-1 points of line_points(rep, q), then the split digits
     (x % m, x // m) of their ids x, m being the split of _addition_tables.
@@ -211,7 +234,7 @@ class _Lines(dict):
     A line's points are checked closed under scalars once, as it enters."""
 
     def __init__(self, q, n):
-        self.q, self.split = q, q ** ((n + 1) // 2)
+        self.q, self.split = q, q ** _low_digits(n)
         self.digit = tuple(range(self.split))
         self.root = primitive_root(q)
 
