@@ -87,9 +87,12 @@ from .cayley import id_mask
 from .errors import BudgetExceeded
 from .field import (
     affine_ids, decode, encode, inv_mod, is_scalar_matrix, mat_apply, mat_inverse, mat_mul, rank,
-    vec_add, vec_scale,
+    transvection, vec_add, vec_scale,
 )
-from .permgroup import PermGroup, depth_first, inverse_perm, scalar_affine_group
+from .permgroup import (
+    PermGroup, depth_first, inverse_perm, scalar_affine_group, symmetric_group, twin_generators,
+    twin_group,
+)
 
 
 @dataclass
@@ -98,7 +101,8 @@ class AutResult:
     complete: bool
     nodes: int
     pool: tuple
-    counts: dict = field(default_factory=dict)  # the search's counters (see _Vertices)
+    # the search's counters (see _Vertices), and period, |W| (see automorphism_group)
+    counts: dict = field(default_factory=dict)
 
 
 def _preserves_neighbors(neighbors, p, qn=None):
@@ -209,6 +213,9 @@ def _counts_from_ids(neighbors, members):
 ROW_TABLE_ENTRIES = 1 << 15
 
 
+COUNTERS = ("leaves", "leaf_vertices", "rows", "splitters", "splitters_direct", "splitters_masks")
+
+
 class _Vertices(dict):
     """The points a refinement splits, when each is one vertex, and the
     neighbourhood table of one search.
@@ -240,10 +247,7 @@ class _Vertices(dict):
         self.single = range(degree)
         self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
         self.direct_step = None
-        self.counts = dict.fromkeys(
-            ("leaves", "leaf_vertices", "rows", "splitters", "splitters_direct", "splitters_masks"),
-            0,
-        )
+        self.counts = dict.fromkeys(COUNTERS, 0)
 
     def __missing__(self, v):
         self.counts["rows"] += 1
@@ -660,8 +664,26 @@ def automorphism_group(graph, node_budget=200000):
     """Full automorphism group, or the subgroup found when the budget runs out.
 
     The scalar-affine group's generators seed the pool, so it is always
-    contained in the result.
+    contained in the result.  When S has a period W, G is G/W with |W|
+    twins per point, and the search runs on G/W alone, or not at all when
+    G/W is K_q (see CayleyGraph.quotient and permgroup.twin_group); nodes
+    and counts are G/W's, and counts["period"] is |W|.
     """
+    if len(graph.period) == 1:
+        return _search_group(graph, node_budget)
+    quotient, cosets = graph.quotient()
+    if quotient is None:
+        inner = AutResult(symmetric_group(graph.q), True, 0, (), dict.fromkeys(COUNTERS, 0))
+    else:
+        inner = _search_group(quotient, node_budget)
+    group = twin_group(inner.group, cosets) if inner.complete else None
+    pool = group.generators if group else twin_generators(inner.pool, cosets)
+    counts = {**inner.counts, "period": len(graph.period)}
+    return AutResult(group, inner.complete, inner.nodes, tuple(pool), counts)
+
+
+def _search_group(graph, node_budget):
+    """automorphism_group by the search, on any graph."""
     vertices = _Vertices(graph.neighbor_ids, graph.neighbor_masks, graph.num_vertices, graph.degree)
     scalars = _ScalarOrbits(graph, vertices)
     search = _Search(
@@ -673,6 +695,7 @@ def automorphism_group(graph, node_budget=200000):
         # report what was found; the span of a truncated pool has no
         # trustworthy order, so no group is materialized
         group = None
+    vertices.counts["period"] = 1
     return AutResult(group, group is not None, search.nodes, tuple(search.pool), vertices.counts)
 
 
@@ -685,8 +708,10 @@ def is_automorphism(graph, p):
 def group_equals_scalar_affine(group, q, n):
     """Whether group, a complete result of automorphism_group, is K.  The
     search's pool starts with K's generators and every group it returns
-    keeps them among its own (case (i) returns K itself), so it contains K
-    and is K exactly when it has K's order, q^n (q - 1)."""
+    keeps them among its own (case (i) returns K itself).  The twin group
+    of a graph with a period does not list K's generators, but contains K,
+    as every Aut(G) does.  So the group contains K and is K exactly when
+    it has K's order, q^n (q - 1)."""
     return group.order() == q ** n * (q - 1)
 
 
@@ -762,7 +787,13 @@ def dichotomy_check(graph, aut):
     if not aut.complete:
         raise ValueError("automorphism search was incomplete; raise the node budget")
     equals_k = group_equals_scalar_affine(aut.group, graph.q, graph.n)
-    witness = None if equals_k else _linear_witness(graph, aut.group)
+    if equals_k:
+        witness = None
+    elif len(graph.period) > 1:
+        # s -> s + s[n-1] w, in S + W = S, for the first w != 0 of the period
+        witness = transvection(decode(graph.period[1], graph.q, graph.n))
+    else:
+        witness = _linear_witness(graph, aut.group)
     return {
         "equals_K": equals_k,
         "dichotomy": "i" if equals_k else "ii" if witness is not None else "violated",

@@ -1,11 +1,11 @@
 """Connection sets sampled from unions of lines, and their Cayley graphs."""
 
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .errors import InvariantViolation
-from .field import affine_ids, decode, encode, primitive_root, require_space, vec_scale
+from .field import affine_ids, decode, encode, primitive_root, require_space, rref, vec_scale
 from .geometry import line_points, line_universe, proj_rep
 
 
@@ -18,16 +18,23 @@ class ConnectionSet:
         self.n = n
         canonical = []
         seen = set()
+        universe = _universe(q, n)
         for line in lines:
-            line = tuple([int(a) % q for a in line])
-            if len(line) != n:
-                raise ValueError(f"line {line} has wrong dimension")
-            # a line whose last coordinate is 1 is its own representative
-            rep = line if line[-1] == 1 else proj_rep(line, q)
-            if rep[-1] == 0:
-                raise ValueError(
-                    f"line {line} lies inside the hyperplane x[{n - 1}] = 0"
-                )
+            # a line of the universe, as every sampled one is, is its own
+            # representative, and the universe's tuple is kept
+            known = universe.get(tuple(line))
+            if known is not None:
+                line = rep = known[0]
+            else:
+                line = tuple([int(a) % q for a in line])
+                if len(line) != n:
+                    raise ValueError(f"line {line} has wrong dimension")
+                # a line whose last coordinate is 1 is its own representative
+                rep = line if line[-1] == 1 else proj_rep(line, q)
+                if rep[-1] == 0:
+                    raise ValueError(
+                        f"line {line} lies inside the hyperplane x[{n - 1}] = 0"
+                    )
             if rep in seen:
                 raise ValueError(f"duplicate line {line}")
             seen.add(rep)
@@ -130,6 +137,79 @@ class CayleyGraph:
         taking the low and the high split digit of an id x to those of c x
         (see _scaled_digits)."""
         return self._split, self._lo, self._hi, _scaled_digits(self.q, self.n)
+
+    @cached_property
+    def period(self):
+        """The ids of the period W = {t : t + S = S} of a nonempty S, in id
+        order, 0 first: (0,) when W = 0, and for the empty S, whose graph
+        has no edges.
+
+        u and v are twins, N(u) = N(v), exactly when u - v lies in W, a
+        subspace that misses S.  S is then a union of cosets of W, so |W|,
+        a power of q, divides |S| = (q - 1) L, and W = 0 unless q divides
+        the line count L.  W lies in H = {x[n-1] = 0}: for t in W off H and
+        s in S, the points s + kt, all in S, would meet H.  So t in W maps
+        the representatives R of the lines, the points of S with x[n-1] = 1,
+        onto themselves, and conversely R + t = R gives S + t = S, S being
+        the multiples of R.  So W is {t : R + t = R}, and its candidates are
+        r - r_0 over r in R, for one r_0; each r of R in turn drops those t
+        with r + t not in R, until none is left or every r is tried.
+        """
+        q, n, lines = self.q, self.n, self.connection.lines
+        if not lines or len(lines) % q:
+            return (0,)
+        m, lo, hi, scaled = self.digit_tables()
+        universe = _universe(q, n)
+        r0, *reps = ids = [universe[rep][1] for rep in lines]
+        # the split digits of -r_0, and the ids of r - r_0
+        a, b = scaled[-1][0][r0 % m], scaled[-1][1][r0 // m]
+        low, high = lo[a], hi[b]
+        shifts = [low[r % m] + high[r // m] for r in reps]
+        members = frozenset(ids)
+        for r in reps:
+            if not shifts:
+                break
+            low, high = lo[r % m], hi[r // m]
+            shifts = [t for t in shifts if low[t % m] + high[t // m] in members]
+        return (0, *sorted(shifts))
+
+    def quotient(self):
+        """(G/W, cosets) for the period W of S, in coordinates that keep
+        x[n-1].
+
+        W's reduced echelon basis has its pivots outside column n - 1, as W
+        lies in H.  x -> x reduced by that basis, read at the other d =
+        n - dim W columns, is a linear map onto F_q^d with kernel W that
+        keeps x[n-1]; it maps each line of S to one of last coordinate 1 in
+        F_q^d, and |W| lines to each, so its images, once each, are the
+        admissible lines of S/W.  G/W is their Cayley graph, or None when
+        d = 1, where S/W is F_q^* and G/W is the complete graph K_q.
+        cosets[c] is the coset over point c of G/W, as the ids of x_c + w
+        for w in W in id order, x_c being c's coordinates at the d columns
+        and 0 at the pivots: u ~ v in G exactly when their cosets are
+        adjacent in G/W.
+        """
+        q, n, period = self.q, self.n, self.period
+        basis, pivots = rref([decode(w, q, n) for w in period], q)
+        columns = [j for j in range(n) if j not in pivots]
+
+        def image(x):
+            for row, p in zip(basis, pivots):
+                x = [(a - x[p] * b) % q for a, b in zip(x, row)]
+            return tuple(map(x.__getitem__, columns))
+
+        lines = sorted({image(rep) for rep in self.connection.lines})
+        graph = CayleyGraph(ConnectionSet(q, len(columns), lines)) if len(columns) > 1 else None
+        # x_c for each c in id order, one column's digit at a time
+        starts = [0]
+        for j in columns:
+            starts = [x + d * q ** j for d in range(q) for x in starts]
+        m, lo, hi = self._split, self._lo, self._hi
+        cosets = [
+            [low[w % m] + high[w // m] for w in period]
+            for low, high in ((lo[x % m], hi[x // m]) for x in starts)
+        ]
+        return graph, cosets
 
     def neighbor_masks(self):
         """Yield the bitmask of N(v) = v + S for v = 0, 1, ..., V-1.
@@ -259,8 +339,15 @@ def _line_cache(q, n):
 
 @lru_cache(maxsize=4)
 def _universe(q, n):
-    """The admissible lines, in the order sample_connection_set draws them."""
-    return line_universe(q, n).lines
+    """{line: (line, id)} over the admissible lines, in the order
+    sample_connection_set draws them: each one's representative, and the
+    vertex id of that representative."""
+    lines = line_universe(q, n).lines
+    # their ids in that order, where coordinate 0 varies slowest
+    ids = [q ** (n - 1)]
+    for j in range(n - 1):
+        ids = [x + d * q ** j for x in ids for d in range(q)]
+    return dict(zip(lines, zip(lines, ids)))
 
 
 def build_graph(connection):

@@ -133,6 +133,14 @@ def is_scalar_matrix(m):
     return all(m[i][j] == (lam if i == j else 0) for i in range(n) for j in range(n))
 
 
+def transvection(w):
+    """The matrix of x -> x + x[n-1] w, for w with w[n-1] = 0: the
+    identity with w added to its last column.  It has determinant 1, and
+    is not scalar when w != 0."""
+    n = len(w)
+    return tuple(tuple(int(i == j) + w[i] * (j == n - 1) for j in range(n)) for i in range(n))
+
+
 def mat_apply(m, v, q):
     return tuple(sum(a * b for a, b in zip(row, v)) % q for row in m)
 
@@ -144,7 +152,7 @@ def mat_mul(a, b, q):
     )
 
 
-def _rref(rows, q):
+def rref(rows, q):
     """Reduced row echelon form; returns (reduced nonzero rows, pivot columns)."""
     mat = [list(r) for r in rows]
     if not mat:
@@ -176,14 +184,14 @@ def _rref(rows, q):
 
 def rank(rows, q):
     """Rank of a matrix given as an iterable of rows (need not be square)."""
-    return len(_rref(rows, q)[1])
+    return len(rref(rows, q)[1])
 
 
 def mat_inverse(m, q):
     """Inverse of a square matrix, read off the reduced form of [m | I]."""
     n = len(m)
     aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    reduced, pivots = _rref(aug, q)
+    reduced, pivots = rref(aug, q)
     if any(c >= n for c in pivots):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in reduced)

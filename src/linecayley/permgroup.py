@@ -3,8 +3,10 @@
 Permutations are image tuples; compose(p, r) applies r first.  A PermGroup
 is built from a base and a strong generating set relative to it, which every
 group here comes with: K's is written down (scalar_affine_group, built once
-per (q, n)), and the automorphism and class-fixing searches find theirs as
-the PermGroup constructor completes each level of the chain, deepest first.
+per (q, n)), and so is that of a graph with twins, from the group of its
+twin quotient (twin_group); the automorphism and class-fixing searches find
+theirs as the PermGroup constructor completes each level of the chain,
+deepest first.
 Whether any element but the identity preserves a labelling needs no chain:
 first_fixing_element runs the class-fixing search in the same order and
 stops at its first element.
@@ -88,6 +90,10 @@ class PermGroup:
                     levels.append(k)
                     self._svs[k] = vector(k)
         self._invs = [inverse_perm(g) for g in self.generators]
+        # level k -> each point's orbit under the stabilizer of base[:k], as
+        # an index, where the maker of the group knows it; the label search
+        # prunes by it (see _label_search)
+        self.orbits = {}
 
     def _rep(self, k, x):
         """Transversal element mapping base[k] to x."""
@@ -160,6 +166,62 @@ def scalar_affine_group(q, n):
     return PermGroup(q ** n, (0, q ** (n - 1)), gens)
 
 
+def twin_generators(generators, cosets):
+    """Each permutation of generators, which act on the classes of twins
+    cosets[c], lifted to move twin i of class c to twin i of its image;
+    then the transpositions of twins i and i + 1 of each class, in order."""
+    degree = sum(map(len, cosets))
+    identity = tuple(range(degree))
+    lifted = []
+    for g in generators:
+        image = [0] * degree
+        for twins, images in zip(cosets, map(cosets.__getitem__, g)):
+            for x, y in zip(twins, images):
+                image[x] = y
+        lifted.append(tuple(image))
+    for twins in cosets:
+        for x, y in zip(twins, twins[1:]):
+            swap = list(identity)
+            swap[x], swap[y] = y, x
+            lifted.append(tuple(swap))
+    return lifted
+
+
+def twin_group(quotient, cosets):
+    """The group of a graph whose twin classes are cosets[c], the points of
+    a graph without twins whose group is quotient: Sym(|W|) wr quotient,
+    |W| the size of a class, of order |W|!^(classes) |quotient|.
+
+    Twins have the same neighbours, so every permutation of each class is
+    an automorphism, and every automorphism permutes the classes as one of
+    quotient.  The generators (twin_generators) are strong on the base of
+    twin 0 of each base point of quotient, then twins 0..|W|-2 of every
+    class, those already in it skipped: fixing the first part leaves the
+    elements that fix each class, and there twins 0..i-1 of a class fixed
+    leave the permutations of twins i.. of it, spanned by the transpositions
+    of twins i and i+1 onward.  The group contains K when the twins are
+    those of a graph of the package, but its generators are not K's.
+    """
+    fixed = [cosets[b][0] for b in quotient.base()]
+    first = set(fixed)
+    base = fixed + [x for twins in cosets for x in twins[:-1] if x not in first]
+    group = PermGroup(sum(map(len, cosets)), base, twin_generators(quotient.generators, cosets))
+    # the stabilizer of the first part fixes every class: its orbits are
+    # the points of that part, each alone, and the rest of each class
+    index = group.orbits[len(fixed)] = [0] * group.degree
+    for c, twins in enumerate(cosets):
+        for x in twins:
+            index[x] = c
+    for i, x in enumerate(fixed, len(cosets)):
+        index[x] = i
+    return group
+
+
+def symmetric_group(k):
+    """Sym(k) on range(k): k twins of the one point of the trivial group."""
+    return twin_group(PermGroup(1, (), []), [range(k)])
+
+
 def classes_to_labels(classes, degree):
     """Class index of every point; the classes must partition range(degree)."""
     labels = [None] * degree
@@ -181,14 +243,27 @@ def _label_search(group, labels):
 
     At level k, a point x of base[k]'s orbit with base[k]'s label names
     the coset of elements mapping base[k] to x; find(k, x) returns the
-    first label-preserving one found by the walk, which prunes base images
-    that change their label, or None.
+    first label-preserving one found by the walk, or None.  The walk prunes
+    base images that change their label, and, at a level k whose orbits
+    the group knows (PermGroup.orbits), every product g whose elements
+    g h, h fixing base[:k], cannot keep the labels: h maps each of those
+    orbits onto itself, so g must map each to points carrying the same
+    labels, counted.  A twin group knows them where its classes of twins
+    start, and without that prune it would try every arrangement of one
+    class's twins before finding that a later class cannot be matched.
     """
     if len(labels) != group.degree:
         raise ValueError(f"{len(labels)} labels for a group of degree {group.degree}")
     base = group.base()
+    # per level k of group.orbits: each point's orbit there, and the
+    # (orbit, label) pairs of every point, sorted
+    counted = {k: (index, sorted(zip(index, labels))) for k, index in group.orbits.items()}
 
     def images(k, prefix):
+        if k in counted:
+            index, want = counted[k]
+            if sorted(zip(index, map(labels.__getitem__, prefix))) != want:
+                return ()
         want = labels[base[k]]
         return (x for x in group.orbit(k) if labels[prefix[x]] == want)
 

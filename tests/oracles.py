@@ -32,7 +32,7 @@ from linecayley.cayley import ConnectionSet
 from linecayley.distinguishing import _fixing_translations
 from linecayley.errors import BudgetExceeded
 from linecayley.field import (
-    _rref, affine_ids, decode, encode, mat_apply, rank, require_odd_prime, vec_add, vec_scale,
+    affine_ids, decode, encode, mat_apply, rank, require_odd_prime, rref, vec_add, vec_scale,
 )
 from linecayley.geometry import line_universe, proj_rep
 from linecayley.permgroup import PermGroup, schreier_vector
@@ -415,7 +415,7 @@ def kernel(m, q):
     if not rows:
         return []
     ncols = len(rows[0])
-    reduced, pivots = _rref(rows, q)
+    reduced, pivots = rref(rows, q)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

@@ -35,7 +35,7 @@ from linecayley.cayley import (
 from linecayley.coloring import coset_coloring, exact_chromatic_number, plus_zero_recolor
 from linecayley.distinguishing import is_distinguishing
 from linecayley.errors import BudgetExceeded
-from linecayley.field import affine_ids, is_scalar_matrix, mat_apply, rank
+from linecayley.field import affine_ids, decode, is_scalar_matrix, mat_apply, rank
 from linecayley.geometry import line_universe
 from linecayley.permgroup import (
     PermGroup,
@@ -233,7 +233,9 @@ def test_row_table_matches_rows_built_on_demand(monkeypatch):
                 return neighbor_ids(v)
 
             g.neighbor_ids = counted
-            aut = automorphism_group(g)
+            # the search itself: where S has a period, automorphism_group
+            # searches G/W, whose rows are not g's
+            aut = autgroup._search_group(g, 200000)
             assert aut.counts["rows"] == sum(built.values())
             group = aut.group
             found.append((group.order(), group.base(), group.generators, aut.nodes,
@@ -304,7 +306,8 @@ def test_k_always_contained():
     # n + 1 generators among the group's own, so the group contains K and
     # group_equals_scalar_affine may decide Aut = K by the order alone: on
     # the grid of test_scalar_orbit_shortcut_matches_full_search, in both
-    # cases, and on planted (5,4) and (5,5), in case (ii)
+    # cases, and on planted (5,4) and (5,5), in case (ii).  The twin group
+    # of a graph with a period lists no generator of K, and contains each
     rng = random.Random(4)
     for q, n in ((3, 2), (3, 3), (5, 2)):
         k = scalar_affine_group(q, n)
@@ -325,7 +328,10 @@ def test_k_always_contained():
         aut = automorphism_group(build_graph(s))
         k = scalar_affine_group(s.q, s.n).generators
         assert aut.complete and len(k) == s.n + 1
-        assert set(k) <= set(aut.group.generators), (s.q, s.n, s.lines)
+        if aut.counts["period"] == 1:
+            assert set(k) <= set(aut.group.generators), (s.q, s.n, s.lines)
+        else:
+            assert all(map(aut.group.contains, k)), (s.q, s.n, s.lines)
 
 
 def test_orders_match_sympy():
@@ -492,7 +498,10 @@ def test_last_level_traces_are_pinned():
 
 def test_chain_orbits_and_witnesses_are_pinned():
     # the sha256 of the JSON of every level's orbit and of the dichotomy
-    # witness; the chi coloring's class-fixing order and witness, also on
+    # witness, of the search and its chain walk, which automorphism_group and
+    # dichotomy_check run on every graph without a period ((3,3) seeds 4
+    # and 7 have one; test_twin_chains_are_pinned pins what they give
+    # there); the chi coloring's class-fixing order and witness, also on
     # three case-(i) instances, where the group is K on its own base (these
     # were recorded when it was K on the base the search found); and the
     # pool a budget leaves when it runs out while the levels are completed
@@ -537,9 +546,9 @@ def test_chain_orbits_and_witnesses_are_pinned():
     }
     for (q, n, p, seed), want in cases.items():
         g = build_graph(sample_connection_set(q, n, p, seed))
-        aut = automorphism_group(g)
+        aut = autgroup._search_group(g, 200000)
         orbits = [list(aut.group.orbit(k)) for k in range(len(aut.group.base()))]
-        found = (digest(orbits), digest(dichotomy_check(g, aut)["witness"]))
+        found = (digest(orbits), digest(autgroup._linear_witness(g, aut.group)))
         assert found == want, (q, n, p, seed)
     chi_cases = {
         (3, 3, 0.75, 3): (362880, "0c80a04d6fa4fe9581001fbf593c2c0d1805e30936b55af3d1080e1c698738fe"),
@@ -629,7 +638,8 @@ def test_refinement_matches_sorting_reference(monkeypatch):
     cases += [(5, 4, 0.5, seed) for seed in range(1, 4)]
     cases.append((3, 4, 0.5, 2))
     for q, n, p, seed in cases:
-        automorphism_group(build_graph(sample_connection_set(q, n, p, seed)))
+        # the search itself, also where S has a period (seeds 4 and 7 at (3,3))
+        autgroup._search_group(build_graph(sample_connection_set(q, n, p, seed)), 200000)
     assert refined[_ScalarOrbits, False] == len(cases)
     assert refined[_Vertices, False] and refined[_Vertices, True]
 
@@ -763,11 +773,12 @@ def test_scalar_orbit_route_matches_vertex_route():
 
 
 def test_scalar_orbit_shortcut_matches_full_search():
-    # automorphism_group stops at 2 nodes when the refinement after 0 reaches
-    # the scalar orbits, and returns K itself; the search without them
-    # refines every level.  Both give the same order and Aut = K verdict,
-    # and the same base wherever automorphism_group goes on, and the stop
-    # comes only with Aut = K.  Per grid point, the instances that stop there
+    # the search stops at 2 nodes when the refinement after 0 reaches the
+    # scalar orbits, and returns K itself; the search without them refines
+    # every level.  It runs on G itself, also where S has a period, which
+    # automorphism_group would send to G/W.  Both give the same order and
+    # Aut = K verdict, and the same base wherever the search goes on, and
+    # the stop comes only with Aut = K.  Per grid point, the instances that stop there
     # and those with Aut = K: at (5,3) p = 0.5, 4 of the latter stop short of
     # the scalar orbits and go on down the vertex route
     grid = {
@@ -785,7 +796,7 @@ def test_scalar_orbit_shortcut_matches_full_search():
         stops = equal_k = 0
         for seed in range(count):
             g = build_graph(sample_connection_set(q, n, p, seed))
-            aut = automorphism_group(g)
+            aut = autgroup._search_group(g, 200000)
             full = _Search(
                 _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree),
                 list(scalar_affine_group(q, n).generators), 200000,
@@ -1001,3 +1012,131 @@ def test_group_equals_scalar_affine_negative():
     g = build_graph(ConnectionSet(3, 2, [(0, 1)]))
     aut = automorphism_group(g)
     assert not group_equals_scalar_affine(aut.group, 3, 2)
+
+
+def _period_by_masks(g):
+    """The t with N(t) = N(0), from the neighbour-mask stream."""
+    masks = g.adjacency_masks()
+    return tuple(t for t, m in enumerate(masks) if m == masks[0])
+
+
+def _pulled_back(q, n, rng):
+    """A set with a period: the lines r with r[1:] in a random nonempty set
+    of lines of F_q^(n-1), so that W holds e_0."""
+    universe = line_universe(q, n - 1).lines
+    chosen = rng.sample(universe, rng.randrange(1, len(universe) + 1))
+    return ConnectionSet(q, n, [(a, *rep) for rep in chosen for a in range(q)])
+
+
+def test_period_matches_brute_force():
+    # CayleyGraph.period against N(t) = N(0) over every t, on all 511
+    # nonempty subsets at (3,3), of which 25 have a period (12 three-line
+    # and 12 six-line ones with |W| = 3, the full set with |W| = 9), on 200
+    # sampled sets each at (5,3) and (5,4), none with one, and on sets
+    # pulled back from F_q^(n-1), all with one
+    universe = list(line_universe(3, 3))
+    found = Counter()
+    for size in range(1, len(universe) + 1):
+        for lines in itertools.combinations(universe, size):
+            g = build_graph(ConnectionSet(3, 3, lines))
+            assert g.period == _period_by_masks(g), lines
+            if len(g.period) > 1:
+                found[size, len(g.period)] += 1
+    assert found == {(3, 3): 12, (6, 3): 12, (9, 9): 1}
+    for q, n in ((5, 3), (5, 4)):
+        for seed in range(200):
+            g = build_graph(sample_connection_set(q, n, 0.5, seed))
+            assert g.period == _period_by_masks(g) == (0,), (q, n, seed)
+    rng = random.Random(3)
+    for q, n in ((3, 4), (5, 3), (5, 4)):
+        for _ in range(10):
+            g = build_graph(_pulled_back(q, n, rng))
+            assert g.period == _period_by_masks(g), (q, n, g.connection.lines)
+            assert len(g.period) > 1
+
+
+def _twin_graphs():
+    """Every graph with a period at (3,3), then p = 1 at (3,4) and (5,3),
+    where W is H and G/W is K_q."""
+    universe = list(line_universe(3, 3))
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(universe, size) for size in range(1, len(universe) + 1)
+    )
+    graphs = (build_graph(ConnectionSet(3, 3, lines)) for lines in subsets)
+    yield from (g for g in graphs if len(g.period) > 1)
+    for q, n in ((3, 4), (5, 3)):
+        yield build_graph(sample_connection_set(q, n, 1, 1))
+
+
+def test_twin_group_matches_the_search():
+    # the twin group against the search run on the same graph itself: the
+    # same order, every generator an automorphism by the leaf check and by
+    # the edge set, and K's generators in the group; the counters and nodes
+    # are those of G/W, none when G/W is K_q
+    count = 0
+    for g in _twin_graphs():
+        q, n = g.q, g.n
+        aut = automorphism_group(g)
+        search = autgroup._search_group(g, 200000)
+        assert aut.complete and search.complete
+        assert aut.group.order() == search.group.order(), g.connection.lines
+        edges = edge_set(g)
+        for p in aut.group.generators:
+            assert is_automorphism(g, p)
+            assert brute_preserves_edges(g, p, edges)
+        assert all(map(aut.group.contains, scalar_affine_group(q, n).generators))
+        assert aut.counts["period"] == len(g.period) > 1
+        if len(g.period) == q ** (n - 1):
+            assert aut.nodes == aut.counts["splitters"] == 0
+            assert aut.group.order() == math.factorial(q ** (n - 1)) ** q * math.factorial(q)
+        else:
+            assert aut.nodes > 0
+        count += 1
+    assert count == 27
+
+
+def test_twin_witness_is_a_transvection():
+    # on the same graphs, the witness is x -> x + x[n-1] w for the first
+    # w != 0 of the period: not scalar, invertible, and M S = S; the chain
+    # walk on the search's group gives the same verdict
+    for g in _twin_graphs():
+        q, n = g.q, g.n
+        report = dichotomy_check(g, automorphism_group(g))
+        m = report["witness"]
+        assert (report["equals_K"], report["dichotomy"]) == (False, "ii")
+        assert not is_scalar_matrix(m) and rank(m, q) == n
+        w = [row[-1] for row in m]
+        assert w[:-1] == list(decode(g.period[1], q, n))[:-1] and w[-1] == 1
+        members = g.connection.members
+        assert {mat_apply(m, s, q) for s in members} == members
+        search = autgroup._search_group(g, 200000)
+        assert autgroup._linear_witness(g, search.group) is not None
+
+
+def test_twin_chains_are_pinned():
+    # the twin chains of (3,3), p = 0.75, seeds 4 and 7, the two instances
+    # of test_chain_orbits_and_witnesses_are_pinned with a period: the
+    # sha256 of the JSON of every level's orbit, of the generators and of
+    # the dichotomy witness, with |W|, the order and the nodes of G/W
+    def digest(x):
+        return hashlib.sha256(json.dumps(x).encode()).hexdigest()
+
+    cases = {
+        4: (3, 725594112, 7, (
+            "81a04b359fd948af350a507ecd7e0481c63f2417639d3326a3cc86d052031ae1",
+            "d43a7639ed71d67ec300ad6e5123d1ad5f69db60acec16eb1a3977bc10cee954",
+            "74892212b9f8a55d2ea660ab69066c770b29671ea113a1bc4ad5d4b010111954",
+        )),
+        7: (9, 286708355039232000, 0, (
+            "325f900295906e1e849b1bb126234ba7647148972eff2ad0dfc6e43523e3de05",
+            "f4f47d1d71201b50b1360078b80e2a34282fc2ee7abe6cdd9b3d901ee130dedd",
+            "b2e3118a43a8d635054bd0e05eb492f09b9508bf549a303fd26681e65cf21667",
+        )),
+    }
+    for seed, want in cases.items():
+        g = build_graph(sample_connection_set(3, 3, 0.75, seed))
+        aut = automorphism_group(g)
+        orbits = [list(aut.group.orbit(k)) for k in range(len(aut.group.base()))]
+        generators = [list(p) for p in aut.group.generators]
+        digests = digest(orbits), digest(generators), digest(dichotomy_check(g, aut)["witness"])
+        assert (len(g.period), aut.group.order(), aut.nodes, digests) == want, seed

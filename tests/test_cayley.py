@@ -211,6 +211,21 @@ def test_lines_sorted_universe_order():
     assert all(rep[-1] == 1 for rep in s.lines)
 
 
+def test_sampled_lines_are_the_universes_own():
+    # a sampled line is looked up in the universe and kept as its tuple;
+    # the same lines given as lists, as multiples or past q are
+    # canonicalized to the same lines and members
+    s = sample_connection_set(5, 4, 0.5, 3)
+    assert all(rep is cayley._universe(5, 4)[rep][0] for rep in s.lines)
+    for lines in (
+        [list(rep) for rep in s.lines],
+        [vec_scale(2, rep, 5) for rep in s.lines],
+        [tuple(a + 5 for a in rep) for rep in s.lines],
+    ):
+        t = ConnectionSet(5, 4, lines)
+        assert (t.lines, t.members) == (s.lines, s.members)
+
+
 def test_json_roundtrip():
     s = sample_connection_set(3, 3, 0.5, 4)
     d = s.to_json_dict()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +120,24 @@ def test_aut_meta_reports_splitter_routes(capsys):
     code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1", "--no-meta")
     assert code == 0
     assert "splitters" not in out and "meta" not in json.loads(out)
+
+
+def test_aut_with_a_period_solves_the_quotient(capsys, deadline):
+    # with p = 1 the period W is H, |W| = q^(n-1), and G/W is K_q: at (5,4)
+    # Aut is Sym(125) wr Sym(5), written down with no search, with the
+    # transvection x -> x + x[3] e_0 as witness; meta reports |W| as period,
+    # which is 1 where S has none
+    deadline(30)
+    code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--p", "1", "--seed", "1")
+    assert code == 0
+    d = json.loads(out)
+    assert d["order"] == str(math.factorial(125) ** 5 * math.factorial(5))
+    assert (d["dichotomy"], d["equals_K"], d["nodes"]) == ("ii", False, 0)
+    assert d["witness"] == [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert len(d["generators"]) == 5 * 124 + 4
+    assert (d["meta"]["period"], d["meta"]["splitters"]) == (125, 0)
+    code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1")
+    assert json.loads(out)["meta"]["period"] == 1
 
 
 def test_aut_budget_exhaustion(capsys):

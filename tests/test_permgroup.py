@@ -17,6 +17,8 @@ from linecayley.permgroup import (
     inverse_perm,
     leaves,
     scalar_affine_group,
+    symmetric_group,
+    twin_group,
 )
 from oracles import brute_fix_count, group_elements
 
@@ -229,6 +231,39 @@ def test_fixing_subgroup_matches_brute_on_random_partitions():
             for p in fix.generators:
                 assert group.contains(p)
                 assert all(labels[p[x]] == labels[x] for x in range(degree))
+
+
+def test_twin_groups_match_brute_force():
+    # Sym(4); Sym(3) wr Sym(3), the group of (3,2) with p = 1, whose twin
+    # classes are the cosets of x[1]; and Sym(2) wr K(3,2) on 18 points,
+    # point x of K doubled as x and x + 9: the order, membership of every
+    # generator's image, and the class-fixing subgroup of random
+    # labellings, half of them kept by a random element, against every
+    # element, with the prune at the twin levels in use
+    g = build_graph(sample_connection_set(3, 2, 1, 1))
+    groups = [
+        (symmetric_group(4), 24),
+        (automorphism_group(g).group, 6 ** 3 * 6),
+        (twin_group(scalar_affine_group(3, 2), [[x, x + 9] for x in range(9)]), 2 ** 9 * 18),
+    ]
+    rng = random.Random(31)
+    for group, order in groups:
+        degree = group.degree
+        assert group.orbits
+        elements = group_elements(degree, group.generators)
+        assert group.order() == len(elements) == order
+        for trial in range(10):
+            labels = [rng.randrange(3) for _ in range(degree)]
+            if trial % 2:
+                p = rng.choice(elements)
+                for x in range(degree):
+                    y = p[x]
+                    while y != x:
+                        labels[y] = labels[x]
+                        y = p[y]
+            fix = fixing_subgroup_of_partition(group, labels)
+            assert fix.order() == brute_fix_count(elements, labels)
+            assert all(map(group.contains, fix.generators))
 
 
 # a small explicit tree: node -> children, depth 0 at "r"
