@@ -16,20 +16,16 @@ counts on all of it.  Such a cell is split by a stable partition of its
 range, the lower count first, with no sort; only a cell of three or more
 fragments is sorted by count.  The fragments' counts and sizes are those
 of the splitter's counts grouped by cell, read off before any cell is
-split.  The count of v against a splitter W is
-|(v + S) ∩ W|, read one of two ways: a small W as the multiset W + S from
-the graph's neighbour-id primitive, about |W|*|S| dict updates; a large one
-as the popcount of N(v) & W over the graph's streamed neighbour masks,
-about V big-int steps on V bits whatever |W| is.  W is large when |W|*|S|
-exceeds the stream's measured cost (MASK_STEP_FIXED, MASK_STEP_BITS).  Both
-routes give the same counts, so every choice still depends only on cell
-positions and counts, and refinement commutes with any automorphism.
-Every row v + S the search reads, for the id route, for a one-point
-splitter and for the leaf check, comes from its one _Vertices, which is
-also its neighbourhood table and lives as long as the search: each row and
-its set are built once when all the rows fit in ROW_TABLE_ENTRIES ids, and
-at every read otherwise.  Its counts are the search's counters, which
-AutResult.counts reports.
+split.  The count of v against a splitter W is |(v + S) ∩ W|, and each
+kind of point reads it its own way (splitter_counts).  On the vertices, W
+is read as the multiset W + S from the graph's neighbour-id primitive,
+about |W|*|S| dict updates, and a one-vertex W = {w} touches the row
+w + S, once each, with no multiset.
+Every row v + S the search reads, for these counts and for the leaf
+check, comes from its one _Vertices, which is also its neighbourhood table
+and lives as long as the search: each row is built once when all the rows
+fit in ROW_TABLE_ENTRIES ids, and at every read otherwise.  Its counts are
+the search's counters, which AutResult.counts reports.
 
 The search individualizes the first point of the first smallest
 non-singleton cell down to a discrete partition; these points form the base.
@@ -39,42 +35,46 @@ their orbits.  That refinement then runs on the (V - 1)/(q - 1) nonzero
 orbits and {0}, one point each, q - 1 times fewer points to count and split
 (McKay & Piperno also prune with known automorphisms): each orbit's count is
 that of any of its vertices, and every other cell's size is q - 1 times its
-number of orbits, so it makes the same splits in the same order.  It works
-on its live points alone, the orbits in non-singleton cells, as McKay &
-Piperno refine only non-singleton cells: a singleton never splits, so a
-point leaves the live set when a split leaves it alone, and a splitter's
-counts are grouped by cell over its live touched points only.  When few
-points are live, a splitter W is counted directly, by a membership test in
-S for each live orbit and each vertex of W (counts_direct), where those
-live * |W| * (q - 1) tests, weighted by DIRECT_STEP, cost less than either
-other route.  The direct counts equal the others on every live point, so
-the splits are the same.  If it
-ends with one cell per orbit, Aut is K (see _Search.stabilize), and the
-search ends there, at its second node, with no deeper level and no leaf:
-case (i), where the sampled instances of the paper's regime fall.  It
-returns permgroup.scalar_affine_group, the one K of its size.
-Otherwise the vertex arrays and trace are rebuilt from it and the search
-goes on.  Each node of the leftmost path is refined once, and its split
-trace (position, (count, size) pairs) is kept.  Any other node is refined
-alone and compared with the trace of the path node at its depth, and it is
-dropped at the first difference.  Its refinement ends as soon as it has
-made every split of that trace, as McKay & Piperno's trace comparison
-allows: the node then has the path node's cells, so the search below it
-takes the same shape.  That is sound, because a right node leads only to
-leaves, and a leaf is kept only when the leaf check proves it an
-automorphism.  It finds the same automorphisms: where an automorphism σ
-maps the path node onto the right node, refinement commutes with σ, so the
-right node's first splits already give σ's image of the refined path node.
-Only a right node that no automorphism reaches, which repeats the path's
-splits and would split further, is searched where it used to be dropped.
-A leaf maps the leftmost leaf onto itself, and it is kept when it maps
-v + S onto p(v) + S at one v per coset of the unit translations p
-normalizes.  The scalar-affine group seeds the generator pool, whose
-orbits prune sibling branches; a node budget turns
-long searches into an explicitly incomplete result instead of a wrong one.
-The PermGroup constructor completes the levels deepest first, growing the
-pool into a strong generating set on the base, so the group is built
-without a closure.
+number of orbits, so it makes the same splits in the same order.  A small
+splitter W is read there as the multiset of its orbits' rows, and a large
+one as popcounts over the graph's streamed neighbour masks, about
+(V - 1)/(q - 1) big-int steps on V bits whatever |W| is, W being large
+when |W|*|S| exceeds the stream's measured cost (MASK_STEP_FIXED,
+MASK_STEP_BITS).  It works on its live points alone, the orbits in
+non-singleton cells, as McKay & Piperno refine only non-singleton cells: a
+singleton never splits, so a point leaves the live set when a split leaves
+it alone, and a splitter's counts are grouped by cell over its live
+touched points only.  When few points are live, a splitter W is counted
+directly, by a membership test in S for each live orbit and each vertex of
+W (counts_direct), where those live * |W| * (q - 1) tests cost less than
+either other route.  Every route gives the same counts on the live points,
+so every choice still depends only on cell positions and counts, and
+refinement commutes with any automorphism.  If it ends with one cell per
+orbit, Aut is K (see _Search.stabilize), and the search ends there, at its
+second node, with no deeper level and no leaf: case (i), where the sampled
+instances of the paper's regime fall.  It returns
+permgroup.scalar_affine_group, the one K of its size.  Otherwise the vertex
+arrays and trace are rebuilt from it and the search goes on.  Each node of
+the leftmost path is refined once, and its split trace (position, (count,
+size) pairs) is kept.  Any other node is refined alone and compared with
+the trace of the path node at its depth, and it is dropped at the first
+difference.  Its refinement ends as soon as it has made every split of that
+trace, as McKay & Piperno's trace comparison allows: the node then has the
+path node's cells, so the search below it takes the same shape.  That is
+sound, because a right node leads only to leaves, and a leaf is kept only
+when the leaf check proves it an automorphism.  It finds the same
+automorphisms: where an automorphism σ maps the path node onto the right
+node, refinement commutes with σ, so the right node's first splits already
+give σ's image of the refined path node.  Only a right node that no
+automorphism reaches, which repeats the path's splits and would split
+further, is searched where it used to be dropped.  A leaf maps the leftmost
+leaf onto itself, and it is kept when it maps v + S onto p(v) + S at one v
+per coset of the unit translations p normalizes.  The scalar-affine group
+seeds the generator pool, whose orbits prune sibling branches; a node
+budget turns long searches into an explicitly incomplete result instead of
+a wrong one.  The PermGroup constructor completes the levels deepest first,
+growing the pool into a strong generating set on the base, so the group is
+built without a closure.
 """
 
 from collections import Counter, deque
@@ -180,21 +180,15 @@ class _Cells:
         return best
 
 
-# A splitter W is counted from the mask stream when |W|*|S| exceeds the
-# stream's cost, V steps of MASK_STEP_FIXED + V // MASK_STEP_BITS dict
-# updates each: the id route costs about |W|*|S| updates, and a step of the
-# stream is a few big-int operations on V bits.  Fitted to timings of both
-# routes from (3,3) to (5,6) on a 2-core Xeon under Python 3.11, where a
-# step costs about 6.5 updates plus 1 per 940 bits.
+# On the scalar orbits, a splitter W is counted from the mask stream when
+# |W|*|S| exceeds the stream's cost, (V - 1)/(q - 1) steps of
+# MASK_STEP_FIXED + V // MASK_STEP_BITS dict updates each: the id route
+# costs about |W|*|S| updates, and a step of the stream is a few big-int
+# operations on V bits.  Fitted to timings of both routes from (3,3) to
+# (5,6) on a 2-core Xeon under Python 3.11, where a step costs about 6.5
+# updates plus 1 per 940 bits.
 MASK_STEP_FIXED = 6
 MASK_STEP_BITS = 1024
-
-# On the scalar orbits, a splitter W is counted directly when the live
-# points times its |W| * (q - 1) vertices, each pair one test, times
-# DIRECT_STEP is below both other routes' costs in dict updates.  Fitted like
-# the mask constants, from (3,4) to (5,6) on a 2-core Xeon under Python 3.11:
-# a test costs 0.85-1.1 updates (quartiles), and a call about 85 more.
-DIRECT_STEP = 1
 
 
 def _counts_from_ids(neighbors, members):
@@ -221,32 +215,26 @@ class _Vertices(dict):
     neighbourhood table of one search.
 
     Row v, read as neighbors(v), is the ids of v + S as neighbor_ids(v)
-    lists them, built on its first read, and neighbor_set(v, row) is its
-    set, row being row v as read.  When all the rows fit in
-    ROW_TABLE_ENTRIES ids, each row and set is kept once built, so none is
-    built twice; otherwise each read builds its row again.  masks() streams
-    the masks of v + S for v = 0, 1, ..., degree - 1, valency is |S|, and
-    single holds the points that are one vertex each, which a splitter of
-    one point counts without a multiset; direct_step is None, as these
-    points have no direct route.  counts holds the search's counters:
-    rows, the rows built; splitters, the splitters its refinements pop, on
-    these points or on _ScalarOrbits, and splitters_direct and
-    splitters_masks, those counted by the direct and the mask route;
-    leaves, the leaf checks made; leaf_vertices, the neighbourhoods they
-    compare.
+    lists them, built on its first read.  When all the rows fit in
+    ROW_TABLE_ENTRIES ids, each row is kept once built, so none is built
+    twice; otherwise each read builds its row again.  refine counts a
+    splitter of one vertex, in single, with no multiset, and any other is
+    counted by ids, with no live points.  counts holds the search's
+    counters: rows, the rows built; splitters, the splitters its
+    refinements pop, on these points or on _ScalarOrbits, and
+    splitters_direct and splitters_masks, those the scalar orbits count by
+    the direct and the mask route; leaves, the leaf checks made;
+    leaf_vertices, the neighbourhoods they compare.
     """
 
-    def __init__(self, neighbor_ids, masks, degree, valency):
+    keeps_live = False
+
+    def __init__(self, neighbor_ids, degree, valency):
         self.neighbor_ids = neighbor_ids
         self.neighbors = self.__getitem__
         self.keep = degree * valency <= ROW_TABLE_ENTRIES
-        self.sets = {}
-        self.masks = masks
         self.degree = degree
-        self.valency = valency
         self.single = range(degree)
-        self.mask_route_above = degree * (MASK_STEP_FIXED + degree // MASK_STEP_BITS)
-        self.direct_step = None
         self.counts = dict.fromkeys(COUNTERS, 0)
 
     def __missing__(self, v):
@@ -256,21 +244,8 @@ class _Vertices(dict):
             self[v] = row
         return row
 
-    def neighbor_set(self, v, row):
-        found = self.sets.get(v)
-        if found is None:
-            found = frozenset(row)
-            if self.keep:
-                self.sets[v] = found
-        return found
-
-    def counts_from_masks(self, members):
-        """The same counts as _counts_from_ids, in id order, as the
-        popcounts of N(v) & W over the stream of every N(v).  Because
-        S = -S, the w in W with v in w + S are the members of W in v + S."""
-        w = id_mask(members, self.degree)
-        counts = list(map(int.bit_count, map(w.__and__, self.masks())))
-        return dict(compress(enumerate(counts), counts))
+    def splitter_counts(self, members, live):
+        return _counts_from_ids(self.neighbors, members)
 
 
 @lru_cache(maxsize=4)
@@ -306,11 +281,12 @@ class _ScalarOrbits:
     and trace into the vertex route's.  The vertices' rows are read from
     vertices, the search's _Vertices, whose counts this shares.  No point
     is single: {0}, the one splitter of one point, is popped once per
-    search and counted by the route its size picks, as any other splitter.
-    It also has the direct route, on the live points refine keeps;
-    direct_step, the cost of one orbit against one live point, is None on
-    _Vertices, which has neither.
+    search and counted like any other splitter, and refine keeps the live
+    points for the direct route (see splitter_counts).
     """
+
+    keeps_live = True
+    single = ()
 
     def __init__(self, graph, vertices):
         self.reps, self.orbit_of = _scalar_orbit_table(graph.q, graph.n)
@@ -322,14 +298,12 @@ class _ScalarOrbits:
         self.masks = graph.neighbor_masks
         self._vertex_neighbors = vertices.neighbors
         self.counts = vertices.counts
-        self.single = ()
         self.zero = len(self.reps) - 1
         row = vertices[0]
         # 0 has one neighbour in each orbit of S, and row 0 lists each line's
         # q - 1 points together
         self._zero_neighbors = sorted(map(self.orbit_of.__getitem__, row[:: self.q - 1]))
         self.mask_route_above = self.zero * (MASK_STEP_FIXED + self.degree // MASK_STEP_BITS)
-        self.direct_step = DIRECT_STEP * (self.q - 1)
         self.members = frozenset(row)
         self.split, self.lo, self.hi, self.scaled = graph.digit_tables()
 
@@ -341,6 +315,23 @@ class _ScalarOrbits:
         if i == self.zero:
             return self._zero_neighbors
         return list(map(self.orbit_of.__getitem__, self._vertex_neighbors(self.reps[i])))
+
+    def splitter_counts(self, members, live):
+        """The same counts as _counts_from_ids: directly, on the points of
+        live, when its live * |W| * (q - 1) tests, about one dict update
+        each (0.85-1.1, quartiles, (3,4) to (5,6)), cost less than either
+        other route; else from the masks when |W|*|S| exceeds the stream's
+        cost; else by ids.  With live None, none goes direct."""
+        cost = len(members) * self.valency  # of the id route
+        if live is not None and len(live) * len(members) * (self.q - 1) < min(
+            cost, self.mask_route_above
+        ):
+            self.counts["splitters_direct"] += 1
+            return self.counts_direct(members, live)
+        if cost > self.mask_route_above:
+            self.counts["splitters_masks"] += 1
+            return self.counts_from_masks(members)
+        return _counts_from_ids(self.neighbors, members)
 
     def counts_from_masks(self, members):
         """The same counts as _counts_from_ids, in point order, from
@@ -403,9 +394,9 @@ def refine(points, part, queue, stop, expected=None):
     equitable, or has stop cells and so is the orbit partition of known
     automorphisms (see _Search.stabilize).
 
-    On the scalar orbits it keeps the live points (see the module
-    docstring).  The counter splitters counts the splitters popped, and
-    splitters_direct and splitters_masks those of the direct and mask routes.
+    While points.keeps_live, it keeps the live points (see the module
+    docstring).  A one-point splitter in points.single is counted here,
+    and any other by points.splitter_counts.
 
     Returns the trace of splits.  With expected, the trace of the path
     node a right node is compared with, it returns None as soon as a split
@@ -421,38 +412,26 @@ def refine(points, part, queue, stop, expected=None):
     queued = set(queue)
     trace = []
     done = -1 if expected is None else len(expected)  # the trace's length at the stop
-    # with a direct route, the live points, those in non-singleton cells;
-    # size[i] is 1 at a singleton's start, and 0 inside any cell
+    # the live points, those in non-singleton cells; size[i] is 1 at a
+    # singleton's start, and 0 inside any cell
     live = None
-    if points.direct_step is not None:
+    if points.keeps_live:
         live = set(lab).difference(compress(lab, map((1).__eq__, size)))
-    counted = points.counts
     while queue and part.count < stop and len(trace) != done:
         w = queue.popleft()
         queued.discard(w)
-        counted["splitters"] += 1
+        points.counts["splitters"] += 1
         # the start of every cell to split -> the (count, number) pairs of
         # its touched points; a cell is kept when its first pair covers it,
         # all its points touched with one count
         if size[w] == 1 and lab[w] in points.single:
             # one vertex touches its neighbours, each once
             touched = points.neighbors(lab[w])
-            hit = points.neighbor_set(lab[w], touched).__contains__
+            hit = set(touched).__contains__
             hits = Counter(map(cell_of, touched))
             split = {s: [(1, m)] for s, m in hits.items() if m != size[s]}
         else:
-            splitter = lab[w : w + size[w]]
-            cost = len(splitter) * points.valency  # of the id route
-            if live is not None and (
-                len(live) * len(splitter) * points.direct_step < min(cost, points.mask_route_above)
-            ):
-                counted["splitters_direct"] += 1
-                counts = points.counts_direct(splitter, live)
-            elif cost > points.mask_route_above:
-                counted["splitters_masks"] += 1
-                counts = points.counts_from_masks(splitter)
-            else:
-                counts = _counts_from_ids(points.neighbors, splitter)
+            counts = points.splitter_counts(lab[w : w + size[w]], live)
             if live is None:
                 touched = zip(map(cell_of, counts), counts.values())
             else:
@@ -684,7 +663,7 @@ def automorphism_group(graph, node_budget=200000):
 
 def _search_group(graph, node_budget):
     """automorphism_group by the search, on any graph."""
-    vertices = _Vertices(graph.neighbor_ids, graph.neighbor_masks, graph.num_vertices, graph.degree)
+    vertices = _Vertices(graph.neighbor_ids, graph.num_vertices, graph.degree)
     scalars = _ScalarOrbits(graph, vertices)
     search = _Search(
         vertices, list(scalar_affine_group(graph.q, graph.n).generators), node_budget, scalars

@@ -115,8 +115,8 @@ class CayleyGraph:
         self._split, self._lo, self._hi, self.steps = _addition_tables(self.q, self.n)
         cache = _line_cache(self.q, self.n)
         self._digits = [d for rep in connection.lines for d in cache[rep][self.q - 1 :]]
-        # what neighbor_masks starts from, since every large refinement
-        # splitter and each properness check opens the stream
+        # what neighbor_masks starts from, since the scalar orbits' mask
+        # route, is_proper and adjacency_masks open the stream
         self._mask0 = id_mask(self.neighbor_ids(0), self.num_vertices)
 
     @property

@@ -234,7 +234,8 @@ def sorting_refine(points, part, queue, stop, expected=None):
     """autgroup.refine as it was when every split cell was sorted
     by its points' counts and grouped into fragments, one key list, sort
     and groupby per cell, whatever the number of distinct counts.  Each
-    splitter is counted the way points counts it.
+    splitter is counted as the multiset of its points' neighbours, on
+    every point, whatever route points would take.
 
     Same arguments, same in-place effect on part and queue, same return:
     the trace of splits, or None once it departs from expected; with
@@ -247,11 +248,7 @@ def sorting_refine(points, part, queue, stop, expected=None):
     while queue and part.count < stop and (expected is None or len(trace) < len(expected)):
         w = queue.popleft()
         queued.discard(w)
-        splitter = lab[w : w + size[w]]
-        if len(splitter) * points.valency > points.mask_route_above:
-            counts = points.counts_from_masks(splitter)
-        else:
-            counts = _counts_from_ids(points.neighbors, splitter)
+        counts = _counts_from_ids(points.neighbors, lab[w : w + size[w]])
         pairs = Counter(zip(map(cell_of, counts), counts.values()))
         for s in sorted({s for (s, _), k in pairs.items() if k != size[s]}):
             if expected is not None and len(trace) == len(expected):

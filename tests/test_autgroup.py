@@ -29,7 +29,6 @@ from linecayley.autgroup import (
 from linecayley.cayley import (
     ConnectionSet,
     build_graph,
-    id_mask,
     sample_connection_set,
 )
 from linecayley.coloring import coset_coloring, exact_chromatic_number, plus_zero_recolor
@@ -358,9 +357,7 @@ def test_orders_match_sympy():
 
 def test_relabelled_graph_has_conjugate_group():
     # search a randomly relabelled copy with an empty pool; its group, taken
-    # back through the relabelling, must be the original graph's.  The
-    # relabelled mask stream serves the large splitters, N(0)'s at (5,3) and
-    # (5,4) among them
+    # back through the relabelling, must be the original graph's
     rng = random.Random(41)
     for q, n in ((3, 3),) * 10 + ((5, 3),) * 10 + ((5, 4),) * 3:
         g = build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6)))
@@ -371,8 +368,7 @@ def test_relabelled_graph_has_conjugate_group():
         def relabelled(v):
             return [sigma[u] for u in g.neighbor_ids(sigma_inv[v])]
 
-        masks = [id_mask(relabelled(v), g.num_vertices) for v in range(g.num_vertices)]
-        vertices = _Vertices(relabelled, masks.__iter__, g.num_vertices, g.degree)
+        vertices = _Vertices(relabelled, g.num_vertices, g.degree)
         search = _Search(vertices, [], 200000)
         search.stabilize()
         group = PermGroup(g.num_vertices, search.base, search.pool)
@@ -382,27 +378,13 @@ def test_relabelled_graph_has_conjugate_group():
 
 
 def test_splitter_count_routes_agree():
-    # random splitters W whose |W|*|S| spans the route threshold, with the
-    # singleton {0} and N(0); the mask route drops zero counts, in id order.
-    # On the scalar orbits, random unions of nonzero orbits give each
+    # on the scalar orbits, random unions of nonzero orbits give each
     # nonzero orbit the count of its representative, by either route, in
     # orbit order; {0}, a cell of its own, is left out
     rng = random.Random(5)
     for q, n in ((3, 3), (5, 3), (5, 4)):
         g = build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6)))
-        v_count = g.num_vertices
-        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, v_count, g.degree)
-        cells = [[0], g.neighbor_ids(0)]
-        for k in (1, 2, 5, 16, v_count // 4, v_count // 2, v_count):
-            cells.append(rng.sample(range(v_count), k))
-        costs = [len(w) * g.degree for w in cells]
-        assert min(costs) <= vertices.mask_route_above < max(costs)
-        for w in cells:
-            want = Counter(u for x in w for u in g.neighbor_ids(x))
-            got = vertices.counts_from_masks(w)
-            assert got == want and list(got) == sorted(got), (q, n, len(w))
-            assert _counts_from_ids(g.neighbor_ids, w) == want
-        orbits = _ScalarOrbits(g, vertices)
+        orbits = _ScalarOrbits(g, _Vertices(g.neighbor_ids, g.num_vertices, g.degree))
         nonzero = len(orbits.reps) - 1
         for k in (1, 2, 5, nonzero // 4, nonzero // 2, nonzero):
             w = rng.sample(range(nonzero), k)
@@ -431,30 +413,46 @@ def test_split_traces_are_pinned():
     # the (13,3), (5,6) and (3,2) ones when the refinement after 0 ran on
     # the vertices; at (5,5) and (5,6) it counts N(0) from the masks.
     # (3,4) seed 2 and (5,3) seed 8 are in case (ii), and (3,2) seed 1 has
-    # a base of six points.  The others are in case (i), where the search
-    # stops after the refinement after 0, visits 2 nodes and returns K on
-    # its own base (0, q^(n-1)); their digests were recorded when it refined
-    # the last level too, in 3 nodes, on the base it found there
+    # a base of six points.  The p = 0.97 cases, of order 60,000 at (5,4),
+    # were recorded when large splitters on the vertices were counted from
+    # the masks too, as 25 of (5,4)'s 42 mask splitters were.  The other
+    # p = 0.5 cases are in case (i), where the search stops after the
+    # refinement after 0, visits 2 nodes and returns K on its own base
+    # (0, q^(n-1)); their digests were recorded when it refined the last
+    # level too, in 3 nodes, on the base it found there
     k_digest = "ceb449eca216d37655b4811032970a9138ef88168f209cacd9d04d72b0556ce9"
     ii_digest = "229cc8016aba9c14d784cceaee9d565b195d88c32a2fab9c709d70fe2cd71604"
     cases = {
-        (5, 4, 1): (2, (0, 125), k_digest),
-        (5, 4, 2): (2, (0, 125), k_digest),
-        (5, 4, 3): (2, (0, 125), k_digest),
-        (3, 4, 2): (5, (0, 36, 27), ii_digest),
-        (5, 5, 1): (2, (0, 625), "30118155f0c868b07cdeaae38666d18fb09749ed1fe6292fccb61636320c18e5"),
-        (5, 3, 8): (5, (0, 1, 13), "e1619e0c7b50c43466c38fccd1cd4564c8980b30ce8d8d4745534cd7d763a54c"),
-        (13, 3, 1): (2, (0, 169), "e19341793bdc7a8bbbf50d98ba540fd0b0ed3ad52d32975e153cf6dee9601332"),
-        (5, 6, 1): (2, (0, 3125), "a400e76b568d2b1bb77ba1c8cd372e0642a6697d4e65d1260d55c182ce705017"),
-        (3, 2, 1): (
+        (5, 4, 0.5, 1): (2, (0, 125), k_digest),
+        (5, 4, 0.5, 2): (2, (0, 125), k_digest),
+        (5, 4, 0.5, 3): (2, (0, 125), k_digest),
+        (3, 4, 0.5, 2): (5, (0, 36, 27), ii_digest),
+        (5, 5, 0.5, 1): (2, (0, 625), "30118155f0c868b07cdeaae38666d18fb09749ed1fe6292fccb61636320c18e5"),
+        (5, 3, 0.5, 8): (5, (0, 1, 13), "e1619e0c7b50c43466c38fccd1cd4564c8980b30ce8d8d4745534cd7d763a54c"),
+        (13, 3, 0.5, 1): (2, (0, 169), "e19341793bdc7a8bbbf50d98ba540fd0b0ed3ad52d32975e153cf6dee9601332"),
+        (5, 6, 0.5, 1): (2, (0, 3125), "a400e76b568d2b1bb77ba1c8cd372e0642a6697d4e65d1260d55c182ce705017"),
+        (3, 2, 0.5, 1): (
             17, (0, 3, 8, 2, 7, 4), "841e34b90fdf04c56e3fe5f2669d823a50f44777115f3ea4c7b32354ce124858"
         ),
+        (5, 4, 0.97, 2): (
+            12, (0, 204, 13, 10, 76), "2d8c2564d2f5470cdbf7f1d4476beca950d1922aa8db00f2117fc2f1ce3c8b90"
+        ),
+        (5, 3, 0.97, 2): (
+            353,
+            (0, 28, 102, 79, 1, *range(24, 2, -1)),
+            "c1a1513282af7f5c758ff0927f9525e7aca7df29b557c43d0c91ccdd8dc9df5b",
+        ),
+        (3, 4, 0.97, 2): (
+            353,
+            (0, 34, 1, *range(26, 2, -1)),
+            "fd3385960aa40cc300030243ae71696fc5239d789245b9628135b65e2507d7d6",
+        ),
     }
-    for (q, n, seed), (nodes, base, digest) in cases.items():
-        aut = automorphism_group(build_graph(sample_connection_set(q, n, 0.5, seed)))
+    for (q, n, p, seed), (nodes, base, digest) in cases.items():
+        aut = automorphism_group(build_graph(sample_connection_set(q, n, p, seed)))
         generators = json.dumps([list(g) for g in aut.group.generators]).encode()
         found = (aut.nodes, aut.group.base(), hashlib.sha256(generators).hexdigest())
-        assert found == (nodes, base, digest), (q, n, seed)
+        assert found == (nodes, base, digest), (q, n, p, seed)
 
 
 def _refined_child(points, part, s, v, stop):
@@ -485,7 +483,7 @@ def test_last_level_traces_are_pinned():
     }
     for (q, n, seed), (first, digest) in cases.items():
         g = build_graph(sample_connection_set(q, n, 0.5, seed))
-        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree)
+        vertices = _Vertices(g.neighbor_ids, g.num_vertices, g.degree)
         scalars = _ScalarOrbits(g, vertices)
         node, _ = scalars.lift(*_refined_after_zero(scalars))
         s = node.target()
@@ -570,7 +568,7 @@ def test_chain_orbits_and_witnesses_are_pinned():
 
 
 def _cells_after_individualizing(g, v, stop):
-    vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree)
+    vertices = _Vertices(g.neighbor_ids, g.num_vertices, g.degree)
     child, _ = _refined_child(vertices, _Cells.unit(g.num_vertices), 0, v, stop)
     cells, s = set(), 0
     while s < g.num_vertices:
@@ -679,7 +677,7 @@ def test_right_branch_stop_finds_the_draining_answers(monkeypatch, deadline):
 
 def test_live_points_give_the_multiset_answers(monkeypatch, deadline):
     # the refinement after 0 on the scalar orbits keeps its live points and
-    # counts late splitters directly; with direct_step None, as on the
+    # counts late splitters directly; with keeps_live false, as on the
     # vertices, it counts every splitter by the id or mask route over every
     # point, as it did before.  Both make the same refinements (trace and
     # final lab of every call), nodes, base, generators and splitter count,
@@ -697,7 +695,7 @@ def test_live_points_give_the_multiset_answers(monkeypatch, deadline):
 
         def logged(points, part, queue, stop, expected=None):
             if not direct:
-                points.direct_step = None
+                points.keeps_live = False
             trace = refine(points, part, queue, stop, expected)
             refinements.append((trace, part.lab[:]))
             return trace
@@ -724,7 +722,7 @@ def test_live_points_give_the_multiset_answers(monkeypatch, deadline):
 @functools.lru_cache(maxsize=None)
 def _scalar_orbits(q, n, seed):
     g = build_graph(sample_connection_set(q, n, 0.5, seed))
-    return _ScalarOrbits(g, _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree))
+    return _ScalarOrbits(g, _Vertices(g.neighbor_ids, g.num_vertices, g.degree))
 
 
 @st.composite
@@ -755,12 +753,12 @@ def test_scalar_orbit_route_matches_vertex_route():
     # the unit partition with 0 individualized, refined to the scalar
     # orbits' number of cells on the orbits and lifted, and on the vertices:
     # the same arrays and trace.  p = 0 leaves S empty and p = 1 takes every
-    # line; at (5,4) and (5,5) N(0) is counted from the masks
+    # line; at (5,4) and (5,5) the orbits count N(0) from the masks
     cases = [(3, 2, 0.5), (5, 2, 0.5), (3, 3, 0.75), (3, 3, 1), (5, 3, 0), (5, 3, 0.5)]
     cases += [(5, 4, 0.5), (7, 3, 0.5), (13, 3, 0.5), (5, 5, 0.5)]
     for q, n, p in cases:
         g = build_graph(sample_connection_set(q, n, p, 1))
-        vertices = _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree)
+        vertices = _Vertices(g.neighbor_ids, g.num_vertices, g.degree)
         scalars = _ScalarOrbits(g, vertices)
         stop = len(scalars.reps)
         assert stop == 1 + (g.num_vertices - 1) // (q - 1)
@@ -798,7 +796,7 @@ def test_scalar_orbit_shortcut_matches_full_search():
             g = build_graph(sample_connection_set(q, n, p, seed))
             aut = autgroup._search_group(g, 200000)
             full = _Search(
-                _Vertices(g.neighbor_ids, g.neighbor_masks, g.num_vertices, g.degree),
+                _Vertices(g.neighbor_ids, g.num_vertices, g.degree),
                 list(scalar_affine_group(q, n).generators), 200000,
             ).stabilize()
             if aut.nodes > 2:

@@ -120,6 +120,13 @@ def test_aut_meta_reports_splitter_routes(capsys):
     code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1", "--no-meta")
     assert code == 0
     assert "splitters" not in out and "meta" not in json.loads(out)
+    # near-complete S, 12 nodes: splitters_masks counts the scalar orbits'
+    # mask route alone, as the vertices count every splitter by ids
+    code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--p", "0.97", "--seed", "2")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    routes = meta["splitters"], meta["splitters_direct"], meta["splitters_masks"]
+    assert routes == (1447, 0, 17)
 
 
 def test_aut_with_a_period_solves_the_quotient(capsys, deadline):
