@@ -87,7 +87,7 @@ from .cayley import id_mask
 from .errors import BudgetExceeded
 from .field import (
     affine_ids, decode, encode, inv_mod, is_scalar_matrix, mat_apply, mat_inverse, mat_mul, rank,
-    transvection, vec_add, vec_scale,
+    rref, transvection, vec_add, vec_scale,
 )
 from .permgroup import (
     PermGroup, depth_first, inverse_perm, scalar_affine_group, symmetric_group, twin_generators,
@@ -712,26 +712,15 @@ def _linear_witness(graph, group):
     q, n = graph.q, graph.n
     members = graph.connection.members
     base = group.base()
-    # the span so far, in echelon form: pivot column -> a row that is 1
-    # there and 0 at every earlier pivot
-    echelon = {}
-
-    def independent(v):
-        """Whether the vector of id v is outside the span, which it joins if so."""
-        x = decode(v, q, n)
-        for c, row in echelon.items():
-            if f := x[c]:
-                x = [(a - f * b) % q for a, b in zip(x, row)]
-        c = next((c for c, a in enumerate(x) if a), None)
-        if c is not None:
-            inv = inv_mod(x[c], q)
-            echelon[c] = [a * inv % q for a in x]
-        return c is not None
-
-    free = [b for b in base if independent(b)]
+    # columns: the base points' vectors, then the unit vectors e_j, of id
+    # q ** j; a column is a pivot exactly when it is outside the span of
+    # the columns before it
+    units = [q ** j for j in range(n)]
+    pivots = rref(zip(*(decode(v, q, n) for v in [*base, *units])), q)[1]
+    free = [base[c] for c in pivots if c < len(base)]
     depth = base.index(free[-1]) + 1 if len(free) == n else len(base)
-    # vertex ids, completed with unit vectors; q ** j is the id of e_j
-    basis = free + [q ** j for j in range(n) if independent(q ** j)]
+    # vertex ids, completed with unit vectors
+    basis = free + [units[c - len(base)] for c in pivots if c >= len(base)]
     b_inv = mat_inverse(tuple(zip(*(decode(v, q, n) for v in basis))), q)
     # a forced point's coordinates over the basis, nonzero only on earlier free points
     coords = [mat_apply(b_inv, decode(b, q, n), q) for b in base]

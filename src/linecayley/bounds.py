@@ -84,6 +84,14 @@ def _trial_seed(master, index):
     return int.from_bytes(digest[:8], "big")
 
 
+# The input caps of bounds, checked before any work.  |GL(n, q)| < q^(n^2) is
+# printed in at most Python's default 4,300 digits: q^(n^2) has 4,253 at (5,78)
+# and 4,363 at (5,79).  The trials make q^(n-1) draws each, and (5,5) with
+# 10^4 trials makes 6,250,000 of them, in about 0.4 s on a 2-core Xeon.
+GL_ORDER_MAX_DIGITS = 4300
+CHERNOFF_MAX_DRAWS = 10**7
+
+
 def simulate_line_count(q, n, p, seed):
     # one uniform draw per line of the universe, in universe order
     rng = random.Random(seed)
@@ -96,13 +104,15 @@ def chernoff_report(q, n, trials=0, seed=None):
     Reports the closed-form bound exp(-q^(n-3)/4) next to the exact binomial
     tail under both size readings: the number of chosen lines, and the number
     of set elements (q-1 per line).  Optionally adds empirical frequencies
-    over seeded trials.
+    over seeded trials, refused before any draw past CHERNOFF_MAX_DRAWS.
     """
     require_odd_prime(q)
     if n < 3:
         raise ValueError("tail bounds need n >= 3")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials * q ** (n - 1) > CHERNOFF_MAX_DRAWS:
+        raise ValueError(f"{trials} x {q}^{n - 1} draws pass CHERNOFF_MAX_DRAWS = 10^7")
     num_lines = q ** (n - 1)
     # half of q^(n-1) - q^(n-2) = q^(n-2)(q - 1), an integer as q is odd
     threshold = (q ** (n - 1) - q ** (n - 2)) // 2
@@ -151,11 +161,14 @@ def aut_union_bound(q, n):
 
     Checks n^2 log2 q - (q^(n-1)-q^(n-2)-1)/2 < -q^(n-1)/3 by clearing
     denominators to an integer comparison, and repeats the check with the
-    exact order of the general linear group in place of q^(n^2).
+    exact order of the general linear group in place of q^(n^2), refusing
+    an n at which that order could pass GL_ORDER_MAX_DIGITS digits.
     """
     require_prime(q)
     if n < 2:
         raise ValueError("need n >= 2")
+    if n * n * math.log10(q) >= GL_ORDER_MAX_DIGITS:
+        raise ValueError(f"|GL({n}, {q})| may have more than GL_ORDER_MAX_DIGITS = 4300 digits")
     a = q ** (n - 1)
     b = q ** (n - 2)
     # q^(6 n^2) < 2^(3(a-b-1) - 2a) after multiplying the log2 chain by 6

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EnumerationLimitExceeded
-from .field import encode, vec_add, vec_scale
+from .field import encode, vec_scale
 from .geometry import proj_rep
 from .permgroup import classes_to_labels, leaves
 
@@ -85,25 +85,19 @@ def is_proper(g, coloring):
     return not any(m & class_masks[c] for m, c in zip(g.neighbor_masks(), class_of))
 
 
-def line_clique(g, line, w=None):
-    """The q-clique {lam * line + w : lam in F_q} for a chosen line, given
-    by any nonzero vector on it.
+def line_clique(g, line):
+    """The q-clique {lam * line : lam in F_q} for a chosen line, given by
+    any nonzero vector on it.
 
-    w must lie in the hyperplane x[n-1] = 0; the translates over all such w
-    partition the vertex set into q^(n-1) cliques.
+    Its translates by the vectors of the hyperplane x[n-1] = 0 partition the
+    vertex set into q^(n-1) cliques.
     """
     line = proj_rep(tuple(int(a) % g.q for a in line), g.q)
     if line not in g.connection.lines:
         raise ValueError("line was not chosen in the connection set")
-    if w is None:
-        w = (0,) * g.n
-    else:
-        w = tuple(int(a) % g.q for a in w)
-    if w[-1] != 0:
-        raise ValueError("translation vector must have last coordinate 0")
     return tuple(
         sorted(
-            encode(vec_add(vec_scale(lam, line, g.q), w, g.q), g.q)
+            encode(vec_scale(lam, line, g.q), g.q)
             for lam in range(g.q)
         )
     )

@@ -7,16 +7,15 @@ only at tiny scale, except for one line, where it needs no listing.  The
 upper side is the (q+1) certificate, checked against the full automorphism
 group wherever the search for that group completes.  Only is_distinguishing,
 which reports the class-fixing subgroup's order, builds that subgroup; the
-certificate and the exhaustive verdict need a yes or no, and their search
-stops at the first class-fixing automorphism (permgroup.first_fixing_element).
+certificate and the exhaustive verdict ask permgroup.first_fixing_element,
+which stops at the first class-fixing automorphism, translations included.
 """
 
 from dataclasses import dataclass
 from math import factorial
 
 from .coloring import coset_coloring, enumerate_proper_partitions, plus_zero_recolor
-from .field import affine_ids, decode
-from .permgroup import fixes_labels, first_fixing_element, fixing_subgroup_of_partition
+from .permgroup import first_fixing_element, fixing_subgroup_of_partition
 
 
 @dataclass
@@ -51,28 +50,6 @@ def is_distinguishing(coloring, aut):
     return DistinguishingReport(witness is None, fixing.order(), witness)
 
 
-def _fixing_translations(labels, q, n):
-    """Yield, in id order, the id table of each nonzero translation that
-    fixes every class.
-
-    Such a translation maps 0 to its own vector w, so only the ids in the
-    class of 0 are tried.
-    """
-    for w in range(1, q**n):
-        if labels[w] == labels[0]:
-            table = affine_ids(q, n, 1, decode(w, q, n))
-            if fixes_labels(table, labels):
-                yield table
-
-
-def _class_fixing_witness(graph, aut, coloring):
-    """A non-trivial automorphism fixing every class, if any: a translation
-    when one fixes them all, else the first class-fixing generator, found
-    with no further generator built."""
-    translation = next(_fixing_translations(coloring.class_of, graph.q, graph.n), None)
-    return translation or first_fixing_element(_as_group(aut), coloring.class_of)
-
-
 @dataclass
 class ExceedsVerdict:
     exceeds: bool
@@ -92,13 +69,13 @@ def chi_D_exceeds_q_small(graph, aut, limit=10**6):
     """
     if not graph.connection.lines:
         raise ValueError("not applicable: the empty graph is properly 1-colorable")
-    _as_group(aut)
+    group = _as_group(aut)
     if len(graph.connection.lines) == 1:
         return ExceedsVerdict(True, factorial(graph.q) ** (graph.q ** (graph.n - 1) - 1), None)
     count = 0
     for coloring in enumerate_proper_partitions(graph, limit=limit):
         count += 1
-        if _class_fixing_witness(graph, aut, coloring) is None:
+        if first_fixing_element(group, coloring.class_of) is None:
             return ExceedsVerdict(False, count, coloring)
     return ExceedsVerdict(True, count, None)
 

@@ -11,15 +11,15 @@ refinement over neighbour ids, a sort of every split cell by its counts
 instead of a two-way partition of each cell of two fragments, a BFS count
 of the orbits that stop a refinement instead of the scalar orbits' number
 written down, one shift table per member of S instead of translates of
-N(0), an edge scan instead of streamed class masks, every nonzero
-translation instead of those into the class of 0.
+N(0), an edge scan instead of streamed class masks.
 
 The point-set geometry and the fixed-line counts at the end are not second
 copies of library code: the library computes neither.  They check the
 paper's lemmas (the direction bound, the fixed-line cap, the orbit bound),
-and translation_fixing_witnesses checks the library's class-fixing
-translations on hyperplane-coset partitions.  planted_homology_connection
-builds case-(ii) instances, whose Aut is known to exceed K.
+and translation_fixing_witnesses lists the class-fixing translations of
+hyperplane-coset partitions, which the paper's χ_D > q argument uses.
+planted_homology_connection builds case-(ii) instances, whose Aut is known
+to exceed K.
 """
 
 import itertools
@@ -29,7 +29,6 @@ from itertools import groupby, repeat
 
 from linecayley.autgroup import _counts_from_ids
 from linecayley.cayley import ConnectionSet
-from linecayley.distinguishing import _fixing_translations
 from linecayley.errors import BudgetExceeded
 from linecayley.field import (
     affine_ids, decode, encode, mat_apply, rank, require_odd_prime, rref, vec_add, vec_scale,
@@ -146,11 +145,6 @@ def fixing_translations_by_scan(labels, q, n):
         table = affine_ids(q, n, 1, v[::-1])
         if all(labels[table[x]] == labels[x] for x in range(q**n)):
             yield table
-
-
-def first_fixing_translation_by_scan(labels, q, n):
-    """The first table fixing_translations_by_scan yields, or None."""
-    return next(fixing_translations_by_scan(labels, q, n), None)
 
 
 def proper_by_edge_scan(graph, class_of):
@@ -491,13 +485,13 @@ def common_hyperplane_normal(classes, q, n):
 
 def translation_fixing_witnesses(coloring, q, n):
     """Nonzero translations fixing every class of a hyperplane-coset
-    partition, from the library's class-of-0 search.
+    partition, by fixing_translations_by_scan.
 
     Empty when the classes are not the cosets of a single linear hyperplane.
     """
     if common_hyperplane_normal(coloring.classes(), q, n) is None:
         return []
-    return [decode(t[0], q, n) for t in _fixing_translations(coloring.class_of, q, n)]
+    return [decode(t[0], q, n) for t in fixing_translations_by_scan(coloring.class_of, q, n)]
 
 
 # ---------------------------------------------------------------------------

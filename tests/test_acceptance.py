@@ -25,10 +25,10 @@ from linecayley.coloring import (
     exact_chromatic_number,
     is_proper,
 )
-from linecayley.distinguishing import _class_fixing_witness, chi_D_exceeds_q_small
+from linecayley.distinguishing import chi_D_exceeds_q_small
 from linecayley.field import affine_ids, decode, is_prime, is_scalar_matrix
 from linecayley.geometry import line_universe
-from linecayley.permgroup import scalar_affine_group
+from linecayley.permgroup import first_fixing_element, fixes_labels, scalar_affine_group
 from oracles import (
     brute_chromatic_number,
     brute_force_automorphisms,
@@ -183,16 +183,19 @@ def test_criterion_05_fixed_line_statistics():
 def test_criterion_06_distinguishing_exceeds_q():
     start = time.perf_counter()
     failures = []
-    # q=3, n=2, all three lines: the only proper 3-partition, broken by a shift
+    # q=3, n=2, all three lines: the only proper 3-partition, kept by a
+    # non-identity automorphism
     g = build_graph(ConnectionSet(3, 2, [(0, 1), (1, 1), (2, 1)]))
     aut = automorphism_group(g)
     verdict = chi_D_exceeds_q_small(g, aut)
     if not verdict.exceeds or verdict.partitions != 1:
         failures.append(f"exhaustive check off: {verdict.exceeds}, {verdict.partitions}")
     for coloring in enumerate_proper_partitions(g):
-        w = _class_fixing_witness(g, aut, coloring)
-        if tuple(w) != tuple(affine_ids(3, 2, 1, decode(w[0], 3, 2))):
-            failures.append("witness is not a translation")
+        w = first_fixing_element(aut.group, coloring.class_of)
+        if w is None or w == tuple(range(9)) or not is_automorphism(g, w):
+            failures.append("witness is not a non-identity automorphism")
+        elif not fixes_labels(w, coloring.class_of):
+            failures.append("witness moves a class")
     rows = sweep_all_line_subsets()
     if len(rows) != 7 or not all(r["chiD_exceeds_q"] for r in rows):
         failures.append("census misses a subset or a verdict")

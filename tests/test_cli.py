@@ -250,6 +250,38 @@ def test_bounds_k_rejects_n_below_2(capsys, n):
     assert captured.err == "error: need n >= 2\n"
 
 
+def test_bounds_refuses_trials_past_the_draw_cap(capsys, deadline):
+    # one trial at (5,40) would make 5^39 draws, and 16,001 at (5,5) make
+    # 10,000,625, past CHERNOFF_MAX_DRAWS = 10^7: both are refused before
+    # any draw
+    deadline(1)
+    for argv, draws in ((("--n", "40", "--trials", "1"), "1 x 5^39"),
+                        (("--n", "5", "--trials", "16001"), "16001 x 5^4")):
+        code = main(["bounds", "--q", "5", *argv, "--seed", "1", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err == f"error: {draws} draws pass CHERNOFF_MAX_DRAWS = 10^7\n"
+
+
+def test_bounds_refuses_n_past_the_digit_cap(capsys, deadline):
+    # |GL(n, 5)| < 5^(n^2), which has 4,253 digits at n = 78 and 4,363 at
+    # n = 79, past Python's default limit on printing an int; at n = 500
+    # q^(n-1) would also overflow a float
+    deadline(1)
+    for n in ("79", "500"):
+        code = main(["bounds", "--q", "5", "--n", n, "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2, n
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: |GL({n}, 5)| may have more than GL_ORDER_MAX_DIGITS = 4300 digits\n"
+        )
+    code, out = run(capsys, "bounds", "--q", "5", "--n", "78", "--no-meta")
+    assert code == 0
+    assert len(json.loads(out)["union_bound"]["gl_order"]) == 4253
+
+
 def test_distinguish_certificate(capsys):
     code, out = run(capsys, "distinguish", "--q", "5", "--n", "3", "--seed", "42", "--no-meta")
     assert code == 0

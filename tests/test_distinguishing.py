@@ -18,19 +18,16 @@ from linecayley.coloring import (
     plus_zero_recolor,
 )
 from linecayley.distinguishing import (
-    _class_fixing_witness,
-    _fixing_translations,
     chi_D_exceeds_q_small,
     chi_D_upper_certificate,
     is_distinguishing,
 )
 from linecayley.field import affine_ids, decode
 from linecayley.geometry import line_universe
-from linecayley.permgroup import first_fixing_element
+from linecayley.permgroup import first_fixing_element, fixes_labels
 from oracles import (
     common_hyperplane_normal,
     direction_count_threshold,
-    first_fixing_translation_by_scan,
     fixing_translations_by_scan,
     group_elements,
     planted_homology_connection,
@@ -50,8 +47,10 @@ def graph_and_aut(q, n, lines=None, seed=None, p=0.5):
 
 def witness_pairs(g, aut):
     """Every proper partition into at most q classes, in listing order, with
-    the class-fixing witness the exhaustive verdict finds for it."""
-    return [(c, _class_fixing_witness(g, aut, c)) for c in enumerate_proper_partitions(g)]
+    the class-fixing automorphism the exhaustive verdict finds for it."""
+    return [
+        (c, first_fixing_element(aut.group, c.class_of)) for c in enumerate_proper_partitions(g)
+    ]
 
 
 def test_singleton_coloring_distinguishing():
@@ -323,24 +322,32 @@ def test_first_fixing_element_is_the_subgroups_first_generator(deadline):
     assert min(found.values()) >= 20, found
 
 
-def test_fixing_translations_match_full_scan():
-    # the exhaustive witness is the scan's first translation wherever it finds one
-    found = 0
+def test_first_fixing_element_matches_group_elements():
+    # over every line subset at (3,2), the exhaustive verdict's query finds
+    # a class-fixing automorphism of a listed partition exactly when some
+    # non-identity element of the whole group keeps every label.  Every
+    # listed partition has one, so seeded random labellings give the
+    # other answer too
+    rng = random.Random(3)
+    found = Counter()
     universe = line_universe(3, 2)
     for r in range(1, len(universe) + 1):
         for lines in itertools.combinations(universe, r):
             _, g, aut = graph_and_aut(3, 2, lines=lines)
-            verdict = chi_D_exceeds_q_small(g, aut)
-            pairs = witness_pairs(g, aut)
-            assert len(pairs) == verdict.partitions
-            for coloring, witness in pairs:
-                assert witness is not None
-                scan = first_fixing_translation_by_scan(coloring.class_of, 3, 2)
-                if scan is not None:
-                    assert witness == scan
-                    found += 1
-    assert found > 0
-    # all fixing translations, on random, hyperplane and two-form labellings
+            elements = group_elements(9, aut.group.generators)[1:]
+            cases = [("listed", c.class_of) for c in enumerate_proper_partitions(g)]
+            cases += [("random", [rng.randrange(4) for _ in range(9)]) for _ in range(4)]
+            for kind, labels in cases:
+                brute = any(all(labels[p[x]] == labels[x] for x in range(9)) for p in elements)
+                assert (first_fixing_element(aut.group, labels) is not None) == brute
+                found[kind, brute] += 1
+    assert found == {("listed", True): 36 * 3 + 2 * 3 + 1, ("random", True): 19,
+                     ("random", False): 9}, found
+
+
+def test_fixing_translations_match_full_scan():
+    # all fixing translations, on random, hyperplane and two-form labellings:
+    # the library's shift tables and class check against the oracle's scan
     rng = random.Random(11)
     counts = {"scan": 0, "expected": 0}
     for q, n in ((3, 3), (5, 3), (3, 4)):
@@ -350,7 +357,8 @@ def test_fixing_translations_match_full_scan():
                 labels = _random_labelling(rng, kind, q, n, points)
                 coloring = Coloring(max(labels) + 1, tuple(labels))
                 scan = list(fixing_translations_by_scan(labels, q, n))
-                assert list(_fixing_translations(labels, q, n)) == scan
+                tables = (affine_ids(q, n, 1, decode(w, q, n)) for w in range(1, q**n))
+                assert [t for t in tables if fixes_labels(t, labels)] == scan
                 normal = common_hyperplane_normal(coloring.classes(), q, n)
                 expected = [decode(t[0], q, n) for t in scan] if normal is not None else []
                 assert translation_fixing_witnesses(coloring, q, n) == expected
