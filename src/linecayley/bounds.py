@@ -207,6 +207,9 @@ def theorem_qn_params(k, n=None):
         q += 1
     if q >= 2 * k:
         raise ValueError(f"no prime strictly between {k} and {2 * k}")
+    # q^n (q - 1) and 2k q^n, both below q^(n+2), are printed
+    if n is not None and (n + 2) * math.log10(q) >= GL_ORDER_MAX_DIGITS:
+        raise ValueError(f"{q}^{n} * {q - 1} may have more than GL_ORDER_MAX_DIGITS = 4300 digits")
     report = {
         "k": k,
         "q": q,

@@ -38,14 +38,16 @@ MAX_VERTICES = 2**20
 
 
 def require_space(q, n):
-    """Raise ValueError unless F_q^n is a space the package builds on: q an
-    odd prime, n at least 2, and q^n at most MAX_VERTICES."""
-    require_odd_prime(q)
+    """Raise ValueError unless F_q^n is a space the package builds on: n at
+    least 2, q^n at most MAX_VERTICES, and q an odd prime.  The cap comes
+    before the primality test, whose trial division takes √q / 2 steps: with
+    n >= 2, every q > 2^10 is refused at once."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    # q >= 3, so q^n passes the cap once n passes its bit length
-    if q ** min(n, MAX_VERTICES.bit_length()) > MAX_VERTICES:
+    # for q >= 2, q^n passes the cap once n passes its bit length
+    if q > 1 and q ** min(n, MAX_VERTICES.bit_length()) > MAX_VERTICES:
         raise ValueError(f"F_{q}^{n} has more than MAX_VERTICES = {MAX_VERTICES} vertices")
+    require_odd_prime(q)
 
 
 def inv_mod(a, q):

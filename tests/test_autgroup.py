@@ -19,6 +19,8 @@ from linecayley.autgroup import (
     _Search,
     _Vertices,
     _counts_from_ids,
+    _linear_stabilizer,
+    _orbit_count,
     _preserves_neighbors,
     automorphism_group,
     dichotomy_check,
@@ -34,7 +36,9 @@ from linecayley.cayley import (
 from linecayley.coloring import coset_coloring, exact_chromatic_number, plus_zero_recolor
 from linecayley.distinguishing import is_distinguishing
 from linecayley.errors import BudgetExceeded
-from linecayley.field import affine_ids, decode, is_scalar_matrix, mat_apply, rank
+from linecayley.field import (
+    affine_ids, decode, is_scalar_matrix, mat_apply, rank, vec_add, vec_scale,
+)
 from linecayley.geometry import line_universe
 from linecayley.permgroup import (
     PermGroup,
@@ -248,8 +252,11 @@ def test_row_table_matches_rows_built_on_demand(monkeypatch):
 
 
 def test_committed_planted_set_matches_the_oracle():
-    path = Path(__file__).with_name("planted-5-5.json")
-    assert json.loads(path.read_text()) == planted_homology_connection(5, 5, 1).to_json_dict()
+    # byte for byte, as json.dumps(d, sort_keys=True) and a newline
+    for n in (5, 6):
+        d = planted_homology_connection(5, n, 1).to_json_dict()
+        path = Path(__file__).with_name(f"planted-5-{n}.json")
+        assert path.read_text() == json.dumps(d, sort_keys=True) + "\n", n
 
 
 def test_solver_matches_brute_on_two_subsets():
@@ -819,6 +826,109 @@ def test_scalar_orbit_shortcut_matches_full_search():
         aut = automorphism_group(g)
         assert aut.nodes > 2 and aut.group.order() == 2 * q ** n * (q - 1), (q, n)
         assert dichotomy_check(g, aut)["dichotomy"] == "ii", (q, n)
+
+
+def _level_after_zero(g):
+    """(vertices, scalars, node, s, b1): the lifted node after 0, the start
+    of its target cell and that cell's first point, the search's first
+    vertex level; None when the refinement after 0 ends at the scalar
+    orbits."""
+    vertices = _Vertices(g.neighbor_ids, g.num_vertices, g.degree)
+    scalars = _ScalarOrbits(g, vertices)
+    part, trace = _refined_after_zero(scalars)
+    if part.count == len(scalars.reps):
+        return None
+    node, _ = scalars.lift(part, trace)
+    s = node.target()
+    return vertices, scalars, node, s, node.lab[s]
+
+
+def test_linear_stop_keeps_the_level_after_zero(deadline):
+    # the level after 0, refined until it has as many cells as the linear
+    # maps fixing S and b1 have orbits, has the lab, cells, sizes and trace
+    # it has refined until its queue is empty: a stop below that count would
+    # end it short of a split.  The stop is never below the final count, and
+    # it is that count below V, so it ends the level early, on the pinned
+    # number of instances: a group short of a generator would have more
+    # orbits.  (5,3) seed 8, (3,4) seed 2 and planted (5,4) are in case (ii)
+    deadline(60)
+    graphs = {("p", 5, 3, seed): sample_connection_set(5, 3, 0.5, seed) for seed in range(300)}
+    graphs["p", 3, 4, 2] = sample_connection_set(3, 4, 0.5, 2)
+    graphs["planted", 5, 4, 1] = planted_homology_connection(5, 4, 1)
+    reached = []
+    fired = []
+    for case, connection in graphs.items():
+        g = build_graph(connection)
+        if (found := _level_after_zero(g)) is None:
+            continue
+        vertices, scalars, node, s, b1 = found
+        stop = _orbit_count(_linear_stabilizer(scalars, node, b1).generators, g.num_vertices)
+        want, want_trace = _refined_child(vertices, node, s, b1, g.num_vertices)
+        got, got_trace = _refined_child(vertices, node, s, b1, stop)
+        assert (got.lab, got.cell, got.size, got_trace) == (
+            want.lab, want.cell, want.size, want_trace
+        ), case
+        assert stop >= want.count, case
+        reached.append(case)
+        if stop == want.count < g.num_vertices:
+            fired.append(case)
+    assert {("p", 5, 3, 8), ("p", 3, 4, 2), ("planted", 5, 4, 1)} <= set(fired)
+    assert (len(reached), len(fired)) == (66, 62)
+
+
+def _is_affine(g, p):
+    """Whether p, a permutation of the vertex ids of g, is x -> Ax + p(0),
+    A's columns being p(e_j) - p(0)."""
+    q, n = g.q, g.n
+    zero = decode(p[0], q, n)
+    columns = [vec_add(decode(p[q**j], q, n), vec_scale(q - 1, zero, q), q) for j in range(n)]
+    linear = linear_perm(q, n, tuple(zip(*columns)))
+    return list(map(affine_ids(q, n, 1, zero).__getitem__, linear)) == list(p)
+
+
+def test_linear_stabilizer_is_every_linear_map_fixing_s_and_b1():
+    # each generator is an automorphism fixing 0 and b1, and linear; the
+    # group has the order of the GL(3, 3) scan's matrices fixing S and b1,
+    # so no map is missed, also where S has a period (seeds 4 and 7)
+    for seed in range(1, 9):
+        g = build_graph(sample_connection_set(3, 3, 0.75, seed))
+        vertices, scalars, node, _, b1 = _level_after_zero(g)
+        group = _linear_stabilizer(scalars, node, b1)
+        for p in group.generators:
+            assert is_automorphism(g, p) and p[0] == 0 and p[b1] == b1, seed
+            assert _is_affine(g, p), seed
+        point = decode(b1, 3, 3)
+        scan = linear_maps_fixing_connection(g.connection)
+        assert group.order() == sum(mat_apply(m, point, 3) == point for m in scan), seed
+    # at (5,3) and planted (5,4), against is_automorphism alone
+    for connection in (
+        *(sample_connection_set(5, 3, 0.5, seed) for seed in (8, 10, 13)),
+        planted_homology_connection(5, 4, 1),
+    ):
+        g = build_graph(connection)
+        vertices, scalars, node, _, b1 = _level_after_zero(g)
+        group = _linear_stabilizer(scalars, node, b1)
+        assert group.generators
+        for p in group.generators:
+            assert is_automorphism(g, p) and p[0] == 0 and p[b1] == b1
+            assert _is_affine(g, p)
+
+
+def test_a_group_that_is_not_affine_is_unchanged():
+    # (5,3) seed 10: Aut has order 12,000 and generators that are not
+    # affine, so holds more than the linear maps; the level after 0 still
+    # stops at their orbits, and the output is the one recorded before it
+    # did (nodes, base, the sha256 of the generators' JSON and the witness)
+    g = build_graph(sample_connection_set(5, 3, 0.5, 10))
+    aut = automorphism_group(g)
+    assert not all(_is_affine(g, p) for p in aut.group.generators)
+    generators = json.dumps([list(p) for p in aut.group.generators]).encode()
+    assert (aut.group.order(), aut.nodes, aut.group.base()) == (12000, 12, (0, 29, 26, 45, 44))
+    assert hashlib.sha256(generators).hexdigest() == (
+        "590ec2e5a8a40821ed3c79356148193cd3c0de4f1b3b2b9967afaf4939133fe4"
+    )
+    assert dichotomy_check(g, aut)["witness"] == [[4, 4, 3], [3, 0, 3], [0, 0, 1]]
+    assert aut.counts["linear_leaves"] > 0
 
 
 def test_search_needs_no_raised_recursion_limit():

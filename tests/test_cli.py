@@ -121,12 +121,30 @@ def test_aut_meta_reports_splitter_routes(capsys):
     assert code == 0
     assert "splitters" not in out and "meta" not in json.loads(out)
     # near-complete S, 12 nodes: splitters_masks counts the scalar orbits'
-    # mask route alone, as the vertices count every splitter by ids
+    # mask route alone, as the vertices count every splitter by ids.  The
+    # level after 0 ends at the orbits of the linear maps fixing S and its
+    # base point, found in 4 leaves, after 14 splitters where emptying its
+    # queue took 50
     code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--p", "0.97", "--seed", "2")
     assert code == 0
     meta = json.loads(out)["meta"]
     routes = meta["splitters"], meta["splitters_direct"], meta["splitters_masks"]
-    assert routes == (1447, 0, 17)
+    assert routes == (1411, 0, 17)
+    assert meta["linear_leaves"] == 4
+
+
+def test_aut_meta_reports_the_linear_stop(capsys):
+    # (5,3) seed 8, in case (ii): the level after 0 stops at the orbits of
+    # the one linear map fixing S and its base point, its backtrack's one
+    # leaf, after 8 splitters where emptying its queue took 45; so the
+    # search pops 43 splitters, not 80, and builds 46 rows, not 102.  (3,2)
+    # seed 1 is below LINEAR_STOP_ENTRIES and looks for no linear map
+    code, out = run(capsys, "aut", "--q", "5", "--n", "3", "--seed", "8")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert (meta["linear_leaves"], meta["splitters"], meta["rows"]) == (1, 43, 46)
+    code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1")
+    assert json.loads(out)["meta"]["linear_leaves"] == 0
 
 
 def test_aut_with_a_period_solves_the_quotient(capsys, deadline):
@@ -280,6 +298,35 @@ def test_bounds_refuses_n_past_the_digit_cap(capsys, deadline):
     code, out = run(capsys, "bounds", "--q", "5", "--n", "78", "--no-meta")
     assert code == 0
     assert len(json.loads(out)["union_bound"]["gl_order"]) == 4253
+
+
+def test_bounds_k_refuses_n_past_the_digit_cap(capsys, deadline):
+    # with --k 4, q = 5, and q^n (q - 1) and 2k q^n are printed: both are
+    # below 5^(n+2), which has 4,299 digits at n = 6,149 and 4,300 at 6,150
+    deadline(1)
+    for n in ("6150", "7000"):
+        code = main(["bounds", "--k", "4", "--n", n, "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2, n
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: 5^{n} * 4 may have more than GL_ORDER_MAX_DIGITS = 4300 digits\n"
+        )
+    code, out = run(capsys, "bounds", "--k", "4", "--n", "6149", "--no-meta")
+    assert code == 0
+    assert len(json.loads(out)["aut_bound"]) == 4299
+
+
+def test_huge_prime_q_is_refused_before_its_primality_test(capsys, deadline):
+    # 2^61 - 1 is prime, and trial division would take about 6 * 10^8
+    # steps; F_q^2 is past MAX_VERTICES for every q > 2^10, which is checked
+    # first
+    deadline(1)
+    code = main(["lines", "--q", str(2**61 - 1), "--n", "2", "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: F_{2**61 - 1}^2 has more than MAX_VERTICES = {2**20} vertices\n"
 
 
 def test_distinguish_certificate(capsys):
