@@ -54,12 +54,12 @@ orbit, Aut is K (see _Search.stabilize), and the search ends there, at its
 second node, with no deeper level and no leaf: case (i), where the sampled
 instances of the paper's regime fall.  It returns
 permgroup.scalar_affine_group, the one K of its size.  Otherwise the vertex
-arrays and trace are rebuilt from it and the search goes on.  Its next
-level, the first on the vertices, stops at the orbit count of the linear
-maps M with M·S = S fixing its base point (_linear_stabilizer), known
-automorphisms found by a backtrack over basis images, when V*|S| exceeds
-LINEAR_STOP_ENTRIES; every deeper level, and every right node, keeps its
-stop.  Each node of
+arrays and trace are rebuilt from it, and G_0, the group of the linear
+maps M with M·S = S, is found by a backtrack over basis images
+(_linear_group); AutResult.linear holds it, and the dichotomy's witness
+is read off it.  The next level, the first on the vertices, stops at the
+orbit count of G_0's stabilizer of its base point, known automorphisms;
+every deeper level, and every right node, keeps its stop.  Each node of
 the leftmost path is refined once, and its split trace (position, (count,
 size) pairs) is kept.  Any other node is refined alone and compared with
 the trace of the path node at its depth, and it is dropped at the first
@@ -90,13 +90,10 @@ from operator import add, eq, itemgetter, not_
 
 from .cayley import id_mask
 from .errors import BudgetExceeded
-from .field import (
-    affine_ids, decode, encode, inv_mod, is_scalar_matrix, mat_apply, mat_inverse, mat_mul, rank,
-    rref, transvection, vec_add, vec_scale,
-)
+from .field import affine_ids, decode, inv_mod, is_scalar_matrix, transvection, vec_add, vec_scale
 from .permgroup import (
-    PermGroup, depth_first, inverse_perm, scalar_affine_group, symmetric_group, twin_generators,
-    twin_group,
+    PermGroup, depth_first, inverse_perm, orbit_count, scalar_affine_group, symmetric_group,
+    twin_generators, twin_group,
 )
 
 
@@ -108,6 +105,10 @@ class AutResult:
     pool: tuple
     # the search's counters (see _Vertices), and period, |W| (see automorphism_group)
     counts: dict = field(default_factory=dict)
+    # G_0, the linear maps fixing S (see _linear_group), where the search
+    # went past the refinement after 0; None where that refinement proved
+    # Aut = K, and on the twin route
+    linear: PermGroup | None = None
 
 
 def _preserves_neighbors(neighbors, p, qn=None, reps=None):
@@ -528,32 +529,22 @@ def refine(points, part, queue, stop, expected=None):
     return trace
 
 
-# The level after 0 looks for the linear maps fixing S and its base point
-# only when V*|S| exceeds LINEAR_STOP_ENTRIES: below that, the refinement
-# their orbits cut short costs less than the search.  Fitted on the
-# instances that reach that level, 2-core Xeon, Python 3.11: the search
-# costs 0.07-0.09 ms at (3,3), p = 0.75 (V*|S| = 216-432, dense-3-3's
-# size), and saves 0.01-0.02 ms; at (5,3) it costs 0.14-0.18 ms and saves
-# 0.08 ms at |S| = 16 (V*|S| = 2,000), 0.24 ms at |S| = 20 (2,500) and
-# 0.6 ms at trials-5-3's p = 0.5; at (3,4) it pays from V*|S| of about 1,200.
-LINEAR_STOP_ENTRIES = 1 << 11
-
-
-def _linear_stabilizer(scalars, node, b1):
-    """The group of the linear maps M with M·S = S and M b1 = b1, as vertex
-    permutations, node being the lifted node after 0 and b1 one of its
-    points other than 0.
+def _linear_group(scalars, node):
+    """G_0, the group of the linear maps M with M·S = S, as vertex
+    permutations, node being the lifted node after 0.
 
     Such an M is an automorphism fixing 0, so it keeps each cell of node,
-    a union of scalar orbits.  The basis is b1, then points of the smallest
-    cells outside the span so far.  Each further b_j goes to a point x of
-    its own cell, and y + b_j, for each y in the span of the earlier ones,
-    to M y + x, which must lie in y + b_j's cell; that covers the span of
-    b_1..b_j, as M(y + c b_j) = c M(y / c + b_j), and makes M one-to-one,
-    {0} being a cell.  A leaf is kept when it maps S into S, compared at
-    v = 0 alone; S being a union of cells, every leaf passes, and the check
-    only guards the cells given.  The PermGroup constructor completes one
-    level per b_j.
+    a union of scalar orbits.  The basis is points of the smallest cells
+    outside the span so far, cells of one size in order, so its first
+    point b1 is the first point of node's target cell.  Each b_j goes to a
+    point x of its own cell, and y + b_j, for each y in the span of the
+    earlier ones, to M y + x, which must lie in y + b_j's cell; that covers
+    the span of b_1..b_j, as M(y + c b_j) = c M(y / c + b_j), and makes M
+    one-to-one, {0} being a cell.  A leaf is kept when it maps S into S,
+    compared at v = 0 alone; S being a union of cells, every leaf passes,
+    and the check only guards the cells given.  The PermGroup constructor
+    completes one level per b_j, deepest first, so the generators fixing
+    b1 span G_0's stabilizer of b1.
     """
     m, lo, hi, scaled = scalars.split, scalars.lo, scalars.hi, scalars.scaled
     lab, cell, size = node.lab, node.cell, node.size
@@ -568,10 +559,10 @@ def _linear_stabilizer(scalars, node, b1):
 
     # the span, built once, in the order of the images: those of the span
     # of basis[:j] are its first q^j
-    span = spanned([0], b1)
-    basis = [b1]
-    want = [None]  # want[j], the cells of y + basis[j], y in the span of basis[:j]
-    inside = set(span)
+    span = [0]
+    basis = []
+    want = []  # want[j], the cells of y + basis[j], y in the span of basis[:j]
+    inside = {0}
     by_size = sorted(compress(range(len(lab)), size), key=size.__getitem__)
     for x in chain.from_iterable(lab[s : s + size[s]] for s in by_size):
         if len(basis) == scalars.n:
@@ -601,28 +592,10 @@ def _linear_stabilizer(scalars, node, b1):
         return p if _preserves_neighbors(scalars._vertex_neighbors, p, reps=(0,))[0] else None
 
     def find(k, x):
-        root = extend(span[: len(want[k + 1])], k + 1, x)
-        return None if root is None else depth_first(root, k + 1, len(basis) - 1, children, leaf)
+        root = extend(span[: len(want[k])], k, x)
+        return None if root is None else depth_first(root, k, len(basis) - 1, children, leaf)
 
-    return PermGroup(len(lab), basis[1:], [], lambda k: cells[k + 1], find)
-
-
-def _orbit_count(generators, degree):
-    """The number of orbits of the group the generators span on range(degree),
-    in one pass over the points."""
-    seen = bytearray(degree)
-    count = 0
-    for x in range(degree):
-        if not seen[x]:
-            count += 1
-            seen[x] = 1
-            orbit = [x]
-            for y in orbit:
-                for g in generators:
-                    if not seen[z := g[y]]:
-                        seen[z] = 1
-                        orbit.append(z)
-    return count
+    return PermGroup(len(lab), basis, [], cells.__getitem__, find)
 
 
 class _Search:
@@ -635,6 +608,7 @@ class _Search:
         self.budget = budget
         self.nodes = 0
         self.base = None  # the points individualized on the leftmost path to its leaf
+        self.linear = None  # G_0, when the refinement after 0 stops short of the scalar orbits
 
     def _tick(self):
         self.nodes += 1
@@ -689,15 +663,15 @@ class _Search:
         given, the pool is K's generators, of which only the scaling fixes
         0, so the refinement after 0 runs on those orbits and stops at
         1 + (V - 1)/(q - 1) cells.  No element of K but the identity fixes
-        two points, so the next level, with base point b1, stops at the
-        orbit count of another known group: the linear maps fixing S and b1
-        (_linear_stabilizer), automorphisms that fix 0 and b1, when V*|S|
-        exceeds LINEAR_STOP_ENTRIES, and at V cells otherwise.  At every
-        deeper level, and at every level without the scalar orbits, it
-        stops at V cells.  The PermGroup constructor then completes
-        the levels deepest first: one automorphism for each point of a
-        level's target cell outside the orbit of its base point, if there
-        is one, joins the pool.
+        two points, so when it stops short of that, the next level, with
+        base point b1, stops at the orbit count of another known group,
+        automorphisms that fix 0 and b1: G_0's stabilizer of b1, spanned by
+        the generators of G_0 (_linear_group, built once here) that fix b1,
+        its first base point.  At every deeper level, and at every level
+        without the scalar orbits, it stops at V cells.  The PermGroup
+        constructor then completes the levels deepest first: one
+        automorphism for each point of a level's target cell outside the
+        orbit of its base point, if there is one, joins the pool.
 
         When the refinement after 0 reaches its stop, Aut = K, and the
         search returns scalar_affine_group, with no further level.
@@ -725,6 +699,7 @@ class _Search:
         base = []
         if self.scalars is None:
             node = _Cells.unit(degree)
+            stop = degree
         else:
             # 0, the unit partition's first point, individualized on the
             # scalar orbits, of which it is the last
@@ -738,12 +713,11 @@ class _Search:
             node, trace = self.scalars.lift(part, trace)
             path.append((_Cells.unit(degree), 0, trace, stop))
             base.append(0)
-        stop = degree
-        if self.scalars is not None and degree * self.scalars.valency > LINEAR_STOP_ENTRIES:
-            # the level after 0 stops at the orbits of the linear maps
-            # fixing S and its base point
-            found = _linear_stabilizer(self.scalars, node, node.lab[node.target()]).generators
-            stop = _orbit_count(found, degree) if found else degree
+            self.linear = _linear_group(self.scalars, node)
+            # the level after 0 stops at the orbits of G_0's stabilizer of
+            # its base point, b1, the first base point of G_0
+            b1 = self.linear.base()[0]
+            stop = orbit_count([g for g in self.linear.generators if g[b1] == b1], degree)
         while (s := node.target()) is not None:
             base.append(node.lab[s])
             child, trace = self._individualize(node, s, base[-1], stop)
@@ -796,7 +770,9 @@ def _search_group(graph, node_budget):
         # trustworthy order, so no group is materialized
         group = None
     vertices.counts["period"] = 1
-    return AutResult(group, group is not None, search.nodes, tuple(search.pool), vertices.counts)
+    return AutResult(
+        group, group is not None, search.nodes, tuple(search.pool), vertices.counts, search.linear
+    )
 
 
 def is_automorphism(graph, p):
@@ -815,74 +791,31 @@ def group_equals_scalar_affine(group, q, n):
     return group.order() == q ** n * (q - 1)
 
 
-def _linear_witness(graph, group):
-    """The first non-scalar invertible matrix fixing the connection set S met
-    on the stabilizer chain of the graph's automorphism group, or None.
-
-    Such a matrix M is an automorphism fixing vertex 0, so it is the one
-    element of the group with its images of the base, and the walk over the
-    chain only has to go where a linear map can.  A base point outside the
-    span of the earlier free ones is free and may go anywhere in its orbit.
-    Every other base point, the zero vector among them, is a combination of
-    earlier free points and is forced to the same combination of their
-    images.  Once the free points span F_q^n, their images C determine
-    M = C B^-1 and the walk stops there; if they never do, the basis B is
-    completed with unit vectors and C read from the finished element.  The
-    walk is complete: no matrix it skips fixes S.
-    """
-    q, n = graph.q, graph.n
-    members = graph.connection.members
-    base = group.base()
-    # columns: the base points' vectors, then the unit vectors e_j, of id
-    # q ** j; a column is a pivot exactly when it is outside the span of
-    # the columns before it
-    units = [q ** j for j in range(n)]
-    pivots = rref(zip(*(decode(v, q, n) for v in [*base, *units])), q)[1]
-    free = [base[c] for c in pivots if c < len(base)]
-    depth = base.index(free[-1]) + 1 if len(free) == n else len(base)
-    # vertex ids, completed with unit vectors
-    basis = free + [units[c - len(base)] for c in pivots if c >= len(base)]
-    b_inv = mat_inverse(tuple(zip(*(decode(v, q, n) for v in basis))), q)
-    # a forced point's coordinates over the basis, nonzero only on earlier free points
-    coords = [mat_apply(b_inv, decode(b, q, n), q) for b in base]
-
-    def images(k, g):
-        if base[k] in free:
-            return group.orbit(k)
-        y = (0,) * n
-        for c, v in zip(coords[k], basis):
-            y = vec_add(y, vec_scale(c, decode(g[v], q, n), q), q)
-        return (g.index(encode(y, q)),)
-
-    def leaf(g):
-        c = tuple(zip(*(decode(g[v], q, n) for v in basis)))
-        if rank(c, q) < n:
-            return None
-        m = mat_mul(c, b_inv, q)
-        if is_scalar_matrix(m) or any(mat_apply(m, v, q) not in members for v in members):
-            return None
-        return m
-
-    return group.walk(0, depth, tuple(range(group.degree)), images, leaf)
-
-
 def dichotomy_check(graph, aut):
     """The dichotomy verdict of a complete search, as equals_K, dichotomy
     and witness: case "i" when Aut is K; case "ii" when a non-scalar linear
     map fixes the connection set, the witness being its matrix as rows,
     looked for only when Aut is not K.  "violated" would mean neither
     holds, which indicates a solver bug rather than a counterexample.
+
+    Every linear map fixing S is in G_0, aut.linear, so some such map is
+    not scalar exactly when a generator of G_0 is not: the witness is the
+    first such generator, read as the matrix whose column j is the image
+    of e_j, of id q^j.
     """
     if not aut.complete:
         raise ValueError("automorphism search was incomplete; raise the node budget")
-    equals_k = group_equals_scalar_affine(aut.group, graph.q, graph.n)
+    q, n = graph.q, graph.n
+    equals_k = group_equals_scalar_affine(aut.group, q, n)
     if equals_k:
         witness = None
     elif len(graph.period) > 1:
         # s -> s + s[n-1] w, in S + W = S, for the first w != 0 of the period
-        witness = transvection(decode(graph.period[1], graph.q, graph.n))
+        witness = transvection(decode(graph.period[1], q, n))
     else:
-        witness = _linear_witness(graph, aut.group)
+        columns = ([decode(g[q ** j], q, n) for j in range(n)] for g in aut.linear.generators)
+        matrices = (tuple(zip(*c)) for c in columns)
+        witness = next(filterfalse(is_scalar_matrix, matrices), None)
     return {
         "equals_K": equals_k,
         "dichotomy": "i" if equals_k else "ii" if witness is not None else "violated",

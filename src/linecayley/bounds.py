@@ -10,6 +10,7 @@ parallel runs aggregate identically.
 import hashlib
 import itertools
 import math
+import os
 import random
 import time
 from decimal import Decimal, localcontext
@@ -263,7 +264,9 @@ def monte_carlo_pipeline(q, n, trials, seed, p=0.5, node_budget=200000, jobs=1):
 
     Per-trial records are replay-deterministic: the record depends only on
     the derived trial seed, never on scheduling, so any worker count yields
-    the same rows in the same order.
+    the same rows in the same order.  So jobs is capped at the trials and
+    the CPUs, and one worker runs in this process: a pool forks all its
+    workers at its first task.
     """
     require_space(q, n)
     if seed is None:
@@ -273,6 +276,7 @@ def monte_carlo_pipeline(q, n, trials, seed, p=0.5, node_budget=200000, jobs=1):
     argslist = [
         (q, n, p, _trial_seed(seed, i), node_budget) for i in range(trials)
     ]
+    jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:
         # imported here: it loads multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor

@@ -147,13 +147,6 @@ def mat_apply(m, v, q):
     return tuple(sum(a * b for a, b in zip(row, v)) % q for row in m)
 
 
-def mat_mul(a, b, q):
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % q for col in cols) for row in a
-    )
-
-
 def rref(rows, q):
     """Reduced row echelon form; returns (reduced nonzero rows, pivot columns)."""
     mat = [list(r) for r in rows]
@@ -182,21 +175,6 @@ def rref(rows, q):
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def rank(rows, q):
-    """Rank of a matrix given as an iterable of rows (need not be square)."""
-    return len(rref(rows, q)[1])
-
-
-def mat_inverse(m, q):
-    """Inverse of a square matrix, read off the reduced form of [m | I]."""
-    n = len(m)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    reduced, pivots = rref(aug, q)
-    if any(c >= n for c in pivots):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def gl_order(q, n):

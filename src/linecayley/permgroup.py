@@ -324,6 +324,19 @@ def schreier_vector(point, gens):
     return sv
 
 
+def orbit_count(generators, degree):
+    """The number of orbits of the group the generators span on
+    range(degree), one schreier_vector per orbit."""
+    generators = list(enumerate(generators))
+    seen = set()
+    count = 0
+    for x in range(degree):
+        if x not in seen:
+            count += 1
+            seen.update(schreier_vector(x, generators))
+    return count
+
+
 def leaves(root, start, end, children):
     """Yield the nodes at depth end below root, at depth start, in depth
     first order; start == end yields root alone.  children(depth, node)

@@ -5,13 +5,13 @@ algorithms than the package: flat enumeration instead of canonical
 representatives, plain DFS instead of the clique-plus-layers certificate,
 per-vertex decode and encode instead of digit tables, edge-set comparison
 instead of adjacency masks, closure under products instead of a stabilizer
-chain, a scan of every matrix instead of a walk over the automorphism group,
-a lockstep refinement over adjacency bitmasks instead of the one-sided
-refinement over neighbour ids, a sort of every split cell by its counts
-instead of a two-way partition of each cell of two fragments, a BFS count
-of the orbits that stop a refinement instead of the scalar orbits' number
-written down, one shift table per member of S instead of translates of
-N(0), an edge scan instead of streamed class masks.
+chain, a scan of every matrix and a walk over the automorphism group's
+chain instead of a backtrack over basis images cell by cell, a lockstep
+refinement over adjacency bitmasks instead of the one-sided refinement over
+neighbour ids, a sort of every split cell by its counts instead of a
+two-way partition of each cell of two fragments, one shift table per member
+of S instead of translates of N(0), an edge scan instead of streamed class
+masks.
 
 The point-set geometry and the fixed-line counts at the end are not second
 copies of library code: the library computes neither.  They check the
@@ -31,10 +31,11 @@ from linecayley.autgroup import _counts_from_ids
 from linecayley.cayley import ConnectionSet
 from linecayley.errors import BudgetExceeded
 from linecayley.field import (
-    affine_ids, decode, encode, mat_apply, rank, require_odd_prime, rref, vec_add, vec_scale,
+    affine_ids, decode, encode, is_scalar_matrix, mat_apply, require_odd_prime, rref, vec_add,
+    vec_scale,
 )
 from linecayley.geometry import line_universe, proj_rep
-from linecayley.permgroup import PermGroup, schreier_vector
+from linecayley.permgroup import PermGroup
 
 DEFAULT_GL_BUDGET = 10 ** 5
 
@@ -212,18 +213,6 @@ def reference_individualized_cells(graph, v):
     return {frozenset(cl) for cl, _ in lockstep_refine(masks, [((v,), (v,)), (rest, rest)], queue)}
 
 
-def orbit_count(gens, degree):
-    """Number of orbits of the group the generators span on range(degree)."""
-    gens = list(enumerate(gens))
-    seen = set()
-    count = 0
-    for x in range(degree):
-        if x not in seen:
-            count += 1
-            seen.update(schreier_vector(x, gens))
-    return count
-
-
 def sorting_refine(points, part, queue, stop, expected=None):
     """autgroup.refine as it was when every split cell was sorted
     by its points' counts and grouped into fragments, one key list, sort
@@ -359,6 +348,28 @@ def brute_row_span_size(rows, q):
     return len(span)
 
 
+def mat_mul(a, b, q):
+    cols = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % q for col in cols) for row in a
+    )
+
+
+def rank(rows, q):
+    """Rank of a matrix given as an iterable of rows (need not be square)."""
+    return len(rref(rows, q)[1])
+
+
+def mat_inverse(m, q):
+    """Inverse of a square matrix, read off the reduced form of [m | I]."""
+    n = len(m)
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    reduced, pivots = rref(aug, q)
+    if any(c >= n for c in pivots):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
 def enumerate_gl(q, n, budget=DEFAULT_GL_BUDGET):
     """Yield every invertible n x n matrix over F_q exactly once.
 
@@ -386,6 +397,58 @@ def linear_maps_fixing_connection(connection, budget=DEFAULT_GL_BUDGET):
         for m in enumerate_gl(q, connection.n, budget)
         if all(mat_apply(m, v, q) in members for v in members)
     ]
+
+
+def linear_witness(graph, group):
+    """The first non-scalar invertible matrix fixing the connection set S met
+    on the stabilizer chain of the graph's automorphism group, or None: the
+    reference of dichotomy_check, which reads its witness off G_0.
+
+    Such a matrix M is an automorphism fixing vertex 0, so it is the one
+    element of the group with its images of the base, and the walk over the
+    chain only has to go where a linear map can.  A base point outside the
+    span of the earlier free ones is free and may go anywhere in its orbit.
+    Every other base point, the zero vector among them, is a combination of
+    earlier free points and is forced to the same combination of their
+    images.  Once the free points span F_q^n, their images C determine
+    M = C B^-1 and the walk stops there; if they never do, the basis B is
+    completed with unit vectors and C read from the finished element.  The
+    walk is complete: no matrix it skips fixes S.
+    """
+    q, n = graph.q, graph.n
+    members = graph.connection.members
+    base = group.base()
+    # columns: the base points' vectors, then the unit vectors e_j, of id
+    # q ** j; a column is a pivot exactly when it is outside the span of
+    # the columns before it
+    units = [q ** j for j in range(n)]
+    pivots = rref(zip(*(decode(v, q, n) for v in [*base, *units])), q)[1]
+    free = [base[c] for c in pivots if c < len(base)]
+    depth = base.index(free[-1]) + 1 if len(free) == n else len(base)
+    # vertex ids, completed with unit vectors
+    basis = free + [units[c - len(base)] for c in pivots if c >= len(base)]
+    b_inv = mat_inverse(tuple(zip(*(decode(v, q, n) for v in basis))), q)
+    # a forced point's coordinates over the basis, nonzero only on earlier free points
+    coords = [mat_apply(b_inv, decode(b, q, n), q) for b in base]
+
+    def images(k, g):
+        if base[k] in free:
+            return group.orbit(k)
+        y = (0,) * n
+        for c, v in zip(coords[k], basis):
+            y = vec_add(y, vec_scale(c, decode(g[v], q, n), q), q)
+        return (g.index(encode(y, q)),)
+
+    def leaf(g):
+        c = tuple(zip(*(decode(g[v], q, n) for v in basis)))
+        if rank(c, q) < n:
+            return None
+        m = mat_mul(c, b_inv, q)
+        if is_scalar_matrix(m) or any(mat_apply(m, v, q) not in members for v in members):
+            return None
+        return m
+
+    return group.walk(0, depth, tuple(range(group.degree)), images, leaf)
 
 
 # ---------------------------------------------------------------------------

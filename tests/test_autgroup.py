@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -19,8 +20,7 @@ from linecayley.autgroup import (
     _Search,
     _Vertices,
     _counts_from_ids,
-    _linear_stabilizer,
-    _orbit_count,
+    _linear_group,
     _preserves_neighbors,
     automorphism_group,
     dichotomy_check,
@@ -36,15 +36,14 @@ from linecayley.cayley import (
 from linecayley.coloring import coset_coloring, exact_chromatic_number, plus_zero_recolor
 from linecayley.distinguishing import is_distinguishing
 from linecayley.errors import BudgetExceeded
-from linecayley.field import (
-    affine_ids, decode, is_scalar_matrix, mat_apply, rank, vec_add, vec_scale,
-)
+from linecayley.field import affine_ids, decode, is_scalar_matrix, mat_apply, vec_add, vec_scale
 from linecayley.geometry import line_universe
 from linecayley.permgroup import (
     PermGroup,
     compose,
     fixing_subgroup_of_partition,
     inverse_perm,
+    orbit_count,
     scalar_affine_group,
 )
 from oracles import (
@@ -57,9 +56,10 @@ from oracles import (
     line_orbit_count,
     linear_maps_fixing_connection,
     linear_perm,
-    orbit_count,
+    linear_witness,
     planted_homology_connection,
     preserves_line_universe,
+    rank,
     reference_individualized_cells,
     sorting_refine,
 )
@@ -167,13 +167,16 @@ def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
     # every leaf the search checks at (3,3), p = 0.75, seeds 0-19, most of
     # which are not affine: the shortcut gives the full loop's answer.  So
     # does is_automorphism on every generator of the pool, where brute force
-    # agrees; more of them are checked on several vertices than on one
+    # agrees; more of them are checked on several vertices than on one.
+    # The leaves of G_0's search, compared at 0 alone, give the full loop's
+    # answer too, and are counted apart, in linear_leaves
     answers = Counter()
 
-    def both(neighbors, p, qn=None):
-        got = _preserves_neighbors(neighbors, p, qn)
+    def both(neighbors, p, qn=None, reps=None):
+        got = _preserves_neighbors(neighbors, p, qn, reps)
         assert got[0] == _preserves_neighbors(neighbors, p)[0]
-        answers[got[0], got[1] == 1] += 1
+        if reps is None:
+            answers[got[0], got[1] == 1] += 1
         return got
 
     monkeypatch.setattr(autgroup, "_preserves_neighbors", both)
@@ -553,7 +556,7 @@ def test_chain_orbits_and_witnesses_are_pinned():
         g = build_graph(sample_connection_set(q, n, p, seed))
         aut = autgroup._search_group(g, 200000)
         orbits = [list(aut.group.orbit(k)) for k in range(len(aut.group.base()))]
-        found = (digest(orbits), digest(autgroup._linear_witness(g, aut.group)))
+        found = (digest(orbits), digest(linear_witness(g, aut.group)))
         assert found == want, (q, n, p, seed)
     chi_cases = {
         (3, 3, 0.75, 3): (362880, "0c80a04d6fa4fe9581001fbf593c2c0d1805e30936b55af3d1080e1c698738fe"),
@@ -777,24 +780,28 @@ def test_scalar_orbit_route_matches_vertex_route():
         assert got_trace == want_trace, (q, n, p)
 
 
+# (q, n, p, seeds) -> (the instances whose refinement after 0 reaches the
+# scalar orbits, those with Aut = K): at (5,3) p = 0.5, 4 of the latter stop
+# short of the scalar orbits and go on down the vertex route
+_SHORTCUT_GRID = {
+    (5, 3, 0.2, 30): (2, 2),
+    (5, 3, 0.5, 300): (236, 240),
+    (5, 3, 0.9, 10): (0, 0),
+    (5, 4, 0.75, 20): (20, 20),
+    (7, 3, 0.75, 30): (29, 29),
+    (3, 4, 0.75, 50): (6, 6),
+    (3, 3, 0.75, 100): (0, 0),
+}
+
+
 def test_scalar_orbit_shortcut_matches_full_search():
     # the search stops at 2 nodes when the refinement after 0 reaches the
     # scalar orbits, and returns K itself; the search without them refines
     # every level.  It runs on G itself, also where S has a period, which
     # automorphism_group would send to G/W.  Both give the same order and
     # Aut = K verdict, and the same base wherever the search goes on, and
-    # the stop comes only with Aut = K.  Per grid point, the instances that stop there
-    # and those with Aut = K: at (5,3) p = 0.5, 4 of the latter stop short of
-    # the scalar orbits and go on down the vertex route
-    grid = {
-        (5, 3, 0.2, 30): (2, 2),
-        (5, 3, 0.5, 300): (236, 240),
-        (5, 3, 0.9, 10): (0, 0),
-        (5, 4, 0.75, 20): (20, 20),
-        (7, 3, 0.75, 30): (29, 29),
-        (3, 4, 0.75, 50): (6, 6),
-        (3, 3, 0.75, 100): (0, 0),
-    }
+    # the stop comes only with Aut = K, as _SHORTCUT_GRID counts
+    grid = _SHORTCUT_GRID
     found = {}
     for q, n, p, count in grid:
         k_order = q ** n * (q - 1)
@@ -828,6 +835,53 @@ def test_scalar_orbit_shortcut_matches_full_search():
         assert dichotomy_check(g, aut)["dichotomy"] == "ii", (q, n)
 
 
+def test_dichotomy_matches_the_chain_walk(deadline):
+    # on _SHORTCUT_GRID and planted (5,4) and (5,5), dichotomy_check's
+    # verdict is "ii" exactly where the chain walk over Aut finds a
+    # non-scalar linear map fixing S (over the search on G itself where S
+    # has a period, whose witness is the transvection); every witness is
+    # non-scalar, maps S onto S, and is an element of G_0 where the search
+    # gives one
+    deadline(60)
+    graphs = [
+        sample_connection_set(q, n, p, seed)
+        for q, n, p, count in _SHORTCUT_GRID
+        for seed in range(count)
+    ]
+    graphs += [planted_homology_connection(5, n, 1) for n in (4, 5)]
+    verdicts = Counter()
+    for connection in graphs:
+        g = build_graph(connection)
+        q, n, members = g.q, g.n, connection.members
+        aut = automorphism_group(g)
+        report = dichotomy_check(g, aut)
+        search = aut if len(g.period) == 1 else autgroup._search_group(g, 200000)
+        want = "i" if report["equals_K"] else "violated"
+        if want == "violated" and linear_witness(g, search.group) is not None:
+            want = "ii"
+        assert report["dichotomy"] == want, (q, n, connection.lines)
+        verdicts[want] += 1
+        if want == "ii":
+            m = tuple(map(tuple, report["witness"]))
+            assert not is_scalar_matrix(m)
+            assert {mat_apply(m, v, q) for v in members} == members
+            if aut.linear is not None:
+                assert aut.linear.contains(linear_perm(q, n, m))
+    assert verdicts == {"i": 297, "ii": 245}
+
+
+def test_dichotomy_witness_skips_scalar_generators():
+    # the witness is G_0's first generator that is not scalar: with x -> 2x
+    # put first among G_0's generators at (5,3) seed 8, it is unchanged
+    g = build_graph(sample_connection_set(5, 3, 0.5, 8))
+    aut = automorphism_group(g)
+    want = dichotomy_check(g, aut)
+    scaling = affine_ids(5, 3, 2, (0, 0, 0))
+    doubled = PermGroup(g.num_vertices, aut.linear.base(), [scaling, *aut.linear.generators])
+    got = dichotomy_check(g, dataclasses.replace(aut, linear=doubled))
+    assert got == want and want["witness"] == [[1, 0, 4], [0, 4, 0], [0, 0, 4]]
+
+
 def _level_after_zero(g):
     """(vertices, scalars, node, s, b1): the lifted node after 0, the start
     of its target cell and that cell's first point, the search's first
@@ -844,13 +898,14 @@ def _level_after_zero(g):
 
 
 def test_linear_stop_keeps_the_level_after_zero(deadline):
-    # the level after 0, refined until it has as many cells as the linear
-    # maps fixing S and b1 have orbits, has the lab, cells, sizes and trace
-    # it has refined until its queue is empty: a stop below that count would
-    # end it short of a split.  The stop is never below the final count, and
-    # it is that count below V, so it ends the level early, on the pinned
-    # number of instances: a group short of a generator would have more
-    # orbits.  (5,3) seed 8, (3,4) seed 2 and planted (5,4) are in case (ii)
+    # the level after 0, refined until it has as many cells as G_0's
+    # stabilizer of b1 has orbits, read off the generators of G_0 that fix
+    # b1, has the lab, cells, sizes and trace it has refined until its queue
+    # is empty: a stop below that count would end it short of a split.  The
+    # stop is never below the final count, and it is that count below V, so
+    # it ends the level early, on the pinned number of instances: a group
+    # short of a generator would have more orbits.  (5,3) seed 8, (3,4) seed
+    # 2 and planted (5,4) are in case (ii)
     deadline(60)
     graphs = {("p", 5, 3, seed): sample_connection_set(5, 3, 0.5, seed) for seed in range(300)}
     graphs["p", 3, 4, 2] = sample_connection_set(3, 4, 0.5, 2)
@@ -862,7 +917,9 @@ def test_linear_stop_keeps_the_level_after_zero(deadline):
         if (found := _level_after_zero(g)) is None:
             continue
         vertices, scalars, node, s, b1 = found
-        stop = _orbit_count(_linear_stabilizer(scalars, node, b1).generators, g.num_vertices)
+        linear = _linear_group(scalars, node)
+        assert linear.base()[0] == b1, case
+        stop = orbit_count([p for p in linear.generators if p[b1] == b1], g.num_vertices)
         want, want_trace = _refined_child(vertices, node, s, b1, g.num_vertices)
         got, got_trace = _refined_child(vertices, node, s, b1, stop)
         assert (got.lab, got.cell, got.size, got_trace) == (
@@ -886,20 +943,25 @@ def _is_affine(g, p):
     return list(map(affine_ids(q, n, 1, zero).__getitem__, linear)) == list(p)
 
 
-def test_linear_stabilizer_is_every_linear_map_fixing_s_and_b1():
-    # each generator is an automorphism fixing 0 and b1, and linear; the
-    # group has the order of the GL(3, 3) scan's matrices fixing S and b1,
-    # so no map is missed, also where S has a period (seeds 4 and 7)
+def test_linear_group_is_every_linear_map_fixing_s():
+    # each generator of G_0 is a linear automorphism; G_0 has the order of
+    # the GL(3, 3) scan's matrices fixing S, and the generators that fix b1,
+    # strong on the rest of the base, span a group of the order of those
+    # that also fix b1, so no map is missed, also where S has a period
+    # (seeds 4 and 7)
     for seed in range(1, 9):
         g = build_graph(sample_connection_set(3, 3, 0.75, seed))
         vertices, scalars, node, _, b1 = _level_after_zero(g)
-        group = _linear_stabilizer(scalars, node, b1)
+        group = _linear_group(scalars, node)
+        assert group.base()[0] == b1, seed
         for p in group.generators:
-            assert is_automorphism(g, p) and p[0] == 0 and p[b1] == b1, seed
-            assert _is_affine(g, p), seed
-        point = decode(b1, 3, 3)
+            assert is_automorphism(g, p) and p[0] == 0 and _is_affine(g, p), seed
         scan = linear_maps_fixing_connection(g.connection)
-        assert group.order() == sum(mat_apply(m, point, 3) == point for m in scan), seed
+        assert group.order() == len(scan), seed
+        fixing = [p for p in group.generators if p[b1] == b1]
+        stabilizer = PermGroup(g.num_vertices, group.base()[1:], fixing)
+        point = decode(b1, 3, 3)
+        assert stabilizer.order() == sum(mat_apply(m, point, 3) == point for m in scan), seed
     # at (5,3) and planted (5,4), against is_automorphism alone
     for connection in (
         *(sample_connection_set(5, 3, 0.5, seed) for seed in (8, 10, 13)),
@@ -907,18 +969,53 @@ def test_linear_stabilizer_is_every_linear_map_fixing_s_and_b1():
     ):
         g = build_graph(connection)
         vertices, scalars, node, _, b1 = _level_after_zero(g)
-        group = _linear_stabilizer(scalars, node, b1)
-        assert group.generators
+        group = _linear_group(scalars, node)
+        assert any(p[b1] == b1 for p in group.generators)
         for p in group.generators:
-            assert is_automorphism(g, p) and p[0] == 0 and p[b1] == b1
-            assert _is_affine(g, p)
+            assert is_automorphism(g, p) and p[0] == 0 and _is_affine(g, p)
+
+
+def test_translations_and_linear_group_are_aut_where_aut_is_affine(deadline):
+    # Aut holds T ⋊ G_0, of order q^n |G_0|, and is that group exactly when
+    # every generator of Aut is affine; else q^n |G_0| is a proper divisor
+    # of |Aut|, as at (5,3) seed 10, where |G_0| = 16 and |Aut| / q^n = 96.
+    # The search runs on G itself, also where S has a period.  Per case and
+    # whether Aut is affine, the instances whose search goes past the
+    # refinement after 0; no sampled (5,4) instance does
+    deadline(60)
+    graphs = {
+        ("p", q, n, seed): sample_connection_set(q, n, 0.5, seed)
+        for q, n, count in ((5, 3, 100), (3, 4, 40), (5, 4, 20))
+        for seed in range(count)
+    }
+    graphs.update({("planted", 5, n): planted_homology_connection(5, n, 1) for n in (4, 5)})
+    found = Counter()
+    for case, connection in graphs.items():
+        g = build_graph(connection)
+        aut = autgroup._search_group(g, 200000)
+        if aut.linear is None:
+            continue
+        affine = all(_is_affine(g, p) for p in aut.group.generators)
+        order, part = aut.group.order(), g.num_vertices * aut.linear.order()
+        assert order == part if affine else order % part == 0 and order > part, case
+        if case == ("p", 5, 3, 10):
+            assert (aut.linear.order(), order // g.num_vertices) == (16, 96)
+        found[case[:3], affine] += 1
+    assert found == {
+        (("p", 5, 3), True): 17,
+        (("p", 5, 3), False): 1,
+        (("p", 3, 4), True): 24,
+        (("planted", 5, 4), True): 1,
+        (("planted", 5, 5), True): 1,
+    }
 
 
 def test_a_group_that_is_not_affine_is_unchanged():
     # (5,3) seed 10: Aut has order 12,000 and generators that are not
     # affine, so holds more than the linear maps; the level after 0 still
-    # stops at their orbits, and the output is the one recorded before it
-    # did (nodes, base, the sha256 of the generators' JSON and the witness)
+    # stops at the orbits of G_0's stabilizer of its base point, and the
+    # output is the one recorded before it did (nodes, base, the sha256 of
+    # the generators' JSON), with the witness G_0 gives
     g = build_graph(sample_connection_set(5, 3, 0.5, 10))
     aut = automorphism_group(g)
     assert not all(_is_affine(g, p) for p in aut.group.generators)
@@ -927,7 +1024,7 @@ def test_a_group_that_is_not_affine_is_unchanged():
     assert hashlib.sha256(generators).hexdigest() == (
         "590ec2e5a8a40821ed3c79356148193cd3c0de4f1b3b2b9967afaf4939133fe4"
     )
-    assert dichotomy_check(g, aut)["witness"] == [[4, 4, 3], [3, 0, 3], [0, 0, 1]]
+    assert dichotomy_check(g, aut)["witness"] == [[0, 2, 4], [4, 3, 4], [0, 0, 1]]
     assert aut.counts["linear_leaves"] > 0
 
 
@@ -1218,7 +1315,7 @@ def test_twin_witness_is_a_transvection():
         members = g.connection.members
         assert {mat_apply(m, s, q) for s in members} == members
         search = autgroup._search_group(g, 200000)
-        assert autgroup._linear_witness(g, search.group) is not None
+        assert linear_witness(g, search.group) is not None
 
 
 def test_twin_chains_are_pinned():

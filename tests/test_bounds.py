@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -209,6 +211,44 @@ def test_pipeline_replay_deterministic():
     assert rec["chi_lower"] == rec["chi_upper"] == 5
     with pytest.raises(ValueError):
         monte_carlo_pipeline(5, 3, 2, None)
+
+
+def test_pipeline_workers_are_capped(monkeypatch):
+    # a stand-in pool, which starts no process, records its max_workers and
+    # runs each task here: --jobs is capped at the trials and the CPUs, and
+    # one worker runs with no pool.  The records are those of jobs=1
+    pools = []
+
+    class StandIn:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def records(agg):
+        return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in agg["records"]]
+
+    want = {trials: records(monte_carlo_pipeline(3, 2, trials, 4, jobs=1)) for trials in (1, 3, 6)}
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
+    for cpus, jobs, trials, workers in (
+        (4, 100000, 1, None),
+        (4, 100000, 3, 3),
+        (4, 100000, 6, 4),
+        (4, 2, 6, 2),
+        (1, 100000, 6, None),
+        (None, 100000, 6, None),
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools.clear()
+        assert records(monte_carlo_pipeline(3, 2, trials, 4, jobs=jobs)) == want[trials]
+        assert pools == ([] if workers is None else [workers]), (cpus, jobs, trials)
 
 
 def test_trial_rows():

@@ -92,13 +92,14 @@ def test_aut_complete(capsys):
 def test_aut_meta_reports_leaf_checks(capsys):
     # (3,2) seed 1 checks 4 leaves, some of them not affine and so on more
     # than one vertex, builds each of the 9 neighbourhood rows once, and
-    # pops 8 splitters over all its refinements; the counts are in
+    # pops 7 splitters over all its refinements, its first vertex level
+    # stopping at the orbits of G_0's stabilizer of b1; the counts are in
     # meta only, which --no-meta drops
     code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1")
     assert code == 0
     meta = json.loads(out)["meta"]
     assert (meta["leaves"], meta["leaf_vertices"], meta["rows"]) == (4, 30, 9)
-    assert meta["splitters"] == 8
+    assert meta["splitters"] == 7
     code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1", "--no-meta")
     assert "leaves" not in out and "rows" not in out and "splitters" not in out
     assert "meta" not in json.loads(out)
@@ -122,29 +123,31 @@ def test_aut_meta_reports_splitter_routes(capsys):
     assert "splitters" not in out and "meta" not in json.loads(out)
     # near-complete S, 12 nodes: splitters_masks counts the scalar orbits'
     # mask route alone, as the vertices count every splitter by ids.  The
-    # level after 0 ends at the orbits of the linear maps fixing S and its
-    # base point, found in 4 leaves, after 14 splitters where emptying its
+    # level after 0 ends at the orbits of G_0's stabilizer of its base
+    # point, G_0 found in 5 leaves, after 14 splitters where emptying its
     # queue took 50
     code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--p", "0.97", "--seed", "2")
     assert code == 0
     meta = json.loads(out)["meta"]
     routes = meta["splitters"], meta["splitters_direct"], meta["splitters_masks"]
     assert routes == (1411, 0, 17)
-    assert meta["linear_leaves"] == 4
+    assert meta["linear_leaves"] == 5
 
 
 def test_aut_meta_reports_the_linear_stop(capsys):
-    # (5,3) seed 8, in case (ii): the level after 0 stops at the orbits of
-    # the one linear map fixing S and its base point, its backtrack's one
-    # leaf, after 8 splitters where emptying its queue took 45; so the
-    # search pops 43 splitters, not 80, and builds 46 rows, not 102.  (3,2)
-    # seed 1 is below LINEAR_STOP_ENTRIES and looks for no linear map
+    # (5,3) seed 8, in case (ii): G_0, of order 8, is found in 2 leaves,
+    # and the level after 0 stops at the orbits of its stabilizer of the
+    # base point, of order 2, after 8 splitters where emptying its queue
+    # took 45; so the search pops 43 splitters, not 80, and builds 46 rows,
+    # not 102.
+    # (5,4) seed 1 is in case (i), where no G_0 is looked for
     code, out = run(capsys, "aut", "--q", "5", "--n", "3", "--seed", "8")
     assert code == 0
     meta = json.loads(out)["meta"]
-    assert (meta["linear_leaves"], meta["splitters"], meta["rows"]) == (1, 43, 46)
-    code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1")
-    assert json.loads(out)["meta"]["linear_leaves"] == 0
+    assert (meta["linear_leaves"], meta["splitters"], meta["rows"]) == (2, 43, 46)
+    code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1")
+    d = json.loads(out)
+    assert (d["dichotomy"], d["meta"]["linear_leaves"]) == ("i", 0)
 
 
 def test_aut_with_a_period_solves_the_quotient(capsys, deadline):
@@ -438,7 +441,7 @@ OUTPUT_DIGESTS = [
     (("aut", "--q", "5", "--n", "4", "--seed", "1"),
      "ed7ccae7058c35ccd8014c0458dae2d908af7cddc965ce2897f7eaabdd85fa26"),
     (("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "3"),
-     "7c462e1707519c9f0fe384645616c19cf23a654b8a850d7476acb6e87881ed4c"),
+     "96e0ed3adffcbc9a3413705afdac723813d7899ad7bb2995851bf0f110a41d2b"),
     (("aut", "--q", "5", "--n", "5", "--in", PLANTED_5_5),
      "0096cce93656944f24b787f0efac6f4046b862654656e0eb60eb29588d113e72"),
     (("distinguish", "--q", "5", "--n", "4", "--seed", "1"),

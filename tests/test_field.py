@@ -13,10 +13,7 @@ from linecayley.field import (
     is_prime,
     is_scalar_matrix,
     mat_apply,
-    mat_inverse,
-    mat_mul,
     primitive_root,
-    rank,
     require_odd_prime,
     vec_add,
     vec_scale,
@@ -27,7 +24,10 @@ from oracles import (
     enumerate_gl,
     gaussian_binomial_1,
     kernel,
+    mat_inverse,
+    mat_mul,
     mat_sub_scalar,
+    rank,
 )
 
 
