@@ -111,7 +111,7 @@ class AutResult:
     linear: PermGroup | None = None
 
 
-def _preserves_neighbors(neighbors, p, qn=None, reps=None):
+def _preserves_neighbors(neighbors, p, qn=None):
     """Whether the permutation p maps every v + S onto p(v) + S, and how
     many v were compared; p is one-to-one, so p(v + S) has |S| points and is
     p(v) + S when it holds every point of it.  With qn = (q, n), ids are
@@ -120,10 +120,8 @@ def _preserves_neighbors(neighbors, p, qn=None, reps=None):
     first at the x with p(x) = p(0) + e_k.  Then p(v + u) = p(v) + c(u) for
     u in U, c linear, so p(v + S) = p(v) + S gives p(v + u + S) = p(v + u) +
     S.  An affine p, x -> Ax + p(0), is compared at v = 0 alone: A·S = S.
-    Without qn, reps gives the v compared, every v by default: (0,) for a
-    p known to be linear."""
-    if reps is None:
-        reps = range(len(p)) if qn is None else [0]
+    Without qn, every v is compared."""
+    reps = range(len(p)) if qn is None else [0]
     if qn is not None:
         q, n = qn
         minus = vec_scale(q - 1, decode(p[0], q, n), q)
@@ -541,7 +539,7 @@ def _linear_group(scalars, node):
     earlier ones, to M y + x, which must lie in y + b_j's cell; that covers
     the span of b_1..b_j, as M(y + c b_j) = c M(y / c + b_j), and makes M
     one-to-one, {0} being a cell.  A leaf is kept when it maps S into S,
-    compared at v = 0 alone; S being a union of cells, every leaf passes,
+    all a linear map needs; S being a union of cells, every leaf passes,
     and the check only guards the cells given.  The PermGroup constructor
     completes one level per b_j, deepest first, so the generators fixing
     b1 span G_0's stabilizer of b1.
@@ -589,7 +587,7 @@ def _linear_group(scalars, node):
     def leaf(images):
         scalars.counts["linear_leaves"] += 1
         p = tuple(map(images.__getitem__, order))
-        return p if _preserves_neighbors(scalars._vertex_neighbors, p, reps=(0,))[0] else None
+        return p if scalars.members.issuperset(map(p.__getitem__, scalars.members)) else None
 
     def find(k, x):
         root = extend(span[: len(want[k])], k, x)

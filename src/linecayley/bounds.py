@@ -50,6 +50,7 @@ def binomial_tail_log2(n_trials, t):
     Past EXACT_TRIALS, for t < n_trials / 2, it is read in log space: lgamma
     gives C(n_trials, t), and the terms below it fall geometrically, each the
     last times j / (n_trials - j + 1), until one no longer changes their sum.
+    That takes some tens of times n_trials / (n_trials - 2t) terms.
     """
     if t < 0:
         return float("-inf")
@@ -88,9 +89,13 @@ def _trial_seed(master, index):
 # The input caps of bounds, checked before any work.  |GL(n, q)| < q^(n^2) is
 # printed in at most Python's default 4,300 digits: q^(n^2) has 4,253 at (5,78)
 # and 4,363 at (5,79).  The trials make q^(n-1) draws each, and (5,5) with
-# 10^4 trials makes 6,250,000 of them, in about 0.4 s on a 2-core Xeon.
+# 10^4 trials makes 6,250,000 of them, in about 0.4 s on a 2-core Xeon.  The
+# line reading's tail sums about q times some tens of terms past EXACT_TRIALS
+# lines (binomial_tail_log2), at most 0.39 s at q = 99,991 (n = 26 the worst
+# n) on that machine; at q = 10^9 + 7 it would run for minutes.
 GL_ORDER_MAX_DIGITS = 4300
 CHERNOFF_MAX_DRAWS = 10**7
+CHERNOFF_MAX_Q = 10**5
 
 
 def simulate_line_count(q, n, p, seed):
@@ -106,7 +111,10 @@ def chernoff_report(q, n, trials=0, seed=None):
     tail under both size readings: the number of chosen lines, and the number
     of set elements (q-1 per line).  Optionally adds empirical frequencies
     over seeded trials, refused before any draw past CHERNOFF_MAX_DRAWS.
+    A q past CHERNOFF_MAX_Q is refused before any work.
     """
+    if q > CHERNOFF_MAX_Q:
+        raise ValueError(f"tail bounds at q = {q} pass CHERNOFF_MAX_Q = 10^5")
     require_odd_prime(q)
     if n < 3:
         raise ValueError("tail bounds need n >= 3")

@@ -6,16 +6,34 @@ hashed and shared freely.  Only prime moduli are supported.
 """
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2017); the first 12 are exact only below 318665857834031151167461,
+# which passes them.  is_prime refuses larger numbers
+PRIME_TEST_MAX = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(q):
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 2
+    """Whether q is prime, in 13 modular powers at most, so its cost does
+    not grow with √q.  Raises ValueError from PRIME_TEST_MAX on."""
+    if q >= PRIME_TEST_MAX:
+        raise ValueError(f"primality is decided below PRIME_TEST_MAX = {PRIME_TEST_MAX}, got {q}")
+    if q < 2 or any(q % a == 0 for a in _BASES):
+        return q in _BASES
+    # q - 1 = d 2^s with d odd; q passes base a when a^d = 1 or some
+    # a^(d 2^r) = -1, r < s, mod q
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    d = (q - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, q)
+        if x not in (1, q - 1):
+            for _ in range(s - 1):
+                x = x * x % q
+                if x == q - 1:
+                    break
+            else:
+                return False
     return True
 
 
@@ -40,8 +58,8 @@ MAX_VERTICES = 2**20
 def require_space(q, n):
     """Raise ValueError unless F_q^n is a space the package builds on: n at
     least 2, q^n at most MAX_VERTICES, and q an odd prime.  The cap comes
-    before the primality test, whose trial division takes √q / 2 steps: with
-    n >= 2, every q > 2^10 is refused at once."""
+    before the primality test: with n >= 2, every q > 2^10 is refused by
+    size."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
     # for q >= 2, q^n passes the cap once n passes its bit length

@@ -10,8 +10,10 @@ deepest first.
 Whether any element but the identity preserves a labelling needs no chain:
 first_fixing_element runs the class-fixing search in the same order and
 stops at its first element.
-Each level's orbit is a BFS in generator order (schreier_vector), which
-gives exact order and membership tests without a Schreier-Sims closure.
+Each level's orbit is a BFS in generator order (schreier_vector) that
+keeps each point's parent, a Schreier tree (Seress, 2003): transversal
+elements are read up it, with no generator inverted, and it gives exact
+order and membership tests without a Schreier-Sims closure.
 Every backtrack in the package runs on the one explicit stack of leaves:
 each group search is depth_first over a tree of images, and the listing of
 proper partitions in coloring walks a tree of partial class assignments.
@@ -78,8 +80,8 @@ class PermGroup:
             gens = enumerate(self.generators)
             return schreier_vector(self._base[k], [(i, g) for i, g in gens if levels[i] >= k])
 
-        # per level: point -> index of the generator reaching it (None at
-        # the base point), in the BFS order of the orbit
+        # per level: the Schreier tree of the orbit, point -> (index of the
+        # generator reaching it, its parent), in BFS order
         self._svs = [None] * len(self._base)
         for k in reversed(range(len(self._base))):
             self._svs[k] = vector(k)
@@ -89,24 +91,19 @@ class PermGroup:
                     self.generators.append(g)
                     levels.append(k)
                     self._svs[k] = vector(k)
-        self._invs = [inverse_perm(g) for g in self.generators]
         # level k -> each point's orbit under the stabilizer of base[:k], as
         # an index, where the maker of the group knows it; the label search
         # prunes by it (see _label_search)
         self.orbits = {}
 
     def _rep(self, k, x):
-        """Transversal element mapping base[k] to x."""
-        b = self._base[k]
+        """Transversal element mapping base[k] to x: the generators on the
+        tree's path from base[k] down to x, applied in that order."""
         sv = self._svs[k]
-        word = []
-        while x != b:
-            i = sv[x]
-            word.append(i)
-            x = self._invs[i][x]
         rep = self._identity
-        for i in reversed(word):
-            rep = compose(self.generators[i], rep)
+        while (step := sv[x]) is not None:
+            i, x = step
+            rep = compose(rep, self.generators[i])
         return rep
 
     def contains(self, p):
@@ -309,17 +306,17 @@ def first_fixing_element(group, labels):
 
 
 def schreier_vector(point, gens):
-    """{x: label of the generator that first reached x} over the orbit of
-    point, point itself mapping to None, for (label, generator) pairs gens.
-    Its keys are the orbit in BFS order, the generators taken in the order
-    given."""
+    """{y: (label of the generator g that first reached y, the x with
+    g[x] == y)}, the Schreier tree of the orbit of point for (label,
+    generator) pairs gens, point itself mapping to None.  Its keys are the
+    orbit in BFS order, the generators taken in the order given."""
     sv = {point: None}
     orbit = [point]
     for x in orbit:
         for i, g in gens:
             y = g[x]
             if y not in sv:
-                sv[y] = i
+                sv[y] = i, x
                 orbit.append(y)
     return sv
 

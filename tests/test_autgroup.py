@@ -167,16 +167,13 @@ def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
     # every leaf the search checks at (3,3), p = 0.75, seeds 0-19, most of
     # which are not affine: the shortcut gives the full loop's answer.  So
     # does is_automorphism on every generator of the pool, where brute force
-    # agrees; more of them are checked on several vertices than on one.
-    # The leaves of G_0's search, compared at 0 alone, give the full loop's
-    # answer too, and are counted apart, in linear_leaves
+    # agrees; more of them are checked on several vertices than on one
     answers = Counter()
 
-    def both(neighbors, p, qn=None, reps=None):
-        got = _preserves_neighbors(neighbors, p, qn, reps)
+    def both(neighbors, p, qn=None):
+        got = _preserves_neighbors(neighbors, p, qn)
         assert got[0] == _preserves_neighbors(neighbors, p)[0]
-        if reps is None:
-            answers[got[0], got[1] == 1] += 1
+        answers[got[0], got[1] == 1] += 1
         return got
 
     monkeypatch.setattr(autgroup, "_preserves_neighbors", both)

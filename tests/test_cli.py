@@ -13,7 +13,7 @@ import linecayley
 from linecayley.cayley import build_graph, sample_connection_set
 from linecayley.cli import main
 from linecayley.coloring import Coloring, coset_coloring, plus_zero_recolor
-from linecayley.field import is_scalar_matrix, mat_apply
+from linecayley.field import PRIME_TEST_MAX, is_scalar_matrix, mat_apply
 
 
 def run(capsys, *argv):
@@ -320,10 +320,44 @@ def test_bounds_k_refuses_n_past_the_digit_cap(capsys, deadline):
     assert len(json.loads(out)["aut_bound"]) == 4299
 
 
+def test_bounds_refuses_q_past_the_tail_cap(capsys, deadline):
+    # at n = 3 the line reading sits one standard deviation below the mean,
+    # and its log-space tail takes about q times some tens of terms: q past
+    # CHERNOFF_MAX_Q = 10^5 is refused before any work, and q = 99,991 runs
+    deadline(2)
+    code = main(["bounds", "--q", "1000000007", "--n", "3", "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: tail bounds at q = 1000000007 pass CHERNOFF_MAX_Q = 10^5\n"
+    code, out = run(capsys, "bounds", "--q", "99991", "--n", "3", "--no-meta")
+    assert code == 0
+    assert json.loads(out)["chernoff"]["line_reading"]["le_closed_form"] is True
+
+
+def test_bounds_primality_test_does_not_grow_with_q(capsys, deadline):
+    # q = 2^61 - 1, and the search for the least prime past k = 10^18, would
+    # each take about 10^9 trial divisions; Miller-Rabin takes 13 powers.
+    # From PRIME_TEST_MAX on, where it is not known to be exact, q is refused
+    deadline(2)
+    code, out = run(capsys, "bounds", "--q", str(2**61 - 1), "--n", "2", "--no-meta")
+    assert code == 0
+    assert json.loads(out)["union_bound"]["q"] == 2**61 - 1
+    code, out = run(capsys, "bounds", "--k", str(10**18), "--no-meta")
+    assert code == 0
+    assert json.loads(out)["q"] == 10**18 + 3
+    code = main(["bounds", "--k", str(PRIME_TEST_MAX - 1), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: primality is decided below PRIME_TEST_MAX = {PRIME_TEST_MAX}, got {PRIME_TEST_MAX}\n"
+    )
+
+
 def test_huge_prime_q_is_refused_before_its_primality_test(capsys, deadline):
-    # 2^61 - 1 is prime, and trial division would take about 6 * 10^8
-    # steps; F_q^2 is past MAX_VERTICES for every q > 2^10, which is checked
-    # first
+    # 2^61 - 1 is prime, and F_q^2 is past MAX_VERTICES for every q > 2^10,
+    # which is checked first
     deadline(1)
     code = main(["lines", "--q", str(2**61 - 1), "--n", "2", "--no-meta"])
     captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecayley.field import (
+    PRIME_TEST_MAX,
     affine_ids,
     decode,
     encode,
@@ -35,6 +37,19 @@ def test_is_prime():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(0)
+    # Miller-Rabin gives trial division's answer below 2 * 10^4; the least
+    # strong pseudoprimes to the first k prime bases, k = 1..12, are
+    # composite; so is PRIME_TEST_MAX, the one for k = 13, which is refused
+    def trial(q):
+        return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+    assert [q for q in range(2 * 10**4) if is_prime(q)] == list(filter(trial, range(2 * 10**4)))
+    pseudoprimes = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                    341550071728321, 3825123056546413051, 318665857834031151167461)
+    assert not any(map(is_prime, pseudoprimes))
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3) and is_prime(2**31 - 1)
+    with pytest.raises(ValueError, match="PRIME_TEST_MAX"):
+        is_prime(PRIME_TEST_MAX)
 
 
 def test_require_odd_prime():
