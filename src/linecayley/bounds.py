@@ -2,9 +2,10 @@
 
 Probability bounds are evaluated exactly (big integers and rationals) with a
 log2-scale rendering for quantities far below floating range, and in log
-space alone past EXACT_TRIALS.  Experiment trials derive independent seeds
-from a master seed by hashing, so any record can be replayed in isolation and
-parallel runs aggregate identically.
+space alone past EXACT_TRIALS.  The trials and the census read their verdicts
+from one instance_record.  Trials derive independent seeds from a master seed
+by hashing, so any record can be replayed in isolation and parallel runs
+aggregate identically.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .autgroup import automorphism_group, dichotomy_check, group_equals_scalar_affine
+from .autgroup import automorphism_group, dichotomy_check
 from .cayley import ConnectionSet, build_graph, sample_connection_set
 from .coloring import exact_chromatic_number
 from .distinguishing import chi_D_exceeds_q_small, chi_D_upper_certificate
@@ -44,29 +45,40 @@ def exact_binomial_tail(n_trials, t):
 EXACT_TRIALS = 2048
 
 
+def _log_factorial(m):
+    """ln m! in the current Decimal context: exact below 20, and past it by
+    Stirling's series to its fifth term, the next being below 10^-17 there."""
+    if m < 20:
+        return Decimal(math.factorial(m)).ln()
+    m = Decimal(m)
+    series = sum(1 / (c * m ** (2 * k + 1)) for k, c in enumerate((12, -360, 1260, -1680, 1188)))
+    return (m + Decimal(0.5)) * m.ln() - m + Decimal(math.log(2 * math.pi)) / 2 + series
+
+
 def binomial_tail_log2(n_trials, t):
     """log2 of P(X <= t) for X ~ Binomial(n_trials, 1/2).
 
-    Past EXACT_TRIALS, for t < n_trials / 2, it is read in log space: lgamma
-    gives C(n_trials, t), and the terms below it fall geometrically, each the
-    last times j / (n_trials - j + 1), until one no longer changes their sum.
-    That takes some tens of times n_trials / (n_trials - 2t) terms.
+    Past EXACT_TRIALS, for t < n_trials / 2, it is read in log space: ln
+    C(n_trials, t) - n_trials ln 2 in Decimal, with digits enough for its
+    n_trials ln n_trials terms to cancel, and the terms below C(n_trials, t)
+    fall geometrically, each the last times j / (n_trials - j + 1), until
+    one no longer changes their sum: some tens of n_trials / (n_trials - 2t).
     """
     if t < 0:
         return float("-inf")
-    if n_trials <= EXACT_TRIALS or 2 * t >= n_trials:
-        total = _binomial_prefix_sum(n_trials, t)
-        with localcontext() as ctx:
-            ctx.prec = 60
-            return float(Decimal(total).ln() / Decimal(2).ln() - n_trials)
-    log_comb = math.lgamma(n_trials + 1) - math.lgamma(t + 1) - math.lgamma(n_trials - t + 1)
-    total = term = 1.0
-    for j in range(t, 0, -1):
-        term *= j / (n_trials - j + 1)
-        if total + term == total:
-            break
-        total += term
-    return (log_comb + math.log(total)) / math.log(2) - n_trials
+    with localcontext() as ctx:
+        ctx.prec = max(60, 30 + n_trials.bit_length() // 3)
+        ln2 = Decimal(2).ln()
+        if n_trials <= EXACT_TRIALS or 2 * t >= n_trials:
+            return float(Decimal(_binomial_prefix_sum(n_trials, t)).ln() / ln2 - n_trials)
+        total = term = 1.0
+        for j in range(t, 0, -1):
+            term *= j / (n_trials - j + 1)
+            if total + term == total:
+                break
+            total += term
+        log_comb = _log_factorial(n_trials) - _log_factorial(t) - _log_factorial(n_trials - t)
+        return float((log_comb - n_trials * ln2 + Decimal(math.log(total))) / ln2)
 
 
 def _tail_reading(num_lines, t, closed_log2):
@@ -236,35 +248,34 @@ def theorem_qn_params(k, n=None):
     return report
 
 
+def instance_record(graph, node_budget):
+    """The verdicts that the trials and the census share, and the AutResult
+    they read: elements, chi, aut_order, equals_K, dichotomy and certificate,
+    the last three "" where the search runs out of nodes (aut_order is then
+    "incomplete"); the certificate is tried on every solved instance."""
+    record = {"elements": len(graph.connection.members), "chi": exact_chromatic_number(graph).value}
+    aut = automorphism_group(graph, node_budget)
+    if not aut.complete:
+        record.update(aut_order="incomplete", equals_K="", dichotomy="", certificate="")
+        return record, aut
+    dich = dichotomy_check(graph, aut)
+    record.update(
+        aut_order=str(aut.group.order()),
+        equals_K=dich["equals_K"],
+        dichotomy=dich["dichotomy"],
+        certificate=chi_D_upper_certificate(graph, aut) is not None,
+    )
+    return record, aut
+
+
 def run_single_trial(args):
     """One seeded experiment trial; top level so process pools can pickle it."""
     q, n, p, trial_seed, node_budget = args
     start = time.perf_counter()
     s = sample_connection_set(q, n, p, trial_seed)
-    g = build_graph(s)
-    chi = exact_chromatic_number(g)
-    aut = automorphism_group(g, node_budget)
-    if aut.complete:
-        order = str(aut.group.order())
-        eq = group_equals_scalar_affine(aut.group, q, n)
-    else:
-        order = "incomplete"
-        eq = ""
-    cert = ""
-    if eq is True and s.lines:
-        cert = chi_D_upper_certificate(g, aut) is not None
+    record, _ = instance_record(build_graph(s), node_budget)
     runtime_ms = int((time.perf_counter() - start) * 1000)
-    return {
-        "seed": trial_seed,
-        "lines": len(s.lines),
-        "elements": len(s.members),
-        "chi_lower": chi.value,
-        "chi_upper": chi.value,
-        "aut_order": order,
-        "equals_K": eq,
-        "chiD_cert": cert,
-        "runtime_ms": runtime_ms,
-    }
+    return {"seed": trial_seed, "lines": len(s.lines), **record, "runtime_ms": runtime_ms}
 
 
 def monte_carlo_pipeline(q, n, trials, seed, p=0.5, node_budget=200000, jobs=1):
@@ -293,19 +304,18 @@ def monte_carlo_pipeline(q, n, trials, seed, p=0.5, node_budget=200000, jobs=1):
             records = list(pool.map(run_single_trial, argslist))
     else:
         records = [run_single_trial(a) for a in argslist]
-    solved = [r for r in records if r["aut_order"] != "incomplete"]
-    eqk = [r for r in records if r["equals_K"] is True]
+    solved = sum(1 for r in records if r["aut_order"] != "incomplete")
+    eqk = sum(1 for r in records if r["equals_K"] is True)
     aggregate = {
         "trials": trials,
-        "chi_exact_q": sum(
-            1 for r in records if r["chi_lower"] == r["chi_upper"] == q
-        ),
+        "chi_exact_q": sum(1 for r in records if r["chi"] == q),
         "mean_lines": sum(r["lines"] for r in records) / trials,
         "mean_elements": sum(r["elements"] for r in records) / trials,
-        "solved": len(solved),
-        "equals_K": len(eqk),
-        "equals_K_frequency": len(eqk) / len(solved) if solved else None,
-        "cert_success": sum(1 for r in eqk if r["chiD_cert"] is True),
+        "solved": solved,
+        "equals_K": eqk,
+        "equals_K_frequency": eqk / solved if solved else None,
+        "case_ii": sum(1 for r in records if r["dichotomy"] == "ii"),
+        "cert_success": sum(1 for r in records if r["certificate"] is True),
     }
     return {
         "parameters": {
@@ -355,28 +365,13 @@ def sweep_all_line_subsets(q=3, n=2, enum_limit=10**6, node_budget=200000):
     rows = []
     for size in range(1, len(universe) + 1):
         for subset in itertools.combinations(universe, size):
-            s = ConnectionSet(q, n, subset)
-            g = build_graph(s)
-            chi = exact_chromatic_number(g)
-            aut = automorphism_group(g, node_budget)
+            g = build_graph(ConnectionSet(q, n, subset))
+            record, aut = instance_record(g, node_budget)
             if not aut.complete:
                 raise BudgetExceeded(
                     f"automorphism search exceeded {node_budget} nodes at lines {list(subset)}"
                 )
-            dich = dichotomy_check(g, aut)
             verdict = chi_D_exceeds_q_small(g, aut, limit=enum_limit)
-            cert = chi_D_upper_certificate(g, aut)
-            rows.append(
-                {
-                    "lines": [list(rep) for rep in subset],
-                    "elements": len(s.members),
-                    "chi": chi.value,
-                    "aut_order": str(aut.group.order()),
-                    "equals_K": dich["equals_K"],
-                    "dichotomy": dich["dichotomy"],
-                    "chiD_exceeds_q": verdict.exceeds,
-                    "partitions": verdict.partitions,
-                    "certificate": cert is not None,
-                }
-            )
+            rows.append({"lines": [list(rep) for rep in subset], **record,
+                         "chiD_exceeds_q": verdict.exceeds, "partitions": verdict.partitions})
     return rows

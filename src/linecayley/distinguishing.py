@@ -89,7 +89,10 @@ def chi_D_upper_certificate(graph, aut):
     coset class, and the singleton {0} cannot hold an edge.  `ConnectionSet`
     checks this when S is built, so no edge is scanned here.  The search for
     a class-fixing automorphism stops at the first one, so the subgroup
-    that is_distinguishing measures is not built.
+    that is_distinguishing measures is not built.  An empty S has none: two
+    of its q^n >= q + 2 points share a colour, and Sym(V) swaps them.
     """
+    if not graph.connection.members:
+        return None
     cert = plus_zero_recolor(coset_coloring(graph))
     return cert if first_fixing_element(_as_group(aut), cert.class_of) is None else None

@@ -232,11 +232,13 @@ def test_criterion_07_plus_zero_certificate():
     if not hits:
         failures.append("no instance with the scalar-affine group; nothing to certify")
     for r in hits:
-        if r["chiD_cert"] is not True:
+        if r["certificate"] is not True:
             failures.append(f"certificate failed on seed {r['seed']}")
-    if stats["cert_success"] != len(hits):
+    # the certificate is tried on every solved instance, case (ii) included
+    certified = sum(1 for r in agg["records"] if r["certificate"] is True)
+    if stats["cert_success"] != certified or certified < len(hits):
         failures.append(
-            f"aggregate cert count {stats['cert_success']} != {len(hits)}"
+            f"aggregate cert count {stats['cert_success']} != {certified}, or below {len(hits)}"
         )
     _finish(7, "plus-zero certificate", 600.0, start, failures)
 

@@ -13,12 +13,15 @@ from linecayley.bounds import (
     chernoff_report,
     exact_binomial_tail,
     monte_carlo_pipeline,
+    run_single_trial,
     simulate_line_count,
     sweep_all_line_subsets,
     theorem_qn_params,
     trial_rows,
 )
-from linecayley.cayley import sample_connection_set
+from linecayley.autgroup import automorphism_group, dichotomy_check
+from linecayley.cayley import build_graph, sample_connection_set
+from linecayley.distinguishing import chi_D_upper_certificate
 
 
 def test_exact_binomial_tail():
@@ -72,6 +75,30 @@ def test_log_space_tail_matches_exact():
         n_trials = rng.randrange(EXACT_TRIALS + 1, 6000)
         t = rng.randrange(0, (n_trials + 1) // 2)
         assert abs(binomial_tail_log2(n_trials, t) - exact_log2(n_trials, t)) < 1e-9
+
+
+def test_log_space_tail_far_past_the_exact_range():
+    # the line reading at q near 10^4 and 10^5, where ln C(n_trials, t) and
+    # n_trials ln 2 agree in all but their last few digits, against 50 digits
+    # of mpmath: loggamma for C(n_trials, t), and the sum of the terms below
+    # it in 200-bit fixed point, stopped once a term is 2^-80 of the sum
+    mpmath = pytest.importorskip("mpmath")
+    loggamma = mpmath.loggamma
+    one = 1 << 200
+    for q, n in ((10007, 3), (99991, 3), (99991, 4), (99991, 6)):
+        num_lines = q ** (n - 1)
+        t = (num_lines - q ** (n - 2)) // 2 - 1
+        total = term = one
+        for j in range(t, 0, -1):
+            term = term * j // (num_lines - j + 1)
+            total += term
+            if term <= total >> 80:
+                break
+        with mpmath.workdps(50):
+            log_comb = loggamma(num_lines + 1) - loggamma(t + 1) - loggamma(num_lines - t + 1)
+            want = (log_comb + mpmath.log(mpmath.mpf(total) / one)) / mpmath.log(2) - num_lines
+        got = binomial_tail_log2(num_lines, t)
+        assert abs(got - want) <= 1e-12 * abs(want), (q, n, got, want)
 
 
 def test_bounds_far_beyond_the_exact_range(deadline):
@@ -205,10 +232,13 @@ def test_pipeline_replay_deterministic():
     assert a1["aggregate"]["chi_exact_q"] == 6
     assert a1["aggregate"]["solved"] == 6
     assert a1["aggregate"]["equals_K"] == 4
-    assert a1["aggregate"]["cert_success"] == 4
+    assert a1["aggregate"]["case_ii"] == 2
+    # the certificate is tried on every solved instance, and holds on one
+    # of the two whose Aut is not K
+    assert a1["aggregate"]["cert_success"] == 5
     rec = a1["records"][0]
     assert rec["aut_order"] == "500"
-    assert rec["chi_lower"] == rec["chi_upper"] == 5
+    assert rec["chi"] == 5
     with pytest.raises(ValueError):
         monte_carlo_pipeline(5, 3, 2, None)
 
@@ -255,7 +285,7 @@ def test_trial_rows():
     agg = monte_carlo_pipeline(3, 2, 3, 4, jobs=1)
     # the header is the records' keys; a key dropped from every record,
     # as runtime_ms is under --no-meta, leaves the header and every row
-    header = "seed,lines,elements,chi_lower,chi_upper,aut_order,equals_K,chiD_cert"
+    header = "seed,lines,elements,chi,aut_order,equals_K,dichotomy,certificate"
     rows = list(trial_rows(agg["records"]))
     assert rows[0] == header + ",runtime_ms"
     assert len(rows) == 4
@@ -265,6 +295,45 @@ def test_trial_rows():
     bare = list(trial_rows(agg["records"]))
     assert bare[0] == header
     assert [row.rsplit(",", 1)[0] for row in rows[1:]] == bare[1:]
+
+
+def _direct_verdicts(connection):
+    g = build_graph(connection)
+    aut = automorphism_group(g)
+    dich = dichotomy_check(g, aut)
+    return {
+        "elements": len(connection.members),
+        "aut_order": str(aut.group.order()),
+        "equals_K": dich["equals_K"],
+        "dichotomy": dich["dichotomy"],
+        "certificate": chi_D_upper_certificate(g, aut) is not None,
+    }
+
+
+def test_trial_records_replay_direct_calls():
+    # each trial's verdicts are those of the library's own calls on the set
+    # its seed samples, whatever the dichotomy says
+    for q, n, p in ((3, 3, 0.75), (5, 3, 0.5)):
+        records = monte_carlo_pipeline(q, n, 20, 7, p=p)["records"]
+        for r in records:
+            want = _direct_verdicts(sample_connection_set(q, n, p, r["seed"]))
+            assert {key: r[key] for key in want} == want, (q, n, p, r["seed"])
+        assert {r["dichotomy"] for r in records} == ({"ii"} if q == 3 else {"i", "ii"})
+
+
+def test_trials_and_census_agree_at_3_2():
+    # for every line set at (3,2), a seed that samples it gives a trial
+    # whose shared verdicts are those of its census row
+    rows = sweep_all_line_subsets(3, 2)
+    seeds = {}
+    for seed in range(100):
+        lines = [list(rep) for rep in sample_connection_set(3, 2, 0.5, seed).lines]
+        seeds.setdefault(str(lines), seed)
+    for row in rows:
+        trial = run_single_trial((3, 2, 0.5, seeds[str(row["lines"])], 200000))
+        shared = trial.keys() & row.keys() - {"lines"}
+        assert shared == {"elements", "chi", "aut_order", "equals_K", "dichotomy", "certificate"}
+        assert {key: trial[key] for key in shared} == {key: row[key] for key in shared}
 
 
 def test_sweep_all_line_subsets():

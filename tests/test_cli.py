@@ -376,6 +376,18 @@ def test_distinguish_certificate(capsys):
     assert d["coloring"]["num_colors"] == 6
 
 
+def test_distinguish_on_an_empty_sample(capsys):
+    # a seed or a p that samples no line is valid input: the edgeless graph
+    # has no (q+1) certificate, and distinguish says so and exits 0
+    for argv in (
+        ("--q", "3", "--n", "2", "--seed", "-5"),
+        ("--q", "5", "--n", "3", "--p", "0", "--seed", "1"),
+    ):
+        code, out = run(capsys, "distinguish", *argv, "--no-meta")
+        assert code == 0, argv
+        assert json.loads(out) == {"certificate_found": False}
+
+
 def test_distinguish_given_coloring(capsys, tmp_path):
     s = sample_connection_set(5, 3, 0.5, 42)
     g = build_graph(s)
@@ -435,7 +447,7 @@ def test_experiment_csv(capsys):
                     "--trials", "2", "--format", "csv", "--no-meta")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "seed,lines,elements,chi_lower,chi_upper,aut_order,equals_K,chiD_cert"
+    assert lines[0] == "seed,lines,elements,chi,aut_order,equals_K,dichotomy,certificate"
     assert len(lines) == 3
     code2, out2 = run(capsys, "experiment", "--q", "3", "--n", "2", "--seed", "4",
                       "--trials", "2", "--format", "csv", "--no-meta")
@@ -483,9 +495,9 @@ OUTPUT_DIGESTS = [
     (("distinguish", "--q", "5", "--n", "3", "--seed", "8"),
      "49b16f7bb00d40a5bcfaac66fccc2533e51c46fa2bccf7ceb159cd2965587ca9"),
     (("experiment", "--q", "5", "--n", "3", "--trials", "20", "--seed", "3"),
-     "cbb7945909b41d1bda7054ef865007f9ab46747f1451b97f5b6fed75940c81c0"),
+     "6cabae1e2596edae18d517dc07557df61f83ea85fe8db282195d03a0736d4251"),
     (("experiment", "--q", "5", "--n", "3", "--trials", "20", "--seed", "3", "--format", "csv"),
-     "0cc4546757cbff3e0f2261c3ec0fbe4cd2c33bcf74436608569af1baa8006d1a"),
+     "801eb77344abe800463037dbc736cb9cfd4fbdce745049eedc3744ebfe8d040f"),
     (("sample", "--q", "5", "--n", "4", "--seed", "1"),
      "f699eeae0ac95da88bf8ca84bd66371678eb992a9d9231cde67a7fdb35ba1615"),
     (("build", "--q", "5", "--n", "3", "--seed", "4", "--format", "dimacs"),
