@@ -86,11 +86,11 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, compress, filterfalse, islice, repeat
-from operator import add, eq, itemgetter, not_
+from operator import itemgetter, not_
 
 from .cayley import id_mask
 from .errors import BudgetExceeded
-from .field import affine_ids, decode, inv_mod, is_scalar_matrix, transvection, vec_add, vec_scale
+from .field import affine_ids, decode, inv_mod, is_scalar_matrix, transvection
 from .permgroup import (
     PermGroup, depth_first, inverse_perm, orbit_count, scalar_affine_group, symmetric_group,
     twin_generators, twin_group,
@@ -111,30 +111,33 @@ class AutResult:
     linear: PermGroup | None = None
 
 
-def _preserves_neighbors(neighbors, p, qn=None):
+def _preserves_neighbors(neighbors, p, space=None):
     """Whether the permutation p maps every v + S onto p(v) + S, and how
     many v were compared; p is one-to-one, so p(v + S) has |S| points and is
-    p(v) + S when it holds every point of it.  With qn = (q, n), ids are
-    vectors' ids, and one v per coset of U is compared, U spanned by the e_j
-    with p(x + e_j) = p(x) + c_j for every x, c_j = p(e_j) - p(0), tried
-    first at the x with p(x) = p(0) + e_k.  Then p(v + u) = p(v) + c(u) for
-    u in U, c linear, so p(v + S) = p(v) + S gives p(v + u + S) = p(v + u) +
-    S.  An affine p, x -> Ax + p(0), is compared at v = 0 alone: A·S = S.
-    Without qn, every v is compared."""
-    reps = range(len(p)) if qn is None else [0]
-    if qn is not None:
-        q, n = qn
-        minus = vec_scale(q - 1, decode(p[0], q, n), q)
-        shifts = scalar_affine_group(q, n).generators[:n]
-        # x_k, the x with p(x) = p(0) + e_k, for each k
-        firsts = [p.index(t[p[0]]) for t in shifts]
-        for j, shift in enumerate(shifts):
-            if all(p[shift[x]] == t[p[shift[0]]] for x, t in zip(firsts, shifts)):
-                moved = affine_ids(q, n, 1, vec_add(decode(p[q ** j], q, n), minus, q))
-                if all(map(eq, map(p.__getitem__, shift), map(moved.__getitem__, p))):
-                    continue
-            reps = [r + d * q ** j for d in range(q) for r in reps]
+    p(v) + S when it holds every point of it.  With space, the graph or the
+    search's _ScalarOrbits, ids are vectors' ids, added by its translate,
+    and one v per coset of U is compared, U spanned by the e_j with
+    p(x + e_j) = p(x) + c_j for every x, c_j = p(e_j) - p(0), tried first
+    at the x = e_k.  Then p(v + u) = p(v) + c(u) for u in U, c linear, so
+    p(v + S) = p(v) + S gives p(v + u + S) = p(v + u) + S.  An affine p,
+    x -> Ax + p(0), is compared at v = 0 alone: A·S = S.  Without space,
+    every v is compared."""
     image = p.__getitem__
+    reps = range(len(p)) if space is None else [0]
+    if space is not None:
+        q, translate = space.q, space.translate
+        units = [q ** j for j in range(space.n)]
+        at_units = list(map(image, units))
+        # c_j = p(e_j) - p(0), for each j
+        shifts = translate(space.multiples(p[0])[-1], at_units)
+        for e, c in zip(units, shifts):
+            # at the x = e_k first, which turns most p that are not affine
+            # away before V ids are added
+            if (
+                list(map(image, translate(e, units))) != translate(c, at_units)
+                or list(map(image, translate(e, range(len(p))))) != translate(c, p)
+            ):
+                reps = [r + d * e for d in range(q) for r in reps]
     for compared, v in enumerate(reps, 1):
         if not set(map(image, neighbors(v))).issuperset(neighbors(p[v])):
             return False, compared
@@ -289,10 +292,12 @@ class _ScalarOrbits:
     that of any vertex in it, so the refinement makes the vertex route's
     splits at positions and sizes q - 1 times smaller; lift turns its cells
     and trace into the vertex route's.  The vertices' rows are read from
-    vertices, the search's _Vertices, whose counts this shares.  No point
-    is single: {0}, the one splitter of one point, is popped once per
-    search and counted like any other splitter, and refine keeps the live
-    points for the direct route (see splitter_counts).
+    vertices, the search's _Vertices, whose counts this shares, and ids are
+    added by the graph's translate and multiples, which the direct counts,
+    _linear_group and the leaf check read from here.  No point is single:
+    {0}, the one splitter of one point, is popped once per search and
+    counted like any other splitter, and refine keeps the live points for
+    the direct route (see splitter_counts).
     """
 
     keeps_live = True
@@ -315,7 +320,8 @@ class _ScalarOrbits:
         self._zero_neighbors = sorted(map(self.orbit_of.__getitem__, row[:: self.q - 1]))
         self.mask_route_above = self.zero * (MASK_STEP_FIXED + self.degree // MASK_STEP_BITS)
         self.members = frozenset(row)
-        self.split, self.lo, self.hi, self.scaled = graph.digit_tables()
+        self.translate = graph.translate
+        self.multiples = graph.multiples
 
     def neighbors(self, i):
         """The orbits of r + S, one per member of S, r being reps[i]; for
@@ -363,23 +369,16 @@ class _ScalarOrbits:
         """The same counts as _counts_from_ids on the points of live alone,
         each that of its representative r_j = reps[j]: #{x in W : x + r_j
         in S}, W being the vertices of the members, as W = -W and S = -S.
-        The ids of x + r_j are sums of split digits, and those of the
-        vertices c r of an orbit come from r's, both by the graph's
-        digit_tables."""
-        m, lo, hi, reps = self.split, self.lo, self.hi, self.reps
+        The vertices c r of an orbit are the graph's multiples of r, and the
+        ids of x + r_j its translate of the live reps by x."""
+        reps, translate = self.reps, self.translate
         live = list(live)
-        # 0 pads the reps, as itemgetter of one index returns no tuple;
-        # compress stops at the end of live, before it
-        live_reps = [*map(reps.__getitem__, live), 0]
-        low = itemgetter(*map(m.__rmod__, live_reps))
-        high = itemgetter(*map(m.__rfloordiv__, live_reps))
-        vertices = [
-            (lo[scale_lo[r % m]], hi[scale_hi[r // m]])
-            for r in map(reps.__getitem__, members)
-            for scale_lo, scale_hi in (self.scaled if r else self.scaled[:1])
-        ]
+        live_reps = list(map(reps.__getitem__, live))
+        vertices = chain.from_iterable(
+            self.multiples(r) if r else (0,) for r in map(reps.__getitem__, members)
+        )
         contains = self.members.__contains__
-        hits = (compress(live, map(contains, map(add, low(a), high(b)))) for a, b in vertices)
+        hits = (compress(live, map(contains, translate(x, live_reps))) for x in vertices)
         return Counter(chain.from_iterable(hits))
 
     def lift(self, part, trace):
@@ -538,21 +537,21 @@ def _linear_group(scalars, node):
     point x of its own cell, and y + b_j, for each y in the span of the
     earlier ones, to M y + x, which must lie in y + b_j's cell; that covers
     the span of b_1..b_j, as M(y + c b_j) = c M(y / c + b_j), and makes M
-    one-to-one, {0} being a cell.  A leaf is kept when it maps S into S,
-    all a linear map needs; S being a union of cells, every leaf passes,
-    and the check only guards the cells given.  The PermGroup constructor
-    completes one level per b_j, deepest first, so the generators fixing
-    b1 span G_0's stabilizer of b1.
+    one-to-one, {0} being a cell.  The span and the images are the
+    graph's translates of multiples, read through scalars.  A leaf is kept
+    when it maps S into S, all a linear map needs; S being a union of
+    cells, every leaf passes, and the check only guards the cells given.
+    The PermGroup constructor completes one level per b_j, deepest first,
+    so the generators fixing b1 span G_0's stabilizer of b1.
     """
-    m, lo, hi, scaled = scalars.split, scalars.lo, scalars.hi, scalars.scaled
+    translate = scalars.translate
     lab, cell, size = node.lab, node.cell, node.size
 
     def spanned(ids, x):
         """ids, then z + c x for c = 1..q-1 and z in ids."""
         out = list(ids)
-        for low, high in scaled:
-            low, high = lo[low[x % m]], hi[high[x // m]]
-            out += [low[z % m] + high[z // m] for z in ids]
+        for y in scalars.multiples(x):
+            out += translate(y, ids)
         return out
 
     # the span, built once, in the order of the images: those of the span
@@ -576,8 +575,7 @@ def _linear_group(scalars, node):
     def extend(images, j, x):
         """The images of the span of basis[: j + 1] when M maps basis[j] to
         x, or None when a point leaves its cell."""
-        low, high = lo[x % m], hi[x // m]
-        if [cell[low[z % m] + high[z // m]] for z in images] != want[j]:
+        if list(map(cell.__getitem__, translate(x, images))) != want[j]:
             return None
         return spanned(images, x)
 
@@ -625,8 +623,7 @@ class _Search:
         """The map taking the leftmost leaf onto the discrete partition lab,
         if it is an automorphism."""
         p = tuple(map(lab.__getitem__, self._leaf_pos))
-        qn = self.scalars and (self.scalars.q, self.scalars.n)
-        kept, compared = _preserves_neighbors(self.vertices.neighbors, p, qn)
+        kept, compared = _preserves_neighbors(self.vertices.neighbors, p, self.scalars)
         counts = self.vertices.counts
         counts["leaves"] += 1
         counts["leaf_vertices"] += compared
@@ -776,7 +773,7 @@ def _search_group(graph, node_budget):
 def is_automorphism(graph, p):
     """Whether p is a permutation of the vertex ids that preserves adjacency."""
     permutation = sorted(p) == list(range(graph.num_vertices))
-    return permutation and _preserves_neighbors(graph.neighbor_ids, p, (graph.q, graph.n))[0]
+    return permutation and _preserves_neighbors(graph.neighbor_ids, p, graph)[0]
 
 
 def group_equals_scalar_affine(group, q, n):

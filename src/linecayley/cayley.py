@@ -2,6 +2,7 @@
 
 import random
 from functools import cached_property, lru_cache
+from itertools import compress
 from operator import itemgetter
 
 from .errors import InvariantViolation
@@ -130,13 +131,23 @@ class CayleyGraph:
         hi = self._hi[v // self._split]
         return [lo[a] + hi[b] for a, b in self._digits]
 
-    def digit_tables(self):
-        """(m, lo, hi, scaled): the split-digit addition tables, by which
-        the id of w + s is lo[w % m][s % m] + hi[w // m][s // m] (see
-        _addition_tables), and per scalar c = 1..q-1 the pair of tables
-        taking the low and the high split digit of an id x to those of c x
-        (see _scaled_digits)."""
-        return self._split, self._lo, self._hi, _scaled_digits(self.q, self.n)
+    def translate(self, x, ids):
+        """The ids of x + z for z in ids, in order, by the split-digit
+        addition tables (see _addition_tables)."""
+        m = self._split
+        lo, hi = self._lo[x % m], self._hi[x // m]
+        return [lo[z % m] + hi[z // m] for z in ids]
+
+    def multiples(self, x):
+        """The ids of c x for c = 1..q-1, in order of c: each is the one
+        before plus x."""
+        m = self._split
+        lo, hi = self._lo[x % m], self._hi[x // m]
+        out = [x]
+        for _ in range(self.q - 2):
+            y = out[-1]
+            out.append(lo[y % m] + hi[y // m])
+        return out
 
     @cached_property
     def period(self):
@@ -158,19 +169,15 @@ class CayleyGraph:
         q, n, lines = self.q, self.n, self.connection.lines
         if not lines or len(lines) % q:
             return (0,)
-        m, lo, hi, scaled = self.digit_tables()
         universe = _universe(q, n)
         r0, *reps = ids = [universe[rep][1] for rep in lines]
-        # the split digits of -r_0, and the ids of r - r_0
-        a, b = scaled[-1][0][r0 % m], scaled[-1][1][r0 // m]
-        low, high = lo[a], hi[b]
-        shifts = [low[r % m] + high[r // m] for r in reps]
-        members = frozenset(ids)
+        # the ids of r - r_0
+        shifts = self.translate(self.multiples(r0)[-1], reps)
+        contains = frozenset(ids).__contains__
         for r in reps:
             if not shifts:
                 break
-            low, high = lo[r % m], hi[r // m]
-            shifts = [t for t in shifts if low[t % m] + high[t // m] in members]
+            shifts = list(compress(shifts, map(contains, self.translate(r, shifts))))
         return (0, *sorted(shifts))
 
     def quotient(self):
@@ -204,12 +211,7 @@ class CayleyGraph:
         starts = [0]
         for j in columns:
             starts = [x + d * q ** j for d in range(q) for x in starts]
-        m, lo, hi = self._split, self._lo, self._hi
-        cosets = [
-            [low[w % m] + high[w // m] for w in period]
-            for low, high in ((lo[x % m], hi[x // m]) for x in starts)
-        ]
-        return graph, cosets
+        return graph, [self.translate(x, period) for x in starts]
 
     def neighbor_masks(self):
         """Yield the bitmask of N(v) = v + S for v = 0, 1, ..., V-1.
@@ -273,11 +275,12 @@ def _addition_tables(q, n):
 
     The split-digit addition tables: with m = q**h, the id of w + s is
     lo[w % m][s % m] + hi[w // m][s // m]; they hold at most q^(n+1) ints,
-    where a table of every v + s would hold V * |S|.  And per digit i, the
-    step of neighbor_masks by e_i: (ids whose digit i is below q-1, the
-    rest, the shift up, the shift down), a graph's steps, which the
-    scalar-orbit counts of autgroup also read.  All tuples, shared by every
-    graph of the size; cached, as a process works on few sizes.
+    where a table of every v + s would hold V * |S|.  No other module reads
+    them but through a graph's neighbor_ids, translate and multiples.  And
+    per digit i, the step of neighbor_masks by e_i: (ids whose digit i is
+    below q-1, the rest, the shift up, the shift down), a graph's steps,
+    which the scalar-orbit counts of autgroup also read.  All tuples, shared
+    by every graph of the size; cached, as a process works on few sizes.
     """
     h = _low_digits(n)
     m = q ** h
@@ -294,16 +297,6 @@ def _addition_tables(q, n):
         wrap = block * (((1 << v) - 1) // ((1 << q * step) - 1))
         steps.append((((1 << v) - 1) ^ wrap, wrap, step, (q - 1) * step))
     return m, lo, hi, tuple(steps)
-
-
-@lru_cache(maxsize=4)
-def _scaled_digits(q, n):
-    """For each scalar c = 1..q-1, the tables taking the low and the high
-    split digit of an id x (see _addition_tables) to those of c x: q - 1
-    pairs of tables of q^h and q^(n-h) ids."""
-    h = _low_digits(n)
-    low, high = (0,) * h, (0,) * (n - h)
-    return tuple((affine_ids(q, h, c, low), affine_ids(q, n - h, c, high)) for c in range(1, q))
 
 
 class _Lines(dict):

@@ -95,10 +95,6 @@ def primitive_root(q):
 # vectors
 
 
-def vec_add(u, v, q):
-    return tuple([(a + b) % q for a, b in zip(u, v)])
-
-
 def vec_scale(c, u, q):
     return tuple([c * a % q for a in u])
 

@@ -31,8 +31,7 @@ from linecayley.autgroup import _counts_from_ids
 from linecayley.cayley import ConnectionSet
 from linecayley.errors import BudgetExceeded
 from linecayley.field import (
-    affine_ids, decode, encode, is_scalar_matrix, mat_apply, require_odd_prime, rref, vec_add,
-    vec_scale,
+    affine_ids, decode, encode, is_scalar_matrix, mat_apply, require_odd_prime, rref, vec_scale,
 )
 from linecayley.geometry import line_universe, proj_rep
 from linecayley.permgroup import PermGroup
@@ -53,6 +52,10 @@ def brute_line_census(q, n):
         lines.add(pts)
     good = sum(1 for pts in lines if all(p[-1] != 0 for p in pts))
     return good, len(lines)
+
+
+def vec_add(u, v, q):
+    return tuple([(a + b) % q for a, b in zip(u, v)])
 
 
 def brute_affine_ids(q, n, lam, b):

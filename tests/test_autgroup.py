@@ -36,7 +36,7 @@ from linecayley.cayley import (
 from linecayley.coloring import coset_coloring, exact_chromatic_number, plus_zero_recolor
 from linecayley.distinguishing import is_distinguishing
 from linecayley.errors import BudgetExceeded
-from linecayley.field import affine_ids, decode, is_scalar_matrix, mat_apply, vec_add, vec_scale
+from linecayley.field import affine_ids, decode, is_scalar_matrix, mat_apply, vec_scale
 from linecayley.geometry import line_universe
 from linecayley.permgroup import (
     PermGroup,
@@ -62,6 +62,7 @@ from oracles import (
     rank,
     reference_individualized_cells,
     sorting_refine,
+    vec_add,
 )
 
 
@@ -130,7 +131,7 @@ def test_leaf_check_on_affine_maps(drawn):
     g, edges = _leaf_graph(q, n)
     members = g.connection.members
     fixes = all(mat_apply(m, v, q) in members for v in members)
-    assert _preserves_neighbors(g.neighbor_ids, p, (q, n)) == (fixes, 1)
+    assert _preserves_neighbors(g.neighbor_ids, p, g) == (fixes, 1)
     assert is_automorphism(g, p) == brute_preserves_edges(g, p, edges) == fixes
 
 
@@ -149,7 +150,7 @@ def test_leaf_check_on_affine_maps_with_a_transposition(drawn, data):
     first = next(
         x for x in range(q ** n) if {p[y] for y in g.neighbor_ids(x)} != set(g.neighbor_ids(p[x]))
     )
-    assert _preserves_neighbors(g.neighbor_ids, p, (q, n)) == (False, first + 1)
+    assert _preserves_neighbors(g.neighbor_ids, p, g) == (False, first + 1)
     assert not is_automorphism(g, p)
     assert not brute_preserves_edges(g, p, edges)
 
@@ -170,8 +171,8 @@ def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
     # agrees; more of them are checked on several vertices than on one
     answers = Counter()
 
-    def both(neighbors, p, qn=None):
-        got = _preserves_neighbors(neighbors, p, qn)
+    def both(neighbors, p, space=None):
+        got = _preserves_neighbors(neighbors, p, space)
         assert got[0] == _preserves_neighbors(neighbors, p)[0]
         answers[got[0], got[1] == 1] += 1
         return got
@@ -197,7 +198,7 @@ def test_leaf_check_on_part_of_the_unit_directions():
     # cosets, each the layer x[2] = c, and one vertex of each is compared
     g = build_graph(ConnectionSet(3, 3, [l for l in line_universe(3, 3) if l[2] != 0]))
     p = tuple(3 * (v // 3) + (v + 1) % 3 if v < 9 else v for v in range(27))
-    assert _preserves_neighbors(g.neighbor_ids, p, (3, 3)) == (True, 3)
+    assert _preserves_neighbors(g.neighbor_ids, p, g) == (True, 3)
     assert _preserves_neighbors(g.neighbor_ids, p) == (True, 27)
     assert is_automorphism(g, p) and brute_preserves_edges(g, p)
 

@@ -21,11 +21,10 @@ from linecayley.field import (
     decode,
     encode,
     require_space,
-    vec_add,
     vec_scale,
 )
 from linecayley.geometry import line_points, line_universe
-from oracles import is_edge, masks_by_shift_tables
+from oracles import is_edge, masks_by_shift_tables, vec_add
 
 
 def test_huge_sizes_are_refused_before_any_table(no_tables):
@@ -313,11 +312,23 @@ def test_graphs_from_a_warm_line_cache_match_shift_tables():
 
 @pytest.mark.parametrize("q, n", [(3, 2), (3, 3), (5, 3), (7, 2)])
 def test_addition_tables_add(q, n):
+    # the tables, and the graph's translate and multiples built on them,
+    # agree with vector arithmetic; at odd n the low split digit holds one
+    # base-q digit more than the high one
     m, lo, hi, _ = _addition_tables(q, n)
     for w in range(q ** n):
         for s in range(q ** n):
             want = encode(vec_add(decode(w, q, n), decode(s, q, n), q), q)
             assert lo[w % m][s % m] + hi[w // m][s // m] == want
+    g = build_graph(sample_connection_set(q, n, 0.5, 1))
+    rng = random.Random(q * 100 + n)
+    for x in [0, q ** n - 1, *rng.sample(range(q ** n), min(q ** n, 10))]:
+        u = decode(x, q, n)
+        assert g.multiples(x) == [encode(vec_scale(c, u, q), q) for c in range(1, q)]
+        ids = [rng.randrange(q ** n) for _ in range(rng.randrange(30))]
+        want = [encode(vec_add(u, decode(z, q, n), q), q) for z in ids]
+        assert g.translate(x, ids) == want
+        assert g.translate(x, range(q ** n)) == affine_ids(q, n, 1, u)
 
 
 @pytest.mark.parametrize("q, n", [(3, 2), (3, 5), (5, 4), (7, 3)])

@@ -16,9 +16,11 @@ from linecayley.coloring import (
     plus_zero_recolor,
 )
 from linecayley.errors import EnumerationLimitExceeded
-from linecayley.field import encode, vec_add, vec_scale
+from linecayley.field import encode, vec_scale
 from linecayley.geometry import line_universe
-from oracles import brute_chromatic_number, brute_partition_count, is_edge, proper_by_edge_scan
+from oracles import (
+    brute_chromatic_number, brute_partition_count, is_edge, proper_by_edge_scan, vec_add,
+)
 
 
 def _neighbors(g):

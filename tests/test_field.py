@@ -17,7 +17,6 @@ from linecayley.field import (
     mat_apply,
     primitive_root,
     require_odd_prime,
-    vec_add,
     vec_scale,
 )
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     mat_mul,
     mat_sub_scalar,
     rank,
+    vec_add,
 )
 
 
