@@ -56,10 +56,11 @@ instances of the paper's regime fall.  It returns
 permgroup.scalar_affine_group, the one K of its size.  Otherwise the vertex
 arrays and trace are rebuilt from it, and G_0, the group of the linear
 maps M with M·S = S, is found by a backtrack over basis images
-(_linear_group); AutResult.linear holds it, and the dichotomy's witness
-is read off it.  The next level, the first on the vertices, stops at the
-orbit count of G_0's stabilizer of its base point, known automorphisms;
-every deeper level, and every right node, keeps its stop.  Each node of
+(_linear_group); AutResult.linear holds it, the dichotomy's witness is
+read off it, and its generators join the pool after K's.  The next level,
+the first on the vertices, stops at the orbit count of G_0's stabilizer of
+its base point, known automorphisms; every deeper level, and every right
+node, keeps its stop.  Each node of
 the leftmost path is refined once, and its split trace (position, (count,
 size) pairs) is kept.  Any other node is refined alone and compared with
 the trace of the path node at its depth, and it is dropped at the first
@@ -74,12 +75,13 @@ give σ's image of the refined path node.  Only a right node that no
 automorphism reaches, which repeats the path's splits and would split
 further, is searched where it used to be dropped.  A leaf maps the leftmost
 leaf onto itself, and it is kept when it maps v + S onto p(v) + S at one v
-per coset of the unit translations p normalizes.  The scalar-affine group
-seeds the generator pool, whose orbits prune sibling branches; a node
-budget turns long searches into an explicitly incomplete result instead of
-a wrong one.  The PermGroup constructor completes the levels deepest first,
-growing the pool into a strong generating set on the base, so the group is
-built without a closure.
+per coset of the unit translations p normalizes.  The scalar-affine group,
+and G_0 where it is built, seed the generator pool, whose orbits prune
+sibling branches (see _Search.stabilize); a node budget turns long
+searches into an explicitly incomplete result instead of a wrong one.  The
+PermGroup constructor completes the levels deepest first, growing the pool
+into a strong generating set on the base, so the group is built without a
+closure.
 """
 
 from collections import Counter, deque
@@ -663,10 +665,17 @@ class _Search:
         automorphisms that fix 0 and b1: G_0's stabilizer of b1, spanned by
         the generators of G_0 (_linear_group, built once here) that fix b1,
         its first base point.  At every deeper level, and at every level
-        without the scalar orbits, it stops at V cells.  The PermGroup
+        without the scalar orbits, it stops at V cells.  G_0's generators
+        join the pool after K's, those it holds skipped.  The PermGroup
         constructor then completes the levels deepest first: one
         automorphism for each point of a level's target cell outside the
-        orbit of its base point, if there is one, joins the pool.
+        orbit of its base point, if there is one, joins the pool.  So a
+        point that a linear automorphism reaches costs no right node and
+        no leaf check (McKay & Piperno's pruning by known automorphisms).
+        That completion is all the seeded pool prunes: the leftmost path
+        reads no generator, so the base, every trace, the group and the
+        witness are those of an unseeded pool, and only the generators
+        found, the nodes and the leaf counters move.
 
         When the refinement after 0 reaches its stop, Aut = K, and the
         search returns scalar_affine_group, with no further level.
@@ -709,6 +718,8 @@ class _Search:
             path.append((_Cells.unit(degree), 0, trace, stop))
             base.append(0)
             self.linear = _linear_group(self.scalars, node)
+            # G_0's generators follow K's in the pool, those it holds skipped
+            self.pool += [g for g in self.linear.generators if g not in self.pool]
             # the level after 0 stops at the orbits of G_0's stabilizer of
             # its base point, b1, the first base point of G_0
             b1 = self.linear.base()[0]
@@ -733,10 +744,13 @@ def automorphism_group(graph, node_budget=200000):
     """Full automorphism group, or the subgroup found when the budget runs out.
 
     The scalar-affine group's generators seed the pool, so it is always
-    contained in the result.  When S has a period W, G is G/W with |W|
-    twins per point, and the search runs on G/W alone, or not at all when
-    G/W is K_q (see CayleyGraph.quotient and permgroup.twin_group); nodes
-    and counts are G/W's, and counts["period"] is |W|.
+    contained in the result; where the search goes past the refinement
+    after 0, G_0's generators (AutResult.linear) follow them, so an
+    incomplete search's pool holds both before whatever was found.  When S
+    has a period W, G is G/W with |W| twins per point, and the search runs
+    on G/W alone, or not at all when G/W is K_q (see CayleyGraph.quotient
+    and permgroup.twin_group); nodes and counts are G/W's, and
+    counts["period"] is |W|.
     """
     if len(graph.period) == 1:
         return _search_group(graph, node_budget)

@@ -168,8 +168,11 @@ def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
     # every leaf the search checks at (3,3), p = 0.75, seeds 0-19, most of
     # which are not affine: the shortcut gives the full loop's answer.  So
     # does is_automorphism on every generator of the pool, where brute force
-    # agrees; more of them are checked on several vertices than on one
+    # agrees.  Of K's generators and those the search found, more are
+    # checked on several vertices than on one (133 to 77); G_0's seeded
+    # generators, linear and so checked on one vertex each, are not counted
     answers = Counter()
+    k_generators = set(scalar_affine_group(3, 3).generators)
 
     def both(neighbors, p, space=None):
         got = _preserves_neighbors(neighbors, p, space)
@@ -185,10 +188,12 @@ def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
         assert aut.counts["leaves"] == sum(answers.values())
         answers.clear()
         edges = edge_set(g)
+        seeded = set(aut.linear.generators if aut.linear else ()) - k_generators
         for p in aut.pool:
             assert is_automorphism(g, p) and brute_preserves_edges(g, p, edges), seed
-        generators += answers
-        answers.clear()
+            if p not in seeded:
+                generators += answers
+            answers.clear()
     assert generators[True, False] > generators[True, True]
 
 
@@ -204,12 +209,34 @@ def test_leaf_check_on_part_of_the_unit_directions():
 
 
 def test_leaf_counts_are_pinned():
-    # planted (5,4) seed 1 reaches one leaf, an affine one, checked on one
-    # vertex; case (i) reaches none
+    # planted (5,4) seed 1 reaches no leaf: its one automorphism beyond K,
+    # the homology, is in G_0, which seeds the pool (before that it reached
+    # one leaf, an affine one, checked on one vertex); case (i) reaches none
     aut = automorphism_group(build_graph(planted_homology_connection(5, 4, 1)))
-    assert (aut.counts["leaves"], aut.counts["leaf_vertices"]) == (1, 1)
+    assert (aut.counts["leaves"], aut.counts["leaf_vertices"]) == (0, 0)
     aut = automorphism_group(build_graph(sample_connection_set(5, 4, 0.5, 1)))
     assert (aut.counts["leaves"], aut.counts["leaf_vertices"]) == (0, 0)
+
+
+def test_seeded_pool_totals_are_pinned():
+    # the totals of nodes and leaf checks per grid, with G_0's generators
+    # in the pool: the completion of each level tries no point that a
+    # linear automorphism reaches.  Before G_0 seeded the pool they were
+    # 4,078 and 860, 558 and 52, and 158 and 26
+    grids = {
+        (3, 3, 0.75, 200): (2475, 457),
+        (5, 3, 0.5, 200): (499, 3),
+        (3, 4, 0.5, 40): (130, 0),
+    }
+    found = {}
+    for q, n, p, count in grids:
+        nodes = leaves = 0
+        for seed in range(count):
+            aut = automorphism_group(build_graph(sample_connection_set(q, n, p, seed)))
+            nodes += aut.nodes
+            leaves += aut.counts["leaves"]
+        found[q, n, p, count] = (nodes, leaves)
+    assert found == grids
 
 
 def test_row_table_matches_rows_built_on_demand(monkeypatch):
@@ -427,33 +454,35 @@ def test_split_traces_are_pinned():
     # p = 0.5 cases are in case (i), where the search stops after the
     # refinement after 0, visits 2 nodes and returns K on its own base
     # (0, q^(n-1)); their digests were recorded when it refined the last
-    # level too, in 3 nodes, on the base it found there
+    # level too, in 3 nodes, on the base it found there.  The case-(ii)
+    # nodes and digests were re-recorded when G_0's generators joined the
+    # pool after K's, every base unchanged
     k_digest = "ceb449eca216d37655b4811032970a9138ef88168f209cacd9d04d72b0556ce9"
-    ii_digest = "229cc8016aba9c14d784cceaee9d565b195d88c32a2fab9c709d70fe2cd71604"
+    ii_digest = "8886717af44fd3dc656fedfaded0c6f36ae0f798da18312aa83ce2e1089b069a"
     cases = {
         (5, 4, 0.5, 1): (2, (0, 125), k_digest),
         (5, 4, 0.5, 2): (2, (0, 125), k_digest),
         (5, 4, 0.5, 3): (2, (0, 125), k_digest),
-        (3, 4, 0.5, 2): (5, (0, 36, 27), ii_digest),
+        (3, 4, 0.5, 2): (4, (0, 36, 27), ii_digest),
         (5, 5, 0.5, 1): (2, (0, 625), "30118155f0c868b07cdeaae38666d18fb09749ed1fe6292fccb61636320c18e5"),
-        (5, 3, 0.5, 8): (5, (0, 1, 13), "e1619e0c7b50c43466c38fccd1cd4564c8980b30ce8d8d4745534cd7d763a54c"),
+        (5, 3, 0.5, 8): (4, (0, 1, 13), "e1619e0c7b50c43466c38fccd1cd4564c8980b30ce8d8d4745534cd7d763a54c"),
         (13, 3, 0.5, 1): (2, (0, 169), "e19341793bdc7a8bbbf50d98ba540fd0b0ed3ad52d32975e153cf6dee9601332"),
         (5, 6, 0.5, 1): (2, (0, 3125), "a400e76b568d2b1bb77ba1c8cd372e0642a6697d4e65d1260d55c182ce705017"),
         (3, 2, 0.5, 1): (
-            17, (0, 3, 8, 2, 7, 4), "841e34b90fdf04c56e3fe5f2669d823a50f44777115f3ea4c7b32354ce124858"
+            13, (0, 3, 8, 2, 7, 4), "d07ccc518d1d07ffccaf5293cbc9dc33fa2eecdcd6527c2766c721be21cb8cc0"
         ),
         (5, 4, 0.97, 2): (
-            12, (0, 204, 13, 10, 76), "2d8c2564d2f5470cdbf7f1d4476beca950d1922aa8db00f2117fc2f1ce3c8b90"
+            8, (0, 204, 13, 10, 76), "f76271b11261a1279217473dbd12d855d1abb64e03813517ec9c3377aea75bdf"
         ),
         (5, 3, 0.97, 2): (
-            353,
+            308,
             (0, 28, 102, 79, 1, *range(24, 2, -1)),
-            "c1a1513282af7f5c758ff0927f9525e7aca7df29b557c43d0c91ccdd8dc9df5b",
+            "be1f4751d087f5f4d0618524cbc81bf1bc77907c1690a85c17af91cebe34e5e7",
         ),
         (3, 4, 0.97, 2): (
-            353,
+            283,
             (0, 34, 1, *range(26, 2, -1)),
-            "fd3385960aa40cc300030243ae71696fc5239d789245b9628135b65e2507d7d6",
+            "06fc36e94d905f4b66f3ec9b1e57862b4fc6c8922798f05b6a72a416d6c8bfbf",
         ),
     }
     for (q, n, p, seed), (nodes, base, digest) in cases.items():
@@ -511,42 +540,46 @@ def test_chain_orbits_and_witnesses_are_pinned():
     # three case-(i) instances, where the group is K on its own base (these
     # were recorded when it was K on the base the search found); and the
     # pool a budget leaves when it runs out while the levels are completed
-    # (the leftmost path takes 10 nodes).  Each depends on the order in
-    # which every level's BFS meets the generators
+    # (the leftmost path takes 10 nodes), K's generators, G_0's and those
+    # found.  Each depends on the order in which every level's BFS meets the
+    # generators: the orbits and the pool were re-recorded when G_0's
+    # generators joined the pool, and so was the chain walk's witness at
+    # seeds 3-5, which now meets another non-scalar map of G_0 first;
+    # dichotomy_check's witness did not move
     def digest(x):
         return hashlib.sha256(json.dumps(x).encode()).hexdigest()
 
     cases = {
         (3, 4, 0.5, 2): (
-            "c994a963a3bd9678b62795c98672cc65cc68ec409a38f282050837e39ab1e7ad",
+            "c6394a9be17dbb8e44e48c29d079080f3ae0f42257bb3a27d4400341af207ec7",
             "4bfd444b65cb6959796d0ae46b6c8c6e935302bb35ea2dc66673f5f795695a8a",
         ),
         (3, 3, 0.75, 1): (
-            "620858cd0f2c03e13c5c10148808ca71a134d419c8b2bdf83e46d3e25ee3c0f7",
+            "1086b4aff37da9a032cc7d6bba48407fa5c02842fa0e7ae2bcac16f74be30e5d",
             "9822599af4d0691417c1f0b11a04b2399142a189a0202e9d48ddad5dc7ed9fe6",
         ),
         (3, 3, 0.75, 2): (
-            "1bc202d0648e1c34780f4396d9ecff3d6ba79958fe33fea8468c36b04234c8d3",
+            "4fa5f5a69574dab29ab67719be0a48d1b12e1016a36d53a891bc30fad08bc0f8",
             "30fd8439a14749584f23340fcaa8042dd80ea5a5b9e6535ec25e217d093c3aec",
         ),
         (3, 3, 0.75, 3): (
-            "6f26d589116cc8d0c8318c98dae65482ebc2d72b548af5fa210aaf583e9bc233",
-            "30efdc7f29b6013253fc3e582a9f71a03e5cb7361aa6f97535e2c3bd5bbe9fb1",
+            "ca00163ad790b8154056c27b8f28fd052bbd67e16350af1214c6d4179a06c96b",
+            "62b104d73f7bf033b25fc374c34fd676be1360a67ffc33888c0fd72024e87ee9",
         ),
         (3, 3, 0.75, 4): (
-            "9251d7afe317c7a6511905cbc54b960c1e55f4a8c7905a2fad3b59a132b09c54",
-            "8006e399329d7ad1dbe46b6302935f167a6159452ef7a05ea8705526eb9b2fdd",
+            "be1e9eccc95820d6150caeae554200b0bc16855f662960139262df26bd180d06",
+            "74892212b9f8a55d2ea660ab69066c770b29671ea113a1bc4ad5d4b010111954",
         ),
         (3, 3, 0.75, 5): (
-            "be65ca223060b1df2ac2e469c86058a85f7be1ebfd9ed05b93787941a1df42be",
-            "da36f730f65fda7e71569e5d86c73f396670c441fe3d2256005d7879d4601ba3",
+            "bce6c89c5d852387921914cfc906ba1b48d6db3a826cc7c65fe225142f42a3f5",
+            "fdca3349837a80324bbd1e807260891430733fd42262d6ef46d15ba1415dc27b",
         ),
         (3, 3, 0.75, 6): (
-            "b97b3f63a19b5ee4e7dfebaf92f604141836578e7d7c5c682342aead24e019e5",
+            "6b7c0e52e11aa7fb531db6e0cbc86c940993856940771e4f3acaa61bed6ef9cc",
             "37a360eb99ab72629ecdfb551a9737f7f91c89b9bba5872fafa845c81ded5d25",
         ),
         (3, 3, 0.75, 7): (
-            "ba6874a33fbf787644d9d0bea7acd1048a0fe8ad0628dea3d7207b3c1dfc46a6",
+            "cdf985af30c76fbb5a8df3451a4063aba6bb189a6fa00c54aad9233b5bdf90a5",
             "8006e399329d7ad1dbe46b6302935f167a6159452ef7a05ea8705526eb9b2fdd",
         ),
     }
@@ -570,8 +603,8 @@ def test_chain_orbits_and_witnesses_are_pinned():
     aut = automorphism_group(g, node_budget=20)
     assert not aut.complete
     assert (len(aut.pool), digest([list(x) for x in aut.pool])) == (
-        8,
-        "c69e0703e31149acf1c7f90b51e5558c23b0980b2300970a7aa861014141bc3d",
+        13,
+        "d89c4d56dc227635d7fcfd0153b6cb484508d360880e04cf303a03ab60395a64",
     )
 
 
@@ -798,39 +831,45 @@ def test_scalar_orbit_shortcut_matches_full_search():
     # every level.  It runs on G itself, also where S has a period, which
     # automorphism_group would send to G/W.  Both give the same order and
     # Aut = K verdict, and the same base wherever the search goes on, and
-    # the stop comes only with Aut = K, as _SHORTCUT_GRID counts
+    # the stop comes only with Aut = K, as _SHORTCUT_GRID counts.  Wherever
+    # the search builds G_0, the pool holds G_0's generators, and each group
+    # contains every generator of the other, so a seeded map that is not an
+    # automorphism would show.  Planted (5,4) and (5,5) are in case (ii):
+    # the homology's extra symmetry keeps the refinement after 0 short of
+    # the scalar orbits
     grid = _SHORTCUT_GRID
-    found = {}
-    for q, n, p, count in grid:
-        k_order = q ** n * (q - 1)
-        stops = equal_k = 0
-        for seed in range(count):
-            g = build_graph(sample_connection_set(q, n, p, seed))
-            aut = autgroup._search_group(g, 200000)
-            full = _Search(
-                _Vertices(g.neighbor_ids, g.num_vertices, g.degree),
-                list(scalar_affine_group(q, n).generators), 200000,
-            ).stabilize()
-            if aut.nodes > 2:
-                assert aut.group.base() == full.base(), (q, n, p, seed)
-            else:
-                assert aut.group is scalar_affine_group(q, n), (q, n, p, seed)
-            assert aut.group.order() == full.order(), (q, n, p, seed)
-            is_k = group_equals_scalar_affine(aut.group, q, n)
-            assert is_k == group_equals_scalar_affine(full, q, n), (q, n, p, seed)
-            if aut.nodes == 2:
-                assert aut.group.order() == k_order, (q, n, p, seed)
-                stops += 1
-            equal_k += is_k
-        found[q, n, p, count] = (stops, equal_k)
-    assert found == grid
-    # planted case (ii): the homology's extra symmetry keeps the refinement
-    # after 0 short of the scalar orbits
-    for q, n in ((5, 4), (5, 5)):
-        g = build_graph(planted_homology_connection(q, n, 1))
-        aut = automorphism_group(g)
-        assert aut.nodes > 2 and aut.group.order() == 2 * q ** n * (q - 1), (q, n)
-        assert dichotomy_check(g, aut)["dichotomy"] == "ii", (q, n)
+    instances = [
+        (key, seed, sample_connection_set(*key[:3], seed)) for key in grid for seed in range(key[3])
+    ]
+    planted = {("planted", 5, n): planted_homology_connection(5, n, 1) for n in (4, 5)}
+    instances += [(key, 1, connection) for key, connection in planted.items()]
+    stops, equal_k = Counter(), Counter()
+    for key, seed, connection in instances:
+        g = build_graph(connection)
+        q, n = g.q, g.n
+        aut = autgroup._search_group(g, 200000)
+        full = _Search(
+            _Vertices(g.neighbor_ids, g.num_vertices, g.degree),
+            list(scalar_affine_group(q, n).generators), 200000,
+        ).stabilize()
+        if aut.linear is not None:
+            assert set(aut.linear.generators) <= set(aut.pool), (key, seed)
+            assert all(map(full.contains, aut.group.generators)), (key, seed)
+            assert all(map(aut.group.contains, full.generators)), (key, seed)
+        if aut.nodes > 2:
+            assert aut.group.base() == full.base(), (key, seed)
+        else:
+            assert aut.group is scalar_affine_group(q, n), (key, seed)
+            assert aut.group.order() == q ** n * (q - 1), (key, seed)
+            stops[key] += 1
+        assert aut.group.order() == full.order(), (key, seed)
+        is_k = group_equals_scalar_affine(aut.group, q, n)
+        assert is_k == group_equals_scalar_affine(full, q, n), (key, seed)
+        equal_k[key] += is_k
+        if key in planted:
+            assert aut.nodes > 2 and aut.group.order() == 2 * q ** n * (q - 1), key
+            assert dichotomy_check(g, aut)["dichotomy"] == "ii", key
+    assert {key: (stops[key], equal_k[key]) for key in grid} == grid
 
 
 def test_dichotomy_matches_the_chain_walk(deadline):
@@ -1012,15 +1051,16 @@ def test_a_group_that_is_not_affine_is_unchanged():
     # (5,3) seed 10: Aut has order 12,000 and generators that are not
     # affine, so holds more than the linear maps; the level after 0 still
     # stops at the orbits of G_0's stabilizer of its base point, and the
-    # output is the one recorded before it did (nodes, base, the sha256 of
-    # the generators' JSON), with the witness G_0 gives
+    # order and base are the ones recorded before it did, with the witness
+    # G_0 gives.  The nodes and the sha256 of the generators' JSON were
+    # re-recorded when G_0's generators joined the pool: 12 nodes became 9
     g = build_graph(sample_connection_set(5, 3, 0.5, 10))
     aut = automorphism_group(g)
     assert not all(_is_affine(g, p) for p in aut.group.generators)
     generators = json.dumps([list(p) for p in aut.group.generators]).encode()
-    assert (aut.group.order(), aut.nodes, aut.group.base()) == (12000, 12, (0, 29, 26, 45, 44))
+    assert (aut.group.order(), aut.nodes, aut.group.base()) == (12000, 9, (0, 29, 26, 45, 44))
     assert hashlib.sha256(generators).hexdigest() == (
-        "590ec2e5a8a40821ed3c79356148193cd3c0de4f1b3b2b9967afaf4939133fe4"
+        "c66eb9103fa880966c3f7dd30283a694a6ab997ed5706ad6f3936b67252c9daf"
     )
     assert dichotomy_check(g, aut)["witness"] == [[0, 2, 4], [4, 3, 4], [0, 0, 1]]
     assert aut.counts["linear_leaves"] > 0
@@ -1320,14 +1360,16 @@ def test_twin_chains_are_pinned():
     # the twin chains of (3,3), p = 0.75, seeds 4 and 7, the two instances
     # of test_chain_orbits_and_witnesses_are_pinned with a period: the
     # sha256 of the JSON of every level's orbit, of the generators and of
-    # the dichotomy witness, with |W|, the order and the nodes of G/W
+    # the dichotomy witness, with |W|, the order and the nodes of G/W.  At
+    # seed 4 the nodes and generators were re-recorded when G_0's generators
+    # joined the pool of G/W's search
     def digest(x):
         return hashlib.sha256(json.dumps(x).encode()).hexdigest()
 
     cases = {
-        4: (3, 725594112, 7, (
+        4: (3, 725594112, 4, (
             "81a04b359fd948af350a507ecd7e0481c63f2417639d3326a3cc86d052031ae1",
-            "d43a7639ed71d67ec300ad6e5123d1ad5f69db60acec16eb1a3977bc10cee954",
+            "2cf1852c33759393568c67b1a966fa779b0e670f2ee511590d7a5334971bb0bc",
             "74892212b9f8a55d2ea660ab69066c770b29671ea113a1bc4ad5d4b010111954",
         )),
         7: (9, 286708355039232000, 0, (
