@@ -73,9 +73,10 @@ automorphisms: where an automorphism σ maps the path node onto the right
 node, refinement commutes with σ, so the right node's first splits already
 give σ's image of the refined path node.  Only a right node that no
 automorphism reaches, which repeats the path's splits and would split
-further, is searched where it used to be dropped.  A leaf maps the leftmost
-leaf onto itself, and it is kept when it maps v + S onto p(v) + S at one v
-per coset of the unit translations p normalizes.  The scalar-affine group,
+further, is searched where it used to be dropped.  A leaf p maps the
+leftmost leaf onto itself.  It is kept with no comparison when x -> p(x) -
+p(0) is in G_0, as p is then in T ⋊ G_0, inside Aut; any other leaf is
+kept when it maps v + S onto p(v) + S at every v.  The scalar-affine group,
 and G_0 where it is built, seed the generator pool, whose orbits prune
 sibling branches (see _Search.stabilize); a node budget turns long
 searches into an explicitly incomplete result instead of a wrong one.  The
@@ -113,37 +114,16 @@ class AutResult:
     linear: PermGroup | None = None
 
 
-def _preserves_neighbors(neighbors, p, space=None):
+def _preserves_neighbors(neighbors, p):
     """Whether the permutation p maps every v + S onto p(v) + S, and how
-    many v were compared; p is one-to-one, so p(v + S) has |S| points and is
-    p(v) + S when it holds every point of it.  With space, the graph or the
-    search's _ScalarOrbits, ids are vectors' ids, added by its translate,
-    and one v per coset of U is compared, U spanned by the e_j with
-    p(x + e_j) = p(x) + c_j for every x, c_j = p(e_j) - p(0), tried first
-    at the x = e_k.  Then p(v + u) = p(v) + c(u) for u in U, c linear, so
-    p(v + S) = p(v) + S gives p(v + u + S) = p(v + u) + S.  An affine p,
-    x -> Ax + p(0), is compared at v = 0 alone: A·S = S.  Without space,
-    every v is compared."""
+    many v were compared, in id order up to the first that fails; p is
+    one-to-one, so p(v + S) has |S| points and is p(v) + S when it holds
+    every point of it."""
     image = p.__getitem__
-    reps = range(len(p)) if space is None else [0]
-    if space is not None:
-        q, translate = space.q, space.translate
-        units = [q ** j for j in range(space.n)]
-        at_units = list(map(image, units))
-        # c_j = p(e_j) - p(0), for each j
-        shifts = translate(space.multiples(p[0])[-1], at_units)
-        for e, c in zip(units, shifts):
-            # at the x = e_k first, which turns most p that are not affine
-            # away before V ids are added
-            if (
-                list(map(image, translate(e, units))) != translate(c, at_units)
-                or list(map(image, translate(e, range(len(p))))) != translate(c, p)
-            ):
-                reps = [r + d * e for d in range(q) for r in reps]
-    for compared, v in enumerate(reps, 1):
+    for v in range(len(p)):
         if not set(map(image, neighbors(v))).issuperset(neighbors(p[v])):
-            return False, compared
-    return True, len(reps)
+            return False, v + 1
+    return True, len(p)
 
 
 class _Cells:
@@ -239,7 +219,8 @@ class _Vertices(dict):
     refinements pop, on these points or on _ScalarOrbits, and
     splitters_direct and splitters_masks, those the scalar orbits count by
     the direct and the mask route; leaves, the leaf checks made;
-    leaf_vertices, the neighbourhoods they compare.
+    leaf_vertices, the neighbourhoods they compare, none for a leaf G_0
+    keeps (see _Search._leaf).
     """
 
     keeps_live = False
@@ -622,12 +603,21 @@ class _Search:
         return None if trace is None else (child, trace)
 
     def _leaf(self, lab):
-        """The map taking the leftmost leaf onto the discrete partition lab,
-        if it is an automorphism."""
+        """The map p taking the leftmost leaf onto the discrete partition
+        lab, if it is an automorphism.  G_0, where built, holds every linear
+        M with M·S = S, so when x -> p(x) - p(0) is in it, p is that M
+        followed by the translation by p(0), both automorphisms, and p is
+        kept with no neighbourhood compared.  Any other leaf, and every
+        leaf of a search without G_0, is compared at every vertex."""
         p = tuple(map(lab.__getitem__, self._leaf_pos))
-        kept, compared = _preserves_neighbors(self.vertices.neighbors, p, self.scalars)
         counts = self.vertices.counts
         counts["leaves"] += 1
+        if self.linear is not None:
+            # x -> p(x) - p(0), -p(0) being (q - 1) p(0)
+            scalars = self.scalars
+            if self.linear.contains(scalars.translate(scalars.multiples(p[0])[-1], p)):
+                return p
+        kept, compared = _preserves_neighbors(self.vertices.neighbors, p)
         counts["leaf_vertices"] += compared
         return p if kept else None
 
@@ -785,9 +775,11 @@ def _search_group(graph, node_budget):
 
 
 def is_automorphism(graph, p):
-    """Whether p is a permutation of the vertex ids that preserves adjacency."""
+    """Whether p is a permutation of the vertex ids that preserves adjacency,
+    by the definition alone, v + S onto p(v) + S at every v: it reads no
+    group the search built, so it checks the search's results on its own."""
     permutation = sorted(p) == list(range(graph.num_vertices))
-    return permutation and _preserves_neighbors(graph.neighbor_ids, p, graph)[0]
+    return permutation and _preserves_neighbors(graph.neighbor_ids, p)[0]
 
 
 def group_equals_scalar_affine(group, q, n):

@@ -73,6 +73,11 @@ def test_is_automorphism():
     swap = list(range(9))
     swap[0], swap[1] = 1, 0
     assert not is_automorphism(g, tuple(swap))
+    # S is every line off H = {x[2] = 0}, and p adds e_0 on H and fixes the
+    # rest: an automorphism that is not affine
+    g = build_graph(ConnectionSet(3, 3, [l for l in line_universe(3, 3) if l[2] != 0]))
+    p = tuple(3 * (v // 3) + (v + 1) % 3 if v < 9 else v for v in range(27))
+    assert is_automorphism(g, p) and brute_preserves_edges(g, p)
 
 
 def test_is_automorphism_needs_a_permutation():
@@ -125,20 +130,18 @@ def _affine_maps(draw):
 @settings(max_examples=20, deadline=None)
 @given(_affine_maps())
 def test_leaf_check_on_affine_maps(drawn):
-    # every unit direction passes, so one neighbourhood is compared, at 0,
-    # and the answer is A·S = S
+    # the answer is A·S = S
     q, n, m, p = drawn
     g, edges = _leaf_graph(q, n)
     members = g.connection.members
     fixes = all(mat_apply(m, v, q) in members for v in members)
-    assert _preserves_neighbors(g.neighbor_ids, p, g) == (fixes, 1)
     assert is_automorphism(g, p) == brute_preserves_edges(g, p, edges) == fixes
 
 
 @settings(max_examples=20, deadline=None)
 @given(_affine_maps(), st.data())
 def test_leaf_check_on_affine_maps_with_a_transposition(drawn, data):
-    # swapping two vertices first breaks every unit direction, so the check
+    # swapping two vertices first makes p no automorphism, and the check
     # compares neighbourhoods in id order until the first that p does not
     # preserve
     q, n, _, affine = drawn
@@ -150,7 +153,7 @@ def test_leaf_check_on_affine_maps_with_a_transposition(drawn, data):
     first = next(
         x for x in range(q ** n) if {p[y] for y in g.neighbor_ids(x)} != set(g.neighbor_ids(p[x]))
     )
-    assert _preserves_neighbors(g.neighbor_ids, p, g) == (False, first + 1)
+    assert _preserves_neighbors(g.neighbor_ids, p) == (False, first + 1)
     assert not is_automorphism(g, p)
     assert not brute_preserves_edges(g, p, edges)
 
@@ -165,47 +168,74 @@ def test_leaf_check_on_random_permutations(case, rng):
 
 
 def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
-    # every leaf the search checks at (3,3), p = 0.75, seeds 0-19, most of
-    # which are not affine: the shortcut gives the full loop's answer.  So
-    # does is_automorphism on every generator of the pool, where brute force
-    # agrees.  Of K's generators and those the search found, more are
-    # checked on several vertices than on one (133 to 77); G_0's seeded
-    # generators, linear and so checked on one vertex each, are not counted
-    answers = Counter()
-    k_generators = set(scalar_affine_group(3, 3).generators)
+    # every leaf the search checks at (3,3), p = 0.75, seeds 0-19: G_0 keeps
+    # 1 of the 44 with no neighbourhood compared, and brute force finds it
+    # an automorphism; the other 43 are compared on all 27 vertices.
+    # is_automorphism passes every generator of the pool, where brute force
+    # agrees
+    leaf = _Search._leaf
+    kept_by_linear = []
+    routes = Counter()
 
-    def both(neighbors, p, space=None):
-        got = _preserves_neighbors(neighbors, p, space)
-        assert got[0] == _preserves_neighbors(neighbors, p)[0]
-        answers[got[0], got[1] == 1] += 1
-        return got
+    def routed(search, lab):
+        counts = search.vertices.counts
+        before = counts["leaf_vertices"]
+        p = leaf(search, lab)
+        compared = counts["leaf_vertices"] - before
+        if compared:
+            routes[p is not None, compared] += 1
+        else:
+            kept_by_linear.append(p)
+            routes["G_0"] += 1
+        return p
 
-    monkeypatch.setattr(autgroup, "_preserves_neighbors", both)
-    generators = Counter()
+    monkeypatch.setattr(_Search, "_leaf", routed)
     for seed in range(20):
         g = build_graph(sample_connection_set(3, 3, 0.75, seed))
         aut = automorphism_group(g)
-        assert aut.counts["leaves"] == sum(answers.values())
-        answers.clear()
         edges = edge_set(g)
-        seeded = set(aut.linear.generators if aut.linear else ()) - k_generators
+        for p in kept_by_linear:
+            assert brute_preserves_edges(g, p, edges), seed
+        kept_by_linear.clear()
         for p in aut.pool:
             assert is_automorphism(g, p) and brute_preserves_edges(g, p, edges), seed
-            if p not in seeded:
-                generators += answers
-            answers.clear()
-    assert generators[True, False] > generators[True, True]
+    assert routes == {"G_0": 1, (True, 27): 43}
 
 
-def test_leaf_check_on_part_of_the_unit_directions():
-    # S is every line off H = {x[2] = 0}, and p adds e_0 on H and fixes the
-    # rest: it passes e_0 and e_1 but not e_2, so U = <e_0, e_1> has three
-    # cosets, each the layer x[2] = c, and one vertex of each is compared
-    g = build_graph(ConnectionSet(3, 3, [l for l in line_universe(3, 3) if l[2] != 0]))
-    p = tuple(3 * (v // 3) + (v + 1) % 3 if v < 9 else v for v in range(27))
-    assert _preserves_neighbors(g.neighbor_ids, p, g) == (True, 3)
-    assert _preserves_neighbors(g.neighbor_ids, p) == (True, 27)
-    assert is_automorphism(g, p) and brute_preserves_edges(g, p)
+def test_leaf_kept_by_the_linear_group():
+    # after stabilize() on planted (5,4), a leaf p = τ_b ∘ M, M a product of
+    # G_0's generators or the identity, is kept with no neighbourhood
+    # compared.  p composed with a transposition of two points off G_0's
+    # base agrees with p on 0 and on the base, so only the last step of
+    # G_0's sift refuses it; it is then compared until its first failure
+    g = build_graph(planted_homology_connection(5, 4, 1))
+    vertices = _Vertices(g.neighbor_ids, g.num_vertices, g.degree)
+    search = _Search(
+        vertices, list(scalar_affine_group(5, 4).generators), 200000, _ScalarOrbits(g, vertices)
+    )
+    search.stabilize()
+    linear = search.linear
+    rng = random.Random(4)
+    identity = tuple(range(625))
+    m = identity
+    for _ in range(6):
+        m = compose(rng.choice(linear.generators), m)
+    assert m != identity
+    translation = tuple(affine_ids(5, 4, 1, decode(rng.randrange(1, 625), 5, 4)))
+    u, v = rng.sample([x for x in range(1, 625) if x not in linear.base()], 2)
+    swap = list(identity)
+    swap[u], swap[v] = v, u
+    leftmost = inverse_perm(search._leaf_pos)
+    counts = vertices.counts
+    for linear_part in (m, identity):
+        p = compose(translation, linear_part)
+        leaves, compared = counts["leaves"], counts["leaf_vertices"]
+        assert search._leaf([p[x] for x in leftmost]) == p
+        assert (counts["leaves"], counts["leaf_vertices"]) == (leaves + 1, compared)
+        r = compose(p, tuple(swap))
+        assert search._leaf([r[x] for x in leftmost]) is None
+        assert counts["leaves"] == leaves + 2 and counts["leaf_vertices"] > compared
+        assert not is_automorphism(g, r)
 
 
 def test_leaf_counts_are_pinned():
@@ -219,23 +249,36 @@ def test_leaf_counts_are_pinned():
 
 
 def test_seeded_pool_totals_are_pinned():
-    # the totals of nodes and leaf checks per grid, with G_0's generators
-    # in the pool: the completion of each level tries no point that a
-    # linear automorphism reaches.  Before G_0 seeded the pool they were
-    # 4,078 and 860, 558 and 52, and 158 and 26
+    # the totals of nodes and of every counter per grid, with G_0's
+    # generators in the pool: the completion of each level tries no point
+    # that a linear automorphism reaches.  Before G_0 seeded the pool, nodes
+    # and leaves were 4,078 and 860, 558 and 52, and 158 and 26.  Before G_0
+    # kept the leaves in T ⋊ G_0, which the unit-direction test compared on
+    # one vertex each, leaf_vertices and rows were 10,431 and 4,441 on the
+    # (3,3) grid, and leaf_vertices 251 on the (5,3) grid; (3,4) reaches no
+    # leaf
     grids = {
-        (3, 3, 0.75, 200): (2475, 457),
-        (5, 3, 0.5, 200): (499, 3),
-        (3, 4, 0.5, 40): (130, 0),
+        (3, 3, 0.75, 200): (2475, dict(
+            leaves=457, leaf_vertices=12096, linear_leaves=726, rows=4495, splitters=4986,
+            splitters_direct=0, splitters_masks=99, period=336,
+        )),
+        (5, 3, 0.5, 200): (499, dict(
+            leaves=3, leaf_vertices=250, linear_leaves=97, rows=3161, splitters=3282,
+            splitters_direct=739, splitters_masks=264, period=200,
+        )),
+        (3, 4, 0.5, 40): (130, dict(
+            leaves=0, leaf_vertices=0, linear_leaves=50, rows=1321, splitters=1192,
+            splitters_direct=85, splitters_masks=33, period=40,
+        )),
     }
     found = {}
     for q, n, p, count in grids:
-        nodes = leaves = 0
+        nodes, counts = 0, Counter()
         for seed in range(count):
             aut = automorphism_group(build_graph(sample_connection_set(q, n, p, seed)))
             nodes += aut.nodes
-            leaves += aut.counts["leaves"]
-        found[q, n, p, count] = (nodes, leaves)
+            counts.update(aut.counts)
+        found[q, n, p, count] = (nodes, {key: counts[key] for key in aut.counts})
     assert found == grids
 
 

@@ -220,6 +220,15 @@ def test_theorem_qn_params():
         theorem_qn_params(3)
 
 
+def test_pipeline_certificate_counts_are_pinned():
+    # 200 trials at (5,3), p = 0.5, read at eb5cbef: every search completes,
+    # 161 are in case (i) and 39 in case (ii), and the (q+1) certificate
+    # holds on 174, so on 13 of the case-(ii) instances
+    aggregate = monte_carlo_pipeline(5, 3, 200, 0)["aggregate"]
+    counts = ("solved", "equals_K", "case_ii", "cert_success")
+    assert {key: aggregate[key] for key in counts} == dict(zip(counts, (200, 161, 39, 174)))
+
+
 def test_pipeline_replay_deterministic():
     a1 = monte_carlo_pipeline(5, 3, 6, 11, jobs=1)
     a2 = monte_carlo_pipeline(5, 3, 6, 11, jobs=2)

@@ -90,16 +90,16 @@ def test_aut_complete(capsys):
 
 
 def test_aut_meta_reports_leaf_checks(capsys):
-    # (3,2) seed 1 checks 3 leaves, some of them not affine and so on more
-    # than one vertex, builds each of the 9 neighbourhood rows once, and
-    # pops 6 splitters over all its refinements, its first vertex level
-    # stopping at the orbits of G_0's stabilizer of b1; the counts are in
-    # meta only, which --no-meta drops.  Before G_0's generators seeded the
-    # pool it checked 4 leaves on 30 vertices and popped 7 splitters
+    # (3,2) seed 1 checks 3 leaves, none in T ⋊ G_0 and so each on all 9
+    # vertices, builds each of the 9 neighbourhood rows once, and pops 6
+    # splitters over all its refinements, its first vertex level stopping
+    # at the orbits of G_0's stabilizer of b1; the counts are in meta only,
+    # which --no-meta drops.  Before G_0's generators seeded the pool it
+    # checked 4 leaves on 30 vertices and popped 7 splitters
     code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1")
     assert code == 0
     meta = json.loads(out)["meta"]
-    assert (meta["leaves"], meta["leaf_vertices"], meta["rows"]) == (3, 21, 9)
+    assert (meta["leaves"], meta["leaf_vertices"], meta["rows"]) == (3, 27, 9)
     assert meta["splitters"] == 6
     code, out = run(capsys, "aut", "--q", "3", "--n", "2", "--seed", "1", "--no-meta")
     assert "leaves" not in out and "rows" not in out and "splitters" not in out
@@ -127,13 +127,15 @@ def test_aut_meta_reports_splitter_routes(capsys):
     # level after 0 ends at the orbits of G_0's stabilizer of its base
     # point, G_0 found in 5 leaves, after 14 splitters where emptying its
     # queue took 50.  G_0's generators seed the pool, so the search pops
-    # 841 splitters, where it popped 1,411 in 12 nodes without them
+    # 841 splitters, where it popped 1,411 in 12 nodes without them.  Its
+    # one leaf is in T ⋊ G_0, which G_0 keeps with no neighbourhood compared
     code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--p", "0.97", "--seed", "2")
     assert code == 0
     meta = json.loads(out)["meta"]
     routes = meta["splitters"], meta["splitters_direct"], meta["splitters_masks"]
     assert routes == (841, 0, 17)
     assert meta["linear_leaves"] == 5
+    assert (meta["leaves"], meta["leaf_vertices"]) == (1, 0)
 
 
 def test_aut_meta_reports_the_linear_stop(capsys):
