@@ -83,6 +83,12 @@ searches into an explicitly incomplete result instead of a wrong one.  The
 PermGroup constructor completes the levels deepest first, growing the pool
 into a strong generating set on the base, so the group is built without a
 closure.
+
+Two kinds of S take a route around the search (automorphism_group).  When S
+has a period W, the search runs on G/W alone and its group is lifted to the
+twins (permgroup.twin_group).  When n >= 3 and S misses exactly one
+admissible line, G's complement is K_(q^(n-1)) □ K_q, and Aut is
+Sym(q^(n-1)) x Sym(q), written down with no search (permgroup.product_group).
 """
 
 from collections import Counter, deque
@@ -93,10 +99,10 @@ from operator import itemgetter, not_
 
 from .cayley import id_mask
 from .errors import BudgetExceeded
-from .field import affine_ids, decode, inv_mod, is_scalar_matrix, transvection
+from .field import affine_ids, decode, homology, inv_mod, is_scalar_matrix, transvection
 from .permgroup import (
-    PermGroup, depth_first, inverse_perm, orbit_count, scalar_affine_group, symmetric_group,
-    twin_generators, twin_group,
+    PermGroup, depth_first, inverse_perm, orbit_count, product_group, scalar_affine_group,
+    symmetric_group, twin_generators, twin_group,
 )
 
 
@@ -106,11 +112,12 @@ class AutResult:
     complete: bool
     nodes: int
     pool: tuple
-    # the search's counters (see _Vertices), and period, |W| (see automorphism_group)
+    # the search's counters (see _Vertices), period, |W|, and product, 1 on
+    # the product route and 0 elsewhere (see automorphism_group)
     counts: dict = field(default_factory=dict)
     # G_0, the linear maps fixing S (see _linear_group), where the search
     # went past the refinement after 0; None where that refinement proved
-    # Aut = K, and on the twin route
+    # Aut = K, and on the twin and product routes
     linear: PermGroup | None = None
 
 
@@ -741,7 +748,33 @@ def automorphism_group(graph, node_budget=200000):
     on G/W alone, or not at all when G/W is K_q (see CayleyGraph.quotient
     and permgroup.twin_group); nodes and counts are G/W's, and
     counts["period"] is |W|.
+
+    When n >= 3 and S holds every admissible line but one, m, Aut is
+    written down with no search, in 0 nodes, with counts["product"] 1:
+    Sym(a) x Sym(q), a = q^(n-1), on the grid of h + c u (permgroup.
+    product_group), u being m's representative (CayleyGraph.missing_line).
+    Proof.  u is off H = {x[n-1] = 0}, so F_q^n = H ⊕ m, and each x is h +
+    c u in one way.  Each point off H lies on one admissible line, so the
+    nonzero points outside S are (H ∖ 0) ∪ (m ∖ 0), and two points are
+    non-adjacent exactly when they share c (a row, a coset of H) or h (a
+    column, a coset of m): G's complement is K_a □ K_q, the line graph of
+    K_(a,q).  A clique of it lies in one row or one column, so its maximal
+    cliques are the q rows, of a points, and the a columns, of q points.
+    An automorphism maps them onto maximal cliques of the same size, and a
+    > q, so it permutes the rows and the columns, and as each point is the
+    meet of its row and its column, the two permutations determine it;
+    every pair of them is one.  So Aut(G) = Sym(a) x Sym(q) (Whitney,
+    1932; Imrich & Klavžar, *Product Graphs*, 2000).  At n = 2, a = q and
+    rows and columns may be swapped: Aut is Sym(q) wr Sym(2), and the
+    search runs.  The period and this route never meet: a period needs q
+    to divide the line count, q^(n-1) - 1 here.
     """
+    if (u := graph.missing_line) is not None:
+        a = graph.num_vertices // graph.q
+        rows = [range(a), *(graph.translate(x, range(a)) for x in graph.multiples(u))]
+        group = product_group(rows, scalar_affine_group(graph.q, graph.n).generators)
+        counts = {**dict.fromkeys(COUNTERS, 0), "period": 1, "product": 1}
+        return AutResult(group, True, 0, tuple(group.generators), counts)
     if len(graph.period) == 1:
         return _search_group(graph, node_budget)
     quotient, cosets = graph.quotient()
@@ -751,7 +784,7 @@ def automorphism_group(graph, node_budget=200000):
         inner = _search_group(quotient, node_budget)
     group = twin_group(inner.group, cosets) if inner.complete else None
     pool = group.generators if group else twin_generators(inner.pool, cosets)
-    counts = {**inner.counts, "period": len(graph.period)}
+    counts = {**inner.counts, "period": len(graph.period), "product": 0}
     return AutResult(group, inner.complete, inner.nodes, tuple(pool), counts)
 
 
@@ -768,7 +801,7 @@ def _search_group(graph, node_budget):
         # report what was found; the span of a truncated pool has no
         # trustworthy order, so no group is materialized
         group = None
-    vertices.counts["period"] = 1
+    vertices.counts.update(period=1, product=0)
     return AutResult(
         group, group is not None, search.nodes, tuple(search.pool), vertices.counts, search.linear
     )
@@ -785,10 +818,10 @@ def is_automorphism(graph, p):
 def group_equals_scalar_affine(group, q, n):
     """Whether group, a complete result of automorphism_group, is K.  The
     search's pool starts with K's generators and every group it returns
-    keeps them among its own (case (i) returns K itself).  The twin group
-    of a graph with a period does not list K's generators, but contains K,
-    as every Aut(G) does.  So the group contains K and is K exactly when
-    it has K's order, q^n (q - 1)."""
+    keeps them among its own (case (i) returns K itself), and so does the
+    product route's group.  The twin group of a graph with a period does
+    not list K's generators, but contains K, as every Aut(G) does.  So the
+    group contains K and is K exactly when it has K's order, q^n (q - 1)."""
     return group.order() == q ** n * (q - 1)
 
 
@@ -799,10 +832,14 @@ def dichotomy_check(graph, aut):
     looked for only when Aut is not K.  "violated" would mean neither
     holds, which indicates a solver bug rather than a counterexample.
 
-    Every linear map fixing S is in G_0, aut.linear, so some such map is
-    not scalar exactly when a generator of G_0 is not: the witness is the
-    first such generator, read as the matrix whose column j is the image
-    of e_j, of id q^j.
+    Where S misses one admissible line, with representative u, the witness
+    is the homology x -> x - 2 x[n-1] u: it fixes H = {x[n-1] = 0}
+    pointwise and negates u, so it permutes the admissible lines and fixes
+    the missing one, and so maps S onto S.  Where S has a period, it is a
+    transvection.  Otherwise every linear map fixing S is in G_0,
+    aut.linear, so some such map is not scalar exactly when a generator of
+    G_0 is not: the witness is the first such generator, read as the
+    matrix whose column j is the image of e_j, of id q^j.
     """
     if not aut.complete:
         raise ValueError("automorphism search was incomplete; raise the node budget")
@@ -810,6 +847,8 @@ def dichotomy_check(graph, aut):
     equals_k = group_equals_scalar_affine(aut.group, q, n)
     if equals_k:
         witness = None
+    elif graph.missing_line is not None:
+        witness = homology(decode(graph.missing_line, q, n), q)
     elif len(graph.period) > 1:
         # s -> s + s[n-1] w, in S + W = S, for the first w != 0 of the period
         witness = transvection(decode(graph.period[1], q, n))

@@ -180,6 +180,19 @@ class CayleyGraph:
             shifts = list(compress(shifts, map(contains, self.translate(r, shifts))))
         return (0, *sorted(shifts))
 
+    @cached_property
+    def missing_line(self):
+        """The id of u, the representative (u[n-1] = 1) of the one
+        admissible line that S lacks, when n >= 3 and S has all q^(n-1)
+        admissible lines but one; None otherwise.  G's complement is then
+        K_(q^(n-1)) □ K_q (see autgroup.automorphism_group)."""
+        q, n, lines = self.q, self.n, self.connection.lines
+        if n < 3 or len(lines) != q ** (n - 1) - 1:
+            return None
+        universe = _universe(q, n)
+        (rep,) = set(universe).difference(lines)
+        return universe[rep][1]
+
     def quotient(self):
         """(G/W, cosets) for the period W of S, in coordinates that keep
         x[n-1].

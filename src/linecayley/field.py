@@ -157,6 +157,16 @@ def transvection(w):
     return tuple(tuple(int(i == j) + w[i] * (j == n - 1) for j in range(n)) for i in range(n))
 
 
+def homology(u, q):
+    """The matrix of x -> x - 2 x[n-1] u, for u with u[n-1] = 1: the
+    identity with 2u taken from its last column.  It fixes the hyperplane
+    x[n-1] = 0 pointwise and maps u to -u, so it is not scalar."""
+    n = len(u)
+    return tuple(
+        tuple((int(i == j) - 2 * u[i] * (j == n - 1)) % q for j in range(n)) for i in range(n)
+    )
+
+
 def mat_apply(m, v, q):
     return tuple(sum(a * b for a, b in zip(row, v)) % q for row in m)
 

@@ -3,10 +3,11 @@
 Permutations are image tuples; compose(p, r) applies r first.  A PermGroup
 is built from a base and a strong generating set relative to it, which every
 group here comes with: K's is written down (scalar_affine_group, built once
-per (q, n)), and so is that of a graph with twins, from the group of its
-twin quotient (twin_group); the automorphism and class-fixing searches find
-theirs as the PermGroup constructor completes each level of the chain,
-deepest first.
+per (q, n)), and so are that of a graph with twins, from the group of its
+twin quotient (twin_group), and Sym(a) x Sym(b) on a grid (product_group),
+the group of a graph whose S misses one line; the automorphism and
+class-fixing searches find theirs as the PermGroup constructor completes
+each level of the chain, deepest first.
 Whether any element but the identity preserves a labelling needs no chain:
 first_fixing_element runs the class-fixing search in the same order and
 stops at its first element.
@@ -212,6 +213,39 @@ def twin_group(quotient, cosets):
     for i, x in enumerate(fixed, len(cosets)):
         index[x] = i
     return group
+
+
+def product_group(rows, known):
+    """Sym(a) x Sym(b) on the grid rows[t][h] of b rows of a points each,
+    a > 1 and b > 1: the first factor permutes the columns h alike in every
+    row, the second the rows, of order a! b!.
+
+    Its generators are known, elements of the group listed first, then the
+    star transpositions (h_i h_(a-1)), lifted to every row, for i < a - 1,
+    and (row_j row_(b-1)) for j < b - 1.  They are strong on the base
+    rows[0][:a-1], then rows[j][0] for 0 < j < b - 1: fixing rows[0][h] for
+    h < k leaves Sym of columns k.. times Sym of rows 1.. (or of every row,
+    for k = 0), spanned by the transpositions of those columns and rows;
+    with every column fixed, fixing rows[j][0] for 0 < j < k leaves Sym of
+    rows k.. likewise.  Added elements of the group keep a set strong.
+    Every Schreier tree past level 0 has depth at most 2, through the star
+    centre, and level 0's at most 4.
+    """
+    a, degree = len(rows[0]), sum(map(len, rows))
+    identity = list(range(degree))
+    generators = list(known)
+    for i in range(a - 1):
+        swap = identity[:]
+        for row in rows:
+            swap[row[i]], swap[row[-1]] = row[-1], row[i]
+        generators.append(tuple(swap))
+    for row in rows[:-1]:
+        swap = identity[:]
+        for x, y in zip(row, rows[-1]):
+            swap[x], swap[y] = y, x
+        generators.append(tuple(swap))
+    base = [*rows[0][:-1], *(row[0] for row in rows[1:-1])]
+    return PermGroup(degree, base, generators)
 
 
 def symmetric_group(k):

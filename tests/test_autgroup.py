@@ -34,7 +34,7 @@ from linecayley.cayley import (
     sample_connection_set,
 )
 from linecayley.coloring import coset_coloring, exact_chromatic_number, plus_zero_recolor
-from linecayley.distinguishing import is_distinguishing
+from linecayley.distinguishing import chi_D_upper_certificate, is_distinguishing
 from linecayley.errors import BudgetExceeded
 from linecayley.field import affine_ids, decode, is_scalar_matrix, mat_apply, vec_scale
 from linecayley.geometry import line_universe
@@ -172,7 +172,9 @@ def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
     # 1 of the 44 with no neighbourhood compared, and brute force finds it
     # an automorphism; the other 43 are compared on all 27 vertices.
     # is_automorphism passes every generator of the pool, where brute force
-    # agrees
+    # agrees.  Seeds 3 and 11-14 miss one line, and automorphism_group
+    # writes their group down with no leaf; the tally is of the search, run
+    # there by _search_group, and the written pool is checked too
     leaf = _Search._leaf
     kept_by_linear = []
     routes = Counter()
@@ -192,12 +194,15 @@ def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
     monkeypatch.setattr(_Search, "_leaf", routed)
     for seed in range(20):
         g = build_graph(sample_connection_set(3, 3, 0.75, seed))
-        aut = automorphism_group(g)
+        auts = [automorphism_group(g)]
+        if g.missing_line is not None:
+            assert auts[0].counts["leaves"] == 0, seed
+            auts.append(autgroup._search_group(g, 200000))
         edges = edge_set(g)
         for p in kept_by_linear:
             assert brute_preserves_edges(g, p, edges), seed
         kept_by_linear.clear()
-        for p in aut.pool:
+        for p in itertools.chain.from_iterable(aut.pool for aut in auts):
             assert is_automorphism(g, p) and brute_preserves_edges(g, p, edges), seed
     assert routes == {"G_0": 1, (True, 27): 43}
 
@@ -256,19 +261,22 @@ def test_seeded_pool_totals_are_pinned():
     # kept the leaves in T ⋊ G_0, which the unit-direction test compared on
     # one vertex each, leaf_vertices and rows were 10,431 and 4,441 on the
     # (3,3) grid, and leaf_vertices 251 on the (5,3) grid; (3,4) reaches no
-    # leaf
+    # leaf.  41 of the (3,3) seeds miss one line, and product counts them:
+    # their group is written down with no search.  While they were searched,
+    # the (3,3) grid read nodes 2,475, leaves 457, leaf_vertices 12,096,
+    # linear_leaves 726, rows 4,495, splitters 4,986 and splitters_masks 99
     grids = {
-        (3, 3, 0.75, 200): (2475, dict(
-            leaves=457, leaf_vertices=12096, linear_leaves=726, rows=4495, splitters=4986,
-            splitters_direct=0, splitters_masks=99, period=336,
+        (3, 3, 0.75, 200): (1450, dict(
+            leaves=252, leaf_vertices=6561, linear_leaves=521, rows=3388, splitters=3428,
+            splitters_direct=0, splitters_masks=58, period=336, product=41,
         )),
         (5, 3, 0.5, 200): (499, dict(
             leaves=3, leaf_vertices=250, linear_leaves=97, rows=3161, splitters=3282,
-            splitters_direct=739, splitters_masks=264, period=200,
+            splitters_direct=739, splitters_masks=264, period=200, product=0,
         )),
         (3, 4, 0.5, 40): (130, dict(
             leaves=0, leaf_vertices=0, linear_leaves=50, rows=1321, splitters=1192,
-            splitters_direct=85, splitters_masks=33, period=40,
+            splitters_direct=85, splitters_masks=33, period=40, product=0,
         )),
     }
     found = {}
@@ -499,7 +507,12 @@ def test_split_traces_are_pinned():
     # (0, q^(n-1)); their digests were recorded when it refined the last
     # level too, in 3 nodes, on the base it found there.  The case-(ii)
     # nodes and digests were re-recorded when G_0's generators joined the
-    # pool after K's, every base unchanged
+    # pool after K's, every base unchanged.  Every case is pinned on the
+    # search itself, _search_group, which is automorphism_group's where S
+    # has no period and misses more than one line.  At (5,3) and (3,4), p =
+    # 0.97, S misses one line, and route pins the group automorphism_group
+    # writes down there: K's generators, then the star transpositions, of
+    # order 25! 5! and 27! 3!
     k_digest = "ceb449eca216d37655b4811032970a9138ef88168f209cacd9d04d72b0556ce9"
     ii_digest = "8886717af44fd3dc656fedfaded0c6f36ae0f798da18312aa83ce2e1089b069a"
     cases = {
@@ -528,11 +541,22 @@ def test_split_traces_are_pinned():
             "06fc36e94d905f4b66f3ec9b1e57862b4fc6c8922798f05b6a72a416d6c8bfbf",
         ),
     }
-    for (q, n, p, seed), (nodes, base, digest) in cases.items():
-        aut = automorphism_group(build_graph(sample_connection_set(q, n, p, seed)))
-        generators = json.dumps([list(g) for g in aut.group.generators]).encode()
-        found = (aut.nodes, aut.group.base(), hashlib.sha256(generators).hexdigest())
-        assert found == (nodes, base, digest), (q, n, p, seed)
+    route = {
+        (5, 3, 0.97, 2): (
+            0, (*range(24), 28, 51, 79),
+            "7c02823d008a49629971ca07898f5b3e7b0ea831f77e12768f526d7be6f09a08",
+        ),
+        (3, 4, 0.97, 2): (
+            0, (*range(26), 34), "f0eba76a15b8c88e34c76036334d6a438cac41231d21c316ac67f49bb8855418"
+        ),
+    }
+    for pins, searched in ((cases, True), (route, False)):
+        for (q, n, p, seed), (nodes, base, digest) in pins.items():
+            g = build_graph(sample_connection_set(q, n, p, seed))
+            aut = autgroup._search_group(g, 200000) if searched else automorphism_group(g)
+            generators = json.dumps([list(x) for x in aut.group.generators]).encode()
+            found = (aut.nodes, aut.group.base(), hashlib.sha256(generators).hexdigest())
+            assert found == (nodes, base, digest), (q, n, p, seed)
 
 
 def _refined_child(points, part, s, v, stop):
@@ -579,16 +603,17 @@ def test_chain_orbits_and_witnesses_are_pinned():
     # witness, of the search and its chain walk, which automorphism_group and
     # dichotomy_check run on every graph without a period ((3,3) seeds 4
     # and 7 have one; test_twin_chains_are_pinned pins what they give
-    # there); the chi coloring's class-fixing order and witness, also on
-    # three case-(i) instances, where the group is K on its own base (these
-    # were recorded when it was K on the base the search found); and the
-    # pool a budget leaves when it runs out while the levels are completed
-    # (the leftmost path takes 10 nodes), K's generators, G_0's and those
-    # found.  Each depends on the order in which every level's BFS meets the
-    # generators: the orbits and the pool were re-recorded when G_0's
-    # generators joined the pool, and so was the chain walk's witness at
-    # seeds 3-5, which now meets another non-scalar map of G_0 first;
-    # dichotomy_check's witness did not move
+    # there) and with more than one line missing ((3,3) seed 3 misses one);
+    # the chi coloring's class-fixing order and witness of the search, also
+    # on three case-(i) instances, where the group is K on its own base
+    # (these were recorded when it was K on the base the search found); and
+    # the pool a budget leaves when it runs out while the levels are
+    # completed (the leftmost path takes 10 nodes), K's generators, G_0's
+    # and those found.  Each depends on the order in which every level's
+    # BFS meets the generators: the orbits and the pool were re-recorded
+    # when G_0's generators joined the pool, and so was the chain walk's
+    # witness at seeds 3-5, which now meets another non-scalar map of G_0
+    # first; dichotomy_check's witness did not move
     def digest(x):
         return hashlib.sha256(json.dumps(x).encode()).hexdigest()
 
@@ -640,10 +665,17 @@ def test_chain_orbits_and_witnesses_are_pinned():
     }
     for (q, n, p, seed), want in chi_cases.items():
         g = build_graph(sample_connection_set(q, n, p, seed))
-        rep = is_distinguishing(exact_chromatic_number(g).coloring, automorphism_group(g))
+        aut = autgroup._search_group(g, 200000)
+        rep = is_distinguishing(exact_chromatic_number(g).coloring, aut)
         assert (rep.fixing_order, digest(list(rep.witness))) == want, (q, n, p, seed)
+    # (3,3), p = 0.75, seed 3 misses one line: on automorphism_group's
+    # group, written down with no search, the same order and another witness
     g = build_graph(sample_connection_set(3, 3, 0.75, 3))
-    aut = automorphism_group(g, node_budget=20)
+    rep = is_distinguishing(exact_chromatic_number(g).coloring, automorphism_group(g))
+    assert (rep.fixing_order, digest(list(rep.witness))) == (
+        362880, "ade51895358f3728f20f6a69bb58258b2249bf93c723c32b8247cfc407ce7c8c"
+    )
+    aut = autgroup._search_group(g, 20)
     assert not aut.complete
     assert (len(aut.pool), digest([list(x) for x in aut.pool])) == (
         13,
@@ -1379,6 +1411,58 @@ def test_twin_group_matches_the_search():
             assert aut.nodes > 0
         count += 1
     assert count == 27
+
+
+def _one_line_missing(q, n):
+    """Every S at (q, n) that misses exactly one admissible line."""
+    universe = list(line_universe(q, n))
+    return [ConnectionSet(q, n, universe[:i] + universe[i + 1 :]) for i in range(len(universe))]
+
+
+def test_product_route_matches_the_search(deadline):
+    # every S missing one admissible line at (3,3), (3,4) and (5,3), 9, 27
+    # and 25 sets: the group written down in 0 nodes and the search's have
+    # the order q^(n-1)! q!, and each contains every generator of the other;
+    # every written generator is an automorphism, K's first; the witness is
+    # not scalar and maps S onto S; and the (q+1) certificate fails on both
+    # groups alike, a lifted column transposition fixing every class
+    deadline(60)
+    count = 0
+    for q, n in ((3, 3), (3, 4), (5, 3)):
+        k = scalar_affine_group(q, n).generators
+        for connection in _one_line_missing(q, n):
+            g = build_graph(connection)
+            members = connection.members
+            aut = automorphism_group(g)
+            search = autgroup._search_group(g, 200000)
+            assert g.missing_line is not None and aut.linear is None
+            assert (aut.nodes, aut.counts["product"], search.counts["product"]) == (0, 1, 0)
+            order = math.factorial(q ** (n - 1)) * math.factorial(q)
+            assert aut.group.order() == search.group.order() == order, connection.lines
+            assert all(map(search.group.contains, aut.group.generators)), connection.lines
+            assert all(map(aut.group.contains, search.group.generators)), connection.lines
+            assert aut.group.generators[: n + 1] == list(k)
+            assert all(is_automorphism(g, p) for p in aut.group.generators)
+            report = dichotomy_check(g, aut)
+            m = report["witness"]
+            assert (report["equals_K"], report["dichotomy"]) == (False, "ii")
+            assert not is_scalar_matrix(m) and {mat_apply(m, s, q) for s in members} == members
+            assert chi_D_upper_certificate(g, aut) is None
+            assert chi_D_upper_certificate(g, search) is None
+            count += 1
+    assert count == 9 + 27 + 25
+
+
+def test_one_line_missing_at_n_2_is_searched():
+    # at n = 2 the complement is K_q □ K_q, whose group Sym(q) wr Sym(2)
+    # also swaps rows and columns: no line is reported missing, and the
+    # search finds the order 2 (q!)^2
+    for q in (3, 5, 7):
+        g = build_graph(_one_line_missing(q, 2)[0])
+        aut = automorphism_group(g)
+        assert g.missing_line is None
+        assert aut.nodes > 0 and aut.counts["product"] == 0
+        assert aut.group.order() == 2 * math.factorial(q) ** 2, q
 
 
 def test_twin_witness_is_a_transvection():

@@ -101,6 +101,34 @@ def test_log_space_tail_far_past_the_exact_range():
         assert abs(got - want) <= 1e-12 * abs(want), (q, n, got, want)
 
 
+def test_log_space_tail_sum_holds_its_digits_at_99991_3():
+    # the line reading at (99991, 3), whose tail P is near 2^-2.66, so that
+    # ln S, S the sum of the terms C(n, j) / C(n, t) below C(n, t), carries
+    # most of its digits: against a Fraction S, each term read down to a
+    # multiple of 2^-256 (about 10^6 of them, so S is off by under 2^-235),
+    # and 50 digits of mpmath for ln C(n, t).  Summed in floats the terms
+    # drifted by 2.8e-13 of the result
+    mpmath = pytest.importorskip("mpmath")
+    q, n = 99991, 3
+    num_lines = q ** (n - 1)
+    t = (num_lines - q ** (n - 2)) // 2 - 1
+    one = 1 << 256
+    total = term = one
+    for j in range(t, 0, -1):
+        term = term * j // (num_lines - j + 1)
+        if not term:
+            break
+        total += term
+    s = Fraction(total, one)
+    with mpmath.workdps(50):
+        loggamma = mpmath.loggamma
+        log_comb = loggamma(num_lines + 1) - loggamma(t + 1) - loggamma(num_lines - t + 1)
+        log_s = mpmath.log(s.numerator) - mpmath.log(s.denominator)
+        want = float((log_comb + log_s) / mpmath.log(2) - num_lines)
+    got = binomial_tail_log2(num_lines, t)
+    assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
 def test_bounds_far_beyond_the_exact_range(deadline):
     # 5^39 lines at n = 40: the union-bound chain compares bit lengths, and
     # neither tail sums its terms one by one

@@ -174,6 +174,26 @@ def test_aut_with_a_period_solves_the_quotient(capsys, deadline):
     assert json.loads(out)["meta"]["period"] == 1
 
 
+def test_aut_with_one_line_missing_writes_the_product(capsys, deadline):
+    # (5,4), p = 0.99, seed 0 misses the line of u = (3, 3, 4, 1): Aut is
+    # Sym(125) x Sym(5), written down with no search, with the homology
+    # x -> x - 2 x[3] u as witness; meta reports product 1, and 0 where the
+    # search runs, and --no-meta drops it
+    deadline(30)
+    code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--p", "0.99", "--seed", "0")
+    assert code == 0
+    d = json.loads(out)
+    assert d["order"] == str(math.factorial(125) * math.factorial(5))
+    assert (d["dichotomy"], d["equals_K"], d["nodes"]) == ("ii", False, 0)
+    assert d["witness"] == [[1, 0, 0, 4], [0, 1, 0, 4], [0, 0, 1, 2], [0, 0, 0, 4]]
+    assert len(d["generators"]) == 5 + 124 + 4
+    assert (d["meta"]["product"], d["meta"]["period"], d["meta"]["splitters"]) == (1, 1, 0)
+    code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1")
+    assert json.loads(out)["meta"]["product"] == 0
+    code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--p", "0.99", "--seed", "0", "--no-meta")
+    assert "product" not in out and "meta" not in json.loads(out)
+
+
 def test_aut_budget_exhaustion(capsys):
     code, out = run(capsys, "aut", "--q", "3", "--n", "3", "--seed", "8",
                     "--budget-nodes", "1", "--no-meta")
@@ -483,10 +503,13 @@ def test_experiment_json_no_meta_strips_runtime(capsys):
 # digests, (5,3) seed 8, (3,4) seed 2, (3,3) p = 0.75 seed 3 and planted
 # (5,5), were re-recorded when G_0's generators joined the search's pool:
 # their nodes fell, and at (3,4) and (3,3) the generators moved, the order,
-# base, dichotomy and witness staying as they were.  The planted set
-# takes about 1.5 s; the rest take a few hundredths each.  multiples-5-4.json
-# gives each of its lines as a nonzero multiple of the canonical
-# representative, some with coordinates outside [0, q).
+# base, dichotomy and witness staying as they were.  (3,3) p = 0.75 seed 3
+# misses one line, and was re-recorded again when that group came to be
+# written down with no search: 0 nodes, K's generators then the star
+# transpositions, and the homology as witness, the order unchanged.  The
+# planted set takes about 1.5 s; the rest take a few hundredths each.
+# multiples-5-4.json gives each of its lines as a nonzero multiple of the
+# canonical representative, some with coordinates outside [0, q).
 PLANTED_5_5 = str(Path(__file__).with_name("planted-5-5.json"))
 MULTIPLES_5_4 = str(Path(__file__).with_name("multiples-5-4.json"))
 OUTPUT_DIGESTS = [
@@ -497,7 +520,7 @@ OUTPUT_DIGESTS = [
     (("aut", "--q", "5", "--n", "4", "--seed", "1"),
      "ed7ccae7058c35ccd8014c0458dae2d908af7cddc965ce2897f7eaabdd85fa26"),
     (("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "3"),
-     "a8efbbaf52490179740d144c4140cb85b9098ed144aee68f6f549d56ec15ec4c"),
+     "ee9313444b8d2ee9e3fee919d3449250e95c70b60d4c273ad129c3c9fc347ae6"),
     (("aut", "--q", "5", "--n", "5", "--in", PLANTED_5_5),
      "a008e1638d39d31fb65d793e4ce1e39a0d6e995936fcad274b85954c9f593864"),
     (("distinguish", "--q", "5", "--n", "4", "--seed", "1"),

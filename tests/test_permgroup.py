@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -19,6 +20,7 @@ from linecayley.permgroup import (
     fixing_subgroup_of_partition,
     inverse_perm,
     leaves,
+    product_group,
     scalar_affine_group,
     symmetric_group,
     twin_group,
@@ -327,6 +329,32 @@ def test_twin_groups_match_brute_force():
             fix = fixing_subgroup_of_partition(group, labels)
             assert fix.order() == brute_fix_count(elements, labels)
             assert all(map(group.contains, fix.generators))
+
+
+def test_product_group_matches_brute_force():
+    # Sym(a) x Sym(b) on a grid of b rows of a points, ids shuffled, with
+    # no known element and with one listed first: its elements are exactly
+    # the maps rows[t][h] -> rows[ρ(t)][σ(h)], its order is a! b!, and its
+    # transversals are read off its trees
+    rng = random.Random(7)
+    for a, b in ((3, 2), (4, 3), (2, 4)):
+        ids = list(range(a * b))
+        rng.shuffle(ids)
+        rows = [ids[t * a : (t + 1) * a] for t in range(b)]
+        want = set()
+        for rho in itertools.permutations(range(b)):
+            for sigma in itertools.permutations(range(a)):
+                image = [0] * (a * b)
+                for t, row in enumerate(rows):
+                    for h, x in enumerate(row):
+                        image[x] = rows[rho[t]][sigma[h]]
+                want.add(tuple(image))
+        for known in ([], [rng.choice(sorted(want - {tuple(range(a * b))}))]):
+            group = product_group(rows, known)
+            assert group.generators[: len(known)] == known
+            assert set(group_elements(a * b, group.generators)) == want, (a, b)
+            assert group.order() == len(want) == math.factorial(a) * math.factorial(b)
+            _assert_schreier_trees(group)
 
 
 # a small explicit tree: node -> children, depth 0 at "r"
