@@ -86,9 +86,12 @@ closure.
 
 Two kinds of S take a route around the search (automorphism_group).  When S
 has a period W, the search runs on G/W alone and its group is lifted to the
-twins (permgroup.twin_group).  When n >= 3 and S misses exactly one
-admissible line, G's complement is K_(q^(n-1)) □ K_q, and Aut is
-Sym(q^(n-1)) x Sym(q), written down with no search (permgroup.product_group).
+twins (permgroup.twin_group).  When S is a cone, mapped onto itself by the
+homologies of axis H = {x[n-1] = 0} and a centre u on a line of S or on the
+one admissible line S lacks (CayleyGraph.centre), G is K_q x R, R a graph one
+dimension down, and Aut is Sym(q) x Aut(R), written down from
+automorphism_group(R) (permgroup.product_group); where S lacks u's line
+alone, R is K_(q^(n-1)), and nothing is searched.
 """
 
 from collections import Counter, deque
@@ -101,8 +104,8 @@ from .cayley import id_mask
 from .errors import BudgetExceeded
 from .field import affine_ids, decode, homology, inv_mod, is_scalar_matrix, transvection
 from .permgroup import (
-    PermGroup, depth_first, inverse_perm, orbit_count, product_group, scalar_affine_group,
-    symmetric_group, twin_generators, twin_group,
+    PermGroup, depth_first, grid_generators, inverse_perm, orbit_count, product_group,
+    scalar_affine_group, star_swaps, symmetric_group, twin_generators, twin_group,
 )
 
 
@@ -112,12 +115,13 @@ class AutResult:
     complete: bool
     nodes: int
     pool: tuple
-    # the search's counters (see _Vertices), period, |W|, and product, 1 on
-    # the product route and 0 elsewhere (see automorphism_group)
+    # the search's counters (see _Vertices), period, |W|, and product and
+    # cone, 1 on the cone route where R is K_a and where it is not, and 0
+    # elsewhere (see automorphism_group)
     counts: dict = field(default_factory=dict)
     # G_0, the linear maps fixing S (see _linear_group), where the search
     # went past the refinement after 0; None where that refinement proved
-    # Aut = K, and on the twin and product routes
+    # Aut = K, and on the twin and cone routes
     linear: PermGroup | None = None
 
 
@@ -749,32 +753,67 @@ def automorphism_group(graph, node_budget=200000):
     and permgroup.twin_group); nodes and counts are G/W's, and
     counts["period"] is |W|.
 
-    When n >= 3 and S holds every admissible line but one, m, Aut is
-    written down with no search, in 0 nodes, with counts["product"] 1:
-    Sym(a) x Sym(q), a = q^(n-1), on the grid of h + c u (permgroup.
-    product_group), u being m's representative (CayleyGraph.missing_line).
-    Proof.  u is off H = {x[n-1] = 0}, so F_q^n = H ⊕ m, and each x is h +
-    c u in one way.  Each point off H lies on one admissible line, so the
-    nonzero points outside S are (H ∖ 0) ∪ (m ∖ 0), and two points are
-    non-adjacent exactly when they share c (a row, a coset of H) or h (a
-    column, a coset of m): G's complement is K_a □ K_q, the line graph of
-    K_(a,q).  A clique of it lies in one row or one column, so its maximal
-    cliques are the q rows, of a points, and the a columns, of q points.
-    An automorphism maps them onto maximal cliques of the same size, and a
-    > q, so it permutes the rows and the columns, and as each point is the
-    meet of its row and its column, the two permutations determine it;
-    every pair of them is one.  So Aut(G) = Sym(a) x Sym(q) (Whitney,
-    1932; Imrich & Klavžar, *Product Graphs*, 2000).  At n = 2, a = q and
-    rows and columns may be swapped: Aut is Sym(q) wr Sym(2), and the
-    search runs.  The period and this route never meet: a period needs q
-    to divide the line count, q^(n-1) - 1 here.
+    Where S is a cone of centre u (CayleyGraph.centre and .cone), G is K_q
+    x R, and Aut is Sym(q) x Aut(R), written down on the grid of the rows
+    c u + H, H = {x[n-1] = 0}, and the columns h + <u>, h in H
+    (permgroup.product_group), with K's generators first.  Where S lacks
+    u's line alone, R is K_a, a = q^(n-1), Aut(R) is Sym(a), and there is
+    no search: 0 nodes and counts["product"] 1.  Where u is in S, Aut(R)
+    is automorphism_group(R), by whatever route fits R, and nodes and
+    counts are R's, with counts["cone"] 1.  If R's search runs out of
+    budget, the pool is R's lifted, between K's generators and the row
+    swaps.  Each x is h + c u in one way, and x ~ h' + c' u exactly when c
+    != c' and h - h' is in D', the affine points of S's representatives
+    less u's (see CayleyGraph.cone).
+
+    Proof, u not in S.  D' is H ∖ 0, so the nonzero points outside S are
+    (H ∖ 0) ∪ (<u> ∖ 0), and two points are non-adjacent exactly when they
+    share c (a row) or h (a column): G's complement is K_a □ K_q, the line
+    graph of K_(a,q).  A clique of it lies in one row or one column, so its
+    maximal cliques are the q rows, of a points, and the a columns, of q
+    points.  An automorphism maps them onto maximal cliques of the same
+    size, and a > q, so it permutes the rows and the columns, and as each
+    point is the meet of its row and its column, the two permutations
+    determine it; every pair of them is one.  So Aut(G) = Sym(a) x Sym(q)
+    (Whitney, 1932; Imrich & Klavžar, *Product Graphs*, 2000).  At n = 2,
+    a = q and rows and columns may be swapped: Aut is Sym(q) wr Sym(2), and
+    the search runs.
+
+    Proof, u in S.  D' holds 0, and the columns, which partition V, are
+    q-cliques, as u is in S.  (1) The rows are the only independent sets of
+    a points.  Such a set meets each column once, and where columns h and
+    h' are adjacent in R it picks them in one row; R is connected, as S
+    spans F_q^n.  (2) Two points in different rows lie in one column
+    exactly when their neighbourhoods agree on a third row, which exists as
+    q >= 3: in row c'', (c, h) has the neighbours h + D', and h + D' = h' +
+    D' puts h - h' in the period of D', that of S, which is 0, as q does not
+    divide S's line count.  (3) So an automorphism permutes the rows and,
+    by (2), the columns, and is the pair of the two: a permutation of the
+    rows, and one of the columns, which keeps adjacency exactly when it is
+    in Aut(R), loops aside.  Every such pair is an automorphism, so Aut(G)
+    = Sym(q) x Aut(R).  The direct product is the general setting
+    (Hammack, Imrich & Klavžar, *Handbook of Product Graphs*, 2nd ed.,
+    2011).  The cones with u not in S and R != K_a are searched: at the 54
+    four-line cones of (3,3), G = K_3 x K_3 x K_3, and |Aut| is 1,296, not
+    3! |Aut(R)| = 432, as Aut also swaps factors.  The period and the cone
+    never meet: a period needs q to divide the line count, a centre not.
     """
-    if (u := graph.missing_line) is not None:
-        a = graph.num_vertices // graph.q
-        rows = [range(a), *(graph.translate(x, range(a)) for x in graph.multiples(u))]
-        group = product_group(rows, scalar_affine_group(graph.q, graph.n).generators)
-        counts = {**dict.fromkeys(COUNTERS, 0), "period": 1, "product": 1}
-        return AutResult(group, True, 0, tuple(group.generators), counts)
+    if (cone := graph.cone()) is not None:
+        factor, column = cone
+        rows = [column, *(graph.translate(x, column) for x in graph.multiples(graph.centre))]
+        known = scalar_affine_group(graph.q, graph.n).generators
+        if factor is None:
+            a = len(column)
+            group = product_group(rows, known, star_swaps([(h,) for h in range(a)], a), range(a - 1))
+            counts = {**dict.fromkeys(COUNTERS, 0), "period": 1, "product": 1, "cone": 0}
+            return AutResult(group, True, 0, tuple(group.generators), counts)
+        inner = automorphism_group(factor, node_budget)
+        counts = {**inner.counts, "period": 1, "product": 0, "cone": 1}
+        if not inner.complete:
+            pool = grid_generators(rows, known, inner.pool)
+            return AutResult(None, False, inner.nodes, tuple(pool), counts)
+        group = product_group(rows, known, inner.group.generators, inner.group.base())
+        return AutResult(group, True, inner.nodes, tuple(group.generators), counts)
     if len(graph.period) == 1:
         return _search_group(graph, node_budget)
     quotient, cosets = graph.quotient()
@@ -784,7 +823,7 @@ def automorphism_group(graph, node_budget=200000):
         inner = _search_group(quotient, node_budget)
     group = twin_group(inner.group, cosets) if inner.complete else None
     pool = group.generators if group else twin_generators(inner.pool, cosets)
-    counts = {**inner.counts, "period": len(graph.period), "product": 0}
+    counts = {**inner.counts, "period": len(graph.period), "product": 0, "cone": 0}
     return AutResult(group, inner.complete, inner.nodes, tuple(pool), counts)
 
 
@@ -801,7 +840,7 @@ def _search_group(graph, node_budget):
         # report what was found; the span of a truncated pool has no
         # trustworthy order, so no group is materialized
         group = None
-    vertices.counts.update(period=1, product=0)
+    vertices.counts.update(period=1, product=0, cone=0)
     return AutResult(
         group, group is not None, search.nodes, tuple(search.pool), vertices.counts, search.linear
     )
@@ -819,7 +858,7 @@ def group_equals_scalar_affine(group, q, n):
     """Whether group, a complete result of automorphism_group, is K.  The
     search's pool starts with K's generators and every group it returns
     keeps them among its own (case (i) returns K itself), and so does the
-    product route's group.  The twin group of a graph with a period does
+    cone route's group.  The twin group of a graph with a period does
     not list K's generators, but contains K, as every Aut(G) does.  So the
     group contains K and is K exactly when it has K's order, q^n (q - 1)."""
     return group.order() == q ** n * (q - 1)
@@ -832,14 +871,14 @@ def dichotomy_check(graph, aut):
     looked for only when Aut is not K.  "violated" would mean neither
     holds, which indicates a solver bug rather than a counterexample.
 
-    Where S misses one admissible line, with representative u, the witness
-    is the homology x -> x - 2 x[n-1] u: it fixes H = {x[n-1] = 0}
-    pointwise and negates u, so it permutes the admissible lines and fixes
-    the missing one, and so maps S onto S.  Where S has a period, it is a
-    transvection.  Otherwise every linear map fixing S is in G_0,
-    aut.linear, so some such map is not scalar exactly when a generator of
-    G_0 is not: the witness is the first such generator, read as the
-    matrix whose column j is the image of e_j, of id q^j.
+    Where the search ran past the refinement after 0, every linear map
+    fixing S is in G_0, aut.linear, so some such map is not scalar exactly
+    when a generator of G_0 is not: the witness is the first such
+    generator, read as the matrix whose column j is the image of e_j, of id
+    q^j.  Where S has a period, it is a transvection.  On the cone route,
+    it is the homology x -> x - 2 x[n-1] u of S's centre u (see
+    CayleyGraph.centre), which maps S onto S, fixes H = {x[n-1] = 0}
+    pointwise and negates u.
     """
     if not aut.complete:
         raise ValueError("automorphism search was incomplete; raise the node budget")
@@ -847,15 +886,15 @@ def dichotomy_check(graph, aut):
     equals_k = group_equals_scalar_affine(aut.group, q, n)
     if equals_k:
         witness = None
-    elif graph.missing_line is not None:
-        witness = homology(decode(graph.missing_line, q, n), q)
+    elif aut.linear is not None:
+        columns = ([decode(g[q ** j], q, n) for j in range(n)] for g in aut.linear.generators)
+        matrices = (tuple(zip(*c)) for c in columns)
+        witness = next(filterfalse(is_scalar_matrix, matrices), None)
     elif len(graph.period) > 1:
         # s -> s + s[n-1] w, in S + W = S, for the first w != 0 of the period
         witness = transvection(decode(graph.period[1], q, n))
     else:
-        columns = ([decode(g[q ** j], q, n) for j in range(n)] for g in aut.linear.generators)
-        matrices = (tuple(zip(*c)) for c in columns)
-        witness = next(filterfalse(is_scalar_matrix, matrices), None)
+        witness = homology(decode(graph.centre, q, n), q)
     return {
         "equals_K": equals_k,
         "dichotomy": "i" if equals_k else "ii" if witness is not None else "violated",

@@ -2,12 +2,14 @@
 
 import random
 from functools import cached_property, lru_cache
-from itertools import compress
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, mul
 
 from .errors import InvariantViolation
-from .field import affine_ids, decode, encode, primitive_root, require_space, rref, vec_scale
-from .geometry import line_points, line_universe, proj_rep
+from .field import (
+    affine_ids, decode, encode, inv_mod, primitive_root, require_space, rref, vec_scale,
+)
+from .geometry import all_projective_points, line_points, line_universe, proj_rep
 
 
 class ConnectionSet:
@@ -181,17 +183,91 @@ class CayleyGraph:
         return (0, *sorted(shifts))
 
     @cached_property
-    def missing_line(self):
-        """The id of u, the representative (u[n-1] = 1) of the one
-        admissible line that S lacks, when n >= 3 and S has all q^(n-1)
-        admissible lines but one; None otherwise.  G's complement is then
-        K_(q^(n-1)) □ K_q (see autgroup.automorphism_group)."""
+    def centre(self):
+        """The id of u, u[n-1] = 1, when n >= 3 and the homologies x -> x +
+        (μ - 1) x[n-1] u, of axis H = {x[n-1] = 0} and centre u, map S
+        onto S, where u is on a line of S or S lacks u's line alone; None
+        otherwise, and wherever q divides the line count L.
+
+        Such a homology maps a representative r of S to r + (μ - 1) u, so
+        on the affine points D = {r[:n-1]} it is the dilation d -> e +
+        (d - e) / μ about e = u[:n-1], and S is fixed exactly when D - e is
+        closed under F_q^*.  D - e less 0 is then a union of punctured lines
+        through 0, each summing to 0, so L = 1 mod (q - 1) when u is in S, L
+        = 0 when not (the only such L looked for is q^(n-1) - 1), and the
+        representatives sum to L u.  So u is that sum over L, and the one
+        test is whether each r + (g - 1) u is in S, g the primitive root:
+        the homology of g generates the others, and maps S into S, so onto
+        it.  Most sets that pass the count fail at their first r.
+        """
         q, n, lines = self.q, self.n, self.connection.lines
-        if n < 3 or len(lines) != q ** (n - 1) - 1:
+        count = len(lines)
+        if n < 3 or not count % q or count % (q - 1) != 1 and count != q ** (n - 1) - 1:
             return None
-        universe = _universe(q, n)
-        (rep,) = set(universe).difference(lines)
-        return universe[rep][1]
+        scale = inv_mod(count, q)
+        u = [sum(column) * scale % q for column in zip(*lines)]
+        c, members = _line_cache(q, n).root - 1, self.connection.members
+        if all(tuple([(a + c * b) % q for a, b in zip(r, u)]) in members for r in lines):
+            return encode(u, q)
+        return None
+
+    def cone(self):
+        """(R, column), G being K_q x R, for a graph with a centre u (see
+        centre) whose S spans F_q^n; None otherwise.  Each x is h + c u in
+        one way, h in H, and x ~ h' + c' u exactly when c != c' and h - h'
+        is in D' = D - e (see centre), so R is Cay(H, D' ∖ 0), with a loop
+        at every vertex when u is in S, and D' then holds 0 (see
+        autgroup.automorphism_group).  S has no period, as q does not
+        divide its line count (see period).  column[k] is the id of the h
+        of H at R's vertex k.
+
+        Where S lacks u's line alone, D' is H ∖ 0, R is K_a, a = q^(n-1),
+        and this is (None, range(a)).  Otherwise R is built one dimension
+        down as a line Cayley graph on F_q^(n-1), in coordinates where a
+        hyperplane ker f of H that meets no line of D' becomes x[n-2] = 0:
+        f is the first of all_projective_points with f(d) != 0 at every d
+        of D' ∖ 0, f = x[n-2] first of all, and the coordinates are x less
+        its coordinate p, then f(x), p being f's last nonzero coordinate,
+        where f[p] = 1.  Where no f exists, as at (3,4) with two lines
+        missing, this is None.
+        """
+        q, n, u = self.q, self.n, self.centre
+        a, lines = q ** (n - 1), self.connection.lines
+        if u is None:
+            return None
+        if len(lines) == a - 1:
+            return None, range(a)
+        e = decode(u, q, n)[:-1]
+        # the points of D' ∖ 0, r[:n-1] - e, zip stopping there
+        spokes = [[x - y for x, y in zip(r, e)] for r in lines if r[:-1] != e]
+        f = next((f for f in all_projective_points(q, n - 1)
+                  if all(sum(map(mul, f, d)) % q for d in spokes)), None)
+        if f is None:
+            return None
+        p = max(compress(range(n - 1), f))
+
+        def end(d):
+            # the coordinates of d's multiple with f = 1, R's line of d
+            scale = inv_mod(sum(map(mul, f, d)), q)
+            return (*(x * scale % q for x in d[:p]), *(x * scale % q for x in d[p + 1 :]), 1)
+
+        def point(y):
+            # the h of H with coordinates y, as an n-vector
+            x = [*y[:p], 0, *y[p : n - 2], 0]
+            x[p] = (y[-1] - sum(map(mul, f, x))) % q
+            return x
+
+        ends = set(map(end, spokes))
+        if len(rref(ends, q)[0]) < n - 1:
+            return None
+        factor = CayleyGraph(ConnectionSet(q, n - 1, ends))
+        # h at each id k of R, one digit of k at a time, least significant first
+        column = [0]
+        for j in range(n - 1):
+            b = encode(point([int(i == j) for i in range(n - 1)]), q)
+            shifted = (self.translate(x, column) for x in self.multiples(b))
+            column = [*column, *chain.from_iterable(shifted)]
+        return factor, column
 
     def quotient(self):
         """(G/W, cosets) for the period W of S, in coordinates that keep

@@ -8,6 +8,7 @@ the direct product F_q^{n-1} x {1}.
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .field import inv_mod, require_prime, require_space, vec_scale
 
@@ -59,11 +60,13 @@ def line_universe(q, n):
     return LineUniverse(q, n, lines)
 
 
+@lru_cache(maxsize=4)
 def all_projective_points(q, n):
-    """Canonical representatives of every line through the origin of F_q^n."""
+    """Canonical representatives of every line through the origin of F_q^n,
+    sorted.  Cached, as a process works on few sizes."""
     require_prime(q)
     reps = set()
     for v in itertools.product(range(q), repeat=n):
         if any(v):
             reps.add(proj_rep(v, q))
-    return sorted(reps)
+    return tuple(sorted(reps))

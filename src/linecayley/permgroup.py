@@ -4,10 +4,11 @@ Permutations are image tuples; compose(p, r) applies r first.  A PermGroup
 is built from a base and a strong generating set relative to it, which every
 group here comes with: K's is written down (scalar_affine_group, built once
 per (q, n)), and so are that of a graph with twins, from the group of its
-twin quotient (twin_group), and Sym(a) x Sym(b) on a grid (product_group),
-the group of a graph whose S misses one line; the automorphism and
-class-fixing searches find theirs as the PermGroup constructor completes
-each level of the chain, deepest first.
+twin quotient (twin_group), and Sym(b) x C on a grid of b rows, C a given
+group on its columns (product_group), the group of a graph whose S is a
+cone (see autgroup.automorphism_group); the automorphism and class-fixing
+searches find theirs as the PermGroup constructor completes each level of
+the chain, deepest first.
 Whether any element but the identity preserves a labelling needs no chain:
 first_fixing_element runs the class-fixing search in the same order and
 stops at its first element.
@@ -22,6 +23,8 @@ proper partitions in coloring walks a tree of partial class assignments.
 
 import math
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .field import affine_ids, primitive_root
 
@@ -215,41 +218,56 @@ def twin_group(quotient, cosets):
     return group
 
 
-def product_group(rows, known):
-    """Sym(a) x Sym(b) on the grid rows[t][h] of b rows of a points each,
-    a > 1 and b > 1: the first factor permutes the columns h alike in every
-    row, the second the rows, of order a! b!.
-
-    Its generators are known, elements of the group listed first, then the
-    star transpositions (h_i h_(a-1)), lifted to every row, for i < a - 1,
-    and (row_j row_(b-1)) for j < b - 1.  They are strong on the base
-    rows[0][:a-1], then rows[j][0] for 0 < j < b - 1: fixing rows[0][h] for
-    h < k leaves Sym of columns k.. times Sym of rows 1.. (or of every row,
-    for k = 0), spanned by the transpositions of those columns and rows;
-    with every column fixed, fixing rows[j][0] for 0 < j < k leaves Sym of
-    rows k.. likewise.  Added elements of the group keep a set strong.
-    Every Schreier tree past level 0 has depth at most 2, through the star
-    centre, and level 0's at most 4.
-    """
-    a, degree = len(rows[0]), sum(map(len, rows))
-    identity = list(range(degree))
-    generators = list(known)
-    for i in range(a - 1):
-        swap = identity[:]
-        for row in rows:
-            swap[row[i]], swap[row[-1]] = row[-1], row[i]
-        generators.append(tuple(swap))
-    for row in rows[:-1]:
-        swap = identity[:]
-        for x, y in zip(row, rows[-1]):
+def star_swaps(blocks, degree):
+    """The permutations of range(degree) swapping blocks[i] and blocks[-1]
+    point by point, for i < len(blocks) - 1: of the points themselves
+    when each block is one point."""
+    swaps = []
+    for block in blocks[:-1]:
+        swap = list(range(degree))
+        for x, y in zip(block, blocks[-1]):
             swap[x], swap[y] = y, x
-        generators.append(tuple(swap))
-    base = [*rows[0][:-1], *(row[0] for row in rows[1:-1])]
-    return PermGroup(degree, base, generators)
+        swaps.append(tuple(swap))
+    return swaps
 
 
+def grid_generators(rows, known, generators):
+    """known, then each of generators, permutations of range(a), lifted to
+    map rows[t][h] to rows[t][g[h]] in every row t of the grid rows, of b
+    rows of a > 1 points each, then star_swaps of the rows.  A lifted g is
+    read row by row, in the grid's order, and put in the points' order by
+    the inverse of that order."""
+    order = [*chain.from_iterable(rows)]
+    place = itemgetter(*inverse_perm(order))
+    lifted = [place([*chain.from_iterable(map(itemgetter(*g), rows))]) for g in generators]
+    return [*known, *lifted, *star_swaps(rows, len(order))]
+
+
+def product_group(rows, known, generators, base):
+    """Sym(b) x C on the grid rows[t][h] of b > 1 rows of a points each: C
+    != 1, the group on range(a) of the strong generating set generators on
+    base, permutes the columns h alike in every row, and Sym(b) the rows;
+    of order b! |C|.
+
+    Its generators are grid_generators, known being elements of the group.
+    They are strong on the base rows[0][base], then rows[j][0] for 0 < j <
+    b - 1: fixing rows[0][h] means fixing row 0 and column h, so fixing the
+    first k points of that leaves C's stabilizer of base[:k] times Sym of
+    rows 1.. (of every row, for k = 0), spanned by the lifted generators
+    that fix base[:k] and the row swaps (row_j row_(b-1)), j > 0; with all
+    of it fixed, every column is, and fixing rows[j][0] for 0 < j < k
+    leaves Sym of rows k.. likewise.  Added elements of the group keep a
+    set strong.  The rows' Schreier trees have depth at most 2, through the
+    star centre.
+    """
+    base = [*(rows[0][h] for h in base), *(row[0] for row in rows[1:-1])]
+    return PermGroup(sum(map(len, rows)), base, grid_generators(rows, known, generators))
+
+
+@lru_cache(maxsize=4)
 def symmetric_group(k):
-    """Sym(k) on range(k): k twins of the one point of the trivial group."""
+    """Sym(k) on range(k): k twins of the one point of the trivial group.
+    Cached, for K_q's twins and cones' rows; no caller may mutate it."""
     return twin_group(PermGroup(1, (), []), [range(k)])
 
 

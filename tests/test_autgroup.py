@@ -172,9 +172,11 @@ def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
     # 1 of the 44 with no neighbourhood compared, and brute force finds it
     # an automorphism; the other 43 are compared on all 27 vertices.
     # is_automorphism passes every generator of the pool, where brute force
-    # agrees.  Seeds 3 and 11-14 miss one line, and automorphism_group
-    # writes their group down with no leaf; the tally is of the search, run
-    # there by _search_group, and the written pool is checked too
+    # agrees.  Seeds 3 and 11-14 miss one line, and seeds 8-10 and 19 are
+    # seven-line cones: automorphism_group writes their group down from R's,
+    # checking no leaf of G (R's leaves, where R is searched, are left out of
+    # the tally); the tally is of the search, run there by _search_group,
+    # and the written pool is checked too
     leaf = _Search._leaf
     kept_by_linear = []
     routes = Counter()
@@ -194,9 +196,12 @@ def test_leaf_check_on_pool_generators_and_leaves(monkeypatch):
     monkeypatch.setattr(_Search, "_leaf", routed)
     for seed in range(20):
         g = build_graph(sample_connection_set(3, 3, 0.75, seed))
+        tally = routes.copy()
         auts = [automorphism_group(g)]
-        if g.missing_line is not None:
-            assert auts[0].counts["leaves"] == 0, seed
+        if g.cone() is not None:
+            routes.clear()
+            routes.update(tally)
+            kept_by_linear.clear()
             auts.append(autgroup._search_group(g, 200000))
         edges = edge_set(g)
         for p in kept_by_linear:
@@ -264,30 +269,49 @@ def test_seeded_pool_totals_are_pinned():
     # leaf.  41 of the (3,3) seeds miss one line, and product counts them:
     # their group is written down with no search.  While they were searched,
     # the (3,3) grid read nodes 2,475, leaves 457, leaf_vertices 12,096,
-    # linear_leaves 726, rows 4,495, splitters 4,986 and splitters_masks 99
+    # linear_leaves 726, rows 4,495, splitters 4,986 and splitters_masks 99.
+    # 68 more are cones, 10 of five lines and 58 of seven: these totals keep
+    # them on the search, _search_group, and cones pins the route's, R's:
+    # the five-line R is searched in 4 nodes, the seven-line R has a period
+    # and is not.  No (5,3) or (3,4) seed is a cone
     grids = {
         (3, 3, 0.75, 200): (1450, dict(
             leaves=252, leaf_vertices=6561, linear_leaves=521, rows=3388, splitters=3428,
-            splitters_direct=0, splitters_masks=58, period=336, product=41,
+            splitters_direct=0, splitters_masks=58, period=336, product=41, cone=0,
         )),
         (5, 3, 0.5, 200): (499, dict(
             leaves=3, leaf_vertices=250, linear_leaves=97, rows=3161, splitters=3282,
-            splitters_direct=739, splitters_masks=264, period=200, product=0,
+            splitters_direct=739, splitters_masks=264, period=200, product=0, cone=0,
         )),
         (3, 4, 0.5, 40): (130, dict(
             leaves=0, leaf_vertices=0, linear_leaves=50, rows=1321, splitters=1192,
-            splitters_direct=85, splitters_masks=33, period=40, product=0,
+            splitters_direct=85, splitters_masks=33, period=40, product=0, cone=0,
         )),
     }
-    found = {}
+    cones = {
+        (3, 3, 0.75, 200): (40, dict(
+            leaves=0, leaf_vertices=0, linear_leaves=24, rows=50, splitters=40,
+            splitters_direct=0, splitters_masks=0, period=68, product=0, cone=68,
+        )),
+        (5, 3, 0.5, 200): (0, {}),
+        (3, 4, 0.5, 40): (0, {}),
+    }
+    found, routed = {}, {}
     for q, n, p, count in grids:
-        nodes, counts = 0, Counter()
+        nodes, counts, route_nodes, route_counts = 0, Counter(), 0, Counter()
         for seed in range(count):
-            aut = automorphism_group(build_graph(sample_connection_set(q, n, p, seed)))
+            g = build_graph(sample_connection_set(q, n, p, seed))
+            aut = automorphism_group(g)
+            if aut.counts["cone"]:
+                route_nodes += aut.nodes
+                route_counts.update(aut.counts)
+                aut = autgroup._search_group(g, 200000)
             nodes += aut.nodes
             counts.update(aut.counts)
         found[q, n, p, count] = (nodes, {key: counts[key] for key in aut.counts})
+        routed[q, n, p, count] = (route_nodes, dict(route_counts))
     assert found == grids
+    assert routed == cones
 
 
 def test_row_table_matches_rows_built_on_demand(monkeypatch):
@@ -1435,8 +1459,9 @@ def test_product_route_matches_the_search(deadline):
             members = connection.members
             aut = automorphism_group(g)
             search = autgroup._search_group(g, 200000)
-            assert g.missing_line is not None and aut.linear is None
+            assert g.centre is not None and aut.linear is None
             assert (aut.nodes, aut.counts["product"], search.counts["product"]) == (0, 1, 0)
+            assert aut.counts["cone"] == search.counts["cone"] == 0
             order = math.factorial(q ** (n - 1)) * math.factorial(q)
             assert aut.group.order() == search.group.order() == order, connection.lines
             assert all(map(search.group.contains, aut.group.generators)), connection.lines
@@ -1455,14 +1480,92 @@ def test_product_route_matches_the_search(deadline):
 
 def test_one_line_missing_at_n_2_is_searched():
     # at n = 2 the complement is K_q □ K_q, whose group Sym(q) wr Sym(2)
-    # also swaps rows and columns: no line is reported missing, and the
-    # search finds the order 2 (q!)^2
+    # also swaps rows and columns: no centre is reported, and the search
+    # finds the order 2 (q!)^2
     for q in (3, 5, 7):
         g = build_graph(_one_line_missing(q, 2)[0])
         aut = automorphism_group(g)
-        assert g.missing_line is None
+        assert g.centre is None
         assert aut.nodes > 0 and aut.counts["product"] == 0
         assert aut.group.order() == 2 * math.factorial(q) ** 2, q
+
+
+def test_cone_route_matches_the_search(deadline):
+    # every four-, five- and seven-line S at (3,3), and every (3,4) set
+    # missing two lines.  The 90 cones of centre u in S at (3,3), 54 of five
+    # lines (R = K_3 □ K_3, |Aut(R)| = 72) and 36 of seven (R complete
+    # tripartite, 1,296), take the route; the route's group and the
+    # search's have the order 3! |Aut(R)|, and each contains every
+    # generator of the other; every route generator is an automorphism,
+    # K's first; the witness is not scalar and maps S onto S; and the (q+1)
+    # certificate gives one answer on both groups.  The 72 other five-line
+    # sets have no centre.  No four-line set has one: the 54 four-line cones
+    # of centre u not in S are searched, G = K_3 x K_3 x K_3 having 1,296
+    # automorphisms, not 3! 72.  At (3,4) two missing lines leave a centre,
+    # the midpoint of their affine points, but D' holds 12 of H's 13 lines,
+    # and no plane of H misses them, so each set is searched; the 351 are
+    # one orbit of the affine group, and those missing the first line are
+    # checked against the search
+    deadline(60)
+    found = Counter()
+    for q, n, sizes in ((3, 3, (4, 5, 7)), (3, 4, (25,))):
+        k = list(scalar_affine_group(q, n).generators)
+        universe = line_universe(q, n)
+        for size in sizes:
+            for lines in itertools.combinations(universe, size):
+                g = build_graph(ConnectionSet(q, n, lines))
+                members = g.connection.members
+                if g.cone() is None:
+                    found[n, size, g.centre is not None] += 1
+                    if size < 25 and g.centre is None:
+                        found[n, size, automorphism_group(g).group.order()] += 1
+                    if size < 25 or universe.lines[0] in lines:
+                        continue
+                aut = automorphism_group(g)
+                search = autgroup._search_group(g, 200000)
+                routed = aut.counts["cone"] == 1
+                assert routed == (g.cone() is not None) and search.counts["cone"] == 0
+                assert (aut.linear is None) == routed
+                assert aut.group.order() == search.group.order(), lines
+                assert all(map(search.group.contains, aut.group.generators)), lines
+                assert all(map(aut.group.contains, search.group.generators)), lines
+                assert aut.group.generators[: n + 1] == k
+                assert all(is_automorphism(g, p) for p in aut.group.generators)
+                report = dichotomy_check(g, aut)
+                m = report["witness"]
+                assert (report["equals_K"], report["dichotomy"]) == (False, "ii")
+                assert not is_scalar_matrix(m) and {mat_apply(m, s, q) for s in members} == members
+                cert = chi_D_upper_certificate(g, aut)
+                assert (cert is None) == (chi_D_upper_certificate(g, search) is None)
+                found[n, size, "checked", aut.group.order(), cert is None] += 1
+    assert found == {
+        (3, 4, False): 126, (3, 4, 1296): 54, (3, 4, 7776): 72,
+        (3, 5, False): 72, (3, 5, 7776): 72, (3, 5, "checked", 432, True): 54,
+        (3, 7, "checked", 7776, True): 36,
+        (4, 25, True): 351, (4, 25, "checked", 21941965946880, True): 26,
+    }
+
+
+def test_cone_route_lifts_an_incomplete_pool():
+    # the five-line cone of centre (0, 0, 1): R, two lines at (3,2), is
+    # searched in 4 nodes, so a budget of 1 stops it; the result is
+    # incomplete, with no group, and its pool is K's generators, then R's
+    # pool lifted to every row, then the row swaps, all automorphisms
+    universe = line_universe(3, 3).lines
+    g = build_graph(ConnectionSet(3, 3, universe[:3] + (universe[3], universe[6])))
+    assert g.centre == 9 and g.cone() is not None
+    aut = automorphism_group(g, node_budget=1)
+    assert (aut.complete, aut.group, aut.counts["cone"]) == (False, None, 1)
+    assert aut.pool[:4] == tuple(scalar_affine_group(3, 3).generators)
+    assert len(aut.pool) == 4 + 3 + 2
+    assert all(is_automorphism(g, p) for p in aut.pool)
+
+
+def test_centre_probe_is_quiet_without_cones():
+    # no S of the (5,3) and (5,4) workloads, p = 0.5, has a centre
+    for q, n, seeds in ((5, 3, 200), (5, 4, 40)):
+        for seed in range(seeds):
+            assert build_graph(sample_connection_set(q, n, 0.5, seed)).centre is None, (q, n, seed)
 
 
 def test_twin_witness_is_a_transvection():

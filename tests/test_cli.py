@@ -194,6 +194,24 @@ def test_aut_with_one_line_missing_writes_the_product(capsys, deadline):
     assert "product" not in out and "meta" not in json.loads(out)
 
 
+def test_aut_on_a_cone_writes_the_product(capsys, deadline):
+    # (3,3), p = 0.75, seed 8 has seven lines, a cone of centre u = (1, 2,
+    # 1) in S: Aut is Sym(3) x Aut(R), 3! 1,296, with R of period 3 and no
+    # search, and the homology x -> x - 2 x[2] u as witness; meta reports
+    # cone 1, and 0 where the search runs, and --no-meta drops it
+    deadline(30)
+    code, out = run(capsys, "aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "8")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["order"], d["dichotomy"], d["equals_K"], d["nodes"]) == ("7776", "ii", False, 0)
+    assert d["witness"] == [[1, 0, 1], [0, 1, 2], [0, 0, 2]]
+    assert (d["meta"]["cone"], d["meta"]["product"], d["meta"]["period"]) == (1, 0, 1)
+    code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1")
+    assert json.loads(out)["meta"]["cone"] == 0
+    code, out = run(capsys, "aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "8", "--no-meta")
+    assert "cone" not in out and "meta" not in json.loads(out)
+
+
 def test_aut_budget_exhaustion(capsys):
     code, out = run(capsys, "aut", "--q", "3", "--n", "3", "--seed", "8",
                     "--budget-nodes", "1", "--no-meta")

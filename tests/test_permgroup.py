@@ -22,6 +22,7 @@ from linecayley.permgroup import (
     leaves,
     product_group,
     scalar_affine_group,
+    star_swaps,
     symmetric_group,
     twin_group,
 )
@@ -332,28 +333,36 @@ def test_twin_groups_match_brute_force():
 
 
 def test_product_group_matches_brute_force():
-    # Sym(a) x Sym(b) on a grid of b rows of a points, ids shuffled, with
-    # no known element and with one listed first: its elements are exactly
-    # the maps rows[t][h] -> rows[ρ(t)][σ(h)], its order is a! b!, and its
-    # transversals are read off its trees
+    # Sym(b) x C on a grid of b rows of a points, ids shuffled, with no
+    # known element and with one listed first, for C = Sym(a) by its star
+    # transpositions on the base 0..a-2, and for C the dihedral group of
+    # the square on 4 columns, not symmetric, by its rotation and the
+    # reflection fixing 0, on the base (0, 1): its elements are exactly the
+    # maps rows[t][h] -> rows[ρ(t)][σ(h)], σ in C, its order is b! |C|, and
+    # its transversals are read off its trees
     rng = random.Random(7)
-    for a, b in ((3, 2), (4, 3), (2, 4)):
+    cases = [(a, b, star_swaps([(h,) for h in range(a)], a), range(a - 1), math.factorial(a))
+             for a, b in ((3, 2), (4, 3), (2, 4))]
+    cases += [(4, b, [(1, 2, 3, 0), (0, 3, 2, 1)], (0, 1), 8) for b in (2, 3)]
+    for a, b, generators, base, order in cases:
         ids = list(range(a * b))
         rng.shuffle(ids)
         rows = [ids[t * a : (t + 1) * a] for t in range(b)]
+        columns = set(group_elements(a, generators))
         want = set()
         for rho in itertools.permutations(range(b)):
-            for sigma in itertools.permutations(range(a)):
+            for sigma in columns:
                 image = [0] * (a * b)
                 for t, row in enumerate(rows):
                     for h, x in enumerate(row):
                         image[x] = rows[rho[t]][sigma[h]]
                 want.add(tuple(image))
+        assert len(columns) == order
         for known in ([], [rng.choice(sorted(want - {tuple(range(a * b))}))]):
-            group = product_group(rows, known)
+            group = product_group(rows, known, generators, base)
             assert group.generators[: len(known)] == known
             assert set(group_elements(a * b, group.generators)) == want, (a, b)
-            assert group.order() == len(want) == math.factorial(a) * math.factorial(b)
+            assert group.order() == len(want) == math.factorial(b) * len(columns)
             _assert_schreier_trees(group)
 
 
