@@ -84,14 +84,15 @@ PermGroup constructor completes the levels deepest first, growing the pool
 into a strong generating set on the base, so the group is built without a
 closure.
 
-Two kinds of S take a route around the search (automorphism_group).  When S
-has a period W, the search runs on G/W alone and its group is lifted to the
-twins (permgroup.twin_group).  When S is a cone, mapped onto itself by the
-homologies of axis H = {x[n-1] = 0} and a centre u on a line of S or on the
-one admissible line S lacks (CayleyGraph.centre), G is K_q x R, R a graph one
-dimension down, and Aut is Sym(q) x Aut(R), written down from
-automorphism_group(R) (permgroup.product_group); where S lacks u's line
-alone, R is K_(q^(n-1)), and nothing is searched.
+Two kinds of S take a route around the search (automorphism_group), each
+lifting a group on classes of ids that CayleyGraph lists (permgroup.lift).
+When S has a period W, the search runs on G/W alone and its group is lifted to
+the twins, the cosets of W (permgroup.twin_group).  When S is a cone, mapped
+onto itself by the homologies of axis H = {x[n-1] = 0} and a centre u on a
+line of S or on the one admissible line S lacks (CayleyGraph.centre), G is
+K_q x R, R a graph one dimension down, and Aut is Sym(q) x Aut(R), written
+down from automorphism_group(R) on the rows c u + H (permgroup.product_group);
+where S lacks u's line alone, R is K_(q^(n-1)), and nothing is searched.
 """
 
 from collections import Counter, deque
@@ -105,7 +106,7 @@ from .errors import BudgetExceeded
 from .field import affine_ids, decode, homology, inv_mod, is_scalar_matrix, transvection
 from .permgroup import (
     PermGroup, depth_first, grid_generators, inverse_perm, orbit_count, product_group,
-    scalar_affine_group, star_swaps, symmetric_group, twin_generators, twin_group,
+    scalar_affine_group, star_swaps, transpositions, twin_generators, twin_group,
 )
 
 
@@ -287,11 +288,11 @@ class _ScalarOrbits:
     splits at positions and sizes q - 1 times smaller; lift turns its cells
     and trace into the vertex route's.  The vertices' rows are read from
     vertices, the search's _Vertices, whose counts this shares, and ids are
-    added by the graph's translate and multiples, which the direct counts,
-    _linear_group and the leaf check read from here.  No point is single:
-    {0}, the one splitter of one point, is popped once per search and
-    counted like any other splitter, and refine keeps the live points for
-    the direct route (see splitter_counts).
+    added by the graph's translate, multiples and spanned, which the direct
+    counts, _linear_group and the leaf check read from here.  No point is
+    single: {0}, the one splitter of one point, is popped once per search
+    and counted like any other splitter, and refine keeps the live points
+    for the direct route (see splitter_counts).
     """
 
     keeps_live = True
@@ -316,6 +317,7 @@ class _ScalarOrbits:
         self.members = frozenset(row)
         self.translate = graph.translate
         self.multiples = graph.multiples
+        self.spanned = graph.spanned
 
     def neighbors(self, i):
         """The orbits of r + S, one per member of S, r being reps[i]; for
@@ -524,29 +526,22 @@ def _linear_group(scalars, node):
     """G_0, the group of the linear maps M with M·S = S, as vertex
     permutations, node being the lifted node after 0.
 
-    Such an M is an automorphism fixing 0, so it keeps each cell of node,
-    a union of scalar orbits.  The basis is points of the smallest cells
-    outside the span so far, cells of one size in order, so its first
-    point b1 is the first point of node's target cell.  Each b_j goes to a
-    point x of its own cell, and y + b_j, for each y in the span of the
-    earlier ones, to M y + x, which must lie in y + b_j's cell; that covers
-    the span of b_1..b_j, as M(y + c b_j) = c M(y / c + b_j), and makes M
-    one-to-one, {0} being a cell.  The span and the images are the
-    graph's translates of multiples, read through scalars.  A leaf is kept
-    when it maps S into S, all a linear map needs; S being a union of
-    cells, every leaf passes, and the check only guards the cells given.
-    The PermGroup constructor completes one level per b_j, deepest first,
-    so the generators fixing b1 span G_0's stabilizer of b1.
+    Such an M is an automorphism fixing 0, so it keeps each cell of node, a
+    union of scalar orbits.  The basis is points of the smallest cells
+    outside the span so far, cells of one size in order, so its first point
+    b1 is the first point of node's target cell.  Each b_j goes to a point
+    x of its own cell, and y + b_j, for each y in the span of the earlier
+    ones, to M y + x, which must lie in y + b_j's cell; that covers the
+    span of b_1..b_j, as M(y + c b_j) = c M(y / c + b_j), and makes M
+    one-to-one, {0} being a cell.  The span and the images are listed by
+    the graph's spanned, read through scalars.  A leaf is kept when it maps
+    S into S, all a linear map needs; S being a union of cells, every leaf
+    passes, and the check only guards the cells given.  The PermGroup
+    constructor completes one level per b_j, deepest first, so the
+    generators fixing b1 span G_0's stabilizer of b1.
     """
-    translate = scalars.translate
+    translate, spanned = scalars.translate, scalars.spanned
     lab, cell, size = node.lab, node.cell, node.size
-
-    def spanned(ids, x):
-        """ids, then z + c x for c = 1..q-1 and z in ids."""
-        out = list(ids)
-        for y in scalars.multiples(x):
-            out += translate(y, ids)
-        return out
 
     # the span, built once, in the order of the images: those of the span
     # of basis[:j] are its first q^j
@@ -799,12 +794,11 @@ def automorphism_group(graph, node_budget=200000):
     never meet: a period needs q to divide the line count, a centre not.
     """
     if (cone := graph.cone()) is not None:
-        factor, column = cone
-        rows = [column, *(graph.translate(x, column) for x in graph.multiples(graph.centre))]
+        factor, rows = cone
         known = scalar_affine_group(graph.q, graph.n).generators
         if factor is None:
-            a = len(column)
-            group = product_group(rows, known, star_swaps([(h,) for h in range(a)], a), range(a - 1))
+            a = len(rows[0])
+            group = product_group(rows, known, star_swaps(a), range(a - 1))
             counts = {**dict.fromkeys(COUNTERS, 0), "period": 1, "product": 1, "cone": 0}
             return AutResult(group, True, 0, tuple(group.generators), counts)
         inner = automorphism_group(factor, node_budget)
@@ -817,14 +811,17 @@ def automorphism_group(graph, node_budget=200000):
     if len(graph.period) == 1:
         return _search_group(graph, node_budget)
     quotient, cosets = graph.quotient()
+    counts = {"period": len(graph.period), "product": 0, "cone": 0}
     if quotient is None:
-        inner = AutResult(symmetric_group(graph.q), True, 0, (), dict.fromkeys(COUNTERS, 0))
-    else:
-        inner = _search_group(quotient, node_budget)
-    group = twin_group(inner.group, cosets) if inner.complete else None
+        # G/W is K_q: Sym(q), strong on range(q - 1) by its transpositions i, i + 1
+        swaps = transpositions(graph.q, [(i, i + 1) for i in range(graph.q - 1)])
+        group = twin_group(swaps, range(graph.q - 1), cosets)
+        counts = {**dict.fromkeys(COUNTERS, 0), **counts}
+        return AutResult(group, True, 0, tuple(group.generators), counts)
+    inner = _search_group(quotient, node_budget)
+    group = inner.group and twin_group(inner.group.generators, inner.group.base(), cosets)
     pool = group.generators if group else twin_generators(inner.pool, cosets)
-    counts = {**inner.counts, "period": len(graph.period), "product": 0, "cone": 0}
-    return AutResult(group, inner.complete, inner.nodes, tuple(pool), counts)
+    return AutResult(group, inner.complete, inner.nodes, tuple(pool), {**inner.counts, **counts})
 
 
 def _search_group(graph, node_budget):

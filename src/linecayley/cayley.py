@@ -1,8 +1,8 @@
 """Connection sets sampled from unions of lines, and their Cayley graphs."""
 
 import random
-from functools import cached_property, lru_cache
-from itertools import chain, compress
+from functools import cached_property, lru_cache, reduce
+from itertools import compress
 from operator import itemgetter, mul
 
 from .errors import InvariantViolation
@@ -151,6 +151,14 @@ class CayleyGraph:
             out.append(lo[y % m] + hi[y // m])
         return out
 
+    def spanned(self, ids, x):
+        """ids, then the ids of z + c x for c = 1..q-1 and z in ids: the span
+        of a subspace listed as ids and a point x outside it, once each."""
+        out = list(ids)
+        for y in self.multiples(x):
+            out += self.translate(y, ids)
+        return out
+
     @cached_property
     def period(self):
         """The ids of the period W = {t : t + S = S} of a nonempty S, in id
@@ -212,31 +220,37 @@ class CayleyGraph:
         return None
 
     def cone(self):
-        """(R, column), G being K_q x R, for a graph with a centre u (see
+        """(R, rows), G being K_q x R, for a graph with a centre u (see
         centre) whose S spans F_q^n; None otherwise.  Each x is h + c u in
         one way, h in H, and x ~ h' + c' u exactly when c != c' and h - h'
         is in D' = D - e (see centre), so R is Cay(H, D' ∖ 0), with a loop
         at every vertex when u is in S, and D' then holds 0 (see
         autgroup.automorphism_group).  S has no period, as q does not
-        divide its line count (see period).  column[k] is the id of the h
-        of H at R's vertex k.
+        divide its line count (see period).  rows[c][k] is the id of c u +
+        h, h the point of H at R's vertex k: the ids of H, spanned from 0 by
+        a basis of H in R's vertex order, then spanned by u.
 
         Where S lacks u's line alone, D' is H ∖ 0, R is K_a, a = q^(n-1),
-        and this is (None, range(a)).  Otherwise R is built one dimension
-        down as a line Cayley graph on F_q^(n-1), in coordinates where a
-        hyperplane ker f of H that meets no line of D' becomes x[n-2] = 0:
-        f is the first of all_projective_points with f(d) != 0 at every d
-        of D' ∖ 0, f = x[n-2] first of all, and the coordinates are x less
-        its coordinate p, then f(x), p being f's last nonzero coordinate,
-        where f[p] = 1.  Where no f exists, as at (3,4) with two lines
-        missing, this is None.
+        given as None, and H's ids are range(a), e_0..e_(n-2) spanned in turn.
+        Otherwise R is built one dimension down as a line Cayley graph on
+        F_q^(n-1), in coordinates where a hyperplane ker f of H that meets
+        no line of D' becomes x[n-2] = 0: f is the first of
+        all_projective_points with f(d) != 0 at every d of D' ∖ 0, f =
+        x[n-2] first of all, and the coordinates are x less its coordinate
+        p, then f(x), p being f's last nonzero coordinate, where f[p] = 1.
+        Where no f exists, as at (3,4) with two lines missing, this is None.
         """
         q, n, u = self.q, self.n, self.centre
         a, lines = q ** (n - 1), self.connection.lines
         if u is None:
             return None
+
+        def grid(factor, column):
+            span = self.spanned(column, u)
+            return factor, [span[k : k + a] for k in range(0, q * a, a)]
+
         if len(lines) == a - 1:
-            return None, range(a)
+            return grid(None, range(a))
         e = decode(u, q, n)[:-1]
         # the points of D' ∖ 0, r[:n-1] - e, zip stopping there
         spokes = [[x - y for x, y in zip(r, e)] for r in lines if r[:-1] != e]
@@ -260,14 +274,9 @@ class CayleyGraph:
         ends = set(map(end, spokes))
         if len(rref(ends, q)[0]) < n - 1:
             return None
-        factor = CayleyGraph(ConnectionSet(q, n - 1, ends))
-        # h at each id k of R, one digit of k at a time, least significant first
-        column = [0]
-        for j in range(n - 1):
-            b = encode(point([int(i == j) for i in range(n - 1)]), q)
-            shifted = (self.translate(x, column) for x in self.multiples(b))
-            column = [*column, *chain.from_iterable(shifted)]
-        return factor, column
+        # H's basis: the points at R's unit vectors, whose ids q^j span R's in order
+        basis = [encode(point([int(i == j) for i in range(n - 1)]), q) for j in range(n - 1)]
+        return grid(CayleyGraph(ConnectionSet(q, n - 1, ends)), reduce(self.spanned, basis, [0]))
 
     def quotient(self):
         """(G/W, cosets) for the period W of S, in coordinates that keep
@@ -296,10 +305,8 @@ class CayleyGraph:
 
         lines = sorted({image(rep) for rep in self.connection.lines})
         graph = CayleyGraph(ConnectionSet(q, len(columns), lines)) if len(columns) > 1 else None
-        # x_c for each c in id order, one column's digit at a time
-        starts = [0]
-        for j in columns:
-            starts = [x + d * q ** j for d in range(q) for x in starts]
+        # x_c for each c in id order, spanned one column's unit id at a time
+        starts = reduce(self.spanned, [q ** j for j in columns], [0])
         return graph, [self.translate(x, period) for x in starts]
 
     def neighbor_masks(self):

@@ -3,12 +3,12 @@
 Permutations are image tuples; compose(p, r) applies r first.  A PermGroup
 is built from a base and a strong generating set relative to it, which every
 group here comes with: K's is written down (scalar_affine_group, built once
-per (q, n)), and so are that of a graph with twins, from the group of its
-twin quotient (twin_group), and Sym(b) x C on a grid of b rows, C a given
-group on its columns (product_group), the group of a graph whose S is a
-cone (see autgroup.automorphism_group); the automorphism and class-fixing
-searches find theirs as the PermGroup constructor completes each level of
-the chain, deepest first.
+per (q, n)), and so are that of a graph with twins, from its twin quotient's
+(twin_group), and Sym(b) x C on a grid of b rows, C a given group on its
+columns (product_group), the group of a graph whose S is a cone (see
+autgroup.automorphism_group), both by the one lift of a group on classes of
+points (lift); the automorphism and class-fixing searches find theirs as the
+PermGroup constructor completes each level of the chain, deepest first.
 Whether any element but the identity preserves a labelling needs no chain:
 first_fixing_element runs the class-fixing search in the same order and
 stops at its first element.
@@ -167,80 +167,71 @@ def scalar_affine_group(q, n):
     return PermGroup(q ** n, (0, q ** (n - 1)), gens)
 
 
+def transpositions(degree, pairs):
+    """The permutations of range(degree) swapping x and y, for each (x, y) of pairs."""
+    identity, swaps = tuple(range(degree)), []
+    for x, y in pairs:
+        swap = list(identity)
+        swap[x], swap[y] = y, x
+        swaps.append(tuple(swap))
+    return swaps
+
+
+def lift(generators, classes):
+    """Each g of generators, on range(len(classes)), lifted to map
+    classes[c][i] to classes[g[c]][i], the classes being of one size and a
+    partition of the points: read class by class, in the classes' order,
+    and put in the points' order by the inverse of that order."""
+    place = itemgetter(*inverse_perm([*chain.from_iterable(classes)]))
+    return [place([*chain.from_iterable(map(classes.__getitem__, g))]) for g in generators]
+
+
 def twin_generators(generators, cosets):
-    """Each permutation of generators, which act on the classes of twins
-    cosets[c], lifted to move twin i of class c to twin i of its image;
-    then the transpositions of twins i and i + 1 of each class, in order."""
-    degree = sum(map(len, cosets))
-    identity = tuple(range(degree))
-    lifted = []
-    for g in generators:
-        image = [0] * degree
-        for twins, images in zip(cosets, map(cosets.__getitem__, g)):
-            for x, y in zip(twins, images):
-                image[x] = y
-        lifted.append(tuple(image))
-    for twins in cosets:
-        for x, y in zip(twins, twins[1:]):
-            swap = list(identity)
-            swap[x], swap[y] = y, x
-            lifted.append(tuple(swap))
-    return lifted
+    """generators, which act on the classes of twins cosets[c], lifted to
+    move twin i of class c to twin i of its image (lift); then the
+    transpositions of twins i and i + 1 of each class, in order."""
+    pairs = [pair for twins in cosets for pair in zip(twins, twins[1:])]
+    return [*lift(generators, cosets), *transpositions(sum(map(len, cosets)), pairs)]
 
 
-def twin_group(quotient, cosets):
+def twin_group(generators, base, cosets):
     """The group of a graph whose twin classes are cosets[c], the points of
-    a graph without twins whose group is quotient: Sym(|W|) wr quotient,
-    |W| the size of a class, of order |W|!^(classes) |quotient|.
+    a graph without twins whose group Q has the strong generating set
+    generators on base: Sym(|W|) wr Q, |W| the size of a class, of order
+    |W|!^(classes) |Q|.
 
     Twins have the same neighbours, so every permutation of each class is
     an automorphism, and every automorphism permutes the classes as one of
-    quotient.  The generators (twin_generators) are strong on the base of
-    twin 0 of each base point of quotient, then twins 0..|W|-2 of every
-    class, those already in it skipped: fixing the first part leaves the
-    elements that fix each class, and there twins 0..i-1 of a class fixed
-    leave the permutations of twins i.. of it, spanned by the transpositions
-    of twins i and i+1 onward.  The group contains K when the twins are
-    those of a graph of the package, but its generators are not K's.
+    Q.  The generators (twin_generators) are strong on the base of twin 0
+    of each base point of Q, then twins 0..|W|-2 of every class, those
+    already in it skipped: fixing the first part leaves the elements that
+    fix each class, and there twins 0..i-1 of a class fixed leave the
+    permutations of twins i.. of it, spanned by the transpositions of twins
+    i and i+1 onward.  The group contains K when the twins are those of a
+    graph of the package, but its generators are not K's.
     """
-    fixed = [cosets[b][0] for b in quotient.base()]
+    fixed = [cosets[b][0] for b in base]
     first = set(fixed)
     base = fixed + [x for twins in cosets for x in twins[:-1] if x not in first]
-    group = PermGroup(sum(map(len, cosets)), base, twin_generators(quotient.generators, cosets))
+    group = PermGroup(sum(map(len, cosets)), base, twin_generators(generators, cosets))
     # the stabilizer of the first part fixes every class: its orbits are
     # the points of that part, each alone, and the rest of each class
-    index = group.orbits[len(fixed)] = [0] * group.degree
-    for c, twins in enumerate(cosets):
-        for x in twins:
-            index[x] = c
+    index = group.orbits[len(fixed)] = classes_to_labels(cosets, group.degree)
     for i, x in enumerate(fixed, len(cosets)):
         index[x] = i
     return group
 
 
-def star_swaps(blocks, degree):
-    """The permutations of range(degree) swapping blocks[i] and blocks[-1]
-    point by point, for i < len(blocks) - 1: of the points themselves
-    when each block is one point."""
-    swaps = []
-    for block in blocks[:-1]:
-        swap = list(range(degree))
-        for x, y in zip(block, blocks[-1]):
-            swap[x], swap[y] = y, x
-        swaps.append(tuple(swap))
-    return swaps
+def star_swaps(k):
+    """Sym(k)'s star transpositions on range(k): of i and k - 1, i < k - 1."""
+    return transpositions(k, [(i, k - 1) for i in range(k - 1)])
 
 
 def grid_generators(rows, known, generators):
-    """known, then each of generators, permutations of range(a), lifted to
-    map rows[t][h] to rows[t][g[h]] in every row t of the grid rows, of b
-    rows of a > 1 points each, then star_swaps of the rows.  A lifted g is
-    read row by row, in the grid's order, and put in the points' order by
-    the inverse of that order."""
-    order = [*chain.from_iterable(rows)]
-    place = itemgetter(*inverse_perm(order))
-    lifted = [place([*chain.from_iterable(map(itemgetter(*g), rows))]) for g in generators]
-    return [*known, *lifted, *star_swaps(rows, len(order))]
+    """known, then generators, permutations of range(a), lifted onto the
+    columns of the grid rows, of b rows of a > 1 points each, then Sym(b)'s
+    star transpositions lifted onto the rows."""
+    return [*known, *lift(generators, [*zip(*rows)]), *lift(star_swaps(len(rows)), rows)]
 
 
 def product_group(rows, known, generators, base):
@@ -262,13 +253,6 @@ def product_group(rows, known, generators, base):
     """
     base = [*(rows[0][h] for h in base), *(row[0] for row in rows[1:-1])]
     return PermGroup(sum(map(len, rows)), base, grid_generators(rows, known, generators))
-
-
-@lru_cache(maxsize=4)
-def symmetric_group(k):
-    """Sym(k) on range(k): k twins of the one point of the trivial group.
-    Cached, for K_q's twins and cones' rows; no caller may mutate it."""
-    return twin_group(PermGroup(1, (), []), [range(k)])
 
 
 def classes_to_labels(classes, degree):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 import tracemalloc
 
@@ -24,7 +25,7 @@ from linecayley.field import (
     vec_scale,
 )
 from linecayley.geometry import line_points, line_universe
-from oracles import is_edge, masks_by_shift_tables, vec_add
+from oracles import is_edge, masks_by_shift_tables, rank, vec_add
 
 
 def test_huge_sizes_are_refused_before_any_table(no_tables):
@@ -329,6 +330,38 @@ def test_addition_tables_add(q, n):
         want = [encode(vec_add(u, decode(z, q, n), q), q) for z in ids]
         assert g.translate(x, ids) == want
         assert g.translate(x, range(q ** n)) == affine_ids(q, n, 1, u)
+
+
+@pytest.mark.parametrize("q, n", [(3, 3), (5, 3), (3, 4)])
+def test_spanned_lists_the_span(q, n):
+    # [0] spanned by the unit ids q^j in turn lists every id in order, the
+    # order quotient's cosets rely on; over random independent points, each
+    # step lists ids, then z + c x for c = 1..q-1 and z in ids, by vector
+    # arithmetic, and the whole is their span, each point once
+    g = build_graph(sample_connection_set(q, n, 0.5, 1))
+    ids = [0]
+    for j in range(n):
+        ids = g.spanned(ids, q ** j)
+    assert ids == list(range(q ** n))
+    rng = random.Random(q * 100 + n)
+    for d in [1, n, *(rng.randrange(1, n + 1) for _ in range(4))]:
+        while rank(basis := [decode(rng.randrange(q ** n), q, n) for _ in range(d)], q) < d:
+            pass
+        ids = [0]
+        for u in basis:
+            x = encode(u, q)
+            want = [*ids, *(encode(vec_add(decode(z, q, n), vec_scale(c, u, q), q), q)
+                            for c in range(1, q) for z in ids)]
+            ids = g.spanned(ids, x)
+            assert ids == want
+        span = set()
+        for coefficients in itertools.product(range(q), repeat=d):
+            v = (0,) * n
+            for c, u in zip(coefficients, basis):
+                v = vec_add(v, vec_scale(c, u, q), q)
+            span.add(encode(v, q))
+        assert len(set(ids)) == len(ids) == q ** d
+        assert set(ids) == span
 
 
 @pytest.mark.parametrize("q, n", [(3, 2), (3, 5), (5, 4), (7, 3)])

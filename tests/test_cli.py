@@ -539,6 +539,11 @@ OUTPUT_DIGESTS = [
      "ed7ccae7058c35ccd8014c0458dae2d908af7cddc965ce2897f7eaabdd85fa26"),
     (("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "3"),
      "ee9313444b8d2ee9e3fee919d3449250e95c70b60d4c273ad129c3c9fc347ae6"),
+    # a five-line cone, G = K_3 x R, whose R at (3,2) is searched in 4 nodes:
+    # Aut = Sym(3) x Aut(R), of order 432, and its 9 generators hold R's
+    # lifted onto the grid's columns
+    (("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "59"),
+     "e1b7d45585b9542f639e087b260f7f0eed44b86304b4a0a1e30bd6050aa6a41c"),
     (("aut", "--q", "5", "--n", "5", "--in", PLANTED_5_5),
      "a008e1638d39d31fb65d793e4ce1e39a0d6e995936fcad274b85954c9f593864"),
     (("distinguish", "--q", "5", "--n", "4", "--seed", "1"),

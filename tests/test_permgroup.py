@@ -23,7 +23,6 @@ from linecayley.permgroup import (
     product_group,
     scalar_affine_group,
     star_swaps,
-    symmetric_group,
     twin_group,
 )
 from oracles import brute_fix_count, group_elements, planted_homology_connection
@@ -300,17 +299,19 @@ def test_fixing_subgroup_matches_brute_on_random_partitions():
 
 
 def test_twin_groups_match_brute_force():
-    # Sym(4); Sym(3) wr Sym(3), the group of (3,2) with p = 1, whose twin
-    # classes are the cosets of x[1]; and Sym(2) wr K(3,2) on 18 points,
+    # Sym(4), the 4 twins of the one point of the trivial group; Sym(3) wr
+    # Sym(3), the group of (3,2) with p = 1, whose twin classes are the
+    # cosets of x[1]; and Sym(2) wr K(3,2) on 18 points,
     # point x of K doubled as x and x + 9: the order, membership of every
     # generator's image, and the class-fixing subgroup of random
     # labellings, half of them kept by a random element, against every
     # element, with the prune at the twin levels in use
     g = build_graph(sample_connection_set(3, 2, 1, 1))
+    k = scalar_affine_group(3, 2)
     groups = [
-        (symmetric_group(4), 24),
+        (twin_group([], (), [range(4)]), 24),
         (automorphism_group(g).group, 6 ** 3 * 6),
-        (twin_group(scalar_affine_group(3, 2), [[x, x + 9] for x in range(9)]), 2 ** 9 * 18),
+        (twin_group(k.generators, k.base(), [[x, x + 9] for x in range(9)]), 2 ** 9 * 18),
     ]
     rng = random.Random(31)
     for group, order in groups:
@@ -341,7 +342,7 @@ def test_product_group_matches_brute_force():
     # maps rows[t][h] -> rows[ρ(t)][σ(h)], σ in C, its order is b! |C|, and
     # its transversals are read off its trees
     rng = random.Random(7)
-    cases = [(a, b, star_swaps([(h,) for h in range(a)], a), range(a - 1), math.factorial(a))
+    cases = [(a, b, star_swaps(a), range(a - 1), math.factorial(a))
              for a, b in ((3, 2), (4, 3), (2, 4))]
     cases += [(4, b, [(1, 2, 3, 0), (0, 3, 2, 1)], (0, 1), 8) for b in (2, 3)]
     for a, b, generators, base, order in cases:
