@@ -3,24 +3,24 @@
 The solver is an individualization-refinement backtracker.  A node is an
 ordered partition whose cells are contiguous ranges of one point array
 (the layout of McKay & Piperno, *Practical Graph Isomorphism II*, 2014),
-a _Cells.  _Cells.individualized is the one individualization, splitting a
-point off the end of its cell, and refine is the one refinement: it refines
-a partition of whichever points it is given, vertices (_Vertices) or scalar
-orbits (_ScalarOrbits), with no search around it.  _Search holds the tree:
-the leftmost path, the generator pool, the node budget and the leaf.  A
-cell is split by its points' neighbour counts into a splitter cell; the
-fragments take the cell's range in order of count, and the largest is not
-queued unless the cell was (Hopcroft's smaller-half rule, 1971).  Most
-split cells fall in two fragments: one count on part of the cell, or two
-counts on all of it.  Such a cell is split by a stable partition of its
-range, the lower count first, with no sort; only a cell of three or more
-fragments is sorted by count.  The fragments' counts and sizes are those
-of the splitter's counts grouped by cell, read off before any cell is
-split.  The count of v against a splitter W is |(v + S) ∩ W|, and each
-kind of point reads it its own way (splitter_counts).  On the vertices, W
-is read as the multiset W + S from the graph's neighbour-id primitive,
-about |W|*|S| dict updates, and a one-vertex W = {w} touches the row
-w + S, once each, with no multiset.
+a _Cells.  refine is the one refinement: it refines a partition of
+whichever points it is given, vertices (_Vertices) or scalar orbits
+(_ScalarOrbits), with no search around it.  _Search holds the tree: the
+leftmost path, the generator pool, the node budget and the leaf, and its
+_individualize is the one step from a node to a child at every level,
+splitting a point off the end of its cell (_Cells.individualized) and
+refining.  A cell is split by its points' neighbour counts into a
+splitter cell; the fragments take the cell's range in order of count, and
+the largest is not queued unless the cell was (Hopcroft's smaller-half
+rule, 1971).  One stable sort puts each split cell's points in order: by
+whether each is touched, where the touched points share one count and
+some are untouched, and by count otherwise.  The fragments' counts and
+sizes are those of the splitter's counts grouped by cell, read off before
+any cell is split.  The count of v against a splitter W is |(v + S) ∩
+W|, and each kind of point reads it its own way (splitter_counts).  On
+the vertices, W is read as the multiset W + S from the graph's
+neighbour-id primitive, about |W|*|S| dict updates, and a one-vertex
+W = {w} touches the row w + S, once each, with no multiset.
 Every row v + S the search reads, for these counts and for the leaf
 check, comes from its one _Vertices, which is also its neighbourhood table
 and lives as long as the search: each row is built once when all the rows
@@ -60,7 +60,7 @@ maps M with M·S = S, is found by a backtrack over basis images
 read off it, and its generators join the pool after K's.  The next level,
 the first on the vertices, stops at the orbit count of G_0's stabilizer of
 its base point, known automorphisms; every deeper level, and every right
-node, keeps its stop.  Each node of
+node, refines to V cells.  Each node of
 the leftmost path is refined once, and its split trace (position, (count,
 size) pairs) is kept.  Any other node is refined alone and compared with
 the trace of the path node at its depth, and it is dropped at the first
@@ -99,7 +99,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, compress, filterfalse, islice, repeat
-from operator import itemgetter, not_
+from operator import itemgetter
 
 from .cayley import id_mask
 from .errors import BudgetExceeded
@@ -116,9 +116,9 @@ class AutResult:
     complete: bool
     nodes: int
     pool: tuple
-    # the search's counters (see _Vertices), period, |W|, and product and
-    # cone, 1 on the cone route where R is K_a and where it is not, and 0
-    # elsewhere (see automorphism_group)
+    # each name in COUNTERS: the search's counters (see _Vertices), period,
+    # |W|, and product and cone, 1 on the cone route where R is K_a and where
+    # it is not, and 0 elsewhere (see automorphism_group)
     counts: dict = field(default_factory=dict)
     # G_0, the linear maps fixing S (see _linear_group), where the search
     # went past the refinement after 0; None where that refinement proved
@@ -213,7 +213,7 @@ ROW_TABLE_ENTRIES = 1 << 15
 
 COUNTERS = (
     "leaves", "leaf_vertices", "linear_leaves", "rows", "splitters", "splitters_direct",
-    "splitters_masks",
+    "splitters_masks", "period", "product", "cone",
 )
 
 
@@ -232,7 +232,8 @@ class _Vertices(dict):
     splitters_direct and splitters_masks, those the scalar orbits count by
     the direct and the mask route; leaves, the leaf checks made;
     leaf_vertices, the neighbourhoods they compare, none for a leaf G_0
-    keeps (see _Search._leaf).
+    keeps (see _Search._leaf); and period, product and cone, at 1, 0 and 0
+    until a route around the search sets them (see automorphism_group).
     """
 
     keeps_live = False
@@ -243,7 +244,7 @@ class _Vertices(dict):
         self.keep = degree * valency <= ROW_TABLE_ENTRIES
         self.degree = degree
         self.single = range(degree)
-        self.counts = dict.fromkeys(COUNTERS, 0)
+        self.counts = {**dict.fromkeys(COUNTERS, 0), "period": 1}
 
     def __missing__(self, v):
         self.counts["rows"] += 1
@@ -458,27 +459,19 @@ def refine(points, part, queue, stop, expected=None):
             members = lab[s : s + n]
             if len(frags) == 1:
                 # untouched points, then touched ones, each in lab order
-                (c, m), = frags
-                members = [*filterfalse(hit, members), *filter(hit, members)]
-                frags = ((0, n - m), (c, m))
+                members.sort(key=hit)
+                frags = ((0, n - frags[0][1]), frags[0])
             else:
                 # the fragments in order of count, the untouched points'
-                # first, at count 0
+                # first, at count 0, and the points stably sorted by count
                 frags.sort()
                 untouched = n - sum(map(itemgetter(1), frags))
                 if untouched:
                     frags.insert(0, (0, untouched))
                 frags = tuple(frags)
                 keys = list(map(counts.get, members, repeat(0)))
-                if len(frags) == 2:
-                    # every point touched, with two counts: the lower
-                    # count's points, then the higher's, each in lab order
-                    hi, m = frags[1]
-                    high = list(map(hi.__eq__, keys))
-                    members = [*compress(members, map(not_, high)), *compress(members, high)]
-                else:
-                    order = sorted(range(n), key=keys.__getitem__)
-                    members = list(map(members.__getitem__, order))
+                order = sorted(range(n), key=keys.__getitem__)
+                members = list(map(members.__getitem__, order))
             event = (s, frags)
             if expected is not None and expected[len(trace)] != event:
                 return None
@@ -489,6 +482,7 @@ def refine(points, part, queue, stop, expected=None):
                 # Hopcroft's rule for two fragments: the second is new,
                 # so not queued, and is queued unless the cell was not
                 # and it is the larger
+                m = frags[1][1]
                 t = s + n - m
                 size[s], size[t] = n - m, m
                 for v in members[n - m :]:
@@ -600,12 +594,13 @@ class _Search:
         if self.nodes > self.budget:
             raise BudgetExceeded(f"automorphism search exceeded {self.budget} nodes")
 
-    def _individualize(self, part, s, v, stop, expected=None):
-        """(child, trace) for v individualized in the cell at s and refined,
-        or None when the trace departs from expected."""
+    def _individualize(self, points, part, s, v, stop, expected=None):
+        """(child, trace) for v individualized in the cell at s of part, a
+        partition of points (the scalar orbits for 0, else the vertices),
+        and refined, or None when the trace departs from expected."""
         self._tick()
         child = part.individualized(s, v)
-        trace = refine(self.vertices, child, deque([s + part.size[s] - 1]), stop, expected)
+        trace = refine(points, child, deque([s + part.size[s] - 1]), stop, expected)
         return None if trace is None else (child, trace)
 
     def _leaf(self, lab):
@@ -630,13 +625,14 @@ class _Search:
     def _find_iso(self, path, level, w):
         """An automorphism fixing base[:level] and mapping base[level] to w,
         or None.  The leftmost path is followed from level on: each right
-        node is refined against the trace of the path node at its depth,
-        and only until it has made that trace's splits."""
+        node is refined to V cells against the trace of the path node at
+        its depth, and only until it has made that trace's splits."""
 
         def children(depth, node):
-            _, s, trace, stop = path[depth]
+            _, s, trace = path[depth]
             for v in (w,) if depth == level else node.lab[s : s + node.size[s]]:
-                if (found := self._individualize(node, s, v, stop, trace)) is not None:
+                found = self._individualize(self.vertices, node, s, v, self.vertices.degree, trace)
+                if found is not None:
                     yield found[0]
 
         return depth_first(path[level][0], level, len(path), children, lambda p: self._leaf(p.lab))
@@ -695,7 +691,7 @@ class _Search:
         """
         self._tick()
         degree = self.vertices.degree
-        path = []  # per level: (node, target cell start, trace of its child, stop)
+        path = []  # per level: (node, target cell start, trace of its child)
         base = []
         if self.scalars is None:
             node = _Cells.unit(degree)
@@ -703,15 +699,13 @@ class _Search:
         else:
             # 0, the unit partition's first point, individualized on the
             # scalar orbits, of which it is the last
-            self._tick()
             stop = len(self.scalars.reps)
-            part = _Cells.unit(stop).individualized(0, stop - 1)
-            trace = refine(self.scalars, part, deque([stop - 1]), stop)
+            part, trace = self._individualize(self.scalars, _Cells.unit(stop), 0, stop - 1, stop)
             if part.count == stop:
                 # the cells are the scalar orbits, so Aut = K
                 return scalar_affine_group(self.scalars.q, self.scalars.n)
             node, trace = self.scalars.lift(part, trace)
-            path.append((_Cells.unit(degree), 0, trace, stop))
+            path.append((_Cells.unit(degree), 0, trace))
             base.append(0)
             self.linear = _linear_group(self.scalars, node)
             # G_0's generators follow K's in the pool, those it holds skipped
@@ -722,15 +716,15 @@ class _Search:
             stop = orbit_count([g for g in self.linear.generators if g[b1] == b1], degree)
         while (s := node.target()) is not None:
             base.append(node.lab[s])
-            child, trace = self._individualize(node, s, base[-1], stop)
-            path.append((node, s, trace, degree))
+            child, trace = self._individualize(self.vertices, node, s, base[-1], stop)
+            path.append((node, s, trace))
             node = child
             stop = degree
         self.base = tuple(base)
         self._leaf_pos = inverse_perm(node.lab)
 
         def candidates(level):
-            part, s, _, _ = path[level]
+            part, s, _ = path[level]
             return part.lab[s + 1 : s + part.size[s]]
 
         return PermGroup(degree, self.base, self.pool, candidates, partial(self._find_iso, path))
@@ -799,7 +793,7 @@ def automorphism_group(graph, node_budget=200000):
         if factor is None:
             a = len(rows[0])
             group = product_group(rows, known, star_swaps(a), range(a - 1))
-            counts = {**dict.fromkeys(COUNTERS, 0), "period": 1, "product": 1, "cone": 0}
+            counts = {**dict.fromkeys(COUNTERS, 0), "period": 1, "product": 1}
             return AutResult(group, True, 0, tuple(group.generators), counts)
         inner = automorphism_group(factor, node_budget)
         counts = {**inner.counts, "period": 1, "product": 0, "cone": 1}
@@ -811,17 +805,17 @@ def automorphism_group(graph, node_budget=200000):
     if len(graph.period) == 1:
         return _search_group(graph, node_budget)
     quotient, cosets = graph.quotient()
-    counts = {"period": len(graph.period), "product": 0, "cone": 0}
     if quotient is None:
         # G/W is K_q: Sym(q), strong on range(q - 1) by its transpositions i, i + 1
         swaps = transpositions(graph.q, [(i, i + 1) for i in range(graph.q - 1)])
         group = twin_group(swaps, range(graph.q - 1), cosets)
-        counts = {**dict.fromkeys(COUNTERS, 0), **counts}
+        counts = {**dict.fromkeys(COUNTERS, 0), "period": len(graph.period)}
         return AutResult(group, True, 0, tuple(group.generators), counts)
     inner = _search_group(quotient, node_budget)
     group = inner.group and twin_group(inner.group.generators, inner.group.base(), cosets)
     pool = group.generators if group else twin_generators(inner.pool, cosets)
-    return AutResult(group, inner.complete, inner.nodes, tuple(pool), {**inner.counts, **counts})
+    counts = {**inner.counts, "period": len(graph.period)}
+    return AutResult(group, inner.complete, inner.nodes, tuple(pool), counts)
 
 
 def _search_group(graph, node_budget):
@@ -837,7 +831,6 @@ def _search_group(graph, node_budget):
         # report what was found; the span of a truncated pool has no
         # trustworthy order, so no group is materialized
         group = None
-    vertices.counts.update(period=1, product=0, cone=0)
     return AutResult(
         group, group is not None, search.nodes, tuple(search.pool), vertices.counts, search.linear
     )

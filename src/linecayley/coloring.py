@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EnumerationLimitExceeded
-from .field import encode, vec_scale
+from .field import encode
 from .geometry import proj_rep
 from .permgroup import classes_to_labels, leaves
 
@@ -95,12 +95,7 @@ def line_clique(g, line):
     line = proj_rep(tuple(int(a) % g.q for a in line), g.q)
     if line not in g.connection.lines:
         raise ValueError("line was not chosen in the connection set")
-    return tuple(
-        sorted(
-            encode(vec_scale(lam, line, g.q), g.q)
-            for lam in range(g.q)
-        )
-    )
+    return tuple(sorted((0, *g.multiples(encode(line, g.q)))))
 
 
 @dataclass(frozen=True)

@@ -742,20 +742,23 @@ def test_refinement_matches_sorting_reference(monkeypatch):
     # each is also refined against three more traces: one split short,
     # which it stops at and returns, and two it must depart from, with the
     # first split's fragments reversed and with the last split's first
-    # count changed
+    # count changed.  The queue each call leaves agrees too, and the traces
+    # hold every shape of split: one count on part of a cell, every point
+    # touched with two counts, and three or more fragments
     refined = Counter()
+    shapes = Counter()
 
     def copy(part):
         return _Cells(part.lab[:], part.cell[:], part.size[:], part.count)
 
     def both(points, part, queue, stop, expected):
-        ref = copy(part)
-        want = sorting_refine(points, ref, deque(queue), stop, expected)
+        ref, ref_queue = copy(part), deque(queue)
+        want = sorting_refine(points, ref, ref_queue, stop, expected)
         got = refine(points, part, queue, stop, expected)
         assert got == want
         if got is not None:
-            assert (part.lab, part.cell, part.size, part.count) == (
-                ref.lab, ref.cell, ref.size, ref.count
+            assert (part.lab, part.cell, part.size, part.count, queue) == (
+                ref.lab, ref.cell, ref.size, ref.count, ref_queue
             )
         return got
 
@@ -768,7 +771,11 @@ def test_refinement_matches_sorting_reference(monkeypatch):
             for wrong in ([(s, frags[::-1]), *rest], [*head, (t, ((c + 1, k), *tail))]):
                 assert both(points, copy(part), deque(queue), stop, wrong) is None
         refined[type(points), expected is not None] += 1
-        return both(points, part, queue, stop, expected)
+        trace = both(points, part, queue, stop, expected)
+        for _, frags in trace or ():
+            # an untouched fragment comes first, at count 0
+            shapes["three or more" if len(frags) > 2 else "two" if frags[0][0] else "one"] += 1
+        return trace
 
     monkeypatch.setattr(autgroup, "refine", checked)
     cases = [(3, 3, 0.75, seed) for seed in range(1, 8)]
@@ -780,6 +787,7 @@ def test_refinement_matches_sorting_reference(monkeypatch):
         autgroup._search_group(build_graph(sample_connection_set(q, n, p, seed)), 200000)
     assert refined[_ScalarOrbits, False] == len(cases)
     assert refined[_Vertices, False] and refined[_Vertices, True]
+    assert all(shapes[shape] for shape in ("one", "two", "three or more")), shapes
 
 
 def _draining_refine(points, part, queue, stop, expected=None):

@@ -546,6 +546,9 @@ OUTPUT_DIGESTS = [
      "e1b7d45585b9542f639e087b260f7f0eed44b86304b4a0a1e30bd6050aa6a41c"),
     (("aut", "--q", "5", "--n", "5", "--in", PLANTED_5_5),
      "a008e1638d39d31fb65d793e4ce1e39a0d6e995936fcad274b85954c9f593864"),
+    # the clique [0, 196, 367, 413, 584], on the line (1, 4, 2, 1)
+    (("chi", "--q", "5", "--n", "4", "--p", "0.05", "--seed", "4"),
+     "24d6474d63fc397c0f20c16d0e0075f823677fa99f1c6619dcd10422ada279c6"),
     (("distinguish", "--q", "5", "--n", "4", "--seed", "1"),
      "1b36c0ed9d21db40918b0dca8b26dfbc6902eead77e3bba47fadc25926941bb9"),
     (("distinguish", "--q", "5", "--n", "3", "--seed", "8"),
