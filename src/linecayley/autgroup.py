@@ -86,13 +86,13 @@ closure.
 
 Two kinds of S take a route around the search (automorphism_group), each
 lifting a group on classes of ids that CayleyGraph lists (permgroup.lift).
-When S has a period W, the search runs on G/W alone and its group is lifted to
-the twins, the cosets of W (permgroup.twin_group).  When S is a cone, mapped
-onto itself by the homologies of axis H = {x[n-1] = 0} and a centre u on a
-line of S or on the one admissible line S lacks (CayleyGraph.centre), G is
-K_q x R, R a graph one dimension down, and Aut is Sym(q) x Aut(R), written
-down from automorphism_group(R) on the rows c u + H (permgroup.product_group);
-where S lacks u's line alone, R is K_(q^(n-1)), and nothing is searched.
+When S has a period W, automorphism_group(G/W) is lifted to the twins, the
+cosets of W (permgroup.twin_group).  When S is a cone, mapped onto itself by
+the homologies of axis H = {x[n-1] = 0} and a centre u on a line of S or on
+the one admissible line S lacks (CayleyGraph.centre), G is K_q x R, R a graph
+one dimension down, and Aut is Sym(q) x Aut(R), written down from
+automorphism_group(R) on the rows c u + H (permgroup.product_group); where S
+lacks u's line alone, R is K_(q^(n-1)), and nothing is searched.
 """
 
 from collections import Counter, deque
@@ -109,6 +109,8 @@ from .permgroup import (
     scalar_affine_group, star_swaps, transpositions, twin_generators, twin_group,
 )
 
+NODE_BUDGET = 200000  # the most nodes a search visits, unless its caller gives a budget
+
 
 @dataclass
 class AutResult:
@@ -117,8 +119,8 @@ class AutResult:
     nodes: int
     pool: tuple
     # each name in COUNTERS: the search's counters (see _Vertices), period,
-    # |W|, and product and cone, 1 on the cone route where R is K_a and where
-    # it is not, and 0 elsewhere (see automorphism_group)
+    # |W|, and product and cone, 1 on the cone route, of G or of G/W, where R
+    # is K_a and where it is not, and 0 elsewhere (see automorphism_group)
     counts: dict = field(default_factory=dict)
     # G_0, the linear maps fixing S (see _linear_group), where the search
     # went past the refinement after 0; None where that refinement proved
@@ -288,9 +290,9 @@ class _ScalarOrbits:
     that of any vertex in it, so the refinement makes the vertex route's
     splits at positions and sizes q - 1 times smaller; lift turns its cells
     and trace into the vertex route's.  The vertices' rows are read from
-    vertices, the search's _Vertices, whose counts this shares, and ids are
-    added by the graph's translate, multiples and spanned, which the direct
-    counts, _linear_group and the leaf check read from here.  No point is
+    vertices, the search's _Vertices, whose counts this shares.  graph is
+    the graph itself, whose translate, multiples and spanned add ids for the
+    direct counts, _linear_group and the leaf check.  No point is
     single: {0}, the one splitter of one point, is popped once per search
     and counted like any other splitter, and refine keeps the live points
     for the direct route (see splitter_counts).
@@ -300,25 +302,17 @@ class _ScalarOrbits:
     single = ()
 
     def __init__(self, graph, vertices):
+        self.graph = graph
         self.reps, self.orbit_of = _scalar_orbit_table(graph.q, graph.n)
-        self.q = graph.q
-        self.n = graph.n
-        self.steps = graph.steps
-        self.degree = graph.num_vertices
-        self.valency = graph.degree
-        self.masks = graph.neighbor_masks
         self._vertex_neighbors = vertices.neighbors
         self.counts = vertices.counts
         self.zero = len(self.reps) - 1
         row = vertices[0]
         # 0 has one neighbour in each orbit of S, and row 0 lists each line's
         # q - 1 points together
-        self._zero_neighbors = sorted(map(self.orbit_of.__getitem__, row[:: self.q - 1]))
-        self.mask_route_above = self.zero * (MASK_STEP_FIXED + self.degree // MASK_STEP_BITS)
+        self._zero_neighbors = sorted(map(self.orbit_of.__getitem__, row[:: graph.q - 1]))
+        self.mask_route_above = self.zero * (MASK_STEP_FIXED + graph.num_vertices // MASK_STEP_BITS)
         self.members = frozenset(row)
-        self.translate = graph.translate
-        self.multiples = graph.multiples
-        self.spanned = graph.spanned
 
     def neighbors(self, i):
         """The orbits of r + S, one per member of S, r being reps[i]; for
@@ -335,8 +329,8 @@ class _ScalarOrbits:
         each (0.85-1.1, quartiles, (3,4) to (5,6)), cost less than either
         other route; else from the masks when |W|*|S| exceeds the stream's
         cost; else by ids.  With live None, none goes direct."""
-        cost = len(members) * self.valency  # of the id route
-        if live is not None and len(live) * len(members) * (self.q - 1) < min(
+        cost = len(members) * self.graph.degree  # of the id route
+        if live is not None and len(live) * len(members) * (self.graph.q - 1) < min(
             cost, self.mask_route_above
         ):
             self.counts["splitters_direct"] += 1
@@ -353,13 +347,14 @@ class _ScalarOrbits:
         of the members.  W - e_k undoes the stream's step by e_k (see
         CayleyGraph.steps).  A member may be {0}, whose vertex 0 is in W;
         {0} itself, a cell of its own, is not counted."""
-        degree = self.degree
+        graph = self.graph
+        degree = graph.num_vertices
         w = id_mask(compress(range(degree), map(set(members).__contains__, self.orbit_of)), degree)
         counts = []
-        for keep, wrap, up, down in self.steps:
+        for keep, wrap, up, down in graph.steps:
             # digit k of each id goes down by 1, and 0 wraps to q - 1
             shifted = ((w >> up) & keep) | ((w << down) & wrap)
-            counts += map(int.bit_count, map(shifted.__and__, islice(self.masks(), up)))
+            counts += map(int.bit_count, map(shifted.__and__, islice(graph.neighbor_masks(), up)))
         return dict(compress(enumerate(counts), counts))
 
     def counts_direct(self, members, live):
@@ -368,11 +363,11 @@ class _ScalarOrbits:
         in S}, W being the vertices of the members, as W = -W and S = -S.
         The vertices c r of an orbit are the graph's multiples of r, and the
         ids of x + r_j its translate of the live reps by x."""
-        reps, translate = self.reps, self.translate
+        reps, translate = self.reps, self.graph.translate
         live = list(live)
         live_reps = list(map(reps.__getitem__, live))
         vertices = chain.from_iterable(
-            self.multiples(r) if r else (0,) for r in map(reps.__getitem__, members)
+            self.graph.multiples(r) if r else (0,) for r in map(reps.__getitem__, members)
         )
         contains = self.members.__contains__
         hits = (compress(live, map(contains, translate(x, live_reps))) for x in vertices)
@@ -383,8 +378,8 @@ class _ScalarOrbits:
         trace.  Each cell keeps the order the vertices have after 0 is
         individualized in the unit partition, [V - 1, 1, 2, ..., V - 2, 0],
         as every split is stable."""
-        scale = self.q - 1
-        degree = self.degree
+        scale = self.graph.q - 1
+        degree = self.graph.num_vertices
         cell = [scale * s for s in map(part.cell.__getitem__, self.orbit_of)]
         size = [0] * degree
         size[::scale] = [scale * k for k in part.size]
@@ -528,13 +523,13 @@ def _linear_group(scalars, node):
     ones, to M y + x, which must lie in y + b_j's cell; that covers the
     span of b_1..b_j, as M(y + c b_j) = c M(y / c + b_j), and makes M
     one-to-one, {0} being a cell.  The span and the images are listed by
-    the graph's spanned, read through scalars.  A leaf is kept when it maps
-    S into S, all a linear map needs; S being a union of cells, every leaf
-    passes, and the check only guards the cells given.  The PermGroup
-    constructor completes one level per b_j, deepest first, so the
-    generators fixing b1 span G_0's stabilizer of b1.
+    the graph's spanned.  A leaf is kept when it maps S into S, all a
+    linear map needs; S being a union of cells, every leaf passes, and the
+    check only guards the cells given.  The PermGroup constructor completes
+    one level per b_j, deepest first, so the generators fixing b1 span
+    G_0's stabilizer of b1.
     """
-    translate, spanned = scalars.translate, scalars.spanned
+    translate, spanned = scalars.graph.translate, scalars.graph.spanned
     lab, cell, size = node.lab, node.cell, node.size
 
     # the span, built once, in the order of the images: those of the span
@@ -545,7 +540,7 @@ def _linear_group(scalars, node):
     inside = {0}
     by_size = sorted(compress(range(len(lab)), size), key=size.__getitem__)
     for x in chain.from_iterable(lab[s : s + size[s]] for s in by_size):
-        if len(basis) == scalars.n:
+        if len(basis) == scalars.graph.n:
             break
         if x not in inside:
             known, span = len(span), spanned(span, x)
@@ -615,8 +610,8 @@ class _Search:
         counts["leaves"] += 1
         if self.linear is not None:
             # x -> p(x) - p(0), -p(0) being (q - 1) p(0)
-            scalars = self.scalars
-            if self.linear.contains(scalars.translate(scalars.multiples(p[0])[-1], p)):
+            graph = self.scalars.graph
+            if self.linear.contains(graph.translate(graph.multiples(p[0])[-1], p)):
                 return p
         kept, compared = _preserves_neighbors(self.vertices.neighbors, p)
         counts["leaf_vertices"] += compared
@@ -703,7 +698,7 @@ class _Search:
             part, trace = self._individualize(self.scalars, _Cells.unit(stop), 0, stop - 1, stop)
             if part.count == stop:
                 # the cells are the scalar orbits, so Aut = K
-                return scalar_affine_group(self.scalars.q, self.scalars.n)
+                return scalar_affine_group(self.scalars.graph.q, self.scalars.graph.n)
             node, trace = self.scalars.lift(part, trace)
             path.append((_Cells.unit(degree), 0, trace))
             base.append(0)
@@ -730,17 +725,17 @@ class _Search:
         return PermGroup(degree, self.base, self.pool, candidates, partial(self._find_iso, path))
 
 
-def automorphism_group(graph, node_budget=200000):
+def automorphism_group(graph, node_budget=NODE_BUDGET):
     """Full automorphism group, or the subgroup found when the budget runs out.
 
     The scalar-affine group's generators seed the pool, so it is always
     contained in the result; where the search goes past the refinement
     after 0, G_0's generators (AutResult.linear) follow them, so an
     incomplete search's pool holds both before whatever was found.  When S
-    has a period W, G is G/W with |W| twins per point, and the search runs
-    on G/W alone, or not at all when G/W is K_q (see CayleyGraph.quotient
-    and permgroup.twin_group); nodes and counts are G/W's, and
-    counts["period"] is |W|.
+    has a period W, G is G/W with |W| twins per point, and G/W is solved by
+    automorphism_group, or is K_q, of group Sym(q) (see CayleyGraph.quotient
+    and permgroup.twin_group); nodes and counts are G/W's, so product or
+    cone can be 1, and counts["period"] is |W|.
 
     Where S is a cone of centre u (CayleyGraph.centre and .cone), G is K_q
     x R, and Aut is Sym(q) x Aut(R), written down on the grid of the rows
@@ -796,12 +791,10 @@ def automorphism_group(graph, node_budget=200000):
             counts = {**dict.fromkeys(COUNTERS, 0), "period": 1, "product": 1}
             return AutResult(group, True, 0, tuple(group.generators), counts)
         inner = automorphism_group(factor, node_budget)
+        group = inner.group and product_group(rows, known, inner.group.generators, inner.group.base())
+        pool = group.generators if group else grid_generators(rows, known, inner.pool)
         counts = {**inner.counts, "period": 1, "product": 0, "cone": 1}
-        if not inner.complete:
-            pool = grid_generators(rows, known, inner.pool)
-            return AutResult(None, False, inner.nodes, tuple(pool), counts)
-        group = product_group(rows, known, inner.group.generators, inner.group.base())
-        return AutResult(group, True, inner.nodes, tuple(group.generators), counts)
+        return AutResult(group, inner.complete, inner.nodes, tuple(pool), counts)
     if len(graph.period) == 1:
         return _search_group(graph, node_budget)
     quotient, cosets = graph.quotient()
@@ -811,7 +804,7 @@ def automorphism_group(graph, node_budget=200000):
         group = twin_group(swaps, range(graph.q - 1), cosets)
         counts = {**dict.fromkeys(COUNTERS, 0), "period": len(graph.period)}
         return AutResult(group, True, 0, tuple(group.generators), counts)
-    inner = _search_group(quotient, node_budget)
+    inner = automorphism_group(quotient, node_budget)
     group = inner.group and twin_group(inner.group.generators, inner.group.base(), cosets)
     pool = group.generators if group else twin_generators(inner.pool, cosets)
     counts = {**inner.counts, "period": len(graph.period)}

@@ -17,9 +17,9 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .autgroup import automorphism_group, dichotomy_check
+from .autgroup import NODE_BUDGET, automorphism_group, dichotomy_check
 from .cayley import ConnectionSet, build_graph, sample_connection_set
-from .coloring import exact_chromatic_number
+from .coloring import ENUM_LIMIT, exact_chromatic_number
 from .distinguishing import chi_D_exceeds_q_small, chi_D_upper_certificate
 from .errors import BudgetExceeded
 from .field import gl_order, is_prime, require_odd_prime, require_prime, require_space
@@ -296,7 +296,7 @@ def run_single_trial(args):
     return {"seed": trial_seed, "lines": len(s.lines), **record, "runtime_ms": runtime_ms}
 
 
-def monte_carlo_pipeline(q, n, trials, seed, p=0.5, node_budget=200000, jobs=1):
+def monte_carlo_pipeline(q, n, trials, seed, p=0.5, node_budget=NODE_BUDGET, jobs=1):
     """Sample, color, and solve `trials` independent instances.
 
     Per-trial records are replay-deterministic: the record depends only on
@@ -363,7 +363,7 @@ def trial_rows(records):
 SWEEP_MAX_SUBSETS = 2**9 - 1
 
 
-def sweep_all_line_subsets(q=3, n=2, enum_limit=10**6, node_budget=200000):
+def sweep_all_line_subsets(q=3, n=2, enum_limit=ENUM_LIMIT, node_budget=NODE_BUDGET):
     """Census of every nonempty line subset: chromatic, automorphism,
     dichotomy, and distinguishing verdicts for each instance.  Raises
     ValueError, before any work, when the q^(n-1) lines have more than

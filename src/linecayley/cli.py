@@ -16,7 +16,7 @@ import sys
 import time
 from datetime import datetime, timezone
 
-from .autgroup import automorphism_group, dichotomy_check
+from .autgroup import NODE_BUDGET, automorphism_group, dichotomy_check
 from .bounds import (
     aut_union_bound,
     chernoff_report,
@@ -26,7 +26,7 @@ from .bounds import (
     trial_rows,
 )
 from .cayley import ConnectionSet, build_graph, sample_connection_set
-from .coloring import Coloring, exact_chromatic_number, is_proper
+from .coloring import ENUM_LIMIT, Coloring, exact_chromatic_number, is_proper
 from .distinguishing import chi_D_upper_certificate, is_distinguishing
 from .errors import BudgetExceeded, InvariantViolation
 from .geometry import line_universe
@@ -221,7 +221,7 @@ def _add_common(sub, q=True, n=True, sample=False, infile=False, node_budget=Fal
     if infile:
         sub.add_argument("--in", dest="infile", default=None, help="connection set JSON")
     if node_budget:
-        sub.add_argument("--budget-nodes", type=_positive_int, default=200000)
+        sub.add_argument("--budget-nodes", type=_positive_int, default=NODE_BUDGET)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--no-meta", action="store_true", help="omit timestamps and runtimes")
 
@@ -261,7 +261,7 @@ def build_parser():
 
     sub = subs.add_parser("experiment", help="seeded Monte-Carlo trials")
     _add_common(sub, sample=True, node_budget=True)
-    sub.add_argument("--budget-enum", type=_positive_int, default=10**6)
+    sub.add_argument("--budget-enum", type=_positive_int, default=ENUM_LIMIT)
     sub.add_argument("--trials", type=int, default=20)
     sub.add_argument("--jobs", type=_positive_int, default=1)
     sub.add_argument("--format", choices=("json", "csv"), default="json")

@@ -14,6 +14,8 @@ from .field import encode
 from .geometry import proj_rep
 from .permgroup import classes_to_labels, leaves
 
+ENUM_LIMIT = 10 ** 6  # the most partitions enumerate_proper_partitions lists by default
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -118,7 +120,7 @@ def exact_chromatic_number(g):
     return ChromaticResult(g.q, coset_coloring(g), clique)
 
 
-def enumerate_proper_partitions(g, limit=10 ** 6):
+def enumerate_proper_partitions(g, limit=ENUM_LIMIT):
     """Yield every proper partition into at most q classes once.
 
     Partitions are canonical: vertex 0 opens class 0 and new classes appear

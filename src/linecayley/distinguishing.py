@@ -14,7 +14,7 @@ which stops at the first class-fixing automorphism, translations included.
 from dataclasses import dataclass
 from math import factorial
 
-from .coloring import coset_coloring, enumerate_proper_partitions, plus_zero_recolor
+from .coloring import ENUM_LIMIT, coset_coloring, enumerate_proper_partitions, plus_zero_recolor
 from .permgroup import first_fixing_element, fixing_subgroup_of_partition
 
 
@@ -57,7 +57,7 @@ class ExceedsVerdict:
     failing: object
 
 
-def chi_D_exceeds_q_small(graph, aut, limit=10**6):
+def chi_D_exceeds_q_small(graph, aut, limit=ENUM_LIMIT):
     """Exhaustive verdict: does every proper partition into at most q classes
     admit a non-trivial class-fixing automorphism?
 

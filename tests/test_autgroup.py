@@ -36,7 +36,14 @@ from linecayley.cayley import (
 from linecayley.coloring import coset_coloring, exact_chromatic_number, plus_zero_recolor
 from linecayley.distinguishing import chi_D_upper_certificate, is_distinguishing
 from linecayley.errors import BudgetExceeded
-from linecayley.field import affine_ids, decode, is_scalar_matrix, mat_apply, vec_scale
+from linecayley.field import (
+    affine_ids,
+    decode,
+    is_scalar_matrix,
+    mat_apply,
+    transvection,
+    vec_scale,
+)
 from linecayley.geometry import line_universe
 from linecayley.permgroup import (
     PermGroup,
@@ -1443,6 +1450,30 @@ def test_twin_group_matches_the_search():
             assert aut.nodes > 0
         count += 1
     assert count == 27
+
+
+def test_twin_quotient_takes_its_own_route():
+    # (3,4), p = 0.9: at these seeds S has 24 lines and a period W of 3
+    # points, and G/W, at (3,3), misses exactly one admissible line, so it
+    # takes the product route in 0 nodes.  Aut is Sym(3) wr Aut(G/W), of
+    # order 3!^27 |Aut(G/W)|, |Aut(G/W)| = 9! 3! being what the search finds
+    # on G/W, and the product is what the search finds on G itself; every
+    # generator is an automorphism, and the witness is the period's
+    # transvection
+    for seed in (53, 122, 161, 198, 229):
+        g = build_graph(sample_connection_set(3, 4, 0.9, seed))
+        aut = automorphism_group(g)
+        assert (len(g.connection.lines), len(g.period)) == (24, 3), seed
+        routes = aut.nodes, aut.counts["period"], aut.counts["product"], aut.counts["cone"]
+        assert routes == (0, 3, 1, 0), seed
+        quotient = autgroup._search_group(g.quotient()[0], 200000).group.order()
+        assert quotient == math.factorial(9) * math.factorial(3) == 2177280
+        order = math.factorial(3) ** 27 * quotient
+        assert aut.group.order() == autgroup._search_group(g, 200000).group.order() == order
+        assert all(is_automorphism(g, p) for p in aut.group.generators)
+        report = dichotomy_check(g, aut)
+        assert (report["equals_K"], report["dichotomy"]) == (False, "ii")
+        assert report["witness"] == [list(row) for row in transvection(decode(g.period[1], 3, 4))]
 
 
 def _one_line_missing(q, n):

@@ -544,6 +544,11 @@ OUTPUT_DIGESTS = [
     # lifted onto the grid's columns
     (("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "59"),
      "e1b7d45585b9542f639e087b260f7f0eed44b86304b4a0a1e30bd6050aa6a41c"),
+    # a six-line S with a period of 3 points, whose G/W at (3,2) is searched
+    # in 4 nodes, for order 725,594,112 with 24 generators; recorded before
+    # G/W was solved by automorphism_group
+    (("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "4"),
+     "ccd5fa72305345a8d6e9282819a5223b2ff0bf4ee8915c157d96fccf4d47dd90"),
     (("aut", "--q", "5", "--n", "5", "--in", PLANTED_5_5),
      "a008e1638d39d31fb65d793e4ce1e39a0d6e995936fcad274b85954c9f593864"),
     # the clique [0, 196, 367, 413, 584], on the line (1, 4, 2, 1)
