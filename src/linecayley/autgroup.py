@@ -73,16 +73,15 @@ automorphisms: where an automorphism σ maps the path node onto the right
 node, refinement commutes with σ, so the right node's first splits already
 give σ's image of the refined path node.  Only a right node that no
 automorphism reaches, which repeats the path's splits and would split
-further, is searched where it used to be dropped.  A leaf p maps the
-leftmost leaf onto itself.  It is kept with no comparison when x -> p(x) -
-p(0) is in G_0, as p is then in T ⋊ G_0, inside Aut; any other leaf is
-kept when it maps v + S onto p(v) + S at every v.  The scalar-affine group,
-and G_0 where it is built, seed the generator pool, whose orbits prune
-sibling branches (see _Search.stabilize); a node budget turns long
-searches into an explicitly incomplete result instead of a wrong one.  The
-PermGroup constructor completes the levels deepest first, growing the pool
-into a strong generating set on the base, so the group is built without a
-closure.
+further, is searched below.  A leaf p maps the leftmost leaf onto itself.
+It is kept with no comparison when x -> p(x) - p(0) is in G_0, as p is
+then in T ⋊ G_0, inside Aut; any other leaf is kept when it maps v + S
+onto p(v) + S at every v.  The scalar-affine group, and G_0 where it is
+built, seed the generator pool, whose orbits prune sibling branches (see
+_Search.stabilize); a node budget turns long searches into an explicitly
+incomplete result instead of a wrong one.  The PermGroup constructor
+completes the levels deepest first, growing the pool into a strong
+generating set on the base, so the group is built without a closure.
 
 Two kinds of S take a route around the search (automorphism_group), each
 lifting a group on classes of ids that CayleyGraph lists (permgroup.lift).
@@ -97,13 +96,13 @@ lacks u's line alone, R is K_(q^(n-1)), and nothing is searched.
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, compress, filterfalse, islice, repeat
 from operator import itemgetter
 
 from .cayley import id_mask
 from .errors import BudgetExceeded
-from .field import affine_ids, decode, homology, inv_mod, is_scalar_matrix, transvection
+from .field import decode, homology, is_scalar_matrix, transvection
 from .permgroup import (
     PermGroup, depth_first, grid_generators, inverse_perm, orbit_count, product_group,
     scalar_affine_group, star_swaps, transpositions, twin_generators, twin_group,
@@ -259,35 +258,14 @@ class _Vertices(dict):
         return _counts_from_ids(self.neighbors, members)
 
 
-@lru_cache(maxsize=4)
-def _scalar_orbit_table(q, n):
-    """The orbits of the scalars x -> λx on F_q^n, as (reps, orbit_of).
-
-    Orbit i < D = (q^n - 1)/(q - 1) is that of reps[i], the id whose highest
-    nonzero base-q digit is 1: the ids q^k..2q^k - 1 in turn, for k < n.
-    reps[D] = 0, alone in its orbit.  orbit_of[x] is the orbit of id x.
-    Cached, as a process works on few sizes.
-    """
-    d = (q ** n - 1) // (q - 1)
-    reps = (*chain.from_iterable(range(q ** k, 2 * q ** k) for k in range(n)), 0)
-    # an id c q^k + u, u < q^k and c > 0, is c times the representative
-    # q^k + u / c, whose orbit is (q^k - 1)/(q - 1) + u / c
-    orbit_of = [d]
-    for k in range(n):
-        first = (q ** k - 1) // (q - 1)
-        for c in range(1, q):
-            orbit_of += map(first.__add__, affine_ids(q, k, inv_mod(c, q), (0,) * k))
-    return reps, tuple(orbit_of)
-
-
 class _ScalarOrbits:
     """The points a refinement splits after 0 is individualized, when the
     scalars x -> λx are known automorphisms: every cell is then a union of
     their orbits, and every count is constant on each.
 
-    Point i < D is the orbit of reps[i] (see _scalar_orbit_table), q - 1
-    vertices, and point D is {0}.  A point's count against a splitter is
-    that of any vertex in it, so the refinement makes the vertex route's
+    Point i < D is the orbit of reps[i] (see cayley._Space.scalar_orbits),
+    q - 1 vertices, and point D is {0}.  A point's count against a splitter
+    is that of any vertex in it, so the refinement makes the vertex route's
     splits at positions and sizes q - 1 times smaller; lift turns its cells
     and trace into the vertex route's.  The vertices' rows are read from
     vertices, the search's _Vertices, whose counts this shares.  graph is
@@ -303,7 +281,7 @@ class _ScalarOrbits:
 
     def __init__(self, graph, vertices):
         self.graph = graph
-        self.reps, self.orbit_of = _scalar_orbit_table(graph.q, graph.n)
+        self.reps, self.orbit_of = graph.space.scalar_orbits
         self._vertex_neighbors = vertices.neighbors
         self.counts = vertices.counts
         self.zero = len(self.reps) - 1

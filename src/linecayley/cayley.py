@@ -2,7 +2,7 @@
 
 import random
 from functools import cached_property, lru_cache, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, mul
 
 from .errors import InvariantViolation
@@ -19,9 +19,9 @@ class ConnectionSet:
         require_space(q, n)
         self.q = q
         self.n = n
-        canonical = []
-        seen = set()
-        universe = _universe(q, n)
+        seen = {}  # a dict keeps the order met, so sampled lines sort in one pass
+        space = _space(q, n)
+        universe = space.universe
         for line in lines:
             # a line of the universe, as every sampled one is, is its own
             # representative, and the universe's tuple is kept
@@ -40,11 +40,9 @@ class ConnectionSet:
                     )
             if rep in seen:
                 raise ValueError(f"duplicate line {line}")
-            seen.add(rep)
-            canonical.append(rep)
-        self.lines = tuple(sorted(canonical))
-        cache = _line_cache(q, n)
-        self.members = frozenset().union(*[cache[rep][: q - 1] for rep in self.lines])
+            seen[rep] = None
+        self.lines = tuple(sorted(seen))
+        self.members = frozenset().union(*[space[rep][: q - 1] for rep in self.lines])
         self._validate()
 
     def _validate(self):
@@ -52,15 +50,15 @@ class ConnectionSet:
         x[n-1] = 0 (so 0 is not one), and each chosen line's points are
         members.  Distinct lines meet only in 0, so S is then the union of
         the lines' points: its lines are disjoint, and S is closed under
-        scalars, as each line was checked to be when it was cached (see
-        _Lines)."""
+        scalars, as each line was checked to be when it entered its size's
+        _Space."""
         q, members = self.q, self.members
         if len(members) != (q - 1) * len(self.lines):
             raise InvariantViolation("chosen lines overlap")
         if 0 in map(itemgetter(-1), members):
             raise InvariantViolation("connection set meets the excluded hyperplane")
-        cache = _line_cache(q, self.n)
-        if not all(members.issuperset(cache[rep][: q - 1]) for rep in self.lines):
+        space = _space(q, self.n)
+        if not all(members.issuperset(space[rep][: q - 1]) for rep in self.lines):
             raise InvariantViolation("connection set not closed under scalars")
 
     def to_json_dict(self):
@@ -95,7 +93,7 @@ def sample_connection_set(q, n, p=0.5, seed=None):
     if seed is None:
         raise ValueError("seed is required for sampling")
     rng = random.Random(seed)
-    return ConnectionSet(q, n, [rep for rep in _universe(q, n) if rng.random() < p])
+    return ConnectionSet(q, n, [rep for rep in _space(q, n).universe if rng.random() < p])
 
 
 def id_mask(ids, degree):
@@ -115,9 +113,9 @@ class CayleyGraph:
         self.n = connection.n
         self.num_vertices = self.q ** self.n
         self.degree = len(connection.members)
-        self._split, self._lo, self._hi, self.steps = _addition_tables(self.q, self.n)
-        cache = _line_cache(self.q, self.n)
-        self._digits = [d for rep in connection.lines for d in cache[rep][self.q - 1 :]]
+        space = self.space = _space(self.q, self.n)
+        self._split, (self._lo, self._hi, self.steps) = space.split, space.tables
+        self._digits = [d for rep in connection.lines for d in space[rep][self.q - 1 :]]
         # what neighbor_masks starts from, since the scalar orbits' mask
         # route, is_proper and adjacency_masks open the stream
         self._mask0 = id_mask(self.neighbor_ids(0), self.num_vertices)
@@ -135,7 +133,7 @@ class CayleyGraph:
 
     def translate(self, x, ids):
         """The ids of x + z for z in ids, in order, by the split-digit
-        addition tables (see _addition_tables)."""
+        addition tables (see _Space.tables)."""
         m = self._split
         lo, hi = self._lo[x % m], self._hi[x // m]
         return [lo[z % m] + hi[z // m] for z in ids]
@@ -176,10 +174,10 @@ class CayleyGraph:
         r - r_0 over r in R, for one r_0; each r of R in turn drops those t
         with r + t not in R, until none is left or every r is tried.
         """
-        q, n, lines = self.q, self.n, self.connection.lines
+        q, lines = self.q, self.connection.lines
         if not lines or len(lines) % q:
             return (0,)
-        universe = _universe(q, n)
+        universe = self.space.universe
         r0, *reps = ids = [universe[rep][1] for rep in lines]
         # the ids of r - r_0
         shifts = self.translate(self.multiples(r0)[-1], reps)
@@ -214,7 +212,7 @@ class CayleyGraph:
             return None
         scale = inv_mod(count, q)
         u = [sum(column) * scale % q for column in zip(*lines)]
-        c, members = _line_cache(q, n).root - 1, self.connection.members
+        c, members = self.space.root - 1, self.connection.members
         if all(tuple([(a + c * b) % q for a, b in zip(r, u)]) in members for r in lines):
             return encode(u, q)
         return None
@@ -359,53 +357,33 @@ class CayleyGraph:
             raise InvariantViolation("edge count mismatch in export")
 
 
-def _low_digits(n):
-    """h, the number of base-q digits in the low split digit x % q^h of an
-    id x of F_q^n; its high split digit is x // q^h."""
-    return (n + 1) // 2
+class _Space(dict):
+    """What the sets and graphs of one size (q, n) take from (q, n) alone,
+    one instance per size, shared by all of them (see _space).
 
-
-@lru_cache(maxsize=4)
-def _addition_tables(q, n):
-    """What CayleyGraph takes from (q, n) alone, as (m, lo, hi, steps).
-
-    The split-digit addition tables: with m = q**h, the id of w + s is
-    lo[w % m][s % m] + hi[w // m][s // m]; they hold at most q^(n+1) ints,
-    where a table of every v + s would hold V * |S|.  No other module reads
-    them but through a graph's neighbor_ids, translate and multiples.  And
-    per digit i, the step of neighbor_masks by e_i: (ids whose digit i is
-    below q-1, the rest, the shift up, the shift down), a graph's steps,
-    which the scalar-orbit counts of autgroup also read.  All tuples, shared
-    by every graph of the size; cached, as a process works on few sizes.
+    As a dict, rep -> the q-1 points of line_points(rep, q), then the split
+    digits (x % m, x // m) of their ids x, m = split = q^low, low being the
+    number of base-q digits in the low split digit.  Filled as lines are
+    met, so one instance at a large size pays for its own lines alone: one
+    flat tuple each, its digits shared int objects.  A line's points are
+    checked closed under scalars once, as it enters.  universe is {line:
+    (line, id)} over the admissible lines, in the order
+    sample_connection_set draws them: each one's representative, and the
+    vertex id of that representative.  Every other table is built on its
+    first read, so sampling alone builds none of them; all are tuples.
     """
-    h = _low_digits(n)
-    m = q ** h
-    lo = tuple(tuple(affine_ids(q, h, 1, decode(x, q, h))) for x in range(m))
-    hi = tuple(
-        tuple(m * i for i in affine_ids(q, n - h, 1, decode(y, q, n - h)))
-        for y in range(q ** (n - h))
-    )
-    v = q ** n
-    steps = []
-    for i in range(n):
-        step = q ** i
-        block = ((1 << step) - 1) << (q - 1) * step
-        wrap = block * (((1 << v) - 1) // ((1 << q * step) - 1))
-        steps.append((((1 << v) - 1) ^ wrap, wrap, step, (q - 1) * step))
-    return m, lo, hi, tuple(steps)
-
-
-class _Lines(dict):
-    """rep -> the q-1 points of line_points(rep, q), then the split digits
-    (x % m, x // m) of their ids x, m being the split of _addition_tables.
-    Filled as lines are met, so one instance at a large size pays for its
-    own lines alone: one flat tuple each, its digits shared int objects.
-    A line's points are checked closed under scalars once, as it enters."""
 
     def __init__(self, q, n):
-        self.q, self.split = q, q ** _low_digits(n)
+        self.q, self.n, self.low = q, n, (n + 1) // 2
+        self.split = q ** self.low
         self.digit = tuple(range(self.split))
         self.root = primitive_root(q)
+        lines = line_universe(q, n).lines
+        # their ids in that order, where coordinate 0 varies slowest
+        ids = [q ** (n - 1)]
+        for j in range(n - 1):
+            ids = [x + d * q ** j for x in ids for d in range(q)]
+        self.universe = dict(zip(lines, zip(lines, ids)))
 
     def __missing__(self, rep):
         q, m, d = self.q, self.split, self.digit
@@ -419,24 +397,65 @@ class _Lines(dict):
         self[rep] = points + tuple((d[x % m], d[x // m]) for x in [encode(s, q) for s in points])
         return self[rep]
 
+    @cached_property
+    def tables(self):
+        """(lo, hi, steps).  The split-digit addition tables: the id of w + s
+        is lo[w % m][s % m] + hi[w // m][s // m], m being split; they hold
+        at most q^(n+1) ints, where a table of every v + s would hold V * |S|.
+        No other module reads them but through a graph's neighbor_ids,
+        translate and multiples.  And per digit i, the step of neighbor_masks
+        by e_i: (ids whose digit i is below q-1, the rest, the shift up, the
+        shift down), a graph's steps, which the scalar-orbit counts of
+        autgroup also read."""
+        q, n, h, m = self.q, self.n, self.low, self.split
+        lo = tuple(tuple(affine_ids(q, h, 1, decode(x, q, h))) for x in range(m))
+        hi = tuple(
+            tuple(m * i for i in affine_ids(q, n - h, 1, decode(y, q, n - h)))
+            for y in range(q ** (n - h))
+        )
+        v = q ** n
+        steps = []
+        for i in range(n):
+            step = q ** i
+            block = ((1 << step) - 1) << (q - 1) * step
+            wrap = block * (((1 << v) - 1) // ((1 << q * step) - 1))
+            steps.append((((1 << v) - 1) ^ wrap, wrap, step, (q - 1) * step))
+        return lo, hi, tuple(steps)
+
+    @cached_property
+    def scalar_orbits(self):
+        """The orbits of the scalars x -> λx on F_q^n, as (reps, orbit_of).
+
+        Orbit i < D = (q^n - 1)/(q - 1) is that of reps[i], the id whose
+        highest nonzero base-q digit is 1: the ids q^k..2q^k - 1 in turn,
+        for k < n.  reps[D] = 0, alone in its orbit.  orbit_of[x] is the
+        orbit of id x.
+        """
+        q, n = self.q, self.n
+        d = (q ** n - 1) // (q - 1)
+        reps = (*chain.from_iterable(range(q ** k, 2 * q ** k) for k in range(n)), 0)
+        # an id c q^k + u, u < q^k and c > 0, is c times the representative
+        # q^k + u / c, whose orbit is (q^k - 1)/(q - 1) + u / c
+        orbit_of = [d]
+        for k in range(n):
+            first = (q ** k - 1) // (q - 1)
+            for c in range(1, q):
+                orbit_of += map(first.__add__, affine_ids(q, k, inv_mod(c, q), (0,) * k))
+        return reps, tuple(orbit_of)
+
+    @cached_property
+    def coset_labels(self):
+        """The class i // q^(n-1) of every id i, as one tuple that every
+        coset coloring of the size shares."""
+        layer = self.q ** (self.n - 1)
+        return tuple(i // layer for i in range(self.q ** self.n))
+
 
 @lru_cache(maxsize=4)
-def _line_cache(q, n):
-    """The one _Lines of (q, n), shared by every set and graph of the size."""
-    return _Lines(q, n)
-
-
-@lru_cache(maxsize=4)
-def _universe(q, n):
-    """{line: (line, id)} over the admissible lines, in the order
-    sample_connection_set draws them: each one's representative, and the
-    vertex id of that representative."""
-    lines = line_universe(q, n).lines
-    # their ids in that order, where coordinate 0 varies slowest
-    ids = [q ** (n - 1)]
-    for j in range(n - 1):
-        ids = [x + d * q ** j for x in ids for d in range(q)]
-    return dict(zip(lines, zip(lines, ids)))
+def _space(q, n):
+    """The one _Space of (q, n), shared by every set and graph of the size;
+    four sizes are kept, as a process works on few."""
+    return _Space(q, n)
 
 
 def build_graph(connection):

@@ -7,7 +7,6 @@ partition enumeration serves the distinguishing verdicts at small sizes.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import EnumerationLimitExceeded
 from .field import encode
@@ -61,15 +60,7 @@ def coset_coloring(g):
     """
     if not g.connection.members:
         raise ValueError("empty connection set has no coset coloring")
-    return Coloring(g.q, _coset_labels(g.q, g.n))
-
-
-@lru_cache(maxsize=4)
-def _coset_labels(q, n):
-    """The class i // q^(n-1) of every id i, as one tuple that every coset
-    coloring of the size shares; cached, as a process works on few sizes."""
-    layer = q ** (n - 1)
-    return tuple(i // layer for i in range(q ** n))
+    return Coloring(g.q, g.space.coset_labels)
 
 
 def is_proper(g, coloring):

@@ -30,8 +30,7 @@ def no_tables(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError(f"a table was built: {args}")
 
-    for name in ("_line_cache", "_addition_tables", "_universe"):
-        monkeypatch.setattr(cayley, name, no_table)
+    monkeypatch.setattr(cayley, "_space", no_table)
     monkeypatch.setattr(geometry, "itertools", SimpleNamespace(product=no_table))
 
 

@@ -797,6 +797,23 @@ def test_refinement_matches_sorting_reference(monkeypatch):
     assert all(shapes[shape] for shape in ("one", "two", "three or more")), shapes
 
 
+def test_refine_drops_a_node_whose_queue_empties_short_of_the_trace():
+    # an individualized node refined against its own trace returns it, and
+    # leaves splitters queued; a fresh copy refined against that trace and
+    # one split more makes every split it can, empties its queue with cells
+    # to spare, and is dropped
+    g = build_graph(sample_connection_set(3, 3, 0.75, 1))
+    degree = g.num_vertices
+    vertices = _Vertices(g.neighbor_ids, degree, g.degree)
+    _, trace = _refined_child(vertices, _Cells.unit(degree), 0, 0, degree)
+    node, queue = _Cells.unit(degree).individualized(0, 0), deque([degree - 1])
+    assert refine(vertices, node, queue, degree, trace) == trace
+    assert queue
+    node, queue = _Cells.unit(degree).individualized(0, 0), deque([degree - 1])
+    assert refine(vertices, node, queue, degree, [*trace, (0, ((0, 1), (1, 1)))]) is None
+    assert not queue and node.count < degree
+
+
 def _draining_refine(points, part, queue, stop, expected=None):
     """refine as it was before right nodes stopped at their path's last
     split: it drains the queue, then keeps the node only when its whole

@@ -8,13 +8,15 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from linecayley import cayley
+from linecayley.autgroup import _ScalarOrbits, _Vertices
 from linecayley.cayley import (
     ConnectionSet,
-    _addition_tables,
-    _line_cache,
+    _Space,
+    _space,
     build_graph,
     sample_connection_set,
 )
+from linecayley.coloring import coset_coloring
 from linecayley.errors import InvariantViolation
 from linecayley.field import (
     MAX_VERTICES,
@@ -202,7 +204,7 @@ def test_line_cache_checks_each_line_closed_under_scalars(monkeypatch):
 
     monkeypatch.setattr(cayley, "line_points", traded)
     with pytest.raises(InvariantViolation, match="not closed under scalars"):
-        cayley._Lines(5, 3)[(0, 1, 1)]
+        cayley._Space(5, 3)[(0, 1, 1)]
 
 
 def test_lines_sorted_universe_order():
@@ -216,7 +218,7 @@ def test_sampled_lines_are_the_universes_own():
     # the same lines given as lists, as multiples or past q are
     # canonicalized to the same lines and members
     s = sample_connection_set(5, 4, 0.5, 3)
-    assert all(rep is cayley._universe(5, 4)[rep][0] for rep in s.lines)
+    assert all(rep is _space(5, 4).universe[rep][0] for rep in s.lines)
     for lines in (
         [list(rep) for rep in s.lines],
         [vec_scale(2, rep, 5) for rep in s.lines],
@@ -307,7 +309,7 @@ def test_graphs_from_a_warm_line_cache_match_shift_tables():
     s = sample_connection_set(3, 3, 0.5, 7)
     for q, n in ((3, 2), (5, 2), (7, 2), (3, 4)):
         sample_connection_set(q, n, 0.5, 7)
-    assert not _line_cache(3, 3)
+    assert not _space(3, 3)
     check(build_graph(s))
 
 
@@ -316,7 +318,7 @@ def test_addition_tables_add(q, n):
     # the tables, and the graph's translate and multiples built on them,
     # agree with vector arithmetic; at odd n the low split digit holds one
     # base-q digit more than the high one
-    m, lo, hi, _ = _addition_tables(q, n)
+    m, (lo, hi, _) = _space(q, n).split, _space(q, n).tables
     for w in range(q ** n):
         for s in range(q ** n):
             want = encode(vec_add(decode(w, q, n), decode(s, q, n), q), q)
@@ -366,18 +368,39 @@ def test_spanned_lists_the_span(q, n):
 
 @pytest.mark.parametrize("q, n", [(3, 2), (3, 5), (5, 4), (7, 3)])
 def test_graphs_of_one_size_share_one_table_build(q, n):
-    # after every graph has listed its neighbours and streamed its masks,
-    # the tables they share still equal a fresh build
+    # the graphs of one size hold one _Space.  After every graph has listed
+    # its neighbours and streamed its masks, and the search's scalar orbits
+    # and the coset coloring have read theirs, the tables they share are
+    # the same objects and still equal a fresh build
     graphs = [build_graph(sample_connection_set(q, n, p, 1)) for p in (0.5, 1)]
     for g in graphs:
         g.adjacency_masks()
         for v in range(g.num_vertices):
             g.neighbor_ids(v)
-    fresh = _addition_tables.__wrapped__(q, n)
-    assert _line_cache(q, n).split == fresh[0]
+    space = graphs[0].space
+    assert graphs[1].space is space is _space(q, n)
+    fresh = _Space(q, n)
     for g in graphs:
-        assert (g._split, g._lo, g._hi, g.steps) == fresh
+        assert (g._split, (g._lo, g._hi, g.steps)) == (fresh.split, fresh.tables)
+        orbits = _ScalarOrbits(g, _Vertices(g.neighbor_ids, g.num_vertices, g.degree))
+        assert orbits.reps is space.scalar_orbits[0] and orbits.orbit_of is space.scalar_orbits[1]
+        assert coset_coloring(g).class_of is space.coset_labels
     assert graphs[0]._lo is graphs[1]._lo and graphs[0].steps is graphs[1].steps
+    assert (space.scalar_orbits, space.coset_labels) == (fresh.scalar_orbits, fresh.coset_labels)
+
+
+def test_sampling_builds_no_addition_table(monkeypatch):
+    # the addition tables are built on a graph's first read, not with the
+    # size's lines and universe: with affine_ids, which builds them, made
+    # to fail, a fresh size still samples, and its first graph fails
+    def no_affine_ids(*args):
+        raise AssertionError("an addition table was built")
+
+    monkeypatch.setattr(cayley, "affine_ids", no_affine_ids)
+    _space.cache_clear()
+    s = sample_connection_set(5, 4, 0.5, 1)
+    with pytest.raises(AssertionError, match="an addition table was built"):
+        build_graph(s)
 
 
 def test_shift_table_is_automorphism():

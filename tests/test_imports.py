@@ -88,3 +88,45 @@ def test_library_keeps_only_what_the_cli_or_the_benchmark_reaches():
     reader = (ROOT / "bench" / "run.py").read_text()
     unreached = unreached_definitions(modules, "cli", reader)
     assert not unreached, f"reached by neither the CLI nor the benchmark: {unreached}"
+
+
+def cached_definitions(source):
+    """The functions a module decorates with lru_cache, and how many times
+    it names lru_cache outside its imports."""
+    tree = ast.parse(source)
+    uses = sum(
+        isinstance(node, ast.Name) and node.id == "lru_cache"
+        or isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+        for node in ast.walk(tree)
+    )
+    cached = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "id", getattr(target, "attr", None)) == "lru_cache":
+                    cached.append(node.name)
+    return cached, uses
+
+
+def test_cached_definitions_are_found():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@lru_cache(maxsize=4)\ndef a(q): pass\n@functools.lru_cache\ndef b(q): pass\n"
+        "c = lru_cache(maxsize=2)(len)\n"
+    )
+    assert cached_definitions(source) == (["a", "b"], 3)
+
+
+def test_one_cache_holds_each_sizes_tables():
+    # every table built once per (q, n) lives in the size's one
+    # cayley._Space.  The two other caches stay in geometry and permgroup,
+    # which do not import cayley: callers with no graph at hand, the
+    # benchmark among them, read them by (q, n)
+    cached, uses = set(), 0
+    for path in sorted(ROOT.glob("src/linecayley/*.py")):
+        names, count = cached_definitions(path.read_text())
+        cached.update(f"{path.stem}.{name}" for name in names)
+        uses += count
+    assert cached == {"cayley._space", "permgroup.scalar_affine_group", "geometry.all_projective_points"}
+    assert uses == len(cached)
