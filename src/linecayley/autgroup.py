@@ -14,7 +14,8 @@ splitter cell; the fragments take the cell's range in order of count, and
 the largest is not queued unless the cell was (Hopcroft's smaller-half
 rule, 1971).  One stable sort puts each split cell's points in order: by
 whether each is touched, where the touched points share one count and
-some are untouched, and by count otherwise.  The fragments' counts and
+some are untouched, and by count otherwise; a cell of two points is put in
+that order by one comparison, in place.  The fragments' counts and
 sizes are those of the splitter's counts grouped by cell, read off before
 any cell is split.  The count of v against a splitter W is |(v + S) ∩
 W|, and each kind of point reads it its own way (splitter_counts).  On
@@ -35,24 +36,24 @@ their orbits.  That refinement then runs on the (V - 1)/(q - 1) nonzero
 orbits and {0}, one point each, q - 1 times fewer points to count and split
 (McKay & Piperno also prune with known automorphisms): each orbit's count is
 that of any of its vertices, and every other cell's size is q - 1 times its
-number of orbits, so it makes the same splits in the same order.  A small
-splitter W is read there as the multiset of its orbits' rows, and a large
-one as popcounts over the graph's streamed neighbour masks, about
-(V - 1)/(q - 1) big-int steps on V bits whatever |W| is, W being large
-when |W|*|S| exceeds the stream's measured cost (MASK_STEP_FIXED,
-MASK_STEP_BITS).  It works on its live points alone, the orbits in
-non-singleton cells, as McKay & Piperno refine only non-singleton cells: a
-singleton never splits, so a point leaves the live set when a split leaves
-it alone, and a splitter's counts are grouped by cell over its live
-touched points only.  When few points are live, a splitter W is counted
-directly, by a membership test in S for each live orbit and each vertex of
-W (counts_direct), where those live * |W| * (q - 1) tests cost less than
-either other route.  Every route gives the same counts on the live points,
-so every choice still depends only on cell positions and counts, and
-refinement commutes with any automorphism.  If it ends with one cell per
-orbit, Aut is K (see _Search.stabilize), and the search ends there, at its
-second node, with no deeper level and no leaf: case (i), where the sampled
-instances of the paper's regime fall.  It returns
+number of orbits, so it makes the same splits in the same order.  It works
+on its live points alone, the orbits in non-singleton cells, as McKay &
+Piperno refine only non-singleton cells: a singleton never splits, so a
+point leaves the live set when a split leaves it alone, and a splitter's
+counts are grouped by cell over its live touched points only.  A
+splitter W is counted there by the cheapest of three routes, by a measured
+cost model (splitter_counts): as the multiset of its orbits' rows, about
+|W|*|S| dict updates; directly, by a membership test in S for each live
+orbit and each vertex of W (counts_direct), live * |W| * (q - 1) tests; or
+from the neighbour masks, one AND and popcount on V bits per live orbit,
+whatever |W| is (counts_from_masks).  The masks N(u), u < q^(n-1), are read
+once per search and kept when they fit in MASK_TABLE_BITS; above it, every
+count streams them again and counts every orbit.  Every route gives the
+same counts on the live points, so every choice still depends only on cell
+positions and counts, and refinement commutes with any automorphism.  If
+it ends with one cell per orbit, Aut is K (see _Search.stabilize), and the
+search ends there, at its second node, with no deeper level and no leaf:
+case (i), where the sampled instances of the paper's regime fall.  It returns
 permgroup.scalar_affine_group, the one K of its size.  Otherwise the vertex
 arrays and trace are rebuilt from it, and G_0, the group of the linear
 maps M with M·S = S, is found by a backtrack over basis images
@@ -100,7 +101,6 @@ from functools import partial
 from itertools import chain, compress, filterfalse, islice, repeat
 from operator import itemgetter
 
-from .cayley import id_mask
 from .errors import BudgetExceeded
 from .field import decode, homology, is_scalar_matrix, transvection
 from .permgroup import (
@@ -185,15 +185,17 @@ class _Cells:
         return best
 
 
-# On the scalar orbits, a splitter W is counted from the mask stream when
-# |W|*|S| exceeds the stream's cost, (V - 1)/(q - 1) steps of
-# MASK_STEP_FIXED + V // MASK_STEP_BITS dict updates each: the id route
-# costs about |W|*|S| updates, and a step of the stream is a few big-int
-# operations on V bits.  Fitted to timings of both routes from (3,3) to
-# (5,6) on a 2-core Xeon under Python 3.11, where a step costs about 6.5
-# updates plus 1 per 940 bits.
-MASK_STEP_FIXED = 6
-MASK_STEP_BITS = 1024
+# On the scalar orbits, the mask route's cost, in the id route's dict
+# updates (|W|*|S| of them), is V // MASK_BUILD_IDS for W's mask, then
+# MASK_STEP_FIXED + V // MASK_STEP_BITS per point counted, an AND and a
+# popcount on V bits: one per live orbit with the kept masks, and one per
+# orbit and per streamed mask without them.  Fitted to timings of every
+# route on the splitters of real searches, from (3,3) to (13,4) and (29,3),
+# on a 2-core Xeon under Python 3.11: a point costs about 2 updates plus 1
+# per 2,600 bits, W's mask 1 per 5-7 ids, and a direct test about 1.
+MASK_STEP_FIXED = 2
+MASK_STEP_BITS = 2560
+MASK_BUILD_IDS = 6
 
 
 def _counts_from_ids(neighbors, members):
@@ -210,6 +212,12 @@ def _counts_from_ids(neighbors, members):
 # (5,5), V*|S| = 4.0M, the search took 1.40-1.48 s against 1.13-1.37 s, at
 # 208 MB against 24 (2-core Xeon, Python 3.11).
 ROW_TABLE_ENTRIES = 1 << 15
+
+# The scalar orbits keep the low neighbour masks N(u), u < q^(n-1), when
+# their q^(n-1)*V bits fit in MASK_TABLE_BITS, 16 MiB: 6.1 MB at (5,6), 7.8
+# MB at (13,4) and 2.6 MB at (29,3).  At (5,7) they would take 153 MB:
+# kept there, they took aut --q 5 --n 7 from 100 to 252 MB peak RSS.
+MASK_TABLE_BITS = 1 << 27
 
 
 COUNTERS = (
@@ -230,8 +238,9 @@ class _Vertices(dict):
     counted by ids, with no live points.  counts holds the search's
     counters: rows, the rows built; splitters, the splitters its
     refinements pop, on these points or on _ScalarOrbits, and
-    splitters_direct and splitters_masks, those the scalar orbits count by
-    the direct and the mask route; leaves, the leaf checks made;
+    splitters_direct and splitters_masks, those the scalar orbits count
+    directly and from the neighbour masks, kept or streamed, with no row
+    read (see _ScalarOrbits.splitter_counts); leaves, the leaf checks made;
     leaf_vertices, the neighbourhoods they compare, none for a leaf G_0
     keeps (see _Search._leaf); and period, product and cone, at 1, 0 and 0
     until a route around the search sets them (see automorphism_group).
@@ -270,10 +279,11 @@ class _ScalarOrbits:
     and trace into the vertex route's.  The vertices' rows are read from
     vertices, the search's _Vertices, whose counts this shares.  graph is
     the graph itself, whose translate, multiples and spanned add ids for the
-    direct counts, _linear_group and the leaf check.  No point is
-    single: {0}, the one splitter of one point, is popped once per search
-    and counted like any other splitter, and refine keeps the live points
-    for the direct route (see splitter_counts).
+    direct counts, _linear_group and the leaf check, and whose neighbour
+    masks the mask route reads.  No point is single: {0}, the one splitter
+    of one point, is popped once per search and counted like any other
+    splitter, and refine keeps the live points for the direct and the mask
+    route (see splitter_counts).
     """
 
     keeps_live = True
@@ -289,8 +299,13 @@ class _ScalarOrbits:
         # 0 has one neighbour in each orbit of S, and row 0 lists each line's
         # q - 1 points together
         self._zero_neighbors = sorted(map(self.orbit_of.__getitem__, row[:: graph.q - 1]))
-        self.mask_route_above = self.zero * (MASK_STEP_FIXED + graph.num_vertices // MASK_STEP_BITS)
         self.members = frozenset(row)
+        degree = graph.num_vertices
+        self.mask_build = degree // MASK_BUILD_IDS
+        self.mask_step = MASK_STEP_FIXED + degree // MASK_STEP_BITS
+        self.keep_masks = graph.q ** (graph.n - 1) * degree <= MASK_TABLE_BITS
+        self.streamed = self.zero + graph.q ** (graph.n - 1)  # the points and masks a stream steps
+        self._masks = None  # N(u) and k at each orbit of q^k + u, once read (see counts_from_masks)
 
     def neighbors(self, i):
         """The orbits of r + S, one per member of S, r being reps[i]; for
@@ -302,37 +317,59 @@ class _ScalarOrbits:
         return list(map(self.orbit_of.__getitem__, self._vertex_neighbors(self.reps[i])))
 
     def splitter_counts(self, members, live):
-        """The same counts as _counts_from_ids: directly, on the points of
-        live, when its live * |W| * (q - 1) tests, about one dict update
-        each (0.85-1.1, quartiles, (3,4) to (5,6)), cost less than either
-        other route; else from the masks when |W|*|S| exceeds the stream's
-        cost; else by ids.  With live None, none goes direct."""
+        """The same counts as _counts_from_ids, by the cheapest route:
+        directly, in live * |W| * (q - 1) tests; by ids, in |W|*|S| dict
+        updates; or from the masks (see MASK_STEP_FIXED).  With live None,
+        every point is live and none goes direct."""
         cost = len(members) * self.graph.degree  # of the id route
-        if live is not None and len(live) * len(members) * (self.graph.q - 1) < min(
-            cost, self.mask_route_above
-        ):
+        points = self.zero if live is None else len(live)
+        masks = self.mask_build + (points if self.keep_masks else self.streamed) * self.mask_step
+        if live is not None and points * len(members) * (self.graph.q - 1) < min(cost, masks):
             self.counts["splitters_direct"] += 1
             return self.counts_direct(members, live)
-        if cost > self.mask_route_above:
+        if cost > masks:
             self.counts["splitters_masks"] += 1
-            return self.counts_from_masks(members)
+            return self.counts_from_masks(members, live)
         return _counts_from_ids(self.neighbors, members)
 
-    def counts_from_masks(self, members):
-        """The same counts as _counts_from_ids, in point order, from
-        (V - 1)/(q - 1) masks of the stream: the count of q^k + u, for
-        u < q^k, is the popcount of N(u) & (W - e_k), W being the vertices
-        of the members.  W - e_k undoes the stream's step by e_k (see
-        CayleyGraph.steps).  A member may be {0}, whose vertex 0 is in W;
-        {0} itself, a cell of its own, is not counted."""
+    def counts_from_masks(self, members, live=None):
+        """The same counts as _counts_from_ids: the count of the orbit of
+        q^k + u, u < q^k, is the popcount of N(u) & (W - e_k), W being the
+        vertices of the members, as N(q^k + u) = N(u) + e_k (W - e_k undoes
+        the stream's step by e_k, see CayleyGraph.steps).  With keep_masks,
+        the masks N(u), u < q^(n-1), are read at the first call and kept,
+        and the points of live, or all, are counted; otherwise each call
+        streams them once, each ANDed with the W - e_k of every k it
+        serves, and counts every point, in point order.  A member may be
+        {0}, whose vertex 0 is in W; {0} itself is not counted."""
         graph = self.graph
-        degree = graph.num_vertices
-        w = id_mask(compress(range(degree), map(set(members).__contains__, self.orbit_of)), degree)
-        counts = []
-        for keep, wrap, up, down in graph.steps:
-            # digit k of each id goes down by 1, and 0 wraps to q - 1
-            shifted = ((w >> up) & keep) | ((w << down) & wrap)
-            counts += map(int.bit_count, map(shifted.__and__, islice(graph.neighbor_masks(), up)))
+        q, n = graph.q, graph.n
+        marks = bytearray(b"0") * len(self.reps)
+        for i in members:
+            marks[i] = 49  # b"1"
+        w = int(bytes(graph.space.orbit_bits(marks)), 2)
+        # digit k of each id goes down by 1, and 0 wraps to q - 1
+        shifted = [((w >> up) & keep) | ((w << down) & wrap) for keep, wrap, up, down in graph.steps]
+        if self.keep_masks:
+            if self._masks is None:
+                low = list(islice(graph.neighbor_masks(), q ** (n - 1)))
+                self._masks = [*chain.from_iterable(low[: q ** k] for k in range(n))]
+                self._digit = [*chain.from_iterable(repeat(k, q ** k) for k in range(n))]
+            points = range(self.zero) if live is None else list(live)
+            counts = list(map(int.bit_count, map(
+                int.__and__, map(self._masks.__getitem__, points),
+                map(shifted.__getitem__, map(self._digit.__getitem__, points)),
+            )))
+            return dict(compress(zip(points, counts), counts))
+        counts = [[] for _ in range(n)]
+        stream = graph.neighbor_masks()
+        for j in range(n):
+            # the u with j base-q digits, u = 0 for j = 0, serve each k >= j
+            served = list(zip(shifted[j:], counts[j:]))
+            for m in islice(stream, q ** j - q ** j // q):
+                for s, out in served:
+                    out.append((m & s).bit_count())
+        counts = list(chain.from_iterable(counts))
         return dict(compress(enumerate(counts), counts))
 
     def counts_direct(self, members, live):
@@ -429,10 +466,9 @@ def refine(points, part, queue, stop, expected=None):
                 break
             n = size[s]
             frags = split[s]
-            members = lab[s : s + n]
-            if len(frags) == 1:
+            one = len(frags) == 1
+            if one:
                 # untouched points, then touched ones, each in lab order
-                members.sort(key=hit)
                 frags = ((0, n - frags[0][1]), frags[0])
             else:
                 # the fragments in order of count, the untouched points'
@@ -442,13 +478,32 @@ def refine(points, part, queue, stop, expected=None):
                 if untouched:
                     frags.insert(0, (0, untouched))
                 frags = tuple(frags)
-                keys = list(map(counts.get, members, repeat(0)))
-                order = sorted(range(n), key=keys.__getitem__)
-                members = list(map(members.__getitem__, order))
             event = (s, frags)
             if expected is not None and expected[len(trace)] != event:
                 return None
             trace.append(event)
+            if n == 2:
+                # two singletons, in that order by one comparison, in place,
+                # and the second queued, as Hopcroft's rule does below
+                a, b = lab[s], lab[s + 1]
+                if (hit(a) if one else counts[a] > counts[b]):
+                    a, b = b, a
+                    lab[s], lab[s + 1] = a, b
+                size[s] = size[s + 1] = 1
+                cell[b] = s + 1
+                part.count += 1
+                if live is not None:
+                    live.discard(a)
+                    live.discard(b)
+                queue.append(s + 1)
+                queued.add(s + 1)
+                continue
+            members = lab[s : s + n]
+            if one:
+                members.sort(key=hit)
+            else:
+                keys = list(map(counts.get, members, repeat(0)))
+                members = list(map(members.__getitem__, sorted(range(n), key=keys.__getitem__)))
             lab[s : s + n] = members
             part.count += len(frags) - 1
             if len(frags) == 2:

@@ -444,6 +444,13 @@ class _Space(dict):
         return reps, tuple(orbit_of)
 
     @cached_property
+    def orbit_bits(self):
+        """Given one byte per scalar orbit, b"1" or b"0", the bytes of the
+        ids' orbits from id V - 1 down to 0: the base-2 digits of the
+        bitmask of the ids in the orbits marked b"1", for int(..., 2)."""
+        return itemgetter(*reversed(self.scalar_orbits[1]))
+
+    @cached_property
     def coset_labels(self):
         """The class i // q^(n-1) of every id i, as one tuple that every
         coset coloring of the size shares."""

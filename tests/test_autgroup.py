@@ -280,19 +280,22 @@ def test_seeded_pool_totals_are_pinned():
     # 68 more are cones, 10 of five lines and 58 of seven: these totals keep
     # them on the search, _search_group, and cones pins the route's, R's:
     # the five-line R is searched in 4 nodes, the seven-line R has a period
-    # and is not.  No (5,3) or (3,4) seed is a cone
+    # and is not.  No (5,3) or (3,4) seed is a cone.  Before the scalar
+    # orbits kept their neighbour masks, rows, splitters_direct and
+    # splitters_masks read 3,388, 0 and 58 on the (3,3) grid, 3,161, 739 and
+    # 264 on the (5,3) grid, and 1,321, 85 and 33 on the (3,4) grid
     grids = {
         (3, 3, 0.75, 200): (1450, dict(
-            leaves=252, leaf_vertices=6561, linear_leaves=521, rows=3388, splitters=3428,
-            splitters_direct=0, splitters_masks=58, period=336, product=41, cone=0,
+            leaves=252, leaf_vertices=6561, linear_leaves=521, rows=3229, splitters=3428,
+            splitters_direct=0, splitters_masks=278, period=336, product=41, cone=0,
         )),
         (5, 3, 0.5, 200): (499, dict(
-            leaves=3, leaf_vertices=250, linear_leaves=97, rows=3161, splitters=3282,
-            splitters_direct=739, splitters_masks=264, period=200, product=0, cone=0,
+            leaves=3, leaf_vertices=250, linear_leaves=97, rows=2087, splitters=3282,
+            splitters_direct=606, splitters_masks=977, period=200, product=0, cone=0,
         )),
         (3, 4, 0.5, 40): (130, dict(
-            leaves=0, leaf_vertices=0, linear_leaves=50, rows=1321, splitters=1192,
-            splitters_direct=85, splitters_masks=33, period=40, product=0, cone=0,
+            leaves=0, leaf_vertices=0, linear_leaves=50, rows=1190, splitters=1192,
+            splitters_direct=83, splitters_masks=98, period=40, product=0, cone=0,
         )),
     }
     cones = {
@@ -494,32 +497,92 @@ def test_relabelled_graph_has_conjugate_group():
             assert is_automorphism(g, compose(sigma_inv, compose(h, sigma)))
 
 
-def test_splitter_count_routes_agree():
-    # on the scalar orbits, random unions of nonzero orbits give each
-    # nonzero orbit the count of its representative, by either route, in
-    # orbit order; {0}, a cell of its own, is left out
+def test_splitter_count_routes_agree(monkeypatch):
+    # on the scalar orbits, random unions of nonzero orbits, and {0}, give
+    # each live orbit the count of its representative by every route: the
+    # kept masks, the stream (MASK_TABLE_BITS at 0), the id route and the
+    # direct route, on every nonzero orbit and on random live subsets.
+    # The stream counts every nonzero orbit, in orbit order; the id route
+    # also counts {0}, a cell of its own, which no split reads
     rng = random.Random(5)
     for q, n in ((3, 3), (5, 3), (5, 4)):
         g = build_graph(sample_connection_set(q, n, 0.5, rng.randrange(10**6)))
-        orbits = _ScalarOrbits(g, _Vertices(g.neighbor_ids, g.num_vertices, g.degree))
-        nonzero = len(orbits.reps) - 1
-        for k in (1, 2, 5, nonzero // 4, nonzero // 2, nonzero):
-            w = rng.sample(range(nonzero), k)
+        vertices = _Vertices(g.neighbor_ids, g.num_vertices, g.degree)
+        kept = _ScalarOrbits(g, vertices)
+        monkeypatch.setattr(autgroup, "MASK_TABLE_BITS", 0)
+        streamed = _ScalarOrbits(g, vertices)
+        monkeypatch.undo()
+        assert kept.keep_masks and not streamed.keep_masks
+        nonzero = kept.zero
+        splitters = [[nonzero]]
+        splitters += [rng.sample(range(nonzero), k) for k in (1, 2, 5, nonzero // 4, nonzero // 2, nonzero)]
+        for w in splitters:
             vertex_counts = Counter(
-                u for x, i in enumerate(orbits.orbit_of) if i in w for u in g.neighbor_ids(x)
+                u for x, i in enumerate(kept.orbit_of) if i in w for u in g.neighbor_ids(x)
             )
-            want = {i: c for i, r in enumerate(orbits.reps[:-1]) if (c := vertex_counts[r])}
-            got = orbits.counts_from_masks(w)
-            assert got == want and list(got) == sorted(got), (q, n, k)
-            got = _counts_from_ids(orbits.neighbors, w)
+            want = {i: c for i, r in enumerate(kept.reps[:-1]) if (c := vertex_counts[r])}
+            got = streamed.counts_from_masks(w)
+            assert got == want and list(got) == sorted(got), (q, n, w)
+            assert kept.counts_from_masks(w) == want, (q, n, w)
+            got = _counts_from_ids(kept.neighbors, w)
             got.pop(nonzero, None)
-            assert got == want
-        # {0}, the one splitter of one point, counts each orbit of S once
-        # by either route
-        row = set(g.neighbor_ids(0))
-        want = {i: 1 for i, r in enumerate(orbits.reps[:-1]) if r in row}
-        assert orbits.counts_from_masks([nonzero]) == want, (q, n)
-        assert _counts_from_ids(orbits.neighbors, [nonzero]) == want, (q, n)
+            assert got == want, (q, n, w)
+            for k in (1, 3, nonzero // 3, nonzero):
+                live = set(rng.sample(range(nonzero), k))
+                on_live = {i: c for i, c in want.items() if i in live}
+                assert kept.counts_from_masks(w, live) == on_live, (q, n, w, live)
+                assert kept.counts_direct(w, live) == on_live, (q, n, w, live)
+        # the kept masks were read from the stream once, the streamed ones never kept
+        assert len(kept._masks) == nonzero and streamed._masks is None
+
+
+def test_no_mask_table_above_its_bound(monkeypatch):
+    # the scalar orbits keep the q^(n-1) low neighbour masks when their
+    # q^(n-1)*V bits fit in MASK_TABLE_BITS, as at (5,6), and stream them at
+    # every mask count above it, as at (5,7).  The searches find the same
+    # group, base, generators, nodes, splitters and leaf counts with the
+    # table and with the bound at 0, under which each mask count streams the
+    # masks and no table is built; with the table the stream is opened once.
+    # Only the routes move, and with them the rows the id route builds
+    bits = autgroup.MASK_TABLE_BITS
+    assert 5 ** 5 * 5 ** 6 <= bits < 5 ** 6 * 5 ** 7
+    graphs = [build_graph(sample_connection_set(q, n, 0.5, seed)) for q, n, seed in
+              ((5, 4, 1), (5, 3, 8), (3, 4, 2), (7, 3, 1))]
+    graphs.append(build_graph(planted_homology_connection(5, 4, 1)))
+    built = []
+
+    class Recorded(_ScalarOrbits):
+        def __init__(self, graph, vertices):
+            super().__init__(graph, vertices)
+            built.append(self)
+
+    monkeypatch.setattr(autgroup, "_ScalarOrbits", Recorded)
+    masked = 0
+    for g in graphs:
+        assert g.q ** (g.n - 1) * g.num_vertices <= bits
+        found = []
+        for entries in (bits, 0):
+            monkeypatch.setattr(autgroup, "MASK_TABLE_BITS", entries)
+            opened = []
+            stream = g.neighbor_masks
+            g.neighbor_masks = lambda: opened.append(1) or stream()
+            built.clear()
+            aut = autgroup._search_group(g, 200000)
+            del g.neighbor_masks
+            group, counts = aut.group, aut.counts
+            found.append((group.order(), group.base(), group.generators, aut.nodes,
+                          [counts[k] for k in ("splitters", "leaves", "leaf_vertices", "linear_leaves")]))
+            (orbits,) = built
+            masks = counts["splitters_masks"]
+            if entries:
+                assert orbits.keep_masks and len(opened) == min(masks, 1)
+                assert (orbits._masks is None) == (not masks)
+            else:
+                assert not orbits.keep_masks and orbits._masks is None
+                assert len(opened) == masks
+        assert found[0] == found[1], (g.q, g.n)
+        masked += masks > 1
+    assert masked
 
 
 def test_split_traces_are_pinned():
@@ -751,7 +814,8 @@ def test_refinement_matches_sorting_reference(monkeypatch):
     # first split's fragments reversed and with the last split's first
     # count changed.  The queue each call leaves agrees too, and the traces
     # hold every shape of split: one count on part of a cell, every point
-    # touched with two counts, and three or more fragments
+    # touched with two counts, and three or more fragments, and a cell of
+    # two points, split in place, with one point touched and with two counts
     refined = Counter()
     shapes = Counter()
 
@@ -780,8 +844,12 @@ def test_refinement_matches_sorting_reference(monkeypatch):
         refined[type(points), expected is not None] += 1
         trace = both(points, part, queue, stop, expected)
         for _, frags in trace or ():
-            # an untouched fragment comes first, at count 0
-            shapes["three or more" if len(frags) > 2 else "two" if frags[0][0] else "one"] += 1
+            # an untouched fragment comes first, at count 0; a cell of two
+            # points, split in place, is a shape of its own
+            shape = "three or more" if len(frags) > 2 else "two" if frags[0][0] else "one"
+            if [k for _, k in frags] == [1, 1]:
+                shape = f"two points, {shape}"
+            shapes[shape] += 1
         return trace
 
     monkeypatch.setattr(autgroup, "refine", checked)
@@ -794,7 +862,9 @@ def test_refinement_matches_sorting_reference(monkeypatch):
         autgroup._search_group(build_graph(sample_connection_set(q, n, p, seed)), 200000)
     assert refined[_ScalarOrbits, False] == len(cases)
     assert refined[_Vertices, False] and refined[_Vertices, True]
-    assert all(shapes[shape] for shape in ("one", "two", "three or more")), shapes
+    assert all(shapes[shape] for shape in (
+        "one", "two", "three or more", "two points, one", "two points, two",
+    )), shapes
 
 
 def test_refine_drops_a_node_whose_queue_empties_short_of_the_trace():

@@ -107,18 +107,19 @@ def test_aut_meta_reports_leaf_checks(capsys):
 
 
 def test_aut_meta_reports_splitter_routes(capsys):
-    # (5,4) seed 1 ends after 0 on the scalar orbits: of its 8 splitters, the
-    # orbits of S are counted from the masks, the last 4, with few points
-    # left in non-singleton cells, directly, and the other 3, {0} among
-    # them, by the id route.  4 neighbourhood rows are read: row 0, as the
-    # scalar orbits are set up, and those of the id route's other
-    # splitters.  The counts are in meta only
+    # (5,4) seed 1 ends after 0 on the scalar orbits: of its 8 splitters,
+    # the orbits of S, two orbits and then one are counted from the kept
+    # neighbour masks, the last 3, with few points left in non-singleton
+    # cells, directly, and the other 2, {0} and one orbit, by the id route.
+    # 2 neighbourhood rows are read: row 0, as the scalar orbits are set up,
+    # and that of the id route's orbit.  Before the masks were kept, the
+    # routes read (8, 4, 1) and 4 rows.  The counts are in meta only
     code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1")
     assert code == 0
     meta = json.loads(out)["meta"]
     routes = meta["splitters"], meta["splitters_direct"], meta["splitters_masks"]
-    assert routes == (8, 4, 1)
-    assert meta["rows"] == 4
+    assert routes == (8, 3, 3)
+    assert meta["rows"] == 2
     code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1", "--no-meta")
     assert code == 0
     assert "splitters" not in out and "meta" not in json.loads(out)
@@ -127,13 +128,14 @@ def test_aut_meta_reports_splitter_routes(capsys):
     # level after 0 ends at the orbits of G_0's stabilizer of its base
     # point, G_0 found in 5 leaves, after 14 splitters where emptying its
     # queue took 50.  G_0's generators seed the pool, so the search pops
-    # 841 splitters, where it popped 1,411 in 12 nodes without them.  Its
-    # one leaf is in T ⋊ G_0, which G_0 keeps with no neighbourhood compared
+    # 841 splitters, where it popped 1,411 in 12 nodes without them, 19 of
+    # them from the masks (17 before the masks were kept).  Its one leaf is
+    # in T ⋊ G_0, which G_0 keeps with no neighbourhood compared
     code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--p", "0.97", "--seed", "2")
     assert code == 0
     meta = json.loads(out)["meta"]
     routes = meta["splitters"], meta["splitters_direct"], meta["splitters_masks"]
-    assert routes == (841, 0, 17)
+    assert routes == (841, 0, 19)
     assert meta["linear_leaves"] == 5
     assert (meta["leaves"], meta["leaf_vertices"]) == (1, 0)
 
@@ -144,12 +146,13 @@ def test_aut_meta_reports_the_linear_stop(capsys):
     # base point, of order 2, after 8 splitters where emptying its queue
     # took 45; so the search pops 43 splitters, not 80, and builds 46 rows,
     # not 102.  G_0's generators seed the pool, and no leaf is checked, so
-    # it pops 35 and builds 41.
+    # it pops 35 and builds 41, and 23 once the scalar orbits keep their
+    # neighbour masks, which count more of their splitters than the id route.
     # (5,4) seed 1 is in case (i), where no G_0 is looked for
     code, out = run(capsys, "aut", "--q", "5", "--n", "3", "--seed", "8")
     assert code == 0
     meta = json.loads(out)["meta"]
-    assert (meta["linear_leaves"], meta["splitters"], meta["rows"]) == (2, 35, 41)
+    assert (meta["linear_leaves"], meta["splitters"], meta["rows"]) == (2, 35, 23)
     assert meta["leaves"] == 0
     code, out = run(capsys, "aut", "--q", "5", "--n", "4", "--seed", "1")
     d = json.loads(out)
