@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -13,6 +15,7 @@ import linecayley
 from linecayley.cayley import build_graph, sample_connection_set
 from linecayley.cli import main
 from linecayley.coloring import Coloring, coset_coloring, plus_zero_recolor
+from linecayley.errors import InvariantViolation
 from linecayley.field import PRIME_TEST_MAX, is_scalar_matrix, mat_apply
 
 
@@ -237,6 +240,25 @@ def test_aut_budget_exhaustion_reports_counts(capsys):
     assert counts == (0, 0, 1, 0)
 
 
+def test_distinguish_budget_exhaustion(capsys):
+    code, out = run(capsys, "distinguish", "--q", "3", "--n", "3", "--seed", "8",
+                    "--budget-nodes", "1", "--no-meta")
+    assert code == 3
+    assert json.loads(out) == {"complete": False, "nodes": 2}
+
+
+def test_invariant_violation_exits_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("a check failed")
+
+    monkeypatch.setattr("linecayley.cli.automorphism_group", broken)
+    code = main(["aut", "--q", "3", "--n", "2", "--seed", "1", "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: a check failed\n"
+
+
 def test_aut_case_ii_past_the_gl_scan(capsys, deadline):
     deadline(30)
     for q, n, seed in (("5", "3", "8"), ("3", "4", "2")):
@@ -452,6 +474,20 @@ def test_distinguish_given_coloring(capsys, tmp_path):
     assert "witness" in d
 
 
+def test_distinguish_given_coset_coloring_at_5_6(capsys, tmp_path, deadline):
+    # the coset colouring, the layers of x[n-1], is proper and is fixed by
+    # the q^(n-1) = 3,125 translations of H
+    deadline(60)
+    path = tmp_path / "coset-5-6.json"
+    g = build_graph(sample_connection_set(5, 6, 0.5, 1))
+    path.write_text(json.dumps(coset_coloring(g).to_json_dict()))
+    code, out = run(capsys, "distinguish", "--q", "5", "--n", "6", "--seed", "1",
+                    "--coloring", str(path), "--no-meta")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["distinguishing"], d["proper"], d["fixing_order"]) == (False, True, "3125")
+
+
 def test_distinguish_reports_improper_coloring_file(capsys, tmp_path):
     # the certificate with one neighbour u of 0 moved into 0's class: the
     # edge {0, u} lies inside one class
@@ -518,69 +554,250 @@ def test_experiment_json_no_meta_strips_runtime(capsys):
     assert d["aggregate"]["trials"] == 2
 
 
-# The sha256 of the --no-meta output of each command line, recorded at
-# 2f63137 (the last three at 7299f7f), so that a change meant to keep every
-# output byte-identical is checked here and not by hand.  The case-(ii) aut
-# digests, (5,3) seed 8, (3,4) seed 2, (3,3) p = 0.75 seed 3 and planted
-# (5,5), were re-recorded when G_0's generators joined the search's pool:
-# their nodes fell, and at (3,4) and (3,3) the generators moved, the order,
-# base, dichotomy and witness staying as they were.  (3,3) p = 0.75 seed 3
-# misses one line, and was re-recorded again when that group came to be
-# written down with no search: 0 nodes, K's generators then the star
-# transpositions, and the homology as witness, the order unchanged.  The
-# planted set takes about 1.5 s; the rest take a few hundredths each.
+# Each command line's --no-meta output, run in process: the exit code it
+# expects, the fields it must hold, the sha256 of its bytes where one was
+# recorded, and a deadline in seconds, so that a change meant to keep every
+# output byte-identical is checked here and not by hand.  This is the one
+# home of an output's pin: the CI workflow keeps only the commands that take
+# seconds, and test_a_digest_lives_in_one_place keeps their digests out of
+# this table.  The first fifteen digests were recorded at 2f63137 (the
+# sample and the two builds at 7299f7f).  The case-(ii) aut digests, (5,3)
+# seed 8, (3,4) seed 2, (3,3) p = 0.75 seed 3 and planted (5,5), were
+# re-recorded when G_0's generators joined the search's pool: their nodes
+# fell, and at (3,4) and (3,3) the generators moved, the order, base,
+# dichotomy and witness staying as they were.  (3,3) p = 0.75 seed 3 misses
+# one line, and was re-recorded again when that group came to be written
+# down with no search: 0 nodes, K's generators then the star transpositions,
+# and the homology as witness, the order unchanged.  The entries after the
+# builds, but for the (5,2) census, came from the CI workflow, with each
+# step's timeout as deadline and the digest it recorded.  Planted (5,5)
+# takes about 0.34 s, the slowest entries, (5,4) p = 1, (5,7) and the DIMACS
+# export at (5,5), about 1 s each, and the whole table about 7 s.
 # multiples-5-4.json gives each of its lines as a nonzero multiple of the
 # canonical representative, some with coordinates outside [0, q).
 PLANTED_5_5 = str(Path(__file__).with_name("planted-5-5.json"))
 MULTIPLES_5_4 = str(Path(__file__).with_name("multiples-5-4.json"))
+
+
+class Pin(NamedTuple):
+    argv: tuple
+    digest: str = None
+    code: int = 0
+    fields: dict = {}
+    deadline: float = None
+
+
 OUTPUT_DIGESTS = [
-    (("aut", "--q", "5", "--n", "3", "--seed", "8"),
-     "b4fc855f8ce49a76779b7af8b6e1fb9bc9e50262998bd41f2ff9aa698c65ae6e"),
-    (("aut", "--q", "3", "--n", "4", "--seed", "2"),
-     "a3b71a276341a0469489b25dcf1ef9cf7b1aea6c98871b0522eb363af375fffd"),
-    (("aut", "--q", "5", "--n", "4", "--seed", "1"),
-     "ed7ccae7058c35ccd8014c0458dae2d908af7cddc965ce2897f7eaabdd85fa26"),
-    (("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "3"),
-     "ee9313444b8d2ee9e3fee919d3449250e95c70b60d4c273ad129c3c9fc347ae6"),
+    Pin(("aut", "--q", "5", "--n", "3", "--seed", "8"),
+        "b4fc855f8ce49a76779b7af8b6e1fb9bc9e50262998bd41f2ff9aa698c65ae6e"),
+    # a case-(ii) instance whose GL(4, 3) has 3^16 candidate matrices: the
+    # witness is read off the linear maps fixing S among it
+    Pin(("aut", "--q", "3", "--n", "4", "--seed", "2"),
+        "a3b71a276341a0469489b25dcf1ef9cf7b1aea6c98871b0522eb363af375fffd"),
+    Pin(("aut", "--q", "5", "--n", "4", "--seed", "1"),
+        "ed7ccae7058c35ccd8014c0458dae2d908af7cddc965ce2897f7eaabdd85fa26"),
+    Pin(("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "3"),
+        "ee9313444b8d2ee9e3fee919d3449250e95c70b60d4c273ad129c3c9fc347ae6"),
     # a five-line cone, G = K_3 x R, whose R at (3,2) is searched in 4 nodes:
     # Aut = Sym(3) x Aut(R), of order 432, and its 9 generators hold R's
     # lifted onto the grid's columns
-    (("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "59"),
-     "e1b7d45585b9542f639e087b260f7f0eed44b86304b4a0a1e30bd6050aa6a41c"),
+    Pin(("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "59"),
+        "e1b7d45585b9542f639e087b260f7f0eed44b86304b4a0a1e30bd6050aa6a41c"),
     # a six-line S with a period of 3 points, whose G/W at (3,2) is searched
     # in 4 nodes, for order 725,594,112 with 24 generators; recorded before
     # G/W was solved by automorphism_group
-    (("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "4"),
-     "ccd5fa72305345a8d6e9282819a5223b2ff0bf4ee8915c157d96fccf4d47dd90"),
-    (("aut", "--q", "5", "--n", "5", "--in", PLANTED_5_5),
-     "a008e1638d39d31fb65d793e4ce1e39a0d6e995936fcad274b85954c9f593864"),
+    Pin(("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "4"),
+        "ccd5fa72305345a8d6e9282819a5223b2ff0bf4ee8915c157d96fccf4d47dd90"),
+    # planted (5,5) seed 1, a union of orbits of lines under the homology
+    # x -> diag(-1, 1, 1, 1, 1) x: case (ii), where the linear maps fixing S
+    # seed the search's pool and no leaf is checked, and |Aut| = 2|K|
+    Pin(("aut", "--q", "5", "--n", "5", "--in", PLANTED_5_5),
+        "a008e1638d39d31fb65d793e4ce1e39a0d6e995936fcad274b85954c9f593864",
+        fields={"dichotomy": "ii", "order": "25000"}, deadline=60),
     # the clique [0, 196, 367, 413, 584], on the line (1, 4, 2, 1)
-    (("chi", "--q", "5", "--n", "4", "--p", "0.05", "--seed", "4"),
-     "24d6474d63fc397c0f20c16d0e0075f823677fa99f1c6619dcd10422ada279c6"),
-    (("distinguish", "--q", "5", "--n", "4", "--seed", "1"),
-     "1b36c0ed9d21db40918b0dca8b26dfbc6902eead77e3bba47fadc25926941bb9"),
-    (("distinguish", "--q", "5", "--n", "3", "--seed", "8"),
-     "49b16f7bb00d40a5bcfaac66fccc2533e51c46fa2bccf7ceb159cd2965587ca9"),
-    (("experiment", "--q", "5", "--n", "3", "--trials", "20", "--seed", "3"),
-     "6cabae1e2596edae18d517dc07557df61f83ea85fe8db282195d03a0736d4251"),
-    (("experiment", "--q", "5", "--n", "3", "--trials", "20", "--seed", "3", "--format", "csv"),
-     "801eb77344abe800463037dbc736cb9cfd4fbdce745049eedc3744ebfe8d040f"),
-    (("sample", "--q", "5", "--n", "4", "--seed", "1"),
-     "f699eeae0ac95da88bf8ca84bd66371678eb992a9d9231cde67a7fdb35ba1615"),
-    (("build", "--q", "5", "--n", "3", "--seed", "4", "--format", "dimacs"),
-     "f181614a24cc3c3290635cdef8f95f73f24218e0a1a24341a2b3e76b993de371"),
-    (("build", "--q", "5", "--n", "4", "--in", MULTIPLES_5_4),
-     "f74a7c643005475685c5602e5aa23c9f386cf45a1a48c0fbbd439b21bf9f535b"),
+    Pin(("chi", "--q", "5", "--n", "4", "--p", "0.05", "--seed", "4"),
+        "24d6474d63fc397c0f20c16d0e0075f823677fa99f1c6619dcd10422ada279c6"),
+    Pin(("distinguish", "--q", "5", "--n", "4", "--seed", "1"),
+        "1b36c0ed9d21db40918b0dca8b26dfbc6902eead77e3bba47fadc25926941bb9"),
+    Pin(("distinguish", "--q", "5", "--n", "3", "--seed", "8"),
+        "49b16f7bb00d40a5bcfaac66fccc2533e51c46fa2bccf7ceb159cd2965587ca9"),
+    Pin(("experiment", "--q", "5", "--n", "3", "--trials", "20", "--seed", "3"),
+        "6cabae1e2596edae18d517dc07557df61f83ea85fe8db282195d03a0736d4251"),
+    Pin(("experiment", "--q", "5", "--n", "3", "--trials", "20", "--seed", "3", "--format", "csv"),
+        "801eb77344abe800463037dbc736cb9cfd4fbdce745049eedc3744ebfe8d040f"),
+    Pin(("sample", "--q", "5", "--n", "4", "--seed", "1"),
+        "f699eeae0ac95da88bf8ca84bd66371678eb992a9d9231cde67a7fdb35ba1615"),
+    Pin(("build", "--q", "5", "--n", "3", "--seed", "4", "--format", "dimacs"),
+        "f181614a24cc3c3290635cdef8f95f73f24218e0a1a24341a2b3e76b993de371"),
+    Pin(("build", "--q", "5", "--n", "4", "--in", MULTIPLES_5_4),
+        "f74a7c643005475685c5602e5aa23c9f386cf45a1a48c0fbbd439b21bf9f535b"),
+    # Aut of a 3,125-vertex graph in case (i), Aut = K
+    Pin(("aut", "--q", "5", "--n", "5", "--seed", "1"), fields={"dichotomy": "i"}, deadline=120),
+    # p = 1 at (5,4): S holds every admissible line, its period W is the
+    # hyperplane x[3] = 0, and G/W is K_5, so Aut = Sym(125) wr Sym(5), of
+    # order (125!)^5 * 5!, is written down with no search; the witness and
+    # generators come from the period and the quotient's cosets, recorded at
+    # 9c8773d
+    Pin(("aut", "--q", "5", "--n", "4", "--p", "1", "--seed", "1"),
+        "284bfa812689cd48fdc3983ff1954535f4332d448e3fcd43101761e286401574",
+        fields={"order": str(math.factorial(125) ** 5 * 120), "dichotomy": "ii"}, deadline=30),
+    # S misses one admissible line at (5,4), p = 0.99: G's complement is
+    # K_125 □ K_5, so Aut = Sym(125) x Sym(5) is written down with no
+    # search, K's generators then star transpositions, with the homology
+    # x -> x - 2 x[3] u as witness, u on the missing line
+    Pin(("aut", "--q", "5", "--n", "4", "--p", "0.99", "--seed", "0"),
+        "05d2a5e84ab3cc304254d6367146b60c8040b25d92043b00b4e28da52e2a0cc7",
+        fields={"order": str(math.factorial(125) * 120), "dichotomy": "ii", "nodes": 0},
+        deadline=10),
+    # 24 lines at (3,4), p = 0.9, seed 53, with a period W of 3 points: G/W
+    # misses exactly one admissible line of (3,3), so it takes the product
+    # route and Aut = Sym(3) wr (Sym(9) x Sym(3)), of order 3!^27 9! 3!, is
+    # written down with no search, where a search of G/W needed 25 nodes and
+    # a budget of 1 stopped it; recorded when G/W was first solved by
+    # automorphism_group
+    Pin(("aut", "--q", "3", "--n", "4", "--p", "0.9", "--seed", "53", "--budget-nodes", "1"),
+        "88777877f12005fe0c5c600d8eb7bed4e080e7765065f0e77a266654ef714602",
+        fields={"order": "2228425110784992247629742080", "dichotomy": "ii", "nodes": 0},
+        deadline=10),
+    # a seven-line cone at (3,3), p = 0.75, seed 8: the homologies of centre
+    # u = (1, 2, 1), a point of S, fix S, so G = K_3 x R, R a graph at (3,2)
+    # with a period, and Aut = Sym(3) x Aut(R) is written down with no search
+    # on G: K's generators, R's lifted, then the row swaps, with the homology
+    # x -> x - 2 x[2] u as witness
+    Pin(("aut", "--q", "3", "--n", "3", "--p", "0.75", "--seed", "8"),
+        "341c10417591768e686bb955e1e6ceca8c45c4551f48be534bcc9a4cd2214333",
+        fields={"order": "7776", "dichotomy": "ii"}, deadline=10),
+    # near-complete S at (3,5), p = 0.97, with no period: the search branches
+    # through 309 nodes and counts its large vertex splitters by ids;
+    # recorded once G_0, the linear maps fixing S, seeded the search's pool,
+    # where it took 380 nodes; the order and witness are as recorded when the
+    # witness was read off G_0
+    Pin(("aut", "--q", "3", "--n", "5", "--p", "0.97", "--seed", "1"),
+        "45846328ba96781c4d08a25947f187b481a8f840ca711d46e5eb7e6512b86abe",
+        fields={"dichotomy": "ii", "nodes": 309}, deadline=30),
+    # near-complete S at (5,4), p = 0.97: the search's one leaf is in
+    # T ⋊ G_0, which G_0 keeps with no neighbourhood compared; recorded at
+    # eb5cbef
+    Pin(("aut", "--q", "5", "--n", "4", "--p", "0.97", "--seed", "2"),
+        "b3a80f721dc85d4d19025dea6d4586f97659c44fb94396f6351f7bc0dd138bbf",
+        fields={"dichotomy": "ii", "nodes": 8}, deadline=30),
+    # Aut in case (i), Aut = K, at four sizes in the paper's regime, where
+    # N(0), the large splitter, is counted from the neighbour masks; recorded
+    # at 38f522a, (11,4) and (31,3) at 7132152.  At (31,3), q - 1 = 30 is the
+    # largest scalar-orbit factor of the regime: the refinement after 0 runs
+    # on 993 orbits of 30 vertices each.  (5,7)'s level-0 orbit, of 78,125
+    # vertices, is the largest the stabilizer chain builds
+    Pin(("aut", "--q", "5", "--n", "6", "--seed", "1"),
+        "7d73dfaff81e08038b719edd3c3680d4e8d6d8f288d45461e5532660c5006541",
+        fields={"dichotomy": "i"}, deadline=30),
+    Pin(("aut", "--q", "11", "--n", "4", "--seed", "1"),
+        "e803959152e805130c1760e42bdb884cf3de0d8aa0959b2a3f7e32d1b79d2fe4",
+        fields={"dichotomy": "i"}, deadline=30),
+    Pin(("aut", "--q", "31", "--n", "3", "--seed", "1"),
+        "952262cdba450134c0168cc00486fc17162b2be94721a2afe26520fb7b849e4d",
+        fields={"dichotomy": "i"}, deadline=30),
+    Pin(("aut", "--q", "5", "--n", "7", "--seed", "1"),
+        "7913f49ef0b78e5fe5fb3c4f8ba87d4bba8a2382e9b9ba5e8c075c07b6afb049",
+        fields={"dichotomy": "i"}, deadline=60),
+    # ten instances at (5,6) in one process, which share K's stabilizer
+    # chain, the addition tables and the coset labels built for the first:
+    # every record has Aut = K, dichotomy "i" and the (q+1) certificate
+    Pin(("experiment", "--q", "5", "--n", "6", "--trials", "10", "--seed", "1"),
+        fields={"records": [{"equals_K": True, "dichotomy": "i", "certificate": True}] * 10},
+        deadline=60),
+    # 200 instances at (3,3), p = 0.75, none in case (i): the 44 whose S
+    # misses one line run no search, as their group is written down, and
+    # every other search branches below the scalar orbits and reads its
+    # neighbourhood table; recorded at the child of 0847645, where the trials
+    # gained their dichotomy and certificate columns (the rows hold no node
+    # count, so the unsearched ones read as before)
+    Pin(("experiment", "--q", "3", "--n", "3", "--p", "0.75", "--trials", "200", "--seed", "1"),
+        "e869d50f118faefe7e0c4869bb1f9b34687f0bb71213324df5fad518e11fd664",
+        fields={"aggregate": {"solved": 200, "equals_K": 0, "case_ii": 200}}, deadline=60),
+    # the census of all 31 line subsets at (5,2): each of the ten two-line S,
+    # K_5 □ K_5, has a distinguishing proper 5-colouring, the second
+    # partition listed, so chi_D <= q there; every other S has none
+    Pin(("experiment", "--q", "5", "--n", "2", "--sweep-all-subsets"),
+        "2fa5213e1cf0966669b54112497eb282d408418a6e5fbf4a670cca3549d643c1",
+        fields={"census": [{"chiD_exceeds_q": True}] * 5
+                + [{"chiD_exceeds_q": False, "partitions": 2}] * 10
+                + [{"chiD_exceeds_q": True}] * 16},
+        deadline=10),
+    # the (q+1) certificate on the 15,625-vertex graph at (5,6), the first
+    # q = 5 size in the paper's regime; on the 78,125-vertex graph at (5,7),
+    # proper by the shape of S, so no neighbour mask is streamed; and at
+    # (13,4), the largest q of the regime, where |S| = 12,972 is checked in
+    # one pass
+    Pin(("distinguish", "--q", "5", "--n", "6", "--seed", "1"),
+        fields={"certificate_found": True}, deadline=120),
+    Pin(("distinguish", "--q", "5", "--n", "7", "--seed", "1"),
+        fields={"certificate_found": True}, deadline=60),
+    Pin(("distinguish", "--q", "13", "--n", "4", "--seed", "1"),
+        fields={"certificate_found": True}, deadline=30),
+    # bounds with 5^39 lines, far past the exact tails
+    Pin(("bounds", "--q", "5", "--n", "40"),
+        fields={"union_bound": {"chain_holds": True}}, deadline=30),
+    # bounds where the primality test by trial division, or the line
+    # reading's log-space tail, ran for minutes: q = 10^9 + 7 is past
+    # CHERNOFF_MAX_Q and refused with exit 2, and q = 2^61 - 1 and the least
+    # prime past k = 10^18 are decided by Miller-Rabin
+    Pin(("bounds", "--q", "1000000007", "--n", "3"), code=2, deadline=10),
+    Pin(("bounds", "--q", "2305843009213693951", "--n", "2"), deadline=10),
+    Pin(("bounds", "--k", "1000000000000000000"), deadline=10),
+    # the DIMACS export of a 3,125-vertex graph, all 1,875,001 lines of it,
+    # recorded at 7299f7f
+    Pin(("build", "--q", "5", "--n", "5", "--seed", "1", "--format", "dimacs"),
+        "01a58fef6e09f8bdbb4ea599214bd0a3747081340cbcee3be5dce8c04131d478",
+        fields={"lines": 1875001}, deadline=120),
 ]
 
 
-def test_no_meta_outputs_are_pinned(capsys):
-    found = []
-    for argv, _ in OUTPUT_DIGESTS:
-        code, out = run(capsys, *argv, "--no-meta")
-        assert code == 0, argv
-        found.append(hashlib.sha256(out.encode()).hexdigest())
-    assert found == [digest for _, digest in OUTPUT_DIGESTS]
+def _read(out):
+    """The output as its fields are checked: its JSON, or the line count of
+    a DIMACS export."""
+    return {"lines": out.count("\n")} if out.startswith("p edge") else json.loads(out)
+
+
+def _check_fields(expected, got, path=()):
+    """Each dict of expected holds a subset of got's keys; each list is got's
+    list item by item; each other value is got's, of the same type."""
+    if isinstance(expected, dict):
+        for key, value in expected.items():
+            _check_fields(value, got[key], (*path, key))
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), path
+        for i, (value, item) in enumerate(zip(expected, got)):
+            _check_fields(value, item, (*path, i))
+    else:
+        assert (type(got), got) == (type(expected), expected), path
+
+
+def _pin_id(pin):
+    """The pin's command line, as aut:q=5,n=3,seed=8 for aut --q 5 --n 3 --seed 8."""
+    words = " ".join(Path(a).name if a.endswith(".json") else a for a in pin.argv[1:])
+    return pin.argv[0] + ":" + ",".join(o.strip().replace(" ", "=") for o in words.split("--")[1:])
+
+
+@pytest.mark.parametrize("pin", OUTPUT_DIGESTS, ids=_pin_id)
+def test_no_meta_outputs_are_pinned(capsys, deadline, pin):
+    if pin.deadline:
+        deadline(pin.deadline)
+    code, out = run(capsys, *pin.argv, "--no-meta")
+    assert code == pin.code
+    if pin.fields:
+        _check_fields(pin.fields, _read(out))
+    if pin.digest:
+        assert hashlib.sha256(out.encode()).hexdigest() == pin.digest
+
+
+def test_a_digest_lives_in_one_place():
+    # a CI step that pins an output by sha256 is a command too slow for the
+    # table above; one output pinned in both is checked twice, and edited twice
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    pinned = re.findall(r'echo "([0-9a-f]{64})  .*sha256sum -c', workflow.read_text())
+    assert pinned
+    table = {pin.digest for pin in OUTPUT_DIGESTS}
+    assert [digest for digest in pinned if digest in table] == []
 
 
 def test_distinguish_rejects_bad_coloring_ids(capsys, tmp_path):
@@ -752,6 +969,7 @@ def test_reader_closing_stdout_early_is_not_an_error():
 @pytest.mark.parametrize("argv", [
     ("bounds", "--q", "5", "--n", "4", "--no-meta"),
     ("distinguish", "--q", "5", "--n", "3", "--seed", "1", "--no-meta"),
+    ("bounds", "--q", "5", "--n", "6", "--no-meta"),
 ])
 def test_cli_runs_without_site_packages(argv):
     # -S drops site-packages: the package needs nothing outside the standard library

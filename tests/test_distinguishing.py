@@ -24,7 +24,11 @@ from linecayley.distinguishing import (
 )
 from linecayley.field import affine_ids, decode
 from linecayley.geometry import line_universe
-from linecayley.permgroup import first_fixing_element, fixes_labels
+from linecayley.permgroup import (
+    first_fixing_element,
+    fixes_labels,
+    fixing_subgroup_of_partition,
+)
 from oracles import (
     common_hyperplane_normal,
     direction_count_threshold,
@@ -108,6 +112,18 @@ def test_exceeds_q_single_line():
         assert is_proper(g, coloring)
         assert tuple(w) != tuple(range(9))
         assert all(coloring.class_of[w[x]] == coloring.class_of[x] for x in range(9))
+
+
+def test_exceeds_q_fails_on_two_lines():
+    # two lines at (5,2): G is K_5 □ K_5, and the second proper 5-partition
+    # listed is fixed by no automorphism but the identity, so chi_D <= q
+    _, g, aut = graph_and_aut(5, 2, lines=[(0, 1), (1, 1)])
+    v = chi_D_exceeds_q_small(g, aut)
+    assert (v.exceeds, v.partitions) == (False, 2)
+    assert v.failing.num_colors == 5
+    assert len(set(v.failing.class_of)) == 5
+    assert is_proper(g, v.failing)
+    assert fixing_subgroup_of_partition(aut.group, v.failing.class_of).order() == 1
 
 
 def test_exceeds_q_single_line_needs_no_listing():
