@@ -46,14 +46,12 @@ cost model (splitter_counts): as the multiset of its orbits' rows, about
 |W|*|S| dict updates; directly, by a membership test in S for each live
 orbit and each vertex of W (counts_direct), live * |W| * (q - 1) tests; or
 from the neighbour masks, one AND and popcount on V bits per live orbit,
-whatever |W| is (counts_from_masks).  The masks N(u), u < q^(n-1), are read
-once per search and kept when they fit in MASK_TABLE_BITS; above it, every
-count streams them again and counts every orbit.  Every route gives the
-same counts on the live points, so every choice still depends only on cell
-positions and counts, and refinement commutes with any automorphism.  If
-it ends with one cell per orbit, Aut is K (see _Search.stabilize), and the
-search ends there, at its second node, with no deeper level and no leaf:
-case (i), where the sampled instances of the paper's regime fall.  It returns
+whatever |W| is (counts_from_masks).  Every route gives the same counts on
+the live points, so every choice still depends only on cell positions and
+counts, and refinement commutes with any automorphism.  If it ends with
+one cell per orbit, Aut is K (see _Search.stabilize), and the search ends
+there, at its second node, with no deeper level and no leaf: case (i),
+where the sampled instances of the paper's regime fall.  It returns
 permgroup.scalar_affine_group, the one K of its size.  Otherwise the vertex
 arrays and trace are rebuilt from it, and G_0, the group of the linear
 maps M with M·S = S, is found by a backtrack over basis images
@@ -102,7 +100,7 @@ from itertools import chain, compress, filterfalse, islice, repeat
 from operator import itemgetter
 
 from .errors import BudgetExceeded
-from .field import decode, homology, is_scalar_matrix, transvection
+from .field import homology, is_scalar_matrix, transvection
 from .permgroup import (
     PermGroup, depth_first, grid_generators, inverse_perm, orbit_count, product_group,
     scalar_affine_group, star_swaps, transpositions, twin_generators, twin_group,
@@ -113,8 +111,7 @@ NODE_BUDGET = 200000  # the most nodes a search visits, unless its caller gives 
 
 @dataclass
 class AutResult:
-    group: PermGroup | None
-    complete: bool
+    group: PermGroup | None  # None where the node budget ran out
     nodes: int
     pool: tuple
     # each name in COUNTERS: the search's counters (see _Vertices), period,
@@ -125,6 +122,16 @@ class AutResult:
     # went past the refinement after 0; None where that refinement proved
     # Aut = K, and on the twin and cone routes
     linear: PermGroup | None = None
+
+    @property
+    def complete(self):
+        return self.group is not None
+
+    def complete_group(self):
+        """The group, or a ValueError where the node budget ran out."""
+        if self.group is None:
+            raise ValueError("automorphism search was incomplete; raise the node budget")
+        return self.group
 
 
 def _preserves_neighbors(neighbors, p):
@@ -295,17 +302,17 @@ class _ScalarOrbits:
         self._vertex_neighbors = vertices.neighbors
         self.counts = vertices.counts
         self.zero = len(self.reps) - 1
-        row = vertices[0]
-        # 0 has one neighbour in each orbit of S, and row 0 lists each line's
-        # q - 1 points together
-        self._zero_neighbors = sorted(map(self.orbit_of.__getitem__, row[:: graph.q - 1]))
-        self.members = frozenset(row)
+        # 0 has one neighbour in each orbit of S, its line's, read by the line's id
+        universe = graph.space.universe
+        self._zero_neighbors = sorted(self.orbit_of[universe[rep][1]] for rep in graph.connection.lines)
+        self.members = frozenset(vertices[0])
         degree = graph.num_vertices
         self.mask_build = degree // MASK_BUILD_IDS
         self.mask_step = MASK_STEP_FIXED + degree // MASK_STEP_BITS
-        self.keep_masks = graph.q ** (graph.n - 1) * degree <= MASK_TABLE_BITS
-        self.streamed = self.zero + graph.q ** (graph.n - 1)  # the points and masks a stream steps
-        self._masks = None  # N(u) and k at each orbit of q^k + u, once read (see counts_from_masks)
+        low_masks = len(graph.space.orbit_masks[2])
+        self.keep_masks = low_masks * degree <= MASK_TABLE_BITS
+        self.streamed = self.zero + low_masks  # the points and masks a stream steps
+        self._masks = None  # the low mask each point reads, once read (see counts_from_masks)
 
     def neighbors(self, i):
         """The orbits of r + S, one per member of S, r being reps[i]; for
@@ -333,17 +340,14 @@ class _ScalarOrbits:
         return _counts_from_ids(self.neighbors, members)
 
     def counts_from_masks(self, members, live=None):
-        """The same counts as _counts_from_ids: the count of the orbit of
-        q^k + u, u < q^k, is the popcount of N(u) & (W - e_k), W being the
-        vertices of the members, as N(q^k + u) = N(u) + e_k (W - e_k undoes
-        the stream's step by e_k, see CayleyGraph.steps).  With keep_masks,
-        the masks N(u), u < q^(n-1), are read at the first call and kept,
-        and the points of live, or all, are counted; otherwise each call
-        streams them once, each ANDed with the W - e_k of every k it
-        serves, and counts every point, in point order.  A member may be
-        {0}, whose vertex 0 is in W; {0} itself is not counted."""
+        """The same counts as _counts_from_ids, each point's from the low
+        mask it reads (cayley._Space.orbit_masks).  With keep_masks, the
+        low masks are read at the first call and kept, and the points of
+        live, or all, are counted; otherwise each call streams them once and
+        counts every point, in point order.  A member may be {0}, whose
+        vertex 0 is in W; {0} itself is not counted."""
         graph = self.graph
-        q, n = graph.q, graph.n
+        low, digit, readers = graph.space.orbit_masks
         marks = bytearray(b"0") * len(self.reps)
         for i in members:
             marks[i] = 49  # b"1"
@@ -352,24 +356,16 @@ class _ScalarOrbits:
         shifted = [((w >> up) & keep) | ((w << down) & wrap) for keep, wrap, up, down in graph.steps]
         if self.keep_masks:
             if self._masks is None:
-                low = list(islice(graph.neighbor_masks(), q ** (n - 1)))
-                self._masks = [*chain.from_iterable(low[: q ** k] for k in range(n))]
-                self._digit = [*chain.from_iterable(repeat(k, q ** k) for k in range(n))]
+                masks = list(islice(graph.neighbor_masks(), len(readers)))
+                self._masks = list(map(masks.__getitem__, low))
             points = range(self.zero) if live is None else list(live)
-            counts = list(map(int.bit_count, map(
-                int.__and__, map(self._masks.__getitem__, points),
-                map(shifted.__getitem__, map(self._digit.__getitem__, points)),
-            )))
+            masks = self._masks
+            counts = [(masks[i] & shifted[digit[i]]).bit_count() for i in points]
             return dict(compress(zip(points, counts), counts))
-        counts = [[] for _ in range(n)]
-        stream = graph.neighbor_masks()
-        for j in range(n):
-            # the u with j base-q digits, u = 0 for j = 0, serve each k >= j
-            served = list(zip(shifted[j:], counts[j:]))
-            for m in islice(stream, q ** j - q ** j // q):
-                for s, out in served:
-                    out.append((m & s).bit_count())
-        counts = list(chain.from_iterable(counts))
+        counts = [0] * self.zero
+        for orbits, m in zip(readers, graph.neighbor_masks()):
+            for i in orbits:
+                counts[i] = (m & shifted[digit[i]]).bit_count()
         return dict(compress(enumerate(counts), counts))
 
     def counts_direct(self, members, live):
@@ -822,12 +818,12 @@ def automorphism_group(graph, node_budget=NODE_BUDGET):
             a = len(rows[0])
             group = product_group(rows, known, star_swaps(a), range(a - 1))
             counts = {**dict.fromkeys(COUNTERS, 0), "period": 1, "product": 1}
-            return AutResult(group, True, 0, tuple(group.generators), counts)
+            return AutResult(group, 0, tuple(group.generators), counts)
         inner = automorphism_group(factor, node_budget)
         group = inner.group and product_group(rows, known, inner.group.generators, inner.group.base())
         pool = group.generators if group else grid_generators(rows, known, inner.pool)
         counts = {**inner.counts, "period": 1, "product": 0, "cone": 1}
-        return AutResult(group, inner.complete, inner.nodes, tuple(pool), counts)
+        return AutResult(group, inner.nodes, tuple(pool), counts)
     if len(graph.period) == 1:
         return _search_group(graph, node_budget)
     quotient, cosets = graph.quotient()
@@ -836,12 +832,12 @@ def automorphism_group(graph, node_budget=NODE_BUDGET):
         swaps = transpositions(graph.q, [(i, i + 1) for i in range(graph.q - 1)])
         group = twin_group(swaps, range(graph.q - 1), cosets)
         counts = {**dict.fromkeys(COUNTERS, 0), "period": len(graph.period)}
-        return AutResult(group, True, 0, tuple(group.generators), counts)
+        return AutResult(group, 0, tuple(group.generators), counts)
     inner = automorphism_group(quotient, node_budget)
     group = inner.group and twin_group(inner.group.generators, inner.group.base(), cosets)
     pool = group.generators if group else twin_generators(inner.pool, cosets)
     counts = {**inner.counts, "period": len(graph.period)}
-    return AutResult(group, inner.complete, inner.nodes, tuple(pool), counts)
+    return AutResult(group, inner.nodes, tuple(pool), counts)
 
 
 def _search_group(graph, node_budget):
@@ -857,9 +853,7 @@ def _search_group(graph, node_budget):
         # report what was found; the span of a truncated pool has no
         # trustworthy order, so no group is materialized
         group = None
-    return AutResult(
-        group, group is not None, search.nodes, tuple(search.pool), vertices.counts, search.linear
-    )
+    return AutResult(group, search.nodes, tuple(search.pool), vertices.counts, search.linear)
 
 
 def is_automorphism(graph, p):
@@ -890,27 +884,21 @@ def dichotomy_check(graph, aut):
     Where the search ran past the refinement after 0, every linear map
     fixing S is in G_0, aut.linear, so some such map is not scalar exactly
     when a generator of G_0 is not: the witness is the first such
-    generator, read as the matrix whose column j is the image of e_j, of id
-    q^j.  Where S has a period, it is a transvection.  On the cone route,
-    it is the homology x -> x - 2 x[n-1] u of S's centre u (see
-    CayleyGraph.centre), which maps S onto S, fixes H = {x[n-1] = 0}
-    pointwise and negates u.
+    generator's matrix (CayleyGraph.matrix).  Where S has a period, it is a
+    transvection.  On the cone route, it is the homology x -> x - 2 x[n-1] u
+    of S's centre u (see CayleyGraph.centre), which maps S onto S, fixes H =
+    {x[n-1] = 0} pointwise and negates u.
     """
-    if not aut.complete:
-        raise ValueError("automorphism search was incomplete; raise the node budget")
-    q, n = graph.q, graph.n
-    equals_k = group_equals_scalar_affine(aut.group, q, n)
+    equals_k = group_equals_scalar_affine(aut.complete_group(), graph.q, graph.n)
     if equals_k:
         witness = None
     elif aut.linear is not None:
-        columns = ([decode(g[q ** j], q, n) for j in range(n)] for g in aut.linear.generators)
-        matrices = (tuple(zip(*c)) for c in columns)
-        witness = next(filterfalse(is_scalar_matrix, matrices), None)
+        witness = next(filterfalse(is_scalar_matrix, map(graph.matrix, aut.linear.generators)), None)
     elif len(graph.period) > 1:
         # s -> s + s[n-1] w, in S + W = S, for the first w != 0 of the period
-        witness = transvection(decode(graph.period[1], q, n))
+        witness = transvection(graph.vector(graph.period[1]))
     else:
-        witness = homology(decode(graph.centre, q, n), q)
+        witness = homology(graph.vector(graph.centre), graph.q)
     return {
         "equals_K": equals_k,
         "dichotomy": "i" if equals_k else "ii" if witness is not None else "violated",

@@ -96,14 +96,6 @@ def sample_connection_set(q, n, p=0.5, seed=None):
     return ConnectionSet(q, n, [rep for rep in _space(q, n).universe if rng.random() < p])
 
 
-def id_mask(ids, degree):
-    """The bitmask with bit u set for each u in ids, all in range(degree)."""
-    buf = bytearray((degree + 7) // 8)
-    for u in ids:
-        buf[u >> 3] |= 1 << (u & 7)
-    return int.from_bytes(buf, "little")
-
-
 class CayleyGraph:
     """Graph on F_q^n with u ~ v iff u - v lies in the connection set."""
 
@@ -116,9 +108,12 @@ class CayleyGraph:
         space = self.space = _space(self.q, self.n)
         self._split, (self._lo, self._hi, self.steps) = space.split, space.tables
         self._digits = [d for rep in connection.lines for d in space[rep][self.q - 1 :]]
-        # what neighbor_masks starts from, since the scalar orbits' mask
-        # route, is_proper and adjacency_masks open the stream
-        self._mask0 = id_mask(self.neighbor_ids(0), self.num_vertices)
+        # N(0) as a bitmask, what neighbor_masks starts from, since the scalar
+        # orbits' mask route, is_proper and adjacency_masks open the stream
+        bits = bytearray((self.num_vertices + 7) // 8)
+        for u in self.neighbor_ids(0):
+            bits[u >> 3] |= 1 << (u & 7)
+        self._mask0 = int.from_bytes(bits, "little")
 
     @property
     def num_edges(self):
@@ -156,6 +151,14 @@ class CayleyGraph:
         for y in self.multiples(x):
             out += self.translate(y, ids)
         return out
+
+    def vector(self, x):
+        """The vector of id x."""
+        return decode(x, self.q, self.n)
+
+    def matrix(self, g):
+        """The rows of the matrix of g, a linear map as a permutation of ids."""
+        return tuple(zip(*[self.vector(g[self.q ** j]) for j in range(self.n)]))
 
     @cached_property
     def period(self):
@@ -249,7 +252,7 @@ class CayleyGraph:
 
         if len(lines) == a - 1:
             return grid(None, range(a))
-        e = decode(u, q, n)[:-1]
+        e = self.vector(u)[:-1]
         # the points of D' ∖ 0, r[:n-1] - e, zip stopping there
         spokes = [[x - y for x, y in zip(r, e)] for r in lines if r[:-1] != e]
         f = next((f for f in all_projective_points(q, n - 1)
@@ -293,7 +296,7 @@ class CayleyGraph:
         adjacent in G/W.
         """
         q, n, period = self.q, self.n, self.period
-        basis, pivots = rref([decode(w, q, n) for w in period], q)
+        basis, pivots = rref(list(map(self.vector, period)), q)
         columns = [j for j in range(n) if j not in pivots]
 
         def image(x):
@@ -442,6 +445,21 @@ class _Space(dict):
             for c in range(1, q):
                 orbit_of += map(first.__add__, affine_ids(q, k, inv_mod(c, q), (0,) * k))
         return reps, tuple(orbit_of)
+
+    @cached_property
+    def orbit_masks(self):
+        """(low, digit, readers).  The count of orbit i < D, that of q^k + u
+        with u < q^k, against W is the popcount of N(u) & (W - e_k), u =
+        low[i] and k = digit[i]: N(u) = N(q^k + u) - e_k is one of the first
+        q^(n-1) masks of neighbor_masks, and W - e_k is W stepped back by
+        steps[k].  readers[u] is the orbits that read N(u), in order."""
+        q, n = self.q, self.n
+        low = tuple(chain.from_iterable(range(q ** k) for k in range(n)))
+        digit = tuple(chain.from_iterable([k] * q ** k for k in range(n)))
+        readers = [[] for _ in range(q ** (n - 1))]
+        for i, u in enumerate(low):
+            readers[u].append(i)
+        return low, digit, tuple(map(tuple, readers))
 
     @cached_property
     def orbit_bits(self):

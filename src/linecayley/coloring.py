@@ -9,7 +9,6 @@ partition enumeration serves the distinguishing verdicts at small sizes.
 from dataclasses import dataclass
 
 from .errors import EnumerationLimitExceeded
-from .field import encode
 from .geometry import proj_rep
 from .permgroup import classes_to_labels, leaves
 
@@ -88,7 +87,7 @@ def line_clique(g, line):
     line = proj_rep(tuple(int(a) % g.q for a in line), g.q)
     if line not in g.connection.lines:
         raise ValueError("line was not chosen in the connection set")
-    return tuple(sorted((0, *g.multiples(encode(line, g.q)))))
+    return tuple(sorted((0, *g.multiples(g.space.universe[line][1]))))
 
 
 @dataclass(frozen=True)

@@ -34,18 +34,12 @@ class DistinguishingReport:
         return d
 
 
-def _as_group(aut):
-    if not aut.complete:
-        raise ValueError("automorphism group is incomplete; raise the node budget")
-    return aut.group
-
-
 def is_distinguishing(coloring, aut):
     """Report whether only the identity fixes every color class.
 
     The witness, if any, is the first generator of the class-fixing subgroup.
     """
-    fixing = fixing_subgroup_of_partition(_as_group(aut), coloring.class_of)
+    fixing = fixing_subgroup_of_partition(aut.complete_group(), coloring.class_of)
     witness = fixing.generators[0] if fixing.generators else None
     return DistinguishingReport(witness is None, fixing.order(), witness)
 
@@ -69,7 +63,7 @@ def chi_D_exceeds_q_small(graph, aut, limit=ENUM_LIMIT):
     """
     if not graph.connection.lines:
         raise ValueError("not applicable: the empty graph is properly 1-colorable")
-    group = _as_group(aut)
+    group = aut.complete_group()
     if len(graph.connection.lines) == 1:
         return ExceedsVerdict(True, factorial(graph.q) ** (graph.q ** (graph.n - 1) - 1), None)
     count = 0
@@ -95,4 +89,4 @@ def chi_D_upper_certificate(graph, aut):
     if not graph.connection.members:
         return None
     cert = plus_zero_recolor(coset_coloring(graph))
-    return cert if first_fixing_element(_as_group(aut), cert.class_of) is None else None
+    return cert if first_fixing_element(aut.complete_group(), cert.class_of) is None else None

@@ -62,11 +62,9 @@ def line_universe(q, n):
 
 @lru_cache(maxsize=4)
 def all_projective_points(q, n):
-    """Canonical representatives of every line through the origin of F_q^n,
-    sorted.  Cached, as a process works on few sizes."""
+    """Every line through the origin of F_q^n as its canonical representative,
+    whose last nonzero coordinate is 1, sorted; cached, as a process works on few sizes."""
     require_prime(q)
-    reps = set()
-    for v in itertools.product(range(q), repeat=n):
-        if any(v):
-            reps.add(proj_rep(v, q))
-    return tuple(sorted(reps))
+    return tuple(sorted(
+        (*head, 1, *(0,) * (n - 1 - j)) for j in range(n) for head in itertools.product(range(q), repeat=j)
+    ))

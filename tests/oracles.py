@@ -27,7 +27,6 @@ import random
 from collections import Counter, deque
 from itertools import groupby, repeat
 
-from linecayley.autgroup import _counts_from_ids
 from linecayley.cayley import ConnectionSet
 from linecayley.errors import BudgetExceeded
 from linecayley.field import (
@@ -234,7 +233,10 @@ def sorting_refine(points, part, queue, stop, expected=None):
     while queue and part.count < stop and (expected is None or len(trace) < len(expected)):
         w = queue.popleft()
         queued.discard(w)
-        counts = _counts_from_ids(points.neighbors, lab[w : w + size[w]])
+        counts = {}
+        for x in lab[w : w + size[w]]:
+            for v in points.neighbors(x):
+                counts[v] = counts.get(v, 0) + 1
         pairs = Counter(zip(map(cell_of, counts), counts.values()))
         for s in sorted({s for (s, _), k in pairs.items() if k != size[s]}):
             if expected is not None and len(trace) == len(expected):

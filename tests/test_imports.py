@@ -130,3 +130,43 @@ def test_one_cache_holds_each_sizes_tables():
         uses += count
     assert cached == {"cayley._space", "permgroup.scalar_affine_group", "geometry.all_projective_points"}
     assert uses == len(cached)
+
+
+def id_layout_reads(source):
+    """The names of encode and decode a module imports, and the functions
+    that hold a power (a ** b), by name, "" for one outside any function."""
+    tree = ast.parse(source)
+    imported = sorted(
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in ("encode", "decode")
+    )
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                owner.setdefault(inner, node.name)
+    powers = {
+        owner.get(node, "") for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+    }
+    return imported, powers
+
+
+def test_id_layout_reads_are_found():
+    source = (
+        "from .field import decode, rref\nN = 2 ** 3\n"
+        "def f(q):\n    def g():\n        return q ** 2\n    return {**{}}\n"
+    )
+    assert id_layout_reads(source) == (["decode"], {"", "f"})
+
+
+def test_only_cayley_lays_out_ids():
+    # how a vertex id is laid out in base-q digits is known to field, which
+    # encodes and decodes, and to cayley, whose _Space holds every table of
+    # the layout; autgroup computes no power of q but K's order
+    for path in sorted(ROOT.glob("src/linecayley/*.py")):
+        imported, powers = id_layout_reads(path.read_text())
+        if path.stem not in ("field", "cayley", "__init__"):
+            assert not imported, f"{path.name} imports {imported}"
+        if path.stem == "autgroup":
+            assert powers <= {"group_equals_scalar_affine"}, powers

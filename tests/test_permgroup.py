@@ -216,7 +216,7 @@ def test_shared_k_is_not_mutated():
     g = build_graph(sample_connection_set(q, n, 0.5, 1))
     cert = plus_zero_recolor(coset_coloring(g))
     k = scalar_affine_group(q, n)
-    aut = AutResult(k, True, 2, tuple(k.generators))
+    aut = AutResult(k, 2, tuple(k.generators))
     assert is_distinguishing(cert, aut).distinguishing
     assert is_distinguishing(coset_coloring(g), aut).fixing_order == q ** (n - 1)
     rng = random.Random(5)
