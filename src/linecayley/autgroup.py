@@ -52,7 +52,9 @@ counts, and refinement commutes with any automorphism.  If it ends with
 one cell per orbit, Aut is K (see _Search.stabilize), and the search ends
 there, at its second node, with no deeper level and no leaf: case (i),
 where the sampled instances of the paper's regime fall.  It returns
-permgroup.scalar_affine_group, the one K of its size.  Otherwise the vertex
+permgroup.scalar_affine_group, the one K of its size, whose order
+dichotomy_check compares with every complete group's to decide Aut = K, as
+every group a route returns contains K.  Otherwise the vertex
 arrays and trace are rebuilt from it, and G_0, the group of the linear
 maps M with M·S = S, is found by a backtrack over basis images
 (_linear_group); AutResult.linear holds it, the dichotomy's witness is
@@ -261,7 +263,7 @@ class _Vertices(dict):
         self.keep = degree * valency <= ROW_TABLE_ENTRIES
         self.degree = degree
         self.single = range(degree)
-        self.counts = {**dict.fromkeys(COUNTERS, 0), "period": 1}
+        self.counts = dict.fromkeys(COUNTERS, 0) | {"period": 1}
 
     def __missing__(self, v):
         self.counts["rows"] += 1
@@ -817,12 +819,12 @@ def automorphism_group(graph, node_budget=NODE_BUDGET):
         if factor is None:
             a = len(rows[0])
             group = product_group(rows, known, star_swaps(a), range(a - 1))
-            counts = {**dict.fromkeys(COUNTERS, 0), "period": 1, "product": 1}
+            counts = dict.fromkeys(COUNTERS, 0) | {"period": 1, "product": 1}
             return AutResult(group, 0, tuple(group.generators), counts)
         inner = automorphism_group(factor, node_budget)
         group = inner.group and product_group(rows, known, inner.group.generators, inner.group.base())
         pool = group.generators if group else grid_generators(rows, known, inner.pool)
-        counts = {**inner.counts, "period": 1, "product": 0, "cone": 1}
+        counts = inner.counts | {"period": 1, "product": 0, "cone": 1}
         return AutResult(group, inner.nodes, tuple(pool), counts)
     if len(graph.period) == 1:
         return _search_group(graph, node_budget)
@@ -831,12 +833,12 @@ def automorphism_group(graph, node_budget=NODE_BUDGET):
         # G/W is K_q: Sym(q), strong on range(q - 1) by its transpositions i, i + 1
         swaps = transpositions(graph.q, [(i, i + 1) for i in range(graph.q - 1)])
         group = twin_group(swaps, range(graph.q - 1), cosets)
-        counts = {**dict.fromkeys(COUNTERS, 0), "period": len(graph.period)}
+        counts = dict.fromkeys(COUNTERS, 0) | {"period": len(graph.period)}
         return AutResult(group, 0, tuple(group.generators), counts)
     inner = automorphism_group(quotient, node_budget)
     group = inner.group and twin_group(inner.group.generators, inner.group.base(), cosets)
     pool = group.generators if group else twin_generators(inner.pool, cosets)
-    counts = {**inner.counts, "period": len(graph.period)}
+    counts = inner.counts | {"period": len(graph.period)}
     return AutResult(group, inner.nodes, tuple(pool), counts)
 
 
@@ -864,22 +866,20 @@ def is_automorphism(graph, p):
     return permutation and _preserves_neighbors(graph.neighbor_ids, p)[0]
 
 
-def group_equals_scalar_affine(group, q, n):
-    """Whether group, a complete result of automorphism_group, is K.  The
-    search's pool starts with K's generators and every group it returns
-    keeps them among its own (case (i) returns K itself), and so does the
-    cone route's group.  The twin group of a graph with a period does
-    not list K's generators, but contains K, as every Aut(G) does.  So the
-    group contains K and is K exactly when it has K's order, q^n (q - 1)."""
-    return group.order() == q ** n * (q - 1)
-
-
 def dichotomy_check(graph, aut):
     """The dichotomy verdict of a complete search, as equals_K, dichotomy
     and witness: case "i" when Aut is K; case "ii" when a non-scalar linear
     map fixes the connection set, the witness being its matrix as rows,
     looked for only when Aut is not K.  "violated" would mean neither
     holds, which indicates a solver bug rather than a counterexample.
+
+    Aut = K is decided by the order alone.  The search's pool starts with
+    K's generators and every group it returns keeps them among its own
+    (case (i) returns K itself), and so does the cone route's group.  The
+    twin group of a graph with a period does not list K's generators, but
+    contains K, as every Aut(G) does.  So the group contains K, and is K
+    exactly when it has the order of scalar_affine_group, the one K of its
+    size.
 
     Where the search ran past the refinement after 0, every linear map
     fixing S is in G_0, aut.linear, so some such map is not scalar exactly
@@ -889,7 +889,7 @@ def dichotomy_check(graph, aut):
     of S's centre u (see CayleyGraph.centre), which maps S onto S, fixes H =
     {x[n-1] = 0} pointwise and negates u.
     """
-    equals_k = group_equals_scalar_affine(aut.complete_group(), graph.q, graph.n)
+    equals_k = aut.complete_group().order() == scalar_affine_group(graph.q, graph.n).order()
     if equals_k:
         witness = None
     elif aut.linear is not None:

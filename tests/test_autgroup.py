@@ -24,7 +24,6 @@ from linecayley.autgroup import (
     _preserves_neighbors,
     automorphism_group,
     dichotomy_check,
-    group_equals_scalar_affine,
     is_automorphism,
     refine,
 )
@@ -416,14 +415,14 @@ def test_equals_scalar_affine():
     g = build_graph(sample_connection_set(5, 3, 0.5, 42))
     aut = automorphism_group(g)
     assert aut.complete
-    assert group_equals_scalar_affine(aut.group, 5, 3)
+    assert dichotomy_check(g, aut)["equals_K"]
     assert aut.group.order() == 500
 
 
 def test_k_always_contained():
     # K's generators are automorphisms, and every complete search keeps its
     # n + 1 generators among the group's own, so the group contains K and
-    # group_equals_scalar_affine may decide Aut = K by the order alone: on
+    # dichotomy_check may decide Aut = K by the order alone: on
     # the grid of test_scalar_orbit_shortcut_matches_full_search, in both
     # cases, and on planted (5,4) and (5,5), in case (ii).  The twin group
     # of a graph with a period lists no generator of K, and contains each
@@ -1064,8 +1063,8 @@ def test_scalar_orbit_shortcut_matches_full_search():
             assert aut.group.order() == q ** n * (q - 1), (key, seed)
             stops[key] += 1
         assert aut.group.order() == full.order(), (key, seed)
-        is_k = group_equals_scalar_affine(aut.group, q, n)
-        assert is_k == group_equals_scalar_affine(full, q, n), (key, seed)
+        is_k = dichotomy_check(g, aut)["equals_K"]
+        assert is_k == (full.order() == scalar_affine_group(q, n).order()), (key, seed)
         equal_k[key] += is_k
         if key in planted:
             assert aut.nodes > 2 and aut.group.order() == 2 * q ** n * (q - 1), key
@@ -1442,20 +1441,20 @@ def test_dichotomy_invariant_under_linear_relabelling():
             assert _witness_fixes(reps[1], image)
 
 
-def test_group_equals_scalar_affine_sifts_generators_it_lacks():
+def test_k_on_other_generators_has_the_order_of_k():
     # K on the generators (t0 t1, t1, ..., scaling): t0 is not among them,
-    # so it is found by sifting
+    # so it is found by sifting, and the order dichotomy_check compares is K's
     for q, n in ((3, 2), (5, 3)):
         t0, t1, *rest = scalar_affine_group(q, n).generators
         group = PermGroup(q ** n, (0, 1), [compose(t0, t1), t1, *rest])
         assert t0 not in group.generators
-        assert group_equals_scalar_affine(group, q, n)
+        assert group.order() == scalar_affine_group(q, n).order()
 
 
 def test_group_equals_scalar_affine_negative():
     g = build_graph(ConnectionSet(3, 2, [(0, 1)]))
     aut = automorphism_group(g)
-    assert not group_equals_scalar_affine(aut.group, 3, 2)
+    assert not dichotomy_check(g, aut)["equals_K"]
 
 
 def _period_by_masks(g):

@@ -1,8 +1,13 @@
-"""Every name a module imports is used in it (package re-exports aside), and
+"""Every name a module imports is used in it (package re-exports aside),
 every top-level definition of the package is reached from the CLI or the
-benchmark."""
+benchmark, and the package root re-exports only the names its readers
+import from it."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,10 +168,59 @@ def test_id_layout_reads_are_found():
 def test_only_cayley_lays_out_ids():
     # how a vertex id is laid out in base-q digits is known to field, which
     # encodes and decodes, and to cayley, whose _Space holds every table of
-    # the layout; autgroup computes no power of q but K's order
+    # the layout; autgroup computes no power of q at all, as K's order is
+    # read from permgroup.scalar_affine_group
     for path in sorted(ROOT.glob("src/linecayley/*.py")):
         imported, powers = id_layout_reads(path.read_text())
         if path.stem not in ("field", "cayley", "__init__"):
             assert not imported, f"{path.name} imports {imported}"
         if path.stem == "autgroup":
-            assert powers <= {"group_equals_scalar_affine"}, powers
+            assert not powers, powers
+
+
+def library_example():
+    """The python block under README's "## Library example"."""
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"^## Library example\n\n```python\n(.*?)^```", readme, re.M | re.S)[1]
+
+
+def root_imports(source):
+    """The names a source imports from the package root."""
+    return {
+        alias.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "linecayley"
+        for alias in node.names
+    }
+
+
+def test_root_imports_are_found():
+    source = "import linecayley\nfrom linecayley import a, b as c\nfrom linecayley.x import d\n"
+    assert root_imports(source) == {"a", "b"}
+
+
+def test_root_exports_only_what_its_readers_import():
+    # one import path per name: the root re-exports the pipeline the
+    # benchmark and README's example import from it, and every other name
+    # is imported from its module.  A reader may import more from modules
+    # without an edit here
+    tree = ast.parse((ROOT / "src" / "linecayley" / "__init__.py").read_text())
+    exported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = root_imports((ROOT / "bench" / "run.py").read_text()) | root_imports(library_example())
+    assert exported <= read, sorted(exported - read)
+
+
+def test_import_leaves_out_the_bounds_and_the_cli():
+    # the root imports the pipeline alone: bounds (with decimal and
+    # fractions) and the CLI load only when asked for
+    code = "import sys, linecayley; print(*sorted(m for m in sys.modules if m.startswith('linecayley')))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "linecayley.autgroup" in loaded
+    assert not loaded & {"linecayley.bounds", "linecayley.cli"}, sorted(loaded)
+
+
+def test_library_example_prints_what_readme_says(capsys):
+    exec(compile(library_example(), "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == ["5", "500", "i", "6"]
