@@ -481,8 +481,9 @@ def refine(points, part, queue, stop, expected=None):
                 return None
             trace.append(event)
             if n == 2:
-                # two singletons, in that order by one comparison, in place,
-                # and the second queued, as Hopcroft's rule does below
+                # two singletons (about half the cells split after 0 at
+                # (5,4)), in that order by one comparison, in place, and the
+                # second queued, as Hopcroft's rule does below
                 a, b = lab[s], lab[s + 1]
                 if (hit(a) if one else counts[a] > counts[b]):
                     a, b = b, a
@@ -884,10 +885,13 @@ def dichotomy_check(graph, aut):
     Where the search ran past the refinement after 0, every linear map
     fixing S is in G_0, aut.linear, so some such map is not scalar exactly
     when a generator of G_0 is not: the witness is the first such
-    generator's matrix (CayleyGraph.matrix).  Where S has a period, it is a
-    transvection.  On the cone route, it is the homology x -> x - 2 x[n-1] u
-    of S's centre u (see CayleyGraph.centre), which maps S onto S, fixes H =
-    {x[n-1] = 0} pointwise and negates u.
+    generator's matrix (CayleyGraph.matrix).  It is not the
+    lexicographically first matrix of a GL(n, q) scan, so it needs no scan
+    and exists at every size the search reaches; its reference is
+    tests/oracles.linear_witness, a walk over Aut's stabilizer chain.  Where
+    S has a period, it is a transvection.  On the cone route, it is the
+    homology x -> x - 2 x[n-1] u of S's centre u (see CayleyGraph.centre),
+    which maps S onto S, fixes H = {x[n-1] = 0} pointwise and negates u.
     """
     equals_k = aut.complete_group().order() == scalar_affine_group(graph.q, graph.n).order()
     if equals_k:

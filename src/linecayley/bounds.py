@@ -199,7 +199,8 @@ def aut_union_bound(q, n):
     """The union-bound exponent chain over all linear maps, decided exactly.
 
     Checks n^2 log2 q - (q^(n-1)-q^(n-2)-1)/2 < -q^(n-1)/3 by clearing
-    denominators to an integer comparison, and repeats the check with the
+    denominators to an integer comparison, made by bit length so that the
+    power of 2 on its right is never built, and repeats the check with the
     exact order of the general linear group in place of q^(n^2), refusing
     an n at which that order could pass GL_ORDER_MAX_DIGITS digits.
     """

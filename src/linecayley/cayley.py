@@ -32,8 +32,7 @@ class ConnectionSet:
                 line = tuple([int(a) % q for a in line])
                 if len(line) != n:
                     raise ValueError(f"line {line} has wrong dimension")
-                # a line whose last coordinate is 1 is its own representative
-                rep = line if line[-1] == 1 else proj_rep(line, q)
+                rep = proj_rep(line, q)
                 if rep[-1] == 0:
                     raise ValueError(
                         f"line {line} lies inside the hyperplane x[{n - 1}] = 0"
@@ -316,7 +315,9 @@ class CayleyGraph:
         Each mask is the one before translated by a unit vector e_i: bits
         whose digit i is below q-1 move up by q^i, the others wrap down by
         (q-1)*q^i. They come in runs of q along e_0, between the ticks of
-        an odometer over digits 1..n-1; a step is a few big-int operations.
+        an odometer over digits 1..n-1, which keeps n-1 masks alive; a step
+        is a few big-int operations on V-bit ints, so all V masks cost
+        O(V^2) bit operations whatever |S| is.
         """
         q, n, steps = self.q, self.n, self.steps
         keep, wrap, up, down = steps[0]
@@ -345,7 +346,8 @@ class CayleyGraph:
 
     def write_dimacs(self, fh):
         """DIMACS edge format, vertices 1-indexed, written one translation
-        (V lines) at a time."""
+        (V lines) at a time, so the whole text (21 MB at (5,5)) is never
+        held."""
         q = self.q
         fh.write(f"p edge {self.num_vertices} {self.num_edges}\n")
         written = 0

@@ -1,7 +1,7 @@
 """Proper colorings of the line Cayley graphs.
 
 The layered coloring (one class per level of the last coordinate) always
-uses exactly q colors, and any chosen line gives a q-clique, so the
+uses exactly q colors, and S's first line gives a q-clique, so the
 chromatic number of a nonempty instance is q without search.  Exhaustive
 partition enumeration serves the distinguishing verdicts at small sizes.
 """
@@ -9,7 +9,6 @@ partition enumeration serves the distinguishing verdicts at small sizes.
 from dataclasses import dataclass
 
 from .errors import EnumerationLimitExceeded
-from .geometry import proj_rep
 from .permgroup import classes_to_labels, leaves
 
 ENUM_LIMIT = 10 ** 6  # the most partitions enumerate_proper_partitions lists by default
@@ -77,19 +76,6 @@ def is_proper(g, coloring):
     return not any(m & class_masks[c] for m, c in zip(g.neighbor_masks(), class_of))
 
 
-def line_clique(g, line):
-    """The q-clique {lam * line : lam in F_q} for a chosen line, given by
-    any nonzero vector on it.
-
-    Its translates by the vectors of the hyperplane x[n-1] = 0 partition the
-    vertex set into q^(n-1) cliques.
-    """
-    line = proj_rep(tuple(int(a) % g.q for a in line), g.q)
-    if line not in g.connection.lines:
-        raise ValueError("line was not chosen in the connection set")
-    return tuple(sorted((0, *g.multiples(g.space.universe[line][1]))))
-
-
 @dataclass(frozen=True)
 class ChromaticResult:
     value: int
@@ -100,13 +86,15 @@ class ChromaticResult:
 def exact_chromatic_number(g):
     """Chromatic number with witnesses.
 
-    The chosen-line clique (lower bound q) and the layered coloring (upper
-    bound q) settle every nonempty instance without search.
+    The clique {λ r : λ in F_q} on S's first line r, as sorted ids (lower
+    bound q), and the layered coloring (upper bound q) settle every
+    nonempty instance without search.  The clique's translates by the
+    hyperplane x[n-1] = 0 partition the vertex set into q^(n-1) cliques.
     """
     if not g.connection.lines:
         coloring = Coloring(1, (0,) * g.num_vertices)
         return ChromaticResult(1, coloring, ())
-    clique = line_clique(g, g.connection.lines[0])
+    clique = tuple(sorted((0, *g.multiples(g.space.universe[g.connection.lines[0]][1]))))
     return ChromaticResult(g.q, coset_coloring(g), clique)
 
 

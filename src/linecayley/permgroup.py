@@ -202,9 +202,10 @@ def twin_group(generators, base, cosets):
 
     Twins have the same neighbours, so every permutation of each class is
     an automorphism, and every automorphism permutes the classes as one of
-    Q.  The generators (twin_generators) are strong on the base of twin 0
-    of each base point of Q, then twins 0..|W|-2 of every class, those
-    already in it skipped: fixing the first part leaves the elements that
+    Q (Sabidussi, "The lexicographic product of graphs", *Duke Math. J.*
+    28, 1961).  The generators (twin_generators) are strong on the base of
+    twin 0 of each base point of Q, then twins 0..|W|-2 of every class,
+    those already in it skipped: fixing the first part leaves the elements that
     fix each class, and there twins 0..i-1 of a class fixed leave the
     permutations of twins i.. of it, spanned by the transpositions of twins
     i and i+1 onward.  The group contains K when the twins are those of a

@@ -12,7 +12,6 @@ from linecayley.coloring import (
     enumerate_proper_partitions,
     exact_chromatic_number,
     is_proper,
-    line_clique,
     plus_zero_recolor,
 )
 from linecayley.errors import EnumerationLimitExceeded
@@ -70,22 +69,6 @@ def test_coset_coloring_empty_raises():
         coset_coloring(g)
 
 
-def test_line_clique():
-    s = ConnectionSet(5, 3, [(1, 2, 1), (0, 0, 1)])
-    g = build_graph(s)
-    clique = line_clique(g, (1, 2, 1))
-    assert len(clique) == 5
-    for i, u in enumerate(clique):
-        for v in clique[:i]:
-            assert is_edge(g, u, v)
-    with pytest.raises(ValueError):
-        line_clique(g, (1, 0, 1))
-    # a nonzero multiple names the same line, as it does in ConnectionSet
-    assert line_clique(g, (2, 4, 2)) == line_clique(g, (-1, -2, -1)) == clique
-    with pytest.raises(ValueError, match="zero vector"):
-        line_clique(g, (0, 5, 0))
-
-
 def test_is_proper_detects_conflict():
     s = ConnectionSet(3, 2, [(0, 1)])
     g = build_graph(s)
@@ -133,16 +116,20 @@ def test_is_proper_matches_edge_scan(data):
 
 
 def test_exact_chromatic_number_structure():
-    for q, n, seed in ((3, 2, 5), (5, 3, 6)):
-        s = sample_connection_set(q, n, 0.5, seed)
+    sampled = (sample_connection_set(q, n, 0.5, seed) for q, n, seed in ((3, 2, 5), (5, 3, 6)))
+    for s in (*sampled, ConnectionSet(5, 3, [(1, 2, 1), (0, 0, 1)])):
         if not s.lines:
             continue
         g = build_graph(s)
         res = exact_chromatic_number(g)
-        assert res.value == q
-        assert len(res.clique) == q
+        assert res.value == s.q
+        assert len(res.clique) == s.q
+        # each pair of the clique is an edge
+        for i, u in enumerate(res.clique):
+            for v in res.clique[:i]:
+                assert is_edge(g, u, v)
         assert is_proper(g, res.coloring)
-        assert res.coloring.num_colors == q
+        assert res.coloring.num_colors == s.q
 
 
 def test_exact_chromatic_number_empty():

@@ -1,7 +1,7 @@
 """Every name a module imports is used in it (package re-exports aside),
 every top-level definition of the package is reached from the CLI or the
-benchmark, and the package root re-exports only the names its readers
-import from it."""
+benchmark, the package root re-exports only the names its readers
+import from it, and README names nothing private to the package."""
 
 import ast
 import os
@@ -224,3 +224,28 @@ def test_import_leaves_out_the_bounds_and_the_cli():
 def test_library_example_prints_what_readme_says(capsys):
     exec(compile(library_example(), "README.md", "exec"), {})
     assert capsys.readouterr().out.split() == ["5", "500", "i", "6"]
+
+
+def private_names(text, sources):
+    """The single-underscore names that the sources define or read and that
+    text names, as words; a dunder is not one."""
+    defined = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            for name in (getattr(node, key, None) for key in ("id", "attr", "name", "arg")):
+                if isinstance(name, str) and re.fullmatch(r"_[A-Za-z]\w*", name):
+                    defined.add(name)
+    return sorted(defined.intersection(re.findall(r"(?<!\w)_[A-Za-z]\w*", text)))
+
+
+def test_private_names_are_found():
+    sources = ["class _Space:\n    def _f(self, _a):\n        return self._x\n__version__ = '1'\n"]
+    text = "`cayley._Space`, `_f.g`, _x and `__version__`, but not x_y or _other"
+    assert private_names(text, sources) == ["_Space", "_f", "_x"]
+
+
+def test_readme_names_nothing_private():
+    # README is the user's document: how the code works lives in the
+    # docstrings, so README names only what a user imports or runs
+    sources = [p.read_text() for p in sorted(ROOT.glob("src/linecayley/*.py"))]
+    assert private_names((ROOT / "README.md").read_text(), sources) == []
