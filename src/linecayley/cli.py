@@ -26,7 +26,7 @@ from .bounds import (
     trial_rows,
 )
 from .cayley import ConnectionSet, build_graph, sample_connection_set
-from .coloring import ENUM_LIMIT, Coloring, exact_chromatic_number, is_proper
+from .coloring import Coloring, exact_chromatic_number, is_proper
 from .distinguishing import chi_D_upper_certificate, is_distinguishing
 from .errors import BudgetExceeded, InvariantViolation
 from .geometry import line_universe
@@ -168,9 +168,7 @@ def cmd_experiment(args):
     if args.sweep_all_subsets:
         if args.format != "json":
             raise ValueError("--sweep-all-subsets prints its census as JSON only")
-        rows = sweep_all_line_subsets(
-            args.q, args.n, enum_limit=args.budget_enum, node_budget=args.budget_nodes
-        )
+        rows = sweep_all_line_subsets(args.q, args.n, node_budget=args.budget_nodes)
         _emit_json(args, {"census": rows})
         return 0
     if args.seed is None:
@@ -261,7 +259,6 @@ def build_parser():
 
     sub = subs.add_parser("experiment", help="seeded Monte-Carlo trials")
     _add_common(sub, sample=True, node_budget=True)
-    sub.add_argument("--budget-enum", type=_positive_int, default=ENUM_LIMIT)
     sub.add_argument("--trials", type=int, default=20)
     sub.add_argument("--jobs", type=_positive_int, default=1)
     sub.add_argument("--format", choices=("json", "csv"), default="json")

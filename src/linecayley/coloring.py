@@ -8,10 +8,10 @@ partition enumeration serves the distinguishing verdicts at small sizes.
 
 from dataclasses import dataclass
 
-from .errors import EnumerationLimitExceeded
+from .errors import BudgetExceeded
 from .permgroup import classes_to_labels, leaves
 
-ENUM_LIMIT = 10 ** 6  # the most partitions enumerate_proper_partitions lists by default
+ENUM_LIMIT = 10 ** 6  # the most partitions enumerate_proper_partitions lists
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,13 @@ def exact_chromatic_number(g):
     return ChromaticResult(g.q, coset_coloring(g), clique)
 
 
-def enumerate_proper_partitions(g, limit=ENUM_LIMIT):
+def enumerate_proper_partitions(g):
     """Yield every proper partition into at most q classes once.
 
     Partitions are canonical: vertex 0 opens class 0 and new classes appear
     in first-use order, so relabelings of the same partition are not
-    repeated.  Raises when more than limit partitions would be yielded.
+    repeated.  Raises BudgetExceeded when more than ENUM_LIMIT partitions
+    would be yielded, a guard that no size the census admits comes near.
     The partial assignments are walked by permgroup.leaves, whose stack is
     explicit, so the vertex count is not bounded by the recursion limit.
     """
@@ -121,8 +122,8 @@ def enumerate_proper_partitions(g, limit=ENUM_LIMIT):
 
     partitions = leaves(((), ()), 0, g.num_vertices, children)
     for yielded, (class_of, class_masks) in enumerate(partitions, 1):
-        if yielded > limit:
-            raise EnumerationLimitExceeded(f"more than {limit} proper partitions")
+        if yielded > ENUM_LIMIT:
+            raise BudgetExceeded(f"more than {ENUM_LIMIT} proper partitions")
         yield Coloring(len(class_masks), class_of)
 
 

@@ -14,7 +14,7 @@ which stops at the first class-fixing automorphism, translations included.
 from dataclasses import dataclass
 from math import factorial
 
-from .coloring import ENUM_LIMIT, coset_coloring, enumerate_proper_partitions, plus_zero_recolor
+from .coloring import coset_coloring, enumerate_proper_partitions, plus_zero_recolor
 from .permgroup import first_fixing_element, fixing_subgroup_of_partition
 
 
@@ -51,12 +51,14 @@ class ExceedsVerdict:
     failing: object
 
 
-def chi_D_exceeds_q_small(graph, aut, limit=ENUM_LIMIT):
+def chi_D_exceeds_q_small(graph, aut):
     """Exhaustive verdict: does every proper partition into at most q classes
     admit a non-trivial class-fixing automorphism?
 
     True exactly when no proper q-coloring is distinguishing.  Feasible only
-    when the partition enumeration is tiny, or with one line: G is then
+    when the partition enumeration is tiny, as at the census's sizes
+    (bounds.SWEEP_MAX_VERTICES); past coloring.ENUM_LIMIT partitions the
+    listing raises BudgetExceeded.  One line needs no listing: G is then
     q^(n-1) disjoint q-cliques, so every proper partition has q classes,
     (q!)^(q^(n-1) - 1) of them up to colour names, and matching the colours
     of two cliques swaps them and fixes every class.
@@ -67,7 +69,7 @@ def chi_D_exceeds_q_small(graph, aut, limit=ENUM_LIMIT):
     if len(graph.connection.lines) == 1:
         return ExceedsVerdict(True, factorial(graph.q) ** (graph.q ** (graph.n - 1) - 1), None)
     count = 0
-    for coloring in enumerate_proper_partitions(graph, limit=limit):
+    for coloring in enumerate_proper_partitions(graph):
         count += 1
         if first_fixing_element(group, coloring.class_of) is None:
             return ExceedsVerdict(False, count, coloring)

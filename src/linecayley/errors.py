@@ -1,12 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: BudgetExceeded when a search
+runs out of nodes or a listing passes coloring.ENUM_LIMIT, and
+InvariantViolation for a bug."""
 
 
 class BudgetExceeded(RuntimeError):
     """A search or enumeration exceeded its configured budget."""
-
-
-class EnumerationLimitExceeded(BudgetExceeded):
-    """An exhaustive enumeration produced more items than the caller allowed."""
 
 
 class InvariantViolation(RuntimeError):

@@ -236,7 +236,9 @@ def test_theorem_qn_params():
     assert [theorem_qn_params(k)["q"] for k in range(4, 13)] == [
         5, 7, 7, 11, 11, 11, 11, 13, 13,
     ]
-    for k in range(4, 13):
+    # Bertrand's postulate, which lets theorem_qn_params search past k with
+    # no upper stop, checked well beyond the paper's k
+    for k in range(4, 2001):
         t = theorem_qn_params(k)
         assert t["check"] is True
         assert k < t["q"] < 2 * k

@@ -881,17 +881,20 @@ def test_sweep_budget_exhaustion(capsys):
 
 
 def test_sweep_refuses_too_many_subsets(capsys, deadline):
-    # (5,3)'s 25 lines have 2^25 - 1 subsets, past SWEEP_MAX_SUBSETS, and
-    # are refused before any work, as is (5,40), whose 5^39 lines are not
-    # listed; (3,3)'s 511 subsets are taken on, and with a budget of 1 node
-    # its first search runs out
+    # (7,2), (5,3) and (3,4) have more than SWEEP_MAX_VERTICES = 27 vertices
+    # and are refused before any work ((7,2)'s census ran past 60 s when it
+    # was taken on), as is (5,40), past MAX_VERTICES; (3,3)'s 27 vertices are
+    # taken on, and with a budget of 1 node its first search runs out
     deadline(5)
-    for q, n in (("5", "3"), ("3", "4"), ("5", "40")):
+    for q, n, message in (("7", "2", "49 vertices, more than SWEEP_MAX_VERTICES = 27"),
+                          ("5", "3", "125 vertices, more than SWEEP_MAX_VERTICES = 27"),
+                          ("3", "4", "81 vertices, more than SWEEP_MAX_VERTICES = 27"),
+                          ("5", "40", "more than MAX_VERTICES = 1048576 vertices")):
         code = main(["experiment", "--q", q, "--n", n, "--sweep-all-subsets", "--no-meta"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "more than 511" in captured.err
+        assert captured.err.startswith("error: ") and message in captured.err
     code = main(["experiment", "--q", "3", "--n", "3", "--sweep-all-subsets",
                  "--budget-nodes", "1", "--no-meta"])
     captured = capsys.readouterr()
@@ -917,9 +920,8 @@ def test_chi_has_no_budget_flags(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("aut", "--q", "3", "--n", "2", "--seed", "1", "--budget-nodes"),
-    ("experiment", "--q", "3", "--n", "2", "--sweep-all-subsets", "--budget-enum"),
     ("experiment", "--q", "3", "--n", "2", "--seed", "1", "--trials", "2", "--jobs"),
-], ids=("budget-nodes", "budget-enum", "jobs"))
+], ids=("budget-nodes", "jobs"))
 def test_count_flags_below_one_exit_2(capsys, argv):
     for value in ("0", "-1"):
         with pytest.raises(SystemExit) as exc:

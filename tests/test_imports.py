@@ -1,8 +1,10 @@
 """Every name a module imports is used in it (package re-exports aside),
 every top-level definition of the package is reached from the CLI or the
 benchmark, the package root re-exports only the names its readers
-import from it, and README names nothing private to the package."""
+import from it, and README names nothing private to the package and every
+option of the CLI."""
 
+import argparse
 import ast
 import os
 import re
@@ -11,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from linecayley.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -249,3 +253,20 @@ def test_readme_names_nothing_private():
     # docstrings, so README names only what a user imports or runs
     sources = [p.read_text() for p in sorted(ROOT.glob("src/linecayley/*.py"))]
     assert private_names((ROOT / "README.md").read_text(), sources) == []
+
+
+def test_readme_names_every_cli_option_and_no_other():
+    # each long option the parser declares is documented, and README names
+    # none it lacks; argparse's own --help and pip's flag are not the CLI's
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        option
+        for sub in (parser, *subs.choices.values())
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", (ROOT / "README.md").read_text()))
+    assert (declared - named, named - declared - {"--no-build-isolation"}) == (set(), set())
