@@ -1,18 +1,17 @@
-"""Quantitative bound evaluation and Monte-Carlo experiment drivers.
+"""Quantitative bound evaluation and the experiment drivers.
 
 Probability bounds are evaluated exactly (big integers and rationals) with a
 log2-scale rendering for quantities far below floating range, and in log
-space alone past EXACT_TRIALS.  The trials and the census read their verdicts
-from one instance_record.  Trials derive independent seeds from a master seed
-by hashing, so any record can be replayed in isolation and parallel runs
-aggregate identically.
+space alone past EXACT_TRIALS; nothing is estimated by drawing.  The trials
+and the census read their verdicts from one instance_record.  Trials derive
+independent seeds from a master seed by hashing, so any record can be
+replayed in isolation and parallel runs aggregate identically.
 """
 
 import hashlib
 import itertools
 import math
 import os
-import random
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -118,29 +117,24 @@ def _trial_seed(master, index):
 
 # The input caps of bounds, checked before any work.  |GL(n, q)| < q^(n^2) is
 # printed in at most Python's default 4,300 digits: q^(n^2) has 4,253 at (5,78)
-# and 4,363 at (5,79).  The trials make q^(n-1) draws each, and (5,5) with
-# 10^4 trials makes 6,250,000 of them, in about 0.4 s on a 2-core Xeon.  The
-# line reading's tail sums about q times some tens of terms past EXACT_TRIALS
-# lines (binomial_tail_log2), at most ~0.5 s at q = 99,991 (n = 4 and 5 the
-# worst n) on that machine; at q = 10^9 + 7 it would run for minutes.
+# and 4,363 at (5,79).  The line reading's tail sums about q times some tens
+# of terms past EXACT_TRIALS lines (binomial_tail_log2), at most ~0.5 s at
+# q = 99,991 (n = 4 and 5 the worst n) on a 2-core Xeon; at q = 10^9 + 7 it
+# would run for minutes.
 GL_ORDER_MAX_DIGITS = 4300
-CHERNOFF_MAX_DRAWS = 10**7
 CHERNOFF_MAX_Q = 10**5
 
 
-def simulate_line_count(q, n, p, seed):
-    # one uniform draw per line of the universe, in universe order
-    rng = random.Random(seed)
-    return sum(rng.random() < p for _ in range(q ** (n - 1)))
-
-
-def chernoff_report(q, n, trials=0, seed=None):
+def chernoff_report(q, n):
     """Tail bounds for the size of a p=1/2 random connection set.
 
     Reports the closed-form bound exp(-q^(n-3)/4) next to the exact binomial
-    tail under both size readings: the number of chosen lines, and the number
-    of set elements (q-1 per line).  Optionally adds empirical frequencies
-    over seeded trials, refused before any draw past CHERNOFF_MAX_DRAWS.
+    tail under both size readings: the number L of chosen lines, and the
+    number of set elements (q-1 per line).  The line reading is P(L <
+    threshold), threshold = (q^(n-1) - q^(n-2))/2, the event the paper's
+    Chernoff step bounds.  The direction bound, past which every class of a
+    proper q-colouring is an affine hyperplane, needs L >= threshold + 1,
+    one line more, so its failure is P(L <= threshold).
     A q past CHERNOFF_MAX_Q is refused before any work.
     """
     if q > CHERNOFF_MAX_Q:
@@ -148,10 +142,6 @@ def chernoff_report(q, n, trials=0, seed=None):
     require_odd_prime(q)
     if n < 3:
         raise ValueError("tail bounds need n >= 3")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
-    if trials * q ** (n - 1) > CHERNOFF_MAX_DRAWS:
-        raise ValueError(f"{trials} x {q}^{n - 1} draws pass CHERNOFF_MAX_DRAWS = 10^7")
     num_lines = q ** (n - 1)
     # half of q^(n-1) - q^(n-2) = q^(n-2)(q - 1), an integer as q is odd
     threshold = (q ** (n - 1) - q ** (n - 2)) // 2
@@ -162,7 +152,7 @@ def chernoff_report(q, n, trials=0, seed=None):
         exponent = Decimal(q) ** (n - 3) / 4
         closed_log2 = float(-exponent / Decimal(2).ln())
         closed_value = float((-exponent).exp())
-    report = {
+    return {
         "q": q,
         "n": n,
         "num_lines": num_lines,
@@ -171,28 +161,7 @@ def chernoff_report(q, n, trials=0, seed=None):
         "closed_form_bound_log2": closed_log2,
         "line_reading": _tail_reading(num_lines, t_lines, closed_log2),
         "element_reading": _tail_reading(num_lines, t_elements, closed_log2),
-        "trials": trials,
-        "seed": seed,
-        "empirical": None,
     }
-    if trials:
-        if seed is None:
-            raise ValueError("empirical trials need a seed")
-        line_hits = 0
-        element_hits = 0
-        for i in range(trials):
-            count = simulate_line_count(q, n, 0.5, _trial_seed(seed, i))
-            if count < threshold:
-                line_hits += 1
-            if (q - 1) * count < threshold:
-                element_hits += 1
-        report["empirical"] = {
-            "line_violations": line_hits,
-            "element_violations": element_hits,
-            "line_frequency": line_hits / trials,
-            "element_frequency": element_hits / trials,
-        }
-    return report
 
 
 def aut_union_bound(q, n):

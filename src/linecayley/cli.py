@@ -201,9 +201,7 @@ def cmd_bounds(args):
             raise ValueError("either --k or both --q and --n are required")
         payload = {"union_bound": aut_union_bound(args.q, args.n)}
         if args.n >= 3:
-            payload["chernoff"] = chernoff_report(
-                args.q, args.n, trials=args.trials or 0, seed=args.seed
-            )
+            payload["chernoff"] = chernoff_report(args.q, args.n)
     _emit_json(args, payload)
     return 0
 
@@ -269,8 +267,6 @@ def build_parser():
     sub.add_argument("--q", type=int, default=None)
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--trials", type=int, default=0)
-    sub.add_argument("--seed", type=int, default=None)
     _add_common(sub, q=False, n=False)
     sub.set_defaults(func=cmd_bounds)
 

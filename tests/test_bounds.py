@@ -14,7 +14,6 @@ from linecayley.bounds import (
     exact_binomial_tail,
     monte_carlo_pipeline,
     run_single_trial,
-    simulate_line_count,
     sweep_all_line_subsets,
     theorem_qn_params,
     trial_rows,
@@ -144,14 +143,24 @@ def test_bounds_far_beyond_the_exact_range(deadline):
 
 
 def test_simulation_matches_sampler():
-    for seed in range(30):
-        assert simulate_line_count(3, 3, 0.5, seed) == len(
-            sample_connection_set(3, 3, 0.5, seed).lines
-        )
-    for seed in range(10):
-        assert simulate_line_count(5, 3, 0.3, seed) == len(
-            sample_connection_set(5, 3, 0.3, seed).lines
-        )
+    # the line count L each experiment trial records is that of the real
+    # sampler on the trial's seed, so L needs no sampling loop of its own
+    for q, n, p, trials in ((3, 3, 0.5, 30), (5, 3, 0.3, 10)):
+        agg = monte_carlo_pipeline(q, n, trials, 0, p=p)
+        for r in agg["records"]:
+            assert r["lines"] == len(sample_connection_set(q, n, p, r["seed"]).lines)
+        assert agg["aggregate"]["mean_lines"] == sum(r["lines"] for r in agg["records"]) / trials
+
+
+def test_chernoff_empirical():
+    # the real sampler's share of (3,3) sets with L < threshold = 3 lines,
+    # over seeds 0-1999, against the exact tail of chernoff_report's line
+    # reading
+    tail = exact_binomial_tail(9, 2)
+    assert tail == Fraction(23, 256)
+    short = sum(len(sample_connection_set(3, 3, 0.5, seed).lines) < 3 for seed in range(2000))
+    assert short == 187
+    assert abs(short / 2000 - tail) < 0.02
 
 
 def test_chernoff_report_values():
@@ -166,7 +175,6 @@ def test_chernoff_report_values():
     assert r["element_reading"]["tail_at"] == 1
     assert r["element_reading"]["exact"] == "5/256"
     assert r["element_reading"]["le_closed_form"] is True
-    assert r["empirical"] is None
 
 
 def test_chernoff_exact_suppressed_for_large_universes():
@@ -184,26 +192,11 @@ def test_chernoff_both_readings_hold_for_target_sizes():
         assert r["element_reading"]["le_closed_form"] is True
 
 
-def test_chernoff_empirical():
-    r = chernoff_report(3, 3, trials=2000, seed=7)
-    e = r["empirical"]
-    assert e["line_violations"] == 176
-    assert e["element_violations"] == 25
-    assert e["line_frequency"] == 0.088
-    # empirical frequency close to the exact tail 23/256
-    assert abs(e["line_frequency"] - 23 / 256) < 0.02
-    assert chernoff_report(3, 3, trials=2000, seed=7) == r
-
-
 def test_chernoff_errors():
-    with pytest.raises(ValueError):
-        chernoff_report(3, 3, trials=10)
     with pytest.raises(ValueError):
         chernoff_report(3, 2)
     with pytest.raises(ValueError):
         chernoff_report(4, 3)
-    with pytest.raises(ValueError):
-        chernoff_report(5, 3, trials=-5, seed=1)
 
 
 def test_aut_union_bound():

@@ -340,18 +340,16 @@ def test_bounds_k_rejects_n_below_2(capsys, n):
     assert captured.err == "error: need n >= 2\n"
 
 
-def test_bounds_refuses_trials_past_the_draw_cap(capsys, deadline):
-    # one trial at (5,40) would make 5^39 draws, and 16,001 at (5,5) make
-    # 10,000,625, past CHERNOFF_MAX_DRAWS = 10^7: both are refused before
-    # any draw
-    deadline(1)
-    for argv, draws in ((("--n", "40", "--trials", "1"), "1 x 5^39"),
-                        (("--n", "5", "--trials", "16001"), "16001 x 5^4")):
-        code = main(["bounds", "--q", "5", *argv, "--seed", "1", "--no-meta"])
+def test_bounds_has_no_trials_or_seed(capsys):
+    # bounds reads its tails exactly and draws nothing, so it takes no
+    # --trials or --seed: either exits 2
+    for argv in (("--trials", "1"), ("--seed", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--q", "5", "--n", "5", *argv, "--no-meta"])
         captured = capsys.readouterr()
-        assert code == 2, argv
+        assert exc.value.code == 2, argv
         assert captured.out == ""
-        assert captured.err == f"error: {draws} draws pass CHERNOFF_MAX_DRAWS = 10^7\n"
+        assert f"unrecognized arguments: {' '.join(argv)}" in captured.err
 
 
 def test_bounds_refuses_n_past_the_digit_cap(capsys, deadline):
