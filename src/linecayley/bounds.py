@@ -19,9 +19,9 @@ from fractions import Fraction
 from .autgroup import NODE_BUDGET, automorphism_group, dichotomy_check
 from .cayley import ConnectionSet, build_graph, sample_connection_set
 from .coloring import exact_chromatic_number
-from .distinguishing import chi_D_exceeds_q_small, chi_D_upper_certificate
+from .distinguishing import SWEEP_MAX_VERTICES, chi_D_exceeds_q_small, chi_D_upper_certificate
 from .errors import BudgetExceeded
-from .field import gl_order, is_prime, require_odd_prime, require_prime, require_space
+from .field import gl_order, is_prime, require_odd_prime, require_space
 from .geometry import line_universe
 
 
@@ -173,7 +173,7 @@ def aut_union_bound(q, n):
     exact order of the general linear group in place of q^(n^2), refusing
     an n at which that order could pass GL_ORDER_MAX_DIGITS digits.
     """
-    require_prime(q)
+    require_odd_prime(q)
     if n < 2:
         raise ValueError("need n >= 2")
     if n * n * math.log10(q) >= GL_ORDER_MAX_DIGITS:
@@ -327,20 +327,13 @@ def trial_rows(records):
         yield ",".join(map(str, r.values()))
 
 
-# The most vertices, q^n, of a size the census takes on: (3,2), (5,2) and
-# (3,3), whose censuses take 0.15 s, 0.78 s and 18.3 s on a 2-core Xeon.
-# The next sizes up, (7,2), (5,3) and (3,4), are refused: (7,2)'s census of
-# 127 subsets ran past 60 s, listing proper partitions into up to 7 classes.
-SWEEP_MAX_VERTICES = 27
-
-
 def sweep_all_line_subsets(q=3, n=2, node_budget=NODE_BUDGET):
     """Census of every nonempty line subset: chromatic, automorphism,
     dichotomy, and distinguishing verdicts for each instance.  Raises
-    ValueError, before any work, when q^n passes SWEEP_MAX_VERTICES, and
-    BudgetExceeded when an automorphism search runs out of nodes.  At the
-    sizes admitted the largest partition listing, 288 at (3,3), is far
-    below coloring.ENUM_LIMIT."""
+    ValueError, before any work, when q^n passes the exhaustive verdict's
+    cap, distinguishing.SWEEP_MAX_VERTICES, and BudgetExceeded when an
+    automorphism search runs out of nodes.  At the sizes admitted the
+    largest partition listing is 288, at (3,3)."""
     require_space(q, n)
     if q**n > SWEEP_MAX_VERTICES:
         raise ValueError(

@@ -264,9 +264,10 @@ def build_parser():
     sub.set_defaults(func=cmd_experiment)
 
     sub = subs.add_parser("bounds", help="closed-form bound evaluation")
-    sub.add_argument("--q", type=int, default=None)
+    field_size = sub.add_mutually_exclusive_group()
+    field_size.add_argument("--q", type=int, default=None)
     sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
+    field_size.add_argument("--k", type=int, default=None)
     _add_common(sub, q=False, n=False)
     sub.set_defaults(func=cmd_bounds)
 

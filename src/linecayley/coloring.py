@@ -8,10 +8,7 @@ partition enumeration serves the distinguishing verdicts at small sizes.
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
 from .permgroup import classes_to_labels, leaves
-
-ENUM_LIMIT = 10 ** 6  # the most partitions enumerate_proper_partitions lists
 
 
 @dataclass(frozen=True)
@@ -103,10 +100,11 @@ def enumerate_proper_partitions(g):
 
     Partitions are canonical: vertex 0 opens class 0 and new classes appear
     in first-use order, so relabelings of the same partition are not
-    repeated.  Raises BudgetExceeded when more than ENUM_LIMIT partitions
-    would be yielded, a guard that no size the census admits comes near.
-    The partial assignments are walked by permgroup.leaves, whose stack is
-    explicit, so the vertex count is not bounded by the recursion limit.
+    repeated.  The listing is lazy and has no limit of its own: its library
+    caller, distinguishing.chi_D_exceeds_q_small, refuses a graph past
+    distinguishing.SWEEP_MAX_VERTICES before it starts.  The partial
+    assignments are walked by permgroup.leaves, whose stack is explicit, so
+    the vertex count is not bounded by the recursion limit.
     """
     adj = g.adjacency_masks()
 
@@ -120,10 +118,7 @@ def enumerate_proper_partitions(g):
         if len(class_masks) < g.q:
             yield class_of + (len(class_masks),), class_masks + (1 << v,)
 
-    partitions = leaves(((), ()), 0, g.num_vertices, children)
-    for yielded, (class_of, class_masks) in enumerate(partitions, 1):
-        if yielded > ENUM_LIMIT:
-            raise BudgetExceeded(f"more than {ENUM_LIMIT} proper partitions")
+    for class_of, class_masks in leaves(((), ()), 0, g.num_vertices, children):
         yield Coloring(len(class_masks), class_of)
 
 

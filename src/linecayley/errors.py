@@ -1,6 +1,5 @@
-"""Exception types shared across the package: BudgetExceeded when a search
-runs out of nodes or a listing passes coloring.ENUM_LIMIT, and
-InvariantViolation for a bug."""
+"""Exception types shared across the package: BudgetExceeded when the
+automorphism search runs out of nodes, and InvariantViolation for a bug."""
 
 
 class BudgetExceeded(RuntimeError):

@@ -2,7 +2,7 @@
 
 Vectors are plain tuples of ints in [0, q); matrices are tuples of row tuples.
 Everything is immutable and already reduced mod q, so values can be compared,
-hashed and shared freely.  Only prime moduli are supported.
+hashed and shared freely.  Only odd prime moduli are supported.
 """
 
 
@@ -37,15 +37,9 @@ def is_prime(q):
     return True
 
 
-def require_prime(q):
-    if not is_prime(q):
-        raise ValueError(f"modulus must be a prime, got {q}")
-
-
 def require_odd_prime(q):
-    require_prime(q)
-    if q == 2:
-        raise ValueError("modulus must be an odd prime, got 2")
+    if q == 2 or not is_prime(q):
+        raise ValueError(f"modulus must be an odd prime, got {q}")
 
 
 # The most vertices, q^n, of any space a line universe, connection set or
@@ -76,10 +70,8 @@ def inv_mod(a, q):
 
 
 def primitive_root(q):
-    """Smallest positive generator of the multiplicative group mod the prime q."""
-    require_prime(q)
-    if q == 2:
-        return 1
+    """Smallest positive generator of the multiplicative group mod the odd prime q."""
+    require_odd_prime(q)
     for g in range(2, q):
         seen = set()
         x = 1

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import inv_mod, require_prime, require_space, vec_scale
+from .field import inv_mod, require_odd_prime, require_space, vec_scale
 
 
 def proj_rep(v, q):
@@ -64,7 +64,7 @@ def line_universe(q, n):
 def all_projective_points(q, n):
     """Every line through the origin of F_q^n as its canonical representative,
     whose last nonzero coordinate is 1, sorted; cached, as a process works on few sizes."""
-    require_prime(q)
+    require_odd_prime(q)
     return tuple(sorted(
         (*head, 1, *(0,) * (n - 1 - j)) for j in range(n) for head in itertools.product(range(q), repeat=j)
     ))

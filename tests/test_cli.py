@@ -340,6 +340,33 @@ def test_bounds_k_rejects_n_below_2(capsys, n):
     assert captured.err == "error: need n >= 2\n"
 
 
+def test_bounds_refuses_q_2(capsys):
+    # q is an odd prime at every entry point: the union bound at n = 2 refuses
+    # q = 2 as the tail bounds at n = 3 do
+    for n in ("2", "3"):
+        code = main(["bounds", "--q", "2", "--n", n, "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2, n
+        assert captured.out == ""
+        assert captured.err == "error: modulus must be an odd prime, got 2\n"
+
+
+def test_bounds_takes_k_or_q_not_both(capsys):
+    # --k picks q itself, so a --q beside it is refused by argparse rather
+    # than ignored; without --k, --q still needs --n
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--k", "4", "--q", "7", "--n", "3", "--no-meta"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --q: not allowed with argument --k" in captured.err
+    code = main(["bounds", "--q", "7", "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: either --k or both --q and --n are required\n"
+
+
 def test_bounds_has_no_trials_or_seed(capsys):
     # bounds reads its tails exactly and draws nothing, so it takes no
     # --trials or --seed: either exits 2

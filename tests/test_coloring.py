@@ -14,7 +14,6 @@ from linecayley.coloring import (
     is_proper,
     plus_zero_recolor,
 )
-from linecayley.errors import BudgetExceeded
 from linecayley.field import encode, vec_scale
 from linecayley.geometry import line_universe
 from oracles import (
@@ -176,23 +175,14 @@ def test_enumerate_proper_partitions_yields_proper():
     assert len(seen) == brute_partition_count(_neighbors(g), 3)
 
 
-def test_enumerate_limit(monkeypatch):
-    monkeypatch.setattr("linecayley.coloring.ENUM_LIMIT", 5)
-    s = ConnectionSet(3, 2, [(0, 1)])
-    g = build_graph(s)
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_proper_partitions(g))
-
-
-def test_enumerate_deeper_than_recursion_limit(monkeypatch):
+def test_enumerate_deeper_than_recursion_limit():
     # 2,187 vertices and no edges: the first partition puts every vertex in
-    # class 0, and the second is over the limit
-    monkeypatch.setattr("linecayley.coloring.ENUM_LIMIT", 1)
+    # class 0, and the second moves the last vertex to class 1, so the walk
+    # backs up through a stack deeper than the recursion limit
     g = build_graph(ConnectionSet(3, 7, []))
     partitions = enumerate_proper_partitions(g)
     assert next(partitions) == Coloring(1, (0,) * 2187)
-    with pytest.raises(BudgetExceeded):
-        next(partitions)
+    assert next(partitions) == Coloring(2, (0,) * 2186 + (1,))
 
 
 def test_plus_zero_recolor():

@@ -18,6 +18,7 @@ from linecayley.coloring import (
     plus_zero_recolor,
 )
 from linecayley.distinguishing import (
+    ExceedsVerdict,
     chi_D_exceeds_q_small,
     chi_D_upper_certificate,
     is_distinguishing,
@@ -128,12 +129,26 @@ def test_exceeds_q_fails_on_two_lines():
 
 def test_exceeds_q_single_line_needs_no_listing():
     # one line at (3,3): nine disjoint triangles, with (3!)^8 proper
-    # 3-partitions up to colour names, past the default listing cap of 10^6
+    # 3-partitions up to colour names, counted rather than listed
     _, g, aut = graph_and_aut(3, 3, lines=[(0, 0, 1)])
     start = time.perf_counter()
     v = chi_D_exceeds_q_small(g, aut)
     assert time.perf_counter() - start < 1
     assert (v.exceeds, v.partitions, v.failing) == (True, 1_679_616, None)
+
+
+def test_exceeds_q_refuses_two_lines_past_the_cap(deadline):
+    # two lines at (5,3) and at (7,2), 125 and 49 vertices: the listing
+    # there is almost all dead ends (3 partitions in 20 s at (5,3)), so the
+    # verdict refuses before it lists anything; one line is still counted
+    for q, n in ((5, 3), (7, 2)):
+        _, g, aut = graph_and_aut(q, n, lines=line_universe(q, n).lines[:2])
+        deadline(1)
+        with pytest.raises(ValueError, match=f"{q**n} vertices passes SWEEP_MAX_VERTICES = 27"):
+            chi_D_exceeds_q_small(g, aut)
+        deadline(0)
+    _, g, aut = graph_and_aut(5, 3, lines=line_universe(5, 3).lines[:1])
+    assert chi_D_exceeds_q_small(g, aut) == ExceedsVerdict(True, 120**24, None)
 
 
 def test_partition_order_is_pinned():

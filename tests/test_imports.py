@@ -1,8 +1,8 @@
 """Every name a module imports is used in it (package re-exports aside),
 every top-level definition of the package is reached from the CLI or the
 benchmark, the package root re-exports only the names its readers
-import from it, and README names nothing private to the package and every
-option of the CLI."""
+import from it, and README names nothing private to the package, every
+option of the CLI, and only constants that exist."""
 
 import argparse
 import ast
@@ -253,6 +253,49 @@ def test_readme_names_nothing_private():
     # docstrings, so README names only what a user imports or runs
     sources = [p.read_text() for p in sorted(ROOT.glob("src/linecayley/*.py"))]
     assert private_names((ROOT / "README.md").read_text(), sources) == []
+
+
+def module_constants(source):
+    """The names a source assigns at module level; an imported name is not
+    one."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def unknown_constants(text, modules):
+    """The upper-case constants that text names in backticks and that the
+    modules (key -> source) do not assign: a `module.NAME` must be assigned
+    in the module of that key, and a bare `NAME` in any of them."""
+    assigned = {key: module_constants(source) for key, source in modules.items()}
+    anywhere = set().union(*assigned.values())
+    unknown = {
+        f"{module}.{name}" if module else name
+        for module, name in re.findall(r"`(?:(\w+)\.)?([A-Z][A-Z0-9_]+)`", text)
+        if name not in (assigned.get(module, set()) if module else anywhere)
+    }
+    return sorted(unknown)
+
+
+def test_unknown_constants_are_found():
+    modules = {"lib": "from .other import CAP\nLIMIT = 1\nN: int = 2\ndef f():\n    LOCAL = 3\n",
+               "tests.t": "PINS = []\n"}
+    text = "`lib.LIMIT`, `lib.N`, `PINS`, `lib.CAP`, `other.LIMIT`, `LOCAL`, `--in FILE`, `lib.f`"
+    assert unknown_constants(text, modules) == ["LOCAL", "lib.CAP", "other.LIMIT"]
+
+
+def test_readme_names_only_constants_that_exist():
+    # a constant that moves or goes leaves no stale name in README: the
+    # listing's size cap lives in distinguishing, and its old names fail.
+    # Package modules are keyed by name, test modules by path
+    sources = {p.stem: p.read_text() for p in sorted(ROOT.glob("src/linecayley/*.py"))}
+    sources.update({f"tests/{p.name}": p.read_text() for p in sorted(ROOT.glob("tests/*.py"))})
+    assert unknown_constants((ROOT / "README.md").read_text(), sources) == []
+    stale = "`bounds.SWEEP_MAX_VERTICES`, `ENUM_LIMIT`, `distinguishing.SWEEP_MAX_VERTICES`"
+    assert unknown_constants(stale, sources) == ["ENUM_LIMIT", "bounds.SWEEP_MAX_VERTICES"]
 
 
 def test_readme_names_every_cli_option_and_no_other():
